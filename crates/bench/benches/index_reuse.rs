@@ -4,9 +4,6 @@
 //! * `store` — planner pipeline with the index store (PR 3): the first
 //!   evaluation builds each cacheable hash index, every later one
 //!   probes it;
-//! * `store_par4` — the composed PR 5 lane: the same warm store, with
-//!   the cached plain index probed by four workers (probe cutoff
-//!   lowered so the paper-scale relations engage);
 //! * `rebuild` — planner pipeline with the store disabled (the PR 2
 //!   always-rebuild path): every evaluation re-hashes its build sides;
 //! * `interp` — the nested-loop `select_loop` reference.
@@ -69,26 +66,6 @@ fn bench_index_reuse(c: &mut Criterion) {
         let (mut s, _db) = scaled_parts_session(n, n / 10 + 2, 11);
         s.run(FIG5_SOURCE).unwrap();
         run_mode(&mut group, "store/fig9_repeat", n, &mut s, fig9, true, true);
-        // The combined cached-parallel-probe case: same warm store,
-        // four probe workers over the shared plain index.
-        {
-            use machiavelli::value::tuning;
-            s.store_reset();
-            let prev_t = tuning::set_par_threads(Some(4));
-            let prev_probe = tuning::set_par_probe_min_rows(Some(1));
-            group.bench_with_input(BenchmarkId::new("store_par4/fig9_repeat", n), &n, |b, _| {
-                b.iter(|| {
-                    let prev_p = set_planner_enabled(true);
-                    let prev_s = set_store_enabled(true);
-                    let out = s.eval_one(fig9).unwrap().value;
-                    set_store_enabled(prev_s);
-                    set_planner_enabled(prev_p);
-                    out
-                })
-            });
-            tuning::set_par_probe_min_rows(prev_probe);
-            tuning::set_par_threads(prev_t);
-        }
         run_mode(
             &mut group,
             "rebuild/fig9_repeat",

@@ -1,31 +1,35 @@
-//! PR 4/5 bench — the parallel hash-join lanes vs the sequential
-//! planner paths, across relation sizes and worker-thread counts.
+//! The plain-key join's defence: the one parallel join path vs the
+//! sequential planner path, with the table built inline and served by
+//! the store.
 //!
 //! Two externally bound relations of `n` int-keyed rows each are
 //! equi-joined through `Session::eval_one` (parse + infer + plan +
-//! execute).
+//! execute). Every size clears the default two-morsel gate, so no
+//! cutoff is lowered.
 //!
-//! The `par_join` group measures the **inline partition lane** (PR 4):
-//! the index store is disabled so every iteration really builds and
-//! probes, isolating seq vs par on the same work:
+//! The `par_join` group runs with the index store **disabled**, so
+//! every iteration really builds and probes, isolating seq vs par on
+//! the same work:
 //!
-//! * `seq`  — parallel lane disabled (the PR 2/3 planner path);
-//! * `parK` — plain-value partition lane with K worker threads (the
-//!   join cutoff is lowered so every size engages the lane).
+//! * `seq`  — parallel lane disabled (the `Rc` hash join);
+//! * `parK` — inline plain build + probe fan-out at K worker threads.
 //!
-//! The `cached_par_probe` group measures the **composed lane** (PR 5):
-//! store enabled and warm, so the build phase is gone entirely and the
-//! only difference is how the cached plain index is probed:
+//! The `cached_par_probe` group runs with the store enabled and warm,
+//! so the build phase is gone entirely and the only difference is how
+//! the cached plain index is probed:
 //!
 //! * `cached_seq`  — the sequential probe over the cached index;
-//! * `cached_parK` — K workers probing the shared `Arc` index (probe
-//!   cutoff lowered so every size engages).
+//! * `cached_parK` — the same fan-out over the shared `Arc` index.
+//!
+//! Before anything is timed the bench asserts that the parallel path
+//! engaged (`par_joins`, no fallbacks) and agreed with `seq`.
 //!
 //! Keys overlap on the top eighth of the key space with unique matches,
 //! so the output (≈ n/8 small tuples) never dominates the build/probe
 //! machinery under test.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use machiavelli::testing::{with_mode, Mode};
 use machiavelli::value::{tuning, Value};
 use machiavelli::Session;
 use std::time::Duration;
@@ -67,66 +71,51 @@ fn join_session(n: usize) -> Session {
 /// accumulated retention distorts the timing).
 const QUERY: &str = "(select (x.A, y.A) where x <- r, y <- s with x.K = y.K) = {};";
 
-fn run_seq(s: &mut Session) -> Value {
-    let prev = tuning::set_parallel_enabled(false);
-    let out = s.eval_one(QUERY).unwrap().value;
-    tuning::set_parallel_enabled(prev);
-    out
+/// Run the query with the index store `store` and the parallel lane
+/// `lane` (`None` = the sequential reference), at the default gates.
+fn run(s: &mut Session, store: bool, lane: Option<usize>) -> Value {
+    let mode = Mode {
+        planner: true,
+        store,
+        lane,
+        tiny_gates: false,
+    };
+    with_mode(mode, || s.eval_one(QUERY).unwrap().value)
 }
 
-fn run_par(s: &mut Session, threads: usize) -> Value {
-    let prev_t = tuning::set_par_threads(Some(threads));
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
-    let out = s.eval_one(QUERY).unwrap().value;
-    tuning::set_par_join_min_build_rows(prev_rows);
-    tuning::set_par_threads(prev_t);
-    out
+/// Assert, before timing, that the parallel path engages on this
+/// session and agrees with `seq`.
+fn assert_engaged(s: &mut Session, store: bool, seq: &Value, n: usize) {
+    tuning::reset_par_stats();
+    assert_eq!(&run(s, store, Some(2)), seq, "paths diverge at n={n}");
+    let stats = tuning::par_stats();
+    assert_eq!(
+        (stats.par_joins, stats.par_join_fallbacks),
+        (1, 0),
+        "parallel path not engaged at n={n}: {stats:?}"
+    );
 }
 
 fn bench_par_join(c: &mut Criterion) {
-    // Every iteration must rebuild: cached builds bypass the lane.
-    machiavelli::store::set_store_enabled(false);
     let mut group = c.benchmark_group("par_join");
     group.sample_size(10);
-    for n in [2_000usize, 10_000, 100_000] {
+    for n in [10_000usize, 100_000] {
         let mut s = join_session(n);
-        // Sanity: the lanes agree (and the result is non-trivial)
-        // before anything is timed.
-        let seq = run_seq(&mut s);
+        // Store off: every iteration must rebuild.
+        let seq = run(&mut s, false, None);
         assert_eq!(seq, Value::Bool(false), "join unexpectedly empty at n={n}");
-        tuning::reset_par_stats();
-        assert_eq!(run_par(&mut s, 4), seq, "lanes diverge at n={n}");
-        assert_eq!(
-            tuning::par_stats().par_joins,
-            1,
-            "lane not engaged at n={n}"
-        );
+        assert_engaged(&mut s, false, &seq, n);
 
         group.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
-            b.iter(|| run_seq(&mut s))
+            b.iter(|| run(&mut s, false, None))
         });
-        for threads in [2usize, 4, 8] {
+        for threads in [2usize, 4] {
             group.bench_with_input(BenchmarkId::new(format!("par{threads}"), n), &n, |b, _| {
-                b.iter(|| run_par(&mut s, threads))
+                b.iter(|| run(&mut s, false, Some(threads)))
             });
         }
     }
     group.finish();
-    machiavelli::store::set_store_enabled(true);
-}
-
-/// Run the query with the store enabled (warm after the first call):
-/// `threads = None` is the sequential probe over the cached index,
-/// `Some(k)` the parallel cached probe with a 1-row probe cutoff.
-fn run_cached(s: &mut Session, threads: Option<usize>) -> Value {
-    let prev_on = tuning::set_parallel_enabled(threads.is_some());
-    let prev_t = tuning::set_par_threads(threads);
-    let prev_probe = tuning::set_par_probe_min_rows(Some(1));
-    let out = s.eval_one(QUERY).unwrap().value;
-    tuning::set_par_probe_min_rows(prev_probe);
-    tuning::set_par_threads(prev_t);
-    tuning::set_parallel_enabled(prev_on);
-    out
 }
 
 fn bench_cached_par_probe(c: &mut Criterion) {
@@ -136,28 +125,21 @@ fn bench_cached_par_probe(c: &mut Criterion) {
         let mut s = join_session(n);
         s.store_reset();
         // Warm the cache, then sanity-check agreement and engagement.
-        let seq = run_cached(&mut s, None);
+        let seq = run(&mut s, true, None);
         assert_eq!(seq, Value::Bool(false), "join unexpectedly empty at n={n}");
         let builds = s.store_stats().builds;
         assert_eq!(builds, 1, "build not cached at n={n}");
-        tuning::reset_par_stats();
-        assert_eq!(run_cached(&mut s, Some(4)), seq, "lanes diverge at n={n}");
-        let stats = tuning::par_stats();
-        assert_eq!(
-            (stats.par_probes, stats.par_probe_fallbacks),
-            (1, 0),
-            "cached probe not engaged at n={n}: {stats:?}"
-        );
+        assert_engaged(&mut s, true, &seq, n);
         assert_eq!(s.store_stats().builds, builds, "rebuilt at n={n}");
 
         group.bench_with_input(BenchmarkId::new("cached_seq", n), &n, |b, _| {
-            b.iter(|| run_cached(&mut s, None))
+            b.iter(|| run(&mut s, true, None))
         });
-        for threads in [2usize, 4, 8] {
+        for threads in [2usize, 4] {
             group.bench_with_input(
                 BenchmarkId::new(format!("cached_par{threads}"), n),
                 &n,
-                |b, _| b.iter(|| run_cached(&mut s, Some(threads))),
+                |b, _| b.iter(|| run(&mut s, true, Some(threads))),
             );
         }
         assert_eq!(s.store_stats().builds, builds, "cache lost during bench");

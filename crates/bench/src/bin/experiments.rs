@@ -311,11 +311,10 @@ fn main() {
         );
     }
 
-    println!("\n== E13: parallel lane — partition join + par_hom folds ==");
+    println!("\n== E13: parallel lane — plain-key join + par_hom folds ==");
     {
-        use machiavelli::eval::set_planner_enabled;
+        use machiavelli::testing::{with_mode, Mode};
         use machiavelli::value::{tuning, Value};
-        let _ = set_planner_enabled(true);
         let n = 20_000usize;
         let rows = |offset: usize| {
             Value::set((0..n).map(|i| {
@@ -336,19 +335,20 @@ fn main() {
         )
         .unwrap();
         let join_q = "card(select (x.A, y.A) where x <- r, y <- t with x.K = y.K);";
-        let timed = |s: &mut Session, query: &str, par: Option<usize>| {
-            // The store would serve the repeat builds and bypass the
-            // lane; disable it so seq-vs-par compare the same work.
-            let prev_store = machiavelli::store::set_store_enabled(false);
-            let prev_on = tuning::set_parallel_enabled(par.is_some());
-            let prev_t = tuning::set_par_threads(par);
-            let t0 = std::time::Instant::now();
-            let out = s.eval_one(query).unwrap().value;
-            let dt = t0.elapsed();
-            tuning::set_par_threads(prev_t);
-            tuning::set_parallel_enabled(prev_on);
-            machiavelli::store::set_store_enabled(prev_store);
-            (out, dt)
+        let timed = |s: &mut Session, query: &str, lane: Option<usize>| {
+            // The store would serve the repeat builds; disable it so
+            // seq-vs-par compare the same (inline-build) work.
+            let mode = Mode {
+                planner: true,
+                store: false,
+                lane,
+                tiny_gates: false,
+            };
+            with_mode(mode, || {
+                let t0 = std::time::Instant::now();
+                let out = s.eval_one(query).unwrap().value;
+                (out, t0.elapsed())
+            })
         };
         // `card` over the join result is itself a proper hom, so one
         // parallel evaluation exercises both halves of the lane.
@@ -391,9 +391,8 @@ fn main() {
 
     println!("\n== E14: composed lane — cached indexes under writes + parallel probes ==");
     {
-        use machiavelli::eval::set_planner_enabled;
+        use machiavelli::testing::{with_mode, Mode};
         use machiavelli::value::{tuning, Value};
-        let _ = set_planner_enabled(true);
 
         // Part A — cache survival: the repeated fig5 `cost` sweep mixed
         // with ref writes to an *unrelated* relation. Under PR 4's
@@ -441,17 +440,18 @@ fn main() {
         s.run("val side = ref(0);").unwrap();
         s.store_reset();
         let q = "card(select (x.A, y.A) where x <- r, y <- t with x.K = y.K);";
-        let timed = |s: &mut Session, par: Option<usize>| {
-            let prev_on = tuning::set_parallel_enabled(par.is_some());
-            let prev_t = tuning::set_par_threads(par);
-            let prev_probe = tuning::set_par_probe_min_rows(Some(1));
-            let t0 = std::time::Instant::now();
-            let out = s.eval_one(q).unwrap().value;
-            let dt = t0.elapsed();
-            tuning::set_par_probe_min_rows(prev_probe);
-            tuning::set_par_threads(prev_t);
-            tuning::set_parallel_enabled(prev_on);
-            (out, dt)
+        let timed = |s: &mut Session, lane: Option<usize>| {
+            let mode = Mode {
+                planner: true,
+                store: true,
+                lane,
+                tiny_gates: false,
+            };
+            with_mode(mode, || {
+                let t0 = std::time::Instant::now();
+                let out = s.eval_one(q).unwrap().value;
+                (out, t0.elapsed())
+            })
         };
         let (v_cold, _) = timed(&mut s, None);
         s.eval_one("side := 1;").unwrap();
@@ -469,15 +469,12 @@ fn main() {
         let ps = tuning::par_stats();
         r.check(
             "one build serves every probe; the parallel probe engaged",
-            "1 build, ≥ 2 hits, par_probes ≥ 1, 0 probe fallbacks",
+            "1 build, ≥ 2 hits, par_joins ≥ 1, 0 join fallbacks",
             &format!(
-                "{} builds, {} hits, {} par_probes, {} fallbacks",
-                stats.builds, stats.hits, ps.par_probes, ps.par_probe_fallbacks
+                "{} builds, {} hits, {} par_joins, {} fallbacks",
+                stats.builds, stats.hits, ps.par_joins, ps.par_join_fallbacks
             ),
-            stats.builds == 1
-                && stats.hits >= 2
-                && ps.par_probes >= 1
-                && ps.par_probe_fallbacks == 0,
+            stats.builds == 1 && stats.hits >= 2 && ps.par_joins >= 1 && ps.par_join_fallbacks == 0,
         );
         let probe_speedup = t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9);
         println!(

@@ -37,6 +37,7 @@ pub mod error;
 pub mod persist;
 pub mod repl;
 pub mod session;
+pub mod testing;
 
 pub use error::SessionError;
 pub use persist::{

@@ -218,13 +218,9 @@ mod tests {
 
     #[test]
     fn repl_stats_and_indexes_commands() {
-        let mut session = Session::new();
-        session.store_reset();
-        session.par_reset();
-        session.exec_reset();
-        // Pin the thread count so the parallel line is deterministic
-        // under any machine/env configuration.
-        let prev = session.set_par_threads(Some(1));
+        // Pinned thread count: the parallel line is deterministic under
+        // any machine/env configuration.
+        let mut session = crate::testing::pinned_session(1);
         let input = b":stats;\n\
                       val r = {[K=1, A=10], [K=2, A=20]};\n\
                       select x.A where x <- r with x.K = 2;\n\
@@ -256,17 +252,8 @@ mod tests {
         );
         assert!(
             text.contains(
-                ">> parallel (1 threads): joins 0 / join fallbacks 0 / cached probes 0 / \
-                 probe fallbacks 0 / homs 0 / hom fallbacks 0"
-            ),
-            "{text}"
-        );
-        // Nothing in this run clears the columnar cutoffs: the line is
-        // present with all counters at zero.
-        assert!(
-            text.contains(
-                ">> columnar: offloads 0 / offload fallbacks 0 / \
-                 snapshots 0 built / 0 adopted / morsels 0 executed / 0 stolen"
+                ">> parallel (1 threads): joins 0 / join fallbacks 0 / \
+                 homs 0 / hom fallbacks 0 / morsels 0 executed / 0 stolen"
             ),
             "{text}"
         );
@@ -281,7 +268,6 @@ mod tests {
             ),
             "{text}"
         );
-        session.set_par_threads(prev);
     }
 
     #[test]

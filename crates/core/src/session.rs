@@ -37,7 +37,7 @@ impl Outcome {
 }
 
 /// Every statistics surface a session can see, snapshotted at once:
-/// the index store, the parallel and columnar lanes, the process-wide
+/// the index store, the parallel lane and its scheduler, the process-wide
 /// server/resilience counters and shared index tier, and the typed
 /// decline taxonomy (`machiavelli-trace`). One struct so callers (and
 /// the REPL's `:stats`) render all of it through one code path instead
@@ -48,7 +48,7 @@ pub struct SessionStats {
     pub store: machiavelli_store::StoreStats,
     /// Parallel-lane hit/fallback counters (session-scoped).
     pub par: machiavelli_value::tuning::ParStats,
-    /// Columnar-lane counters (session-scoped).
+    /// Morsel-scheduler counters (session-scoped).
     pub exec: machiavelli_value::tuning::ExecStats,
     /// Server/resilience counters (process-wide).
     pub server: machiavelli_value::governor::ServerCounters,
@@ -82,30 +82,17 @@ impl SessionStats {
             "hits {} / misses {} / builds {} / invalidated {} / cleared {} / evicted {}",
             st.hits, st.misses, st.builds, st.invalidated, st.cleared, st.evicted
         );
-        let ps = &self.par;
+        let (ps, es) = (&self.par, &self.exec);
         let _ = writeln!(
             out,
             "parallel ({} threads): joins {} / join fallbacks {} / \
-             cached probes {} / probe fallbacks {} / \
-             homs {} / hom fallbacks {}",
+             homs {} / hom fallbacks {} / \
+             morsels {} executed / {} stolen",
             self.par_threads,
             ps.par_joins,
             ps.par_join_fallbacks,
-            ps.par_probes,
-            ps.par_probe_fallbacks,
             ps.par_homs,
-            ps.par_hom_fallbacks
-        );
-        let es = &self.exec;
-        let _ = writeln!(
-            out,
-            "columnar: offloads {} / offload fallbacks {} / \
-             snapshots {} built / {} adopted / \
-             morsels {} executed / {} stolen",
-            es.offloads,
-            es.offload_fallbacks,
-            es.snapshots_built,
-            es.snapshots_adopted,
+            ps.par_hom_fallbacks,
             es.morsels_executed,
             es.morsels_stolen
         );
@@ -303,9 +290,9 @@ impl Session {
         machiavelli_value::tuning::par_threads()
     }
 
-    /// This session's parallel-lane hit/fallback counters (joins run on
-    /// the plain-value partition lane, proper `hom` folds run through
-    /// `par_hom`, and their runtime fallbacks). Behind the REPL's
+    /// This session's parallel-lane hit/fallback counters (joins probed
+    /// on the plain-key path, proper `hom` folds run through `par_hom`,
+    /// and their runtime fallbacks). Behind the REPL's
     /// `:stats` alongside the index-store counters.
     pub fn par_stats(&self) -> machiavelli_value::tuning::ParStats {
         machiavelli_value::tuning::par_stats()
@@ -316,14 +303,14 @@ impl Session {
         machiavelli_value::tuning::reset_par_stats()
     }
 
-    /// This session's columnar-lane counters (snapshots built/adopted,
-    /// morsels executed/stolen, filter offloads and their declines).
-    /// Behind the REPL's `:stats` alongside the parallel-lane counters.
+    /// This session's morsel-scheduler counters (morsels executed and
+    /// stolen by the plain-key join's probe fan-out). Behind the REPL's
+    /// `:stats` alongside the parallel-lane counters.
     pub fn exec_stats(&self) -> machiavelli_value::tuning::ExecStats {
         machiavelli_value::tuning::exec_stats()
     }
 
-    /// Zero the columnar-lane counters.
+    /// Zero the morsel-scheduler counters.
     pub fn exec_reset(&self) {
         machiavelli_value::tuning::reset_exec_stats()
     }
@@ -347,7 +334,7 @@ impl Session {
     }
 
     /// One snapshot of every statistics surface — the store, parallel,
-    /// columnar, server/shared-tier counters, and the typed decline
+    /// scheduler, server/shared-tier counters, and the typed decline
     /// counts. Behind the REPL's `:stats` via [`SessionStats::render`].
     pub fn stats(&self) -> SessionStats {
         SessionStats {
@@ -364,7 +351,7 @@ impl Session {
 
     /// Zero every session-scoped counter in one call: the index store
     /// (entries, counters, and observed per-operator stats), the
-    /// parallel and columnar lanes, and the decline counts. The
+    /// parallel lane and its scheduler, and the decline counts. The
     /// process-wide surfaces ([`Session::server_stats`],
     /// [`Session::shared_store_stats`], and the `METRICS` totals) are
     /// deliberately untouched — they aggregate across sessions.
@@ -963,8 +950,7 @@ mod tests {
 
     #[test]
     fn plan_of_renders_hash_join_and_fallback() {
-        let s = Session::new();
-        s.store_reset();
+        let s = crate::testing::pinned_session(1);
         let tree = s
             .plan_of("select (x.A, y.B) where x <- r, y <- s with x.K = y.K;")
             .unwrap();
@@ -993,11 +979,7 @@ mod tests {
 
     #[test]
     fn store_stats_track_reuse_and_plan_of_flips_to_cached() {
-        let mut s = Session::new();
-        s.store_reset();
-        // Pin one worker thread so the warm marker is `[idx cached]`
-        // (never the machine-dependent `[idx cached, par n=…]`).
-        let prev_threads = s.set_par_threads(Some(1));
+        let mut s = crate::testing::pinned_session(1);
         s.run("val r = {[K=1, A=10], [K=2, A=20]}; val t = {[K=1, B=5]};")
             .unwrap();
         let q = "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;";
@@ -1008,9 +990,11 @@ mod tests {
         let stats = s.store_stats();
         assert_eq!((stats.builds, stats.hits), (1, 1), "{stats:?}");
         assert_eq!(stats.entries, 1, "{stats:?}");
-        // The rendering now reports the live index.
+        // The rendering now reports the live index (plain, with
+        // plain-evaluable probe keys: statically eligible for the
+        // plain-key path).
         let warm = s.plan_of(q).unwrap();
-        assert!(warm.contains("HashJoin[idx cached]"), "{warm}");
+        assert!(warm.contains("HashJoin[idx cached, par]"), "{warm}");
         let indexes = s.store_indexes();
         assert_eq!(indexes.len(), 1);
         // Binder names are alpha-normalized to `_` in fingerprints, and
@@ -1019,14 +1003,11 @@ mod tests {
         assert_eq!(indexes[0].kind, machiavelli_store::IndexKind::Plain);
         s.store_reset();
         assert_eq!(s.store_stats(), machiavelli_store::StoreStats::default());
-        s.set_par_threads(prev_threads);
     }
 
     #[test]
     fn reset_stats_leaves_no_session_counter_behind() {
-        let mut s = Session::new();
-        s.reset_stats();
-        let prev_threads = s.set_par_threads(Some(1));
+        let mut s = crate::testing::pinned_session(1);
         // Dirty every session-scoped surface: store counters (build +
         // hit), observed per-fingerprint stats (via analyze), and the
         // decline counts (a planner fallback plus a directly noted
@@ -1066,7 +1047,6 @@ mod tests {
         );
         assert!(s.observed_stats().is_empty());
         assert!(s.store_indexes().is_empty());
-        s.set_par_threads(prev_threads);
     }
 
     #[test]

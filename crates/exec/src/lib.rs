@@ -1,25 +1,20 @@
-//! **The morsel-driven execution scheduler**: the columnar lane's
-//! worker pool, shared by whole-pipeline offloads (`plan::physical`)
-//! and the partition join/probe (`plan::parallel`).
+//! **The morsel-driven execution scheduler**: the worker pool behind
+//! the plain-key join's probe fan-out (`plan::parallel::par_probe`).
 //!
 //! PR 4's parallel shapes carved their input into one fixed chunk per
-//! worker, so a skewed filter — one chunk where every row matches, the
-//! rest empty — serialized the whole pipeline on the slowest chunk.
-//! Here work is cut into **morsels** (fixed-size row ranges,
+//! worker, so a skewed probe — one chunk where every key matches a huge
+//! group, the rest cheap — serialized the whole fan-out on the slowest
+//! chunk. Here work is cut into **morsels** (fixed-size row ranges,
 //! [`machiavelli_value::tuning::morsel_rows`] rows each) seeded
 //! round-robin onto per-worker deques; a worker that drains its own
 //! deque **steals** from the others (`crossbeam::deque`), so the
-//! pipeline finishes when the *total* work is done, not when the
+//! fan-out finishes when the *total* work is done, not when the
 //! unluckiest worker does.
 //!
 //! The scheduler is deliberately generic: it runs closures over
 //! `Send` tasks and returns results **in task order** (so callers that
-//! concatenate per-morsel row indices recover ascending — canonical —
-//! row order no matter which worker ran what). Everything
-//! value-semantic stays with the caller: `plan` compiles filters and
-//! keys down to per-row closures over a
-//! [`machiavelli_value::plain::ColumnarRelation`] snapshot, and only
-//! surviving row indices travel back.
+//! concatenate per-morsel results recover range order no matter which
+//! worker ran what). Everything value-semantic stays with the caller.
 //!
 //! Worker discipline matches the rest of the workspace:
 //!
@@ -36,7 +31,6 @@
 //!   — worker threads never touch session thread-locals.
 
 use crossbeam::deque::{Steal, Stealer, Worker};
-use machiavelli_value::plain::ColumnarRelation;
 use machiavelli_value::{faults, tuning};
 
 /// A fixed-size range of rows — the scheduler's unit of work (and of
@@ -226,57 +220,9 @@ where
     (out, executed, stolen)
 }
 
-/// Morsel-parallel filter over a [`ColumnarRelation`]: run `pred` for
-/// every row index, returning the **ascending** indices of surviving
-/// rows (per-morsel survivor lists concatenate in morsel order). The
-/// per-worker `init` hook is threaded through as in [`run_tasks`];
-/// `pred` returning `None` poisons the whole run (a runtime decline —
-/// live data the plain evaluator cannot handle), reported as `None` so
-/// the caller can fall back sequentially.
-pub fn filter_indices<S, I, P>(
-    threads: usize,
-    snapshot: &ColumnarRelation,
-    init: I,
-    pred: P,
-) -> (Option<Vec<u32>>, RunStats)
-where
-    I: Fn() -> S + Sync,
-    P: Fn(&mut S, usize) -> Option<bool> + Sync,
-{
-    let tasks = morsels(snapshot.len());
-    let (parts, stats) = run_tasks(threads, tasks, init, |state, m: Morsel| {
-        let mut keep = Vec::new();
-        for i in m.start..m.end {
-            match pred(state, i) {
-                Some(true) => keep.push(i as u32),
-                Some(false) => {}
-                None => return None,
-            }
-        }
-        Some(keep)
-    });
-    let mut all = Vec::new();
-    for part in parts {
-        match part {
-            Some(mut keep) => all.append(&mut keep),
-            None => {
-                // A poisoned morsel is the lane's runtime decline;
-                // reported on the coordinator (= session) thread so the
-                // typed code lands in the session's decline counts.
-                machiavelli_trace::note_decline(
-                    machiavelli_trace::DeclineReason::ColumnarRuntimeDecline,
-                );
-                return (None, stats);
-            }
-        }
-    }
-    (Some(all), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use machiavelli_value::{MSet, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -373,28 +319,6 @@ mod tests {
             )
         });
         assert!(caught.is_err());
-    }
-
-    #[test]
-    fn filter_indices_returns_ascending_survivors() {
-        let set = MSet::from_iter((0..100).map(Value::Int));
-        let snap = ColumnarRelation::from_set(&set).unwrap();
-        let prev = tuning::set_morsel_rows(Some(7));
-        for threads in [1, 2, 4] {
-            let (keep, stats) = filter_indices(threads, &snap, || (), |_, i| Some(i % 3 == 0));
-            let keep = keep.expect("no decline");
-            assert_eq!(keep, (0..100u32).filter(|i| i % 3 == 0).collect::<Vec<_>>());
-            assert_eq!(stats.executed, 100u64.div_ceil(7));
-        }
-        tuning::set_morsel_rows(prev);
-    }
-
-    #[test]
-    fn filter_decline_poisons_the_run() {
-        let set = MSet::from_iter((0..50).map(Value::Int));
-        let snap = ColumnarRelation::from_set(&set).unwrap();
-        let (keep, _) = filter_indices(2, &snap, || (), |_, i| (i != 31).then_some(true));
-        assert!(keep.is_none());
     }
 
     #[test]

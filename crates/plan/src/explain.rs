@@ -8,13 +8,9 @@
 //! operator's fingerprint (the next execution will probe it),
 //! `HashJoin[idx build]` when the next execution will build one, and a
 //! bare `HashJoin` when the build table is environment-dependent and
-//! never cached. A cached index in **plain** form additionally renders
-//! the parallel probe the next execution can run against it —
-//! `HashJoin[idx cached, par n=4]` — when the lane is enabled with more
-//! than one thread and the probe keys are statically eligible. The
-//! marker is a *display-level* probe by fingerprint — rendering a plan
-//! does not evaluate the source, so the store cannot be asked for the
-//! exact (storage, fingerprint) key the executor uses.
+//! never cached. The marker is a *display-level* probe by fingerprint —
+//! rendering a plan does not evaluate the source, so the store cannot
+//! be asked for the exact (storage, fingerprint) key the executor uses.
 //!
 //! A swappable join (see `physical::SwapInfo`) whose *first-generator*
 //! side holds the live cached index renders with its sides exchanged as
@@ -23,27 +19,20 @@
 //! on relation cardinalities and cannot be predicted without
 //! evaluating; it renders in the unswapped orientation.)
 //!
-//! Uncached joins that are statically eligible for the inline
-//! partition lane render `HashJoin[par n=4]` (the configured worker
-//! count) when the lane is enabled with more than one thread. Like the
-//! idx marker this is display-level: whether an execution actually
-//! parallelizes additionally depends on size cutoffs and every key
-//! extracting to plain data.
-//!
-//! A scan or build side whose pushed filters are statically eligible
-//! for the **columnar morsel lane** (see the crate docs) renders
-//! `Scan[columnar par n=4]` / `Build[columnar par n=4]`. Display-level
-//! again: an actual offload additionally depends on the relation
-//! clearing `MACHIAVELLI_COLUMNAR_MIN_ROWS` and every row extracting to
-//! plain form. Two such scans under one join are the
-//! independent-generator schedule — both sides filter as one morsel
-//! batch.
+//! A join that is **statically eligible** for the plain-key join path
+//! (`physical::ParInfo`, decided once at plan time) carries a `par`
+//! marker: `HashJoin[par]` for an uncached join whose build and probe
+//! sides are both covered, `HashJoin[idx cached, par]` for a cached
+//! index in plain form with covered probe keys. Only what is fixed at
+//! plan time is rendered — never the ambient worker-thread count, so a
+//! plan reads the same on every host. Whether an execution actually
+//! fans out (lane enabled, >1 threads, size gate, every key extracting
+//! to plain data) and at what degree is on the `:analyze` span.
 
 use crate::analysis::Conjunct;
-use crate::physical::{columnar_eligible, IndexKey, ParInfo, PhysOp, PhysicalPlan};
+use crate::physical::{IndexKey, ParInfo, PhysOp, PhysicalPlan};
 use machiavelli_store::IndexKind;
 use machiavelli_syntax::pretty::expr_to_string;
-use machiavelli_syntax::symbol::Symbol;
 use std::fmt::Write as _;
 
 /// The `[idx cached]` / `[idx build]` marker for a cacheable operator.
@@ -55,50 +44,23 @@ fn idx_marker(fingerprint: &str) -> &'static str {
     }
 }
 
-/// The configured worker count, when the parallel lane is live on this
-/// thread (`None` when disabled or single-threaded).
-fn live_threads() -> Option<usize> {
-    if machiavelli_value::tuning::parallel_enabled() {
-        let n = machiavelli_value::tuning::par_threads();
-        if n > 1 {
-            return Some(n);
-        }
-    }
-    None
-}
-
-/// The `, par n=…` suffix for a cached **plain** index with eligible
-/// probe keys: the next execution probes it with parallel workers.
-fn cached_par_suffix(kind: IndexKind, par: &Option<ParInfo>) -> String {
-    match (kind, par, live_threads()) {
-        (IndexKind::Plain, Some(_), Some(n)) => format!(", par n={n}"),
-        _ => String::new(),
+/// The `, par` suffix for a cached **plain** index with eligible probe
+/// keys: the next execution can probe it on the plain-key path.
+fn cached_par_suffix(kind: IndexKind, par: &Option<ParInfo>) -> &'static str {
+    match (kind, par) {
+        (IndexKind::Plain, Some(_)) => ", par",
+        _ => "",
     }
 }
 
-/// The `[par n=…]` marker for an uncached join statically eligible for
-/// the inline partition lane (build and probe sides both covered).
-fn par_marker(par: &Option<ParInfo>) -> String {
+/// The `[par]` marker for an uncached join statically eligible for the
+/// plain-key path (build and probe sides both covered).
+fn par_marker(par: &Option<ParInfo>) -> &'static str {
     if par.as_ref().is_some_and(|i| i.build_ok) {
-        if let Some(n) = live_threads() {
-            return format!("[par n={n}]");
-        }
+        "[par]"
+    } else {
+        ""
     }
-    String::new()
-}
-
-/// The `[columnar par n=…]` marker for a scan or build side whose
-/// pushed filters are statically eligible for the columnar morsel
-/// lane. Display-level like the par marker: an actual offload
-/// additionally depends on the relation clearing the columnar row
-/// cutoff and every row extracting to plain form.
-fn columnar_marker(filters: &[Conjunct<'_>], var: Symbol) -> String {
-    if columnar_eligible(filters, var) {
-        if let Some(n) = live_threads() {
-            return format!("[columnar par n={n}]");
-        }
-    }
-    String::new()
 }
 
 /// Render the operator tree, e.g.:
@@ -148,8 +110,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
         } => {
             let _ = writeln!(
                 out,
-                "{pad}Scan{} {var} <- {}{}",
-                columnar_marker(filters, *var),
+                "{pad}Scan {var} <- {}{}",
                 expr_to_string(source),
                 filters_suffix(filters)
             );
@@ -234,15 +195,13 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
                         );
                         let _ = writeln!(
                             out,
-                            "{pad}  Scan{} {var} <- {}{}",
-                            columnar_marker(filters, *var),
+                            "{pad}  Scan {var} <- {}{}",
                             expr_to_string(source),
                             filters_suffix(filters)
                         );
                         let _ = writeln!(
                             out,
-                            "{pad}  Build{} {pvar} <- {}{}",
-                            columnar_marker(pfilters, *pvar),
+                            "{pad}  Build {pvar} <- {}{}",
                             expr_to_string(psource),
                             filters_suffix(pfilters)
                         );
@@ -255,7 +214,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
                     format!("[idx cached{}]", cached_par_suffix(kind, par))
                 }
                 (Some(_), None) => "[idx build]".to_string(),
-                (None, _) => par_marker(par),
+                (None, _) => par_marker(par).to_string(),
             };
             let _ = writeln!(
                 out,
@@ -266,8 +225,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
             render(input, depth + 1, out);
             let _ = writeln!(
                 out,
-                "{pad}  Build{} {var} <- {}{}",
-                columnar_marker(filters, *var),
+                "{pad}  Build {var} <- {}{}",
                 expr_to_string(source),
                 filters_suffix(filters)
             );
@@ -289,10 +247,8 @@ mod tests {
 
     fn plan_text(src: &str) -> String {
         // Render against an empty store so the idx marker is
-        // deterministic (`[idx build]`), and with one worker thread so
-        // no machine-dependent `[par n=…]` marker appears.
+        // deterministic (`[idx build]`).
         machiavelli_store::with_store(|s| s.reset());
-        machiavelli_value::tuning::set_par_threads(Some(1));
         let e = parse_expr(src).unwrap();
         let ExprKind::Select {
             result,
@@ -321,59 +277,24 @@ mod tests {
     #[test]
     fn uncached_eligible_join_renders_par_marker() {
         // View-call sources construct fresh storage, so the join is
-        // never store-cached — with a multi-threaded lane it renders
-        // the par marker instead.
-        machiavelli_store::with_store(|s| s.reset());
-        let prev = machiavelli_value::tuning::set_par_threads(Some(4));
-        let e = parse_expr("select (x.A, y.B) where x <- V(r), y <- W(s) with x.K = y.K").unwrap();
-        let ExprKind::Select {
-            result,
-            generators,
-            pred,
-        } = &e.kind
-        else {
-            panic!()
-        };
-        let text = explain(&compile(generators, pred, result).unwrap().physical());
-        machiavelli_value::tuning::set_par_threads(prev);
-        assert_eq!(
-            text,
-            "Project (x.A, y.B)\n  \
-             HashJoin[par n=4] probe(x.K) build(y.K)\n    \
-             Scan x <- V(r)\n    \
-             Build y <- W(s)"
-        );
-    }
-
-    #[test]
-    fn independent_generators_render_columnar_markers() {
-        // Both generators carry binder-closed, par-evaluable pushed
-        // filters: the independent-generator shape — both sides render
-        // columnar, and the executor filters them as one morsel batch.
-        machiavelli_store::with_store(|s| s.reset());
-        let prev = machiavelli_value::tuning::set_par_threads(Some(4));
-        let e = parse_expr(
-            "select (x.A, y.B) where x <- V(r), y <- W(s) \
-             with x.A > 1 andalso x.K = y.K andalso y.B > 2",
-        )
-        .unwrap();
-        let ExprKind::Select {
-            result,
-            generators,
-            pred,
-        } = &e.kind
-        else {
-            panic!()
-        };
-        let text = explain(&compile(generators, pred, result).unwrap().physical());
-        machiavelli_value::tuning::set_par_threads(prev);
-        assert_eq!(
-            text,
-            "Project (x.A, y.B)\n  \
-             HashJoin[par n=4] probe(x.K) build(y.K)\n    \
-             Scan[columnar par n=4] x <- V(r) filter (x.A > 1)\n    \
-             Build[columnar par n=4] y <- W(s) filter (y.B > 2)"
-        );
+        // never store-cached — both key closures are plain-evaluable,
+        // so it renders the static `par` marker instead (at any thread
+        // count: the marker is eligibility, not a degree).
+        for threads in [1, 4] {
+            let prev = machiavelli_value::tuning::set_par_threads(Some(threads));
+            let text = plan_text(
+                "select (x.A, y.B) where x <- V(r), y <- W(s) \
+                 with x.A > 1 andalso x.K = y.K andalso y.B > 2",
+            );
+            machiavelli_value::tuning::set_par_threads(prev);
+            assert_eq!(
+                text,
+                "Project (x.A, y.B)\n  \
+                 HashJoin[par] probe(x.K) build(y.K)\n    \
+                 Scan x <- V(r) filter (x.A > 1)\n    \
+                 Build y <- W(s) filter (y.B > 2)"
+            );
+        }
     }
 
     #[test]

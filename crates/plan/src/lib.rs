@@ -89,46 +89,45 @@
 //! proves the extraction step itself is unobservable. What
 //! parallelizes, and what falls back:
 //!
-//! * **Uncached hash joins** whose build keys and pushed filters are
-//!   [`parallel::par_evaluable`] under the build binder and whose probe
-//!   keys are `par_evaluable` under the earlier binders (binder-closed
-//!   planner-safe expressions minus `con`) are statically eligible for
-//!   the inline partition lane (`PhysOp::HashJoin { par }` with
-//!   `build_ok`, rendered `HashJoin[par n=…]`). At open time the join
-//!   actually fans out only when the plain lane is enabled with more
-//!   than one worker thread ([`machiavelli_value::tuning`]), the build
-//!   table is **not** served by the index store, the build side clears
-//!   [`machiavelli_value::tuning::par_join_min_build_rows`], and every
-//!   key value extracts via [`machiavelli_value::to_plain`]
-//!   (identity-bearing keys — refs, dynamics — cannot cross the lane).
-//!   Both sides are keyed sequentially by [`parallel::safe_eval`] (a
-//!   direct-dispatch safe-class evaluator, no interpreter overhead);
-//!   only the extracted key tuples cross into the scoped worker
-//!   threads, which partition, group and probe them, returning match
-//!   *indices*; the original `Rc` rows are re-bound by index on the
-//!   session thread, so the yielded binding sequence — probe-major,
-//!   build groups in canonical source order — is identical to the
-//!   sequential probe, and the result expression still evaluates
-//!   sequentially for exactly the same bindings in the same order.
-//!   Materializing the probe side is memory-capped at
-//!   [`machiavelli_value::tuning::par_join_max_probe_rows`]; past the
-//!   cap the join reverts to the streaming sequential probe over the
-//!   drained prefix plus the live remainder.
-//! * **Store-served hash joins compose with the lane** instead of
-//!   excluding it: when the index store answers a fingerprinted build
-//!   with a **plain** entry (`machiavelli_value::PlainIndex` — the
-//!   store re-represents every fully-extractable relation this way, so
-//!   a cached index is `Send + Sync`), and the probe keys are
-//!   `par_evaluable`, the executor drains the probe side (same memory
-//!   cap), extracts the keys sequentially, and fans only the extracted
-//!   tuples out over scoped workers that probe the *shared* cached
-//!   index ([`parallel::par_probe_cached`]) — no build work at all,
-//!   matches return as indices, binding order identical to the
-//!   sequential cached probe. Gated by
-//!   [`machiavelli_value::tuning::par_probe_min_rows`] (its own cutoff:
-//!   there is no build to amortize). Relations with no plain form stay
-//!   on the `Rc`-lane entry, probed sequentially. Rendered
-//!   `HashJoin[idx cached, par n=…]`.
+//! * **Hash joins have one parallel shape: the plain-key join**
+//!   (`physical::open_plain_join`). Eligibility is decided **once, at
+//!   plan time**, and recorded on the operator (`PhysOp::HashJoin {
+//!   par }`, rendered `[par]`): the probe keys must be
+//!   [`parallel::par_evaluable`] under the earlier binders
+//!   (binder-closed planner-safe expressions minus `con`); an
+//!   *uncached* join additionally needs its build keys and pushed
+//!   filters `par_evaluable` under the build binder (`build_ok`). At
+//!   open time an eligible join obtains a **plain key→row-index table**
+//!   ([`machiavelli_value::PlainIndex`], `Send + Sync`) — the index
+//!   store's entry when the build is fingerprinted and cached in plain
+//!   form (no build work at all), otherwise built inline by
+//!   [`parallel::safe_eval`] (a direct-dispatch safe-class evaluator,
+//!   no interpreter overhead) — extracts the probe keys sequentially,
+//!   and fans only the extracted tuples out over
+//!   [`machiavelli_exec::run_tasks`] workers
+//!   ([`parallel::par_probe`]), which return match *indices*; the
+//!   original `Rc` rows are re-bound by index on the session thread,
+//!   so the yielded binding sequence — probe-major, build groups in
+//!   canonical source order — is identical to the sequential probe,
+//!   and the result expression still evaluates sequentially for
+//!   exactly the same bindings in the same order.
+//!   **Parallelism is a degree, not a lane**: the fan-out runs at
+//!   `min(par_threads, probe morsels)` and inline at degree 1.
+//!   **One size gate**, two morsels
+//!   ([`machiavelli_value::tuning::par_join_min_rows`]): an inline
+//!   build compares its build rows against it, a cached probe its probe
+//!   rows; below it — or with the lane disabled, or at one worker
+//!   thread — the join is the streaming sequential `Rc` hash join, with
+//!   no drain and no spawn. A probe side that is not a bare filterless
+//!   `Scan` is drained first, memory-capped at
+//!   [`machiavelli_value::tuning::PAR_JOIN_MAX_PROBE_FACTOR`] × the
+//!   build rows; past the cap the join reverts to the streaming
+//!   sequential probe over the drained prefix plus the live remainder
+//!   (`par-join-drain-cap`). A key value that does not extract via
+//!   [`machiavelli_value::to_plain`] (identity-bearing keys — refs,
+//!   dynamics — cannot cross the lane) falls back the same way
+//!   (`par-join-extract`). Relations with no plain form stay on the
+//!   store's `Rc`-lane entry, probed sequentially.
 //! * **Index-aware build-side selection**: a two-generator equi-join
 //!   over a bare first `Scan` may *swap* its build side at open time —
 //!   preferring the side that already holds a live cached index, or the
@@ -142,35 +141,6 @@
 //!   **result expression planner-safe** — a swap enumerates the same
 //!   binding multiset probe-major over the other side, which only an
 //!   effectful result could distinguish.
-//! * **The columnar morsel lane** (`machiavelli-exec`): a `Scan` or
-//!   hash-join build side whose pushed filters are all
-//!   [`parallel::par_evaluable`] under its own binder offloads the
-//!   filter loop onto worker threads. The relation snapshots once into
-//!   a [`machiavelli_value::plain::ColumnarRelation`] — column-major
-//!   when every row is a uniform record, row-major otherwise; cached in
-//!   the index store under the relation's storage identity and adopted
-//!   from the shared tier by content hash — and the rows split into
-//!   fixed-size **morsels** drained by work-stealing workers
-//!   ([`machiavelli_exec::run_tasks`]). `_.field op constant`
-//!   conjuncts compile to per-column comparator loops; everything else
-//!   runs [`parallel::plain_eval`] per row. Only the surviving row
-//!   *indices* return; the session thread rebuilds a canonical
-//!   filterless scan from them (an ascending subset of a canonical
-//!   slice), which is exactly the shape the cached parallel probe fast
-//!   path keys from — so a Scan→Filter→HashJoin pipeline runs
-//!   end-to-end on worker threads, with only binding and the result
-//!   expression sequential. **Independent generators** — a
-//!   two-generator join where both sides' filters are eligible and the
-//!   build is not already cached — filter both relations as *one*
-//!   morsel batch over the shared pool, no barrier between the scans.
-//!   Gated by [`machiavelli_value::tuning::columnar_min_rows`] rows and
-//!   the usual lane switches; any decline (a row with no plain form, a
-//!   strict conjunct evaluating non-boolean, env-dependent predicates)
-//!   falls back to the sequential filter with zero behavior change —
-//!   pushed filters are planner-safe, so the sequential re-run raises
-//!   the identical first error. Rendered `Scan[columnar par n=…]` /
-//!   `Build[columnar par n=…]`; outcomes counted in
-//!   [`machiavelli_value::tuning::exec_stats`].
 //! * **Proper `hom` applications** (the evaluator's side of the lane):
 //!   `op` one of `+`, `*`, `andalso`, `orelse` with `z` its identity,
 //!   and `f` a one-parameter closure whose body is planner-safe. The
@@ -186,7 +156,7 @@
 //!   terminating — so re-running it sequentially reproduces the same
 //!   bindings and the same first error. Hits and fallbacks are counted
 //!   per session ([`machiavelli_value::tuning::par_stats`], REPL
-//!   `:stats`), cached-probe outcomes separately from inline-lane ones.
+//!   `:stats`) and as typed decline codes.
 
 pub mod analysis;
 pub mod explain;
@@ -197,10 +167,9 @@ pub mod physical;
 pub use analysis::{closed_under, find_select, is_safe_expr, mentions_any, split_conjuncts};
 pub use explain::explain;
 pub use logical::{compile, LogicalPlan, Step, Unplannable};
-pub use parallel::{expr_vars, par_evaluable, par_probe_cached, plain_eval, PlainBindings};
+pub use parallel::{expr_vars, par_evaluable, plain_eval, PlainBindings};
 pub use physical::{
-    columnar_eligible, execute, EvalHook, ExecError, IndexKey, ParInfo, PhysOp, PhysicalPlan,
-    SwapInfo,
+    execute, EvalHook, ExecError, IndexKey, ParInfo, PhysOp, PhysicalPlan, SwapInfo,
 };
 
 use machiavelli_syntax::ast::{Expr, Generator};

@@ -1,6 +1,6 @@
 //! The **plain-data parallel lane**: a mini-evaluator over
 //! [`PlainValue`] for the planner-safe expression class, and the
-//! partition-parallel hash-join driver built on it.
+//! plain-key probe fan-out built on it.
 //!
 //! # Why a second evaluator is sound here
 //!
@@ -19,21 +19,16 @@
 //! lane can therefore be wrong about *nothing*: it either agrees or
 //! steps aside.
 //!
-//! # The partition join
+//! # The plain-key probe
 //!
-//! The executor keys both sides **sequentially** on the `Rc` lane —
+//! The executor keys rows **sequentially** on the `Rc` lane —
 //! [`safe_eval`], a direct-dispatch evaluator with none of the
 //! interpreter's environment allocation or depth accounting — and
 //! extracts only the resulting **key tuples** to plain data
-//! ([`PlainKey`]). [`par_partition_join`] then fans the pre-keyed
-//! sides out over `n_threads` scoped workers:
-//!
-//! 1. **partition-build** — worker *t* owns hash partition *t* and
-//!    builds its table from the keyed build rows in index order, so
-//!    each group's indices ascend (= build-source canonical order,
-//!    matching the sequential build);
-//! 2. **probe** — contiguous probe chunks look up the owning partition
-//!    per row and emit each group's index list.
+//! ([`extract_key`] → [`PlainKey`]). [`par_probe`] then fans the
+//! extracted probe keys out, morsel by morsel, over a `Send + Sync`
+//! [`PlainIndex`] — built inline for this query or served by the index
+//! store, the fan-out cannot tell.
 //!
 //! Rows themselves never cross a thread (and are never deep-copied):
 //! the result is, per probe row, the **indices** of matching build
@@ -42,10 +37,10 @@
 //! does not extract — surfaces *before* the fan-out, so the workers
 //! run infallible data plumbing only. Each such dynamic fallback is
 //! additionally reported as a typed
-//! `machiavelli_trace::DeclineReason` by the callers in `physical.rs`
-//! (`par-join-*`, `par-probe-*` codes), so `:analyze`, `:stats`, and
-//! the server's `METRICS` exposition can say *why* a join stayed
-//! sequential — see `docs/OBSERVABILITY.md`.
+//! `machiavelli_trace::DeclineReason` by the caller in `physical.rs`
+//! (`par-join-*` codes), so `:analyze`, `:stats`, and the server's
+//! `METRICS` exposition can say *why* a join stayed sequential — see
+//! `docs/OBSERVABILITY.md`.
 
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind, UnOp};
 use machiavelli_syntax::symbol::Symbol;
@@ -55,9 +50,6 @@ use machiavelli_value::plain::{plain_cmp, plain_eq, to_plain, PlainIndex, PlainK
 use machiavelli_value::set::MSet;
 use machiavelli_value::value::{value_eq, Fields, Value};
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::Arc;
 
 // --- the plain expression class --------------------------------------------
@@ -293,9 +285,8 @@ fn merge_union(a: &[PlainValue], b: &[PlainValue]) -> std::sync::Arc<[PlainValue
 /// The exact mirror of the interpreter's `apply_binop` on plain
 /// operands (minus the short-circuit operators, which never reach here
 /// from `plain_eval`, and div/mod, which `par_evaluable` excludes).
-/// `None` wherever `apply_binop` would error. Also the columnar scan
-/// lane's per-column comparator (`physical::ColPred`).
-pub(crate) fn plain_binop(op: BinOp, l: &PlainValue, r: &PlainValue) -> Option<PlainValue> {
+/// `None` wherever `apply_binop` would error.
+fn plain_binop(op: BinOp, l: &PlainValue, r: &PlainValue) -> Option<PlainValue> {
     use BinOp::*;
     use PlainValue::*;
     Some(match (op, l, r) {
@@ -470,13 +461,7 @@ fn safe_binop(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
     })
 }
 
-// --- the partition join ----------------------------------------------------
-
-fn key_hash(key: &PlainKey) -> u64 {
-    let mut h = DefaultHasher::new();
-    std::hash::Hash::hash(key, &mut h);
-    h.finish()
-}
+// --- key extraction ---------------------------------------------------------
 
 /// Is `e` a bare binder/field chain (`x`, `x.K`, `x.A.B`)? Such keys —
 /// the common equi-join shape — resolve by reference, skipping the
@@ -502,6 +487,10 @@ fn resolve_path<'v>(e: &Expr, env: &ValueBindings<'v>) -> Option<&'v Value> {
     }
 }
 
+// `#[inline]` here and on `extract_key`: the per-probe-row loop in
+// `physical::ParProbe::keys` runs 25–30 % slower without them (measured,
+// 100 k rows).
+#[inline]
 fn extract_one(key: &Expr, env: &ValueBindings<'_>) -> Option<PlainValue> {
     if is_path(key) {
         to_plain(resolve_path(key, env)?)
@@ -516,6 +505,7 @@ fn extract_one(key: &Expr, env: &ValueBindings<'_>) -> Option<PlainValue> {
 /// `None` when the safe evaluator declines or the key value is
 /// identity-bearing (a `ref`/`dynamic` key cannot cross the lane — its
 /// equality is identity, which plain data cannot represent).
+#[inline]
 pub fn extract_key(keys: &[&Expr], env: &ValueBindings<'_>) -> Option<PlainKey> {
     if let [single] = keys {
         return extract_one(single, env).map(PlainKey::One);
@@ -526,76 +516,12 @@ pub fn extract_key(keys: &[&Expr], env: &ValueBindings<'_>) -> Option<PlainKey> 
         .map(PlainKey::Tuple)
 }
 
-/// One keyed row: precomputed hash, extracted key, original row index.
-pub struct Keyed {
-    hash: u64,
-    key: PlainKey,
-    idx: u32,
-}
-
-impl Keyed {
-    pub fn new(key: PlainKey, idx: usize) -> Keyed {
-        Keyed {
-            hash: key_hash(&key),
-            key,
-            idx: idx as u32,
-        }
-    }
-}
-
-/// Hash-table key wrapper reusing the precomputed hash (the partition
-/// tables never rehash key structure).
-struct HashedKey<'a> {
-    hash: u64,
-    key: &'a PlainKey,
-}
-
-impl std::hash::Hash for HashedKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-impl PartialEq for HashedKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.key == other.key
-    }
-}
-impl Eq for HashedKey<'_> {}
-
-/// Pass-through hasher for the partition tables: the key already
-/// carries a high-quality SipHash ([`key_hash`]), so re-hashing the
-/// 8-byte digest per insert/probe would be pure overhead.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("partition keys hash via write_u64 only");
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-type IdBuild = std::hash::BuildHasherDefault<IdHasher>;
-type PartitionTable<'a> = HashMap<HashedKey<'a>, Vec<u32>, IdBuild>;
-
-/// Which partition owns a key. Uses the **high** hash bits so partition
-/// selection and the table's bucket selection (hashbrown reads the low
-/// bits of the pass-through [`IdHasher`] digest) draw on independent
-/// bits — `hash % nt` would pin the low bits of every key in a
-/// partition, leaving only 1/nt of each table's buckets addressable.
-fn partition_of(hash: u64, nt: usize) -> usize {
-    ((hash >> 32) as usize) % nt
-}
+// --- the probe fan-out ------------------------------------------------------
 
 /// Every this many rows a worker chunk loop polls the query guard, so
 /// cancellation and deadlines reach into a running fan-out instead of
 /// waiting for it to drain. A power of two so the gate is a mask.
-pub(crate) const CHUNK_TICK_MASK: usize = 1023;
+const CHUNK_TICK_MASK: usize = 1023;
 
 /// Context a parallel worker carries across the thread boundary: the
 /// coordinator's query guard (shared, `Sync`) and its effective fault
@@ -607,14 +533,14 @@ pub(crate) const CHUNK_TICK_MASK: usize = 1023;
 /// every fan-out and surfaces the trip as an error before any result is
 /// used.
 #[derive(Clone, Default)]
-pub(crate) struct WorkerCx {
+struct WorkerCx {
     guard: Option<Arc<QueryGuard>>,
     faults: Option<FaultConfig>,
 }
 
 impl WorkerCx {
     /// Capture the coordinator's context (call before the fan-out).
-    pub(crate) fn capture() -> WorkerCx {
+    fn capture() -> WorkerCx {
         WorkerCx {
             guard: governor::current(),
             faults: faults::faults_active().then(faults::fault_config),
@@ -625,7 +551,7 @@ impl WorkerCx {
     /// run the injected-panic fail point. (Panics cross the scope join
     /// and are trapped by the coordinator's `catch_unwind` in
     /// `physical.rs` — the `par_hom` catch-and-report discipline.)
-    pub(crate) fn enter(&self) {
+    fn enter(&self) {
         if let Some(cfg) = self.faults {
             faults::set_fault_config(Some(cfg));
         }
@@ -633,163 +559,49 @@ impl WorkerCx {
     }
 
     /// Chunk-loop poll: should this worker stop early?
-    pub(crate) fn tripped(&self) -> bool {
+    fn tripped(&self) -> bool {
         self.guard.as_ref().is_some_and(|g| g.check().is_some())
     }
 }
 
-/// Build one partition's table from its bucket (index order, so group
-/// index lists ascend = build-source canonical order).
-fn build_partition_table<'k>(bucket: &[&'k Keyed], cx: &WorkerCx) -> PartitionTable<'k> {
-    let mut table = PartitionTable::with_capacity_and_hasher(bucket.len(), IdBuild::default());
-    for (i, k) in bucket.iter().enumerate() {
-        if i & CHUNK_TICK_MASK == 0 && cx.tripped() {
-            break;
-        }
-        table
-            .entry(HashedKey {
-                hash: k.hash,
-                key: &k.key,
-            })
-            .or_default()
-            .push(k.idx);
-    }
-    table
-}
-
-/// Probe one contiguous chunk against the partition tables.
-fn probe_partition_chunk(
-    chunk: &[Keyed],
-    tables: &[PartitionTable<'_>],
-    cx: &WorkerCx,
-) -> Vec<Vec<u32>> {
-    let nt = tables.len();
-    let mut out: Vec<Vec<u32>> = Vec::with_capacity(chunk.len());
-    for (i, k) in chunk.iter().enumerate() {
-        if i & CHUNK_TICK_MASK == 0 && cx.tripped() {
-            break;
-        }
-        let table = &tables[partition_of(k.hash, nt)];
-        out.push(
-            table
-                .get(&HashedKey {
-                    hash: k.hash,
-                    key: &k.key,
-                })
-                .cloned()
-                .unwrap_or_default(),
-        );
-    }
-    out
-}
-
-/// Partition-parallel hash join over pre-keyed sides. Returns, per
-/// probe row, the indices of matching build rows in build-source order.
-/// Infallible: both sides were keyed (and every failure mode surfaced)
-/// before the fan-out, so the workers are pure data plumbing —
-/// partition, group, look up.
-///
-/// Both phases run on the **morsel scheduler**
-/// ([`machiavelli_exec::run_tasks`]): phase 1 is one task per hash
-/// partition, phase 2 cuts the probe side into fixed-size morsels
-/// pulled via work stealing, so a skewed probe (one range where every
-/// key matches a huge group, the rest cheap) no longer serializes on
-/// the unluckiest fixed chunk. A denied worker spawn (OS or injected
-/// fault) leaves its seeded tasks to the surviving workers' stealers —
-/// down to the coordinator draining everything inline.
+/// Probe `index` with the pre-extracted `probe` keys at `degree`
+/// workers, returning per probe row the **indices** of matching build
+/// rows in build-source order (group lists ascend by construction).
+/// The probe side is cut into **morsels** pulled via work stealing
+/// ([`machiavelli_exec::run_tasks`], which runs inline at degree 1), so
+/// a skewed probe (one range where every key matches a huge group, the
+/// rest cheap) does not serialize on the unluckiest fixed chunk; morsel
+/// results concatenate in range order, so the caller's re-binding
+/// sequence is identical to the sequential probe. Infallible: every
+/// failure mode (a key that declines extraction) surfaced before the
+/// fan-out, and a denied worker spawn (OS or injected fault) leaves its
+/// seeded tasks to the surviving workers' stealers — down to the
+/// coordinator draining everything inline.
 ///
 /// Two caveats the caller (`physical.rs`) owns: a worker panic —
 /// injected or real — resumes on the coordinator and must be trapped
 /// with `catch_unwind`; and under a tripped [`QueryGuard`] workers bail
 /// early with a **truncated** result, so the caller must re-check the
 /// sticky guard after the call and error instead of using it.
-pub fn par_partition_join(build: &[Keyed], probe: &[Keyed], n_threads: usize) -> Vec<Vec<u32>> {
-    let nt = n_threads.max(1);
-    let cx = WorkerCx::capture();
-    let cx = &cx;
-
-    // Pre-bucket the build side by owning partition in one sequential
-    // pass (a branch and a pointer push per row), so each worker
-    // consumes exactly its rows instead of all of them re-scanning the
-    // whole side. Buckets preserve index order, so group index lists
-    // ascend (build-source canonical order, same as the sequential
-    // build).
-    let mut buckets: Vec<Vec<&Keyed>> = (0..nt)
-        .map(|_| Vec::with_capacity(build.len() / nt + 1))
-        .collect();
-    for k in build {
-        buckets[partition_of(k.hash, nt)].push(k);
-    }
-
-    // Phase 1: build the partition tables, one task per partition
-    // (results come back in task = partition order).
-    let (tables, _) = machiavelli_exec::run_tasks(
-        nt,
-        buckets,
-        || cx.enter(),
-        |_, bucket: Vec<&Keyed>| build_partition_table(&bucket, cx),
-    );
-
-    // Phase 2: probe by morsel, any worker reading whichever partition
-    // owns each row's hash. Morsel results concatenate in range order,
-    // so the match list stays in probe order.
-    let tables = &tables;
-    let (probed, _) = machiavelli_exec::run_tasks(
-        nt,
-        machiavelli_exec::morsels(probe.len()),
-        || cx.enter(),
-        |_, m: machiavelli_exec::Morsel| probe_partition_chunk(&probe[m.start..m.end], tables, cx),
-    );
-
-    let mut matches = Vec::with_capacity(probe.len());
-    for chunk in probed {
-        matches.extend(chunk);
-    }
-    matches
-}
-
-// --- the cached-index parallel probe ----------------------------------------
-
-/// Probe one contiguous chunk of extracted keys against a shared plain
-/// index.
-fn probe_cached_chunk(index: &PlainIndex, chunk: &[PlainKey], cx: &WorkerCx) -> Vec<Vec<u32>> {
-    let mut out: Vec<Vec<u32>> = Vec::with_capacity(chunk.len());
-    for (i, k) in chunk.iter().enumerate() {
-        if i & CHUNK_TICK_MASK == 0 && cx.tripped() {
-            break;
-        }
-        out.push(index.get(k).to_vec());
-    }
-    out
-}
-
-/// Partition-parallel probe over a **cached** plain index: the build
-/// phase already happened (possibly in an earlier evaluation — that is
-/// the whole point), so the fan-out is probe-only. The index is
-/// `Send + Sync` ([`PlainIndex`]); workers share it by reference and
-/// probe **morsels** of the pre-extracted probe keys pulled via work
-/// stealing ([`machiavelli_exec::run_tasks`]), returning per probe row
-/// the **indices** of matching build rows in build-source order (group
-/// lists ascend by construction). Morsel results concatenate in range
-/// order, so the caller's re-binding sequence is identical to the
-/// sequential cached probe. Infallible for the same reason as
-/// [`par_partition_join`]: every failure mode (a key that declines
-/// extraction) surfaced before the fan-out, and denied worker spawns
-/// leave their tasks to the survivors' stealers. The same caveats
-/// apply — worker panics resume on the coordinator (trap with
-/// `catch_unwind`), and a tripped guard truncates (re-check after the
-/// call).
-pub fn par_probe_cached(index: &PlainIndex, probe: &[PlainKey], n_threads: usize) -> Vec<Vec<u32>> {
-    let nt = n_threads.max(1);
+pub fn par_probe(index: &PlainIndex, probe: &[PlainKey], degree: usize) -> Vec<Vec<u32>> {
     let cx = WorkerCx::capture();
     let cx = &cx;
     let (probed, _) = machiavelli_exec::run_tasks(
-        nt,
+        degree,
         machiavelli_exec::morsels(probe.len()),
         || cx.enter(),
-        |_, m: machiavelli_exec::Morsel| probe_cached_chunk(index, &probe[m.start..m.end], cx),
+        |_, m: machiavelli_exec::Morsel| {
+            let chunk = &probe[m.start..m.end];
+            let mut out: Vec<Vec<u32>> = Vec::with_capacity(chunk.len());
+            for (i, k) in chunk.iter().enumerate() {
+                if i & CHUNK_TICK_MASK == 0 && cx.tripped() {
+                    break;
+                }
+                out.push(index.get(k).to_vec());
+            }
+            out
+        },
     );
-
     let mut matches = Vec::with_capacity(probe.len());
     for chunk in probed {
         matches.extend(chunk);
@@ -909,18 +721,17 @@ mod tests {
         assert_eq!(ev("x.K div 2"), None);
     }
 
-    /// Key a side of ints by `<var>.K` (the production extraction path).
-    fn keyed_by_k(rows: &[Value], var: &str) -> Vec<Keyed> {
+    /// Extract `<var>.K` keys (the production extraction path).
+    fn keys_by_k(rows: &[Value], var: &str) -> Vec<PlainKey> {
         let var = Symbol::intern(var);
         let key = parse_expr(&format!("{var}.K")).unwrap();
         rows.iter()
-            .enumerate()
-            .map(|(i, row)| {
+            .map(|row| {
                 let env = ValueBindings {
                     head: Some((var, row)),
                     rest: &[],
                 };
-                Keyed::new(extract_key(&[&key], &env).unwrap(), i)
+                extract_key(&[&key], &env).unwrap()
             })
             .collect()
     }
@@ -932,21 +743,36 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn partition_join_matches_expected_groups() {
-        // build rows: K = 1, 2, 2, 9 — probe for K = 2, 5, 1.
-        let build: Vec<Value> = [1, 2, 2, 9]
+    /// Index rows with K = 1, 2, 2, 9 by K, row by row in source order
+    /// (the inline build's shape).
+    fn index_1229() -> PlainIndex {
+        let rows: Vec<Value> = [1, 2, 2, 9]
             .iter()
             .enumerate()
             .map(|(i, &k)| row_k(k, i as i64))
             .collect();
-        let probe: Vec<Value> = [2, 5, 1].iter().map(|&k| row_k(k, 0)).collect();
-        let build_keyed = keyed_by_k(&build, "x");
-        let probe_keyed = keyed_by_k(&probe, "y");
-        for threads in [1, 2, 4, 8] {
-            let m = par_partition_join(&build_keyed, &probe_keyed, threads);
-            assert_eq!(m, vec![vec![1, 2], vec![], vec![0]], "threads={threads}");
+        let mut index = PlainIndex::with_capacity(rows.len());
+        for (i, key) in keys_by_k(&rows, "x").into_iter().enumerate() {
+            index.push(key, i as u32);
         }
+        index
+    }
+
+    #[test]
+    fn probe_matches_sequential_lookup_at_any_degree() {
+        let index = index_1229();
+        let probe_rows: Vec<Value> = [2, 5, 1].iter().map(|&k| row_k(k, 0)).collect();
+        let probe = keys_by_k(&probe_rows, "y");
+        // One-row morsels, so degrees above 1 really fan out.
+        let prev = machiavelli_value::tuning::set_morsel_rows(Some(1));
+        for degree in [1, 2, 4, 8] {
+            let m = par_probe(&index, &probe, degree);
+            assert_eq!(m, vec![vec![1, 2], vec![], vec![0]], "degree={degree}");
+        }
+        machiavelli_value::tuning::set_morsel_rows(prev);
+        assert_eq!(par_probe(&index, &[], 4), Vec::<Vec<u32>>::new());
+        let empty = PlainIndex::with_capacity(0);
+        assert_eq!(par_probe(&empty, &probe[..1], 4), vec![Vec::<u32>::new()]);
     }
 
     #[test]
@@ -964,62 +790,14 @@ mod tests {
         assert!(extract_key(&[&key], &env).is_none());
     }
 
-    #[test]
-    fn empty_sides_are_fine() {
-        assert_eq!(par_partition_join(&[], &[], 4), Vec::<Vec<u32>>::new());
-        let probe = keyed_by_k(&[row_k(1, 0)], "y");
-        assert_eq!(par_partition_join(&[], &probe, 4), vec![Vec::<u32>::new()]);
-    }
-
-    #[test]
-    fn cached_probe_matches_sequential_lookup() {
-        // Index: rows with K = 1, 2, 2, 9 grouped by K.
-        let rows: Vec<Value> = [1, 2, 2, 9]
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| row_k(k, i as i64))
-            .collect();
-        let mut groups: Vec<(PlainKey, Vec<u32>)> = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let Value::Record(fs) = row else { panic!() };
-            let k = PlainKey::One(to_plain(fs.get("K").unwrap()).unwrap());
-            match groups.iter_mut().find(|(g, _)| *g == k) {
-                Some((_, idxs)) => idxs.push(i as u32),
-                None => groups.push((k, vec![i as u32])),
-            }
-        }
-        let index = PlainIndex::from_groups(
-            rows.iter()
-                .map(|r| to_plain(r).unwrap())
-                .collect::<Vec<_>>()
-                .into(),
-            groups,
-        );
-        // Probe keys extracted through the production path.
-        let key = parse_expr("y.K").unwrap();
-        let probe: Vec<PlainKey> = [2i64, 5, 1]
-            .iter()
-            .map(|&k| {
-                let row = row_k(k, 0);
-                let env = ValueBindings {
-                    head: Some((Symbol::intern("y"), &row)),
-                    rest: &[],
-                };
-                extract_key(&[&key], &env).unwrap()
-            })
-            .collect();
-        for threads in [1, 2, 4, 8] {
-            let m = par_probe_cached(&index, &probe, threads);
-            assert_eq!(m, vec![vec![1, 2], vec![], vec![0]], "threads={threads}");
-        }
-        assert_eq!(par_probe_cached(&index, &[], 4), Vec::<Vec<u32>>::new());
-    }
-
     /// Run `f` with a fault config installed on this thread (workers
-    /// inherit it through [`WorkerCx::capture`]), restoring after.
+    /// inherit it through [`WorkerCx::capture`]) and one-row morsels,
+    /// restoring both after.
     fn with_faults<T>(cfg: FaultConfig, f: impl FnOnce() -> T) -> T {
         let prev = faults::set_fault_config(Some(cfg));
+        let prev_morsel = machiavelli_value::tuning::set_morsel_rows(Some(1));
         let out = f();
+        machiavelli_value::tuning::set_morsel_rows(prev_morsel);
         faults::set_fault_config(prev);
         out
     }
@@ -1031,56 +809,41 @@ mod tests {
         // catch-and-report contract `par_hom` documents — so the
         // driver in `physical.rs` can turn it into a structured
         // `ExecError::WorkerPanic` instead of aborting the process.
-        let build = keyed_by_k(&[row_k(1, 0), row_k(2, 1)], "x");
-        let probe = keyed_by_k(&[row_k(2, 0)], "y");
+        let index = index_1229();
+        let probe = keys_by_k(&[row_k(2, 0), row_k(1, 0)], "y");
         let cfg = FaultConfig {
             worker_panic_ppm: 1_000_000,
             seed: 11,
             ..FaultConfig::off()
         };
-        for caller in ["partition_join", "probe_cached"] {
-            let caught = with_faults(cfg, || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match caller {
-                    "partition_join" => par_partition_join(&build, &probe, 4),
-                    _ => {
-                        let rows: Arc<[PlainValue]> = vec![PlainValue::Int(1)].into();
-                        let index = PlainIndex::from_groups(
-                            rows,
-                            vec![(PlainKey::One(PlainValue::Int(1)), vec![0])],
-                        );
-                        par_probe_cached(&index, &[PlainKey::One(PlainValue::Int(1))], 4)
-                    }
-                }))
-            });
-            let payload = caught.expect_err("worker panic must propagate");
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(
-                msg.contains(machiavelli_value::faults::INJECTED_PANIC_PREFIX),
-                "{caller}: original payload survives: {msg:?}"
-            );
-        }
+        let caught = with_faults(cfg, || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                par_probe(&index, &probe, 4)
+            }))
+        });
+        let payload = caught.expect_err("worker panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains(machiavelli_value::faults::INJECTED_PANIC_PREFIX),
+            "original payload survives: {msg:?}"
+        );
     }
 
     #[test]
     fn injected_spawn_denial_degrades_to_inline_with_identical_results() {
-        let build: Vec<Value> = [1, 2, 2, 9]
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| row_k(k, i as i64))
-            .collect();
-        let probe: Vec<Value> = [2, 5, 1].iter().map(|&k| row_k(k, 0)).collect();
-        let build_keyed = keyed_by_k(&build, "x");
-        let probe_keyed = keyed_by_k(&probe, "y");
+        let index = index_1229();
+        let probe_rows: Vec<Value> = [2, 5, 1].iter().map(|&k| row_k(k, 0)).collect();
+        let probe = keys_by_k(&probe_rows, "y");
         let cfg = FaultConfig {
             spawn_fail_ppm: 1_000_000,
             seed: 5,
             ..FaultConfig::off()
         };
         machiavelli_value::faults::reset_injected_faults();
-        let m = with_faults(cfg, || par_partition_join(&build_keyed, &probe_keyed, 4));
+        let m = with_faults(cfg, || par_probe(&index, &probe, 4));
         assert_eq!(
             m,
             vec![vec![1, 2], vec![], vec![0]],

@@ -29,8 +29,8 @@
 //! the enclosing environment. Groupings hold **row indices** into the
 //! relation's canonical slice; the store re-represents fully plain
 //! relations in `Send + Sync` form, which is what lets a *cached*
-//! index serve the parallel probe (see the parallel execution contract
-//! in the crate docs) — and a two-generator join may flip its build
+//! index serve the plain-key parallel probe (see the parallel execution
+//! contract in the crate docs) — and a two-generator join may flip its build
 //! side toward an already-cached (or smaller) relation at open
 //! ([`SwapInfo`]). Cache consultation is invisible in the results: a
 //! hit returns exactly the grouping an inline build would have
@@ -42,20 +42,16 @@
 
 use crate::analysis::{closed_under, is_safe_expr, mentions_any, stable_source, Conjunct};
 use crate::logical::LogicalPlan;
-use crate::parallel::{
-    extract_key, par_evaluable, par_partition_join, par_probe_cached, plain_binop, plain_eval,
-    safe_eval, Keyed, PlainBindings, ValueBindings, WorkerCx, CHUNK_TICK_MASK,
-};
-use machiavelli_exec::{self as exec, Morsel};
+use crate::parallel::{extract_key, par_evaluable, par_probe, safe_eval, ValueBindings};
 use machiavelli_store::{store_enabled, with_store, CachedIndex, Index, KeyTuple};
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind};
 use machiavelli_syntax::pretty::expr_to_string;
 use machiavelli_syntax::symbol::Symbol;
 use machiavelli_trace::{self as trace, DeclineReason};
-use machiavelli_value::plain::{ColumnarRelation, PlainIndex, PlainValue};
+use machiavelli_value::plain::{PlainIndex, PlainKey};
 use machiavelli_value::tuning::{
-    columnar_min_rows, note_offload, note_par_join, note_par_probe, note_snapshot,
-    par_join_min_build_rows, par_probe_min_rows, par_threads, parallel_enabled,
+    morsel_rows, note_par_join, par_join_min_rows, par_threads, parallel_enabled,
+    PAR_JOIN_MAX_PROBE_FACTOR,
 };
 use machiavelli_value::{show_value, value_eq, Env, MSet, Value};
 use std::rc::Rc;
@@ -123,15 +119,15 @@ fn run_par<T, E>(f: impl FnOnce() -> T) -> Result<T, ExecError<E>> {
     Ok(out)
 }
 
-/// Static eligibility of a [`PhysOp::HashJoin`] for the plain-data
-/// parallel lane. Present iff the **probe keys** are [`par_evaluable`]
-/// under the earlier binders — enough for the partition-parallel probe
-/// over a *cached* plain index, which needs no build-side evaluation at
-/// all. `build_ok` additionally records whether the build keys and
-/// pushed filters are `par_evaluable` under the build binder — the
-/// stronger requirement of the inline partition build+probe lane
-/// (uncached joins). Carries the probe binders the keys actually
-/// mention, so the executor extracts only those per input row.
+/// Static eligibility of a [`PhysOp::HashJoin`] for the plain-key join
+/// path ([`open_plain_join`]), decided once at plan time. Present iff
+/// the **probe keys** are [`par_evaluable`] under the earlier binders —
+/// enough to probe a store-served plain index, which needs no
+/// build-side evaluation at all. `build_ok` additionally records whether
+/// the build keys and pushed filters are `par_evaluable` under the build
+/// binder — what an uncached join needs to build its plain table inline.
+/// Carries the probe binders the keys actually mention, so the executor
+/// extracts only those per input row.
 #[derive(Debug)]
 pub struct ParInfo {
     pub probe_vars: Vec<Symbol>,
@@ -219,16 +215,12 @@ pub enum PhysOp<'a> {
         probe_keys: Vec<&'a Expr>,
         build_keys: Vec<&'a Expr>,
         fingerprint: Option<String>,
-        /// `Some` when the join's probe side is statically eligible for
-        /// the plain-value lane (see the parallel execution contract in
-        /// the crate docs): a *cached plain* build table can then be
-        /// probed by parallel workers; `par.build_ok` additionally
-        /// enables the inline partition build+probe for uncached
-        /// builds. Whether an execution actually parallelizes is
+        /// `Some` when the join is statically eligible for the plain-key
+        /// path (see [`ParInfo`] and the parallel execution contract in
+        /// the crate docs). Whether an execution actually takes it is
         /// decided at open time: the lane must be enabled with >1
-        /// worker threads, size cutoffs
-        /// ([`machiavelli_value::tuning::par_join_min_build_rows`] /
-        /// [`machiavelli_value::tuning::par_probe_min_rows`]) must
+        /// worker threads, the size gate
+        /// ([`machiavelli_value::tuning::par_join_min_rows`]) must
         /// clear, and every key must extract to plain data.
         par: Option<ParInfo>,
         /// `Some` when the build side may be flipped to the first
@@ -571,13 +563,13 @@ impl<'a> LogicalPlan<'a> {
                     && build_keys.iter().all(|k| closed_under(k, &binder))
                     && step.filters.iter().all(|c| closed_under(c.expr, &binder)))
                 .then(|| join_fingerprint(step.source, step.var, &build_keys, &step.filters));
-                // Parallel-lane eligibility. Probe-key coverage by the
-                // plain mini-evaluator is enough to probe a *cached*
-                // plain index in parallel (no build-side evaluation
-                // happens at all); the inline partition build+probe
-                // additionally needs the build keys and pushed filters
-                // covered under the build binder (`build_ok`) — the
-                // same closure discipline the store uses, plus the
+                // Plain-key join eligibility, decided here once. Probe-key
+                // coverage by the plain mini-evaluator is enough to
+                // probe a *cached* plain index (no build-side
+                // evaluation happens at all); building the plain table
+                // inline additionally needs the build keys and pushed
+                // filters covered under the build binder (`build_ok`) —
+                // the same closure discipline the store uses, plus the
                 // mini-evaluator's coverage test.
                 let par = probe_keys
                     .iter()
@@ -750,65 +742,6 @@ fn build_join_index<H: EvalHook>(
     Ok(table)
 }
 
-/// Key pre-filtered build rows: the columnar lane already ran the
-/// pushed filters ([`columnar_filter`]), so only the surviving row
-/// indices are keyed (through the hook, on the session thread). The
-/// result is identical to [`build_join_index`]'s — the survivors are
-/// exactly the rows the sequential filters accept, since `plain_eval`
-/// agrees with the interpreter on the par-evaluable class — so it is
-/// sound to cache through the store.
-fn build_join_index_from<H: EvalHook>(
-    items: &MSet,
-    var: Symbol,
-    keep: &[u32],
-    build_keys: &[&Expr],
-    env: &Env,
-    hook: &mut H,
-) -> Result<Index, ExecError<H::Error>> {
-    #[allow(clippy::mutable_key_type)] // refs hash by identity
-    let mut table = Index::with_capacity(keep.len());
-    for &i in keep {
-        let row_env = env.bind(var, items.as_slice()[i as usize].clone());
-        let key = KeyTuple(
-            build_keys
-                .iter()
-                .map(|k| hook.eval(&row_env, k))
-                .collect::<Result<_, _>>()?,
-        );
-        table.entry(key).or_default().push(i);
-    }
-    Ok(table)
-}
-
-/// Build the join table, prefiltering on the columnar lane when the
-/// pushed filters are eligible and the lane is live (an outer-`Some`
-/// `keep` passes a finished filter outcome through — the
-/// independent-generator batch). Declines fall back to the ordinary
-/// sequential build.
-#[allow(clippy::too_many_arguments)]
-fn build_join_index_cols<H: EvalHook>(
-    items: &MSet,
-    var: Symbol,
-    filters: &[Conjunct<'_>],
-    build_keys: &[&Expr],
-    stable: bool,
-    keep: Option<Option<Vec<u32>>>,
-    env: &Env,
-    hook: &mut H,
-) -> Result<Index, ExecError<H::Error>> {
-    let keep = match keep {
-        Some(outcome) => outcome,
-        None if columnar_eligible(filters, var) && columnar_live(items.len()) => {
-            columnar_filter(var, filters, items, stable)?
-        }
-        None => None,
-    };
-    match keep {
-        Some(keep) => build_join_index_from(items, var, &keep, build_keys, env, hook),
-        None => build_join_index(items, var, filters, build_keys, env, hook),
-    }
-}
-
 /// Build an index-scan grouping: the *whole* relation grouped by the
 /// `on` key expressions (filters are applied at probe time, so the
 /// index is reusable across queries with different residual filters).
@@ -859,615 +792,79 @@ fn obtain_index<H: EvalHook>(
     Ok(with_store(|s| s.insert(items, fingerprint, built)))
 }
 
-// --- the columnar scan lane --------------------------------------------------
-
-/// Static columnar eligibility of a scan's pushed filters: non-empty,
-/// and every conjunct runnable by the plain mini-evaluator under the
-/// row binder alone (binder-closed, pure, total). Computed both at open
-/// time (whether to offload) and at render time (`explain`'s
-/// `[columnar par n=…]` marker) — a cheap syntactic walk, so nothing
-/// needs to be stored in the operator.
-pub fn columnar_eligible(filters: &[Conjunct<'_>], var: Symbol) -> bool {
-    !filters.is_empty() && filters.iter().all(|c| par_evaluable(c.expr, &[var]))
-}
-
-/// Runtime gate of the columnar lane: enabled, more than one worker,
-/// and the relation over the
-/// [`machiavelli_value::tuning::columnar_min_rows`] cutoff (snapshot
-/// extraction plus scheduling must have enough rows to amortize over).
-fn columnar_live(rows: usize) -> bool {
-    parallel_enabled() && par_threads() > 1 && rows >= columnar_min_rows()
-}
-
-/// Obtain a plain columnar snapshot of `items`: through the session's
-/// index store — and the shared tier behind it — when the source is
-/// `stable` (repeated queries then reuse one snapshot per relation),
-/// built directly for fresh-storage sources, whose snapshot could never
-/// be looked up again. `None` when any row has no plain form: the whole
-/// lane declines.
-fn columnar_snapshot(items: &MSet, stable: bool) -> Option<Arc<ColumnarRelation>> {
-    if store_enabled() && stable {
-        return with_store(|s| s.snapshot(items));
-    }
-    let snap = Arc::new(ColumnarRelation::from_set(items)?);
-    note_snapshot(false);
-    Some(snap)
-}
-
-/// One compiled filter conjunct of a columnar scan.
-enum ColPred<'p, 's> {
-    /// `_.L op constant` (either orientation, non-short-circuit op)
-    /// over a decomposed relation: a direct loop over column `L`'s
-    /// contiguous values — no per-row field scan, no expression walk.
-    Column {
-        values: &'s [PlainValue],
-        op: BinOp,
-        /// The constant operand, evaluated once (pure and total on the
-        /// par-evaluable class, so early evaluation is unobservable).
-        other: PlainValue,
-        /// The column is the *right* operand.
-        flipped: bool,
-        strict: bool,
-    },
-    /// Any other eligible conjunct: the plain mini-evaluator per row.
-    Row(&'p Conjunct<'p>),
-}
-
-impl<'p, 's> ColPred<'p, 's> {
-    fn compile(c: &'p Conjunct<'p>, var: Symbol, snap: &'s ColumnarRelation) -> ColPred<'p, 's> {
-        if let ExprKind::Binop { op, left, right } = &c.expr.kind {
-            // `andalso`/`orelse` short-circuit per row; they stay on the
-            // row path where `plain_eval` mirrors that exactly.
-            if !matches!(op, BinOp::Andalso | BinOp::Orelse) {
-                let col_of = |e: &'p Expr| -> Option<&'s [PlainValue]> {
-                    let ExprKind::Field { expr, label } = &e.kind else {
-                        return None;
-                    };
-                    let ExprKind::Var(x) = &expr.kind else {
-                        return None;
-                    };
-                    if x.id() != var.id() {
-                        return None;
-                    }
-                    snap.column(*label).map(|c| &*c.values)
-                };
-                let empty = PlainBindings {
-                    head: None,
-                    rest: &[],
-                };
-                let constant = |e: &'p Expr| {
-                    (!mentions_any(e, &[var]))
-                        .then(|| plain_eval(e, &empty))
-                        .flatten()
-                };
-                if let Some(values) = col_of(left) {
-                    if let Some(other) = constant(right) {
-                        return ColPred::Column {
-                            values,
-                            op: *op,
-                            other,
-                            flipped: false,
-                            strict: c.strict,
-                        };
-                    }
-                }
-                if let Some(values) = col_of(right) {
-                    if let Some(other) = constant(left) {
-                        return ColPred::Column {
-                            values,
-                            op: *op,
-                            other,
-                            flipped: true,
-                            strict: c.strict,
-                        };
-                    }
-                }
-            }
-        }
-        ColPred::Row(c)
-    }
-}
-
-/// Evaluate the compiled conjuncts on row `i`. `Some(true)` accepts,
-/// `Some(false)` rejects; `None` **declines** — an operand shape the
-/// plain lane cannot handle, or a strict conjunct evaluating
-/// non-boolean (where the interpreter raises) — and poisons the whole
-/// run, so the sequential re-run reproduces the exact behavior.
-fn row_passes(
-    preds: &[ColPred<'_, '_>],
-    snap: &ColumnarRelation,
+/// Open an already-evaluated `Scan` under its own trace span, mirroring
+/// what [`Node::open`] does for dispatched operators: the swappable
+/// hash-join arm evaluates both sources before it knows which side
+/// streams, so it opens its probe `Scan` directly — without this the
+/// probe side would vanish from the trace tree.
+fn open_scan_traced<'p>(
     var: Symbol,
-    i: usize,
-) -> Option<bool> {
-    for p in preds {
-        let (v, strict) = match p {
-            ColPred::Column {
-                values,
-                op,
-                other,
-                flipped,
-                strict,
-            } => {
-                let v = if *flipped {
-                    plain_binop(*op, other, &values[i])
-                } else {
-                    plain_binop(*op, &values[i], other)
-                };
-                (v, *strict)
+    filters: &'p [Conjunct<'p>],
+    source: &Expr,
+    env: &Env,
+    items: MSet,
+) -> Node<'p> {
+    let node = Node::Scan {
+        var,
+        filters,
+        base: env.clone(),
+        items,
+        idx: 0,
+    };
+    match trace::open_op_with(|| scan_label(var, source, filters)) {
+        Some(sid) => {
+            trace::close_op(Some(sid), 0);
+            Node::Traced {
+                sid,
+                inner: Box::new(node),
             }
-            ColPred::Row(c) => {
-                let env = PlainBindings {
-                    head: Some((var, &snap.rows[i])),
-                    rest: &[],
-                };
-                (plain_eval(c.expr, &env), c.strict)
-            }
-        };
-        match v {
-            Some(PlainValue::Bool(true)) => {}
-            Some(PlainValue::Bool(false)) => return Some(false),
-            // A lenient (syntactically last) conjunct rejects the row
-            // on a non-boolean, like the sequential `check`.
-            Some(_) if !strict => return Some(false),
-            _ => return None,
         }
+        None => node,
     }
-    Some(true)
 }
 
-/// Run binder-closed pushed filters over `items` on the morsel-driven
-/// columnar lane. `Ok(None)` is a decline — a row with no plain form,
-/// or live data a conjunct cannot handle — and the caller takes the
-/// sequential path, with zero behavior change. `Ok(Some(keep))` holds
-/// the **ascending** indices of surviving rows. Workers poll the
-/// coordinator's (sticky) query guard every [`CHUNK_TICK_MASK`]+1 rows;
-/// a trip poisons the run and [`run_par`] surfaces it as `Interrupted`
-/// before the result can be used.
-fn columnar_filter<E>(
+/// Build a join table in plain form **without the hook**: pushed
+/// filters and build keys run through [`safe_eval`] (no interpreter
+/// dispatch, no environment allocation) and only the extracted
+/// [`PlainKey`] tuples are kept, grouped over row indices in source
+/// order. `None` is a decline — an unsupported shape at runtime, an
+/// identity-bearing key value, a strict filter evaluating non-boolean
+/// (where the interpreter raises) — and the caller builds through the
+/// hook instead, which reproduces the exact sequential behavior.
+fn build_plain_index(
+    items: &MSet,
     var: Symbol,
     filters: &[Conjunct<'_>],
-    items: &MSet,
-    stable: bool,
-) -> Result<Option<Vec<u32>>, ExecError<E>> {
-    let Some(snap) = columnar_snapshot(items, stable) else {
-        note_offload(false);
-        trace::note_decline(DeclineReason::ColumnarSnapshotExtract);
-        return Ok(None);
-    };
-    let preds: Vec<ColPred<'_, '_>> = filters
-        .iter()
-        .map(|c| ColPred::compile(c, var, &snap))
-        .collect();
-    let cx = WorkerCx::capture();
-    let keep = run_par(|| {
-        let (keep, _) = exec::filter_indices(
-            par_threads(),
-            &snap,
-            || {
-                cx.enter();
-                0u64
-            },
-            |ticks: &mut u64, i| {
-                *ticks += 1;
-                if *ticks & CHUNK_TICK_MASK as u64 == 0 && cx.tripped() {
-                    return None;
-                }
-                row_passes(&preds, &snap, var, i)
-            },
-        );
-        keep
-    })?;
-    note_offload(keep.is_some());
-    Ok(keep)
-}
-
-/// Filter two **independent** relations as one morsel batch: the
-/// independent-generator schedule. Neither side's filters mention the
-/// other's binder (each is closed under its own), so their morsels are
-/// order-free and share the worker pool — workers drain whichever side
-/// still has rows instead of barriering between the two scans. Each
-/// side declines independently (`None` in its slot); the other side's
-/// survivors remain valid.
-#[allow(clippy::type_complexity)]
-fn columnar_filter_pair<E>(
-    a: (Symbol, &[Conjunct<'_>], &MSet, bool),
-    b: (Symbol, &[Conjunct<'_>], &MSet, bool),
-) -> Result<(Option<Vec<u32>>, Option<Vec<u32>>), ExecError<E>> {
-    let snaps = [columnar_snapshot(a.2, a.3), columnar_snapshot(b.2, b.3)];
-    let preds: Vec<Option<Vec<ColPred<'_, '_>>>> = [&a, &b]
-        .iter()
-        .zip(&snaps)
-        .map(|((var, filters, _, _), snap)| {
-            snap.as_ref().map(|s| {
-                filters
-                    .iter()
-                    .map(|c| ColPred::compile(c, *var, s))
-                    .collect()
-            })
-        })
-        .collect();
-    let vars = [a.0, b.0];
-    // Interleave the two sides' morsels into one task list; results
-    // come back in task order, so each side's survivor lists
-    // reassemble ascending.
-    let mut tasks: Vec<(usize, Morsel)> = Vec::new();
-    for (side, snap) in snaps.iter().enumerate() {
-        if let Some(snap) = snap {
-            tasks.extend(exec::morsels(snap.len()).into_iter().map(|m| (side, m)));
-        }
-    }
-    let cx = WorkerCx::capture();
-    let parts = run_par(|| {
-        let (parts, _) = exec::run_tasks(
-            par_threads(),
-            tasks,
-            || {
-                cx.enter();
-                0u64
-            },
-            |ticks: &mut u64, (side, m): (usize, Morsel)| {
-                let snap = snaps[side].as_deref().expect("task exists only with snap");
-                let preds = preds[side].as_deref().expect("compiled with snap");
-                let mut keep = Vec::new();
-                for i in m.start..m.end {
-                    *ticks += 1;
-                    if *ticks & CHUNK_TICK_MASK as u64 == 0 && cx.tripped() {
-                        return (side, None);
-                    }
-                    match row_passes(preds, snap, vars[side], i) {
-                        Some(true) => keep.push(i as u32),
-                        Some(false) => {}
-                        None => return (side, None),
-                    }
-                }
-                (side, Some(keep))
-            },
-        );
-        parts
-    })?;
-    // Reassemble per side: a poisoned morsel declines its whole side.
-    let mut out: [Option<Option<Vec<u32>>>; 2] = [
-        snaps[0].as_ref().map(|_| Some(Vec::new())),
-        snaps[1].as_ref().map(|_| Some(Vec::new())),
-    ];
-    for (side, part) in parts {
-        if let Some(acc) = &mut out[side] {
-            match (acc, part) {
-                (Some(acc), Some(mut keep)) => acc.append(&mut keep),
-                (acc, None) => *acc = None,
-                (None, _) => {}
-            }
-        }
-    }
-    let [ka, kb] = out;
-    let (ka, kb) = (ka.flatten(), kb.flatten());
-    // Per-side decline codes: no snapshot means the relation declined
-    // plain extraction; a snapshot with no survivors list means a
-    // worker's morsel poisoned at runtime (the single-scan path reports
-    // the same code from `exec::filter_indices`).
-    for (side, keep) in [(0, &ka), (1, &kb)] {
-        if keep.is_none() {
-            trace::note_decline(if snaps[side].is_none() {
-                DeclineReason::ColumnarSnapshotExtract
-            } else {
-                DeclineReason::ColumnarRuntimeDecline
-            });
-        }
-    }
-    note_offload(ka.is_some());
-    note_offload(kb.is_some());
-    Ok((ka, kb))
-}
-
-/// Open a `Scan` node, offloading its pushed filters onto the columnar
-/// lane when they are statically eligible, the lane is live, and the
-/// relation clears the row cutoff. On success the surviving rows — an
-/// ascending subset of the canonical slice, so itself canonical —
-/// become a **filterless** scan over a fresh [`MSet`]: exactly the
-/// shape [`open_cached_par_probe`]'s fast path keys raw rows from, so
-/// the whole Scan→Filter→Join pipeline composes onto the lane. Any
-/// decline yields the ordinary filtered scan with zero behavior change.
-/// An outer-`Some` `keep` short-circuits the filter run: the caller
-/// already ran it (the independent-generator batch) and passes its
-/// outcome — survivors or a decline — through.
-fn open_scan_node<'p, E>(
-    var: Symbol,
-    filters: &'p [Conjunct<'p>],
-    source: &Expr,
-    env: &Env,
-    items: MSet,
-    keep: Option<Option<Vec<u32>>>,
-) -> Result<Node<'p>, ExecError<E>> {
-    let keep = match keep {
-        Some(outcome) => outcome,
-        None if columnar_eligible(filters, var) && columnar_live(items.len()) => {
-            columnar_filter(var, filters, &items, stable_source(source))?
-        }
-        None => None,
-    };
-    Ok(match keep {
-        Some(keep) => {
-            // The offload happened: this scan's filters ran as columnar
-            // morsels on worker threads.
-            trace::annotate_lane(
-                trace::current_span(),
-                trace::Lane::Columnar(par_threads() as u32),
-            );
-            let rows = items.as_slice();
-            let filtered = MSet::from_sorted_unchecked(
-                keep.iter().map(|&i| rows[i as usize].clone()).collect(),
-            );
-            Node::Scan {
-                var,
-                filters: &[],
-                base: env.clone(),
-                items: filtered,
-                idx: 0,
-            }
-        }
-        None => Node::Scan {
-            var,
-            filters,
-            base: env.clone(),
-            items,
-            idx: 0,
-        },
-    })
-}
-
-/// [`open_scan_node`] under its own trace span, mirroring what
-/// [`Node::open`] does for dispatched operators: the hash-join arms
-/// destructure their probe `Scan` and open it directly, so without this
-/// twin the probe side would vanish from the trace tree.
-fn open_scan_traced<'p, E>(
-    var: Symbol,
-    filters: &'p [Conjunct<'p>],
-    source: &Expr,
-    env: &Env,
-    items: MSet,
-    keep: Option<Option<Vec<u32>>>,
-) -> Result<Node<'p>, ExecError<E>> {
-    if !trace::active() {
-        return open_scan_node(var, filters, source, env, items, keep);
-    }
-    let sid = trace::open_op_with(|| scan_label(var, source, filters));
-    let t0 = trace::now_ns();
-    let node = open_scan_node(var, filters, source, env, items, keep);
-    trace::close_op(sid, trace::now_ns().saturating_sub(t0));
-    Ok(match (sid, node?) {
-        (Some(sid), inner) => Node::Traced {
-            sid,
-            inner: Box::new(inner),
-        },
-        (None, inner) => inner,
-    })
-}
-
-/// The shared sequential-fallback shape of [`open_par_join`]: count the
-/// fallback (with its typed `reason`), build the table inline, and
-/// probe `input` — the untouched pipeline, the drained rows, or the
-/// drained prefix chained to the live remainder, depending on how far
-/// the parallel attempt got.
-#[allow(clippy::too_many_arguments)]
-fn seq_join_fallback<'p, H: EvalHook>(
-    input: Box<Node<'p>>,
-    items: &MSet,
-    var: Symbol,
-    build_keys: &'p [&'p Expr],
-    filters: &'p [Conjunct<'p>],
-    probe_keys: &'p [&'p Expr],
-    reason: DeclineReason,
-    env: &Env,
-    hook: &mut H,
-) -> Result<Node<'p>, ExecError<H::Error>> {
-    note_par_join(false);
-    trace::note_decline(reason);
-    let table = CachedIndex::Local(Rc::new(build_join_index(
-        items, var, filters, build_keys, env, hook,
-    )?));
-    Ok(Node::HashJoin {
-        input,
-        var,
-        probe_keys,
-        items: items.clone(),
-        table,
-        cur: None,
-    })
-}
-
-/// Open a statically eligible hash join on the parallel lane. Always
-/// returns a usable node: on success a [`Node::ParJoin`] holding the
-/// precomputed match lists, on any keying or extraction failure the
-/// sequential build/probe shape (over the already drained input when
-/// draining had happened) — with **zero** behavior change, since
-/// everything the parallel attempt evaluated early is planner-safe.
-/// Records the hit/fallback in
-/// [`machiavelli_value::tuning::par_stats`].
-///
-/// Both sides are keyed sequentially on the `Rc` lane through
-/// [`crate::parallel::safe_eval`] (no interpreter dispatch, no
-/// environment allocation) and only the extracted [`PlainKey`] tuples
-/// cross into the worker threads; rows are matched by **index** and
-/// re-bound on the session thread, so nothing is deep-copied.
-#[allow(clippy::too_many_arguments)]
-fn open_par_join<'p, H: EvalHook>(
-    mut input: Box<Node<'p>>,
-    items: MSet,
-    var: Symbol,
-    build_keys: &'p [&'p Expr],
-    filters: &'p [Conjunct<'p>],
-    probe_keys: &'p [&'p Expr],
-    info: &'p ParInfo,
-    build_keep: Option<Vec<u32>>,
-    env: &Env,
-    hook: &mut H,
-) -> Result<Node<'p>, ExecError<H::Error>> {
-    // Key the build side: pushed filters prune, then the key closure
-    // is evaluated and extracted. Any decline (unsupported shape at
-    // runtime, identity-bearing key value, strict filter evaluating
-    // non-boolean) abandons the lane before the input is drained.
-    // When the columnar lane already ran the filters (`build_keep`,
-    // the independent-generator batch), only the survivors are keyed.
-    let mut build_keyed: Vec<Keyed> = Vec::with_capacity(items.len());
-    let mut keyed_ok = true;
-    if let Some(keep) = &build_keep {
-        for &i in keep {
-            let row_env = ValueBindings {
-                head: Some((var, &items.as_slice()[i as usize])),
-                rest: &[],
-            };
-            match extract_key(build_keys, &row_env) {
-                Some(key) => build_keyed.push(Keyed::new(key, i as usize)),
-                None => {
-                    keyed_ok = false;
-                    break;
-                }
-            }
-        }
-    } else {
-        'build: for (i, row) in items.iter().enumerate() {
-            let row_env = ValueBindings {
-                head: Some((var, row)),
-                rest: &[],
-            };
-            for c in filters {
-                match safe_eval(c.expr, &row_env) {
-                    Some(Value::Bool(true)) => {}
-                    Some(Value::Bool(false)) => continue 'build,
-                    // A lenient (syntactically last) conjunct rejects
-                    // the row on a non-boolean, like the sequential
-                    // `check`; a strict one would error — abandon and
-                    // let the sequential path raise it.
-                    Some(_) if !c.strict => continue 'build,
-                    _ => {
-                        keyed_ok = false;
-                        break 'build;
-                    }
-                }
-            }
-            match extract_key(build_keys, &row_env) {
-                Some(key) => build_keyed.push(Keyed::new(key, i)),
-                None => {
-                    keyed_ok = false;
-                    break 'build;
-                }
-            }
-        }
-    }
-    if !keyed_ok {
-        return seq_join_fallback(
-            input,
-            &items,
-            var,
-            build_keys,
-            filters,
-            probe_keys,
-            DeclineReason::ParJoinBuildExtract,
-            env,
-            hook,
-        );
-    }
-    // Materialize and key the probe side (upstream per-row work is
-    // planner-safe; evaluating it before the first result row is
-    // unobservable). Binder values are O(1) `Rc`-bump clones. The
-    // sequential probe streams with O(1) extra memory, so draining is
-    // capped relative to the build side: a pathologically large probe
-    // pipeline bails to the sequential probe over the drained prefix
-    // plus the still-live remainder of the input.
-    let max_probe = machiavelli_value::tuning::par_join_max_probe_rows(items.len());
-    let mut probe_rows: Vec<Env> = Vec::new();
-    let mut drained_all = true;
-    while let Some(row) = input.next(hook)? {
-        probe_rows.push(row);
-        if probe_rows.len() >= max_probe {
-            drained_all = false;
-            break;
-        }
-    }
-    if !drained_all {
-        let drained = Box::new(Node::Materialized {
-            rows: probe_rows,
-            idx: 0,
-            rest: Some(input),
-        });
-        return seq_join_fallback(
-            drained,
-            &items,
-            var,
-            build_keys,
-            filters,
-            probe_keys,
-            DeclineReason::ParJoinProbeCap,
-            env,
-            hook,
-        );
-    }
-    let mut probe_keyed: Vec<Keyed> = Vec::with_capacity(probe_rows.len());
-    'probe: for (i, row) in probe_rows.iter().enumerate() {
-        let mut bound: Vec<(Symbol, Value)> = Vec::with_capacity(info.probe_vars.len());
-        for v in &info.probe_vars {
-            match row.lookup(*v) {
-                Some(val) => bound.push((*v, val)),
-                None => {
-                    keyed_ok = false;
-                    break 'probe;
-                }
-            }
-        }
+    build_keys: &[&Expr],
+) -> Option<PlainIndex> {
+    let mut index = PlainIndex::with_capacity(items.len());
+    'rows: for (i, row) in items.iter().enumerate() {
         let row_env = ValueBindings {
-            head: None,
-            rest: &bound,
+            head: Some((var, row)),
+            rest: &[],
         };
-        match extract_key(probe_keys, &row_env) {
-            Some(key) => probe_keyed.push(Keyed::new(key, i)),
-            None => {
-                keyed_ok = false;
-                break 'probe;
+        for c in filters {
+            match safe_eval(c.expr, &row_env)? {
+                Value::Bool(true) => {}
+                Value::Bool(false) => continue 'rows,
+                // A lenient (syntactically last) conjunct rejects the
+                // row on a non-boolean, like the sequential `check`.
+                _ if !c.strict => continue 'rows,
+                _ => return None,
             }
         }
+        index.push(extract_key(build_keys, &row_env)?, i as u32);
     }
-    if !keyed_ok {
-        // Fallback: sequential build and probe over the drained rows —
-        // identical bindings, identical error points.
-        let drained = Box::new(Node::Materialized {
-            rows: probe_rows,
-            idx: 0,
-            rest: None,
-        });
-        return seq_join_fallback(
-            drained,
-            &items,
-            var,
-            build_keys,
-            filters,
-            probe_keys,
-            DeclineReason::ParJoinProbeExtract,
-            env,
-            hook,
-        );
-    }
-    let matches = run_par(|| par_partition_join(&build_keyed, &probe_keyed, par_threads()))?;
-    note_par_join(true);
-    trace::annotate_lane(
-        trace::current_span(),
-        trace::Lane::Par(par_threads() as u32),
-    );
-    Ok(Node::ParJoin {
-        var,
-        rows: items,
-        probe: ParProbe::Envs(probe_rows),
-        matches,
-        cursor: (0, 0),
-        cur_env: None,
-    })
+    Some(index)
 }
 
 /// Open a hash join whose orientation is already fixed: `input` streams
-/// the probe side, `items` is the build relation. Routes between the
-/// three execution shapes in precedence order — the inline partition
-/// lane (uncached, statically `build_ok`, over the build-row cutoff),
-/// the **cached parallel probe** (a store-served *plain* table with
-/// par-evaluable probe keys), and the sequential build/probe.
+/// the probe side, `items` is the build relation. Obtains the build
+/// table — from the index store when fingerprinted, in plain form
+/// inline when the join is statically `build_ok` and the build side
+/// clears the size gate, through the hook otherwise — and hands a plain
+/// table to [`open_plain_join`]; everything else is the streaming
+/// sequential build/probe.
 #[allow(clippy::too_many_arguments)]
 fn open_keyed_join<'p, H: EvalHook>(
     input: Box<Node<'p>>,
@@ -1478,35 +875,11 @@ fn open_keyed_join<'p, H: EvalHook>(
     probe_keys: &'p [&'p Expr],
     fingerprint: Option<&str>,
     par: Option<&'p ParInfo>,
-    stable: bool,
-    build_keep: Option<Option<Vec<u32>>>,
     env: &Env,
     hook: &mut H,
 ) -> Result<Node<'p>, ExecError<H::Error>> {
-    // The inline partition lane serves builds the store will not: a
-    // cached index beats any rebuild, so fingerprinted builds stay on
-    // the store path. Runtime gates: lane enabled, >1 worker threads,
-    // build side over the row cutoff. `open_par_join` then commits to
-    // *some* node — parallel on success, the drained sequential shape
-    // on extraction/evaluation fallback.
-    if fingerprint.is_none() && parallel_enabled() && par_threads() > 1 {
-        if let Some(info) = par {
-            if info.build_ok && items.len() >= par_join_min_build_rows() {
-                return open_par_join(
-                    input,
-                    items,
-                    var,
-                    build_keys,
-                    filters,
-                    probe_keys,
-                    info,
-                    build_keep.flatten(),
-                    env,
-                    hook,
-                );
-            }
-        }
-    }
+    // Runtime gates of the plain path: lane enabled, >1 worker threads.
+    let par = par.filter(|_| parallel_enabled() && par_threads() > 1);
     let table = match fingerprint {
         // Cacheable build: request it from the index store (hit ⇒ the
         // whole build phase — filters and keys — is skipped; all
@@ -1514,27 +887,41 @@ fn open_keyed_join<'p, H: EvalHook>(
         Some(fp) => obtain_index(
             &items,
             fp,
-            |hook| {
-                build_join_index_cols(
-                    &items, var, filters, build_keys, stable, build_keep, env, hook,
-                )
-            },
+            |hook| build_join_index(&items, var, filters, build_keys, env, hook),
             hook,
         )?,
-        // Environment-dependent build: construct inline.
-        None => CachedIndex::Local(Rc::new(build_join_index_cols(
-            &items, var, filters, build_keys, stable, build_keep, env, hook,
-        )?)),
-    };
-    // The composed lane: a store-served plain table is `Send + Sync`,
-    // so eligible probe keys fan the probe out over it directly.
-    if let CachedIndex::Plain(index) = &table {
-        if parallel_enabled() && par_threads() > 1 {
-            if let Some(info) = par {
-                let index = index.clone();
-                return open_cached_par_probe(input, items, var, probe_keys, index, info, hook);
+        // Environment-dependent (or store-less) build: construct
+        // inline — in plain form when eligible and large enough to
+        // split, so the probe below can fan out over it.
+        None => {
+            if let Some(info) = par.filter(|i| i.build_ok && items.len() >= par_join_min_rows()) {
+                match build_plain_index(&items, var, filters, build_keys) {
+                    Some(index) => {
+                        let index = Arc::new(index);
+                        return open_plain_join(
+                            input, items, var, probe_keys, index, info, 0, hook,
+                        );
+                    }
+                    // Nothing was drained: the untouched input streams
+                    // through the sequential build/probe below.
+                    None => {
+                        note_par_join(false);
+                        trace::note_decline(DeclineReason::ParJoinExtract);
+                    }
+                }
             }
+            CachedIndex::Local(Rc::new(build_join_index(
+                &items, var, filters, build_keys, env, hook,
+            )?))
         }
+    };
+    // A store-served plain table is `Send + Sync`: eligible probe keys
+    // fan out over it directly, once the probe side clears the gate
+    // (there is no build to amortize, only probe materialization and
+    // thread coordination).
+    if let (CachedIndex::Plain(index), Some(info)) = (&table, par) {
+        let (index, gate) = (index.clone(), par_join_min_rows());
+        return open_plain_join(input, items, var, probe_keys, index, info, gate, hook);
     }
     Ok(Node::HashJoin {
         input,
@@ -1546,22 +933,27 @@ fn open_keyed_join<'p, H: EvalHook>(
     })
 }
 
-/// Probe a cached plain index with parallel workers. Always returns a
-/// usable node: [`Node::ParJoin`] on success, otherwise the sequential
-/// probe over the already-obtained table — with zero behavior change,
-/// since everything evaluated early (the probe pipeline's per-row
-/// expressions) is planner-safe. The probe side must clear
-/// [`machiavelli_value::tuning::par_probe_min_rows`] (distinct from the
-/// build-row cutoff: there is no build to amortize here, only probe
-/// materialization and thread coordination), and draining is
-/// memory-capped exactly like the inline lane's.
-fn open_cached_par_probe<'p, H: EvalHook>(
+/// **The** plain-key join: probe a plain key→row-index table — built
+/// inline for this query or served by the index store — at a degree of
+/// `min(par_threads, probe morsels)`. Always returns a usable node:
+/// [`Node::ParJoin`] holding the precomputed match lists on success,
+/// otherwise the streaming sequential probe over the same table — with
+/// zero behavior change, since everything evaluated early (the probe
+/// pipeline's per-row expressions) is planner-safe. Rows are matched by
+/// **index** and re-bound on the session thread, so nothing is
+/// deep-copied. A probe side under `min_probe_rows` stays sequential
+/// (a size gate, not counted as a fallback); hits and runtime
+/// fallbacks are recorded in [`machiavelli_value::tuning::par_stats`]
+/// and as typed declines.
+#[allow(clippy::too_many_arguments)]
+fn open_plain_join<'p, H: EvalHook>(
     mut input: Box<Node<'p>>,
     items: MSet,
     var: Symbol,
     probe_keys: &'p [&'p Expr],
     index: Arc<PlainIndex>,
-    info: &'p ParInfo,
+    info: &ParInfo,
+    min_probe_rows: usize,
     hook: &mut H,
 ) -> Result<Node<'p>, ExecError<H::Error>> {
     let seq = |input: Box<Node<'p>>, items: MSet, index: Arc<PlainIndex>| Node::HashJoin {
@@ -1578,13 +970,13 @@ fn open_cached_par_probe<'p, H: EvalHook>(
     if index.is_empty() {
         return Ok(seq(input, items, index));
     }
-    // Peel an active-trace [`Node::Traced`] wrapper so the fast-path
-    // shape match below sees exactly the node an untraced run would:
-    // lane selection must not depend on whether a trace is recording.
-    // The peeled span keeps its accounting — paths that hand the input
-    // back rewrap it, paths that drain it set the row count directly
-    // (no `next` has run yet, so the span's count starts at zero and a
-    // rewrapped remainder adds on top).
+    // Peel an active-trace [`Node::Traced`] wrapper so the shape match
+    // below sees exactly the node an untraced run would: path selection
+    // must not depend on whether a trace is recording. The peeled span
+    // keeps its accounting — paths that hand the input back rewrap it,
+    // paths that consume it set the row count directly (no `next` has
+    // run yet, so the span's count starts at zero and a rewrapped
+    // remainder adds on top).
     let mut input_sid: Option<u32> = None;
     if let Node::Traced { sid, .. } = input.as_ref() {
         input_sid = Some(*sid);
@@ -1597,150 +989,88 @@ fn open_cached_par_probe<'p, H: EvalHook>(
         Some(sid) => Box::new(Node::Traced { sid, inner: node }),
         None => node,
     };
-    // Fast path for the dominant shape — the probe side is a bare,
+    // Materialize the probe side. The dominant shape — a bare,
     // filterless `Scan` of an already-materialized relation (the
-    // two-generator equi-join). Keys extract straight off the relation
-    // slice through borrowed bindings: no per-row environment
-    // allocation, no `Env` materialization, and match envs bind lazily
-    // (only probe rows that actually matched ever get one) — the same
-    // raw-row keying that makes the inline partition lane profitable.
-    if let Node::Scan {
-        var: svar,
-        filters: sfilters,
-        base,
-        items: pitems,
-        idx: 0,
-    } = input.as_ref()
-    {
-        if sfilters.is_empty() {
-            if pitems.len() < par_probe_min_rows() {
-                return Ok(seq(rewrap(input), items, index));
-            }
-            let mut keys = Vec::with_capacity(pitems.len());
-            let mut keyed_ok = true;
-            for row in pitems.iter() {
-                let row_env = ValueBindings {
-                    head: Some((*svar, row)),
-                    rest: &[],
-                };
-                match extract_key(probe_keys, &row_env) {
-                    Some(key) => keys.push(key),
-                    None => {
-                        keyed_ok = false;
-                        break;
-                    }
+    // two-generator equi-join) — needs no draining at all: keys extract
+    // straight off the relation slice and match envs bind lazily (only
+    // probe rows that actually matched ever get one). Anything else is
+    // drained through the pipeline (upstream per-row work is
+    // planner-safe; evaluating it before the first result row is
+    // unobservable). The sequential probe streams with O(1) extra
+    // memory, so draining is capped relative to the build side: a
+    // pathologically large probe pipeline bails to the sequential probe
+    // over the drained prefix plus the still-live remainder.
+    let probe = match input.as_ref() {
+        Node::Scan {
+            var: svar,
+            filters: [],
+            base,
+            items: pitems,
+            idx: 0,
+        } => ParProbe::Rows {
+            base: base.clone(),
+            var: *svar,
+            items: pitems.clone(),
+        },
+        _ => {
+            let cap = items.len().saturating_mul(PAR_JOIN_MAX_PROBE_FACTOR);
+            let mut rows: Vec<Env> = Vec::new();
+            let mut drained_all = true;
+            while let Some(row) = input.next(hook)? {
+                rows.push(row);
+                if rows.len() >= cap {
+                    drained_all = false;
+                    break;
                 }
             }
-            if !keyed_ok {
-                // Nothing was drained: the untouched Scan replays
-                // through the sequential probe.
-                note_par_probe(false);
-                trace::note_decline(DeclineReason::ParProbeExtract);
-                return Ok(seq(rewrap(input), items, index));
+            // The drain bypassed the peeled span's `next` accounting.
+            trace::annotate_rows(input_sid, rows.len() as u64);
+            if !drained_all {
+                note_par_join(false);
+                trace::note_decline(DeclineReason::ParJoinDrainCap);
+                let drained = Box::new(Node::Materialized {
+                    rows,
+                    idx: 0,
+                    rest: Some(rewrap(input)),
+                });
+                return Ok(seq(drained, items, index));
             }
-            let matches = run_par(|| par_probe_cached(&index, &keys, par_threads()))?;
-            note_par_probe(true);
-            trace::annotate_lane(
-                trace::current_span(),
-                trace::Lane::CachedPar(par_threads() as u32),
-            );
-            trace::annotate_rows(input_sid, pitems.len() as u64);
-            let probe = ParProbe::Rows {
-                base: base.clone(),
-                var: *svar,
-                items: pitems.clone(),
-            };
-            return Ok(Node::ParJoin {
-                var,
-                rows: items,
-                probe,
-                matches,
-                cursor: (0, 0),
-                cur_env: None,
-            });
+            ParProbe::Envs(rows)
         }
-    }
-    // Materialize the probe side (upstream per-row work is planner-safe;
-    // evaluating it before the first result row is unobservable),
-    // capped like the inline lane.
-    let max_probe = machiavelli_value::tuning::par_join_max_probe_rows(items.len());
-    let mut probe_rows: Vec<Env> = Vec::new();
-    let mut drained_all = true;
-    while let Some(row) = input.next(hook)? {
-        probe_rows.push(row);
-        if probe_rows.len() >= max_probe {
-            drained_all = false;
-            break;
-        }
-    }
-    // The drain bypassed the peeled span's `next` accounting: set its
-    // yielded-row count directly (a rewrapped remainder adds on top).
-    trace::annotate_rows(input_sid, probe_rows.len() as u64);
-    if !drained_all {
-        note_par_probe(false);
-        trace::note_decline(DeclineReason::ParProbeDrainCap);
-        let drained = Box::new(Node::Materialized {
-            rows: probe_rows,
-            idx: 0,
-            rest: Some(rewrap(input)),
-        });
-        return Ok(seq(drained, items, index));
-    }
-    let drained = |probe_rows| {
-        Box::new(Node::Materialized {
-            rows: probe_rows,
+    };
+    // The sequential replay of a materialized probe side: the untouched
+    // `Scan` (still under its span), or the drained rows (whose span
+    // already holds their count).
+    let replay = |probe: ParProbe| match probe {
+        ParProbe::Rows { .. } => rewrap(input),
+        ParProbe::Envs(rows) => Box::new(Node::Materialized {
+            rows,
             idx: 0,
             rest: None,
-        })
+        }),
     };
-    // Below the probe cutoff the sequential probe wins; not counted as
-    // a fallback (a size gate, not a runtime decline).
-    if probe_rows.len() < par_probe_min_rows() {
-        return Ok(seq(drained(probe_rows), items, index));
+    if probe.len() < min_probe_rows {
+        return Ok(seq(replay(probe), items, index));
     }
-    let mut keys = Vec::with_capacity(probe_rows.len());
-    let mut keyed_ok = true;
-    'probe: for row in &probe_rows {
-        let mut bound: Vec<(Symbol, Value)> = Vec::with_capacity(info.probe_vars.len());
-        for v in &info.probe_vars {
-            match row.lookup(*v) {
-                Some(val) => bound.push((*v, val)),
-                None => {
-                    keyed_ok = false;
-                    break 'probe;
-                }
-            }
-        }
-        let row_env = ValueBindings {
-            head: None,
-            rest: &bound,
-        };
-        match extract_key(probe_keys, &row_env) {
-            Some(key) => keys.push(key),
-            None => {
-                keyed_ok = false;
-                break 'probe;
-            }
-        }
-    }
-    if !keyed_ok {
+    let Some(keys) = probe.keys(probe_keys, info) else {
         // A probe key declined extraction (identity-bearing value or an
-        // unsupported runtime shape): replay the drained rows through
-        // the sequential probe — identical bindings, identical errors.
-        note_par_probe(false);
-        trace::note_decline(DeclineReason::ParProbeExtract);
-        return Ok(seq(drained(probe_rows), items, index));
+        // unsupported runtime shape): the sequential probe replays the
+        // same rows — identical bindings, identical errors.
+        note_par_join(false);
+        trace::note_decline(DeclineReason::ParJoinExtract);
+        return Ok(seq(replay(probe), items, index));
+    };
+    let degree = par_threads().min(keys.len().div_ceil(morsel_rows())).max(1);
+    let matches = run_par(|| par_probe(&index, &keys, degree))?;
+    note_par_join(true);
+    trace::annotate_lane(trace::current_span(), trace::Lane::Par(degree as u32));
+    if let ParProbe::Rows { .. } = probe {
+        trace::annotate_rows(input_sid, keys.len() as u64);
     }
-    let matches = run_par(|| par_probe_cached(&index, &keys, par_threads()))?;
-    note_par_probe(true);
-    trace::annotate_lane(
-        trace::current_span(),
-        trace::Lane::CachedPar(par_threads() as u32),
-    );
     Ok(Node::ParJoin {
         var,
         rows: items,
-        probe: ParProbe::Envs(probe_rows),
+        probe,
         matches,
         cursor: (0, 0),
         cur_env: None,
@@ -1790,7 +1120,7 @@ enum Node<'p> {
         /// The in-flight probe binding and its match cursor.
         cur: Option<(Env, Vec<u32>, usize)>,
     },
-    /// A (possibly partially) drained input: the parallel lane
+    /// A (possibly partially) drained input: the plain-key join
     /// materializes the probe side before fanning out; if it then has
     /// to fall back, the rows replay through the sequential join
     /// unchanged (every per-row upstream expression is planner-safe, so
@@ -1802,7 +1132,7 @@ enum Node<'p> {
         idx: usize,
         rest: Option<Box<Node<'p>>>,
     },
-    /// A completed parallel join: `matches[i]` holds the build-row
+    /// A completed plain-key join: `matches[i]` holds the build-row
     /// indices for probe row `i`, each list ascending (= build-source
     /// canonical order). Yields probe-major with groups in order —
     /// exactly the binding sequence the sequential probe produces.
@@ -1823,13 +1153,12 @@ enum Node<'p> {
     },
     /// A span-wrapped operator, present only while a query trace is
     /// active: `next` adds the inclusive elapsed time and yielded-row
-    /// count of the inner node to span `sid`. Lanes that pattern-match
-    /// their input's shape (the cached-par probe fast path) peel this
-    /// wrapper first — see [`open_cached_par_probe`].
+    /// count of the inner node to span `sid`. [`open_plain_join`]
+    /// pattern-matches its input's shape and peels this wrapper first.
     Traced { sid: u32, inner: Box<Node<'p>> },
 }
 
-/// The probe side of a completed [`Node::ParJoin`].
+/// The materialized probe side of a plain-key join.
 enum ParProbe {
     /// Materialized probe environments, one per probe row (general
     /// pipelines: the rows were drained through the input node).
@@ -1838,6 +1167,50 @@ enum ParProbe {
     /// environment (`base` extended with the binder) is built lazily —
     /// only for rows that actually matched.
     Rows { base: Env, var: Symbol, items: MSet },
+}
+
+impl ParProbe {
+    fn len(&self) -> usize {
+        match self {
+            ParProbe::Envs(envs) => envs.len(),
+            ParProbe::Rows { items, .. } => items.len(),
+        }
+    }
+
+    /// Extract every probe row's key tuple to plain data — the one
+    /// key-extraction loop of the plain-key join. `None` when any row
+    /// declines (unbound binder, unsupported runtime shape,
+    /// identity-bearing key value). Raw rows key through borrowed
+    /// bindings: no per-row environment allocation.
+    fn keys(&self, probe_keys: &[&Expr], info: &ParInfo) -> Option<Vec<PlainKey>> {
+        let mut keys = Vec::with_capacity(self.len());
+        match self {
+            ParProbe::Rows { var, items, .. } => {
+                for row in items.iter() {
+                    let row_env = ValueBindings {
+                        head: Some((*var, row)),
+                        rest: &[],
+                    };
+                    keys.push(extract_key(probe_keys, &row_env)?);
+                }
+            }
+            ParProbe::Envs(envs) => {
+                let mut bound: Vec<(Symbol, Value)> = Vec::with_capacity(info.probe_vars.len());
+                for row in envs {
+                    bound.clear();
+                    for v in &info.probe_vars {
+                        bound.push((*v, row.lookup(*v)?));
+                    }
+                    let row_env = ValueBindings {
+                        head: None,
+                        rest: &bound,
+                    };
+                    keys.push(extract_key(probe_keys, &row_env)?);
+                }
+            }
+        }
+        Some(keys)
+    }
 }
 
 impl<'p> Node<'p> {
@@ -1882,7 +1255,13 @@ impl<'p> Node<'p> {
                 filters,
             } => {
                 let items = as_set(hook.eval(env, source)?)?;
-                open_scan_node(*var, filters, source, env, items, None)?
+                Node::Scan {
+                    var: *var,
+                    filters,
+                    base: env.clone(),
+                    items,
+                    idx: 0,
+                }
             }
             PhysOp::IndexScan {
                 var,
@@ -2009,9 +1388,8 @@ impl<'p> Node<'p> {
                             // relation builds (keyed by the old probe
                             // expressions, its pushed filters baked
                             // in), the second streams as the probe.
-                            let probe_node = Box::new(open_scan_traced(
-                                *var, filters, source, env, second, None,
-                            )?);
+                            let probe_node =
+                                Box::new(open_scan_traced(*var, filters, source, env, second));
                             open_keyed_join(
                                 probe_node,
                                 first,
@@ -2021,15 +1399,12 @@ impl<'p> Node<'p> {
                                 build_keys,
                                 Some(&sw.fingerprint),
                                 sw.par.as_ref(),
-                                stable_source(psource),
-                                None,
                                 env,
                                 hook,
                             )
                         } else {
-                            let input = Box::new(open_scan_traced(
-                                *pvar, pfilters, psource, env, first, None,
-                            )?);
+                            let input =
+                                Box::new(open_scan_traced(*pvar, pfilters, psource, env, first));
                             open_keyed_join(
                                 input,
                                 second,
@@ -2039,63 +1414,14 @@ impl<'p> Node<'p> {
                                 probe_keys,
                                 fingerprint.as_deref(),
                                 par.as_ref(),
-                                stable_source(source),
-                                None,
                                 env,
                                 hook,
                             )
                         };
                     }
                 }
-                // Independent generators: a bare `Scan` probe side has
-                // no dependency on the build binder, so both sources
-                // evaluate up front (generator order) and — when the
-                // build index is not already cached (a hit skips the
-                // build filters entirely, so prefiltering would be
-                // wasted work) and both relations clear the columnar
-                // gates — both sides' pushed filters run as **one**
-                // morsel batch over the shared worker pool.
-                let (input, items, build_keep) = if let PhysOp::Scan {
-                    var: svar,
-                    source: ssource,
-                    filters: sfilters,
-                } = input.as_ref()
-                {
-                    let pitems = as_set(hook.eval(env, ssource)?)?;
-                    let bitems = as_set(hook.eval(env, source)?)?;
-                    let cached = fingerprint
-                        .as_ref()
-                        .is_some_and(|fp| with_store(|s| s.peek(&bitems, fp)));
-                    if !cached
-                        && columnar_eligible(sfilters, *svar)
-                        && columnar_eligible(filters, *var)
-                        && columnar_live(pitems.len())
-                        && columnar_live(bitems.len())
-                    {
-                        let (pkeep, bkeep) = columnar_filter_pair(
-                            (*svar, sfilters, &pitems, stable_source(ssource)),
-                            (*var, filters, &bitems, stable_source(source)),
-                        )?;
-                        let input = Box::new(open_scan_traced(
-                            *svar,
-                            sfilters,
-                            ssource,
-                            env,
-                            pitems,
-                            Some(pkeep),
-                        )?);
-                        (input, bitems, Some(bkeep))
-                    } else {
-                        let input = Box::new(open_scan_traced(
-                            *svar, sfilters, ssource, env, pitems, None,
-                        )?);
-                        (input, bitems, None)
-                    }
-                } else {
-                    let input = Box::new(Node::open(input, env, hook)?);
-                    let items = as_set(hook.eval(env, source)?)?;
-                    (input, items, None)
-                };
+                let input = Box::new(Node::open(input, env, hook)?);
+                let items = as_set(hook.eval(env, source)?)?;
                 open_keyed_join(
                     input,
                     items,
@@ -2105,8 +1431,6 @@ impl<'p> Node<'p> {
                     probe_keys,
                     fingerprint.as_deref(),
                     par.as_ref(),
-                    stable_source(source),
-                    build_keep,
                     env,
                     hook,
                 )?

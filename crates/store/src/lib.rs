@@ -16,10 +16,10 @@
 //! * **Plain** ([`PlainIndex`]) — keys and a snapshot of the rows in
 //!   `Send + Sync` plain form (`machiavelli_value::plain`), built
 //!   whenever every relation row extracts via `to_plain`. A plain entry
-//!   is shareable across threads, which is what lets the planner run
-//!   its **partition-parallel probe directly against the cache**: the
-//!   PR 3 store and the PR 4 parallel lane compose instead of excluding
-//!   each other.
+//!   is shareable across threads, which is what lets the planner fan
+//!   its **plain-key join probe out directly against the cache**: the
+//!   store and the parallel lane compose instead of excluding each
+//!   other.
 //! * **Local** — the `Rc`-lane [`Index`] keyed by [`KeyTuple`], for
 //!   relations carrying identity-bearing data (refs, dynamics) that has
 //!   no plain form. Cached and probed sequentially, exactly as before.
@@ -99,7 +99,7 @@
 
 pub mod shared;
 
-use machiavelli_value::plain::{to_plain, ColumnarRelation, PlainIndex, PlainKey};
+use machiavelli_value::plain::{to_plain, PlainIndex, PlainKey};
 use machiavelli_value::{
     hash_value, mutation_epoch, scan_refs, take_dirty_refs, value_eq, MSet, RefScan, Value,
 };
@@ -250,14 +250,6 @@ pub struct StoreStats {
     /// the process-wide shared tier ([`shared`]) — builds this session
     /// skipped because another session already paid for them.
     pub shared_adoptions: u64,
-    /// Columnar-snapshot requests answered from cache.
-    pub snapshot_hits: u64,
-    /// Columnar-snapshot requests that extracted (or adopted) afresh.
-    pub snapshot_misses: u64,
-    /// Live columnar snapshots right now.
-    pub snapshot_entries: usize,
-    /// Total relation rows pinned by live columnar snapshots.
-    pub snapshot_rows: usize,
 }
 
 /// Public description of one live entry, for `:indexes`.
@@ -328,23 +320,6 @@ struct Entry {
     hits: u64,
 }
 
-/// A cached whole-relation columnar snapshot for the execution lane.
-/// Keyed by [`MSet::storage_id`] alone — a snapshot is a function of
-/// the relation, not of any key expression — and sound for the same
-/// reason index entries are: the pinned clone forces outside mutation
-/// down the copy-on-write path and keeps the address from being
-/// recycled. Snapshots are plain by construction (no refs), so the
-/// precise dirty-ref mode never needs to evict them; the paranoid
-/// whole-clear mode drops them with everything else.
-struct SnapEntry {
-    /// A clone of the snapshotted relation: pins the storage address.
-    set: MSet,
-    snap: Arc<ColumnarRelation>,
-    charge: usize,
-    last_used: u64,
-    hits: u64,
-}
-
 /// Default row budget — defined with the workspace's other size
 /// thresholds in `machiavelli_value::tuning` (fresh stores additionally
 /// honor the `MACHIAVELLI_STORE_BUDGET_ROWS` env override resolved by
@@ -382,15 +357,8 @@ pub struct ObservedStats {
 
 pub struct IndexStore {
     entries: HashMap<usize, HashMap<String, Entry>>,
-    /// Columnar snapshots for the execution lane, keyed by storage id.
-    /// A separate sub-cache bounded by the same row budget
-    /// independently (a snapshot and an index over the same relation
-    /// each pin their own clone, so the budget over-estimates — never
-    /// under-estimates — pinned memory, same as two indexes do).
-    snapshots: HashMap<usize, SnapEntry>,
     budget_rows: usize,
     cached_rows: usize,
-    snapshot_rows: usize,
     epoch: u64,
     tick: u64,
     stats: StoreStats,
@@ -401,10 +369,8 @@ impl IndexStore {
     pub fn new(budget_rows: usize) -> IndexStore {
         IndexStore {
             entries: HashMap::new(),
-            snapshots: HashMap::new(),
             budget_rows,
             cached_rows: 0,
-            snapshot_rows: 0,
             epoch: mutation_epoch(),
             tick: 0,
             stats: StoreStats::default(),
@@ -426,20 +392,17 @@ impl IndexStore {
         }
         self.epoch = now;
         let dirty = take_dirty_refs();
-        if self.entries.is_empty() && self.snapshots.is_empty() {
+        if self.entries.is_empty() {
             return;
         }
         if machiavelli_value::tuning::store_epoch_clear() {
             // Paranoid A/B mode: the PR 4 contract — any write drops
-            // everything, columnar snapshots included. Kept so
-            // equivalence tests can cross-check the precise mode below
-            // against it. The shared tier mirrors the discipline
-            // (write attribution abandoned → clear).
-            let dropped = self.len() + self.snapshots.len();
+            // everything. Kept so equivalence tests can cross-check the
+            // precise mode below against it. The shared tier mirrors
+            // the discipline (write attribution abandoned → clear).
+            let dropped = self.len();
             self.entries.clear();
             self.cached_rows = 0;
-            self.snapshots.clear();
-            self.snapshot_rows = 0;
             self.stats.cleared += dropped as u64;
             if shared::shared_enabled() {
                 shared::note_unattributed_write();
@@ -667,86 +630,6 @@ impl IndexStore {
         }
     }
 
-    /// Fetch (or extract) the columnar snapshot of `set` for the
-    /// execution lane. `None` means the relation has no plain form
-    /// (some row carries a ref/dynamic/closure) — the caller falls back
-    /// to sequential evaluation. A hit returns the cached `Arc` without
-    /// touching a single row; a miss extracts via
-    /// [`ColumnarRelation::from_set`] (adopting a verified equal-content
-    /// snapshot from the shared tier first, when enabled) and caches the
-    /// result under the same budget/LRU regime as indexes. Builds and
-    /// adoptions are counted into the session's
-    /// [`machiavelli_value::tuning::ExecStats`].
-    pub fn snapshot(&mut self, set: &MSet) -> Option<Arc<ColumnarRelation>> {
-        self.validate();
-        self.tick += 1;
-        if let Some(e) = self.snapshots.get_mut(&set.storage_id()) {
-            debug_assert!(
-                e.set.storage_id() == set.storage_id(),
-                "entry pins its storage, ids cannot diverge"
-            );
-            e.last_used = self.tick;
-            e.hits += 1;
-            self.stats.snapshot_hits += 1;
-            return Some(e.snap.clone());
-        }
-        self.stats.snapshot_misses += 1;
-        let charge = set.len();
-        // Hash the content once; adoption and publication share it.
-        let content = shared::shared_enabled().then(|| shared::content_hash(set));
-        let (snap, adopted) = match content.and_then(|c| shared::adopt_snapshot(c, set)) {
-            Some(snap) => (snap, true),
-            None => {
-                let snap = Arc::new(ColumnarRelation::from_set(set)?);
-                if let Some(c) = content {
-                    shared::publish_snapshot(c, &snap, charge);
-                }
-                (snap, false)
-            }
-        };
-        machiavelli_value::tuning::note_snapshot(adopted);
-        if charge > self.budget_rows {
-            // Usable by the calling query, but never pinned.
-            return Some(snap);
-        }
-        self.evict_snapshots_to(self.budget_rows.saturating_sub(charge));
-        self.snapshots.insert(
-            set.storage_id(),
-            SnapEntry {
-                set: set.clone(),
-                snap: snap.clone(),
-                charge,
-                last_used: self.tick,
-                hits: 0,
-            },
-        );
-        self.snapshot_rows += charge;
-        Some(snap)
-    }
-
-    /// Evict least-recently-used columnar snapshots until at most
-    /// `target` rows remain pinned by the snapshot sub-cache.
-    fn evict_snapshots_to(&mut self, target: usize) {
-        if self.snapshot_rows <= target {
-            return;
-        }
-        let mut victims: Vec<(u64, usize)> = self
-            .snapshots
-            .iter()
-            .map(|(id, e)| (e.last_used, *id))
-            .collect();
-        victims.sort_unstable_by_key(|(used, _)| *used);
-        for (_, id) in victims {
-            if self.snapshot_rows <= target {
-                break;
-            }
-            if let Some(e) = self.snapshots.remove(&id) {
-                self.snapshot_rows -= e.charge;
-                self.stats.evicted += 1;
-            }
-        }
-    }
-
     /// Is there a live entry with this fingerprint, for any relation?
     /// Display-level probe used by plan explanation to render
     /// `HashJoin[idx cached]` vs `[idx build]` — the executor itself
@@ -778,8 +661,6 @@ impl IndexStore {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.cached_rows = 0;
-        self.snapshots.clear();
-        self.snapshot_rows = 0;
     }
 
     /// Drop all entries and zero the statistics (observed per-operator
@@ -826,7 +707,6 @@ impl IndexStore {
     pub fn set_budget(&mut self, budget_rows: usize) {
         self.budget_rows = budget_rows;
         self.evict_to(budget_rows);
-        self.evict_snapshots_to(budget_rows);
     }
 
     /// The current row budget. Callers about to build an index can
@@ -852,8 +732,6 @@ impl IndexStore {
             plain_entries,
             rc_entries: entries - plain_entries,
             cached_rows: self.cached_rows,
-            snapshot_entries: self.snapshots.len(),
-            snapshot_rows: self.snapshot_rows,
             ..self.stats
         }
     }
@@ -1282,61 +1160,6 @@ mod tests {
         assert_eq!((infos[1].rows, infos[1].groups, infos[1].hits), (4, 2, 1));
         assert_eq!(st.fingerprint_kind("b-parity"), Some(IndexKind::Plain));
         assert_eq!(st.fingerprint_kind("a-parity"), Some(IndexKind::Rc));
-    }
-
-    #[test]
-    fn snapshot_caches_by_storage_and_survives_unrelated_writes() {
-        let mut st = IndexStore::new(1000);
-        let s = ints(&[1, 2, 3]);
-        let a = st.snapshot(&s).expect("ints are plain");
-        let b = st.snapshot(&s.clone()).expect("clone shares storage");
-        assert!(Arc::ptr_eq(&a, &b), "second request is a cache hit");
-        assert_eq!(a.len(), 3);
-        // Snapshots hold no refs, so the precise dirty-ref mode never
-        // evicts them.
-        let unrelated = RefValue::new(Value::Int(0));
-        unrelated.set(Value::Int(1));
-        let c = st.snapshot(&s).unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
-        let stats = st.stats();
-        assert_eq!((stats.snapshot_hits, stats.snapshot_misses), (2, 1));
-        assert_eq!((stats.snapshot_entries, stats.snapshot_rows), (1, 3));
-        // A rebuilt equal-content relation has different storage: miss.
-        let rebuilt = ints(&[1, 2, 3]);
-        let d = st.snapshot(&rebuilt).unwrap();
-        assert!(!Arc::ptr_eq(&a, &d));
-    }
-
-    #[test]
-    fn snapshot_declines_identity_bearing_relations() {
-        let mut st = IndexStore::new(1000);
-        let d = RefValue::new(Value::Int(7));
-        let s = ref_rows(&d, &[1, 2]);
-        assert!(st.snapshot(&s).is_none(), "refs have no plain form");
-        assert_eq!(st.stats().snapshot_entries, 0);
-    }
-
-    #[test]
-    fn snapshot_respects_budget_and_paranoid_clear() {
-        let mut st = IndexStore::new(2);
-        let over = ints(&[1, 2, 3]);
-        // Over budget: usable but never pinned.
-        assert!(st.snapshot(&over).is_some());
-        assert_eq!(st.stats().snapshot_entries, 0);
-        let fits = ints(&[4, 5]);
-        assert!(st.snapshot(&fits).is_some());
-        assert_eq!(st.stats().snapshot_rows, 2);
-        // LRU within the budget: a newer snapshot evicts the older one.
-        let newer = ints(&[6, 7]);
-        assert!(st.snapshot(&newer).is_some());
-        let stats = st.stats();
-        assert_eq!((stats.snapshot_entries, stats.snapshot_rows), (1, 2));
-        assert!(stats.evicted >= 1);
-        // The paranoid whole-clear mode drops snapshots with the rest.
-        let prev = machiavelli_value::tuning::set_store_epoch_clear(true);
-        note_ref_write(999);
-        assert_eq!(st.stats().snapshot_entries, 0);
-        machiavelli_value::tuning::set_store_epoch_clear(prev);
     }
 
     #[test]

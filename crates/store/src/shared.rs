@@ -2,12 +2,7 @@
 //! [`PlainIndex`] snapshots promoted from the thread-local store to a
 //! content-addressed, mutex-guarded map every session can draw from —
 //! so N concurrent server sessions querying the same hot relation pay
-//! **one** build between them instead of one each. The tier carries a
-//! second payload kind alongside indexes: whole-relation
-//! [`ColumnarRelation`] snapshots for the columnar execution lane
-//! ([`publish_snapshot`]/[`adopt_snapshot`]), keyed by content address
-//! alone (a snapshot is a function of the relation, not of any key
-//! expression) and verified on adoption exactly like indexes.
+//! **one** build between them instead of one each.
 //!
 //! # Content addressing makes cross-session sharing sound
 //!
@@ -59,7 +54,7 @@
 //! `store_enabled`): a standalone REPL behaves exactly as before, and
 //! the server enables it on its worker threads.
 
-use machiavelli_value::plain::{plain_matches_value, ColumnarRelation, PlainIndex};
+use machiavelli_value::plain::{plain_matches_value, PlainIndex};
 use machiavelli_value::{faults, hash_value, MSet};
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
@@ -89,18 +84,6 @@ pub struct SharedStats {
     pub entries: usize,
     /// Total relation rows held by live entries.
     pub cached_rows: usize,
-    /// Columnar snapshots published by some session's extraction.
-    pub snapshot_publishes: u64,
-    /// Columnar snapshots served to a different storage by content
-    /// address (verification passed; the adopter skipped extraction).
-    pub snapshot_adoptions: u64,
-    /// Snapshot adoption attempts that found no (or an unverifiable)
-    /// entry.
-    pub snapshot_misses: u64,
-    /// Live columnar snapshots right now.
-    pub snapshot_entries: usize,
-    /// Total relation rows held by live columnar snapshots.
-    pub snapshot_rows: usize,
 }
 
 struct SharedEntry {
@@ -110,23 +93,10 @@ struct SharedEntry {
     hits: u64,
 }
 
-struct SharedSnapshot {
-    snap: Arc<ColumnarRelation>,
-    charge: usize,
-    last_used: u64,
-    hits: u64,
-}
-
 struct SharedTier {
     entries: HashMap<(u64, String), SharedEntry>,
-    /// Columnar snapshots, keyed by content address alone. A separate
-    /// sub-tier (not a variant in `entries`) because snapshots have no
-    /// fingerprint dimension; each sub-tier is bounded by the same row
-    /// budget independently.
-    snapshots: HashMap<u64, SharedSnapshot>,
     budget_rows: usize,
     cached_rows: usize,
-    snapshot_rows: usize,
     tick: u64,
     stats: SharedStats,
 }
@@ -135,24 +105,16 @@ impl SharedTier {
     fn new() -> SharedTier {
         SharedTier {
             entries: HashMap::new(),
-            snapshots: HashMap::new(),
             budget_rows: shared_budget_rows(),
             cached_rows: 0,
-            snapshot_rows: 0,
             tick: 0,
             stats: SharedStats::default(),
         }
     }
 
-    fn live_len(&self) -> usize {
-        self.entries.len() + self.snapshots.len()
-    }
-
     fn clear_entries(&mut self) {
         self.entries.clear();
         self.cached_rows = 0;
-        self.snapshots.clear();
-        self.snapshot_rows = 0;
     }
 
     fn evict_to(&mut self, target: usize) {
@@ -171,27 +133,6 @@ impl SharedTier {
             }
             if let Some(e) = self.entries.remove(&key) {
                 self.cached_rows -= e.charge;
-                self.stats.evicted += 1;
-            }
-        }
-    }
-
-    fn evict_snapshots_to(&mut self, target: usize) {
-        if self.snapshot_rows <= target {
-            return;
-        }
-        let mut victims: Vec<(u64, u64)> = self
-            .snapshots
-            .iter()
-            .map(|(k, e)| (e.last_used, *k))
-            .collect();
-        victims.sort_unstable_by_key(|(used, _)| *used);
-        for (_, key) in victims {
-            if self.snapshot_rows <= target {
-                break;
-            }
-            if let Some(e) = self.snapshots.remove(&key) {
-                self.snapshot_rows -= e.charge;
                 self.stats.evicted += 1;
             }
         }
@@ -244,7 +185,7 @@ fn lock_tier() -> MutexGuard<'static, SharedTier> {
         Err(poisoned) => {
             mutex.clear_poison();
             let mut guard = poisoned.into_inner();
-            let dropped = guard.live_len() as u64;
+            let dropped = guard.entries.len() as u64;
             guard.clear_entries();
             guard.stats.cleared += dropped;
             guard.stats.lock_recoveries += 1;
@@ -252,7 +193,7 @@ fn lock_tier() -> MutexGuard<'static, SharedTier> {
         }
     };
     if PENDING_CLEAR.swap(false, Ordering::AcqRel) {
-        let dropped = tier.live_len() as u64;
+        let dropped = tier.entries.len() as u64;
         tier.clear_entries();
         tier.stats.cleared += dropped;
     }
@@ -356,80 +297,6 @@ pub fn adopt(content: u64, fingerprint: &str, set: &MSet) -> Option<Arc<PlainInd
     Some(index)
 }
 
-/// Publish a freshly extracted columnar snapshot under its content
-/// address — the snapshot analogue of [`publish`]. No fingerprint
-/// dimension: a [`ColumnarRelation`] is a function of the relation
-/// alone, so one entry serves every query over equal content.
-pub fn publish_snapshot(content: u64, snap: &Arc<ColumnarRelation>, charge: usize) {
-    if !shared_enabled() {
-        return;
-    }
-    let mut tier = lock_tier();
-    if charge > tier.budget_rows {
-        return;
-    }
-    tier.tick += 1;
-    let tick = tier.tick;
-    let budget = tier.budget_rows;
-    tier.evict_snapshots_to(budget.saturating_sub(charge));
-    let poison_due = faults::store_poison_due();
-    if let Some(old) = tier.snapshots.insert(
-        content,
-        SharedSnapshot {
-            snap: snap.clone(),
-            charge,
-            last_used: tick,
-            hits: 0,
-        },
-    ) {
-        tier.snapshot_rows -= old.charge;
-    }
-    if poison_due {
-        panic!(
-            "{} shared-store poison mid-write",
-            faults::INJECTED_PANIC_PREFIX
-        );
-    }
-    tier.snapshot_rows += charge;
-    tier.stats.snapshot_publishes += 1;
-}
-
-/// Look up a columnar snapshot for `set` by content address and
-/// **verify** it row by row against the adopting session's relation
-/// before returning it — the snapshot analogue of [`adopt`]. `None` =
-/// miss (including failed verification).
-pub fn adopt_snapshot(content: u64, set: &MSet) -> Option<Arc<ColumnarRelation>> {
-    if !shared_enabled() {
-        return None;
-    }
-    let snap = {
-        let mut tier = lock_tier();
-        tier.tick += 1;
-        let tick = tier.tick;
-        match tier.snapshots.get_mut(&content) {
-            Some(entry) => {
-                entry.last_used = tick;
-                entry.hits += 1;
-                Some(entry.snap.clone())
-            }
-            None => {
-                tier.stats.snapshot_misses += 1;
-                None
-            }
-        }
-    }?;
-    // Row-for-row verification outside the lock, exactly like index
-    // adoption: a collision must read as a miss, never as wrong rows.
-    if !snap.matches_set(set) {
-        let mut tier = lock_tier();
-        tier.stats.snapshot_misses += 1;
-        return None;
-    }
-    let mut tier = lock_tier();
-    tier.stats.snapshot_adoptions += 1;
-    Some(snap)
-}
-
 /// Conservative cross-session mapping of the dirty-ref discipline:
 /// called when a session loses write attribution (dirty-set overflow,
 /// the paranoid whole-clear mode). Plain snapshots cannot actually go
@@ -445,8 +312,6 @@ pub fn shared_stats() -> SharedStats {
     SharedStats {
         entries: tier.entries.len(),
         cached_rows: tier.cached_rows,
-        snapshot_entries: tier.snapshots.len(),
-        snapshot_rows: tier.snapshot_rows,
         ..tier.stats
     }
 }
@@ -586,63 +451,6 @@ mod tests {
             let s = shared_stats();
             assert_eq!(s.entries, 0);
             assert!(s.cleared >= 1);
-        });
-    }
-
-    #[test]
-    fn snapshot_publish_then_adopt_from_equal_content() {
-        let _l = TIER_TEST_LOCK.lock().unwrap();
-        with_tier_enabled(|| {
-            reset_shared();
-            let a = ints(&[10, 20, 30]);
-            let snap = Arc::new(ColumnarRelation::from_set(&a).expect("ints are plain"));
-            publish_snapshot(content_hash(&a), &snap, a.len());
-            let b = ints(&[30, 10, 20]);
-            assert_ne!(a.storage_id(), b.storage_id());
-            let adopted = adopt_snapshot(content_hash(&b), &b).expect("content matches");
-            assert!(Arc::ptr_eq(&adopted, &snap), "the very same snapshot");
-            let s = shared_stats();
-            assert_eq!(
-                (
-                    s.snapshot_publishes,
-                    s.snapshot_adoptions,
-                    s.snapshot_entries
-                ),
-                (1, 1, 1)
-            );
-            assert_eq!(s.snapshot_rows, 3);
-            assert_eq!(s.entries, 0, "index sub-tier untouched");
-        });
-    }
-
-    #[test]
-    fn snapshot_verification_rejects_wrong_content() {
-        let _l = TIER_TEST_LOCK.lock().unwrap();
-        with_tier_enabled(|| {
-            reset_shared();
-            let a = ints(&[1, 2, 3]);
-            let b = ints(&[4, 5, 6]);
-            let wrong = Arc::new(ColumnarRelation::from_set(&b).unwrap());
-            // Simulated content-hash collision: b's snapshot under a's
-            // address must read as a miss, not as wrong rows.
-            publish_snapshot(content_hash(&a), &wrong, b.len());
-            assert!(adopt_snapshot(content_hash(&a), &a).is_none());
-            assert!(shared_stats().snapshot_misses >= 1);
-        });
-    }
-
-    #[test]
-    fn unattributed_write_clears_snapshots_too() {
-        let _l = TIER_TEST_LOCK.lock().unwrap();
-        with_tier_enabled(|| {
-            reset_shared();
-            let a = ints(&[7, 8]);
-            let snap = Arc::new(ColumnarRelation::from_set(&a).unwrap());
-            publish_snapshot(content_hash(&a), &snap, a.len());
-            assert_eq!(shared_stats().snapshot_entries, 1);
-            note_unattributed_write();
-            assert!(adopt_snapshot(content_hash(&a), &a).is_none());
-            assert_eq!(shared_stats().snapshot_entries, 0);
         });
     }
 

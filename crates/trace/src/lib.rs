@@ -3,13 +3,13 @@
 //! the engine-wide **decline taxonomy** and the process-wide query
 //! latency histogram the server's `METRICS` verb exposes.
 //!
-//! The engine has five execution lanes (interpreted `select_loop`,
-//! sequential planner pipeline, cached-index probes, partition-parallel
-//! joins, columnar morsels) that choose among themselves at run time.
-//! Before this crate the only record of those choices was a handful of
-//! aggregate hit/fallback counters: when a pipeline silently fell back,
-//! nothing said *which operator* declined or *why*. This crate supplies
-//! the missing structure:
+//! The engine has three execution lanes (interpreted `select_loop`,
+//! sequential planner pipeline, plain-key parallel join probes) that
+//! choose among themselves at run time. Before this crate the only
+//! record of those choices was a handful of aggregate hit/fallback
+//! counters: when a pipeline silently fell back, nothing said *which
+//! operator* declined or *why*. This crate supplies the missing
+//! structure:
 //!
 //! - **Spans** ([`OpSpan`]): one per physical operator open, recording
 //!   wall time (open + cumulative `next`), rows yielded, the lane the
@@ -19,8 +19,8 @@
 //!   [`take_events`] (surfaced as `Session::trace_events` and rendered
 //!   by `Session::analyze` / the REPL's `:analyze`).
 //! - **Declines** ([`DeclineReason`]): every runtime fallback anywhere
-//!   in the engine — planner fallback, parallel-lane decline, columnar
-//!   decline, store non-cacheability — reports a *typed code* through
+//!   in the engine — planner fallback, parallel-lane decline, store
+//!   non-cacheability — reports a *typed code* through
 //!   [`note_decline`], not just a bare counter bump. Decline counts are
 //!   kept **twice**: per-session (thread-local, reset with the other
 //!   session stats — `Session::stats` / `reset_stats`) and
@@ -39,8 +39,7 @@
 //! checks [`active`] first and returns immediately when tracing is off
 //! or no query is open; span labels are built through closures so the
 //! formatting cost is never paid off-trace. The clock is only read
-//! while tracing. `pipeline_bench` carries a smoke asserting the
-//! off-path stays within noise of a build without any trace calls.
+//! while tracing.
 //!
 //! **Clock hook.** Wall time comes from a caller-replaceable monotonic
 //! clock ([`set_clock`]); the default reads a process-epoch
@@ -106,19 +105,17 @@ pub fn now_ns() -> u64 {
 // --- spans -----------------------------------------------------------------
 
 /// The lane a physical operator actually ran on. Spans default to
-/// [`Lane::Seq`]; the executor annotates the parallel/columnar lanes as
-/// it commits to them, so a trace shows the *outcome* of lane
-/// selection, not the eligibility.
+/// [`Lane::Seq`]; the executor annotates the parallel lane as it
+/// commits to it, so a trace shows the *outcome* of lane selection, not
+/// the eligibility.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// Sequential planner pipeline (the default).
     Seq,
-    /// Inline partition-parallel hash join across `n` workers.
+    /// Plain-key hash-join probe fanned out at degree `n` (whether the
+    /// table was built inline or served by the store is the span's
+    /// cache outcome, not a lane).
     Par(u32),
-    /// Parallel probe of a **cached** plain index across `n` workers.
-    CachedPar(u32),
-    /// Columnar morsel offload across `n` workers.
-    Columnar(u32),
 }
 
 impl std::fmt::Display for Lane {
@@ -126,8 +123,6 @@ impl std::fmt::Display for Lane {
         match self {
             Lane::Seq => write!(f, "seq"),
             Lane::Par(n) => write!(f, "par n={n}"),
-            Lane::CachedPar(n) => write!(f, "cached-par n={n}"),
-            Lane::Columnar(n) => write!(f, "columnar n={n}"),
         }
     }
 }
@@ -175,7 +170,7 @@ pub struct OpSpan {
     /// Rows the operator yielded (or, for consumed inputs and build
     /// sides, rows it contributed).
     pub rows: u64,
-    /// Wall time spent inside `open` (builds, snapshots, fan-out).
+    /// Wall time spent inside `open` (builds, fan-out).
     pub open_ns: u64,
     /// Cumulative wall time across `next` calls, inclusive of children.
     pub next_ns: u64,
@@ -424,29 +419,15 @@ pub enum DeclineReason {
     PlannerUnsafeDependentSource,
     /// Planner: a predicate conjunct could observe evaluation order.
     PlannerUnsafeConjunct,
-    /// Parallel join: a build-side row or key declined plain
-    /// extraction.
-    ParJoinBuildExtract,
-    /// Parallel join: the probe drain hit its memory cap before the
+    /// Plain-key join: a build- or probe-side key (or a pushed build
+    /// filter) declined plain extraction.
+    ParJoinExtract,
+    /// Plain-key join: the probe drain hit its memory cap before the
     /// input was exhausted.
-    ParJoinProbeCap,
-    /// Parallel join: a probe-side row or key declined plain
-    /// extraction.
-    ParJoinProbeExtract,
-    /// Cached parallel probe: a probe row or key declined plain
-    /// extraction.
-    ParProbeExtract,
-    /// Cached parallel probe: the probe drain hit its memory cap.
-    ParProbeDrainCap,
+    ParJoinDrainCap,
     /// Parallel `hom`: capture or element extraction declined (or a
     /// worker fold was poisoned).
     ParHomExtract,
-    /// Columnar lane: the relation declined columnar snapshot
-    /// extraction (identity- or code-bearing rows).
-    ColumnarSnapshotExtract,
-    /// Columnar lane: the morsel run declined at runtime (a filter
-    /// declined plain evaluation on live data).
-    ColumnarRuntimeDecline,
     /// Index store: the index exceeded the row budget and was returned
     /// un-cached.
     StoreOverBudget,
@@ -458,7 +439,7 @@ pub enum DeclineReason {
 
 impl DeclineReason {
     /// Number of variants (sizes the count arrays).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 9;
 
     /// Every variant, in stable rendering order.
     pub const ALL: [DeclineReason; DeclineReason::COUNT] = [
@@ -466,14 +447,9 @@ impl DeclineReason {
         DeclineReason::PlannerDuplicateBinder,
         DeclineReason::PlannerUnsafeDependentSource,
         DeclineReason::PlannerUnsafeConjunct,
-        DeclineReason::ParJoinBuildExtract,
-        DeclineReason::ParJoinProbeCap,
-        DeclineReason::ParJoinProbeExtract,
-        DeclineReason::ParProbeExtract,
-        DeclineReason::ParProbeDrainCap,
+        DeclineReason::ParJoinExtract,
+        DeclineReason::ParJoinDrainCap,
         DeclineReason::ParHomExtract,
-        DeclineReason::ColumnarSnapshotExtract,
-        DeclineReason::ColumnarRuntimeDecline,
         DeclineReason::StoreOverBudget,
         DeclineReason::StoreRcOnly,
     ];
@@ -486,14 +462,9 @@ impl DeclineReason {
             DeclineReason::PlannerDuplicateBinder => "planner-duplicate-binder",
             DeclineReason::PlannerUnsafeDependentSource => "planner-unsafe-dependent-source",
             DeclineReason::PlannerUnsafeConjunct => "planner-unsafe-conjunct",
-            DeclineReason::ParJoinBuildExtract => "par-join-build-extract",
-            DeclineReason::ParJoinProbeCap => "par-join-probe-cap",
-            DeclineReason::ParJoinProbeExtract => "par-join-probe-extract",
-            DeclineReason::ParProbeExtract => "par-probe-extract",
-            DeclineReason::ParProbeDrainCap => "par-probe-drain-cap",
+            DeclineReason::ParJoinExtract => "par-join-extract",
+            DeclineReason::ParJoinDrainCap => "par-join-drain-cap",
             DeclineReason::ParHomExtract => "par-hom-extract",
-            DeclineReason::ColumnarSnapshotExtract => "columnar-snapshot-extract",
-            DeclineReason::ColumnarRuntimeDecline => "columnar-runtime-decline",
             DeclineReason::StoreOverBudget => "store-over-budget",
             DeclineReason::StoreRcOnly => "store-rc-only",
         }
@@ -701,22 +672,19 @@ mod tests {
         with_tracing(|| {
             begin_query("q");
             let sid = open_op_with(|| "HashJoin".to_string());
-            note_decline(DeclineReason::ParJoinBuildExtract);
+            note_decline(DeclineReason::ParJoinExtract);
             close_op(sid, 0);
             note_decline(DeclineReason::PlannerUnsafeConjunct);
             end_query();
             let events = take_events();
             let t = &events[0];
-            assert_eq!(
-                t.spans[0].declines,
-                vec![DeclineReason::ParJoinBuildExtract]
-            );
+            assert_eq!(t.spans[0].declines, vec![DeclineReason::ParJoinExtract]);
             assert_eq!(t.declines, vec![DeclineReason::PlannerUnsafeConjunct]);
         });
         let counts = session_declines();
         let get = |r: DeclineReason| counts.iter().find(|(c, _)| *c == r).unwrap().1;
         assert_eq!(get(DeclineReason::StoreRcOnly), 1);
-        assert_eq!(get(DeclineReason::ParJoinBuildExtract), 1);
+        assert_eq!(get(DeclineReason::ParJoinExtract), 1);
         assert_eq!(get(DeclineReason::PlannerUnsafeConjunct), 1);
         assert!(global_declines()
             .iter()

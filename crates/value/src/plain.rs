@@ -1,6 +1,6 @@
 //! The **plain-value lane**: a `Send + Sync` mirror of the *data* subset
-//! of [`Value`], so proper `hom` applications and partition-parallel
-//! joins can cross thread boundaries.
+//! of [`Value`], so proper `hom` applications and plain-key join
+//! probes can cross thread boundaries.
 //!
 //! [`Value`] is deliberately `Rc`-based and thread-confined; the paper's
 //! claim that proper `hom` applications are "computable in parallel"
@@ -199,8 +199,7 @@ impl Ord for PlainValue {
 
 /// Feed the structural hash of `p` into `state` — byte-for-byte the
 /// encoding of [`hash_value`](crate::hash_value) on the extractable
-/// subset, so keys computed in either lane land in the same hash
-/// partition/group.
+/// subset, so keys computed in either lane land in the same group.
 pub fn plain_hash<H: Hasher>(p: &PlainValue, state: &mut H) {
     match p {
         PlainValue::Unit => state.write_u8(0),
@@ -481,6 +480,33 @@ impl PlainIndex {
         }
     }
 
+    /// An empty index with **no row snapshot**, filled by
+    /// [`PlainIndex::push`]: the query-local table of an uncached join.
+    /// Such a table is never published to the shared tier, so nothing
+    /// verifies against `rows`.
+    pub fn with_capacity(groups: usize) -> PlainIndex {
+        PlainIndex {
+            rows: Arc::from([]),
+            buckets: DigestBuckets::with_capacity_and_hasher(groups, Default::default()),
+            groups: 0,
+        }
+    }
+
+    /// Append row `idx` to `key`'s group. Callers push in ascending row
+    /// order, so every group's list ascends like [`from_groups`]'.
+    ///
+    /// [`from_groups`]: PlainIndex::from_groups
+    pub fn push(&mut self, key: PlainKey, idx: u32) {
+        let bucket = self.buckets.entry(plain_key_digest(&key)).or_default();
+        match bucket.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, idxs)) => idxs.push(idx),
+            None => {
+                bucket.push((key, vec![idx]));
+                self.groups += 1;
+            }
+        }
+    }
+
     /// The matching row indices for an extracted plain key (empty when
     /// absent).
     pub fn get(&self, key: &PlainKey) -> &[u32] {
@@ -544,131 +570,6 @@ impl PlainIndex {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<PlainIndex>();
-};
-
-// --- columnar snapshots ----------------------------------------------------
-
-/// One column of a record relation: the field's plain value for every
-/// row, in the relation's canonical (sorted-set) order. Cloning a
-/// `PlainValue` is O(1) for containers, so decomposing rows into
-/// columns shares payloads rather than copying them.
-#[derive(Debug)]
-pub struct PlainColumn {
-    /// The field label every row carries.
-    pub name: Symbol,
-    /// `values[i]` is row `i`'s value for this field.
-    pub values: Arc<[PlainValue]>,
-}
-
-/// A whole-relation plain snapshot re-shaped for the columnar lane
-/// (`machiavelli-exec`): workers scanning a filter like `x.K = 7` touch
-/// only column `K`'s contiguous values instead of chasing every row's
-/// field table.
-///
-/// `rows` — the row-major snapshot in canonical set order — is always
-/// present: it is what the session thread re-binds surviving indices
-/// from, and the only form for relations whose rows are not uniform
-/// records. `columns` is the column-major decomposition, available
-/// exactly when every row is a `Record` with the same label sequence
-/// (the regular relational case: fig3/fig5/fig9 data). Like
-/// [`PlainIndex`], a snapshot exists only for relations whose every row
-/// extracts via [`to_plain`] — identity- or code-bearing rows decline
-/// the whole lane.
-#[derive(Debug)]
-pub struct ColumnarRelation {
-    /// Plain snapshot of the relation, canonical set order.
-    pub rows: Arc<[PlainValue]>,
-    /// Column-major decomposition (uniform record relations), or `None`
-    /// — the row-major fallback.
-    pub columns: Option<Arc<[PlainColumn]>>,
-}
-
-impl ColumnarRelation {
-    /// Extract a snapshot of `set`, or `None` when any row has no plain
-    /// form (the caller's cue to stay on the sequential lane).
-    pub fn from_set(set: &MSet) -> Option<ColumnarRelation> {
-        let rows: Option<Vec<PlainValue>> = set.iter().map(to_plain).collect();
-        Some(ColumnarRelation::from_rows(rows?.into()))
-    }
-
-    /// Re-shape an already-extracted row snapshot.
-    pub fn from_rows(rows: Arc<[PlainValue]>) -> ColumnarRelation {
-        let columns = columnarize(&rows);
-        ColumnarRelation { rows, columns }
-    }
-
-    /// Rows in the snapshot.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The column for `name`, when the relation decomposed (labels are
-    /// sorted, as in [`Fields`]).
-    pub fn column(&self, name: Symbol) -> Option<&PlainColumn> {
-        let cols = self.columns.as_deref()?;
-        cols.binary_search_by(|c| c.name.cmp(&name))
-            .ok()
-            .map(|i| &cols[i])
-    }
-
-    /// Does this snapshot mirror `set` row for row? Compared borrowed
-    /// (no extraction) — the shared tier's adoption check.
-    pub fn matches_set(&self, set: &MSet) -> bool {
-        self.rows.len() == set.len()
-            && self
-                .rows
-                .iter()
-                .zip(set.iter())
-                .all(|(p, v)| plain_matches_value(p, v))
-    }
-}
-
-/// Decompose uniform record rows into columns: every row must be a
-/// `Record` with the same label sequence (labels are sorted within each
-/// row already, so equality of sequences is equality of field sets).
-fn columnarize(rows: &[PlainValue]) -> Option<Arc<[PlainColumn]>> {
-    let first = match rows.first()? {
-        PlainValue::Record(entries) => entries,
-        _ => return None,
-    };
-    let labels: Vec<Symbol> = first.iter().map(|(l, _)| *l).collect();
-    let mut cols: Vec<Vec<PlainValue>> = labels
-        .iter()
-        .map(|_| Vec::with_capacity(rows.len()))
-        .collect();
-    for row in rows {
-        let PlainValue::Record(entries) = row else {
-            return None;
-        };
-        if entries.len() != labels.len()
-            || entries.iter().zip(&labels).any(|((l, _), want)| l != want)
-        {
-            return None;
-        }
-        for (col, (_, v)) in cols.iter_mut().zip(entries.iter()) {
-            col.push(v.clone());
-        }
-    }
-    Some(
-        labels
-            .into_iter()
-            .zip(cols)
-            .map(|(name, values)| PlainColumn {
-                name,
-                values: values.into(),
-            })
-            .collect(),
-    )
-}
-
-// Snapshots cross into scheduler workers by construction.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ColumnarRelation>();
 };
 
 #[cfg(test)]
@@ -804,56 +705,14 @@ mod tests {
         assert_eq!(idx.get_by_values(&[Value::Int(9)]), &[] as &[u32]);
         let r = Value::Ref(RefValue::new(Value::Int(0)));
         assert_eq!(idx.get_by_values(&[r]), &[] as &[u32]);
-    }
-
-    #[test]
-    fn columnar_snapshot_decomposes_uniform_records() {
-        let set = MSet::from_iter((0..4).map(|i| {
-            Value::record([
-                ("A".into(), Value::Int(i * 10)),
-                ("K".into(), Value::Int(i)),
-            ])
-        }));
-        let snap = ColumnarRelation::from_set(&set).expect("pure data extracts");
-        assert_eq!(snap.len(), 4);
-        assert!(!snap.is_empty());
-        assert!(snap.matches_set(&set));
-        let k = snap.column("K".into()).expect("uniform records decompose");
-        // Canonical set order groups rows by (A, K) ascending.
-        assert_eq!(k.values.len(), 4);
-        for (i, v) in k.values.iter().enumerate() {
-            assert!(plain_eq(v, &PlainValue::Int(i as i64)));
+        // Pushing row by row builds the same groups.
+        let mut pushed = PlainIndex::with_capacity(2);
+        for i in 0..4u32 {
+            pushed.push(PlainKey::One(PlainValue::Int(i64::from(i % 2))), i);
         }
-        assert!(snap.column("Z".into()).is_none());
-    }
-
-    #[test]
-    fn columnar_snapshot_falls_back_to_rows_for_irregular_shapes() {
-        // Non-record rows: no columns, rows still present.
-        let ints = MSet::from_iter((0..3).map(Value::Int));
-        let snap = ColumnarRelation::from_set(&ints).unwrap();
-        assert!(snap.columns.is_none());
-        assert_eq!(snap.len(), 3);
-        // Mixed field sets: the decomposition declines too.
-        let mixed = MSet::from_iter([
-            Value::record([("K".into(), Value::Int(1))]),
-            Value::record([("J".into(), Value::Int(2))]),
-        ]);
-        let snap = ColumnarRelation::from_set(&mixed).unwrap();
-        assert!(snap.columns.is_none());
-        // An identity-bearing row declines the snapshot outright.
-        let with_ref = MSet::from_iter([Value::Ref(RefValue::new(Value::Int(1)))]);
-        assert!(ColumnarRelation::from_set(&with_ref).is_none());
-    }
-
-    #[test]
-    fn columnar_snapshot_mismatch_is_detected() {
-        let set = MSet::from_iter((0..3).map(Value::Int));
-        let snap = ColumnarRelation::from_set(&set).unwrap();
-        let other = MSet::from_iter((1..4).map(Value::Int));
-        assert!(!snap.matches_set(&other));
-        let shorter = MSet::from_iter((0..2).map(Value::Int));
-        assert!(!snap.matches_set(&shorter));
+        assert_eq!((pushed.group_count(), pushed.indexed_rows()), (2, 4));
+        assert_eq!(pushed.get(&PlainKey::One(PlainValue::Int(0))), &[0, 2]);
+        assert_eq!(pushed.get_by_values(&[Value::Int(1)]), &[1, 3]);
     }
 
     #[test]

@@ -11,20 +11,20 @@
 //! | knob | default | env |
 //! |---|---|---|
 //! | worker threads | `available_parallelism` | `MACHIAVELLI_PAR_THREADS` |
-//! | parallel-join build-row cutoff | [`DEFAULT_PAR_JOIN_MIN_BUILD_ROWS`] | `MACHIAVELLI_PAR_JOIN_MIN_ROWS` |
-//! | parallel-join probe-drain cap (× build rows) | [`DEFAULT_PAR_JOIN_MAX_PROBE_FACTOR`] | `MACHIAVELLI_PAR_JOIN_MAX_PROBE_FACTOR` |
-//! | cached-index parallel-probe row cutoff | [`DEFAULT_PAR_PROBE_MIN_ROWS`] | `MACHIAVELLI_PAR_PROBE_MIN_ROWS` |
+//! | morsel size (rows) | [`DEFAULT_MORSEL_ROWS`] | `MACHIAVELLI_MORSEL_ROWS` |
 //! | parallel-`hom` element cutoff | [`DEFAULT_PAR_HOM_MIN_ITEMS`] | `MACHIAVELLI_PAR_HOM_MIN_ITEMS` |
-//! | columnar morsel size (rows) | [`DEFAULT_MORSEL_ROWS`] | `MACHIAVELLI_MORSEL_ROWS` |
-//! | columnar-lane row cutoff | [`DEFAULT_COLUMNAR_MIN_ROWS`] | `MACHIAVELLI_COLUMNAR_MIN_ROWS` |
 //! | index-store row budget | [`DEFAULT_STORE_BUDGET_ROWS`] | `MACHIAVELLI_STORE_BUDGET_ROWS` |
 //! | query tracing (per-operator spans) | off | `MACHIAVELLI_TRACE` |
 //!
-//! (`docs/PERFORMANCE.md` documents every knob alongside the execution
-//! contracts they gate. The tracing knob lives in `machiavelli-trace`
-//! — same resolution order, thread-local setter
-//! `machiavelli_trace::set_tracing` — and is documented with the rest
-//! of the observability surface in `docs/OBSERVABILITY.md`.)
+//! Two sizes are **derived, not knobs**: the plain-key join's size gate
+//! is two morsels ([`par_join_min_rows`]) and its probe-drain cap is
+//! [`PAR_JOIN_MAX_PROBE_FACTOR`] × the build rows.
+//!
+//! (This table is the authoritative list for this crate;
+//! `docs/PERFORMANCE.md` indexes every `MACHI*` variable in the
+//! workspace. The tracing knob lives in `machiavelli-trace` — same
+//! resolution order, thread-local setter
+//! `machiavelli_trace::set_tracing`.)
 //!
 //! The module also hosts the session-scoped (thread-local) **parallel
 //! ablation toggle** ([`set_parallel_enabled`], mirroring the store's
@@ -37,29 +37,14 @@ use std::sync::OnceLock;
 
 // --- documented defaults ---------------------------------------------------
 
-/// Below this many *build-side* rows a hash join never takes the
-/// parallel lane: extraction plus thread-coordination overhead would
-/// swamp the per-row savings. (The probe side is unknown until the
-/// input is drained, so the gate reads the build relation only.)
-pub const DEFAULT_PAR_JOIN_MIN_BUILD_ROWS: usize = 4096;
-
-/// The parallel join materializes the probe side before fanning out
+/// The plain-key join materializes the probe side before fanning out
 /// (the sequential probe streams it); to bound that memory, draining
 /// stops after `build_rows × this factor` rows and the join falls back
 /// to the streaming sequential probe over the drained prefix plus the
 /// live remainder. 64 keeps the common shapes (probe within an order
-/// of magnitude of the build) on the lane while capping pathological
-/// pipelines.
-pub const DEFAULT_PAR_JOIN_MAX_PROBE_FACTOR: usize = 64;
-
-/// Below this many *probe-side* rows a hash join over a **cached**
-/// plain index stays on the sequential probe. Distinct from the
-/// build-row cutoff: a cached probe pays no build at all, so the only
-/// overhead to amortize is probe materialization plus thread
-/// coordination — but the per-row win (skipping the interpreter's key
-/// dispatch) is also smaller than a full build's, so the break-even
-/// lands in the same region.
-pub const DEFAULT_PAR_PROBE_MIN_ROWS: usize = 4096;
+/// of magnitude of the build) on the parallel path while capping
+/// pathological pipelines.
+pub const PAR_JOIN_MAX_PROBE_FACTOR: usize = 64;
 
 /// Below this many elements a proper `hom` application stays on the
 /// sequential interpreter fold.
@@ -74,17 +59,12 @@ pub const PAR_HOM_MIN_ITEMS_PER_THREAD: usize = 2;
 /// relations (the store's LRU evicts past it).
 pub const DEFAULT_STORE_BUDGET_ROWS: usize = 1 << 20;
 
-/// Rows per **morsel** — the unit of work the columnar scheduler hands
-/// to (and lets workers steal between) its deques. Small enough that a
-/// skewed filter cannot serialize the pipeline on one slow range, large
-/// enough that per-morsel bookkeeping stays negligible against the
-/// per-row work.
+/// Rows per **morsel** — the unit of work the scheduler hands to (and
+/// lets workers steal between) its deques. Small enough that a skewed
+/// probe cannot serialize the fan-out on one slow range, large enough
+/// that per-morsel bookkeeping stays negligible against the per-row
+/// work.
 pub const DEFAULT_MORSEL_ROWS: usize = 2048;
-
-/// Below this many relation rows an eligible pipeline stays on the
-/// sequential path instead of the columnar lane: snapshot lookup plus
-/// thread coordination would swamp the per-row savings.
-pub const DEFAULT_COLUMNAR_MIN_ROWS: usize = 4096;
 
 // --- env-backed resolution -------------------------------------------------
 
@@ -99,15 +79,13 @@ fn env_usize(var: &'static str, cache: &'static OnceLock<Option<usize>>) -> Opti
 
 thread_local! {
     static PAR_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-    static PAR_JOIN_MIN_BUILD_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
-    static PAR_PROBE_MIN_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
     static PAR_HOM_MIN_ITEMS: Cell<Option<usize>> = const { Cell::new(None) };
     static MORSEL_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
-    static COLUMNAR_MIN_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
     static PARALLEL_ENABLED: Cell<bool> = const { Cell::new(true) };
     static STORE_EPOCH_CLEAR: Cell<bool> = const { Cell::new(false) };
     static PAR_STATS: Cell<ParStats> = const { Cell::new(ParStats::new()) };
-    static EXEC_STATS: Cell<ExecStats> = const { Cell::new(ExecStats::new()) };
+    static EXEC_STATS: Cell<ExecStats> =
+        const { Cell::new(ExecStats { morsels_executed: 0, morsels_stolen: 0 }) };
 }
 
 /// Worker-thread count for the parallel lane on this thread (= session):
@@ -137,51 +115,6 @@ pub fn par_threads() -> usize {
 /// env/default resolution), returning the previous override.
 pub fn set_par_threads(n: Option<usize>) -> Option<usize> {
     PAR_THREADS.with(|c| c.replace(n.map(|n| n.max(1))))
-}
-
-/// The parallel-join build-row cutoff currently in force.
-pub fn par_join_min_build_rows() -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    PAR_JOIN_MIN_BUILD_ROWS
-        .with(Cell::get)
-        .or_else(|| env_usize("MACHIAVELLI_PAR_JOIN_MIN_ROWS", &ENV))
-        .unwrap_or(DEFAULT_PAR_JOIN_MIN_BUILD_ROWS)
-}
-
-/// Override the parallel-join cutoff on this thread (tests lower it to
-/// exercise the lane on small relations), returning the previous
-/// override.
-pub fn set_par_join_min_build_rows(n: Option<usize>) -> Option<usize> {
-    PAR_JOIN_MIN_BUILD_ROWS.with(|c| c.replace(n))
-}
-
-/// How many probe rows the parallel join may materialize for a build
-/// side of `build_rows` before it bails to the streaming sequential
-/// probe ([`DEFAULT_PAR_JOIN_MAX_PROBE_FACTOR`], env
-/// `MACHIAVELLI_PAR_JOIN_MAX_PROBE_FACTOR`).
-pub fn par_join_max_probe_rows(build_rows: usize) -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    let factor = env_usize("MACHIAVELLI_PAR_JOIN_MAX_PROBE_FACTOR", &ENV)
-        .unwrap_or(DEFAULT_PAR_JOIN_MAX_PROBE_FACTOR);
-    build_rows.saturating_mul(factor)
-}
-
-/// The cached-index parallel-probe row cutoff currently in force
-/// (thread-local override → `MACHIAVELLI_PAR_PROBE_MIN_ROWS` →
-/// [`DEFAULT_PAR_PROBE_MIN_ROWS`]).
-pub fn par_probe_min_rows() -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    PAR_PROBE_MIN_ROWS
-        .with(Cell::get)
-        .or_else(|| env_usize("MACHIAVELLI_PAR_PROBE_MIN_ROWS", &ENV))
-        .unwrap_or(DEFAULT_PAR_PROBE_MIN_ROWS)
-}
-
-/// Override the cached-probe cutoff on this thread (tests lower it to
-/// exercise the lane on small relations), returning the previous
-/// override.
-pub fn set_par_probe_min_rows(n: Option<usize>) -> Option<usize> {
-    PAR_PROBE_MIN_ROWS.with(|c| c.replace(n))
 }
 
 /// The parallel-`hom` element cutoff currently in force.
@@ -216,21 +149,13 @@ pub fn set_morsel_rows(n: Option<usize>) -> Option<usize> {
     MORSEL_ROWS.with(|c| c.replace(n.map(|n| n.max(1))))
 }
 
-/// The columnar-lane row cutoff currently in force (thread-local
-/// override → `MACHIAVELLI_COLUMNAR_MIN_ROWS` →
-/// [`DEFAULT_COLUMNAR_MIN_ROWS`]).
-pub fn columnar_min_rows() -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    COLUMNAR_MIN_ROWS
-        .with(Cell::get)
-        .or_else(|| env_usize("MACHIAVELLI_COLUMNAR_MIN_ROWS", &ENV))
-        .unwrap_or(DEFAULT_COLUMNAR_MIN_ROWS)
-}
-
-/// Override the columnar-lane cutoff on this thread, returning the
-/// previous override.
-pub fn set_columnar_min_rows(n: Option<usize>) -> Option<usize> {
-    COLUMNAR_MIN_ROWS.with(|c| c.replace(n))
+/// The plain-key join's size gate: **two morsels**. Below it a join
+/// stays on the streaming sequential hash join — an inline plain build
+/// compares its build rows against it, a probe of a cached plain index
+/// its probe rows. One morsel would fan out at degree 1; two is the
+/// smallest input the fan-out can split.
+pub fn par_join_min_rows() -> usize {
+    2 * morsel_rows()
 }
 
 /// The index-store row budget to use for a fresh store (no thread-local
@@ -280,24 +205,17 @@ pub fn set_store_epoch_clear(on: bool) -> bool {
 /// **fallback** is an execution that passed the static and size gates
 /// but fell back to the sequential path at runtime — a value failed
 /// `to_plain` extraction (identity- or code-bearing data in a row or
-/// key) or the plain mini-evaluator declined an expression. Executions
-/// that never reach the gates (lane disabled, one thread, sub-threshold
-/// input, shape not eligible) are not counted at all.
+/// key), the plain mini-evaluator declined an expression, or the probe
+/// drain hit its memory cap. Executions that never reach the gates
+/// (lane disabled, one thread, sub-threshold input, shape not eligible)
+/// are not counted at all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParStats {
-    /// Hash joins executed on the parallel lane (inline partition
-    /// build + probe — the uncached shape).
+    /// Hash joins probed on the plain-key parallel path (over an inline
+    /// plain table or a store-served plain index alike).
     pub par_joins: u64,
     /// Eligible hash joins that fell back to the sequential build/probe.
     pub par_join_fallbacks: u64,
-    /// Hash joins whose probe ran parallel against a **cached** plain
-    /// index (the store-served shape: no build at all, workers probe
-    /// the shared index).
-    pub par_probes: u64,
-    /// Cached-probe attempts that fell back to the sequential probe
-    /// (a probe key declined extraction, or the probe drain hit its
-    /// memory cap).
-    pub par_probe_fallbacks: u64,
     /// Proper `hom` applications folded through `par_hom`.
     pub par_homs: u64,
     /// Proper `hom` applications that fell back to the sequential fold.
@@ -309,8 +227,6 @@ impl ParStats {
         ParStats {
             par_joins: 0,
             par_join_fallbacks: 0,
-            par_probes: 0,
-            par_probe_fallbacks: 0,
             par_homs: 0,
             par_hom_fallbacks: 0,
         }
@@ -327,7 +243,8 @@ pub fn reset_par_stats() {
     PAR_STATS.with(|c| c.set(ParStats::new()));
 }
 
-/// Record a parallel-join outcome (`hit` = ran on the parallel lane).
+/// Record a plain-key join outcome (`hit` = probed on the parallel
+/// path).
 pub fn note_par_join(hit: bool) {
     PAR_STATS.with(|c| {
         let mut s = c.get();
@@ -335,20 +252,6 @@ pub fn note_par_join(hit: bool) {
             s.par_joins += 1;
         } else {
             s.par_join_fallbacks += 1;
-        }
-        c.set(s);
-    });
-}
-
-/// Record a cached-index parallel-probe outcome (`hit` = the probe ran
-/// on worker threads against the shared plain index).
-pub fn note_par_probe(hit: bool) {
-    PAR_STATS.with(|c| {
-        let mut s = c.get();
-        if hit {
-            s.par_probes += 1;
-        } else {
-            s.par_probe_fallbacks += 1;
         }
         c.set(s);
     });
@@ -367,73 +270,29 @@ pub fn note_par_hom(hit: bool) {
     });
 }
 
-// --- columnar-lane counters ------------------------------------------------
+// --- scheduler counters ----------------------------------------------------
 
-/// Cumulative columnar-lane counters for this thread (= session),
-/// surfaced by `Session::exec_stats` and the REPL's `:stats` —
-/// mirroring [`ParStats`] for the morsel-driven columnar subsystem
-/// (`machiavelli-exec`).
-///
-/// An **offload** is a pipeline the planner actually executed on the
-/// columnar lane; an **offload fallback** passed the static and size
-/// gates but declined at runtime (a relation failed snapshot
-/// extraction, or the plain mini-evaluator declined a filter on live
-/// data). Morsel counters are aggregated per scheduler run on the
-/// coordinating thread — worker threads never touch the thread-local.
+/// Cumulative morsel-scheduler counters for this thread (= session),
+/// surfaced by `Session::exec_stats` and the REPL's `:stats`.
+/// Aggregated per scheduler run on the coordinating thread — worker
+/// threads never touch the thread-local.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Columnar snapshots extracted from relation rows this session.
-    pub snapshots_built: u64,
-    /// Columnar snapshots adopted from the process-wide shared tier
-    /// instead of being rebuilt.
-    pub snapshots_adopted: u64,
     /// Morsels (fixed-size row ranges) executed by scheduler workers.
     pub morsels_executed: u64,
     /// Morsels a worker stole from another worker's deque (a subset of
     /// `morsels_executed`; > 0 means work stealing actually engaged).
     pub morsels_stolen: u64,
-    /// Pipelines executed end to end on the columnar lane.
-    pub offloads: u64,
-    /// Eligible pipelines that fell back to the sequential path at
-    /// runtime.
-    pub offload_fallbacks: u64,
 }
 
-impl ExecStats {
-    const fn new() -> ExecStats {
-        ExecStats {
-            snapshots_built: 0,
-            snapshots_adopted: 0,
-            morsels_executed: 0,
-            morsels_stolen: 0,
-            offloads: 0,
-            offload_fallbacks: 0,
-        }
-    }
-}
-
-/// This thread's columnar-lane counters.
+/// This thread's scheduler counters.
 pub fn exec_stats() -> ExecStats {
     EXEC_STATS.with(Cell::get)
 }
 
-/// Zero this thread's columnar-lane counters.
+/// Zero this thread's scheduler counters.
 pub fn reset_exec_stats() {
-    EXEC_STATS.with(|c| c.set(ExecStats::new()));
-}
-
-/// Record a columnar snapshot build (`adopted` = served by the shared
-/// tier instead of extracted locally).
-pub fn note_snapshot(adopted: bool) {
-    EXEC_STATS.with(|c| {
-        let mut s = c.get();
-        if adopted {
-            s.snapshots_adopted += 1;
-        } else {
-            s.snapshots_built += 1;
-        }
-        c.set(s);
-    });
+    EXEC_STATS.with(|c| c.set(ExecStats::default()));
 }
 
 /// Record one scheduler run's morsel totals (aggregated by the
@@ -443,19 +302,6 @@ pub fn note_morsels(executed: u64, stolen: u64) {
         let mut s = c.get();
         s.morsels_executed += executed;
         s.morsels_stolen += stolen;
-        c.set(s);
-    });
-}
-
-/// Record a columnar-lane outcome (`hit` = the pipeline ran offloaded).
-pub fn note_offload(hit: bool) {
-    EXEC_STATS.with(|c| {
-        let mut s = c.get();
-        if hit {
-            s.offloads += 1;
-        } else {
-            s.offload_fallbacks += 1;
-        }
         c.set(s);
     });
 }
@@ -470,25 +316,14 @@ mod tests {
         assert_eq!(par_threads(), 3);
         set_par_threads(prev);
 
-        let prev = set_par_join_min_build_rows(Some(7));
-        assert_eq!(par_join_min_build_rows(), 7);
-        set_par_join_min_build_rows(prev);
-
-        let prev = set_par_probe_min_rows(Some(5));
-        assert_eq!(par_probe_min_rows(), 5);
-        set_par_probe_min_rows(prev);
-
         let prev = set_par_hom_min_items(Some(9));
         assert_eq!(par_hom_min_items(), 9);
         set_par_hom_min_items(prev);
 
         let prev = set_morsel_rows(Some(11));
         assert_eq!(morsel_rows(), 11);
+        assert_eq!(par_join_min_rows(), 22, "the join gate is two morsels");
         set_morsel_rows(prev);
-
-        let prev = set_columnar_min_rows(Some(13));
-        assert_eq!(columnar_min_rows(), 13);
-        set_columnar_min_rows(prev);
     }
 
     #[test]
@@ -501,23 +336,10 @@ mod tests {
     #[test]
     fn exec_counters_accumulate_and_reset() {
         reset_exec_stats();
-        note_snapshot(false);
-        note_snapshot(true);
         note_morsels(8, 3);
-        note_offload(true);
-        note_offload(false);
+        note_morsels(2, 0);
         let s = exec_stats();
-        assert_eq!(
-            (
-                s.snapshots_built,
-                s.snapshots_adopted,
-                s.morsels_executed,
-                s.morsels_stolen,
-                s.offloads,
-                s.offload_fallbacks
-            ),
-            (1, 1, 8, 3, 1, 1)
-        );
+        assert_eq!((s.morsels_executed, s.morsels_stolen), (10, 3));
         reset_exec_stats();
         assert_eq!(exec_stats(), ExecStats::default());
     }
@@ -551,20 +373,16 @@ mod tests {
         reset_par_stats();
         note_par_join(true);
         note_par_join(false);
-        note_par_probe(true);
-        note_par_probe(false);
         note_par_hom(true);
         let s = par_stats();
         assert_eq!(
             (
                 s.par_joins,
                 s.par_join_fallbacks,
-                s.par_probes,
-                s.par_probe_fallbacks,
                 s.par_homs,
                 s.par_hom_fallbacks
             ),
-            (1, 1, 1, 1, 1, 0)
+            (1, 1, 1, 0)
         );
         reset_par_stats();
         assert_eq!(par_stats(), ParStats::default());

@@ -3,32 +3,18 @@
 //! physical pipeline; the `Fallback` line names shapes left to the
 //! interpreter's nested loop). Cacheable operators carry an index-store
 //! marker — `[idx build]` against a cold store, `[idx cached]` once the
-//! session holds a live index with the operator's fingerprint. If
-//! planner behavior changes on purpose, update these strings
-//! deliberately.
+//! session holds a live index with the operator's fingerprint — and
+//! joins statically eligible for the plain-key path a `par` marker.
+//! A plan renders only what is fixed at plan time: the goldens hold at
+//! any worker-thread count. If planner behavior changes on purpose,
+//! update these strings deliberately.
 
-use machiavelli::Session;
+use machiavelli::testing::pinned_session;
 
 /// Render against a cold store so `[idx build]` markers are
-/// deterministic regardless of what ran earlier on this thread, and
-/// with a single worker thread so no machine- or env-dependent
-/// `[par n=…]` marker appears (the parallel goldens below pin the
-/// thread count explicitly instead).
+/// deterministic regardless of what ran earlier on this thread.
 fn plan(src: &str) -> String {
-    let s = Session::new();
-    s.store_reset();
-    s.set_par_threads(Some(1));
-    s.plan_of(src).unwrap()
-}
-
-/// Render with a four-thread parallel lane (and a cold store).
-fn plan_par4(src: &str) -> String {
-    let s = Session::new();
-    s.store_reset();
-    let prev = s.set_par_threads(Some(4));
-    let out = s.plan_of(src).unwrap();
-    s.set_par_threads(prev);
-    out
+    pinned_session(1).plan_of(src).unwrap()
 }
 
 #[test]
@@ -39,6 +25,8 @@ fn fig9_shape_two_generator_equi_join_is_hash_join() {
     // evaluation — an index over them could never be looked up again,
     // so the join is deliberately uncached (no idx marker; materialize
     // the view into a binding to get reuse, as the variant below does).
+    // Both key closures and the pushed filter are plain-evaluable, so
+    // it is statically eligible for the plain-key path: `[par]`.
     assert_eq!(
         plan(
             "select [Name = s.Name, Salary = e.Salary]
@@ -46,75 +34,39 @@ fn fig9_shape_two_generator_equi_join_is_hash_join() {
              with s.Name = e.Name andalso e.Salary > 1000;"
         ),
         "Project [Name=s.Name, Salary=e.Salary]\n  \
-         HashJoin probe(s.Name) build(e.Name)\n    \
+         HashJoin[par] probe(s.Name) build(e.Name)\n    \
          Scan s <- StudentView(persons)\n    \
          Build e <- EmployeeView(persons) filter (e.Salary > 1000)"
     );
 }
 
 #[test]
-fn fig9_view_call_join_renders_the_parallel_marker_at_four_threads() {
-    // The same uncached view-call join as above, with a multi-threaded
-    // parallel lane: both key closures are plain-evaluable, so the
-    // next execution fans out (once the build side clears the row
-    // cutoff) — `explain` renders the configured worker count. The
-    // build side's pushed filter is binder-closed and par-evaluable,
-    // so it additionally advertises the columnar morsel lane.
-    assert_eq!(
-        plan_par4(
-            "select [Name = s.Name, Salary = e.Salary]
+fn plans_render_the_same_at_any_thread_count() {
+    // The `par` marker is static eligibility, decided at plan time —
+    // never the ambient worker-thread count (the degree an execution
+    // actually ran at is on its `:analyze` span).
+    let q = "select [Name = s.Name, Salary = e.Salary]
              where s <- StudentView(persons), e <- EmployeeView(persons)
-             with s.Name = e.Name andalso e.Salary > 1000;"
-        ),
-        "Project [Name=s.Name, Salary=e.Salary]\n  \
-         HashJoin[par n=4] probe(s.Name) build(e.Name)\n    \
-         Scan s <- StudentView(persons)\n    \
-         Build[columnar par n=4] e <- EmployeeView(persons) filter (e.Salary > 1000)"
-    );
-}
-
-#[test]
-fn independent_generators_both_render_columnar_at_four_threads() {
-    // Both generators carry binder-closed, par-evaluable pushed
-    // filters: the **independent-generator schedule** — the executor
-    // evaluates both sources up front and filters both relations as
-    // one work-stealing morsel batch (no barrier between the scans).
-    // `explain` shows both sides on the columnar lane.
+             with s.Age > 20 andalso s.Name = e.Name andalso e.Salary > 1000;";
+    let one = pinned_session(1).plan_of(q).unwrap();
     assert_eq!(
-        plan_par4(
-            "select [Name = s.Name, Salary = e.Salary]
-             where s <- StudentView(persons), e <- EmployeeView(persons)
-             with s.Age > 20 andalso s.Name = e.Name andalso e.Salary > 1000;"
-        ),
+        one,
         "Project [Name=s.Name, Salary=e.Salary]\n  \
-         HashJoin[par n=4] probe(s.Name) build(e.Name)\n    \
-         Scan[columnar par n=4] s <- StudentView(persons) filter (s.Age > 20)\n    \
-         Build[columnar par n=4] e <- EmployeeView(persons) filter (e.Salary > 1000)"
+         HashJoin[par] probe(s.Name) build(e.Name)\n    \
+         Scan s <- StudentView(persons) filter (s.Age > 20)\n    \
+         Build e <- EmployeeView(persons) filter (e.Salary > 1000)"
     );
-}
-
-#[test]
-fn single_generator_filter_renders_columnar_at_four_threads() {
-    // The introduction's Wealthy query on the columnar lane: a pushed
-    // ordering filter over one binder offloads to per-column worker
-    // loops once the relation clears the row cutoff.
-    assert_eq!(
-        plan_par4("select x.Name where x <- S with x.Salary > 100000;"),
-        "Project x.Name\n  \
-         Scan[columnar par n=4] x <- S filter (x.Salary > 100000)"
-    );
+    assert_eq!(pinned_session(4).plan_of(q).unwrap(), one);
 }
 
 #[test]
 fn store_served_and_env_dependent_joins_do_not_render_par() {
-    // A store-cacheable join stays on the store path (a cached index
-    // beats any rebuild), and an environment-dependent build is outside
-    // the lane's static eligibility: neither renders `[par …]` even at
-    // four threads.
-    let cached = plan_par4("select (x.A, y.B) where x <- r, y <- s with x.K = y.K;");
+    // A store-cacheable join stays on the store path until its index
+    // is live, and an environment-dependent build is outside the
+    // plain-key path's static eligibility: neither renders `[par]`.
+    let cached = plan("select (x.A, y.B) where x <- r, y <- s with x.K = y.K;");
     assert!(cached.contains("HashJoin[idx build]"), "{cached}");
-    let env_dep =
-        plan_par4("select y where x <- V(r), y <- W(s) with x.K = y.K andalso y.B > cutoff;");
+    let env_dep = plan("select y where x <- V(r), y <- W(s) with x.K = y.K andalso y.B > cutoff;");
     assert!(env_dep.contains("HashJoin probe(x.K)"), "{env_dep}");
     assert!(!env_dep.contains("[par"), "{env_dep}");
 }
@@ -163,9 +115,7 @@ fn fig5_shape_renders_cached_after_first_evaluation() {
     // smaller stable side, so the first execution *swaps* the build
     // onto it; the warm plan predicts the same orientation from the
     // live cached fingerprint and renders the exchanged sides.
-    let mut s = Session::new();
-    s.store_reset();
-    s.set_par_threads(Some(1));
+    let mut s = pinned_session(1);
     s.run(
         "val parts = {[P#=1, C=5], [P#=2, C=9]};
          val subs = {[P#=1, Qty=4]};",
@@ -181,23 +131,20 @@ fn fig5_shape_renders_cached_after_first_evaluation() {
     assert_eq!(
         s.plan_of(q).unwrap(),
         "Project (z.C, w.Qty)\n  \
-         HashJoin[idx cached, swapped] probe(z.P#) build(w.P#)\n    \
+         HashJoin[idx cached, swapped, par] probe(z.P#) build(w.P#)\n    \
          Scan z <- parts\n    \
          Build w <- subs"
     );
-    s.set_par_threads(None);
 }
 
 #[test]
-fn cached_plain_index_renders_the_parallel_probe_marker() {
+fn cached_plain_index_renders_the_par_marker() {
     // A warm, store-served join whose entry is plain (pure data rows)
-    // and whose probe key is plain-evaluable: at four threads the next
-    // execution probes the cached index in parallel — `explain` renders
+    // and whose probe key is plain-evaluable: the next execution can
+    // probe the cached index on the plain-key path — `explain` renders
     // the composed marker. (The build side `t` is the smaller relation,
     // so no swap interferes with the orientation.)
-    let mut s = Session::new();
-    s.store_reset();
-    s.set_par_threads(Some(1));
+    let mut s = pinned_session(1);
     s.run(
         "val r = {[K=1, A=10], [K=2, A=20], [K=3, A=30]};
          val t = {[K=1, B=5], [K=2, B=6]};",
@@ -205,45 +152,25 @@ fn cached_plain_index_renders_the_parallel_probe_marker() {
     .unwrap();
     let q = "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;";
     s.eval_one(q).unwrap();
-    let prev = s.set_par_threads(Some(4));
     assert_eq!(
         s.plan_of(q).unwrap(),
         "Project (x.A, y.B)\n  \
-         HashJoin[idx cached, par n=4] probe(x.K) build(y.K)\n    \
+         HashJoin[idx cached, par] probe(x.K) build(y.K)\n    \
          Scan x <- r\n    \
          Build y <- t"
     );
-    s.set_par_threads(prev);
-    // Single-threaded the same warm plan renders the plain cached
-    // marker without the probe suffix.
-    let warm = s.plan_of(q).unwrap();
-    assert!(warm.contains("HashJoin[idx cached] probe(x.K)"), "{warm}");
-    s.set_par_threads(None);
-}
-
-#[test]
-fn swapped_cached_index_composes_with_the_parallel_probe_marker() {
-    // The swapped orientation also advertises the parallel probe when
-    // the swapped entry is plain and the (new) probe keys are eligible.
-    let mut s = Session::new();
-    s.store_reset();
-    s.set_par_threads(Some(1));
+    // An entry kept in `Rc` form (identity-bearing rows) is probed
+    // sequentially only: no `par`.
     s.run(
-        "val small = {[K=1, A=10]};
-         val big = {[K=1, B=5], [K=2, B=6], [K=3, B=7]};",
+        "val d = ref(1);
+         val e = {[K=1, R=d], [K=2, R=d], [K=3, R=d]};
+         val f = {[K=1, R=d]};",
     )
     .unwrap();
-    let q = "select (x.A, y.B) where x <- small, y <- big with x.K = y.K;";
-    s.eval_one(q).unwrap(); // swaps: builds over `small`
-    s.set_par_threads(Some(4));
-    assert_eq!(
-        s.plan_of(q).unwrap(),
-        "Project (x.A, y.B)\n  \
-         HashJoin[idx cached, swapped, par n=4] probe(y.K) build(x.K)\n    \
-         Scan y <- big\n    \
-         Build x <- small"
-    );
-    s.set_par_threads(None);
+    let q = "select (x.K, y.K) where x <- e, y <- f with x.K = y.K;";
+    s.eval_one(q).unwrap();
+    let warm = s.plan_of(q).unwrap();
+    assert!(warm.contains("HashJoin[idx cached] probe(x.K)"), "{warm}");
 }
 
 #[test]
@@ -259,8 +186,7 @@ fn single_generator_filter_is_scan_with_pushdown() {
 
 #[test]
 fn single_generator_filter_queries_do_not_create_indexes() {
-    let mut s = Session::new();
-    s.store_reset();
+    let mut s = pinned_session(1);
     s.run("val S = {[Name=\"Joe\", Salary=22340], [Name=\"Helen\", Salary=132000]};")
         .unwrap();
     s.eval_one("select x.Name where x <- S with x.Salary > 100000;")

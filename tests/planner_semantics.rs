@@ -1,7 +1,8 @@
 //! Comprehension semantics the planner must preserve, checked by
-//! running every query twice — once through the planner pipeline, once
-//! through the interpreter's `select_loop` (via the thread-local
-//! toggle) — and demanding identical outcomes:
+//! running every query through the interpreter's `select_loop` and
+//! through the planner pipeline in every store × lane mode (index
+//! store off/on, parallel lane off / four threads with tiny gates) —
+//! and demanding identical outcomes:
 //!
 //! * dependent generators (sources re-evaluated per binding);
 //! * predicate evaluation order is not observable: pushdown/reordering
@@ -10,9 +11,12 @@
 //!   pruned still surface (or still don't) exactly as in the nested
 //!   loop;
 //! * empty-source short-circuit (no predicate evaluation at all);
-//! * duplicate elimination matches set semantics.
+//! * duplicate elimination matches set semantics;
+//! * identity-bearing rows and environment-dependent builds keep their
+//!   exact bindings whichever strategy runs them.
 
 use machiavelli::eval::set_planner_enabled;
+use machiavelli::testing::{run_in, Mode};
 use machiavelli::value::show_value;
 use machiavelli::Session;
 use machiavelli_bench::scaled_parts_session;
@@ -26,24 +30,33 @@ fn with_planner<T>(on: bool, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Evaluate `src` in a fresh Figure-2-scaled session under both
-/// execution paths, normalizing to `Ok(rendered value)` / `Err(message)`.
+/// Evaluate `src` in a fresh Figure-2-scaled session under `mode`,
+/// normalizing to `Ok(rendered value)` / `Err(message)`.
+fn run_fresh(src: &str, mode: Mode) -> Result<String, String> {
+    let (mut s, _db) = scaled_parts_session(12, 5, 7);
+    run_in(&mut s, src, mode)
+}
+
+/// The planner pipeline (store on, lane off) and `select_loop`.
 fn both_paths(src: &str) -> (Result<String, String>, Result<String, String>) {
-    let run = |on: bool| {
-        let (mut s, _db) = scaled_parts_session(12, 5, 7);
-        with_planner(on, || {
-            s.eval_one(src)
-                .map(|o| show_value(&o.value))
-                .map_err(|e| e.to_string())
-        })
-    };
-    (run(true), run(false))
+    (
+        run_fresh(src, Mode::planned(true, None)),
+        run_fresh(src, Mode::SELECT_LOOP),
+    )
 }
 
 #[track_caller]
 fn assert_agree(src: &str) {
-    let (planned, interpreted) = both_paths(src);
-    assert_eq!(planned, interpreted, "planner vs select_loop on: {src}");
+    let interpreted = run_fresh(src, Mode::SELECT_LOOP);
+    for store in [false, true] {
+        for lane in [None, Some(4)] {
+            let planned = run_fresh(src, Mode::planned(store, lane));
+            assert_eq!(
+                planned, interpreted,
+                "planner (store={store}, lane={lane:?}) vs select_loop on: {src}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -167,6 +180,35 @@ fn fresh_identities_in_independent_sources_are_created_once() {
     let (planned, _) =
         both_paths("card(select (x, y) where x <- {ref(1), ref(1)}, y <- {ref(2)} with true);");
     assert_eq!(planned, Ok("2".into()));
+}
+
+#[test]
+fn identity_bearing_rows_and_env_dependent_builds_agree() {
+    // Rows carrying refs have no plain form: whichever strategy runs
+    // the filter or the join must yield the *same* identities (`=` on
+    // refs is identity, so `x.R = d` exposes it).
+    let refs = "val d = ref(7);
+                val r = {[K=1, R=d], [K=2, R=ref(9)], [K=3, R=d], [K=4, R=ref(9)]};
+                val t = {[K=1, B=10], [K=3, B=30], [K=4, B=40]};";
+    assert_agree(&format!(
+        "{refs} select (x.K, x.R = d) where x <- r with x.K > 1;"
+    ));
+    // A filtered scan of such rows feeding a store-served (or inline
+    // plain) join: keys extract, rows re-bind by index.
+    assert_agree(&format!(
+        "{refs} select (x.R = d, y.B) where x <- r, y <- t with x.K > 1 andalso x.K = y.K;"
+    ));
+    // Both sides filtered.
+    assert_agree(&format!(
+        "{refs} select (x.K, y.B) where x <- r, y <- t \
+         with x.K > 1 andalso x.K = y.K andalso y.B < 40;"
+    ));
+    // The build-side filter mentions `cutoff` from the environment:
+    // statically ineligible for caching and for the plain build alike.
+    assert_agree(&format!(
+        "{refs} val cutoff = 10; \
+         select (x.K, y.B) where x <- r, y <- t with x.K = y.K andalso y.B > cutoff;"
+    ));
 }
 
 #[test]

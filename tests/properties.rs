@@ -12,11 +12,15 @@
 //! * the interpreter's `select`/`join` agree with the native substrate;
 //! * the plain-value lane round-trips (`to_plain`/`from_plain`) and its
 //!   hash/order agree with the `Rc` lane;
-//! * the parallel hash join and `par_hom`-backed folds are
+//! * the plain-key parallel join and `par_hom`-backed folds are
 //!   result-equivalent to the sequential planner and `select_loop`
-//!   across 1/2/4/8 worker threads, and non-extractable data falls back.
+//!   across 1/2/4/8 worker threads, and non-extractable data falls back;
+//! * the one differential test for the one join path: values, error
+//!   identity, ref identity and binding order against `select_loop`,
+//!   with the parallel path and each fallback asserted taken.
 
 use machiavelli::eval::set_planner_enabled;
+use machiavelli::testing::{run_in, with_mode, Mode};
 use machiavelli::types::{glb, le, lub, type_eq, Partial};
 use machiavelli::value::{con_value, join_value, project_value, value_cmp, MSet, Value};
 use machiavelli_bench::scaled_parts_session;
@@ -381,6 +385,43 @@ fn random_comprehension(seed: u64, key_space: u64) -> String {
     )
 }
 
+/// A seeded single- or two-generator comprehension whose pushed
+/// filters are all binder-closed comparisons against constants, in
+/// both orientations (`x.K > c` and `c > x.K`) — filtered scans on
+/// either side of a join. Key spaces are tiny, so duplicate keys, empty
+/// survivor sets, and full-relation survivors all arise.
+fn random_filtered_comprehension(seed: u64, key_space: u64) -> String {
+    let mut state = seed | 1;
+    let mut next = move |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m.max(1)
+    };
+    let ops = [">", "<", ">=", "<=", "="];
+    let two_gens = next(2) == 1;
+    let mut filter = |var: &str, key: &str| {
+        let op = ops[next(ops.len() as u64) as usize];
+        if next(2) == 0 {
+            format!("{var}.{key} {op} {}", next(key_space))
+        } else {
+            format!("{} {op} {var}.{key}", next(key_space))
+        }
+    };
+    if two_gens {
+        let fx = filter("x", "P#");
+        let fy = filter("y", "P#");
+        format!(
+            "select (x.P#, y.S#) where x <- parts, y <- supplied_by \
+             with {fx} andalso x.P# = y.P# andalso {fy};"
+        )
+    } else {
+        let f1 = filter("x", "P#");
+        let f2 = filter("x", "P#");
+        format!("select x.P# where x <- parts with {f1} andalso {f2};")
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -439,36 +480,22 @@ proptest! {
 
 // ----- the parallel lane vs the sequential paths ------------------------------
 
-/// Evaluate `src` in `session` with an explicit execution mode:
+/// Evaluate `src` with the store **off** (so eligible joins build
+/// their plain table inline instead of hitting the index cache):
 /// `planner` toggles plan dispatch, `par` = `Some(t)` forces the
-/// parallel lane on with `t` worker threads and a 1-row join cutoff
-/// (`None` disables the lane). The store is disabled throughout so
-/// eligible joins route to the parallel lane instead of the index
-/// cache, and every override is restored before returning.
+/// parallel lane on with `t` worker threads and tiny gates (`None`
+/// disables the lane).
 fn run_in_mode(
     session: &mut machiavelli::Session,
     src: &str,
     planner: bool,
     par: Option<usize>,
 ) -> Result<String, String> {
-    use machiavelli::value::tuning;
-    let prev_planner = set_planner_enabled(planner);
-    let prev_store = machiavelli::store::set_store_enabled(false);
-    let prev_enabled = tuning::set_parallel_enabled(par.is_some());
-    let prev_threads = tuning::set_par_threads(par);
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
-    let prev_hom = tuning::set_par_hom_min_items(Some(1));
-    let out = session
-        .eval_one(src)
-        .map(|o| machiavelli::value::show_value(&o.value))
-        .map_err(|e| e.to_string());
-    tuning::set_par_hom_min_items(prev_hom);
-    tuning::set_par_join_min_build_rows(prev_rows);
-    tuning::set_par_threads(prev_threads);
-    tuning::set_parallel_enabled(prev_enabled);
-    machiavelli::store::set_store_enabled(prev_store);
-    set_planner_enabled(prev_planner);
-    out
+    let mode = Mode {
+        planner,
+        ..Mode::planned(false, par)
+    };
+    run_in(session, src, mode)
 }
 
 proptest! {
@@ -485,17 +512,21 @@ proptest! {
         n_parts in 4usize..24,
         n_suppliers in 2usize..10,
     ) {
-        let src = random_comprehension(seed, 2 * n_parts as u64);
         let (mut session, _db) = scaled_parts_session(n_parts, n_suppliers, seed ^ 0x51c6e1);
-        let loop_ref = run_in_mode(&mut session, &src, false, None);
-        let seq_ref = run_in_mode(&mut session, &src, true, None);
-        prop_assert!(seq_ref == loop_ref, "{src}: {seq_ref:?} vs {loop_ref:?}");
-        for threads in [1usize, 2, 4, 8] {
-            let par = run_in_mode(&mut session, &src, true, Some(threads));
-            prop_assert!(
-                par == seq_ref,
-                "{src} @ {threads} threads: {par:?} vs {seq_ref:?}"
-            );
+        for src in [
+            random_comprehension(seed, 2 * n_parts as u64),
+            random_filtered_comprehension(seed, 2 * n_parts as u64),
+        ] {
+            let loop_ref = run_in_mode(&mut session, &src, false, None);
+            let seq_ref = run_in_mode(&mut session, &src, true, None);
+            prop_assert!(seq_ref == loop_ref, "{src}: {seq_ref:?} vs {loop_ref:?}");
+            for threads in [1usize, 2, 4, 8] {
+                let par = run_in_mode(&mut session, &src, true, Some(threads));
+                prop_assert!(
+                    par == seq_ref,
+                    "{src} @ {threads} threads: {par:?} vs {seq_ref:?}"
+                );
+            }
         }
     }
 
@@ -525,35 +556,16 @@ proptest! {
 
 /// Evaluate `src` with the **composed** store+parallel configuration:
 /// store enabled (cacheable builds are served from / inserted into the
-/// session index store), parallel lane on with `t` threads and 1-row
-/// join/probe cutoffs — so store-served plain indexes take the cached
-/// parallel probe. `par = None` keeps the store but disables the lane
-/// (the sequential cached probe).
+/// session index store), parallel lane on with `t` threads and tiny
+/// gates — so store-served plain indexes take the parallel probe.
+/// `par = None` keeps the store but disables the lane (the sequential
+/// cached probe).
 fn run_composed(
     session: &mut machiavelli::Session,
     src: &str,
     par: Option<usize>,
 ) -> Result<String, String> {
-    use machiavelli::value::tuning;
-    let prev_planner = set_planner_enabled(true);
-    let prev_store = machiavelli::store::set_store_enabled(true);
-    let prev_enabled = tuning::set_parallel_enabled(par.is_some());
-    let prev_threads = tuning::set_par_threads(par);
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
-    let prev_probe = tuning::set_par_probe_min_rows(Some(1));
-    let prev_hom = tuning::set_par_hom_min_items(Some(1));
-    let out = session
-        .eval_one(src)
-        .map(|o| machiavelli::value::show_value(&o.value))
-        .map_err(|e| e.to_string());
-    tuning::set_par_hom_min_items(prev_hom);
-    tuning::set_par_probe_min_rows(prev_probe);
-    tuning::set_par_join_min_build_rows(prev_rows);
-    tuning::set_par_threads(prev_threads);
-    tuning::set_parallel_enabled(prev_enabled);
-    machiavelli::store::set_store_enabled(prev_store);
-    set_planner_enabled(prev_planner);
-    out
+    run_in(session, src, Mode::planned(true, par))
 }
 
 proptest! {
@@ -572,47 +584,56 @@ proptest! {
         n_parts in 4usize..24,
         n_suppliers in 2usize..10,
     ) {
-        let src = random_comprehension(seed, 2 * n_parts as u64);
         let (mut session, _db) = scaled_parts_session(n_parts, n_suppliers, seed ^ 0xa5a5a5);
-        session.store_reset();
         session.run("val side = ref(0);").unwrap();
-        let loop_ref = run_in_mode(&mut session, &src, false, None);
-        for threads in [1usize, 2, 4, 8] {
-            session.store_reset();
-            // Cold run builds (and caches) the indexes; warm run probes
-            // them — in parallel when threads allow.
-            let cold = run_composed(&mut session, &src, Some(threads));
-            prop_assert!(cold == loop_ref, "{src} cold @ {threads}: {cold:?} vs {loop_ref:?}");
-            let warm = run_composed(&mut session, &src, Some(threads));
-            prop_assert!(warm == loop_ref, "{src} warm @ {threads}: {warm:?} vs {loop_ref:?}");
-            // An unrelated write must not change results (and should
-            // leave the cache warm — counter-asserted elsewhere).
-            session.eval_one("side := 1;").unwrap();
-            let after_write = run_composed(&mut session, &src, Some(threads));
-            prop_assert!(
-                after_write == loop_ref,
-                "{src} after unrelated write @ {threads}: {after_write:?} vs {loop_ref:?}"
-            );
-            // The sequential cached probe agrees too.
-            let seq_cached = run_composed(&mut session, &src, None);
-            prop_assert!(seq_cached == loop_ref, "{src} seq cached: {seq_cached:?}");
+        for src in [
+            random_comprehension(seed, 2 * n_parts as u64),
+            random_filtered_comprehension(seed, 2 * n_parts as u64),
+        ] {
+            let loop_ref = run_in_mode(&mut session, &src, false, None);
+            for threads in [1usize, 2, 4, 8] {
+                session.store_reset();
+                // Cold run builds (and caches) the indexes; warm run
+                // probes them — in parallel when threads allow.
+                let cold = run_composed(&mut session, &src, Some(threads));
+                prop_assert!(cold == loop_ref, "{src} cold @ {threads}: {cold:?} vs {loop_ref:?}");
+                let warm = run_composed(&mut session, &src, Some(threads));
+                prop_assert!(warm == loop_ref, "{src} warm @ {threads}: {warm:?} vs {loop_ref:?}");
+                // An unrelated write must not change results (and should
+                // leave the cache warm — counter-asserted elsewhere).
+                session.eval_one("side := 1;").unwrap();
+                let after_write = run_composed(&mut session, &src, Some(threads));
+                prop_assert!(
+                    after_write == loop_ref,
+                    "{src} after unrelated write @ {threads}: {after_write:?} vs {loop_ref:?}"
+                );
+                // The sequential cached probe agrees too.
+                let seq_cached = run_composed(&mut session, &src, None);
+                prop_assert!(seq_cached == loop_ref, "{src} seq cached: {seq_cached:?}");
+            }
+            // Mutate a relation the queries actually read: the composed
+            // path must see fresh rows exactly like `select_loop`.
+            session
+                .run(
+                    "val suppliers = union(suppliers, {[S#=999, Sname=\"x\", City=\"y\"]});
+                     val supplied_by = union(supplied_by, {[P#=1, Suppliers={[S#=999]}]});",
+                )
+                .unwrap();
+            let loop_after = run_in_mode(&mut session, &src, false, None);
+            let par_after = run_composed(&mut session, &src, Some(4));
+            prop_assert!(par_after == loop_after, "{src} after rebind: {par_after:?} vs {loop_after:?}");
         }
-        // Mutate a relation the queries actually read: the composed
-        // path must see fresh rows exactly like `select_loop`.
-        session.run("val suppliers = union(suppliers, {[S#=999, Sname=\"x\", City=\"y\"]});").unwrap();
-        let loop_after = run_in_mode(&mut session, &src, false, None);
-        let par_after = run_composed(&mut session, &src, Some(4));
-        prop_assert!(par_after == loop_after, "{src} after rebind: {par_after:?} vs {loop_after:?}");
     }
 }
 
 /// Deterministic composed-lane engagement: a warm plain index probed at
-/// four threads counts `par_probes` (not inline-lane joins), builds
-/// exactly once across runs, and survives unrelated writes.
+/// four threads counts `par_joins`, builds exactly once across runs,
+/// and survives unrelated writes — with the probe side a bare scan
+/// (keys straight off the relation slice) and a *filtered* scan (the
+/// drained-pipeline shape) alike.
 #[test]
 fn cached_parallel_probe_engages_counts_and_survives_writes() {
-    let mut session = machiavelli::Session::new();
-    session.store_reset();
+    let mut session = machiavelli::testing::pinned_session(4);
     let rows = |n: usize, label: &str| -> String {
         (0..n)
             .map(|i| format!("[K={i}, {label}={}]", i * 10))
@@ -628,100 +649,278 @@ fn cached_parallel_probe_engages_counts_and_survives_writes() {
         .unwrap();
     // Probe side (`r`) larger than the build (`t`): no swap, `t` caches
     // in plain form on the first run.
-    let q = "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;";
-    let seq = run_composed(&mut session, q, None);
-    session.par_reset();
-    let par = run_composed(&mut session, q, Some(4));
-    assert_eq!(par, seq);
-    let stats = session.par_stats();
-    assert!(stats.par_probes >= 1, "cached probe engaged: {stats:?}");
-    assert_eq!(stats.par_joins, 0, "not the inline lane: {stats:?}");
-    assert_eq!(stats.par_probe_fallbacks, 0, "{stats:?}");
-    let store = session.store_stats();
-    assert_eq!(store.builds, 1, "one build across all runs: {store:?}");
-    assert_eq!(store.plain_entries, 1, "{store:?}");
-    // Unrelated ref writes leave the cached index warm and the
-    // parallel probe running.
-    for i in 0..3 {
-        session.eval_one(&format!("side := {i};")).unwrap();
-        assert_eq!(run_composed(&mut session, q, Some(4)), seq);
+    for q in [
+        "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;",
+        "select (x.A, y.B) where x <- r, y <- t with x.K > 2 andalso x.K = y.K;",
+    ] {
+        session.reset_stats();
+        let seq = run_composed(&mut session, q, None);
+        let par = run_composed(&mut session, q, Some(4));
+        assert_eq!(par, seq, "{q}");
+        let stats = session.par_stats();
+        assert!(stats.par_joins >= 1, "cached probe engaged: {stats:?}");
+        assert_eq!(stats.par_join_fallbacks, 0, "{stats:?}");
+        assert!(
+            session.exec_stats().morsels_executed >= 38,
+            "one-row morsels"
+        );
+        let store = session.store_stats();
+        assert_eq!(store.builds, 1, "one build across all runs: {store:?}");
+        assert_eq!(store.plain_entries, 1, "{store:?}");
+        // Unrelated ref writes leave the cached index warm and the
+        // parallel probe running.
+        for i in 0..3 {
+            session.eval_one(&format!("side := {i};")).unwrap();
+            assert_eq!(run_composed(&mut session, q, Some(4)), seq);
+        }
+        let store = session.store_stats();
+        assert_eq!(store.builds, 1, "cache survived the writes: {store:?}");
+        assert_eq!((store.invalidated, store.cleared), (0, 0), "{store:?}");
+        assert!(session.par_stats().par_joins >= 4);
     }
-    let store = session.store_stats();
-    assert_eq!(store.builds, 1, "cache survived the writes: {store:?}");
-    assert_eq!((store.invalidated, store.cleared), (0, 0), "{store:?}");
-    assert!(session.par_stats().par_probes >= 4);
 }
 
-/// Non-extractable **keys** (identity-bearing `ref` values, whose
-/// equality plain data cannot represent) force the runtime fallback on
-/// whichever side computes them, with the fallback counter recording it
-/// and results identical to the sequential paths. Rows merely
-/// *containing* refs off the key path still parallelize — only the key
-/// tuples cross the lane.
-#[test]
-fn parallel_join_falls_back_on_unextractable_keys() {
-    use machiavelli::value::show_value;
-    let mut session = machiavelli::Session::new();
-    // `d` is a shared ref: rows of `r` and `t` join on ref identity.
-    session
-        .run(
-            "val d = ref(1);
-             val r = {[K=d, A=1], [K=ref(2), A=2], [K=ref(3), A=3]};
-             val t = {[K=d, B=10], [K=ref(9), B=90]};
-             val p = {[K=1, R=ref(1)], [K=2, R=ref(2)]};
-             val q = {[K=1, B=10], [K=2, B=20], [K=9, B=90]};",
-        )
-        .unwrap();
-    // Ref-valued keys on both sides: extraction declines, fallback.
-    let ref_keys = "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;";
-    // Refs in the rows but int keys: the lane runs (keys extract; rows
-    // are matched by index and never cross a thread).
-    let refs_off_key_path = "select (x.K, y.B) where x <- p, y <- q with x.K = y.K;";
-    for (query, expect_hit) in [(ref_keys, false), (refs_off_key_path, true)] {
-        let seq = run_in_mode(&mut session, query, true, None);
-        session.par_reset();
-        let par = run_in_mode(&mut session, query, true, Some(4));
-        assert_eq!(par, seq, "{query}");
-        let stats = session.par_stats();
-        if expect_hit {
-            assert!(stats.par_joins >= 1, "{query}: {stats:?}");
-            assert_eq!(stats.par_join_fallbacks, 0, "{query}: {stats:?}");
-        } else {
-            assert!(stats.par_join_fallbacks >= 1, "{query}: {stats:?}");
-            assert_eq!(stats.par_joins, 0, "{query}: {stats:?}");
+// ----- the one differential test for the one join path ------------------------
+
+/// What a [`join_scenarios`] case must demonstrably do at degree ≥ 2.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expect {
+    /// The probe fans out (`par_joins`).
+    Par,
+    /// A **build** key declines plain extraction and the join falls
+    /// back to the `Rc` hash join (`par-join-extract`) — uncached only:
+    /// the store keeps such a relation in `Rc` form, so a store-served
+    /// join never leaves the sequential probe.
+    BuildExtract,
+    /// A **probe** key declines extraction over a plain table, inline
+    /// or store-served (`par-join-extract`).
+    ProbeExtract,
+    /// The probe drain hits its memory cap mid-stream and the join
+    /// reverts to the streaming probe (`par-join-drain-cap`).
+    DrainCap,
+    /// Both paths raise the interpreter's error (the pushed build
+    /// filter declines like a [`Expect::BuildExtract`] first).
+    Raise,
+}
+
+/// Seeded equi-join scenarios for the plain-key join, as (name,
+/// environment, query, expectation). Queries run through `eval_expr`
+/// directly — no type checker in front — so the ill-typed shapes the
+/// fallbacks exist for (a non-boolean strict filter, a relation mixing
+/// int and ref keys) are expressible. Every result expression bumps the
+/// `tick` ref and includes its value, so the **binding order** is part
+/// of the result; rows carrying refs project `x.R = d`, so **ref
+/// identity** is too.
+fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, String, Expect)> {
+    use machiavelli::value::RefValue;
+    let mut state = seed | 1;
+    let mut next = move |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m.max(1)
+    };
+    let rel = |n: u64, row: &mut dyn FnMut(u64) -> Vec<(&'static str, Value)>| {
+        Value::set((0..n).map(|i| Value::record(row(i).into_iter().map(|(l, v)| (l.into(), v)))))
+    };
+    let int = |n: u64| Value::Int(n as i64);
+    let ks = 3 + next(5);
+    let (n_r, n_t, n_u) = (4 + next(36), 4 + next(16), 4 + next(8));
+    let d = RefValue::new(Value::Int(7));
+    let pool: Vec<RefValue> = (0..ks).map(|i| RefValue::new(int(i))).collect();
+    let base = machiavelli::eval::builtin_env()
+        .bind("tick", Value::Ref(RefValue::new(Value::Int(0))))
+        .bind("d", Value::Ref(d.clone()));
+    let plain_r = rel(n_r, &mut |i| vec![("K", int(i % ks)), ("A", int(i))]);
+    let plain_t = rel(n_t, &mut |i| {
+        vec![("K", int(i % ks)), ("J", int(i % 2)), ("B", int(i))]
+    });
+    let ticked = |tuple: &str, rest: &str| {
+        format!("select let val u = (tick := !tick + 1) in ({tuple}, !tick) end where {rest}")
+    };
+    let (c1, c2) = (next(n_r), next(n_t));
+    vec![
+        (
+            "plain rows, two generators, bare probe scan",
+            base.bind("r", plain_r.clone()).bind("t", plain_t.clone()),
+            ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
+            Expect::Par,
+        ),
+        (
+            "plain rows, two generators, filters on both sides",
+            base.bind("r", plain_r.clone()).bind("t", plain_t.clone()),
+            ticked(
+                "x.A, y.B",
+                &format!("x <- r, y <- t with x.A >= {c1} andalso x.K = y.K andalso {c2} >= y.B"),
+            ),
+            Expect::Par,
+        ),
+        (
+            "plain rows, three generators",
+            base.bind("r", plain_r.clone())
+                .bind("t", plain_t.clone())
+                .bind(
+                    "u",
+                    rel(n_u, &mut |i| vec![("J", int(i % 2)), ("C", int(i))]),
+                ),
+            ticked(
+                "x.A, y.B, z.C",
+                "x <- r, y <- t, z <- u with x.K = y.K andalso y.J = z.J",
+            ),
+            Expect::Par,
+        ),
+        (
+            "rows with ref fields off the key path",
+            base.bind(
+                "r",
+                rel(n_r, &mut |i| {
+                    let r = if i % 2 == 0 {
+                        d.clone()
+                    } else {
+                        RefValue::new(int(i))
+                    };
+                    vec![("K", int(i % ks)), ("A", int(i)), ("R", Value::Ref(r))]
+                }),
+            )
+            .bind("t", plain_t.clone()),
+            ticked("x.A, y.B, x.R = d", "x <- r, y <- t with x.K = y.K"),
+            Expect::Par,
+        ),
+        (
+            "ref-valued keys on both sides (identity join)",
+            base.bind(
+                "r",
+                rel(n_r, &mut |i| {
+                    vec![
+                        ("K", Value::Ref(pool[(i % ks) as usize].clone())),
+                        ("A", int(i)),
+                    ]
+                }),
+            )
+            .bind(
+                "t",
+                rel(n_t, &mut |i| {
+                    vec![
+                        ("K", Value::Ref(pool[((i + 1) % ks) as usize].clone())),
+                        ("B", int(i)),
+                    ]
+                }),
+            ),
+            ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
+            Expect::BuildExtract,
+        ),
+        (
+            "probe keys mixing ints and refs over a plain build",
+            base.bind(
+                "r",
+                rel(n_r, &mut |i| {
+                    let k = if i % 3 == 2 {
+                        Value::Ref(RefValue::new(int(i)))
+                    } else {
+                        int(i % ks)
+                    };
+                    vec![("K", k), ("A", int(i))]
+                }),
+            )
+            .bind("t", plain_t.clone()),
+            ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
+            Expect::ProbeExtract,
+        ),
+        (
+            "strict non-boolean pushed build filter",
+            base.bind("r", plain_r.clone()).bind("t", plain_t.clone()),
+            ticked("x.A, y.B", "x <- r, y <- t with y.B andalso x.K = y.K"),
+            Expect::Raise,
+        ),
+        (
+            "probe pipeline past the drain cap",
+            base.bind(
+                "r",
+                rel(2 * 64 + 8 + n_r, &mut |i| {
+                    vec![("K", int(i % ks)), ("A", int(i))]
+                }),
+            )
+            .bind("t", rel(2, &mut |i| vec![("K", int(i)), ("B", int(i))])),
+            ticked("x.A, y.B", "x <- r, y <- t with x.A >= 0 andalso x.K = y.K"),
+            Expect::DrainCap,
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // The plain-key join is indistinguishable from `select_loop`:
+    // values, error identity, ref identity and binding order agree at
+    // degree 1/2/4 × store off/on × uncached (cold) / cached (warm)
+    // build — and the counters prove the parallel path, the extract
+    // fallback and the drain-cap fallback were each actually taken.
+    #[test]
+    fn plain_key_join_is_indistinguishable_from_select_loop(seed in 0u64..u64::MAX / 2) {
+        use machiavelli::trace::{self, DeclineReason};
+        use machiavelli::value::tuning;
+        for (name, env, src, expect) in join_scenarios(seed) {
+            let expr = machiavelli::syntax::parse_expr(&src).unwrap();
+            let tick = env.lookup("tick").unwrap();
+            let run = |mode: Mode| {
+                let Value::Ref(tick) = &tick else { unreachable!() };
+                tick.set(Value::Int(0));
+                with_mode(mode, || {
+                    machiavelli::eval::eval_expr(&env, &expr)
+                        .map(|v| machiavelli::value::show_value(&v))
+                        .map_err(|e| e.to_string())
+                })
+            };
+            let reference = run(Mode::SELECT_LOOP);
+            prop_assert!(
+                reference.is_err() == (expect == Expect::Raise),
+                "{name}: {reference:?}"
+            );
+            for store in [false, true] {
+                machiavelli::store::with_store(|s| s.reset());
+                let seq = run(Mode::planned(store, None));
+                prop_assert!(seq == reference, "{name} seq, store={store}: {seq:?} vs {reference:?}");
+                for degree in [1usize, 2, 4] {
+                    machiavelli::store::with_store(|s| s.reset());
+                    tuning::reset_par_stats();
+                    trace::reset_session_declines();
+                    for warmth in ["cold", "warm"] {
+                        let got = run(Mode::planned(store, Some(degree)));
+                        prop_assert!(
+                            got == reference,
+                            "{name} @ {degree}, store={store}, {warmth}: {got:?} vs {reference:?}"
+                        );
+                    }
+                    let stats = tuning::par_stats();
+                    let declined = |r: DeclineReason| {
+                        trace::session_declines().iter().any(|(c, n)| *c == r && *n > 0)
+                    };
+                    let ctx = format!("{name} @ {degree}, store={store}: {stats:?}");
+                    if degree == 1 {
+                        // One worker thread: the streaming `Rc` join,
+                        // never the plain path.
+                        prop_assert!(stats == tuning::ParStats::default(), "{ctx}");
+                        continue;
+                    }
+                    match expect {
+                        Expect::Par => prop_assert!(stats.par_joins >= 2, "{ctx}"),
+                        Expect::DrainCap => {
+                            prop_assert!(stats.par_join_fallbacks >= 2, "{ctx}");
+                            prop_assert!(declined(DeclineReason::ParJoinDrainCap), "{ctx}");
+                        }
+                        Expect::BuildExtract | Expect::Raise if store => {
+                            prop_assert!(stats.par_joins == 0, "{ctx}");
+                        }
+                        Expect::BuildExtract | Expect::Raise | Expect::ProbeExtract => {
+                            prop_assert!(stats.par_joins == 0, "{ctx}");
+                            prop_assert!(stats.par_join_fallbacks >= 2, "{ctx}");
+                            prop_assert!(declined(DeclineReason::ParJoinExtract), "{ctx}");
+                        }
+                    }
+                }
+            }
         }
     }
-    // The ref-identity join itself answers correctly: only the shared
-    // `d` rows match.
-    let out = session.eval_one(ref_keys).unwrap().value;
-    assert_eq!(show_value(&out), "{(1, 10)}");
-}
-
-/// The probe-drain memory cap: a probe pipeline much larger than the
-/// build side (here > 64× with the cutoff overridden to 1) bails to the
-/// streaming sequential probe — the drained prefix replays and the
-/// live remainder streams, with identical results and a counted
-/// fallback.
-#[test]
-fn parallel_join_caps_probe_materialization() {
-    let mut session = machiavelli::Session::new();
-    let many: String = (0..200)
-        .map(|i| format!("[K={i}]"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    session
-        .run(&format!(
-            "val many = {{{many}}}; val two = {{[K=1, B=10], [K=199, B=20]}};"
-        ))
-        .unwrap();
-    let q = "select (x.K, y.B) where x <- many, y <- two with x.K = y.K;";
-    let seq = run_in_mode(&mut session, q, true, None);
-    session.par_reset();
-    let par = run_in_mode(&mut session, q, true, Some(4));
-    assert_eq!(par, seq);
-    let stats = session.par_stats();
-    assert!(stats.par_join_fallbacks >= 1, "{stats:?}");
-    assert_eq!(stats.par_joins, 0, "{stats:?}");
 }
 
 /// Duplicate keys and empty partitions, pinned deterministically: many

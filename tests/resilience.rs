@@ -3,32 +3,17 @@
 //! session-level half of the contract the server's chaos suite proves
 //! at the process level.
 
-use machiavelli::eval::set_planner_enabled;
+use machiavelli::testing::{run_in, Mode};
 use machiavelli::value::faults::{self, FaultConfig, INJECTED_PANIC_PREFIX};
 use machiavelli::value::governor::{self, QueryGuard};
-use machiavelli::value::tuning;
 use machiavelli::Session;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Evaluate with the parallel lane forced on (2 threads, 1-row
-/// cutoffs, store off) so eligible joins fan out to worker threads.
+/// Evaluate with the parallel lane forced on (2 threads, tiny gates,
+/// store off) so eligible joins fan out to worker threads.
 fn eval_par(session: &mut Session, src: &str) -> Result<String, String> {
-    let prev_planner = set_planner_enabled(true);
-    let prev_store = machiavelli::store::set_store_enabled(false);
-    let prev_enabled = tuning::set_parallel_enabled(true);
-    let prev_threads = tuning::set_par_threads(Some(2));
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
-    let out = session
-        .eval_one(src)
-        .map(|o| machiavelli::value::show_value(&o.value))
-        .map_err(|e| e.to_string());
-    tuning::set_par_join_min_build_rows(prev_rows);
-    tuning::set_par_threads(prev_threads);
-    tuning::set_parallel_enabled(prev_enabled);
-    machiavelli::store::set_store_enabled(prev_store);
-    set_planner_enabled(prev_planner);
-    out
+    run_in(session, src, Mode::planned(false, Some(2)))
 }
 
 const SETUP: &str = "val r = {[K=1, A=10], [K=2, A=20], [K=3, A=30]};

@@ -9,6 +9,7 @@
 //! identical results and identical decline codes to untraced, at one
 //! and at four worker threads.
 
+use machiavelli::testing::{pinned_session, run_in, with_mode, Mode};
 use machiavelli::trace;
 use machiavelli::Session;
 use machiavelli_bench::{fig2_session, scaled_parts_session, FIG5_SOURCE};
@@ -17,10 +18,7 @@ use proptest::prelude::*;
 /// A session with deterministic trace output: zeroed clock, cold
 /// store, pinned worker-thread count.
 fn pinned(threads: usize) -> Session {
-    let s = Session::new();
-    s.store_reset();
-    s.reset_stats();
-    s.set_par_threads(Some(threads));
+    let s = pinned_session(threads);
     trace::set_clock(Some(|| 0));
     s
 }
@@ -68,6 +66,25 @@ fn golden_analyze_fig9_join_cold_then_cached() {
 }
 
 #[test]
+fn golden_analyze_plain_key_join_names_its_degree() {
+    let mut s = pinned(4);
+    s.run(FIG9_SETUP).unwrap();
+    // Four worker threads, one-row morsels: the store serves the build
+    // in plain form, the two probe rows that clear `x.C < 90` are
+    // drained and fanned out — at degree 2, one worker per probe
+    // morsel, not the four configured.
+    let report = with_mode(Mode::planned(true, Some(4)), || s.analyze(FIG9_QUERY)).unwrap();
+    assert_eq!(
+        report,
+        "select: total 0ns\n  \
+         HashJoin probe(x.K) build(y.K) [par n=2] [cache build] rows=1 open=0ns next=0ns\n    \
+         Scan x <- r filter (x.C < 90) [seq] rows=2 open=0ns next=0ns\n\
+         observed[join s build(_.K) filter((_.C > 5))]: runs=1 last_rows=1 avg_rows=1\n"
+    );
+    unpin(&s);
+}
+
+#[test]
 fn golden_analyze_ref_keyed_join_names_its_decline() {
     let mut s = pinned(1);
     // Identity-bearing rows: the build side caches only in rc form —
@@ -95,7 +112,6 @@ fn golden_analyze_ref_keyed_join_names_its_decline() {
 #[test]
 fn golden_analyze_fig5_recursive_cost() {
     let mut s = fig2_session();
-    s.store_reset();
     s.reset_stats();
     s.set_par_threads(Some(1));
     trace::set_clock(Some(|| 0));
@@ -150,36 +166,24 @@ fn seeded_query(seed: u64) -> String {
 }
 
 /// Evaluate `src` with tracing forced on/off at `threads` workers and
-/// aggressive lane cutoffs, from a cold store and zeroed decline
-/// counts; returns the rendered result (or error) plus the nonzero
-/// decline codes the run recorded. Every override is restored.
+/// tiny gates, from a cold store and zeroed decline counts; returns the
+/// rendered result (or error) plus the nonzero decline codes the run
+/// recorded. Every override is restored.
 fn run_observed(
     session: &mut Session,
     src: &str,
     threads: usize,
     traced: bool,
 ) -> (Result<String, String>, Vec<(&'static str, u64)>) {
-    use machiavelli::value::tuning;
     session.store_reset();
     let prev_trace = session.set_tracing(Some(traced));
-    let prev_enabled = tuning::set_parallel_enabled(true);
-    let prev_threads = session.set_par_threads(Some(threads));
-    let prev_rows = tuning::set_par_join_min_build_rows(Some(1));
-    let prev_hom = tuning::set_par_hom_min_items(Some(1));
     trace::reset_session_declines();
-    let out = session
-        .eval_one(src)
-        .map(|o| machiavelli::value::show_value(&o.value))
-        .map_err(|e| e.to_string());
+    let out = run_in(session, src, Mode::planned(true, Some(threads)));
     let declines: Vec<(&'static str, u64)> = trace::session_declines()
         .into_iter()
         .filter(|(_, n)| *n > 0)
         .map(|(r, n)| (r.code(), n))
         .collect();
-    tuning::set_par_hom_min_items(prev_hom);
-    tuning::set_par_join_min_build_rows(prev_rows);
-    session.set_par_threads(prev_threads);
-    tuning::set_parallel_enabled(prev_enabled);
     session.set_tracing(prev_trace);
     let _ = session.trace_events();
     (out, declines)
