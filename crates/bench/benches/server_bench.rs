@@ -18,7 +18,7 @@
 //! workers); the one-build-per-hot-index invariant holds regardless.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use machiavelli::value::governor;
+use machiavelli::trace::metrics::Counter;
 use machiavelli_server::faults::FaultConfig;
 use machiavelli_server::{Server, ServerConfig, ServerError, ServerRole};
 use std::time::Duration;
@@ -107,23 +107,23 @@ fn bench_server(c: &mut Criterion) {
     group.sample_size(10);
 
     machiavelli_store::shared::reset_shared();
-    governor::reset_server_counters();
 
     // --- the shared-index hot path, 1 vs 4 workers -------------------
     let mut published_after_first_server = 0;
     for (nth, workers) in [1usize, 4].into_iter().enumerate() {
         let (server, sids) = primed_server(workers, None);
-        let shared = machiavelli_store::shared::shared_stats();
+        let shared = server.stats();
+        let publishes = shared.metrics.get(Counter::SharedPublishes);
         if nth == 0 {
-            published_after_first_server = shared.publishes;
-            assert!(shared.publishes >= 1, "the hot index was built: {shared:?}");
+            published_after_first_server = publishes;
+            assert!(publishes >= 1, "the hot index was built: {shared}");
         } else {
             // The 100 sessions of the second server adopted the first
             // server's indexes: same content, zero further builds.
             assert_eq!(
-                shared.publishes,
+                publishes,
                 published_after_first_server,
-                "one build per hot index across all {} sessions: {shared:?}",
+                "one build per hot index across all {} sessions: {shared}",
                 2 * SESSIONS
             );
         }
@@ -131,8 +131,8 @@ fn bench_server(c: &mut Criterion) {
         // (cumulative across the servers started so far).
         let cumulative_sessions = ((nth + 1) * SESSIONS) as u64;
         assert!(
-            shared.adoptions >= cumulative_sessions - shared.publishes,
-            "later sessions adopt: {shared:?}"
+            shared.metrics.get(Counter::SharedAdoptions) >= cumulative_sessions - publishes,
+            "later sessions adopt: {shared}"
         );
         let mut next = 0usize;
         group.bench_function(format!("shared_read/workers{workers}"), |b| {

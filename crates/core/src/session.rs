@@ -9,6 +9,7 @@ use crate::error::SessionError;
 use machiavelli_eval::{builtin_env, eval_expr, PRELUDE};
 use machiavelli_syntax::ast::{Expr, ExprKind, Phrase, PhraseKind};
 use machiavelli_syntax::parse_program;
+use machiavelli_trace::metrics::{self, Counter, Snapshot};
 use machiavelli_types::{Inferencer, Scheme, TypeEnv};
 use machiavelli_value::{show_value, Env, Value};
 
@@ -37,11 +38,10 @@ impl Outcome {
 }
 
 /// Every statistics surface a session can see, snapshotted at once:
-/// the index store, the parallel lane and its scheduler, the process-wide
-/// server/resilience counters and shared index tier, and the typed
-/// decline taxonomy (`machiavelli-trace`). One struct so callers (and
-/// the REPL's `:stats`) render all of it through one code path instead
-/// of five.
+/// the index store, the parallel lane and its scheduler, the typed
+/// decline taxonomy, and the process-wide counter registry
+/// (`machiavelli_trace::metrics`). One struct so callers (and the
+/// REPL's `:stats`) render all of it through one code path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionStats {
     /// Cached-index store counters (session-scoped).
@@ -50,19 +50,15 @@ pub struct SessionStats {
     pub par: machiavelli_value::tuning::ParStats,
     /// Morsel-scheduler counters (session-scoped).
     pub exec: machiavelli_value::tuning::ExecStats,
-    /// Server/resilience counters (process-wide).
-    pub server: machiavelli_value::governor::ServerCounters,
-    /// Shared index tier counters (process-wide).
-    pub shared: machiavelli_store::shared::SharedStats,
     /// The parallel lane's effective worker-thread count.
     pub par_threads: usize,
     /// Typed decline counts (session-scoped), one entry per
     /// [`machiavelli_trace::DeclineReason`] variant in declaration
     /// order, zeros included.
     pub declines: Vec<(machiavelli_trace::DeclineReason, u64)>,
-    /// Durability counters (process-wide): WAL records/bytes appended,
-    /// commits, checkpoints, recoveries, torn tails truncated.
-    pub wal: machiavelli_value::WalCounters,
+    /// The process-wide counters: server, shared index tier, WAL,
+    /// replication, injected faults.
+    pub metrics: Snapshot,
 }
 
 impl SessionStats {
@@ -96,36 +92,34 @@ impl SessionStats {
             es.morsels_executed,
             es.morsels_stolen
         );
-        let sc = &self.server;
-        let sh = &self.shared;
+        let m = |c| self.metrics.get(c);
         let _ = writeln!(
             out,
             "server: sessions {} started / {} panicked / {} closed, \
              queries {} completed / {} shed / {} deadline / {} cancelled / {} row-budget, \
              shared tier {} publishes / {} adoptions / {} lock recoveries",
-            sc.sessions_started,
-            sc.sessions_panicked,
-            sc.sessions_closed,
-            sc.queries_completed,
-            sc.queries_shed,
-            sc.deadlines_hit,
-            sc.queries_cancelled,
-            sc.row_budgets_hit,
-            sh.publishes,
-            sh.adoptions,
-            sh.lock_recoveries
+            m(Counter::SessionsStarted),
+            m(Counter::SessionsPanicked),
+            m(Counter::SessionsClosed),
+            m(Counter::QueriesCompleted),
+            m(Counter::QueriesShed),
+            m(Counter::QueriesDeadline),
+            m(Counter::QueriesCancelled),
+            m(Counter::QueriesRowBudget),
+            m(Counter::SharedPublishes),
+            m(Counter::SharedAdoptions),
+            m(Counter::SharedLockRecoveries)
         );
-        let w = &self.wal;
         let _ = writeln!(
             out,
             "wal: {} records / {} bytes appended, {} commits / {} checkpoints / \
              {} recoveries / {} torn tails truncated",
-            w.records_appended,
-            w.bytes_logged,
-            w.commits,
-            w.checkpoints,
-            w.recoveries,
-            w.torn_tails_truncated
+            m(Counter::WalRecordsAppended),
+            m(Counter::WalBytesLogged),
+            m(Counter::WalCommits),
+            m(Counter::WalCheckpoints),
+            m(Counter::WalRecoveries),
+            m(Counter::WalTornTailsTruncated)
         );
         let nonzero: Vec<String> = self
             .declines
@@ -315,46 +309,27 @@ impl Session {
         machiavelli_value::tuning::reset_exec_stats()
     }
 
-    /// The process-wide server/resilience counters: sessions started,
-    /// panicked (isolated), closed; queries shed at admission, stopped
-    /// by deadline, cancellation, or row budget; queries completed.
-    /// All zero unless this process hosts sessions through
-    /// `machiavelli-server` (or installs `QueryGuard`s itself). Behind
-    /// the REPL's `:stats` alongside the index-store counters.
-    pub fn server_stats(&self) -> machiavelli_value::governor::ServerCounters {
-        machiavelli_value::governor::server_counters()
-    }
-
-    /// The process-wide shared index tier's counters (cross-session
-    /// index reuse: publishes, adoptions, lock-poison recoveries — see
-    /// `machiavelli_store::shared`). The tier is off outside server
-    /// workers unless explicitly enabled.
-    pub fn shared_store_stats(&self) -> machiavelli_store::shared::SharedStats {
-        machiavelli_store::shared::shared_stats()
-    }
-
     /// One snapshot of every statistics surface — the store, parallel,
-    /// scheduler, server/shared-tier counters, and the typed decline
-    /// counts. Behind the REPL's `:stats` via [`SessionStats::render`].
+    /// scheduler, the typed decline counts, and the process-wide
+    /// counter registry (server and shared-tier rows are all zero unless
+    /// this process hosts sessions through `machiavelli-server`). Behind
+    /// the REPL's `:stats` via [`SessionStats::render`].
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             store: self.store_stats(),
             par: self.par_stats(),
             exec: self.exec_stats(),
-            server: self.server_stats(),
-            shared: self.shared_store_stats(),
             par_threads: self.par_threads(),
             declines: machiavelli_trace::session_declines(),
-            wal: machiavelli_value::wal_counters(),
+            metrics: metrics::snapshot(),
         }
     }
 
     /// Zero every session-scoped counter in one call: the index store
     /// (entries, counters, and observed per-operator stats), the
     /// parallel lane and its scheduler, and the decline counts. The
-    /// process-wide surfaces ([`Session::server_stats`],
-    /// [`Session::shared_store_stats`], and the `METRICS` totals) are
-    /// deliberately untouched — they aggregate across sessions.
+    /// process-wide registry ([`SessionStats::metrics`]) is deliberately
+    /// untouched — it aggregates across sessions.
     pub fn reset_stats(&self) {
         self.store_reset();
         self.par_reset();

@@ -19,7 +19,7 @@
 //! Worker discipline matches the rest of the workspace:
 //!
 //! * spawns are **fallible** ([`crossbeam::thread::Scope::try_spawn`],
-//!   plus the seeded [`machiavelli_value::faults::spawn_denied`] fail
+//!   plus the seeded [`FaultPoint::SpawnFail`] fail
 //!   point) — a denied worker's deque is simply drained by the
 //!   surviving workers through the same stealing path, degrading
 //!   smoothly down to the coordinator running everything;
@@ -31,7 +31,8 @@
 //!   — worker threads never touch session thread-locals.
 
 use crossbeam::deque::{Steal, Stealer, Worker};
-use machiavelli_value::{faults, tuning};
+use machiavelli_value::faults::{self, FaultPoint};
+use machiavelli_value::tuning;
 
 /// A fixed-size range of rows — the scheduler's unit of work (and of
 /// stealing).
@@ -138,7 +139,7 @@ where
             // tasks stay alive behind the stealer Arcs and the
             // surviving workers drain them — the same work, fewer
             // hands.
-            if faults::spawn_denied() {
+            if faults::fire(FaultPoint::SpawnFail) {
                 continue;
             }
             let h = scope.try_spawn(move |_| worker_loop(wid, queue, stealers, init, f));

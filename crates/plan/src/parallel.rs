@@ -613,6 +613,7 @@ pub fn par_probe(index: &PlainIndex, probe: &[PlainKey], degree: usize) -> Vec<V
 mod tests {
     use super::*;
     use machiavelli_syntax::parse_expr;
+    use machiavelli_trace::metrics::{self, Counter};
     use machiavelli_value::plain::to_plain;
     use machiavelli_value::Value;
 
@@ -842,16 +843,14 @@ mod tests {
             seed: 5,
             ..FaultConfig::off()
         };
-        machiavelli_value::faults::reset_injected_faults();
+        let denied = || metrics::get(Counter::FaultSpawnFailures);
+        let before = denied();
         let m = with_faults(cfg, || par_probe(&index, &probe, 4));
         assert_eq!(
             m,
             vec![vec![1, 2], vec![], vec![0]],
             "inline fallback agrees"
         );
-        assert!(
-            machiavelli_value::faults::injected_faults().spawn_failures > 0,
-            "the denial path actually ran"
-        );
+        assert!(denied() > before, "the denial path actually ran");
     }
 }

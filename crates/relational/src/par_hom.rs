@@ -26,6 +26,7 @@
 //!   only the parallelism is lost.
 
 use crossbeam::thread;
+use machiavelli_value::faults::{fire, FaultPoint};
 use machiavelli_value::tuning::PAR_HOM_MIN_ITEMS_PER_THREAD;
 
 /// Sequential `hom(f, op, z, items)` as the paper's right fold.
@@ -70,7 +71,7 @@ where
                 let z = z.clone();
                 // The injected spawn fault exercises the same inline
                 // fallback as a real OS decline.
-                if machiavelli_value::faults::spawn_denied() {
+                if fire(FaultPoint::SpawnFail) {
                     return Err(slice);
                 }
                 match scope.try_spawn(move |_| seq_hom(slice, f, op, z)) {

@@ -8,8 +8,8 @@
 //! [`SessionLog::replica_apply`] — so what the harness proves about a
 //! node pair holds for the TCP tier too.
 
+use machiavelli::trace::metrics::{self, Counter};
 use machiavelli::{is_read_only_source, Outcome};
-use machiavelli_value::repl_counters::note_repl_promotion;
 use machiavelli_wal::{
     install_replica, CommitReceipt, DurableSession, LogCursor, RecoveryReport, ReplicaApplyReport,
     SessionLog, Ship, SnapshotTransfer, WalError,
@@ -188,7 +188,7 @@ impl ReplNode {
             }
         }
         self.role = Role::Primary;
-        note_repl_promotion();
+        metrics::add(Counter::ReplPromotions, 1);
         Ok(self.ds.log().generation())
     }
 

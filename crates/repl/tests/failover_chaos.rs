@@ -18,12 +18,10 @@
 use std::path::PathBuf;
 
 use machiavelli::persist::{encode_with_registry, RefRegistry};
+use machiavelli::trace::metrics::{self, Counter};
 use machiavelli::Session;
 use machiavelli_repl::{NodeError, PullOutcome, ReplNode, Role};
-use machiavelli_value::faults::{
-    injected_faults, promote_during_catchup_due, set_fault_config, FaultConfig,
-};
-use machiavelli_value::repl_counters;
+use machiavelli_value::faults::{fire, set_fault_config, FaultConfig, FaultPoint};
 use machiavelli_wal::WalError;
 
 fn base_seed() -> u64 {
@@ -155,7 +153,7 @@ fn pump(
 ) -> bool {
     set_fault_config(Some(faults));
     let outcome = f.pull_from(p);
-    let ack_lost = machiavelli_value::faults::ack_loss_due();
+    let ack_lost = fire(FaultPoint::AckLoss);
     set_fault_config(Some(FaultConfig::off()));
     match outcome {
         Ok(PullOutcome::CaughtUp) => {
@@ -199,9 +197,7 @@ fn seeded_failovers_serve_the_acked_durable_prefix() {
         .unwrap_or(220);
     let base = base_seed();
     let prev = set_fault_config(Some(FaultConfig::off()));
-    let stale_before = repl_counters::repl_counters().stale_rejected;
-    let snaps_before = repl_counters::repl_counters().snap_transfers;
-    let injected_before = injected_faults();
+    let before = metrics::snapshot();
 
     for iter in 0..iterations {
         let seed = base.wrapping_mul(6_700_417).wrapping_add(iter);
@@ -401,23 +397,23 @@ fn seeded_failovers_serve_the_acked_durable_prefix() {
         let _ = std::fs::remove_dir_all(&dir_p);
         let _ = std::fs::remove_dir_all(&dir_f);
     }
+    let added = metrics::snapshot().since(&before);
     assert!(
-        repl_counters::repl_counters().stale_rejected >= stale_before + iterations,
+        added.get(Counter::ReplStaleRejected) >= iterations,
         "every iteration must exercise stale-generation rejection"
     );
     // The chaos must have actually been chaotic: torn ships and lost
     // acks fired, and catch-up healed through snapshot transfers.
-    let injected_after = injected_faults();
     assert!(
-        injected_after.ship_disconnects > injected_before.ship_disconnects,
+        added.get(Counter::FaultShipDisconnects) > 0,
         "no iteration tore a shipped chunk"
     );
     assert!(
-        injected_after.ack_losses > injected_before.ack_losses,
+        added.get(Counter::FaultAckLosses) > 0,
         "no iteration lost an ack"
     );
     assert!(
-        repl_counters::repl_counters().snap_transfers > snaps_before + iterations,
+        added.get(Counter::ReplSnapTransfers) > iterations,
         "catch-up never healed via snapshot transfer beyond the final heals"
     );
     set_fault_config(prev);
@@ -448,9 +444,12 @@ fn promotion_during_catchup_fences_the_stream() {
         promote_catchup_ppm: 1_000_000,
         ..FaultConfig::off()
     }));
-    assert!(promote_during_catchup_due(), "fault must fire at certainty");
-    let before = injected_faults().promote_catchups;
-    assert!(before > 0);
+    let before = metrics::get(Counter::FaultPromoteCatchups);
+    assert!(
+        fire(FaultPoint::PromoteCatchup),
+        "fault must fire at certainty"
+    );
+    assert!(metrics::get(Counter::FaultPromoteCatchups) > before);
     set_fault_config(Some(FaultConfig::off()));
 
     let in_flight = match p.ship(f.cursor()).unwrap() {

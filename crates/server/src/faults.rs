@@ -5,25 +5,13 @@
 //! that turns them on — via [`ServerConfig::faults`] or the
 //! `MACHIAVELLI_FAULT_*` environment variables — so the surface is
 //! re-exported here as `machiavelli_server::faults` for chaos suites
-//! and operators.
-//!
-//! Knobs (all probabilities in parts-per-million, seeded per thread):
-//!
-//! | field / env var                          | fail point                          |
-//! |------------------------------------------|-------------------------------------|
-//! | `eval_panic_ppm` / `…_FAULT_EVAL_PANIC_PPM`   | panic at an evaluator tick     |
-//! | `worker_panic_ppm` / `…_FAULT_WORKER_PANIC_PPM` | panic on a parallel worker   |
-//! | `spawn_fail_ppm` / `…_FAULT_SPAWN_FAIL_PPM`  | decline a thread spawn          |
-//! | `delay_ppm` + `delay_ms` / `…_FAULT_DELAY_PPM`, `…_FAULT_DELAY_MS` | sleep at a tick |
-//! | `store_poison_ppm` / `…_FAULT_STORE_POISON_PPM` | panic holding the shared-tier lock |
-//! | `seed` / `…_FAULT_SEED`                  | deterministic per-thread streams    |
+//! and operators. The fail points, their `FaultConfig` fields and their
+//! environment variables are tabulated once, in `docs/RESILIENCE.md`
+//! ("Fault injection").
 //!
 //! [`ServerConfig::faults`]: crate::ServerConfig
-//!
-//! Injected panics carry [`INJECTED_PANIC_PREFIX`] in their payload so
-//! chaos harnesses can tell injected failures from real bugs.
 
 pub use machiavelli_value::faults::{
-    fault_config, faults_active, injected_faults, reset_injected_faults, set_fault_config,
-    FaultConfig, InjectedFaults, INJECTED_PANIC_PREFIX,
+    fault_config, faults_active, fire, set_fault_config, FaultConfig, FaultPoint,
+    INJECTED_PANIC_PREFIX,
 };

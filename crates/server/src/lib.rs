@@ -29,4 +29,4 @@ pub use server::{
 };
 pub use wire::{serve_connection, serve_connection_with_limit};
 
-pub use machiavelli_value::governor::{QueryGuard, ServerCounters, Trip};
+pub use machiavelli_value::governor::{QueryGuard, Trip};

@@ -29,9 +29,9 @@ use machiavelli::plan::physical::panic_message;
 use machiavelli::{is_read_only_source, Session, SessionError};
 use machiavelli_eval::EvalError;
 use machiavelli_store::shared;
-use machiavelli_value::faults::{self, FaultConfig, InjectedFaults};
-use machiavelli_value::governor::{self, QueryGuard, ServerCounters};
-use machiavelli_value::repl_counters::{note_repl_ack, note_repl_ack_lost, note_repl_promotion};
+use machiavelli_trace::metrics::{self, Counter, Snapshot};
+use machiavelli_value::faults::{self, FaultConfig, FaultPoint};
+use machiavelli_value::governor::{self, QueryGuard, Trip};
 use machiavelli_wal::{
     install_replica, LogCursor, ReplicaApplyReport, SessionLog, Ship, SnapshotTransfer, WalError,
 };
@@ -168,14 +168,12 @@ impl Default for ServerConfig {
 }
 
 /// A point-in-time snapshot of server health.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServerStats {
-    /// Process-wide session/query counters.
-    pub counters: ServerCounters,
-    /// Shared index tier counters.
-    pub shared: shared::SharedStats,
-    /// Injected-fault counters (all zero unless fault injection is on).
-    pub injected: InjectedFaults,
+    /// The process-wide counter registry: session/query, shared-tier,
+    /// WAL, replication and injected-fault counters (the last all zero
+    /// unless fault injection is on).
+    pub metrics: Snapshot,
     /// Worker threads actually running.
     pub workers: usize,
     /// Worker threads that failed to start (injected or real).
@@ -184,26 +182,25 @@ pub struct ServerStats {
 
 impl fmt::Display for ServerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let c = &self.counters;
-        let s = &self.shared;
+        let m = |c| self.metrics.get(c);
         write!(
             f,
             "workers {}(-{}) sessions {}/{}/{} queries {}ok {}shed {}ddl {}cancel {}rows \
              shared {}pub {}adopt {}miss {}recov",
             self.workers,
             self.worker_spawn_failures,
-            c.sessions_started,
-            c.sessions_panicked,
-            c.sessions_closed,
-            c.queries_completed,
-            c.queries_shed,
-            c.deadlines_hit,
-            c.queries_cancelled,
-            c.row_budgets_hit,
-            s.publishes,
-            s.adoptions,
-            s.misses,
-            s.lock_recoveries,
+            m(Counter::SessionsStarted),
+            m(Counter::SessionsPanicked),
+            m(Counter::SessionsClosed),
+            m(Counter::QueriesCompleted),
+            m(Counter::QueriesShed),
+            m(Counter::QueriesDeadline),
+            m(Counter::QueriesCancelled),
+            m(Counter::QueriesRowBudget),
+            m(Counter::SharedPublishes),
+            m(Counter::SharedAdoptions),
+            m(Counter::SharedMisses),
+            m(Counter::SharedLockRecoveries),
         )
     }
 }
@@ -337,14 +334,14 @@ impl Server {
     /// server.
     pub fn start(config: ServerConfig) -> Server {
         // Install the fault config on the *calling* thread only while
-        // spawning, so `spawn_denied` rolls against it.
+        // spawning, so the spawn fail point rolls against it.
         let prev = config.faults.map(|fc| faults::set_fault_config(Some(fc)));
         let queue_depth = Arc::new(AtomicI64::new(0));
         let role = Arc::new(AtomicU8::new(role_to_u8(config.role)));
         let mut workers = Vec::with_capacity(config.workers.max(1));
         let mut spawn_failures = 0;
         for i in 0..config.workers.max(1) {
-            if i > 0 && faults::spawn_denied() {
+            if i > 0 && faults::fire(FaultPoint::SpawnFail) {
                 spawn_failures += 1;
                 continue;
             }
@@ -438,7 +435,7 @@ impl Server {
                 Ok(Pending { guard, rx })
             }
             Err(TrySendError::Full(_)) => {
-                governor::note_query_shed();
+                metrics::add(Counter::QueriesShed, 1);
                 Err(ServerError::Busy)
             }
             Err(TrySendError::Disconnected(_)) => Err(ServerError::Shutdown),
@@ -494,7 +491,7 @@ impl Server {
             return Ok(0);
         }
         let fenced = self.checkpoint_all()?;
-        note_repl_promotion();
+        metrics::add(Counter::ReplPromotions, 1);
         Ok(fenced)
     }
 
@@ -610,14 +607,19 @@ impl Server {
 
     /// Record a follower's ack (primary side of the `ACK` verb).
     /// Subject to the injected ack-loss fault: a dropped ack leaves lag
-    /// visibly high until the next one lands. Returns whether the ack
-    /// was recorded.
+    /// visibly high until the next one lands. An ack for a session id
+    /// this server never handed out is ignored — the map is keyed by
+    /// what a client sends, so it must not grow on a client's say-so.
+    /// Returns whether the ack was recorded.
     pub fn record_ack(&self, sid: u64, gen: u64, groups: u64) -> bool {
-        if faults::ack_loss_due() {
-            note_repl_ack_lost();
+        if sid >= self.next_sid.load(Ordering::Relaxed) {
             return false;
         }
-        note_repl_ack();
+        if faults::fire(FaultPoint::AckLoss) {
+            metrics::add(Counter::ReplAcksLost, 1);
+            return false;
+        }
+        metrics::add(Counter::ReplAcks, 1);
         let mut acks = self.acks.lock().unwrap_or_else(|p| p.into_inner());
         let entry = acks.entry(sid).or_default();
         // Acks can race out of order; never regress within a
@@ -668,7 +670,7 @@ impl Server {
     }
 
     /// Close a session (also the only operation a poisoned session
-    /// accepts).
+    /// accepts). Its recorded ack goes with it.
     pub fn close_session(&self, sid: u64) -> Result<(), ServerError> {
         let worker = self.route(sid)?;
         let (reply, rx) = std::sync::mpsc::channel();
@@ -676,16 +678,20 @@ impl Server {
             .tx
             .send(Job::Close { sid, reply })
             .map_err(|_| ServerError::Shutdown)?;
-        rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        let closed = rx.recv().unwrap_or(Err(ServerError::Shutdown));
+        if closed.is_ok() {
+            self.acks
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .remove(&sid);
+        }
+        closed
     }
 
-    /// Snapshot server health: session/query counters, shared-tier
-    /// counters, injected-fault counters, pool size.
+    /// Snapshot server health: the counter registry and the pool size.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
-            counters: governor::server_counters(),
-            shared: shared::shared_stats(),
-            injected: faults::injected_faults(),
+            metrics: metrics::snapshot(),
             workers: self.workers.len(),
             worker_spawn_failures: self.spawn_failures,
         }
@@ -694,10 +700,10 @@ impl Server {
     /// Render the server's health as Prometheus-style text exposition
     /// (behind the wire `METRICS` verb, newline-escaped onto one
     /// response line): the per-query latency histogram with fixed
-    /// buckets, the queue-depth gauge, session/query counters
-    /// (shed/panic included), the shared-tier counters and hit ratio,
-    /// and one `machiavelli_declines_total` series per typed
-    /// [`machiavelli_trace::DeclineReason`].
+    /// buckets, this server's gauges (queue depth, role, per-session
+    /// replication lag, shared-tier hit ratio), then every row of the
+    /// counter registry ([`Snapshot::render_exposition`]). Counters are
+    /// read lock-free; only the lag gauge asks the workers anything.
     pub fn metrics_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -726,56 +732,6 @@ impl Server {
             "machiavelli_queue_depth {}",
             self.queue_depth.load(Ordering::Relaxed).max(0)
         );
-        let c = governor::server_counters();
-        for (name, v) in [
-            ("sessions_started", c.sessions_started),
-            ("sessions_panicked", c.sessions_panicked),
-            ("sessions_closed", c.sessions_closed),
-            ("queries_completed", c.queries_completed),
-            ("queries_shed", c.queries_shed),
-            ("queries_deadline", c.deadlines_hit),
-            ("queries_cancelled", c.queries_cancelled),
-            ("queries_row_budget", c.row_budgets_hit),
-        ] {
-            let _ = writeln!(out, "# TYPE machiavelli_{name}_total counter");
-            let _ = writeln!(out, "machiavelli_{name}_total {v}");
-        }
-        let sh = shared::shared_stats();
-        for (name, v) in [
-            ("shared_publishes", sh.publishes),
-            ("shared_adoptions", sh.adoptions),
-            ("shared_misses", sh.misses),
-            ("shared_lock_recoveries", sh.lock_recoveries),
-        ] {
-            let _ = writeln!(out, "# TYPE machiavelli_{name}_total counter");
-            let _ = writeln!(out, "machiavelli_{name}_total {v}");
-        }
-        let w = machiavelli_value::wal_counters();
-        for (name, v) in [
-            ("wal_records_appended", w.records_appended),
-            ("wal_bytes_logged", w.bytes_logged),
-            ("wal_commits", w.commits),
-            ("wal_checkpoints", w.checkpoints),
-            ("wal_recoveries", w.recoveries),
-            ("wal_torn_tails_truncated", w.torn_tails_truncated),
-        ] {
-            let _ = writeln!(out, "# TYPE machiavelli_{name}_total counter");
-            let _ = writeln!(out, "machiavelli_{name}_total {v}");
-        }
-        let r = machiavelli_value::repl_counters::repl_counters();
-        for (name, v) in [
-            ("repl_ships", r.ships),
-            ("repl_ship_bytes", r.ship_bytes),
-            ("repl_snap_transfers", r.snap_transfers),
-            ("repl_groups_applied", r.groups_applied),
-            ("repl_stale_rejected", r.stale_rejected),
-            ("repl_acks", r.acks),
-            ("repl_acks_lost", r.acks_lost),
-            ("repl_promotions", r.promotions),
-        ] {
-            let _ = writeln!(out, "# TYPE machiavelli_{name}_total counter");
-            let _ = writeln!(out, "machiavelli_{name}_total {v}");
-        }
         out.push_str("# TYPE machiavelli_repl_role gauge\n");
         let _ = writeln!(
             out,
@@ -794,22 +750,17 @@ impl Server {
                 }
             }
         }
-        out.push_str("# TYPE machiavelli_shared_hit_ratio gauge\n");
-        let probes = sh.adoptions + sh.misses;
+        let m = metrics::snapshot();
+        let adoptions = m.get(Counter::SharedAdoptions);
+        let probes = adoptions + m.get(Counter::SharedMisses);
         let ratio = if probes == 0 {
             0.0
         } else {
-            sh.adoptions as f64 / probes as f64
+            adoptions as f64 / probes as f64
         };
+        out.push_str("# TYPE machiavelli_shared_hit_ratio gauge\n");
         let _ = writeln!(out, "machiavelli_shared_hit_ratio {ratio}");
-        out.push_str("# TYPE machiavelli_declines_total counter\n");
-        for (reason, n) in machiavelli_trace::global_declines() {
-            let _ = writeln!(
-                out,
-                "machiavelli_declines_total{{reason=\"{}\"}} {n}",
-                reason.code()
-            );
-        }
+        m.render_exposition(&mut out);
         out
     }
 
@@ -892,7 +843,7 @@ fn worker_main(
             }
             Job::Close { sid, reply } => {
                 let result = if sessions.remove(&sid).is_some() {
-                    governor::note_session_closed();
+                    metrics::add(Counter::SessionsClosed, 1);
                     Ok(())
                 } else {
                     Err(ServerError::NoSuchSession(sid))
@@ -1030,35 +981,10 @@ fn run_repl_install(
         .ok_or_else(|| ServerError::Replication("durability is disabled".into()))?;
     let dir = session_dir(root, sid);
     install_replica(&dir, transfer).map_err(|e| ServerError::Replication(e.to_string()))?;
-    // Rebuild the slot from the installed state — the restore path,
-    // shielded the same way.
-    let shield = faults::set_fault_config(Some(FaultConfig::off()));
-    let rebuilt = catch_unwind(AssertUnwindSafe(
-        || -> Result<(SessionSlot, usize), ServerError> {
-            let mut session =
-                Session::try_new().map_err(|e| ServerError::SessionInit(e.to_string()))?;
-            let (wal, report) = SessionLog::open(&dir, &mut session)
-                .map_err(|e| ServerError::Replication(e.to_string()))?;
-            let restored = report.snapshot_bindings + report.records_replayed as usize;
-            Ok((
-                SessionSlot {
-                    session,
-                    poisoned: false,
-                    wal: Some(wal),
-                },
-                restored,
-            ))
-        },
-    ));
-    faults::set_fault_config(shield);
-    match rebuilt {
-        Ok(Ok((fresh, restored))) => {
-            *slot = fresh;
-            Ok(restored)
-        }
-        Ok(Err(e)) => Err(e),
-        Err(payload) => Err(ServerError::SessionInit(panic_message(payload.as_ref()))),
-    }
+    // Rebuild the slot from the installed state — the restore path.
+    let (fresh, restored) = recover_slot(&dir, ServerError::Replication)?;
+    *slot = fresh;
+    Ok(restored)
 }
 
 fn run_checkpoint_all(sessions: &mut HashMap<u64, SessionSlot>) -> Result<u64, ServerError> {
@@ -1077,7 +1003,7 @@ fn run_checkpoint_all(sessions: &mut HashMap<u64, SessionSlot>) -> Result<u64, S
                 // Same failure posture as SAVE: the slot poisons, the
                 // sweep keeps fencing the others.
                 slot.poisoned = true;
-                governor::note_session_panicked();
+                metrics::add(Counter::SessionsPanicked, 1);
                 first_err.get_or_insert(ServerError::Durability(e.to_string()));
             }
         }
@@ -1093,37 +1019,50 @@ fn open_session(
     config: &ServerConfig,
     sid: u64,
 ) -> Result<u64, ServerError> {
-    // Shield the prelude (and recovery) from fault injection: faults
-    // target queries, and deterministic opens keep chaos assertions
-    // crisp.
+    let slot = match &config.durable_root {
+        Some(root) => recover_slot(&session_dir(root, sid), ServerError::Durability)?.0,
+        None => shielded(|| {
+            Ok(SessionSlot {
+                session: Session::try_new().map_err(|e| ServerError::SessionInit(e.to_string()))?,
+                poisoned: false,
+                wal: None,
+            })
+        })?,
+    };
+    sessions.insert(sid, slot);
+    metrics::add(Counter::SessionsStarted, 1);
+    Ok(sid)
+}
+
+/// Run `f` shielded from fault injection, a panic becoming a typed
+/// error: faults target queries, and deterministic opens and recoveries
+/// keep chaos assertions crisp.
+fn shielded<T>(f: impl FnOnce() -> Result<T, ServerError>) -> Result<T, ServerError> {
     let shield = faults::set_fault_config(Some(FaultConfig::off()));
-    let made = catch_unwind(AssertUnwindSafe(|| -> Result<SessionSlot, ServerError> {
+    let made = catch_unwind(AssertUnwindSafe(f));
+    faults::set_fault_config(shield);
+    made.unwrap_or_else(|payload| Err(ServerError::SessionInit(panic_message(payload.as_ref()))))
+}
+
+/// A fresh slot recovered from the durable state under `dir` (snapshot
+/// plus log replay), with the number of bindings and records restored.
+/// `wrap` types a log failure for the caller's verb.
+fn recover_slot(
+    dir: &std::path::Path,
+    wrap: fn(String) -> ServerError,
+) -> Result<(SessionSlot, usize), ServerError> {
+    shielded(|| {
         let mut session =
             Session::try_new().map_err(|e| ServerError::SessionInit(e.to_string()))?;
-        let wal = match &config.durable_root {
-            Some(root) => Some(
-                SessionLog::open(&session_dir(root, sid), &mut session)
-                    .map_err(|e| ServerError::Durability(e.to_string()))?
-                    .0,
-            ),
-            None => None,
-        };
-        Ok(SessionSlot {
+        let (wal, report) = SessionLog::open(dir, &mut session).map_err(|e| wrap(e.to_string()))?;
+        let restored = report.snapshot_bindings + report.records_replayed as usize;
+        let slot = SessionSlot {
             session,
             poisoned: false,
-            wal,
-        })
-    }));
-    faults::set_fault_config(shield);
-    match made {
-        Ok(Ok(slot)) => {
-            sessions.insert(sid, slot);
-            governor::note_session_started();
-            Ok(sid)
-        }
-        Ok(Err(e)) => Err(e),
-        Err(payload) => Err(ServerError::SessionInit(panic_message(payload.as_ref()))),
-    }
+            wal: Some(wal),
+        };
+        Ok((slot, restored))
+    })
 }
 
 fn run_save(sessions: &mut HashMap<u64, SessionSlot>, sid: u64) -> Result<u64, ServerError> {
@@ -1142,7 +1081,7 @@ fn run_save(sessions: &mut HashMap<u64, SessionSlot>, sid: u64) -> Result<u64, S
             // Disk state is ambiguous relative to memory; refuse
             // further queries rather than drift (see run_eval).
             slot.poisoned = true;
-            governor::note_session_panicked();
+            metrics::add(Counter::SessionsPanicked, 1);
             Err(ServerError::Durability(e.to_string()))
         }
     }
@@ -1167,33 +1106,22 @@ fn run_restore(
     // Deliberately no poison check: RESTORE is how a poisoned durable
     // session comes back — in-memory state (possibly torn mid-update by
     // a panic) is discarded and rebuilt from the last durable commit.
-    let shield = faults::set_fault_config(Some(FaultConfig::off()));
-    let rebuilt = catch_unwind(AssertUnwindSafe(
-        || -> Result<(SessionSlot, usize), ServerError> {
-            let mut session =
-                Session::try_new().map_err(|e| ServerError::SessionInit(e.to_string()))?;
-            let (wal, report) = SessionLog::open(&session_dir(root, sid), &mut session)
-                .map_err(|e| ServerError::Durability(e.to_string()))?;
-            let restored = report.snapshot_bindings + report.records_replayed as usize;
-            Ok((
-                SessionSlot {
-                    session,
-                    poisoned: false,
-                    wal: Some(wal),
-                },
-                restored,
-            ))
+    let (fresh, restored) = recover_slot(&session_dir(root, sid), ServerError::Durability)?;
+    *slot = fresh;
+    Ok(restored)
+}
+
+/// Tally a governor trip and map it onto its wire error.
+fn stopped(trip: Trip) -> ServerError {
+    metrics::add(
+        match trip {
+            Trip::Cancelled => Counter::QueriesCancelled,
+            Trip::DeadlineExceeded => Counter::QueriesDeadline,
+            Trip::RowBudgetExceeded => Counter::QueriesRowBudget,
         },
-    ));
-    faults::set_fault_config(shield);
-    match rebuilt {
-        Ok(Ok((fresh, restored))) => {
-            *slot = fresh;
-            Ok(restored)
-        }
-        Ok(Err(e)) => Err(e),
-        Err(payload) => Err(ServerError::SessionInit(panic_message(payload.as_ref()))),
-    }
+        1,
+    );
+    ServerError::from_trip(trip)
 }
 
 fn run_eval(
@@ -1219,8 +1147,7 @@ fn run_eval(
     // Queue wait may already have consumed the deadline (or the client
     // cancelled before we started): trip without evaluating.
     if let Some(trip) = guard.check() {
-        governor::note_trip(trip);
-        return Err(ServerError::from_trip(trip));
+        return Err(stopped(trip));
     }
     let prev = governor::install(Some(guard.clone()));
     let t0 = machiavelli_trace::now_ns();
@@ -1251,7 +1178,7 @@ fn run_eval(
                 if let Some(wal) = slot.wal.as_mut() {
                     if let Err(e) = wal.commit(&slot.session, &outcomes) {
                         slot.poisoned = true;
-                        governor::note_session_panicked();
+                        metrics::add(Counter::SessionsPanicked, 1);
                         return Err(ServerError::Durability(e.to_string()));
                     }
                 }
@@ -1262,20 +1189,16 @@ fn run_eval(
             // though evaluation ran to completion, so ceilings are
             // ceilings.
             if let Some(trip) = guard.tripped() {
-                governor::note_trip(trip);
-                return Err(ServerError::from_trip(trip));
+                return Err(stopped(trip));
             }
-            governor::note_query_completed();
+            metrics::add(Counter::QueriesCompleted, 1);
             Ok(outcomes.iter().map(|o| o.show()).collect())
         }
-        Ok(Err(SessionError::Eval(EvalError::Interrupted(trip)))) => {
-            governor::note_trip(trip);
-            Err(ServerError::from_trip(trip))
-        }
+        Ok(Err(SessionError::Eval(EvalError::Interrupted(trip)))) => Err(stopped(trip)),
         Ok(Err(e)) => {
             // An ordinary query error: the query *completed*, with a
             // diagnosis. The session stays healthy.
-            governor::note_query_completed();
+            metrics::add(Counter::QueriesCompleted, 1);
             Err(ServerError::Query(e.to_string()))
         }
         Err(payload) => {
@@ -1286,7 +1209,7 @@ fn run_eval(
             // next query on this worker starts at depth zero.
             machiavelli_trace::abort_query();
             slot.poisoned = true;
-            governor::note_session_panicked();
+            metrics::add(Counter::SessionsPanicked, 1);
             Err(ServerError::SessionPanicked(panic_message(
                 payload.as_ref(),
             )))

@@ -332,7 +332,7 @@ pub fn serve_connection_with_limit<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{ServerConfig, ServerRole};
+    use crate::server::{AckState, ServerConfig, ServerRole};
     use machiavelli_value::faults::FaultConfig;
 
     fn quiet_server() -> Server {
@@ -507,5 +507,26 @@ mod tests {
             lines[1]
         );
         assert_eq!(lines[2], "OK sids 1 1");
+    }
+
+    #[test]
+    fn acks_are_kept_only_for_live_sessions() {
+        let server = quiet_server();
+        // Any connection can send any sid: the reply stays `OK ack`,
+        // but nothing is remembered for sessions never opened.
+        let script: String = (1..=10_000u64)
+            .map(|sid| format!("ACK {sid} 0 0\n"))
+            .collect();
+        let lines = drive(&server, &script);
+        assert_eq!(lines.len(), 10_000);
+        assert_eq!(lines[41], "OK ack 42");
+        assert!((1..=10_000).all(|sid| server.acked(sid).is_none()));
+
+        // ack → close → the entry goes with the session.
+        let lines = drive(&server, "OPEN\nACK 1 3 7\n");
+        assert_eq!(lines, ["OK 1", "OK ack 1"]);
+        assert_eq!(server.acked(1), Some(AckState { gen: 3, groups: 7 }));
+        assert_eq!(drive(&server, "CLOSE 1\n"), ["OK closed 1"]);
+        assert_eq!(server.acked(1), None);
     }
 }

@@ -11,13 +11,13 @@
 //! * the shared index tier builds each hot index **once** across
 //!   sessions, and recovers from a lock poisoned mid-publish.
 //!
-//! The tests share process-global counters (governor, shared tier,
-//! injected faults), so every test serializes on [`SERIAL`] and resets
-//! the counters it asserts on.
+//! The tests share the process-global counter registry and shared
+//! tier, so every test serializes on [`SERIAL`] and starts from a zeroed
+//! registry.
 
 use machiavelli_server::faults::{FaultConfig, INJECTED_PANIC_PREFIX};
 use machiavelli_server::{QueryGuard, Server, ServerConfig, ServerError, ServerRole};
-use machiavelli_value::governor;
+use machiavelli_trace::metrics::{self, Counter};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -43,8 +43,7 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 fn reset_counters() {
-    governor::reset_server_counters();
-    machiavelli_server::faults::reset_injected_faults();
+    metrics::reset(Counter::ALL);
     machiavelli_store::shared::reset_shared();
 }
 
@@ -134,8 +133,8 @@ fn injected_panic_poisons_only_its_session() {
         .expect("poisoned sessions can close");
 
     let stats = server.stats();
-    assert_eq!(stats.counters.sessions_panicked, 1, "{stats}");
-    assert!(stats.injected.eval_panics >= 1, "{:?}", stats.injected);
+    assert_eq!(stats.metrics.get(Counter::SessionsPanicked), 1, "{stats}");
+    assert!(stats.metrics.get(Counter::FaultEvalPanics) >= 1);
     server.shutdown();
 }
 
@@ -177,7 +176,7 @@ fn deadlines_trip_before_and_during_evaluation() {
         .expect("admit")
         .wait();
     assert!(probe.is_ok(), "{probe:?}");
-    assert!(server.stats().counters.deadlines_hit >= 2);
+    assert!(metrics::get(Counter::QueriesDeadline) >= 2);
     server.shutdown();
 }
 
@@ -193,7 +192,7 @@ fn cancellation_stops_an_in_flight_query() {
     pending.cancel();
     assert_eq!(pending.wait(), Err(ServerError::Cancelled));
     assert!(server.eval(sid, "2;").is_ok(), "session survives");
-    assert!(server.stats().counters.queries_cancelled >= 1);
+    assert!(metrics::get(Counter::QueriesCancelled) >= 1);
     server.shutdown();
 }
 
@@ -210,7 +209,7 @@ fn row_budget_is_a_ceiling_even_on_the_final_set() {
         .wait();
     assert_eq!(out, Err(ServerError::RowBudgetExceeded));
     assert!(server.eval(sid, "3;").is_ok(), "session survives");
-    assert!(server.stats().counters.row_budgets_hit >= 1);
+    assert!(metrics::get(Counter::QueriesRowBudget) >= 1);
     server.shutdown();
 }
 
@@ -232,7 +231,7 @@ fn admission_control_sheds_with_busy() {
     let p2 = server.submit(sid, "1;").expect("admit p2");
     // ...and p3 is shed at the door.
     assert_eq!(server.submit(sid, "2;").err(), Some(ServerError::Busy));
-    assert!(server.stats().counters.queries_shed >= 1);
+    assert!(metrics::get(Counter::QueriesShed) >= 1);
     // Shedding lost nothing that was admitted: cancel the grinder and
     // the queued query still completes.
     p1.cancel();
@@ -262,22 +261,23 @@ fn shared_tier_builds_each_hot_index_once_across_sessions() {
     server.eval(first, &indexed_setup()).expect("setup");
     let out = server.eval(first, INDEXED_QUERY).expect("query");
     assert_eq!(out, vec![r#"val it = {30, 70} : {int}"#.to_string()]);
-    let after_first = server.stats().shared;
-    assert!(after_first.publishes >= 1, "{after_first:?}");
+    let published = metrics::get(Counter::SharedPublishes);
+    assert!(published >= 1);
 
     for &sid in &sessions[1..] {
         server.eval(sid, &indexed_setup()).expect("setup");
         let out = server.eval(sid, INDEXED_QUERY).expect("query");
         assert_eq!(out, vec![r#"val it = {30, 70} : {int}"#.to_string()]);
     }
-    let stats = server.stats().shared;
+    let stats = server.stats();
     assert_eq!(
-        stats.publishes, after_first.publishes,
-        "later sessions adopt, they never rebuild: {stats:?}"
+        stats.metrics.get(Counter::SharedPublishes),
+        published,
+        "later sessions adopt, they never rebuild: {stats}"
     );
     assert!(
-        stats.adoptions >= (sessions.len() - 1) as u64,
-        "every later session adopts the shared index: {stats:?}"
+        stats.metrics.get(Counter::SharedAdoptions) >= (sessions.len() - 1) as u64,
+        "every later session adopts the shared index: {stats}"
     );
     server.shutdown();
 }
@@ -322,11 +322,10 @@ fn poisoned_shared_lock_recovers_for_later_sessions() {
     assert_eq!(out, vec![r#"val it = {30, 70} : {int}"#.to_string()]);
     let stats = server.stats();
     assert!(
-        stats.shared.lock_recoveries >= 1,
-        "recovery is counted: {:?}",
-        stats.shared
+        stats.metrics.get(Counter::SharedLockRecoveries) >= 1,
+        "recovery is counted: {stats}"
     );
-    assert!(stats.injected.store_poisons >= 1, "{:?}", stats.injected);
+    assert!(stats.metrics.get(Counter::FaultStorePoisons) >= 1);
     server.shutdown();
 }
 
@@ -419,9 +418,10 @@ fn chaos_storm_100_sessions_stays_live() {
     }
 
     let stats = server.stats();
-    assert_eq!(stats.counters.sessions_started, 100, "{stats}");
+    assert_eq!(stats.metrics.get(Counter::SessionsStarted), 100, "{stats}");
     assert_eq!(
-        stats.counters.sessions_panicked, panicked,
+        stats.metrics.get(Counter::SessionsPanicked),
+        panicked,
         "every panic was reported to exactly one client: {stats}"
     );
     assert!(oks > 0, "the storm still made progress");
@@ -441,6 +441,6 @@ fn chaos_storm_100_sessions_stays_live() {
         server.eval(fresh, "6 * 7;").expect("server is live"),
         vec!["val it = 42 : int".to_string()]
     );
-    assert_eq!(server.stats().counters.sessions_closed, 100);
+    assert_eq!(metrics::get(Counter::SessionsClosed), 100);
     server.shutdown();
 }

@@ -3,10 +3,11 @@
 //! text exposition including a query-latency histogram.
 //!
 //! This file is its own test binary, so its process-global counters
-//! (governor, latency histogram, decline counts) are isolated from the
+//! (the metrics registry, the latency histogram) are isolated from the
 //! chaos suite; the single test below owns them outright.
 
 use machiavelli_server::faults::FaultConfig;
+use machiavelli_server::wire::unescape_line;
 use machiavelli_server::{serve_connection, Server, ServerConfig, ServerRole};
 
 fn quiet_config() -> ServerConfig {
@@ -20,28 +21,6 @@ fn quiet_config() -> ServerConfig {
         durable_root: None,
         role: ServerRole::Primary,
     }
-}
-
-/// Reverse of the wire layer's `one_line` escaping.
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
 }
 
 /// Every non-comment line must be `name[{labels}] value` with a
@@ -66,6 +45,47 @@ fn parse_exposition(text: &str) -> Vec<(String, f64)> {
     }
     samples
 }
+
+/// Every series name (labels stripped) the exposition of a non-durable
+/// server emitted at the commit before the counter registry — what
+/// scrapers (`machibench` among them) key on. Sorted. A durable server
+/// adds the per-session gauge `machiavelli_repl_lag_groups`, which
+/// `replication_wire.rs` reads.
+const PINNED_SERIES: [&str; 33] = [
+    "machiavelli_declines_total",
+    "machiavelli_queries_cancelled_total",
+    "machiavelli_queries_completed_total",
+    "machiavelli_queries_deadline_total",
+    "machiavelli_queries_row_budget_total",
+    "machiavelli_queries_shed_total",
+    "machiavelli_query_latency_seconds_bucket",
+    "machiavelli_query_latency_seconds_count",
+    "machiavelli_query_latency_seconds_sum",
+    "machiavelli_queue_depth",
+    "machiavelli_repl_acks_lost_total",
+    "machiavelli_repl_acks_total",
+    "machiavelli_repl_groups_applied_total",
+    "machiavelli_repl_promotions_total",
+    "machiavelli_repl_role",
+    "machiavelli_repl_ship_bytes_total",
+    "machiavelli_repl_ships_total",
+    "machiavelli_repl_snap_transfers_total",
+    "machiavelli_repl_stale_rejected_total",
+    "machiavelli_sessions_closed_total",
+    "machiavelli_sessions_panicked_total",
+    "machiavelli_sessions_started_total",
+    "machiavelli_shared_adoptions_total",
+    "machiavelli_shared_hit_ratio",
+    "machiavelli_shared_lock_recoveries_total",
+    "machiavelli_shared_misses_total",
+    "machiavelli_shared_publishes_total",
+    "machiavelli_wal_bytes_logged_total",
+    "machiavelli_wal_checkpoints_total",
+    "machiavelli_wal_commits_total",
+    "machiavelli_wal_records_appended_total",
+    "machiavelli_wal_recoveries_total",
+    "machiavelli_wal_torn_tails_truncated_total",
+];
 
 fn sample(samples: &[(String, f64)], name: &str) -> f64 {
     samples
@@ -111,7 +131,7 @@ fn metrics_exposition_after_hundred_query_run() {
     assert!(metrics_line.starts_with("OK "), "{metrics_line}");
     assert_eq!(lines.next(), Some("OK bye"));
 
-    let text = unescape(&metrics_line[3..]);
+    let text = unescape_line(&metrics_line[3..]);
     let samples = parse_exposition(&text);
 
     // Histogram: cumulative buckets are monotonically non-decreasing,
@@ -177,4 +197,31 @@ fn metrics_exposition_after_hundred_query_run() {
         machiavelli_trace::DeclineReason::COUNT,
         "one line per decline reason:\n{text}"
     );
+
+    // Name stability: every pinned series is still emitted, and the
+    // only new ones are registry rows that were never rendered before —
+    // the injected-fault tallies and the shared tier's evicted/cleared.
+    let mut emitted: Vec<&str> = samples
+        .iter()
+        .map(|(n, _)| n.split('{').next().unwrap())
+        .collect();
+    emitted.sort_unstable();
+    emitted.dedup();
+    for name in PINNED_SERIES {
+        assert!(emitted.contains(&name), "series {name} disappeared");
+    }
+    let added: Vec<&str> = emitted
+        .iter()
+        .copied()
+        .filter(|n| !PINNED_SERIES.contains(n))
+        .collect();
+    assert_eq!(added.len(), 14, "{added:?}");
+    for name in added {
+        assert!(
+            name.starts_with("machiavelli_fault_")
+                || name == "machiavelli_shared_evicted_total"
+                || name == "machiavelli_shared_cleared_total",
+            "unexpected new series {name}"
+        );
+    }
 }

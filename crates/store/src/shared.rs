@@ -45,46 +45,25 @@
 //! fault injection, and in principle under real bugs) poisons the
 //! mutex. Every acquisition goes through [`lock_tier`], which clears
 //! the poison, drops all entries (the interrupted write may have left a
-//! half-updated map), and counts a `lock_recoveries` — so the tier
-//! self-heals and subsequent sessions rebuild instead of erroring
-//! forever. The [`faults::store_poison_due`] fail point injects exactly
+//! half-updated map), and counts a `SharedLockRecoveries` — so the
+//! tier self-heals and subsequent sessions rebuild instead of erroring
+//! forever. The [`FaultPoint::StorePoison`] fail point injects exactly
 //! this panic mid-write.
 //!
 //! The tier is **off by default** (thread-local toggle, like
 //! `store_enabled`): a standalone REPL behaves exactly as before, and
 //! the server enables it on its worker threads.
 
+use machiavelli_trace::metrics::{self, Counter};
+use machiavelli_value::faults::{self, FaultPoint};
 use machiavelli_value::plain::{plain_matches_value, PlainIndex};
-use machiavelli_value::{faults, hash_value, MSet};
+use machiavelli_value::{hash_value, MSet};
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// Cumulative statistics of the shared tier, surfaced through
-/// `Session::server_stats` and the wire `:stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedStats {
-    /// Snapshots published by some session's build.
-    pub publishes: u64,
-    /// Lookups served to a *different* storage by content address
-    /// (verification passed; the adopting session skipped its build).
-    pub adoptions: u64,
-    /// Adoption attempts that found no (or an unverifiable) entry.
-    pub misses: u64,
-    /// Entries dropped by the LRU row budget.
-    pub evicted: u64,
-    /// Entries dropped by an unattributed-write clear.
-    pub cleared: u64,
-    /// Times the tier lock was found poisoned and recovered.
-    pub lock_recoveries: u64,
-    /// Live entries right now.
-    pub entries: usize,
-    /// Total relation rows held by live entries.
-    pub cached_rows: usize,
-}
 
 struct SharedEntry {
     index: Arc<PlainIndex>,
@@ -98,7 +77,6 @@ struct SharedTier {
     budget_rows: usize,
     cached_rows: usize,
     tick: u64,
-    stats: SharedStats,
 }
 
 impl SharedTier {
@@ -108,11 +86,12 @@ impl SharedTier {
             budget_rows: shared_budget_rows(),
             cached_rows: 0,
             tick: 0,
-            stats: SharedStats::default(),
         }
     }
 
+    /// Drop every entry, counting them as cleared.
     fn clear_entries(&mut self) {
+        metrics::add(Counter::SharedCleared, self.entries.len() as u64);
         self.entries.clear();
         self.cached_rows = 0;
     }
@@ -133,7 +112,7 @@ impl SharedTier {
             }
             if let Some(e) = self.entries.remove(&key) {
                 self.cached_rows -= e.charge;
-                self.stats.evicted += 1;
+                metrics::add(Counter::SharedEvicted, 1);
             }
         }
     }
@@ -185,17 +164,13 @@ fn lock_tier() -> MutexGuard<'static, SharedTier> {
         Err(poisoned) => {
             mutex.clear_poison();
             let mut guard = poisoned.into_inner();
-            let dropped = guard.entries.len() as u64;
             guard.clear_entries();
-            guard.stats.cleared += dropped;
-            guard.stats.lock_recoveries += 1;
+            metrics::add(Counter::SharedLockRecoveries, 1);
             guard
         }
     };
     if PENDING_CLEAR.swap(false, Ordering::AcqRel) {
-        let dropped = tier.entries.len() as u64;
         tier.clear_entries();
-        tier.stats.cleared += dropped;
     }
     tier
 }
@@ -233,7 +208,7 @@ pub fn publish(content: u64, fingerprint: &str, index: &Arc<PlainIndex>, charge:
     // The fail point sits mid-write: the entry is in the map but the
     // row accounting has not happened yet — a genuinely torn state the
     // poison recovery must be able to discard.
-    let poison_due = faults::store_poison_due();
+    let poison_due = faults::fire(FaultPoint::StorePoison);
     if let Some(old) = tier.entries.insert(
         key,
         SharedEntry {
@@ -252,7 +227,7 @@ pub fn publish(content: u64, fingerprint: &str, index: &Arc<PlainIndex>, charge:
         );
     }
     tier.cached_rows += charge;
-    tier.stats.publishes += 1;
+    metrics::add(Counter::SharedPublishes, 1);
 }
 
 /// Look up a snapshot for `set` by content address and **verify** it
@@ -274,7 +249,7 @@ pub fn adopt(content: u64, fingerprint: &str, set: &MSet) -> Option<Arc<PlainInd
                 Some(entry.index.clone())
             }
             None => {
-                tier.stats.misses += 1;
+                metrics::add(Counter::SharedMisses, 1);
                 None
             }
         }
@@ -288,12 +263,10 @@ pub fn adopt(content: u64, fingerprint: &str, set: &MSet) -> Option<Arc<PlainInd
             .zip(index.rows.iter())
             .all(|(v, p)| plain_matches_value(p, v));
     if !verified {
-        let mut tier = lock_tier();
-        tier.stats.misses += 1;
+        metrics::add(Counter::SharedMisses, 1);
         return None;
     }
-    let mut tier = lock_tier();
-    tier.stats.adoptions += 1;
+    metrics::add(Counter::SharedAdoptions, 1);
     Some(index)
 }
 
@@ -306,22 +279,23 @@ pub fn note_unattributed_write() {
     PENDING_CLEAR.store(true, Ordering::Release);
 }
 
-/// Snapshot the shared tier's statistics.
-pub fn shared_stats() -> SharedStats {
-    let tier = lock_tier();
-    SharedStats {
-        entries: tier.entries.len(),
-        cached_rows: tier.cached_rows,
-        ..tier.stats
-    }
-}
+/// The tier's rows of the metrics registry.
+const COUNTERS: [Counter; 6] = [
+    Counter::SharedPublishes,
+    Counter::SharedAdoptions,
+    Counter::SharedMisses,
+    Counter::SharedEvicted,
+    Counter::SharedCleared,
+    Counter::SharedLockRecoveries,
+];
 
-/// Drop all entries and zero the statistics (tests and bench setup).
+/// Drop all entries and zero the tier's counters (tests and bench
+/// setup).
 pub fn reset_shared() {
     let mut tier = lock_tier();
     tier.clear_entries();
-    tier.stats = SharedStats::default();
     PENDING_CLEAR.store(false, Ordering::Release);
+    metrics::reset(&COUNTERS);
 }
 
 #[cfg(test)]
@@ -376,8 +350,15 @@ mod tests {
             assert_ne!(a.storage_id(), b.storage_id());
             let adopted = adopt(content_hash(&b), "fp:k", &b).expect("content matches");
             assert!(Arc::ptr_eq(&adopted, &idx), "the very same snapshot");
-            let s = shared_stats();
-            assert_eq!((s.publishes, s.adoptions, s.entries), (1, 1, 1));
+            let m = metrics::snapshot();
+            assert_eq!(
+                (
+                    m.get(Counter::SharedPublishes),
+                    m.get(Counter::SharedAdoptions),
+                    lock_tier().entries.len()
+                ),
+                (1, 1, 1)
+            );
         });
     }
 
@@ -391,7 +372,7 @@ mod tests {
             let other = ints(&[1, 2, 3]);
             assert!(adopt(content_hash(&other), "fp:k", &other).is_none());
             assert!(adopt(content_hash(&a), "fp:other", &a).is_none());
-            assert_eq!(shared_stats().misses, 2);
+            assert_eq!(metrics::get(Counter::SharedMisses), 2);
         });
     }
 
@@ -425,9 +406,12 @@ mod tests {
             let b = ints(&[4, 5, 6]);
             publish(content_hash(&a), "fp", &plain_index_for(&a), 3);
             publish(content_hash(&b), "fp", &plain_index_for(&b), 3);
-            let s = shared_stats();
-            assert_eq!(s.entries, 1, "budget 5 holds one 3-row entry");
-            assert_eq!(s.evicted, 1);
+            assert_eq!(
+                lock_tier().entries.len(),
+                1,
+                "budget 5 holds one 3-row entry"
+            );
+            assert_eq!(metrics::get(Counter::SharedEvicted), 1);
             assert!(
                 adopt(content_hash(&b), "fp", &b).is_some(),
                 "newest survives"
@@ -445,12 +429,11 @@ mod tests {
             reset_shared();
             let a = ints(&[7, 8]);
             publish(content_hash(&a), "fp", &plain_index_for(&a), 2);
-            assert_eq!(shared_stats().entries, 1);
+            assert_eq!(lock_tier().entries.len(), 1);
             note_unattributed_write();
             assert!(adopt(content_hash(&a), "fp", &a).is_none(), "tier cleared");
-            let s = shared_stats();
-            assert_eq!(s.entries, 0);
-            assert!(s.cleared >= 1);
+            assert_eq!(lock_tier().entries.len(), 0);
+            assert!(metrics::get(Counter::SharedCleared) >= 1);
         });
     }
 
@@ -473,13 +456,12 @@ mod tests {
             assert!(caught.is_err(), "poison fault must panic mid-write");
             // The next session recovers: poison cleared, entries
             // dropped, counter tells the story — and the tier works.
-            let s = shared_stats();
-            assert_eq!(s.lock_recoveries, 1);
-            assert_eq!(s.entries, 0);
+            assert_eq!(lock_tier().entries.len(), 0);
+            assert_eq!(metrics::get(Counter::SharedLockRecoveries), 1);
             publish(content_hash(&a), "fp", &idx, a.len());
             assert!(adopt(content_hash(&a), "fp", &a).is_some());
             assert_eq!(
-                shared_stats().lock_recoveries,
+                metrics::get(Counter::SharedLockRecoveries),
                 1,
                 "recovered once, stayed live"
             );

@@ -1,7 +1,8 @@
 //! **Query tracing for the Machiavelli engine** — a zero-cost-when-off,
 //! thread-local trace of what the physical pipeline actually did, plus
-//! the engine-wide **decline taxonomy** and the process-wide query
-//! latency histogram the server's `METRICS` verb exposes.
+//! the engine-wide **decline taxonomy**, the process-wide **counter
+//! registry** ([`metrics`]) and the query latency histogram the server's
+//! `METRICS` verb exposes.
 //!
 //! The engine has three execution lanes (interpreted `select_loop`,
 //! sequential planner pipeline, plain-key parallel join probes) that
@@ -24,7 +25,8 @@
 //!   [`note_decline`], not just a bare counter bump. Decline counts are
 //!   kept **twice**: per-session (thread-local, reset with the other
 //!   session stats — `Session::stats` / `reset_stats`) and
-//!   process-wide (atomics, feeding `METRICS` across server workers).
+//!   process-wide (in the [`metrics`] registry, feeding `METRICS`
+//!   across server workers).
 //!   Decline accounting is *always on*; only span attachment is gated
 //!   on tracing. Declines fire at most once per runtime fallback that
 //!   the existing lane counters already count as a fallback — static
@@ -50,6 +52,8 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
+
+pub mod metrics;
 
 // --- enable / disable ------------------------------------------------------
 
@@ -402,80 +406,68 @@ pub fn annotate_rows(sid: Option<u32>, rows: u64) {
 
 // --- decline taxonomy ------------------------------------------------------
 
-/// Why an execution left its preferred lane: the engine-wide typed
-/// fallback taxonomy. Every variant corresponds to a runtime fallback
-/// the aggregate lane counters count — static ineligibility (lane
-/// disabled, sub-threshold input, shape not eligible) never emits one.
-/// `docs/OBSERVABILITY.md` catalogues each variant with its emission
-/// site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DeclineReason {
+macro_rules! decline_reasons {
+    ($($(#[$doc:meta])* $variant:ident => $code:literal,)*) => {
+        /// Why an execution left its preferred lane: the engine-wide typed
+        /// fallback taxonomy. Every variant corresponds to a runtime fallback
+        /// the aggregate lane counters count — static ineligibility (lane
+        /// disabled, sub-threshold input, shape not eligible) never emits one.
+        /// `docs/OBSERVABILITY.md` catalogues each variant with its emission
+        /// site.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum DeclineReason {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl DeclineReason {
+            /// Number of variants (sizes the count arrays).
+            pub const COUNT: usize = [$($code,)*].len();
+
+            /// Every variant, in stable rendering order.
+            pub const ALL: [DeclineReason; DeclineReason::COUNT] =
+                [$(DeclineReason::$variant,)*];
+
+            /// Stable machine-readable code (the `reason` label in
+            /// `METRICS` and the name `:analyze` prints).
+            pub fn code(self) -> &'static str {
+                match self {
+                    $(DeclineReason::$variant => $code,)*
+                }
+            }
+
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
+decline_reasons! {
     /// Planner: the comprehension has no generators to plan.
-    PlannerNoGenerators,
+    PlannerNoGenerators => "planner-no-generators",
     /// Planner: two generators bind the same variable.
-    PlannerDuplicateBinder,
+    PlannerDuplicateBinder => "planner-duplicate-binder",
     /// Planner: a dependent generator's source could observe
     /// reordering (not provably safe to hoist).
-    PlannerUnsafeDependentSource,
+    PlannerUnsafeDependentSource => "planner-unsafe-dependent-source",
     /// Planner: a predicate conjunct could observe evaluation order.
-    PlannerUnsafeConjunct,
+    PlannerUnsafeConjunct => "planner-unsafe-conjunct",
     /// Plain-key join: a build- or probe-side key (or a pushed build
     /// filter) declined plain extraction.
-    ParJoinExtract,
+    ParJoinExtract => "par-join-extract",
     /// Plain-key join: the probe drain hit its memory cap before the
     /// input was exhausted.
-    ParJoinDrainCap,
+    ParJoinDrainCap => "par-join-drain-cap",
     /// Parallel `hom`: capture or element extraction declined (or a
     /// worker fold was poisoned).
-    ParHomExtract,
+    ParHomExtract => "par-hom-extract",
     /// Index store: the index exceeded the row budget and was returned
     /// un-cached.
-    StoreOverBudget,
+    StoreOverBudget => "store-over-budget",
     /// Index store: the index held identity-bearing values and could
     /// only be kept in session-local `Rc` form (not shareable, no
     /// parallel probes).
-    StoreRcOnly,
-}
-
-impl DeclineReason {
-    /// Number of variants (sizes the count arrays).
-    pub const COUNT: usize = 9;
-
-    /// Every variant, in stable rendering order.
-    pub const ALL: [DeclineReason; DeclineReason::COUNT] = [
-        DeclineReason::PlannerNoGenerators,
-        DeclineReason::PlannerDuplicateBinder,
-        DeclineReason::PlannerUnsafeDependentSource,
-        DeclineReason::PlannerUnsafeConjunct,
-        DeclineReason::ParJoinExtract,
-        DeclineReason::ParJoinDrainCap,
-        DeclineReason::ParHomExtract,
-        DeclineReason::StoreOverBudget,
-        DeclineReason::StoreRcOnly,
-    ];
-
-    /// Stable machine-readable code (the `reason` label in `METRICS`
-    /// and the name `:analyze` prints).
-    pub fn code(self) -> &'static str {
-        match self {
-            DeclineReason::PlannerNoGenerators => "planner-no-generators",
-            DeclineReason::PlannerDuplicateBinder => "planner-duplicate-binder",
-            DeclineReason::PlannerUnsafeDependentSource => "planner-unsafe-dependent-source",
-            DeclineReason::PlannerUnsafeConjunct => "planner-unsafe-conjunct",
-            DeclineReason::ParJoinExtract => "par-join-extract",
-            DeclineReason::ParJoinDrainCap => "par-join-drain-cap",
-            DeclineReason::ParHomExtract => "par-hom-extract",
-            DeclineReason::StoreOverBudget => "store-over-budget",
-            DeclineReason::StoreRcOnly => "store-rc-only",
-        }
-    }
-
-    fn index(self) -> usize {
-        DeclineReason::ALL
-            .iter()
-            .position(|&r| r == self)
-            .expect("variant listed in ALL")
-    }
+    StoreRcOnly => "store-rc-only",
 }
 
 impl std::fmt::Display for DeclineReason {
@@ -484,16 +476,12 @@ impl std::fmt::Display for DeclineReason {
     }
 }
 
-static GLOBAL_DECLINES: [AtomicU64; DeclineReason::COUNT] =
-    [const { AtomicU64::new(0) }; DeclineReason::COUNT];
-
 /// Report a typed runtime fallback. Always counts (session-local and
 /// process-wide) regardless of tracing; additionally attaches the code
 /// to the innermost open span (or the query) when a trace is active.
 pub fn note_decline(reason: DeclineReason) {
-    let i = reason.index();
-    GLOBAL_DECLINES[i].fetch_add(1, Ordering::Relaxed);
-    DECLINES.with(|d| d.borrow_mut()[i] += 1);
+    metrics::add_decline(reason);
+    DECLINES.with(|d| d.borrow_mut()[reason.index()] += 1);
     if active() {
         TRACER.with(|t| {
             let mut t = t.borrow_mut();
@@ -521,15 +509,6 @@ pub fn session_declines() -> Vec<(DeclineReason, u64)> {
 /// reset; the process-wide totals are untouched).
 pub fn reset_session_declines() {
     DECLINES.with(|d| *d.borrow_mut() = [0; DeclineReason::COUNT]);
-}
-
-/// Process-wide decline totals across every thread (the `METRICS`
-/// feed), one entry per variant in [`DeclineReason::ALL`] order.
-pub fn global_declines() -> Vec<(DeclineReason, u64)> {
-    DeclineReason::ALL
-        .iter()
-        .map(|&r| (r, GLOBAL_DECLINES[r.index()].load(Ordering::Relaxed)))
-        .collect()
 }
 
 // --- query latency histogram -----------------------------------------------
@@ -686,10 +665,7 @@ mod tests {
         assert_eq!(get(DeclineReason::StoreRcOnly), 1);
         assert_eq!(get(DeclineReason::ParJoinExtract), 1);
         assert_eq!(get(DeclineReason::PlannerUnsafeConjunct), 1);
-        assert!(global_declines()
-            .iter()
-            .find(|(c, _)| *c == DeclineReason::StoreRcOnly)
-            .is_some_and(|(_, n)| *n >= 1));
+        assert!(metrics::snapshot().decline(DeclineReason::StoreRcOnly) >= 1);
         reset_session_declines();
         assert!(session_declines().iter().all(|(_, n)| *n == 0));
     }

@@ -1,22 +1,10 @@
 //! **Seeded fault injection** — the chaos harness behind the server's
 //! resilience tests and `server_bench`'s degradation runs.
 //!
-//! Every fail point in the workspace funnels through this module:
-//!
-//! | site | effect | env (probability, ppm) |
-//! |---|---|---|
-//! | [`maybe_eval_panic`] | panic inside the evaluator tick | `MACHIAVELLI_FAULT_EVAL_PANIC_PPM` |
-//! | [`maybe_worker_panic`] | panic at the start of a parallel chunk | `MACHIAVELLI_FAULT_WORKER_PANIC_PPM` |
-//! | [`spawn_denied`] | report a worker-spawn failure | `MACHIAVELLI_FAULT_SPAWN_FAIL_PPM` |
-//! | [`maybe_delay`] | sleep at the evaluator tick (forces deadline overruns) | `MACHIAVELLI_FAULT_DELAY_PPM` + `MACHIAVELLI_FAULT_DELAY_MS` |
-//! | [`store_poison_due`] | panic while holding the shared store lock | `MACHIAVELLI_FAULT_STORE_POISON_PPM` |
-//! | [`wal_torn_due`] | truncate a WAL append mid-record (torn write) | `MACHIAVELLI_FAULT_WAL_TORN_PPM` |
-//! | [`wal_sync_fails`] | report a WAL sync (fsync) failure | `MACHIAVELLI_FAULT_WAL_SYNC_FAIL_PPM` |
-//! | [`checkpoint_kill_due`] | abort a checkpoint between its steps | `MACHIAVELLI_FAULT_CHECKPOINT_KILL_PPM` |
-//! | [`ship_disconnect_due`] | cut a replication chunk mid-stream (torn ship) | `MACHIAVELLI_FAULT_SHIP_DISCONNECT_PPM` |
-//! | [`ack_loss_due`] | drop a follower's ack on the floor | `MACHIAVELLI_FAULT_ACK_LOSS_PPM` |
-//! | [`follower_kill_due`] | kill a follower between pump rounds | `MACHIAVELLI_FAULT_FOLLOWER_KILL_PPM` |
-//! | [`promote_during_catchup_due`] | promote while a catch-up is in flight | `MACHIAVELLI_FAULT_PROMOTE_CATCHUP_PPM` |
+//! Every fail point in the workspace is one row of the [`FaultPoint`]
+//! table below and is rolled through [`fire`]; what each one attacks,
+//! its `FaultConfig` field and its environment variable are documented
+//! once, in `docs/RESILIENCE.md` ("Fault injection").
 //!
 //! Probabilities are **parts per million** so low rates stay integral.
 //! Randomness is a per-thread xorshift stream derived from the config
@@ -31,103 +19,130 @@
 //! env-derived process config read once. With nothing configured every
 //! fail point is a single thread-local load.
 //!
-//! All *injected* faults panic with messages prefixed
-//! `"injected fault:"` and are tallied in [`InjectedFaults`], so the
-//! chaos suite can assert that observed structured errors match what
-//! the harness actually threw.
+//! All *injected* panics carry messages prefixed `"injected fault:"`,
+//! and every fault that fires is tallied in the metrics registry
+//! ([`FaultPoint::tally`]), so the chaos suite can assert that observed
+//! structured errors match what the harness actually threw.
 
+use machiavelli_trace::metrics::{self, Counter};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Probabilities (parts per million) and knobs for every fail point.
-/// `Copy` so it can live in a `Cell` and be shipped to worker threads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultConfig {
-    /// Panic probability at the evaluator tick.
-    pub eval_panic_ppm: u32,
-    /// Panic probability at the start of each parallel chunk.
-    pub worker_panic_ppm: u32,
-    /// Probability that a worker spawn is reported as failed.
-    pub spawn_fail_ppm: u32,
-    /// Probability of an injected sleep at the evaluator tick.
-    pub delay_ppm: u32,
-    /// Length of the injected sleep, in milliseconds.
-    pub delay_ms: u64,
-    /// Probability of panicking while holding the shared store lock.
-    pub store_poison_ppm: u32,
-    /// Probability that a WAL append is torn (only a prefix reaches
-    /// the file — a simulated kill mid-`write`).
-    pub wal_torn_ppm: u32,
-    /// Probability that a WAL sync (fsync) reports failure.
-    pub wal_sync_fail_ppm: u32,
-    /// Probability that a checkpoint is killed between its steps.
-    pub checkpoint_kill_ppm: u32,
-    /// Probability that a shipped replication chunk is cut mid-stream
-    /// (only a prefix reaches the follower — a simulated disconnect).
-    pub ship_disconnect_ppm: u32,
-    /// Probability that a follower's ack is lost before the primary
-    /// records it.
-    pub ack_loss_ppm: u32,
-    /// Probability that a follower is killed between pump rounds.
-    pub follower_kill_ppm: u32,
-    /// Probability that a promotion lands while a catch-up is mid-flight.
-    pub promote_catchup_ppm: u32,
-    /// Base seed for the per-thread fault streams.
-    pub seed: u64,
+/// One row per fail point: the variant, its `FaultConfig` probability
+/// field, the environment variable that sets it, and the registry
+/// counter that tallies its injections.
+macro_rules! fail_points {
+    ($($(#[$doc:meta])* $point:ident, $field:ident, $env:literal, $tally:ident;)*) => {
+        /// A place where the harness can inject a failure.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum FaultPoint {
+            $($(#[$doc])* $point,)*
+        }
+
+        /// Probabilities (parts per million) and knobs for every fail
+        /// point. `Copy` so it can live in a `Cell` and be shipped to
+        /// worker threads.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct FaultConfig {
+            $($(#[$doc])* pub $field: u32,)*
+            /// Length of the `delay_ppm` sleep, in milliseconds.
+            pub delay_ms: u64,
+            /// Base seed for the per-thread fault streams.
+            pub seed: u64,
+        }
+
+        impl FaultPoint {
+            /// Every fail point, in table order.
+            pub const ALL: &'static [FaultPoint] = &[$(FaultPoint::$point,)*];
+
+            /// The environment variable holding this point's ppm.
+            const fn env(self) -> &'static str {
+                match self {
+                    $(FaultPoint::$point => $env,)*
+                }
+            }
+
+            /// The registry counter tallying this point's injections.
+            pub const fn tally(self) -> Counter {
+                match self {
+                    $(FaultPoint::$point => Counter::$tally,)*
+                }
+            }
+        }
+
+        impl FaultConfig {
+            /// No faults at all (the default).
+            pub const fn off() -> FaultConfig {
+                FaultConfig {
+                    $($field: 0,)*
+                    delay_ms: 0,
+                    seed: 0,
+                }
+            }
+
+            /// The probability configured for `point`.
+            pub fn ppm(&self, point: FaultPoint) -> u32 {
+                match point {
+                    $(FaultPoint::$point => self.$field,)*
+                }
+            }
+
+            fn ppm_mut(&mut self, point: FaultPoint) -> &mut u32 {
+                match point {
+                    $(FaultPoint::$point => &mut self.$field,)*
+                }
+            }
+        }
+    };
+}
+
+fail_points! {
+    /// Panic at an evaluator tick (a simulated evaluator bug).
+    EvalPanic, eval_panic_ppm, "MACHIAVELLI_FAULT_EVAL_PANIC_PPM", FaultEvalPanics;
+    /// Panic at the start of a parallel chunk.
+    WorkerPanic, worker_panic_ppm, "MACHIAVELLI_FAULT_WORKER_PANIC_PPM", FaultWorkerPanics;
+    /// Report a worker spawn as failed; the caller takes its
+    /// real-OS-decline fallback.
+    SpawnFail, spawn_fail_ppm, "MACHIAVELLI_FAULT_SPAWN_FAIL_PPM", FaultSpawnFailures;
+    /// Sleep `delay_ms` at an evaluator tick (forces deadline overruns).
+    Delay, delay_ppm, "MACHIAVELLI_FAULT_DELAY_PPM", FaultDelays;
+    /// Panic while holding the shared store lock; the store performs
+    /// the panic so it lands mid-write.
+    StorePoison, store_poison_ppm, "MACHIAVELLI_FAULT_STORE_POISON_PPM", FaultStorePoisons;
+    /// Tear a WAL append: only a [`torn_cut`] prefix reaches the file,
+    /// as if the process died mid-`write(2)`.
+    WalTorn, wal_torn_ppm, "MACHIAVELLI_FAULT_WAL_TORN_PPM", FaultWalTornWrites;
+    /// Report a WAL sync as failed: the log must stop trusting its
+    /// unsynced tail.
+    WalSyncFail, wal_sync_fail_ppm, "MACHIAVELLI_FAULT_WAL_SYNC_FAIL_PPM", FaultWalSyncFailures;
+    /// Abort a checkpoint at a step boundary, as if the process died
+    /// there.
+    CheckpointKill, checkpoint_kill_ppm, "MACHIAVELLI_FAULT_CHECKPOINT_KILL_PPM", FaultCheckpointKills;
+    /// Cut a shipped replication chunk mid-stream: only a [`torn_cut`]
+    /// prefix reaches the follower.
+    ShipDisconnect, ship_disconnect_ppm, "MACHIAVELLI_FAULT_SHIP_DISCONNECT_PPM", FaultShipDisconnects;
+    /// Lose a follower's ack before the primary records it.
+    AckLoss, ack_loss_ppm, "MACHIAVELLI_FAULT_ACK_LOSS_PPM", FaultAckLosses;
+    /// Kill the follower between pump rounds (harness).
+    FollowerKill, follower_kill_ppm, "MACHIAVELLI_FAULT_FOLLOWER_KILL_PPM", FaultFollowerKills;
+    /// Land a promotion while a catch-up is in flight (harness).
+    PromoteCatchup, promote_catchup_ppm, "MACHIAVELLI_FAULT_PROMOTE_CATCHUP_PPM", FaultPromoteCatchups;
 }
 
 impl FaultConfig {
-    /// No faults at all (the default).
-    pub const fn off() -> FaultConfig {
-        FaultConfig {
-            eval_panic_ppm: 0,
-            worker_panic_ppm: 0,
-            spawn_fail_ppm: 0,
-            delay_ppm: 0,
-            delay_ms: 0,
-            store_poison_ppm: 0,
-            wal_torn_ppm: 0,
-            wal_sync_fail_ppm: 0,
-            checkpoint_kill_ppm: 0,
-            ship_disconnect_ppm: 0,
-            ack_loss_ppm: 0,
-            follower_kill_ppm: 0,
-            promote_catchup_ppm: 0,
-            seed: 0,
-        }
-    }
-
     /// True when no fail point can ever fire.
     pub fn is_inert(&self) -> bool {
-        self.eval_panic_ppm == 0
-            && self.worker_panic_ppm == 0
-            && self.spawn_fail_ppm == 0
-            && self.delay_ppm == 0
-            && self.store_poison_ppm == 0
-            && self.wal_torn_ppm == 0
-            && self.wal_sync_fail_ppm == 0
-            && self.checkpoint_kill_ppm == 0
-            && self.ship_disconnect_ppm == 0
-            && self.ack_loss_ppm == 0
-            && self.follower_kill_ppm == 0
-            && self.promote_catchup_ppm == 0
+        FaultPoint::ALL.iter().all(|&p| self.ppm(p) == 0)
     }
 }
 
-fn env_u32(var: &str) -> u32 {
+fn env_num<T: std::str::FromStr + Default>(var: &str) -> T {
     std::env::var(var)
         .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-        .unwrap_or(0)
-}
-
-fn env_u64(var: &str) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(0)
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or_default()
 }
 
 /// The process config derived from the environment (`None` when the
@@ -135,27 +150,15 @@ fn env_u64(var: &str) -> u64 {
 fn env_config() -> Option<FaultConfig> {
     static ENV: OnceLock<Option<FaultConfig>> = OnceLock::new();
     *ENV.get_or_init(|| {
-        let cfg = FaultConfig {
-            eval_panic_ppm: env_u32("MACHIAVELLI_FAULT_EVAL_PANIC_PPM"),
-            worker_panic_ppm: env_u32("MACHIAVELLI_FAULT_WORKER_PANIC_PPM"),
-            spawn_fail_ppm: env_u32("MACHIAVELLI_FAULT_SPAWN_FAIL_PPM"),
-            delay_ppm: env_u32("MACHIAVELLI_FAULT_DELAY_PPM"),
-            delay_ms: env_u64("MACHIAVELLI_FAULT_DELAY_MS").max(1),
-            store_poison_ppm: env_u32("MACHIAVELLI_FAULT_STORE_POISON_PPM"),
-            wal_torn_ppm: env_u32("MACHIAVELLI_FAULT_WAL_TORN_PPM"),
-            wal_sync_fail_ppm: env_u32("MACHIAVELLI_FAULT_WAL_SYNC_FAIL_PPM"),
-            checkpoint_kill_ppm: env_u32("MACHIAVELLI_FAULT_CHECKPOINT_KILL_PPM"),
-            ship_disconnect_ppm: env_u32("MACHIAVELLI_FAULT_SHIP_DISCONNECT_PPM"),
-            ack_loss_ppm: env_u32("MACHIAVELLI_FAULT_ACK_LOSS_PPM"),
-            follower_kill_ppm: env_u32("MACHIAVELLI_FAULT_FOLLOWER_KILL_PPM"),
-            promote_catchup_ppm: env_u32("MACHIAVELLI_FAULT_PROMOTE_CATCHUP_PPM"),
-            seed: env_u64("MACHIAVELLI_FAULT_SEED"),
+        let mut cfg = FaultConfig {
+            delay_ms: env_num("MACHIAVELLI_FAULT_DELAY_MS"),
+            seed: env_num("MACHIAVELLI_FAULT_SEED"),
+            ..FaultConfig::off()
         };
-        if cfg.is_inert() {
-            None
-        } else {
-            Some(cfg)
+        for &point in FaultPoint::ALL {
+            *cfg.ppm_mut(point) = env_num(point.env());
         }
+        (!cfg.is_inert()).then_some(cfg)
     })
 }
 
@@ -191,8 +194,8 @@ pub fn fault_config() -> FaultConfig {
         .unwrap_or(FaultConfig::off())
 }
 
-/// True when any fail point could fire on this thread — the cheap gate
-/// the tick sites consult before anything else.
+/// True when any fail point could fire on this thread — what a
+/// coordinator checks before shipping its config to worker threads.
 pub fn faults_active() -> bool {
     match OVERRIDE.with(Cell::get) {
         Some(cfg) => !cfg.is_inert(),
@@ -231,166 +234,45 @@ fn roll(seed: u64, ppm: u32) -> bool {
     (state % 1_000_000) < u64::from(ppm)
 }
 
-// --- injected-fault counters -----------------------------------------------
-
-/// Tallies of faults this harness actually injected, process-wide.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InjectedFaults {
-    pub eval_panics: u64,
-    pub worker_panics: u64,
-    pub spawn_failures: u64,
-    pub delays: u64,
-    pub store_poisons: u64,
-    pub wal_torn_writes: u64,
-    pub wal_sync_failures: u64,
-    pub checkpoint_kills: u64,
-    pub ship_disconnects: u64,
-    pub ack_losses: u64,
-    pub follower_kills: u64,
-    pub promote_catchups: u64,
-}
-
-static INJ_EVAL_PANICS: AtomicU64 = AtomicU64::new(0);
-static INJ_WORKER_PANICS: AtomicU64 = AtomicU64::new(0);
-static INJ_SPAWN_FAILS: AtomicU64 = AtomicU64::new(0);
-static INJ_DELAYS: AtomicU64 = AtomicU64::new(0);
-static INJ_STORE_POISONS: AtomicU64 = AtomicU64::new(0);
-static INJ_WAL_TORN: AtomicU64 = AtomicU64::new(0);
-static INJ_WAL_SYNC_FAILS: AtomicU64 = AtomicU64::new(0);
-static INJ_CKPT_KILLS: AtomicU64 = AtomicU64::new(0);
-static INJ_SHIP_DISCONNECTS: AtomicU64 = AtomicU64::new(0);
-static INJ_ACK_LOSSES: AtomicU64 = AtomicU64::new(0);
-static INJ_FOLLOWER_KILLS: AtomicU64 = AtomicU64::new(0);
-static INJ_PROMOTE_CATCHUPS: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot the injected-fault tallies.
-pub fn injected_faults() -> InjectedFaults {
-    InjectedFaults {
-        eval_panics: INJ_EVAL_PANICS.load(Ordering::Relaxed),
-        worker_panics: INJ_WORKER_PANICS.load(Ordering::Relaxed),
-        spawn_failures: INJ_SPAWN_FAILS.load(Ordering::Relaxed),
-        delays: INJ_DELAYS.load(Ordering::Relaxed),
-        store_poisons: INJ_STORE_POISONS.load(Ordering::Relaxed),
-        wal_torn_writes: INJ_WAL_TORN.load(Ordering::Relaxed),
-        wal_sync_failures: INJ_WAL_SYNC_FAILS.load(Ordering::Relaxed),
-        checkpoint_kills: INJ_CKPT_KILLS.load(Ordering::Relaxed),
-        ship_disconnects: INJ_SHIP_DISCONNECTS.load(Ordering::Relaxed),
-        ack_losses: INJ_ACK_LOSSES.load(Ordering::Relaxed),
-        follower_kills: INJ_FOLLOWER_KILLS.load(Ordering::Relaxed),
-        promote_catchups: INJ_PROMOTE_CATCHUPS.load(Ordering::Relaxed),
-    }
-}
-
-/// Zero the injected-fault tallies (chaos-test setup).
-pub fn reset_injected_faults() {
-    for c in [
-        &INJ_EVAL_PANICS,
-        &INJ_WORKER_PANICS,
-        &INJ_SPAWN_FAILS,
-        &INJ_DELAYS,
-        &INJ_STORE_POISONS,
-        &INJ_WAL_TORN,
-        &INJ_WAL_SYNC_FAILS,
-        &INJ_CKPT_KILLS,
-        &INJ_SHIP_DISCONNECTS,
-        &INJ_ACK_LOSSES,
-        &INJ_FOLLOWER_KILLS,
-        &INJ_PROMOTE_CATCHUPS,
-    ] {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
 // --- fail points ------------------------------------------------------------
 
 /// Message prefix on every injected panic; the server's panic-to-error
 /// mapping and the chaos assertions both key on it.
 pub const INJECTED_PANIC_PREFIX: &str = "injected fault:";
 
-/// Fail point: evaluator tick. Panics (with probability
-/// `eval_panic_ppm`) to simulate an evaluator bug.
-pub fn maybe_eval_panic() {
-    if !faults_active() {
-        return;
-    }
+/// Roll `point` against this thread's config. Returns `true` — and
+/// tallies the injection — when the caller should fail here; the caller
+/// performs the failure so it happens at exactly the right place.
+pub fn fire(point: FaultPoint) -> bool {
+    // A zero ppm — every point, when nothing is configured — returns
+    // before the stream is touched.
     let cfg = fault_config();
-    if roll(cfg.seed, cfg.eval_panic_ppm) {
-        INJ_EVAL_PANICS.fetch_add(1, Ordering::Relaxed);
+    let fired = roll(cfg.seed, cfg.ppm(point));
+    if fired {
+        metrics::add(point.tally(), 1);
+    }
+    fired
+}
+
+/// [`FaultPoint::EvalPanic`] at the evaluator tick.
+pub fn maybe_eval_panic() {
+    if fire(FaultPoint::EvalPanic) {
         panic!("{INJECTED_PANIC_PREFIX} evaluator panic");
     }
 }
 
-/// Fail point: parallel worker chunk. Panics (with probability
-/// `worker_panic_ppm`) to simulate a worker crashing mid-chunk.
+/// [`FaultPoint::WorkerPanic`] at the start of a parallel chunk.
 pub fn maybe_worker_panic() {
-    if !faults_active() {
-        return;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.worker_panic_ppm) {
-        INJ_WORKER_PANICS.fetch_add(1, Ordering::Relaxed);
+    if fire(FaultPoint::WorkerPanic) {
         panic!("{INJECTED_PANIC_PREFIX} worker panic");
     }
 }
 
-/// Fail point: worker spawn. Returns `true` (with probability
-/// `spawn_fail_ppm`) when the caller should behave as if the spawn
-/// failed (the crossbeam shim's `try_spawn` fallback path).
-pub fn spawn_denied() -> bool {
-    if !faults_active() {
-        return false;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.spawn_fail_ppm) {
-        INJ_SPAWN_FAILS.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
-/// Fail point: evaluator tick delay. Sleeps `delay_ms` (with
-/// probability `delay_ppm`) to force deadline overruns.
+/// [`FaultPoint::Delay`] at the evaluator tick.
 pub fn maybe_delay() {
-    if !faults_active() {
-        return;
+    if fire(FaultPoint::Delay) {
+        std::thread::sleep(Duration::from_millis(fault_config().delay_ms.max(1)));
     }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.delay_ppm) {
-        INJ_DELAYS.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(cfg.delay_ms.max(1)));
-    }
-}
-
-/// Fail point: shared store write. Returns `true` (with probability
-/// `store_poison_ppm`) when the store should panic *while holding its
-/// lock* — the caller performs the panic so it happens at the right
-/// place. Tallies the injection.
-pub fn store_poison_due() -> bool {
-    if !faults_active() {
-        return false;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.store_poison_ppm) {
-        INJ_STORE_POISONS.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
-/// Fail point: WAL append. Returns `true` (with probability
-/// `wal_torn_ppm`) when the append should be **torn**: the log writes
-/// only a prefix of the batch — drawn with [`torn_cut`] — exactly as if
-/// the process had been killed mid-`write(2)`. Tallies the injection.
-pub fn wal_torn_due() -> bool {
-    if !faults_active() {
-        return false;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.wal_torn_ppm) {
-        INJ_WAL_TORN.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
 }
 
 /// How many bytes of a torn `len`-byte write actually land: a seeded
@@ -408,120 +290,25 @@ pub fn torn_cut(len: usize) -> usize {
     (state % len as u64) as usize
 }
 
-/// Fail point: WAL sync. Returns `true` (with probability
-/// `wal_sync_fail_ppm`) when the log should behave as if `fsync`
-/// failed — the write may or may not be on disk, so the log must stop
-/// trusting its unsynced tail. Tallies the injection.
-pub fn wal_sync_fails() -> bool {
-    if !faults_active() {
-        return false;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.wal_sync_fail_ppm) {
-        INJ_WAL_SYNC_FAILS.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
-/// Fail point: checkpoint step boundary. Returns `true` (with
-/// probability `checkpoint_kill_ppm`) when the checkpoint should abort
-/// *at this step* as if the process died there — the caller returns an
-/// error naming the step so harnesses know which on-disk state to
-/// expect. Tallies the injection.
-pub fn checkpoint_kill_due() -> bool {
-    if !faults_active() {
-        return false;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.checkpoint_kill_ppm) {
-        INJ_CKPT_KILLS.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
-/// Fail point: replication ship. Returns `true` (with probability
-/// `ship_disconnect_ppm`) when a shipped chunk should be cut
-/// mid-stream — only a [`torn_cut`] prefix reaches the follower, as if
-/// the connection dropped mid-`read`. Tallies the injection.
-pub fn ship_disconnect_due() -> bool {
-    if !faults_active() {
-        return false;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.ship_disconnect_ppm) {
-        INJ_SHIP_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
-/// Fail point: replication ack. Returns `true` (with probability
-/// `ack_loss_ppm`) when the primary should behave as if the follower's
-/// ack never arrived — lag stays visible until the next ack lands.
-/// Tallies the injection.
-pub fn ack_loss_due() -> bool {
-    if !faults_active() {
-        return false;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.ack_loss_ppm) {
-        INJ_ACK_LOSSES.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
-/// Fail point: follower lifecycle. Returns `true` (with probability
-/// `follower_kill_ppm`) when the harness should kill and re-open the
-/// follower between pump rounds. Tallies the injection.
-pub fn follower_kill_due() -> bool {
-    if !faults_active() {
-        return false;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.follower_kill_ppm) {
-        INJ_FOLLOWER_KILLS.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
-/// Fail point: promotion timing. Returns `true` (with probability
-/// `promote_catchup_ppm`) when a promotion should land while a
-/// catch-up is still in flight — the nastiest fencing window. Tallies
-/// the injection.
-pub fn promote_during_catchup_due() -> bool {
-    if !faults_active() {
-        return false;
-    }
-    let cfg = fault_config();
-    if roll(cfg.seed, cfg.promote_catchup_ppm) {
-        INJ_PROMOTE_CATCHUPS.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn certain(point: FaultPoint, seed: u64) -> FaultConfig {
+        let mut cfg = FaultConfig {
+            seed,
+            ..FaultConfig::off()
+        };
+        *cfg.ppm_mut(point) = 1_000_000;
+        cfg
+    }
 
     #[test]
     fn inert_by_default() {
         // No override and (in the test environment) no env knobs.
         let prev = set_fault_config(Some(FaultConfig::off()));
         assert!(!faults_active());
-        assert!(!spawn_denied());
-        assert!(!store_poison_due());
-        assert!(!wal_torn_due());
-        assert!(!wal_sync_fails());
-        assert!(!checkpoint_kill_due());
-        assert!(!ship_disconnect_due());
-        assert!(!ack_loss_due());
-        assert!(!follower_kill_due());
-        assert!(!promote_during_catchup_due());
+        assert!(!FaultPoint::ALL.iter().any(|&p| fire(p)));
         maybe_eval_panic();
         maybe_worker_panic();
         maybe_delay();
@@ -529,75 +316,39 @@ mod tests {
     }
 
     #[test]
-    fn certain_probability_always_fires() {
-        let prev = set_fault_config(Some(FaultConfig {
-            spawn_fail_ppm: 1_000_000,
-            seed: 42,
-            ..FaultConfig::off()
-        }));
-        assert!(faults_active());
-        assert!(spawn_denied());
-        assert!(spawn_denied());
-        set_fault_config(prev);
+    fn every_point_fires_and_tallies_at_certainty() {
+        for &point in FaultPoint::ALL {
+            let prev = set_fault_config(Some(certain(point, 42)));
+            let before = metrics::get(point.tally());
+            assert!(faults_active());
+            assert!(fire(point) && fire(point), "{point:?}");
+            // Only the configured point fires.
+            assert!(FaultPoint::ALL.iter().all(|&p| p == point || !fire(p)));
+            set_fault_config(prev);
+            assert!(metrics::get(point.tally()) >= before + 2, "{point:?}");
+        }
     }
 
     #[test]
-    fn eval_panic_fires_with_prefix_and_counts() {
-        let prev = set_fault_config(Some(FaultConfig {
-            eval_panic_ppm: 1_000_000,
-            seed: 7,
-            ..FaultConfig::off()
-        }));
-        let before = injected_faults().eval_panics;
+    fn env_names_and_tallies_are_distinct() {
+        let mut envs: Vec<&str> = FaultPoint::ALL.iter().map(|p| p.env()).collect();
+        let mut tallies: Vec<&str> = FaultPoint::ALL.iter().map(|p| p.tally().name()).collect();
+        envs.sort_unstable();
+        envs.dedup();
+        tallies.sort_unstable();
+        tallies.dedup();
+        assert_eq!(envs.len(), FaultPoint::ALL.len());
+        assert_eq!(tallies.len(), FaultPoint::ALL.len());
+    }
+
+    #[test]
+    fn eval_panic_fires_with_prefix() {
+        let prev = set_fault_config(Some(certain(FaultPoint::EvalPanic, 7)));
         let caught = std::panic::catch_unwind(maybe_eval_panic);
         set_fault_config(prev);
         let err = caught.expect_err("must panic at ppm 1_000_000");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.starts_with(INJECTED_PANIC_PREFIX), "got: {msg}");
-        assert!(injected_faults().eval_panics > before);
-    }
-
-    #[test]
-    fn wal_faults_fire_and_tally_at_certainty() {
-        let prev = set_fault_config(Some(FaultConfig {
-            wal_torn_ppm: 1_000_000,
-            wal_sync_fail_ppm: 1_000_000,
-            checkpoint_kill_ppm: 1_000_000,
-            seed: 11,
-            ..FaultConfig::off()
-        }));
-        let before = injected_faults();
-        assert!(wal_torn_due());
-        assert!(wal_sync_fails());
-        assert!(checkpoint_kill_due());
-        let after = injected_faults();
-        set_fault_config(prev);
-        assert!(after.wal_torn_writes > before.wal_torn_writes);
-        assert!(after.wal_sync_failures > before.wal_sync_failures);
-        assert!(after.checkpoint_kills > before.checkpoint_kills);
-    }
-
-    #[test]
-    fn repl_faults_fire_and_tally_at_certainty() {
-        let prev = set_fault_config(Some(FaultConfig {
-            ship_disconnect_ppm: 1_000_000,
-            ack_loss_ppm: 1_000_000,
-            follower_kill_ppm: 1_000_000,
-            promote_catchup_ppm: 1_000_000,
-            seed: 13,
-            ..FaultConfig::off()
-        }));
-        let before = injected_faults();
-        assert!(ship_disconnect_due());
-        assert!(ack_loss_due());
-        assert!(follower_kill_due());
-        assert!(promote_during_catchup_due());
-        let after = injected_faults();
-        set_fault_config(prev);
-        assert!(after.ship_disconnects > before.ship_disconnects);
-        assert!(after.ack_losses > before.ack_losses);
-        assert!(after.follower_kills > before.follower_kills);
-        assert!(after.promote_catchups > before.promote_catchups);
     }
 
     #[test]

@@ -19,13 +19,9 @@
 //! Worker threads spawned by the parallel lane capture the coordinator's
 //! `Arc<QueryGuard>` explicitly (the guard is `Send + Sync`; thread
 //! locals do not inherit).
-//!
-//! The module also hosts the process-wide [`ServerCounters`] — the
-//! sessions-started/panicked/shed, deadline and cancellation tallies
-//! surfaced by `Session::server_stats` and the wire `:stats`.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -234,89 +230,6 @@ pub fn query_max_rows() -> Option<usize> {
     })
 }
 
-// --- process-wide server counters ------------------------------------------
-
-/// Process-wide resilience counters, surfaced by `Session::server_stats`
-/// and the wire `:stats`. Plain atomics: every field is monotonically
-/// increasing between [`reset_server_counters`] calls.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCounters {
-    /// Sessions opened on the server.
-    pub sessions_started: u64,
-    /// Sessions poisoned by an evaluator panic (isolated, not fatal).
-    pub sessions_panicked: u64,
-    /// Sessions closed cleanly.
-    pub sessions_closed: u64,
-    /// Queries rejected at admission (queue full → `ServerBusy`).
-    pub queries_shed: u64,
-    /// Queries stopped by their deadline.
-    pub deadlines_hit: u64,
-    /// Queries stopped by client cancellation.
-    pub queries_cancelled: u64,
-    /// Queries stopped by their row budget.
-    pub row_budgets_hit: u64,
-    /// Queries that completed (Ok or a plain query error).
-    pub queries_completed: u64,
-}
-
-macro_rules! server_counter {
-    ($static_:ident, $note:ident, $field:ident) => {
-        static $static_: AtomicU64 = AtomicU64::new(0);
-        #[doc = concat!("Increment [`ServerCounters::", stringify!($field), "`].")]
-        pub fn $note() {
-            $static_.fetch_add(1, Ordering::Relaxed);
-        }
-    };
-}
-
-server_counter!(SESSIONS_STARTED, note_session_started, sessions_started);
-server_counter!(SESSIONS_PANICKED, note_session_panicked, sessions_panicked);
-server_counter!(SESSIONS_CLOSED, note_session_closed, sessions_closed);
-server_counter!(QUERIES_SHED, note_query_shed, queries_shed);
-server_counter!(DEADLINES_HIT, note_deadline_hit, deadlines_hit);
-server_counter!(QUERIES_CANCELLED, note_query_cancelled, queries_cancelled);
-server_counter!(ROW_BUDGETS_HIT, note_row_budget_hit, row_budgets_hit);
-server_counter!(QUERIES_COMPLETED, note_query_completed, queries_completed);
-
-/// Snapshot the process-wide server counters.
-pub fn server_counters() -> ServerCounters {
-    ServerCounters {
-        sessions_started: SESSIONS_STARTED.load(Ordering::Relaxed),
-        sessions_panicked: SESSIONS_PANICKED.load(Ordering::Relaxed),
-        sessions_closed: SESSIONS_CLOSED.load(Ordering::Relaxed),
-        queries_shed: QUERIES_SHED.load(Ordering::Relaxed),
-        deadlines_hit: DEADLINES_HIT.load(Ordering::Relaxed),
-        queries_cancelled: QUERIES_CANCELLED.load(Ordering::Relaxed),
-        row_budgets_hit: ROW_BUDGETS_HIT.load(Ordering::Relaxed),
-        queries_completed: QUERIES_COMPLETED.load(Ordering::Relaxed),
-    }
-}
-
-/// Zero the process-wide server counters (tests and bench setup).
-pub fn reset_server_counters() {
-    for c in [
-        &SESSIONS_STARTED,
-        &SESSIONS_PANICKED,
-        &SESSIONS_CLOSED,
-        &QUERIES_SHED,
-        &DEADLINES_HIT,
-        &QUERIES_CANCELLED,
-        &ROW_BUDGETS_HIT,
-        &QUERIES_COMPLETED,
-    ] {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Record a query outcome's trip cause into the process counters.
-pub fn note_trip(trip: Trip) {
-    match trip {
-        Trip::Cancelled => note_query_cancelled(),
-        Trip::DeadlineExceeded => note_deadline_hit(),
-        Trip::RowBudgetExceeded => note_row_budget_hit(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,17 +292,5 @@ mod tests {
         charge_current_rows(10);
         assert_eq!(guard.tripped(), Some(Trip::RowBudgetExceeded));
         install(prev);
-    }
-
-    #[test]
-    fn counters_note_and_reset() {
-        // Counters are process-global; use diffs so parallel tests
-        // cannot interfere.
-        let before = server_counters();
-        note_session_started();
-        note_trip(Trip::DeadlineExceeded);
-        let after = server_counters();
-        assert!(after.sessions_started > before.sessions_started);
-        assert!(after.deadlines_hit > before.deadlines_hit);
     }
 }

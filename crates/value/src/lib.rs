@@ -15,12 +15,10 @@ pub mod governor;
 pub mod hash;
 pub mod ops;
 pub mod plain;
-pub mod repl_counters;
 pub mod set;
 pub mod shape;
 pub mod tuning;
 pub mod value;
-pub mod wal_counters;
 
 pub use conform::conforms;
 pub use display::show_value;
@@ -29,8 +27,8 @@ pub use epoch::{
     take_wal_dirty_refs, wal_tracking, DirtyRefs,
 };
 pub use error::ValueError;
-pub use faults::{FaultConfig, InjectedFaults};
-pub use governor::{QueryGuard, ServerCounters, Trip};
+pub use faults::{FaultConfig, FaultPoint};
+pub use governor::{QueryGuard, Trip};
 pub use hash::{hash_value, ValueKey};
 pub use ops::{con_value, join_value, project_value, unionc_value};
 pub use plain::{
@@ -43,4 +41,3 @@ pub use value::{
     scan_refs, value_cmp, value_eq, Builtin, Closure, DynValue, Env, FieldKey, Fields, Label,
     RefScan, RefValue, Symbol, Value,
 };
-pub use wal_counters::{reset_wal_counters, wal_counters, WalCounters};

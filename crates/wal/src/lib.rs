@@ -52,15 +52,11 @@ use std::path::{Path, PathBuf};
 use machiavelli::persist::{
     decode_with_registry, encode_with_registry, write_atomic, PersistError, RefRegistry,
 };
+use machiavelli::trace::metrics::{self, Counter};
 use machiavelli::{Outcome, Session};
 use machiavelli_value::epoch::DIRTY_REFS_CAP;
-use machiavelli_value::repl_counters::{
-    note_repl_groups_applied, note_repl_ship, note_repl_snap_transfer, note_repl_stale_rejected,
-};
-use machiavelli_value::wal_counters::{
-    note_wal_append, note_wal_checkpoint, note_wal_commit, note_wal_recovery, note_wal_torn_tail,
-};
-use machiavelli_value::{faults, set_wal_tracking, take_wal_dirty_refs, DirtyRefs};
+use machiavelli_value::faults::{self, FaultPoint};
+use machiavelli_value::{set_wal_tracking, take_wal_dirty_refs, DirtyRefs};
 
 pub mod crc;
 pub mod log;
@@ -361,7 +357,7 @@ impl SessionLog {
                 }
                 if scan.torn {
                     report.torn_tail_truncated = true;
-                    note_wal_torn_tail();
+                    metrics::add(Counter::WalTornTailsTruncated, 1);
                     let f = std::fs::OpenOptions::new().write(true).open(&log_path)?;
                     f.set_len(scan.keep_len)?;
                     f.sync_all()?;
@@ -388,7 +384,7 @@ impl SessionLog {
             .write(true)
             .open(&log_path)?;
         if report.recovered {
-            note_wal_recovery();
+            metrics::add(Counter::WalRecoveries, 1);
         }
         // Replay applied writes through `RefValue::set`; they are
         // durable by construction and must not re-surface as the next
@@ -533,8 +529,9 @@ impl SessionLog {
         let records = payloads.len() as u64 + 1;
         self.append_synced(&buf)?;
         self.groups += 1;
-        note_wal_append(records, buf.len() as u64);
-        note_wal_commit();
+        metrics::add(Counter::WalRecordsAppended, records);
+        metrics::add(Counter::WalBytesLogged, buf.len() as u64);
+        metrics::add(Counter::WalCommits, 1);
         Ok(CommitReceipt {
             records,
             bytes: buf.len() as u64,
@@ -547,7 +544,7 @@ impl SessionLog {
     /// the torn-write and sync-failure fail points.
     fn append_synced(&mut self, buf: &[u8]) -> Result<(), WalError> {
         self.file.seek(SeekFrom::Start(self.synced_len))?;
-        if faults::wal_torn_due() {
+        if faults::fire(FaultPoint::WalTorn) {
             // A kill mid-`write(2)`: a seeded prefix lands, nothing is
             // trusted past the old synced length, and this log stops
             // accepting appends until a checkpoint rebuilds it.
@@ -558,11 +555,7 @@ impl SessionLog {
             return Err(WalError::TornWrite);
         }
         self.file.write_all(buf)?;
-        let sync_failed = if faults::wal_sync_fails() {
-            true
-        } else {
-            self.file.sync_data().is_err()
-        };
+        let sync_failed = faults::fire(FaultPoint::WalSyncFail) || self.file.sync_data().is_err();
         if sync_failed {
             // The kernel may or may not have persisted the tail; the
             // only safe model is "it did not". Cut the file back so a
@@ -607,13 +600,13 @@ impl SessionLog {
             }
         }
         let next_gen = self.gen + 1;
-        if faults::checkpoint_kill_due() {
+        if faults::fire(FaultPoint::CheckpointKill) {
             return Err(WalError::CheckpointKilled { renamed: false });
         }
         let mut snap = snap_header(next_gen, payload.len(), crc32(&payload)).into_bytes();
         snap.extend_from_slice(&payload);
         write_atomic(&self.dir.join("snapshot.mach"), &snap)?;
-        if faults::checkpoint_kill_due() {
+        if faults::fire(FaultPoint::CheckpointKill) {
             return Err(WalError::CheckpointKilled { renamed: true });
         }
         let log_path = self.dir.join("wal.log");
@@ -630,7 +623,7 @@ impl SessionLog {
         self.names = kept;
         self.pending = DirtyRefs::default();
         self.doomed = false;
-        note_wal_checkpoint();
+        metrics::add(Counter::WalCheckpoints, 1);
         Ok(())
     }
 
@@ -698,7 +691,8 @@ impl SessionLog {
         // The trusted prefix is commit-complete by construction, so a
         // torn scan of a slice of it is a local invariant violation.
         debug_assert!(!scan.torn, "trusted prefix scanned torn");
-        note_repl_ship(bytes.len() as u64);
+        metrics::add(Counter::ReplShips, 1);
+        metrics::add(Counter::ReplShipBytes, bytes.len() as u64);
         Ok(Ship::Groups {
             gen: self.gen,
             from: cursor.offset,
@@ -719,7 +713,7 @@ impl SessionLog {
         self.file.seek(SeekFrom::Start(0))?;
         let mut log = vec![0u8; self.synced_len as usize];
         self.file.read_exact(&mut log)?;
-        note_repl_snap_transfer();
+        metrics::add(Counter::ReplSnapTransfers, 1);
         Ok(SnapshotTransfer {
             gen: self.gen,
             snap,
@@ -748,7 +742,7 @@ impl SessionLog {
         bytes: &[u8],
     ) -> Result<ReplicaApplyReport, WalError> {
         if gen != self.gen {
-            note_repl_stale_rejected();
+            metrics::add(Counter::ReplStaleRejected, 1);
             return Err(WalError::StaleGeneration {
                 got: gen,
                 have: self.gen,
@@ -761,7 +755,7 @@ impl SessionLog {
         }
         // Injected fault: the stream dropped mid-chunk and only a
         // seeded prefix arrived.
-        let landed = if faults::ship_disconnect_due() {
+        let landed = if faults::fire(FaultPoint::ShipDisconnect) {
             &bytes[..faults::torn_cut(bytes.len())]
         } else {
             bytes
@@ -789,7 +783,7 @@ impl SessionLog {
             return Err(e);
         }
         self.groups += scan.groups.len() as u64;
-        note_repl_groups_applied(scan.groups.len() as u64);
+        metrics::add(Counter::ReplGroupsApplied, scan.groups.len() as u64);
         Ok(ReplicaApplyReport {
             groups_applied: scan.groups.len() as u64,
             records_applied: records,

@@ -13,6 +13,7 @@
 use std::path::{Path, PathBuf};
 
 use machiavelli::persist::{encode_with_registry, RefRegistry};
+use machiavelli::trace::metrics::{self, Counter};
 use machiavelli::Session;
 use machiavelli_value::faults::{set_fault_config, FaultConfig};
 use machiavelli_wal::{DurableSession, RecoveryReport, WalError};
@@ -471,10 +472,10 @@ fn recovery_preserves_cross_binding_sharing() {
 }
 
 #[test]
-fn wal_counters_accumulate() {
+fn wal_rows_of_the_registry_accumulate() {
     let prev = set_fault_config(Some(FaultConfig::off()));
     let dir = tempdir("counters", base_seed());
-    let before = machiavelli_value::wal_counters();
+    let before = metrics::snapshot();
     {
         let (mut ds, _) = DurableSession::open_bare(&dir).unwrap();
         ds.eval("val c = 1;").unwrap();
@@ -482,12 +483,12 @@ fn wal_counters_accumulate() {
         ds.checkpoint().unwrap();
     }
     let (_ds, _) = DurableSession::open_bare(&dir).unwrap();
-    let after = machiavelli_value::wal_counters();
-    assert!(after.commits >= before.commits + 2);
-    assert!(after.records_appended >= before.records_appended + 4);
-    assert!(after.bytes_logged > before.bytes_logged);
-    assert!(after.checkpoints > before.checkpoints);
-    assert!(after.recoveries > before.recoveries);
+    let added = metrics::snapshot().since(&before);
+    assert!(added.get(Counter::WalCommits) >= 2);
+    assert!(added.get(Counter::WalRecordsAppended) >= 4);
+    assert!(added.get(Counter::WalBytesLogged) > 0);
+    assert!(added.get(Counter::WalCheckpoints) > 0);
+    assert!(added.get(Counter::WalRecoveries) > 0);
     let _ = std::fs::remove_dir_all(&dir);
     set_fault_config(prev);
 }
