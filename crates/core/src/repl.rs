@@ -253,7 +253,7 @@ mod tests {
         assert!(
             text.contains(
                 ">> parallel (1 threads): joins 0 / join fallbacks 0 / \
-                 homs 0 / hom fallbacks 0 / morsels 0 executed / 0 stolen"
+                 morsels 0 executed / 0 stolen"
             ),
             "{text}"
         );

@@ -82,13 +82,10 @@ impl SessionStats {
         let _ = writeln!(
             out,
             "parallel ({} threads): joins {} / join fallbacks {} / \
-             homs {} / hom fallbacks {} / \
              morsels {} executed / {} stolen",
             self.par_threads,
             ps.par_joins,
             ps.par_join_fallbacks,
-            ps.par_homs,
-            ps.par_hom_fallbacks,
             es.morsels_executed,
             es.morsels_stolen
         );
@@ -285,9 +282,8 @@ impl Session {
     }
 
     /// This session's parallel-lane hit/fallback counters (joins probed
-    /// on the plain-key path, proper `hom` folds run through `par_hom`,
-    /// and their runtime fallbacks). Behind the REPL's
-    /// `:stats` alongside the index-store counters.
+    /// on the plain-key path and their runtime fallbacks). Behind the
+    /// REPL's `:stats` alongside the index-store counters.
     pub fn par_stats(&self) -> machiavelli_value::tuning::ParStats {
         machiavelli_value::tuning::par_stats()
     }
@@ -993,7 +989,7 @@ mod tests {
         s.analyze(q).unwrap();
         s.run(q).unwrap();
         s.run("select x where x <- r with member(x, r);").unwrap();
-        machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::ParHomExtract);
+        machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::ParJoinExtract);
         let dirty = s.stats();
         assert!(
             dirty.store != machiavelli_store::StoreStats::default(),

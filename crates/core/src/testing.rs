@@ -33,10 +33,10 @@ pub struct Mode {
     /// The parallel lane: `None` disables it, `Some(t)` enables it at
     /// `t` worker threads.
     pub lane: Option<usize>,
-    /// Lower every size gate to its minimum — one-row morsels (so the
-    /// plain-key join's two-morsel gate is two rows and every probe row
-    /// is its own task) and a one-element `hom` cutoff — so small test
-    /// relations engage the lane. `false` leaves the defaults.
+    /// Lower the lane's size gate to its minimum — one-row morsels, so
+    /// the plain-key join's two-morsel gate is two rows and every probe
+    /// row is its own task — so small test relations engage the lane.
+    /// `false` leaves the default.
     pub tiny_gates: bool,
 }
 
@@ -64,15 +64,12 @@ impl Mode {
 /// Run `f` with this thread's execution mode set to `mode`, restoring
 /// every override afterwards.
 pub fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
-    let gates = mode.tiny_gates.then_some(1);
     let prev_planner = machiavelli_eval::set_planner_enabled(mode.planner);
     let prev_store = machiavelli_store::set_store_enabled(mode.store);
     let prev_enabled = tuning::set_parallel_enabled(mode.lane.is_some());
     let prev_threads = tuning::set_par_threads(mode.lane);
-    let prev_morsel = tuning::set_morsel_rows(gates);
-    let prev_hom = tuning::set_par_hom_min_items(gates);
+    let prev_morsel = tuning::set_morsel_rows(mode.tiny_gates.then_some(1));
     let out = f();
-    tuning::set_par_hom_min_items(prev_hom);
     tuning::set_morsel_rows(prev_morsel);
     tuning::set_par_threads(prev_threads);
     tuning::set_parallel_enabled(prev_enabled);

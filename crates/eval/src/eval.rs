@@ -303,15 +303,6 @@ impl Cx {
                 if matches!(opv, Value::Builtin(Builtin::Union)) && !items.is_empty() {
                     return self.union_fold(&fv, &zv, items.iter().rev());
                 }
-                // *Proper* applications — `op` a known associative-
-                // commutative operator with `z` its identity, `f`
-                // effect-free — are "computable in parallel" (§2):
-                // extract the set to plain data and fold it chunk-wise
-                // through `relational::par_hom`. `None` means the shape
-                // or data declined; the sequential fold below is exact.
-                if let Some(v) = try_par_hom(&fv, &opv, &zv, items) {
-                    return Ok(v);
-                }
                 // Right fold, per the paper's definition.
                 let mut acc = zv;
                 for x in items.iter().rev() {
@@ -483,7 +474,8 @@ impl Cx {
             Unop { op, expr } => {
                 let v = self.eval(env, expr)?;
                 match (op, v) {
-                    (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(-n)),
+                    // Wrapping, like every binary integer operator.
+                    (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(n.wrapping_neg())),
                     (UnOp::Neg, Value::Real(r)) => Ok(Value::Real(-r)),
                     (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
                     (_, other) => Err(EvalError::NotAFunction(show_value(&other))),
@@ -681,163 +673,6 @@ impl machiavelli_plan::EvalHook for Cx {
     }
 }
 
-/// The associative-commutative operators the parallel `hom` lane knows,
-/// paired with their identity (`z` must equal it: `par_hom` seeds every
-/// chunk with `z`, so a non-identity seed would be folded in once per
-/// chunk).
-enum ProperOp {
-    /// `+` over int, z = 0.
-    Sum,
-    /// `*` over int, z = 1.
-    Product,
-    /// `andalso`, z = true.
-    All,
-    /// `orelse`, z = false.
-    Any,
-}
-
-/// Attempt the parallel lane for a *proper* `hom` application. `Some`
-/// is the finished fold; `None` means "not taken" (improper shape, lane
-/// disabled or single-threaded, sub-threshold input, extraction or
-/// plain-evaluation failure) and the caller must run the sequential
-/// fold — which is exact, because `f`'s body is planner-safe (pure,
-/// total), so nothing the parallel attempt evaluated can have been
-/// observable.
-///
-/// Eligible shapes are the prelude's `count`/`sum`-style folds: `op` a
-/// known associative-commutative [`BinOp`] with `z` its identity, and
-/// `f` a one-parameter closure whose body `machiavelli_plan::analysis`
-/// classifies effect-free (the planner-safe class) — captured bindings
-/// are extracted to plain data alongside the set, so `member`-style
-/// closures over plain values parallelize too.
-fn try_par_hom(fv: &Value, opv: &Value, zv: &Value, items: &MSet) -> Option<Value> {
-    use machiavelli_plan::{par_evaluable, plain_eval, PlainBindings};
-    use machiavelli_value::plain::{to_plain, PlainValue};
-    use machiavelli_value::tuning;
-
-    let Value::Op(op) = opv else { return None };
-    let proper = match (op, zv) {
-        (BinOp::Add, Value::Int(0)) => ProperOp::Sum,
-        (BinOp::Mul, Value::Int(1)) => ProperOp::Product,
-        (BinOp::Andalso, Value::Bool(true)) => ProperOp::All,
-        (BinOp::Orelse, Value::Bool(false)) => ProperOp::Any,
-        _ => return None,
-    };
-    let Value::Closure(c) = fv else { return None };
-    let &[param] = c.params.as_slice() else {
-        return None;
-    };
-    if !machiavelli_plan::is_safe_expr(&c.body) {
-        return None;
-    }
-    if !tuning::parallel_enabled()
-        || tuning::par_threads() < 2
-        || items.len() < tuning::par_hom_min_items()
-    {
-        return None;
-    }
-    // A tripped guard must surface through the sequential fold's
-    // cooperative tick — declining here keeps the parallel lane from
-    // computing a result the query is no longer allowed to return.
-    if machiavelli_value::governor::check_current().is_some() {
-        return None;
-    }
-    let mut vars = Vec::new();
-    machiavelli_plan::expr_vars(&c.body, &mut vars);
-    vars.sort_by_key(|s| s.id());
-    vars.dedup_by_key(|s| s.id());
-    if !par_evaluable(&c.body, &vars) {
-        // Safe but not plain-evaluable (`con`): statically ineligible,
-        // uncounted — like a join with `par: None`.
-        return None;
-    }
-    // Shape is proper, statically eligible, and the lane is on: from
-    // here every decline is a counted *runtime* fallback. Captured
-    // bindings (free variables of the body other than the parameter)
-    // must exist and extract to plain data.
-    let decline = || {
-        tuning::note_par_hom(false);
-        machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::ParHomExtract);
-        None
-    };
-    let mut captured: Vec<(machiavelli_value::Symbol, PlainValue)> = Vec::new();
-    for v in vars {
-        if v.id() == param.id() {
-            continue;
-        }
-        match c.env.with_lookup(v, to_plain) {
-            Some(Some(p)) => captured.push((v, p)),
-            _ => return decline(),
-        }
-    }
-    let plain_items: Option<Vec<PlainValue>> = items.iter().map(to_plain).collect();
-    let Some(plain_items) = plain_items else {
-        return decline();
-    };
-    let threads = tuning::par_threads();
-    let body = &c.body;
-    let captured = &captured[..];
-    // Per-element evaluation in the workers; a declined element poisons
-    // its chunk's partial with `None`, which the combiners propagate.
-    let apply_f = |kind_int: bool, x: &PlainValue| -> Option<PlainValue> {
-        let env = PlainBindings {
-            head: Some((param, x)),
-            rest: captured,
-        };
-        let v = plain_eval(body, &env)?;
-        match (&v, kind_int) {
-            (PlainValue::Int(_), true) | (PlainValue::Bool(_), false) => Some(v),
-            _ => None,
-        }
-    };
-    let result = match proper {
-        ProperOp::Sum | ProperOp::Product => {
-            let is_sum = matches!(proper, ProperOp::Sum);
-            let folded = machiavelli_relational::par_hom(
-                &plain_items,
-                |x| match apply_f(true, x) {
-                    Some(PlainValue::Int(n)) => Some(n),
-                    _ => None,
-                },
-                |a, b| match (a, b) {
-                    // Wrapping, mirroring `apply_binop`.
-                    (Some(a), Some(b)) if is_sum => Some(a.wrapping_add(b)),
-                    (Some(a), Some(b)) => Some(a.wrapping_mul(b)),
-                    _ => None,
-                },
-                Some(if is_sum { 0 } else { 1 }),
-                threads,
-            );
-            folded.map(Value::Int)
-        }
-        ProperOp::All | ProperOp::Any => {
-            let is_all = matches!(proper, ProperOp::All);
-            let folded = machiavelli_relational::par_hom(
-                &plain_items,
-                |x| match apply_f(false, x) {
-                    Some(PlainValue::Bool(b)) => Some(b),
-                    _ => None,
-                },
-                |a, b| match (a, b) {
-                    (Some(a), Some(b)) if is_all => Some(a && b),
-                    (Some(a), Some(b)) => Some(a || b),
-                    _ => None,
-                },
-                Some(is_all),
-                threads,
-            );
-            folded.map(Value::Bool)
-        }
-    };
-    match result {
-        Some(v) => {
-            tuning::note_par_hom(true);
-            Some(v)
-        }
-        None => decline(),
-    }
-}
-
 /// Extract two arguments, destructuring a single tuple if needed.
 fn two_args(args: Vec<Value>) -> Result<(Value, Value), EvalError> {
     match args.len() {
@@ -944,6 +779,11 @@ mod tests {
         assert_eq!(run("10 div 3"), Value::Int(3));
         assert_eq!(run("10 mod 3"), Value::Int(1));
         assert_eq!(run("-(3)"), Value::Int(-3));
+    }
+
+    #[test]
+    fn integer_negation_wraps() {
+        assert_eq!(run("-(0 - 9223372036854775807 - 1)"), Value::Int(i64::MIN));
     }
 
     #[test]
@@ -1174,117 +1014,5 @@ mod tests {
     fn deep_recursion_overflows_gracefully() {
         let err = run_err("rec(f, (fn(n) => f(n + 1)))(0)");
         assert_eq!(err, EvalError::StackOverflow);
-    }
-
-    /// Run `f` with the parallel lane forced on (4 workers, tiny
-    /// cutoff), restoring the previous configuration after.
-    fn with_forced_parallel<R>(f: impl FnOnce() -> R) -> R {
-        use machiavelli_value::tuning;
-        let prev_t = tuning::set_par_threads(Some(4));
-        let prev_n = tuning::set_par_hom_min_items(Some(8));
-        let out = f();
-        tuning::set_par_hom_min_items(prev_n);
-        tuning::set_par_threads(prev_t);
-        out
-    }
-
-    #[test]
-    fn proper_hom_applications_fold_in_parallel() {
-        use machiavelli_value::tuning;
-        let big: String = format!(
-            "{{{}}}",
-            (0..500)
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        with_forced_parallel(|| {
-            tuning::reset_par_stats();
-            assert_eq!(
-                run(&format!("hom((fn(x) => x), +, 0, {big})")),
-                Value::Int((0..500).sum::<i64>())
-            );
-            assert_eq!(
-                run(&format!("hom((fn(x) => 1), +, 0, {big})")),
-                Value::Int(500)
-            );
-            assert_eq!(
-                run(&format!("hom((fn(x) => x < 1000), andalso, true, {big})")),
-                Value::Bool(true)
-            );
-            assert_eq!(
-                run(&format!("hom((fn(x) => x = 250), orelse, false, {big})")),
-                Value::Bool(true)
-            );
-            // A captured binding extracts alongside the set (the
-            // prelude's `member` shape).
-            assert_eq!(
-                run(&format!(
-                    "let val base = 1000 in hom((fn(x) => x + base), +, 0, {big}) end"
-                )),
-                Value::Int((0..500).sum::<i64>() + 500 * 1000)
-            );
-            let stats = tuning::par_stats();
-            assert_eq!(stats.par_homs, 5, "{stats:?}");
-            assert_eq!(stats.par_hom_fallbacks, 0, "{stats:?}");
-        });
-    }
-
-    #[test]
-    fn improper_hom_shapes_stay_sequential() {
-        use machiavelli_value::tuning;
-        let big: String = format!(
-            "{{{}}}",
-            (0..100)
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        with_forced_parallel(|| {
-            tuning::reset_par_stats();
-            // Non-identity seed: chunking would fold `5` in once per
-            // chunk, so the shape is not proper — sequential, uncounted.
-            assert_eq!(
-                run(&format!("hom((fn(x) => x), +, 5, {big})")),
-                Value::Int((0..100).sum::<i64>() + 5)
-            );
-            // Effectful f (allocates identities): not classified proper.
-            assert_eq!(
-                run(&format!(
-                    "hom((fn(x) => 1), +, 0, \
-                              hom((fn(x) => {{ref(x)}}), union, {{}}, {big}))"
-                )),
-                Value::Int(100)
-            );
-            assert_eq!(tuning::par_stats().par_homs, 0);
-        });
-    }
-
-    #[test]
-    fn unextractable_hom_data_falls_back_with_counter() {
-        use machiavelli_value::tuning;
-        // A set of refs is proper in shape (count via +/0, safe body)
-        // but the elements are identity-bearing: extraction declines
-        // and the sequential fold answers.
-        let refs: String = format!(
-            "{{{}}}",
-            (0..50)
-                .map(|i| format!("ref({i})"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        with_forced_parallel(|| {
-            tuning::reset_par_stats();
-            assert_eq!(
-                run(&format!("hom((fn(x) => 1), +, 0, {refs})")),
-                Value::Int(50)
-            );
-            let stats = tuning::par_stats();
-            assert_eq!(
-                (stats.par_homs, stats.par_hom_fallbacks),
-                (0, 1),
-                "{stats:?}"
-            );
-        });
     }
 }

@@ -1,5 +1,6 @@
 //! **The morsel-driven execution scheduler**: the worker pool behind
-//! the plain-key join's probe fan-out (`plan::parallel::par_probe`).
+//! the plain-key join's probe fan-out ([`crate::parallel::par_probe`]),
+//! and the workspace's only thread scheduler.
 //!
 //! PR 4's parallel shapes carved their input into one fixed chunk per
 //! worker, so a skewed probe — one chunk where every key matches a huge

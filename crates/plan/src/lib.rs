@@ -41,6 +41,8 @@
 //!   stale index.
 //! * [`explain`] — renders the operator tree for `Session::plan_of` and
 //!   the REPL's `:plan` command (golden-plan tests pin the output).
+//! * [`exec`] — the morsel-driven work-stealing scheduler the plain-key
+//!   join's probe fan-out runs on.
 //!
 //! # The fallback contract
 //!
@@ -83,6 +85,9 @@
 //!
 //! The paper singles out *proper* `hom` applications — associative,
 //! commutative `op`; effect-free `f` — as "computable in parallel".
+//! Independence allows parallel evaluation, but only a measurement
+//! says it pays: on this engine that is the hash-join probe alone, and
+//! `hom` folds sequentially (`docs/PERFORMANCE.md` has the numbers).
 //! Machiavelli values are `Rc`-based and thread-confined, so the
 //! parallel lane runs on **extracted plain data**
 //! ([`machiavelli_value::plain`]) and only where the static analysis
@@ -104,7 +109,7 @@
 //!   [`parallel::safe_eval`] (a direct-dispatch safe-class evaluator,
 //!   no interpreter overhead) — extracts the probe keys sequentially,
 //!   and fans only the extracted tuples out over
-//!   [`machiavelli_exec::run_tasks`] workers
+//!   [`exec::run_tasks`] workers
 //!   ([`parallel::par_probe`]), which return match *indices*; the
 //!   original `Rc` rows are re-bound by index on the session thread,
 //!   so the yielded binding sequence — probe-major, build groups in
@@ -141,24 +146,20 @@
 //!   **result expression planner-safe** — a swap enumerates the same
 //!   binding multiset probe-major over the other side, which only an
 //!   effectful result could distinguish.
-//! * **Proper `hom` applications** (the evaluator's side of the lane):
-//!   `op` one of `+`, `*`, `andalso`, `orelse` with `z` its identity,
-//!   and `f` a one-parameter closure whose body is planner-safe. The
-//!   set and `f`'s captured bindings are extracted to plain data and
-//!   folded chunk-wise through `machiavelli_relational::par_hom`.
 //! * **Everything else falls back sequentially with zero behavior
-//!   change**: any value that fails `to_plain` (references, dynamics,
-//!   closures — identity- or code-bearing data), any expression the
-//!   plain mini-evaluator declines, sub-threshold inputs, a disabled or
-//!   single-threaded lane. The fallback is exact because everything the
-//!   parallel attempt may have evaluated early (probe-side pipeline
-//!   rows, pushed filters, keys) is planner-safe — pure, total,
-//!   terminating — so re-running it sequentially reproduces the same
-//!   bindings and the same first error. Hits and fallbacks are counted
-//!   per session ([`machiavelli_value::tuning::par_stats`], REPL
+//!   change**: any key value that fails `to_plain` (references,
+//!   dynamics, closures — identity- or code-bearing data), any key
+//!   expression [`parallel::safe_eval`] declines, sub-threshold inputs,
+//!   a disabled or single-threaded lane. The fallback is exact because
+//!   everything the parallel attempt may have evaluated early
+//!   (probe-side pipeline rows, pushed filters, keys) is planner-safe —
+//!   pure, total, terminating — so re-running it sequentially
+//!   reproduces the same bindings and the same first error. Hits and
+//!   fallbacks are counted per session ([`machiavelli_value::tuning::par_stats`], REPL
 //!   `:stats`) and as typed decline codes.
 
 pub mod analysis;
+pub mod exec;
 pub mod explain;
 pub mod logical;
 pub mod parallel;
@@ -167,7 +168,6 @@ pub mod physical;
 pub use analysis::{closed_under, find_select, is_safe_expr, mentions_any, split_conjuncts};
 pub use explain::explain;
 pub use logical::{compile, LogicalPlan, Step, Unplannable};
-pub use parallel::{expr_vars, par_evaluable, plain_eval, PlainBindings};
 pub use physical::{
     execute, EvalHook, ExecError, IndexKey, ParInfo, PhysOp, PhysicalPlan, SwapInfo,
 };

@@ -1,23 +1,6 @@
-//! The **plain-data parallel lane**: a mini-evaluator over
-//! [`PlainValue`] for the planner-safe expression class, and the
-//! plain-key probe fan-out built on it.
-//!
-//! # Why a second evaluator is sound here
-//!
-//! The real evaluator works on `Rc`-based values and cannot cross
-//! threads. The expressions the parallel lane evaluates are exactly the
-//! **planner-safe, binder-closed** class (see [`par_evaluable`]): pure,
-//! total, terminating, binder-free expressions whose free variables are
-//! all row binders. On that class, [`plain_eval`] mirrors the
-//! interpreter's dynamic semantics constructor by constructor
-//! (wrapping integer arithmetic, IEEE comparisons, `Fields::from_vec`
-//! record normalization, canonical set construction, `andalso`/`orelse`
-//! short-circuiting) — and **declines** (`None`) on anything else, at
-//! which point the caller abandons the parallel attempt and re-runs the
-//! sequential path, reproducing byte-for-byte whatever the interpreter
-//! would have done (including its errors on ill-typed programs). The
-//! lane can therefore be wrong about *nothing*: it either agrees or
-//! steps aside.
+//! The **plain-key parallel lane**: [`safe_eval`], a direct-dispatch
+//! evaluator for the planner-safe expression class, and the plain-key
+//! probe fan-out built on it.
 //!
 //! # The plain-key probe
 //!
@@ -42,23 +25,23 @@
 //! `METRICS` exposition can say *why* a join stayed sequential — see
 //! `docs/OBSERVABILITY.md`.
 
+use crate::exec;
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind, UnOp};
 use machiavelli_syntax::symbol::Symbol;
 use machiavelli_value::faults::{self, FaultConfig};
 use machiavelli_value::governor::{self, QueryGuard};
-use machiavelli_value::plain::{plain_cmp, plain_eq, to_plain, PlainIndex, PlainKey, PlainValue};
+use machiavelli_value::plain::{to_plain, PlainIndex, PlainKey, PlainValue};
 use machiavelli_value::set::MSet;
 use machiavelli_value::value::{value_eq, Fields, Value};
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 // --- the plain expression class --------------------------------------------
 
-/// Can the plain mini-evaluator run `e` given bindings for `allowed`?
-/// A strict subset of the planner-safe class: additionally requires
-/// every variable to be among `allowed` (binder-closure) and excludes
-/// `con` (whose consistency check is not mirrored). Exact on the safe
-/// class — anything outside returns `false` and stays sequential.
+/// Can [`safe_eval`] run `e` given bindings for `allowed`? A strict
+/// subset of the planner-safe class: additionally requires every
+/// variable to be among `allowed` (binder-closure) and excludes `con`
+/// (whose consistency check is not mirrored). Exact on the safe class —
+/// anything outside returns `false` and stays sequential.
 pub fn par_evaluable(e: &Expr, allowed: &[Symbol]) -> bool {
     use ExprKind::*;
     match &e.kind {
@@ -84,242 +67,18 @@ pub fn par_evaluable(e: &Expr, allowed: &[Symbol]) -> bool {
                 && par_evaluable(left, allowed)
                 && par_evaluable(right, allowed)
         }
-        // `con` (consistency) is planner-safe but not mirrored in the
-        // plain lane; everything else is outside the safe class.
+        // `con` (consistency) is planner-safe but not mirrored by
+        // `safe_eval`; everything else is outside the safe class.
         _ => false,
     }
 }
 
-/// Collect every variable mentioned in `e` into `out` (with duplicates;
-/// callers dedup). Exact on the safe class, which is binder-free — on
-/// it, "mentioned" and "free" coincide.
-pub fn expr_vars(e: &Expr, out: &mut Vec<Symbol>) {
-    use ExprKind::*;
-    match &e.kind {
-        Var(x) => out.push(*x),
-        Unit | Int(_) | Real(_) | Str(_) | Bool(_) | OpVal(_) | Raise(_) => {}
-        Record(fields) => fields.iter().for_each(|(_, fe)| expr_vars(fe, out)),
-        Field { expr, .. } | Unop { expr, .. } => expr_vars(expr, out),
-        If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            expr_vars(cond, out);
-            expr_vars(then_branch, out);
-            expr_vars(else_branch, out);
-        }
-        Set(items) => items.iter().for_each(|i| expr_vars(i, out)),
-        Union { left, right } | Con { left, right } | Binop { left, right, .. } => {
-            expr_vars(left, out);
-            expr_vars(right, out);
-        }
-        // Outside the safe class; callers have already declined via
-        // `par_evaluable`/`is_safe_expr`. Kept total for robustness.
-        _ => {}
-    }
-}
-
-// --- plain bindings --------------------------------------------------------
-
-/// The environment of a plain evaluation: an optional innermost binding
-/// (the per-row/per-element one, so hot loops allocate nothing) over a
-/// slice of outer bindings (captured values, probe binders). Innermost
-/// wins, then the slice is searched back to front — the same shadowing
-/// discipline as [`machiavelli_value::Env`] (irrelevant in practice:
-/// the safe class is binder-free and generator variables are distinct).
-#[derive(Clone, Copy)]
-pub struct PlainBindings<'a> {
-    pub head: Option<(Symbol, &'a PlainValue)>,
-    pub rest: &'a [(Symbol, PlainValue)],
-}
-
-impl<'a> PlainBindings<'a> {
-    pub fn lookup(&self, name: Symbol) -> Option<&'a PlainValue> {
-        if let Some((n, v)) = self.head {
-            if n.id() == name.id() {
-                return Some(v);
-            }
-        }
-        self.rest
-            .iter()
-            .rev()
-            .find(|(n, _)| n.id() == name.id())
-            .map(|(_, v)| v)
-    }
-}
-
-// --- the mini-evaluator ----------------------------------------------------
-
-/// Evaluate a planner-safe, binder-closed expression on plain values.
-/// `None` means "outside my competence" (unsupported construct, unbound
-/// variable, or an operand shape the interpreter would error on) — the
-/// caller must abandon the parallel attempt and take the sequential
-/// path, which reproduces the interpreter's exact behavior.
-pub fn plain_eval(e: &Expr, env: &PlainBindings<'_>) -> Option<PlainValue> {
-    use ExprKind::*;
-    Some(match &e.kind {
-        Unit => PlainValue::Unit,
-        Int(n) => PlainValue::Int(*n),
-        Real(r) => PlainValue::Real(*r),
-        Str(s) => PlainValue::Str(s.as_str().into()),
-        Bool(b) => PlainValue::Bool(*b),
-        Var(x) => env.lookup(*x)?.clone(),
-        Field { expr, label } => {
-            let PlainValue::Record(fs) = plain_eval(expr, env)? else {
-                return None;
-            };
-            fs.iter()
-                .find(|(l, _)| l.id() == label.id())
-                .map(|(_, v)| v.clone())?
-        }
-        Record(fields) => {
-            // Mirror `Fields::from_vec`: label-sort, last duplicate wins.
-            let mut entries: Vec<(Symbol, PlainValue)> = Vec::with_capacity(fields.len());
-            for (l, fe) in fields {
-                entries.push((*l, plain_eval(fe, env)?));
-            }
-            entries.sort_by_key(|(l, _)| *l);
-            let mut out: Vec<(Symbol, PlainValue)> = Vec::with_capacity(entries.len());
-            for (l, v) in entries {
-                match out.last_mut() {
-                    Some((pl, pv)) if pl.id() == l.id() => *pv = v,
-                    _ => out.push((l, v)),
-                }
-            }
-            PlainValue::Record(out.into())
-        }
-        Set(items) => {
-            // Mirror `MSet::from_iter`: sort + dedup by the total order.
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(plain_eval(item, env)?);
-            }
-            out.sort_by(plain_cmp);
-            out.dedup_by(|a, b| plain_eq(a, b));
-            PlainValue::Set(out.into())
-        }
-        If {
-            cond,
-            then_branch,
-            else_branch,
-        } => match plain_eval(cond, env)? {
-            PlainValue::Bool(true) => plain_eval(then_branch, env)?,
-            PlainValue::Bool(false) => plain_eval(else_branch, env)?,
-            _ => return None,
-        },
-        Union { left, right } => {
-            let (PlainValue::Set(a), PlainValue::Set(b)) =
-                (plain_eval(left, env)?, plain_eval(right, env)?)
-            else {
-                return None;
-            };
-            PlainValue::Set(merge_union(&a, &b))
-        }
-        // `andalso`/`orelse` in expression position short-circuit,
-        // exactly like the interpreter (the right side is returned
-        // unchecked when reached — its value is whatever it is).
-        Binop {
-            op: BinOp::Andalso,
-            left,
-            right,
-        } => match plain_eval(left, env)? {
-            PlainValue::Bool(false) => PlainValue::Bool(false),
-            PlainValue::Bool(true) => plain_eval(right, env)?,
-            _ => return None,
-        },
-        Binop {
-            op: BinOp::Orelse,
-            left,
-            right,
-        } => match plain_eval(left, env)? {
-            PlainValue::Bool(true) => PlainValue::Bool(true),
-            PlainValue::Bool(false) => plain_eval(right, env)?,
-            _ => return None,
-        },
-        Binop { op, left, right } => {
-            let l = plain_eval(left, env)?;
-            let r = plain_eval(right, env)?;
-            plain_binop(*op, &l, &r)?
-        }
-        Unop { op, expr } => match (op, plain_eval(expr, env)?) {
-            // `-n` (not wrapping_neg) to mirror the interpreter exactly,
-            // including its debug-build overflow behavior on i64::MIN.
-            (UnOp::Neg, PlainValue::Int(n)) => PlainValue::Int(-n),
-            (UnOp::Neg, PlainValue::Real(r)) => PlainValue::Real(-r),
-            (UnOp::Not, PlainValue::Bool(b)) => PlainValue::Bool(!b),
-            _ => return None,
-        },
-        // `con`, applications, folds, binders, references, …: not
-        // mirrored (see `par_evaluable`).
-        _ => return None,
-    })
-}
-
-/// Merge union of two canonical slices — mirror of `MSet::union`.
-fn merge_union(a: &[PlainValue], b: &[PlainValue]) -> std::sync::Arc<[PlainValue]> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match plain_cmp(&a[i], &b[j]) {
-            Ordering::Less => {
-                out.push(a[i].clone());
-                i += 1;
-            }
-            Ordering::Greater => {
-                out.push(b[j].clone());
-                j += 1;
-            }
-            Ordering::Equal => {
-                out.push(a[i].clone());
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out.into()
-}
-
-/// The exact mirror of the interpreter's `apply_binop` on plain
-/// operands (minus the short-circuit operators, which never reach here
-/// from `plain_eval`, and div/mod, which `par_evaluable` excludes).
-/// `None` wherever `apply_binop` would error.
-fn plain_binop(op: BinOp, l: &PlainValue, r: &PlainValue) -> Option<PlainValue> {
-    use BinOp::*;
-    use PlainValue::*;
-    Some(match (op, l, r) {
-        (Add, Int(a), Int(b)) => Int(a.wrapping_add(*b)),
-        (Sub, Int(a), Int(b)) => Int(a.wrapping_sub(*b)),
-        (Mul, Int(a), Int(b)) => Int(a.wrapping_mul(*b)),
-        (Add, Real(a), Real(b)) => Real(a + b),
-        (Sub, Real(a), Real(b)) => Real(a - b),
-        (Mul, Real(a), Real(b)) => Real(a * b),
-        (RealDiv, Real(a), Real(b)) => Real(a / b),
-        (Concat, Str(a), Str(b)) => Str(format!("{a}{b}").into()),
-        (Eq, a, b) => Bool(plain_eq(a, b)),
-        (Ne, a, b) => Bool(!plain_eq(a, b)),
-        (Lt, Int(a), Int(b)) => Bool(a < b),
-        (Gt, Int(a), Int(b)) => Bool(a > b),
-        (Le, Int(a), Int(b)) => Bool(a <= b),
-        (Ge, Int(a), Int(b)) => Bool(a >= b),
-        (Lt, Real(a), Real(b)) => Bool(a < b),
-        (Gt, Real(a), Real(b)) => Bool(a > b),
-        (Le, Real(a), Real(b)) => Bool(a <= b),
-        (Ge, Real(a), Real(b)) => Bool(a >= b),
-        (Lt, Str(a), Str(b)) => Bool(a < b),
-        (Gt, Str(a), Str(b)) => Bool(a > b),
-        (Andalso, Bool(a), Bool(b)) => Bool(*a && *b),
-        (Orelse, Bool(a), Bool(b)) => Bool(*a || *b),
-        _ => return None,
-    })
-}
-
 // --- the Rc-lane safe evaluator --------------------------------------------
 
-/// Bindings for [`safe_eval`]: same shape as [`PlainBindings`], over
-/// `Rc`-lane values (which never leave the session thread).
+/// The environment of a [`safe_eval`]: an optional innermost binding
+/// (the per-row one, so hot loops allocate nothing) over a slice of
+/// outer bindings, searched back to front. Values are `Rc`-lane and
+/// never leave the session thread.
 #[derive(Clone, Copy)]
 pub struct ValueBindings<'a> {
     pub head: Option<(Symbol, &'a Value)>,
@@ -343,11 +102,15 @@ impl<'a> ValueBindings<'a> {
 
 /// Evaluate a planner-safe, binder-closed expression on `Rc`-lane
 /// values *without* the interpreter: no environment allocation, no
-/// depth/stack accounting, direct dispatch. Same decline contract as
-/// [`plain_eval`] (`None` → caller takes the interpreter path, which
-/// reproduces the exact sequential behavior including errors), and the
-/// same semantics mirror: `Fields::from_vec` records, canonical sets,
-/// wrapping integer arithmetic, short-circuit `andalso`/`orelse`.
+/// depth/stack accounting, direct dispatch. It mirrors the
+/// interpreter's semantics constructor by constructor
+/// (`Fields::from_vec` records, canonical sets, wrapping integer
+/// arithmetic and negation, short-circuit `andalso`/`orelse`) and
+/// **declines** (`None`) on anything else — an unsupported construct,
+/// an unbound variable, an operand shape the interpreter would error
+/// on. The caller then takes the interpreter path, which reproduces the
+/// exact sequential behavior including errors: the lane either agrees
+/// or steps aside.
 ///
 /// This is what makes extraction cheap enough to win: keying a build
 /// row costs a field scan and an `Rc` bump instead of an `EnvNode`
@@ -421,7 +184,7 @@ pub fn safe_eval(e: &Expr, env: &ValueBindings<'_>) -> Option<Value> {
             safe_binop(*op, &l, &r)?
         }
         Unop { op, expr } => match (op, safe_eval(expr, env)?) {
-            (UnOp::Neg, Value::Int(n)) => Value::Int(-n),
+            (UnOp::Neg, Value::Int(n)) => Value::Int(n.wrapping_neg()),
             (UnOp::Neg, Value::Real(r)) => Value::Real(-r),
             (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
             _ => return None,
@@ -550,7 +313,7 @@ impl WorkerCx {
     /// Worker-side entry: install the fault config on this thread and
     /// run the injected-panic fail point. (Panics cross the scope join
     /// and are trapped by the coordinator's `catch_unwind` in
-    /// `physical.rs` — the `par_hom` catch-and-report discipline.)
+    /// `physical.rs`.)
     fn enter(&self) {
         if let Some(cfg) = self.faults {
             faults::set_fault_config(Some(cfg));
@@ -568,7 +331,7 @@ impl WorkerCx {
 /// workers, returning per probe row the **indices** of matching build
 /// rows in build-source order (group lists ascend by construction).
 /// The probe side is cut into **morsels** pulled via work stealing
-/// ([`machiavelli_exec::run_tasks`], which runs inline at degree 1), so
+/// ([`crate::exec::run_tasks`], which runs inline at degree 1), so
 /// a skewed probe (one range where every key matches a huge group, the
 /// rest cheap) does not serialize on the unluckiest fixed chunk; morsel
 /// results concatenate in range order, so the caller's re-binding
@@ -586,11 +349,11 @@ impl WorkerCx {
 pub fn par_probe(index: &PlainIndex, probe: &[PlainKey], degree: usize) -> Vec<Vec<u32>> {
     let cx = WorkerCx::capture();
     let cx = &cx;
-    let (probed, _) = machiavelli_exec::run_tasks(
+    let (probed, _) = exec::run_tasks(
         degree,
-        machiavelli_exec::morsels(probe.len()),
+        exec::morsels(probe.len()),
         || cx.enter(),
-        |_, m: machiavelli_exec::Morsel| {
+        |_, m: exec::Morsel| {
             let chunk = &probe[m.start..m.end];
             let mut out: Vec<Vec<u32>> = Vec::with_capacity(chunk.len());
             for (i, k) in chunk.iter().enumerate() {
@@ -614,72 +377,7 @@ mod tests {
     use super::*;
     use machiavelli_syntax::parse_expr;
     use machiavelli_trace::metrics::{self, Counter};
-    use machiavelli_value::plain::to_plain;
     use machiavelli_value::Value;
-
-    fn plain_record(pairs: &[(&str, i64)]) -> PlainValue {
-        to_plain(&Value::record(
-            pairs
-                .iter()
-                .map(|(l, n)| (Symbol::intern(l), Value::Int(*n))),
-        ))
-        .unwrap()
-    }
-
-    fn eval_str(src: &str, env: &PlainBindings<'_>) -> Option<PlainValue> {
-        plain_eval(&parse_expr(src).unwrap(), env)
-    }
-
-    #[test]
-    fn mini_eval_matches_interpreter_semantics() {
-        let row = plain_record(&[("K", 7), ("A", -3)]);
-        let env = PlainBindings {
-            head: Some((Symbol::intern("x"), &row)),
-            rest: &[],
-        };
-        assert_eq!(eval_str("x.K + 1", &env), Some(PlainValue::Int(8)));
-        assert_eq!(eval_str("x.K > x.A", &env), Some(PlainValue::Bool(true)));
-        assert_eq!(
-            eval_str("if x.A < 0 then 0 - x.A else x.A", &env),
-            Some(PlainValue::Int(3))
-        );
-        assert_eq!(
-            eval_str("x.K = 7 andalso not(x.A = 0)", &env),
-            Some(PlainValue::Bool(true))
-        );
-        // Short-circuit: the ill-shaped right side is never reached.
-        assert_eq!(
-            eval_str("false andalso (x.Missing = 1)", &env),
-            Some(PlainValue::Bool(false))
-        );
-        // Unsupported constructs decline rather than guess.
-        assert_eq!(eval_str("x.Missing", &env), None);
-        assert_eq!(eval_str("f(x.K)", &env), None);
-        assert_eq!(eval_str("1 div x.K = 0", &env), None);
-    }
-
-    #[test]
-    fn mini_eval_sets_and_records_are_canonical() {
-        let env = PlainBindings {
-            head: None,
-            rest: &[],
-        };
-        let s = eval_str("union({3, 1}, {2, 3})", &env).unwrap();
-        let PlainValue::Set(items) = s else { panic!() };
-        let ints: Vec<i64> = items
-            .iter()
-            .map(|p| match p {
-                PlainValue::Int(n) => *n,
-                _ => panic!(),
-            })
-            .collect();
-        assert_eq!(ints, vec![1, 2, 3]);
-        let r = eval_str("[B=2, A=1]", &env).unwrap();
-        let PlainValue::Record(entries) = r else {
-            panic!()
-        };
-        assert_eq!(entries[0].0.as_str(), "A");
-    }
 
     #[test]
     fn par_evaluable_classifies() {
@@ -806,8 +504,7 @@ mod tests {
     #[test]
     fn injected_worker_panic_resumes_on_the_coordinator() {
         // A panic on a fan-out worker must reach the caller as a
-        // catchable unwind with the original payload — the same
-        // catch-and-report contract `par_hom` documents — so the
+        // catchable unwind with the original payload, so the
         // driver in `physical.rs` can turn it into a structured
         // `ExecError::WorkerPanic` instead of aborting the process.
         let index = index_1229();

@@ -564,13 +564,13 @@ impl<'a> LogicalPlan<'a> {
                     && step.filters.iter().all(|c| closed_under(c.expr, &binder)))
                 .then(|| join_fingerprint(step.source, step.var, &build_keys, &step.filters));
                 // Plain-key join eligibility, decided here once. Probe-key
-                // coverage by the plain mini-evaluator is enough to
-                // probe a *cached* plain index (no build-side
-                // evaluation happens at all); building the plain table
-                // inline additionally needs the build keys and pushed
-                // filters covered under the build binder (`build_ok`) —
-                // the same closure discipline the store uses, plus the
-                // mini-evaluator's coverage test.
+                // coverage by `safe_eval` is enough to probe a *cached*
+                // plain index (no build-side evaluation happens at
+                // all); building the plain table inline additionally
+                // needs the build keys and pushed filters covered under
+                // the build binder (`build_ok`) — the same closure
+                // discipline the store uses, plus `safe_eval`'s
+                // coverage test.
                 let par = probe_keys
                     .iter()
                     .all(|k| par_evaluable(k, &earlier))

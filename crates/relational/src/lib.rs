@@ -1,7 +1,9 @@
 //! Generalized relational substrate for the Machiavelli reproduction.
 //!
 //! Native (non-interpreted) counterparts of the paper's §4 machinery,
-//! used as verification baselines and benchmark subjects:
+//! used as verification baselines and benchmark subjects. Nothing on
+//! the engine path (`machiavelli` and everything `machid` links)
+//! depends on this crate:
 //!
 //! * [`relation`] — relations over Machiavelli values with select /
 //!   project / rename / union;
@@ -9,14 +11,11 @@
 //!   sort-merge);
 //! * [`closure`] — the Figure 4 transitive closure, naive vs semi-naive;
 //! * [`generators`] — the Figure 2 part–supplier database (literal and
-//!   scaled), employees for the intro's `Wealthy`, random digraphs;
-//! * `par_hom` — parallel `hom`, demonstrating the paper's claim that
-//!   proper applications are computable in parallel.
+//!   scaled), employees for the intro's `Wealthy`, random digraphs.
 
 pub mod closure;
 pub mod generators;
 pub mod join;
-pub mod par_hom;
 pub mod relation;
 
 pub use closure::{closure_relation, naive_closure, seminaive_closure};
@@ -25,5 +24,4 @@ pub use generators::{
     gen_employees, gen_part_supplier, native_cost, part_row, PartInfo, PartSupplierDb,
 };
 pub use join::{hash_join, nested_loop_join, sort_merge_join};
-pub use par_hom::{par_hom, seq_hom};
 pub use relation::{row, Relation};

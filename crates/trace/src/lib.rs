@@ -458,9 +458,6 @@ decline_reasons! {
     /// Plain-key join: the probe drain hit its memory cap before the
     /// input was exhausted.
     ParJoinDrainCap => "par-join-drain-cap",
-    /// Parallel `hom`: capture or element extraction declined (or a
-    /// worker fold was poisoned).
-    ParHomExtract => "par-hom-extract",
     /// Index store: the index exceeded the row budget and was returned
     /// un-cached.
     StoreOverBudget => "store-over-budget",

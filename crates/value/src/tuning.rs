@@ -12,7 +12,6 @@
 //! |---|---|---|
 //! | worker threads | `available_parallelism` | `MACHIAVELLI_PAR_THREADS` |
 //! | morsel size (rows) | [`DEFAULT_MORSEL_ROWS`] | `MACHIAVELLI_MORSEL_ROWS` |
-//! | parallel-`hom` element cutoff | [`DEFAULT_PAR_HOM_MIN_ITEMS`] | `MACHIAVELLI_PAR_HOM_MIN_ITEMS` |
 //! | index-store row budget | [`DEFAULT_STORE_BUDGET_ROWS`] | `MACHIAVELLI_STORE_BUDGET_ROWS` |
 //! | query tracing (per-operator spans) | off | `MACHIAVELLI_TRACE` |
 //!
@@ -46,14 +45,6 @@ use std::sync::OnceLock;
 /// pathological pipelines.
 pub const PAR_JOIN_MAX_PROBE_FACTOR: usize = 64;
 
-/// Below this many elements a proper `hom` application stays on the
-/// sequential interpreter fold.
-pub const DEFAULT_PAR_HOM_MIN_ITEMS: usize = 1024;
-
-/// `par_hom` itself declines to spawn unless every thread would get at
-/// least this many elements (the former inline `2 * n_threads` cutoff).
-pub const PAR_HOM_MIN_ITEMS_PER_THREAD: usize = 2;
-
 /// Default index-store row budget: generous for the paper-scale
 /// workloads while still bounding a long session that touches many
 /// relations (the store's LRU evicts past it).
@@ -79,7 +70,6 @@ fn env_usize(var: &'static str, cache: &'static OnceLock<Option<usize>>) -> Opti
 
 thread_local! {
     static PAR_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-    static PAR_HOM_MIN_ITEMS: Cell<Option<usize>> = const { Cell::new(None) };
     static MORSEL_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
     static PARALLEL_ENABLED: Cell<bool> = const { Cell::new(true) };
     static STORE_EPOCH_CLEAR: Cell<bool> = const { Cell::new(false) };
@@ -115,21 +105,6 @@ pub fn par_threads() -> usize {
 /// env/default resolution), returning the previous override.
 pub fn set_par_threads(n: Option<usize>) -> Option<usize> {
     PAR_THREADS.with(|c| c.replace(n.map(|n| n.max(1))))
-}
-
-/// The parallel-`hom` element cutoff currently in force.
-pub fn par_hom_min_items() -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    PAR_HOM_MIN_ITEMS
-        .with(Cell::get)
-        .or_else(|| env_usize("MACHIAVELLI_PAR_HOM_MIN_ITEMS", &ENV))
-        .unwrap_or(DEFAULT_PAR_HOM_MIN_ITEMS)
-}
-
-/// Override the parallel-`hom` cutoff on this thread, returning the
-/// previous override.
-pub fn set_par_hom_min_items(n: Option<usize>) -> Option<usize> {
-    PAR_HOM_MIN_ITEMS.with(|c| c.replace(n))
 }
 
 /// The morsel size currently in force (thread-local override →
@@ -204,9 +179,9 @@ pub fn set_store_epoch_clear(on: bool) -> bool {
 /// A **hit** is an execution that actually ran on the parallel lane. A
 /// **fallback** is an execution that passed the static and size gates
 /// but fell back to the sequential path at runtime — a value failed
-/// `to_plain` extraction (identity- or code-bearing data in a row or
-/// key), the plain mini-evaluator declined an expression, or the probe
-/// drain hit its memory cap. Executions that never reach the gates
+/// `to_plain` extraction (identity- or code-bearing data in a key),
+/// the safe evaluator declined a key expression, or the probe drain hit
+/// its memory cap. Executions that never reach the gates
 /// (lane disabled, one thread, sub-threshold input, shape not eligible)
 /// are not counted at all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -216,10 +191,6 @@ pub struct ParStats {
     pub par_joins: u64,
     /// Eligible hash joins that fell back to the sequential build/probe.
     pub par_join_fallbacks: u64,
-    /// Proper `hom` applications folded through `par_hom`.
-    pub par_homs: u64,
-    /// Proper `hom` applications that fell back to the sequential fold.
-    pub par_hom_fallbacks: u64,
 }
 
 impl ParStats {
@@ -227,8 +198,6 @@ impl ParStats {
         ParStats {
             par_joins: 0,
             par_join_fallbacks: 0,
-            par_homs: 0,
-            par_hom_fallbacks: 0,
         }
     }
 }
@@ -252,19 +221,6 @@ pub fn note_par_join(hit: bool) {
             s.par_joins += 1;
         } else {
             s.par_join_fallbacks += 1;
-        }
-        c.set(s);
-    });
-}
-
-/// Record a parallel-`hom` outcome (`hit` = folded through `par_hom`).
-pub fn note_par_hom(hit: bool) {
-    PAR_STATS.with(|c| {
-        let mut s = c.get();
-        if hit {
-            s.par_homs += 1;
-        } else {
-            s.par_hom_fallbacks += 1;
         }
         c.set(s);
     });
@@ -315,10 +271,6 @@ mod tests {
         let prev = set_par_threads(Some(3));
         assert_eq!(par_threads(), 3);
         set_par_threads(prev);
-
-        let prev = set_par_hom_min_items(Some(9));
-        assert_eq!(par_hom_min_items(), 9);
-        set_par_hom_min_items(prev);
 
         let prev = set_morsel_rows(Some(11));
         assert_eq!(morsel_rows(), 11);
@@ -373,17 +325,8 @@ mod tests {
         reset_par_stats();
         note_par_join(true);
         note_par_join(false);
-        note_par_hom(true);
         let s = par_stats();
-        assert_eq!(
-            (
-                s.par_joins,
-                s.par_join_fallbacks,
-                s.par_homs,
-                s.par_hom_fallbacks
-            ),
-            (1, 1, 1, 0)
-        );
+        assert_eq!((s.par_joins, s.par_join_fallbacks), (1, 1));
         reset_par_stats();
         assert_eq!(par_stats(), ParStats::default());
     }

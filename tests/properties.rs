@@ -12,9 +12,11 @@
 //! * the interpreter's `select`/`join` agree with the native substrate;
 //! * the plain-value lane round-trips (`to_plain`/`from_plain`) and its
 //!   hash/order agree with the `Rc` lane;
-//! * the plain-key parallel join and `par_hom`-backed folds are
-//!   result-equivalent to the sequential planner and `select_loop`
-//!   across 1/2/4/8 worker threads, and non-extractable data falls back;
+//! * the plain-key parallel join is result-equivalent to the
+//!   sequential planner and `select_loop` across 1/2/4/8 worker
+//!   threads, and non-extractable data falls back;
+//! * `hom` folds (`card`, `sum`, `member`, a product) match ground
+//!   truth computed in Rust, wrapping at `i64::MIN`/`i64::MAX`;
 //! * the one differential test for the one join path: values, error
 //!   identity, ref identity and binding order against `select_loop`,
 //!   with the parallel path and each fallback asserted taken.
@@ -530,27 +532,35 @@ proptest! {
         }
     }
 
-    // `par_hom`-backed folds (the prelude's `card`/`sum`/`member` and
-    // a raw product fold) agree with the sequential interpreter fold
-    // across 1/2/4/8 worker threads.
+    // The one `hom` fold path against ground truth computed in Rust:
+    // the prelude's `card`/`sum`/`member` and a raw product fold over
+    // a set that mixes small ints with `i64::MIN`/`i64::MAX`, so the
+    // sum and product wrap.
     #[test]
     fn parallel_hom_folds_match_sequential(
-        xs in proptest::collection::vec(-50i64..50, 0..60),
-        k in -50i64..50,
+        xs in proptest::collection::vec(prop_oneof![Just(i64::MIN), Just(i64::MAX), -50i64..50], 0..60),
+        k in prop_oneof![Just(i64::MIN), Just(i64::MAX), -50i64..50],
     ) {
+        // Ground truth over the distinct elements: `S` is a set.
+        let mut set = xs.clone();
+        set.sort_unstable();
+        set.dedup();
         let mut session = machiavelli::Session::new();
         session
             .bind_external("S", Value::set(xs.iter().map(|&x| Value::Int(x))), "{int}")
             .unwrap();
-        let src = format!(
-            "(card(S), sum(S), member({k}, S), hom((fn(x) => x), *, 1, S));"
-        );
-        let seq_ref = run_in_mode(&mut session, &src, true, None);
-        prop_assert!(seq_ref.is_ok(), "{seq_ref:?}");
-        for threads in [1usize, 2, 4, 8] {
-            let par = run_in_mode(&mut session, &src, true, Some(threads));
-            prop_assert!(par == seq_ref, "{src} @ {threads} threads: {par:?} vs {seq_ref:?}");
-        }
+        session.bind_external("k", Value::Int(k), "int").unwrap();
+        let got = session
+            .eval_one("(card(S), sum(S), member(k, S), hom((fn(x) => x), *, 1, S));")
+            .unwrap()
+            .value;
+        let expected = Value::tuple([
+            Value::Int(set.len() as i64),
+            Value::Int(set.iter().fold(0i64, |a, &x| a.wrapping_add(x))),
+            Value::Bool(set.contains(&k)),
+            Value::Int(set.iter().fold(1i64, |a, &x| a.wrapping_mul(x))),
+        ]);
+        prop_assert!(got == expected, "{xs:?}, k={k}: {got:?} vs {expected:?}");
     }
 }
 
@@ -767,6 +777,25 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                 "x.A, y.B, z.C",
                 "x <- r, y <- t, z <- u with x.K = y.K andalso y.J = z.J",
             ),
+            Expect::Par,
+        ),
+        (
+            "negated probe keys wrap at i64::MIN",
+            base.bind(
+                "r",
+                rel(n_r, &mut |i| {
+                    let k = if i == 0 { i64::MIN } else { -((i % ks) as i64) };
+                    vec![("K", Value::Int(k)), ("A", int(i))]
+                }),
+            )
+            .bind(
+                "t",
+                rel(n_t, &mut |i| {
+                    let k = if i == 0 { i64::MIN } else { (i % ks) as i64 };
+                    vec![("K", Value::Int(k)), ("B", int(i))]
+                }),
+            ),
+            ticked("x.A, y.B", "x <- r, y <- t with -(x.K) = y.K"),
             Expect::Par,
         ),
         (
