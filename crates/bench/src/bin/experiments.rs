@@ -311,75 +311,13 @@ fn main() {
         );
     }
 
-    println!("\n== E13: parallel lane — plain-key join ==");
+    println!("\n== E14: index store — cached indexes under unrelated writes ==");
     {
-        use machiavelli::testing::{with_mode, Mode};
-        use machiavelli::value::{tuning, Value};
-        let n = 20_000usize;
-        let rows = |offset: usize| {
-            Value::set((0..n).map(|i| {
-                Value::record([
-                    ("K".into(), Value::Int((i + offset) as i64)),
-                    ("A".into(), Value::Int(i as i64)),
-                ])
-            }))
-        };
-        let mut s = Session::new();
-        s.bind_external("r", rows(0), "{[K: int, A: int]}").unwrap();
-        s.bind_external("t", rows(n - n / 8), "{[K: int, A: int]}")
-            .unwrap();
-        let join_q = "card(select (x.A, y.A) where x <- r, y <- t with x.K = y.K);";
-        let timed = |s: &mut Session, query: &str, lane: Option<usize>| {
-            // The store would serve the repeat builds; disable it so
-            // seq-vs-par compare the same (inline-build) work.
-            let mode = Mode {
-                planner: true,
-                store: false,
-                lane,
-                tiny_gates: false,
-            };
-            with_mode(mode, || {
-                let t0 = std::time::Instant::now();
-                let out = s.eval_one(query).unwrap().value;
-                (out, t0.elapsed())
-            })
-        };
-        tuning::reset_par_stats();
-        let (v_seq, t_seq) = timed(&mut s, join_q, None);
-        let (v_par, t_par) = timed(&mut s, join_q, Some(4));
-        r.check(
-            "parallel and sequential join agree",
-            &show_value(&v_seq),
-            &show_value(&v_par),
-            v_par == v_seq,
-        );
-        let join_speedup = t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9);
-        println!(
-            "       join seq-vs-par4 : {join_speedup:.2}x ({t_seq:.2?} vs {t_par:.2?}, n={n}; \
-             1-core CI runners make this informational — BENCH_PR4.json holds the bar)"
-        );
-        let stats = tuning::par_stats();
-        r.check(
-            "the lane actually engaged (join hits, no fallbacks)",
-            "par_joins ≥ 1, 0 join fallbacks",
-            &format!(
-                "{} joins, {} join fallbacks",
-                stats.par_joins, stats.par_join_fallbacks
-            ),
-            stats.par_joins >= 1 && stats.par_join_fallbacks == 0,
-        );
-    }
-
-    println!("\n== E14: composed lane — cached indexes under writes + parallel probes ==");
-    {
-        use machiavelli::testing::{with_mode, Mode};
-        use machiavelli::value::{tuning, Value};
-
-        // Part A — cache survival: the repeated fig5 `cost` sweep mixed
-        // with ref writes to an *unrelated* relation. Under PR 4's
-        // epoch contract every write dropped the whole store (one
-        // rebuild per write); dependency-tracked invalidation must keep
-        // the `parts` index warm through all of them.
+        // The repeated fig5 `cost` sweep mixed with ref writes to an
+        // *unrelated* relation. Under a whole-store clear every write
+        // would drop the store (one rebuild per write);
+        // dependency-tracked invalidation must keep the `parts` index
+        // warm through all of them.
         let (mut s, _db) = machiavelli_bench::scaled_parts_session(120, 12, 11);
         s.run(machiavelli_bench::FIG5_SOURCE).unwrap();
         s.run("val side = ref({[K=0]});").unwrap();
@@ -400,67 +338,6 @@ fn main() {
                 stats.builds, stats.invalidated, stats.cleared
             ),
             stats.builds == 1 && stats.invalidated == 0 && stats.cleared == 0 && stable,
-        );
-
-        // Part B — the composed store+parallel path: a fig9-shaped join
-        // served from the warm store, probed sequentially vs by four
-        // workers, interleaved with more unrelated writes.
-        let n = 20_000usize;
-        let rows = |offset: usize| {
-            Value::set((0..n).map(|i| {
-                Value::record([
-                    ("K".into(), Value::Int((i + offset) as i64)),
-                    ("A".into(), Value::Int(i as i64)),
-                ])
-            }))
-        };
-        let mut s = Session::new();
-        s.bind_external("r", rows(0), "{[K: int, A: int]}").unwrap();
-        s.bind_external("t", rows(n - n / 8), "{[K: int, A: int]}")
-            .unwrap();
-        s.run("val side = ref(0);").unwrap();
-        s.store_reset();
-        let q = "card(select (x.A, y.A) where x <- r, y <- t with x.K = y.K);";
-        let timed = |s: &mut Session, lane: Option<usize>| {
-            let mode = Mode {
-                planner: true,
-                store: true,
-                lane,
-                tiny_gates: false,
-            };
-            with_mode(mode, || {
-                let t0 = std::time::Instant::now();
-                let out = s.eval_one(q).unwrap().value;
-                (out, t0.elapsed())
-            })
-        };
-        let (v_cold, _) = timed(&mut s, None);
-        s.eval_one("side := 1;").unwrap();
-        tuning::reset_par_stats();
-        let (v_seq, t_seq) = timed(&mut s, None);
-        s.eval_one("side := 2;").unwrap();
-        let (v_par, t_par) = timed(&mut s, Some(4));
-        r.check(
-            "cached sequential and cached parallel probes agree across writes",
-            &show_value(&v_cold),
-            &format!("{} / {}", show_value(&v_seq), show_value(&v_par)),
-            v_seq == v_cold && v_par == v_cold,
-        );
-        let stats = s.store_stats();
-        let ps = tuning::par_stats();
-        r.check(
-            "one build serves every probe; the parallel probe engaged",
-            "1 build, ≥ 2 hits, par_joins ≥ 1, 0 join fallbacks",
-            &format!(
-                "{} builds, {} hits, {} par_joins, {} fallbacks",
-                stats.builds, stats.hits, ps.par_joins, ps.par_join_fallbacks
-            ),
-            stats.builds == 1 && stats.hits >= 2 && ps.par_joins >= 1 && ps.par_join_fallbacks == 0,
-        );
-        let probe_speedup = t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9);
-        println!(
-            "       cached probe seq-vs-par4 : {probe_speedup:.2}x ({t_seq:.2?} vs {t_par:.2?}, \
-             n={n}; 1-core CI runners make this informational — BENCH_PR5.json holds the bar)"
         );
     }
 

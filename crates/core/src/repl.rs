@@ -218,9 +218,8 @@ mod tests {
 
     #[test]
     fn repl_stats_and_indexes_commands() {
-        // Pinned thread count: the parallel line is deterministic under
-        // any machine/env configuration.
-        let mut session = crate::testing::pinned_session(1);
+        // Cold store and zeroed counters, whatever ran before.
+        let mut session = crate::testing::pinned_session();
         let input = b":stats;\n\
                       val r = {[K=1, A=10], [K=2, A=20]};\n\
                       select x.A where x <- r with x.K = 2;\n\
@@ -235,7 +234,7 @@ mod tests {
             "{text}"
         );
         // The two equality queries share one cached grouping of `r` —
-        // plain rows, so the entry is in parallel-probable form.
+        // plain rows, so the entry is in plain (shareable) form.
         assert!(
             text.contains(">> [plain, 2 rows, 2 groups, 1 hits] scan r key(_.K)"),
             "{text}"
@@ -247,13 +246,6 @@ mod tests {
         assert!(
             text.contains(
                 ">> hits 1 / misses 1 / builds 1 / invalidated 0 / cleared 0 / evicted 0"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                ">> parallel (1 threads): joins 0 / join fallbacks 0 / \
-                 morsels 0 executed / 0 stolen"
             ),
             "{text}"
         );

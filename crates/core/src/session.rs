@@ -38,20 +38,14 @@ impl Outcome {
 }
 
 /// Every statistics surface a session can see, snapshotted at once:
-/// the index store, the parallel lane and its scheduler, the typed
-/// decline taxonomy, and the process-wide counter registry
-/// (`machiavelli_trace::metrics`). One struct so callers (and the
-/// REPL's `:stats`) render all of it through one code path.
+/// the index store, the typed decline taxonomy, and the process-wide
+/// counter registry (`machiavelli_trace::metrics`). One struct so
+/// callers (and the REPL's `:stats`) render all of it through one code
+/// path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionStats {
     /// Cached-index store counters (session-scoped).
     pub store: machiavelli_store::StoreStats,
-    /// Parallel-lane hit/fallback counters (session-scoped).
-    pub par: machiavelli_value::tuning::ParStats,
-    /// Morsel-scheduler counters (session-scoped).
-    pub exec: machiavelli_value::tuning::ExecStats,
-    /// The parallel lane's effective worker-thread count.
-    pub par_threads: usize,
     /// Typed decline counts (session-scoped), one entry per
     /// [`machiavelli_trace::DeclineReason`] variant in declaration
     /// order, zeros included.
@@ -77,17 +71,6 @@ impl SessionStats {
             out,
             "hits {} / misses {} / builds {} / invalidated {} / cleared {} / evicted {}",
             st.hits, st.misses, st.builds, st.invalidated, st.cleared, st.evicted
-        );
-        let (ps, es) = (&self.par, &self.exec);
-        let _ = writeln!(
-            out,
-            "parallel ({} threads): joins {} / join fallbacks {} / \
-             morsels {} executed / {} stolen",
-            self.par_threads,
-            ps.par_joins,
-            ps.par_join_fallbacks,
-            es.morsels_executed,
-            es.morsels_stolen
         );
         let m = |c| self.metrics.get(c);
         let _ = writeln!(
@@ -131,6 +114,16 @@ impl SessionStats {
         }
         out
     }
+}
+
+/// Morsel-scheduler counters, kept only because `benchmark/` reads
+/// them through [`Session::exec_stats`]. Always zero: the engine has no
+/// scheduler. Goes with the `exec.morsels` / `exec.steals` benchmark
+/// metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    pub morsels_executed: u64,
+    pub morsels_stolen: u64,
 }
 
 /// A stateful interpreter session.
@@ -252,9 +245,9 @@ impl Session {
     /// Describe the live cached indexes in deterministic order (sorted
     /// by fingerprint, then storage id — pinnable in golden tests),
     /// with each entry's representation: `plain` entries are
-    /// `Send + Sync` and eligible for the parallel cached probe, `rc`
-    /// entries (identity-bearing rows) probe sequentially. Behind the
-    /// REPL's `:indexes` command.
+    /// `Send + Sync` and shareable across sessions, `rc` entries
+    /// (identity-bearing rows) are session-local. Behind the REPL's
+    /// `:indexes` command.
     pub fn store_indexes(&self) -> Vec<machiavelli_store::IndexInfo> {
         machiavelli_store::with_store(|s| s.indexes())
     }
@@ -266,70 +259,31 @@ impl Session {
         machiavelli_store::with_store(|s| s.reset());
     }
 
-    /// Set the parallel lane's worker-thread count for this session
-    /// (`None` restores the default: `MACHIAVELLI_PAR_THREADS`, else
-    /// the machine's `available_parallelism`). Returns the previous
-    /// override. A count of 1 keeps everything sequential. Like the
-    /// index store, the setting is scoped to the thread driving the
-    /// session.
-    pub fn set_par_threads(&self, n: Option<usize>) -> Option<usize> {
-        machiavelli_value::tuning::set_par_threads(n)
+    /// Always [`ExecStats::default`] — see [`ExecStats`].
+    pub fn exec_stats(&self) -> ExecStats {
+        ExecStats::default()
     }
 
-    /// The parallel lane's effective worker-thread count.
-    pub fn par_threads(&self) -> usize {
-        machiavelli_value::tuning::par_threads()
-    }
-
-    /// This session's parallel-lane hit/fallback counters (joins probed
-    /// on the plain-key path and their runtime fallbacks). Behind the
-    /// REPL's `:stats` alongside the index-store counters.
-    pub fn par_stats(&self) -> machiavelli_value::tuning::ParStats {
-        machiavelli_value::tuning::par_stats()
-    }
-
-    /// Zero the parallel-lane counters.
-    pub fn par_reset(&self) {
-        machiavelli_value::tuning::reset_par_stats()
-    }
-
-    /// This session's morsel-scheduler counters (morsels executed and
-    /// stolen by the plain-key join's probe fan-out). Behind the REPL's
-    /// `:stats` alongside the parallel-lane counters.
-    pub fn exec_stats(&self) -> machiavelli_value::tuning::ExecStats {
-        machiavelli_value::tuning::exec_stats()
-    }
-
-    /// Zero the morsel-scheduler counters.
-    pub fn exec_reset(&self) {
-        machiavelli_value::tuning::reset_exec_stats()
-    }
-
-    /// One snapshot of every statistics surface — the store, parallel,
-    /// scheduler, the typed decline counts, and the process-wide
-    /// counter registry (server and shared-tier rows are all zero unless
-    /// this process hosts sessions through `machiavelli-server`). Behind
-    /// the REPL's `:stats` via [`SessionStats::render`].
+    /// One snapshot of every statistics surface — the store, the typed
+    /// decline counts, and the process-wide counter registry (server and
+    /// shared-tier rows are all zero unless this process hosts sessions
+    /// through `machiavelli-server`). Behind the REPL's `:stats` via
+    /// [`SessionStats::render`].
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             store: self.store_stats(),
-            par: self.par_stats(),
-            exec: self.exec_stats(),
-            par_threads: self.par_threads(),
             declines: machiavelli_trace::session_declines(),
             metrics: metrics::snapshot(),
         }
     }
 
     /// Zero every session-scoped counter in one call: the index store
-    /// (entries, counters, and observed per-operator stats), the
-    /// parallel lane and its scheduler, and the decline counts. The
-    /// process-wide registry ([`SessionStats::metrics`]) is deliberately
-    /// untouched — it aggregates across sessions.
+    /// (entries, counters, and observed per-operator stats) and the
+    /// decline counts. The process-wide registry
+    /// ([`SessionStats::metrics`]) is deliberately untouched — it
+    /// aggregates across sessions.
     pub fn reset_stats(&self) {
         self.store_reset();
-        self.par_reset();
-        self.exec_reset();
         machiavelli_trace::reset_session_declines();
     }
 
@@ -361,7 +315,7 @@ impl Session {
     /// Run `src` with query tracing forced on and render each traced
     /// `select` as its physical operator tree annotated with what
     /// *actually happened*: per-operator yielded rows, open/next time,
-    /// execution lane, cache outcome, and any typed decline codes —
+    /// cache outcome, and any typed decline codes —
     /// `EXPLAIN ANALYZE`, where [`Session::plan_of`] is `EXPLAIN`. The
     /// phrases evaluate for real (bindings stick, `it` updates), and
     /// fingerprinted operators persist observed row/time stats into the
@@ -609,8 +563,8 @@ impl Default for Session {
 ///
 /// ```text
 /// select: total 1.2ms
-///   HashJoin probe(x.K) build(y.K) [seq] [cache build] rows=3 open=1.0ms next=0.2ms
-///     Scan x <- r [seq] rows=100 open=10.0µs next=80.0µs
+///   HashJoin probe(x.K) build(y.K) [cache build] rows=3 open=1.0ms next=0.2ms
+///     Scan x <- r rows=100 open=10.0µs next=80.0µs
 /// ```
 ///
 /// A query with no spans ran through the interpreter's nested loop;
@@ -626,14 +580,7 @@ fn render_query_trace(out: &mut String, q: &machiavelli_trace::QueryTrace) {
     fn render_span(out: &mut String, spans: &[machiavelli_trace::OpSpan], id: u32, depth: usize) {
         use std::fmt::Write as _;
         let s = &spans[id as usize];
-        let _ = write!(
-            out,
-            "{:indent$}{} [{}]",
-            "",
-            s.label,
-            s.lane,
-            indent = depth * 2
-        );
+        let _ = write!(out, "{:indent$}{}", "", s.label, indent = depth * 2);
         if let Some(c) = &s.cache {
             let _ = write!(out, " [cache {c}]");
         }
@@ -921,7 +868,7 @@ mod tests {
 
     #[test]
     fn plan_of_renders_hash_join_and_fallback() {
-        let s = crate::testing::pinned_session(1);
+        let s = crate::testing::pinned_session();
         let tree = s
             .plan_of("select (x.A, y.B) where x <- r, y <- s with x.K = y.K;")
             .unwrap();
@@ -950,7 +897,7 @@ mod tests {
 
     #[test]
     fn store_stats_track_reuse_and_plan_of_flips_to_cached() {
-        let mut s = crate::testing::pinned_session(1);
+        let mut s = crate::testing::pinned_session();
         s.run("val r = {[K=1, A=10], [K=2, A=20]}; val t = {[K=1, B=5]};")
             .unwrap();
         let q = "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;";
@@ -961,15 +908,13 @@ mod tests {
         let stats = s.store_stats();
         assert_eq!((stats.builds, stats.hits), (1, 1), "{stats:?}");
         assert_eq!(stats.entries, 1, "{stats:?}");
-        // The rendering now reports the live index (plain, with
-        // plain-evaluable probe keys: statically eligible for the
-        // plain-key path).
+        // The rendering now reports the live index.
         let warm = s.plan_of(q).unwrap();
-        assert!(warm.contains("HashJoin[idx cached, par]"), "{warm}");
+        assert!(warm.contains("HashJoin[idx cached]"), "{warm}");
         let indexes = s.store_indexes();
         assert_eq!(indexes.len(), 1);
         // Binder names are alpha-normalized to `_` in fingerprints, and
-        // pure-data relations cache in plain (parallel-probable) form.
+        // pure-data relations cache in plain (shareable) form.
         assert_eq!(indexes[0].fingerprint, "join t build(_.K) filter()");
         assert_eq!(indexes[0].kind, machiavelli_store::IndexKind::Plain);
         s.store_reset();
@@ -978,18 +923,18 @@ mod tests {
 
     #[test]
     fn reset_stats_leaves_no_session_counter_behind() {
-        let mut s = crate::testing::pinned_session(1);
+        let mut s = crate::testing::pinned_session();
         // Dirty every session-scoped surface: store counters (build +
         // hit), observed per-fingerprint stats (via analyze), and the
         // decline counts (a planner fallback plus a directly noted
-        // lane decline).
+        // store decline).
         s.run("val r = {[K=1, A=10], [K=2, A=20]}; val t = {[K=1, B=5]};")
             .unwrap();
         let q = "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;";
         s.analyze(q).unwrap();
         s.run(q).unwrap();
         s.run("select x where x <- r with member(x, r);").unwrap();
-        machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::ParJoinExtract);
+        machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::StoreRcOnly);
         let dirty = s.stats();
         assert!(
             dirty.store != machiavelli_store::StoreStats::default(),
@@ -1004,8 +949,6 @@ mod tests {
         s.reset_stats();
         let clean = s.stats();
         assert_eq!(clean.store, machiavelli_store::StoreStats::default());
-        assert_eq!(clean.par, machiavelli_value::tuning::ParStats::default());
-        assert_eq!(clean.exec, machiavelli_value::tuning::ExecStats::default());
         assert!(
             clean.declines.iter().all(|(_, n)| *n == 0),
             "{:?}",

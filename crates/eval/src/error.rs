@@ -24,9 +24,6 @@ pub enum EvalError {
     /// query (cancellation, deadline, or row budget) at a cooperative
     /// tick. Sticky: re-polling the guard reports the same cause.
     Interrupted(Trip),
-    /// A parallel worker panicked; the panic was caught at the lane
-    /// boundary and reported instead of unwinding through the session.
-    WorkerPanicked(String),
 }
 
 impl fmt::Display for EvalError {
@@ -40,7 +37,6 @@ impl fmt::Display for EvalError {
             EvalError::NotAFunction(v) => write!(f, "cannot apply non-function `{v}`"),
             EvalError::StackOverflow => write!(f, "evaluation recursion limit exceeded"),
             EvalError::Interrupted(trip) => trip.fmt(f),
-            EvalError::WorkerPanicked(msg) => write!(f, "parallel worker panicked: {msg}"),
         }
     }
 }

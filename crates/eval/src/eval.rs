@@ -413,12 +413,6 @@ impl Cx {
                                 Err(ExecError::NotABool(shown)) => {
                                     Err(EvalError::NotAFunction(shown))
                                 }
-                                Err(ExecError::Interrupted(trip)) => {
-                                    Err(EvalError::Interrupted(trip))
-                                }
-                                Err(ExecError::WorkerPanic(msg)) => {
-                                    Err(EvalError::WorkerPanicked(msg))
-                                }
                             };
                         }
                         // The typed reason joins the decline taxonomy

@@ -18,48 +18,24 @@
 //! choose at open. (The size-based flip for two uncached sides depends
 //! on relation cardinalities and cannot be predicted without
 //! evaluating; it renders in the unswapped orientation.)
-//!
-//! A join that is **statically eligible** for the plain-key join path
-//! (`physical::ParInfo`, decided once at plan time) carries a `par`
-//! marker: `HashJoin[par]` for an uncached join whose build and probe
-//! sides are both covered, `HashJoin[idx cached, par]` for a cached
-//! index in plain form with covered probe keys. Only what is fixed at
-//! plan time is rendered — never the ambient worker-thread count, so a
-//! plan reads the same on every host. Whether an execution actually
-//! fans out (lane enabled, >1 threads, size gate, every key extracting
-//! to plain data) and at what degree is on the `:analyze` span.
 
 use crate::analysis::Conjunct;
-use crate::physical::{IndexKey, ParInfo, PhysOp, PhysicalPlan};
-use machiavelli_store::IndexKind;
+use crate::physical::{IndexKey, PhysOp, PhysicalPlan};
+use machiavelli_store::with_store;
 use machiavelli_syntax::pretty::expr_to_string;
 use std::fmt::Write as _;
 
+/// Does the store hold a live index with this fingerprint?
+fn cached(fingerprint: &str) -> bool {
+    with_store(|s| s.has_fingerprint(fingerprint))
+}
+
 /// The `[idx cached]` / `[idx build]` marker for a cacheable operator.
-fn idx_marker(fingerprint: &str) -> &'static str {
-    if machiavelli_store::with_store(|s| s.has_fingerprint(fingerprint)) {
+fn idx_marker(live: bool) -> &'static str {
+    if live {
         "[idx cached]"
     } else {
         "[idx build]"
-    }
-}
-
-/// The `, par` suffix for a cached **plain** index with eligible probe
-/// keys: the next execution can probe it on the plain-key path.
-fn cached_par_suffix(kind: IndexKind, par: &Option<ParInfo>) -> &'static str {
-    match (kind, par) {
-        (IndexKind::Plain, Some(_)) => ", par",
-        _ => "",
-    }
-}
-
-/// The `[par]` marker for an uncached join statically eligible for the
-/// plain-key path (build and probe sides both covered).
-fn par_marker(par: &Option<ParInfo>) -> &'static str {
-    if par.as_ref().is_some_and(|i| i.build_ok) {
-        "[par]"
-    } else {
-        ""
     }
 }
 
@@ -147,7 +123,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
             let _ = writeln!(
                 out,
                 "{pad}IndexScan{} {var} <- {} key({}){}",
-                idx_marker(fingerprint),
+                idx_marker(cached(fingerprint)),
                 expr_to_string(source),
                 rendered.join(", "),
                 filters_suffix(filters)
@@ -161,35 +137,29 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
             probe_keys,
             build_keys,
             fingerprint,
-            par,
             swap,
         } => {
             // Predict the build-side flip the executor will take at
             // open: the swapped side holds the live cached index and
             // the normal side does not. Mirrors the open-time decision
             // at display level (by fingerprint, not storage).
-            let normal_kind = fingerprint
-                .as_ref()
-                .and_then(|fp| machiavelli_store::with_store(|s| s.fingerprint_kind(fp)));
-            if normal_kind.is_none() {
-                if let Some(sw) = swap {
-                    let swapped_kind =
-                        machiavelli_store::with_store(|s| s.fingerprint_kind(&sw.fingerprint));
-                    if let (
-                        Some(kind),
-                        PhysOp::Scan {
-                            var: pvar,
-                            source: psource,
-                            filters: pfilters,
-                        },
-                    ) = (swapped_kind, input.as_ref())
-                    {
+            let normal_cached = fingerprint.as_deref().map(cached);
+            if normal_cached != Some(true) {
+                if let (
+                    Some(sw),
+                    PhysOp::Scan {
+                        var: pvar,
+                        source: psource,
+                        filters: pfilters,
+                    },
+                ) = (swap, input.as_ref())
+                {
+                    if cached(&sw.fingerprint) {
                         // Sides exchange: the second generator streams,
                         // the first builds (its pushed filters baked in).
                         let _ = writeln!(
                             out,
-                            "{pad}HashJoin[idx cached, swapped{}] probe({}) build({})",
-                            cached_par_suffix(kind, &sw.par),
+                            "{pad}HashJoin[idx cached, swapped] probe({}) build({})",
                             keys_list(build_keys),
                             keys_list(probe_keys)
                         );
@@ -209,13 +179,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
                     }
                 }
             }
-            let marker = match (fingerprint, normal_kind) {
-                (Some(_), Some(kind)) => {
-                    format!("[idx cached{}]", cached_par_suffix(kind, par))
-                }
-                (Some(_), None) => "[idx build]".to_string(),
-                (None, _) => par_marker(par).to_string(),
-            };
+            let marker = normal_cached.map_or("", idx_marker);
             let _ = writeln!(
                 out,
                 "{pad}HashJoin{marker} probe({}) build({})",
@@ -272,29 +236,6 @@ mod tests {
              Scan x <- r\n    \
              Build y <- s filter (y.B > 1)"
         );
-    }
-
-    #[test]
-    fn uncached_eligible_join_renders_par_marker() {
-        // View-call sources construct fresh storage, so the join is
-        // never store-cached — both key closures are plain-evaluable,
-        // so it renders the static `par` marker instead (at any thread
-        // count: the marker is eligibility, not a degree).
-        for threads in [1, 4] {
-            let prev = machiavelli_value::tuning::set_par_threads(Some(threads));
-            let text = plan_text(
-                "select (x.A, y.B) where x <- V(r), y <- W(s) \
-                 with x.A > 1 andalso x.K = y.K andalso y.B > 2",
-            );
-            machiavelli_value::tuning::set_par_threads(prev);
-            assert_eq!(
-                text,
-                "Project (x.A, y.B)\n  \
-                 HashJoin[par] probe(x.K) build(y.K)\n    \
-                 Scan x <- V(r) filter (x.A > 1)\n    \
-                 Build y <- W(s) filter (y.B > 2)"
-            );
-        }
     }
 
     #[test]

@@ -28,34 +28,25 @@
 //! identity and the expressions' text (the **fingerprint**), never of
 //! the enclosing environment. Groupings hold **row indices** into the
 //! relation's canonical slice; the store re-represents fully plain
-//! relations in `Send + Sync` form, which is what lets a *cached*
-//! index serve the plain-key parallel probe (see the parallel execution
-//! contract in the crate docs) — and a two-generator join may flip its build
-//! side toward an already-cached (or smaller) relation at open
-//! ([`SwapInfo`]). Cache consultation is invisible in the results: a
-//! hit returns exactly the grouping an inline build would have
-//! produced (same rows, same canonical order per group), and the
-//! expressions skipped on a hit are planner-safe — pure and total — so
-//! not re-evaluating them is unobservable. See `machiavelli-store` for
-//! the invalidation contract (pointer-identity keying + dirty-ref
-//! tracking).
+//! relations in `Send + Sync` form so sessions can share them, and a
+//! two-generator join may flip its build side toward an already-cached
+//! (or smaller) relation at open ([`SwapInfo`]). Cache consultation is
+//! invisible in the results: a hit returns exactly the grouping an
+//! inline build would have produced (same rows, same canonical order
+//! per group), and the expressions skipped on a hit are planner-safe —
+//! pure and total — so not re-evaluating them is unobservable. See
+//! `machiavelli-store` for the invalidation contract (pointer-identity
+//! keying + dirty-ref tracking).
 
 use crate::analysis::{closed_under, is_safe_expr, mentions_any, stable_source, Conjunct};
 use crate::logical::LogicalPlan;
-use crate::parallel::{extract_key, par_evaluable, par_probe, safe_eval, ValueBindings};
 use machiavelli_store::{store_enabled, with_store, CachedIndex, Index, KeyTuple};
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind};
 use machiavelli_syntax::pretty::expr_to_string;
 use machiavelli_syntax::symbol::Symbol;
-use machiavelli_trace::{self as trace, DeclineReason};
-use machiavelli_value::plain::{PlainIndex, PlainKey};
-use machiavelli_value::tuning::{
-    morsel_rows, note_par_join, par_join_min_rows, par_threads, parallel_enabled,
-    PAR_JOIN_MAX_PROBE_FACTOR,
-};
+use machiavelli_trace as trace;
 use machiavelli_value::{show_value, value_eq, Env, MSet, Value};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Callback into the host evaluator. The executor never interprets
 /// expressions itself; it only decides *which* expressions to evaluate
@@ -77,61 +68,12 @@ pub enum ExecError<E> {
     /// A strict conjunct (left operand of `andalso`) evaluated to a
     /// non-boolean (rendered value).
     NotABool(String),
-    /// The governing [`machiavelli_value::governor::QueryGuard`]
-    /// stopped the pipeline (checked after every parallel fan-out and
-    /// inside worker chunk loops). Non-generic: the guard is outside
-    /// the hook's error space.
-    Interrupted(machiavelli_value::governor::Trip),
-    /// A parallel worker panicked; caught at the lane boundary and
-    /// reported as an error instead of unwinding through the session.
-    WorkerPanic(String),
 }
 
 impl<E> From<E> for ExecError<E> {
     fn from(e: E) -> Self {
         ExecError::Eval(e)
     }
-}
-
-/// Render a caught panic payload (the common `&str`/`String` cases;
-/// anything else gets a placeholder).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string())
-}
-
-/// Run a parallel driver under the lane's panic trap. A worker panic
-/// (injected or real) resumes on the coordinator inside `f`; trapping
-/// it here turns a would-be session abort into
-/// [`ExecError::WorkerPanic`]. After a clean return the (sticky) query
-/// guard is re-checked: workers bail early with truncated results when
-/// the guard trips mid-fan-out, so a trip must surface as
-/// [`ExecError::Interrupted`] before the result can be used.
-fn run_par<T, E>(f: impl FnOnce() -> T) -> Result<T, ExecError<E>> {
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .map_err(|payload| ExecError::WorkerPanic(panic_message(payload.as_ref())))?;
-    if let Some(trip) = machiavelli_value::governor::check_current() {
-        return Err(ExecError::Interrupted(trip));
-    }
-    Ok(out)
-}
-
-/// Static eligibility of a [`PhysOp::HashJoin`] for the plain-key join
-/// path ([`open_plain_join`]), decided once at plan time. Present iff
-/// the **probe keys** are [`par_evaluable`] under the earlier binders —
-/// enough to probe a store-served plain index, which needs no
-/// build-side evaluation at all. `build_ok` additionally records whether
-/// the build keys and pushed filters are `par_evaluable` under the build
-/// binder — what an uncached join needs to build its plain table inline.
-/// Carries the probe binders the keys actually mention, so the executor
-/// extracts only those per input row.
-#[derive(Debug)]
-pub struct ParInfo {
-    pub probe_vars: Vec<Symbol>,
-    pub build_ok: bool,
 }
 
 /// Static swappability of a two-generator equi-join: the planner keeps
@@ -152,9 +94,6 @@ pub struct SwapInfo {
     /// Store fingerprint of the swapped-orientation build table (over
     /// the first generator's relation, keyed by the probe expressions).
     pub fingerprint: String,
-    /// Parallel eligibility of the swapped orientation's probe side
-    /// (the original build keys under the join binder).
-    pub par: Option<ParInfo>,
 }
 
 /// One key of an [`PhysOp::IndexScan`]: an equality conjunct
@@ -215,14 +154,6 @@ pub enum PhysOp<'a> {
         probe_keys: Vec<&'a Expr>,
         build_keys: Vec<&'a Expr>,
         fingerprint: Option<String>,
-        /// `Some` when the join is statically eligible for the plain-key
-        /// path (see [`ParInfo`] and the parallel execution contract in
-        /// the crate docs). Whether an execution actually takes it is
-        /// decided at open time: the lane must be enabled with >1
-        /// worker threads, the size gate
-        /// ([`machiavelli_value::tuning::par_join_min_rows`]) must
-        /// clear, and every key must extract to plain data.
-        par: Option<ParInfo>,
         /// `Some` when the build side may be flipped to the first
         /// generator at open time (see [`SwapInfo`]).
         swap: Option<SwapInfo>,
@@ -242,9 +173,9 @@ pub struct PhysicalPlan<'a> {
 }
 
 /// The static trace-span label of one operator: the `explain` line
-/// minus the display-level markers — a span records the lane and cache
-/// outcome that *actually happened* as separate fields, so the label
-/// carries only what is fixed at plan time. Only built while a trace is
+/// minus the display-level markers — a span records the cache outcome
+/// that *actually happened* as a separate field, so the label carries
+/// only what is fixed at plan time. Only built while a trace is
 /// active (the span API takes it as a closure).
 fn op_label(op: &PhysOp<'_>) -> String {
     use crate::explain::{filters_suffix, keys_list};
@@ -563,29 +494,6 @@ impl<'a> LogicalPlan<'a> {
                     && build_keys.iter().all(|k| closed_under(k, &binder))
                     && step.filters.iter().all(|c| closed_under(c.expr, &binder)))
                 .then(|| join_fingerprint(step.source, step.var, &build_keys, &step.filters));
-                // Plain-key join eligibility, decided here once. Probe-key
-                // coverage by `safe_eval` is enough to probe a *cached*
-                // plain index (no build-side evaluation happens at
-                // all); building the plain table inline additionally
-                // needs the build keys and pushed filters covered under
-                // the build binder (`build_ok`) — the same closure
-                // discipline the store uses, plus `safe_eval`'s
-                // coverage test.
-                let par = probe_keys
-                    .iter()
-                    .all(|k| par_evaluable(k, &earlier))
-                    .then(|| ParInfo {
-                        probe_vars: earlier
-                            .iter()
-                            .copied()
-                            .filter(|v| {
-                                let v = [*v];
-                                probe_keys.iter().any(|k| mentions_any(k, &v))
-                            })
-                            .collect(),
-                        build_ok: build_keys.iter().all(|k| par_evaluable(k, &binder))
-                            && step.filters.iter().all(|c| par_evaluable(c.expr, &binder)),
-                    });
                 // Swappability: a two-generator join over a bare first
                 // Scan may flip its build side at open time when the
                 // flip is unobservable and the swapped build would be
@@ -608,12 +516,6 @@ impl<'a> LogicalPlan<'a> {
                                     &probe_keys,
                                     pfilters,
                                 ),
-                                par: build_keys.iter().all(|k| par_evaluable(k, &binder)).then(
-                                    || ParInfo {
-                                        probe_vars: vec![step.var],
-                                        build_ok: false,
-                                    },
-                                ),
                             })
                         }
                         _ => None,
@@ -629,7 +531,6 @@ impl<'a> LogicalPlan<'a> {
                     probe_keys,
                     build_keys,
                     fingerprint,
-                    par,
                     swap,
                 }
             } else {
@@ -769,8 +670,8 @@ fn build_scan_index<H: EvalHook>(
 /// Fetch-or-build an index through the store. The hook is never called
 /// while the store is borrowed (a nested query evaluated by the hook
 /// may consult the store itself), and a build error caches nothing. The
-/// store decides the representation: plain (`Send + Sync`,
-/// parallel-probable) when the relation extracts, `Rc`-lane otherwise.
+/// store decides the representation: plain (`Send + Sync`, shareable
+/// across sessions) when the relation extracts, `Rc`-lane otherwise.
 #[allow(clippy::mutable_key_type)] // refs hash by identity
 fn obtain_index<H: EvalHook>(
     items: &MSet,
@@ -823,48 +724,11 @@ fn open_scan_traced<'p>(
     }
 }
 
-/// Build a join table in plain form **without the hook**: pushed
-/// filters and build keys run through [`safe_eval`] (no interpreter
-/// dispatch, no environment allocation) and only the extracted
-/// [`PlainKey`] tuples are kept, grouped over row indices in source
-/// order. `None` is a decline — an unsupported shape at runtime, an
-/// identity-bearing key value, a strict filter evaluating non-boolean
-/// (where the interpreter raises) — and the caller builds through the
-/// hook instead, which reproduces the exact sequential behavior.
-fn build_plain_index(
-    items: &MSet,
-    var: Symbol,
-    filters: &[Conjunct<'_>],
-    build_keys: &[&Expr],
-) -> Option<PlainIndex> {
-    let mut index = PlainIndex::with_capacity(items.len());
-    'rows: for (i, row) in items.iter().enumerate() {
-        let row_env = ValueBindings {
-            head: Some((var, row)),
-            rest: &[],
-        };
-        for c in filters {
-            match safe_eval(c.expr, &row_env)? {
-                Value::Bool(true) => {}
-                Value::Bool(false) => continue 'rows,
-                // A lenient (syntactically last) conjunct rejects the
-                // row on a non-boolean, like the sequential `check`.
-                _ if !c.strict => continue 'rows,
-                _ => return None,
-            }
-        }
-        index.push(extract_key(build_keys, &row_env)?, i as u32);
-    }
-    Some(index)
-}
-
 /// Open a hash join whose orientation is already fixed: `input` streams
-/// the probe side, `items` is the build relation. Obtains the build
-/// table — from the index store when fingerprinted, in plain form
-/// inline when the join is statically `build_ok` and the build side
-/// clears the size gate, through the hook otherwise — and hands a plain
-/// table to [`open_plain_join`]; everything else is the streaming
-/// sequential build/probe.
+/// the probe side, `items` is the build relation. The build table comes
+/// from the index store when fingerprinted (a hit skips the whole build
+/// phase — filters and keys — all planner-safe, so unobservable),
+/// otherwise it is built inline through the hook.
 #[allow(clippy::too_many_arguments)]
 fn open_keyed_join<'p, H: EvalHook>(
     input: Box<Node<'p>>,
@@ -874,55 +738,21 @@ fn open_keyed_join<'p, H: EvalHook>(
     filters: &'p [Conjunct<'p>],
     probe_keys: &'p [&'p Expr],
     fingerprint: Option<&str>,
-    par: Option<&'p ParInfo>,
     env: &Env,
     hook: &mut H,
 ) -> Result<Node<'p>, ExecError<H::Error>> {
-    // Runtime gates of the plain path: lane enabled, >1 worker threads.
-    let par = par.filter(|_| parallel_enabled() && par_threads() > 1);
     let table = match fingerprint {
-        // Cacheable build: request it from the index store (hit ⇒ the
-        // whole build phase — filters and keys — is skipped; all
-        // planner-safe, so unobservable).
         Some(fp) => obtain_index(
             &items,
             fp,
             |hook| build_join_index(&items, var, filters, build_keys, env, hook),
             hook,
         )?,
-        // Environment-dependent (or store-less) build: construct
-        // inline — in plain form when eligible and large enough to
-        // split, so the probe below can fan out over it.
-        None => {
-            if let Some(info) = par.filter(|i| i.build_ok && items.len() >= par_join_min_rows()) {
-                match build_plain_index(&items, var, filters, build_keys) {
-                    Some(index) => {
-                        let index = Arc::new(index);
-                        return open_plain_join(
-                            input, items, var, probe_keys, index, info, 0, hook,
-                        );
-                    }
-                    // Nothing was drained: the untouched input streams
-                    // through the sequential build/probe below.
-                    None => {
-                        note_par_join(false);
-                        trace::note_decline(DeclineReason::ParJoinExtract);
-                    }
-                }
-            }
-            CachedIndex::Local(Rc::new(build_join_index(
-                &items, var, filters, build_keys, env, hook,
-            )?))
-        }
+        // Environment-dependent (or store-less) build: construct inline.
+        None => CachedIndex::Local(Rc::new(build_join_index(
+            &items, var, filters, build_keys, env, hook,
+        )?)),
     };
-    // A store-served plain table is `Send + Sync`: eligible probe keys
-    // fan out over it directly, once the probe side clears the gate
-    // (there is no build to amortize, only probe materialization and
-    // thread coordination).
-    if let (CachedIndex::Plain(index), Some(info)) = (&table, par) {
-        let (index, gate) = (index.clone(), par_join_min_rows());
-        return open_plain_join(input, items, var, probe_keys, index, info, gate, hook);
-    }
     Ok(Node::HashJoin {
         input,
         var,
@@ -930,150 +760,6 @@ fn open_keyed_join<'p, H: EvalHook>(
         items,
         table,
         cur: None,
-    })
-}
-
-/// **The** plain-key join: probe a plain key→row-index table — built
-/// inline for this query or served by the index store — at a degree of
-/// `min(par_threads, probe morsels)`. Always returns a usable node:
-/// [`Node::ParJoin`] holding the precomputed match lists on success,
-/// otherwise the streaming sequential probe over the same table — with
-/// zero behavior change, since everything evaluated early (the probe
-/// pipeline's per-row expressions) is planner-safe. Rows are matched by
-/// **index** and re-bound on the session thread, so nothing is
-/// deep-copied. A probe side under `min_probe_rows` stays sequential
-/// (a size gate, not counted as a fallback); hits and runtime
-/// fallbacks are recorded in [`machiavelli_value::tuning::par_stats`]
-/// and as typed declines.
-#[allow(clippy::too_many_arguments)]
-fn open_plain_join<'p, H: EvalHook>(
-    mut input: Box<Node<'p>>,
-    items: MSet,
-    var: Symbol,
-    probe_keys: &'p [&'p Expr],
-    index: Arc<PlainIndex>,
-    info: &ParInfo,
-    min_probe_rows: usize,
-    hook: &mut H,
-) -> Result<Node<'p>, ExecError<H::Error>> {
-    let seq = |input: Box<Node<'p>>, items: MSet, index: Arc<PlainIndex>| Node::HashJoin {
-        input,
-        var,
-        probe_keys,
-        items,
-        table: CachedIndex::Plain(index),
-        cur: None,
-    };
-    // An empty index matches nothing; the sequential node short-circuits
-    // without even pulling the input. Not a fallback — there is no probe
-    // work to parallelize.
-    if index.is_empty() {
-        return Ok(seq(input, items, index));
-    }
-    // Peel an active-trace [`Node::Traced`] wrapper so the shape match
-    // below sees exactly the node an untraced run would: path selection
-    // must not depend on whether a trace is recording. The peeled span
-    // keeps its accounting — paths that hand the input back rewrap it,
-    // paths that consume it set the row count directly (no `next` has
-    // run yet, so the span's count starts at zero and a rewrapped
-    // remainder adds on top).
-    let mut input_sid: Option<u32> = None;
-    if let Node::Traced { sid, .. } = input.as_ref() {
-        input_sid = Some(*sid);
-        let Node::Traced { inner, .. } = *input else {
-            unreachable!()
-        };
-        input = inner;
-    }
-    let rewrap = |node: Box<Node<'p>>| match input_sid {
-        Some(sid) => Box::new(Node::Traced { sid, inner: node }),
-        None => node,
-    };
-    // Materialize the probe side. The dominant shape — a bare,
-    // filterless `Scan` of an already-materialized relation (the
-    // two-generator equi-join) — needs no draining at all: keys extract
-    // straight off the relation slice and match envs bind lazily (only
-    // probe rows that actually matched ever get one). Anything else is
-    // drained through the pipeline (upstream per-row work is
-    // planner-safe; evaluating it before the first result row is
-    // unobservable). The sequential probe streams with O(1) extra
-    // memory, so draining is capped relative to the build side: a
-    // pathologically large probe pipeline bails to the sequential probe
-    // over the drained prefix plus the still-live remainder.
-    let probe = match input.as_ref() {
-        Node::Scan {
-            var: svar,
-            filters: [],
-            base,
-            items: pitems,
-            idx: 0,
-        } => ParProbe::Rows {
-            base: base.clone(),
-            var: *svar,
-            items: pitems.clone(),
-        },
-        _ => {
-            let cap = items.len().saturating_mul(PAR_JOIN_MAX_PROBE_FACTOR);
-            let mut rows: Vec<Env> = Vec::new();
-            let mut drained_all = true;
-            while let Some(row) = input.next(hook)? {
-                rows.push(row);
-                if rows.len() >= cap {
-                    drained_all = false;
-                    break;
-                }
-            }
-            // The drain bypassed the peeled span's `next` accounting.
-            trace::annotate_rows(input_sid, rows.len() as u64);
-            if !drained_all {
-                note_par_join(false);
-                trace::note_decline(DeclineReason::ParJoinDrainCap);
-                let drained = Box::new(Node::Materialized {
-                    rows,
-                    idx: 0,
-                    rest: Some(rewrap(input)),
-                });
-                return Ok(seq(drained, items, index));
-            }
-            ParProbe::Envs(rows)
-        }
-    };
-    // The sequential replay of a materialized probe side: the untouched
-    // `Scan` (still under its span), or the drained rows (whose span
-    // already holds their count).
-    let replay = |probe: ParProbe| match probe {
-        ParProbe::Rows { .. } => rewrap(input),
-        ParProbe::Envs(rows) => Box::new(Node::Materialized {
-            rows,
-            idx: 0,
-            rest: None,
-        }),
-    };
-    if probe.len() < min_probe_rows {
-        return Ok(seq(replay(probe), items, index));
-    }
-    let Some(keys) = probe.keys(probe_keys, info) else {
-        // A probe key declined extraction (identity-bearing value or an
-        // unsupported runtime shape): the sequential probe replays the
-        // same rows — identical bindings, identical errors.
-        note_par_join(false);
-        trace::note_decline(DeclineReason::ParJoinExtract);
-        return Ok(seq(replay(probe), items, index));
-    };
-    let degree = par_threads().min(keys.len().div_ceil(morsel_rows())).max(1);
-    let matches = run_par(|| par_probe(&index, &keys, degree))?;
-    note_par_join(true);
-    trace::annotate_lane(trace::current_span(), trace::Lane::Par(degree as u32));
-    if let ParProbe::Rows { .. } = probe {
-        trace::annotate_rows(input_sid, keys.len() as u64);
-    }
-    Ok(Node::ParJoin {
-        var,
-        rows: items,
-        probe,
-        matches,
-        cursor: (0, 0),
-        cur_env: None,
     })
 }
 
@@ -1120,97 +806,14 @@ enum Node<'p> {
         /// The in-flight probe binding and its match cursor.
         cur: Option<(Env, Vec<u32>, usize)>,
     },
-    /// A (possibly partially) drained input: the plain-key join
-    /// materializes the probe side before fanning out; if it then has
-    /// to fall back, the rows replay through the sequential join
-    /// unchanged (every per-row upstream expression is planner-safe, so
-    /// having evaluated them early is unobservable), followed by
-    /// whatever `rest` of the pipeline was never drained (the
-    /// probe-drain memory cap stops draining mid-stream).
-    Materialized {
-        rows: Vec<Env>,
-        idx: usize,
-        rest: Option<Box<Node<'p>>>,
-    },
-    /// A completed plain-key join: `matches[i]` holds the build-row
-    /// indices for probe row `i`, each list ascending (= build-source
-    /// canonical order). Yields probe-major with groups in order —
-    /// exactly the binding sequence the sequential probe produces.
-    ParJoin {
-        var: Symbol,
-        rows: MSet,
-        probe: ParProbe,
-        matches: Vec<Vec<u32>>,
-        cursor: (usize, usize),
-        /// The probe row currently being enumerated, bound at most once
-        /// (only rows with matches are ever bound at all on the
-        /// [`ParProbe::Rows`] path).
-        cur_env: Option<(usize, Env)>,
-    },
     Filter {
         input: Box<Node<'p>>,
         conjuncts: &'p [Conjunct<'p>],
     },
     /// A span-wrapped operator, present only while a query trace is
     /// active: `next` adds the inclusive elapsed time and yielded-row
-    /// count of the inner node to span `sid`. [`open_plain_join`]
-    /// pattern-matches its input's shape and peels this wrapper first.
+    /// count of the inner node to span `sid`.
     Traced { sid: u32, inner: Box<Node<'p>> },
-}
-
-/// The materialized probe side of a plain-key join.
-enum ParProbe {
-    /// Materialized probe environments, one per probe row (general
-    /// pipelines: the rows were drained through the input node).
-    Envs(Vec<Env>),
-    /// A bare filterless scan: probe row `i` is `items[i]`, and its
-    /// environment (`base` extended with the binder) is built lazily —
-    /// only for rows that actually matched.
-    Rows { base: Env, var: Symbol, items: MSet },
-}
-
-impl ParProbe {
-    fn len(&self) -> usize {
-        match self {
-            ParProbe::Envs(envs) => envs.len(),
-            ParProbe::Rows { items, .. } => items.len(),
-        }
-    }
-
-    /// Extract every probe row's key tuple to plain data — the one
-    /// key-extraction loop of the plain-key join. `None` when any row
-    /// declines (unbound binder, unsupported runtime shape,
-    /// identity-bearing key value). Raw rows key through borrowed
-    /// bindings: no per-row environment allocation.
-    fn keys(&self, probe_keys: &[&Expr], info: &ParInfo) -> Option<Vec<PlainKey>> {
-        let mut keys = Vec::with_capacity(self.len());
-        match self {
-            ParProbe::Rows { var, items, .. } => {
-                for row in items.iter() {
-                    let row_env = ValueBindings {
-                        head: Some((*var, row)),
-                        rest: &[],
-                    };
-                    keys.push(extract_key(probe_keys, &row_env)?);
-                }
-            }
-            ParProbe::Envs(envs) => {
-                let mut bound: Vec<(Symbol, Value)> = Vec::with_capacity(info.probe_vars.len());
-                for row in envs {
-                    bound.clear();
-                    for v in &info.probe_vars {
-                        bound.push((*v, row.lookup(*v)?));
-                    }
-                    let row_env = ValueBindings {
-                        head: None,
-                        rest: &bound,
-                    };
-                    keys.push(extract_key(probe_keys, &row_env)?);
-                }
-            }
-        }
-        Some(keys)
-    }
 }
 
 impl<'p> Node<'p> {
@@ -1352,7 +955,6 @@ impl<'p> Node<'p> {
                 probe_keys,
                 build_keys,
                 fingerprint,
-                par,
                 swap,
             } => {
                 // Build-side selection for swappable joins: evaluate
@@ -1398,7 +1000,6 @@ impl<'p> Node<'p> {
                                 pfilters,
                                 build_keys,
                                 Some(&sw.fingerprint),
-                                sw.par.as_ref(),
                                 env,
                                 hook,
                             )
@@ -1413,7 +1014,6 @@ impl<'p> Node<'p> {
                                 filters,
                                 probe_keys,
                                 fingerprint.as_deref(),
-                                par.as_ref(),
                                 env,
                                 hook,
                             )
@@ -1430,7 +1030,6 @@ impl<'p> Node<'p> {
                     filters,
                     probe_keys,
                     fingerprint.as_deref(),
-                    par.as_ref(),
                     env,
                     hook,
                 )?
@@ -1548,52 +1147,6 @@ impl<'p> Node<'p> {
                     // re-bind lazily above (len × O(1) `Rc` bumps).
                     *cur = Some((outer, matches.to_vec(), 0));
                 }
-            },
-            Node::Materialized { rows, idx, rest } => {
-                if *idx < rows.len() {
-                    let row = rows[*idx].clone();
-                    *idx += 1;
-                    Ok(Some(row))
-                } else if let Some(rest) = rest {
-                    rest.next(hook)
-                } else {
-                    Ok(None)
-                }
-            }
-            Node::ParJoin {
-                var,
-                rows,
-                probe,
-                matches,
-                cursor,
-                cur_env,
-            } => loop {
-                let (i, j) = *cursor;
-                if i >= matches.len() {
-                    return Ok(None);
-                }
-                let group = &matches[i];
-                if j < group.len() {
-                    *cursor = (i, j + 1);
-                    let item = rows.as_slice()[group[j] as usize].clone();
-                    let outer = match probe {
-                        ParProbe::Envs(envs) => envs[i].clone(),
-                        ParProbe::Rows {
-                            base,
-                            var: svar,
-                            items,
-                        } => match cur_env {
-                            Some((ci, env)) if *ci == i => env.clone(),
-                            _ => {
-                                let env = base.bind(*svar, items.as_slice()[i].clone());
-                                *cur_env = Some((i, env.clone()));
-                                env
-                            }
-                        },
-                    };
-                    return Ok(Some(outer.bind(*var, item)));
-                }
-                *cursor = (i + 1, 0);
             },
             Node::Filter { input, conjuncts } => loop {
                 let Some(env) = input.next(hook)? else {

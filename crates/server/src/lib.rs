@@ -7,13 +7,13 @@
 //! * **Panic isolation** — an evaluator panic poisons only its own
 //!   session; the server and every other session keep running.
 //! * **Deadlines & cancellation** — each query carries a
-//!   [`QueryGuard`] polled cooperatively by the evaluator and the
-//!   parallel chunk loops.
+//!   [`QueryGuard`] polled cooperatively by the evaluator.
 //! * **Admission control** — bounded per-worker queues shed load with
 //!   a typed [`ServerError::Busy`] instead of queueing unbounded work.
 //! * **Fault injection** — [`faults`] provides seeded fail points
-//!   (evaluator panics, worker panics, spawn failures, delays,
-//!   store-lock poisoning) so the chaos suite can prove the above.
+//!   (evaluator panics, worker-spawn failures, delays, store-lock
+//!   poisoning, WAL and replication faults) so the chaos suites can
+//!   prove the above.
 //!
 //! See `docs/RESILIENCE.md` for the full contract, and [`wire`] /
 //! the `machid` binary for the line protocol.

@@ -25,7 +25,6 @@
 //!   session (see `machiavelli_store::shared`).
 
 use crate::error::ServerError;
-use machiavelli::plan::physical::panic_message;
 use machiavelli::{is_read_only_source, Session, SessionError};
 use machiavelli_eval::EvalError;
 use machiavelli_store::shared;
@@ -1032,6 +1031,16 @@ fn open_session(
     sessions.insert(sid, slot);
     metrics::add(Counter::SessionsStarted, 1);
     Ok(sid)
+}
+
+/// Render a caught panic payload (the common `&str`/`String` cases;
+/// anything else gets a placeholder).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
 /// Run `f` shielded from fault injection, a panic becoming a typed

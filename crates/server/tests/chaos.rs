@@ -368,7 +368,6 @@ fn chaos_storm_100_sessions_stays_live() {
         shared_store: true,
         faults: Some(FaultConfig {
             eval_panic_ppm: 60_000,
-            worker_panic_ppm: 20_000,
             spawn_fail_ppm: 200_000,
             delay_ppm: 40_000,
             delay_ms: 1,

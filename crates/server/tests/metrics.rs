@@ -6,7 +6,7 @@
 //! (the metrics registry, the latency histogram) are isolated from the
 //! chaos suite; the single test below owns them outright.
 
-use machiavelli_server::faults::FaultConfig;
+use machiavelli_server::faults::{FaultConfig, FaultPoint};
 use machiavelli_server::wire::unescape_line;
 use machiavelli_server::{serve_connection, Server, ServerConfig, ServerRole};
 
@@ -215,7 +215,8 @@ fn metrics_exposition_after_hundred_query_run() {
         .copied()
         .filter(|n| !PINNED_SERIES.contains(n))
         .collect();
-    assert_eq!(added.len(), 14, "{added:?}");
+    // One tally per fail point, plus the shared tier's two.
+    assert_eq!(added.len(), FaultPoint::ALL.len() + 2, "{added:?}");
     for name in added {
         assert!(
             name.starts_with("machiavelli_fault_")

@@ -16,13 +16,15 @@
 //! * **Plain** ([`PlainIndex`]) — keys and a snapshot of the rows in
 //!   `Send + Sync` plain form (`machiavelli_value::plain`), built
 //!   whenever every relation row extracts via `to_plain`. A plain entry
-//!   is shareable across threads, which is what lets the planner fan
-//!   its **plain-key join probe out directly against the cache**: the
-//!   store and the parallel lane compose instead of excluding each
-//!   other.
+//!   is shareable across threads, which is what lets server sessions
+//!   adopt each other's builds through the process-wide [`shared`]
+//!   tier.
 //! * **Local** — the `Rc`-lane [`Index`] keyed by [`KeyTuple`], for
 //!   relations carrying identity-bearing data (refs, dynamics) that has
-//!   no plain form. Cached and probed sequentially, exactly as before.
+//!   no plain form. Cached per session only.
+//!
+//! Both are probed the same way — [`CachedIndex::rows_for`] with the
+//! probe's `Rc`-lane key values — by the planner's one hash join.
 //!
 //! # Index store & invalidation contract
 //!
@@ -65,9 +67,8 @@
 //!    contract dropped the whole store. Unattributed writes and dirty-
 //!    set overflow degrade to evicting every ref-reachable (and
 //!    closure-opaque) entry; the PR 4 whole-store clear itself survives
-//!    as a paranoid A/B mode behind
-//!    [`machiavelli_value::tuning::set_store_epoch_clear`], which the
-//!    equivalence property tests run against the precise mode (same
+//!    as a paranoid A/B mode behind [`set_store_epoch_clear`], which
+//!    the equivalence property tests run against the precise mode (same
 //!    visible results, strictly fewer evictions).
 //! 3. **Closed fingerprints over stable sources.** The fingerprint
 //!    (produced by the planner) renders the source, key and
@@ -91,8 +92,9 @@
 //! Memory is bounded by a row **budget**: entries are evicted
 //! least-recently-used when the total number of cached rows exceeds it,
 //! and a relation larger than the whole budget is never cached at all
-//! (a budget of zero disables caching outright). Counters
-//! ([`StoreStats`]) record hits, misses, builds, per-reason
+//! (a budget of zero disables caching outright; fresh stores read
+//! `MACHIAVELLI_STORE_BUDGET_ROWS`, default [`DEFAULT_BUDGET_ROWS`]).
+//! Counters ([`StoreStats`]) record hits, misses, builds, per-reason
 //! invalidations and evictions for the REPL's `:stats` and regression
 //! tests; [`IndexStore::indexes`] lists live entries in deterministic
 //! (fingerprint, storage-id) order so goldens can pin it.
@@ -103,11 +105,11 @@ use machiavelli_value::plain::{to_plain, PlainIndex, PlainKey};
 use machiavelli_value::{
     hash_value, mutation_epoch, scan_refs, take_dirty_refs, value_eq, MSet, RefScan, Value,
 };
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An owned composite hash key: structural hash, `value_eq` equality —
 /// consistent by construction (see `machiavelli_value::hash`), owning
@@ -141,10 +143,9 @@ pub type Index = HashMap<KeyTuple, Vec<u32>>;
 
 /// A grouping in one of its two representations. `Plain` whenever the
 /// whole relation extracts to plain form (then the index is
-/// `Send + Sync` and the planner may probe it from worker threads);
-/// `Local` otherwise (sequential probes only). Both resolve probes to
-/// row-index slices; the caller re-binds rows from the relation it
-/// evaluated.
+/// `Send + Sync` and shareable across sessions); `Local` otherwise.
+/// Both resolve probes to row-index slices; the caller re-binds rows
+/// from the relation it evaluated.
 #[derive(Debug, Clone)]
 pub enum CachedIndex {
     Plain(Arc<PlainIndex>),
@@ -152,6 +153,13 @@ pub enum CachedIndex {
 }
 
 impl CachedIndex {
+    fn kind(&self) -> IndexKind {
+        match self {
+            CachedIndex::Plain(_) => IndexKind::Plain,
+            CachedIndex::Local(_) => IndexKind::Rc,
+        }
+    }
+
     pub fn is_empty(&self) -> bool {
         match self {
             CachedIndex::Plain(p) => p.is_empty(),
@@ -195,14 +203,12 @@ impl CachedIndex {
     }
 }
 
-/// Which representation a live entry holds — surfaced by
-/// [`IndexStore::fingerprint_kind`] so plan explanation can predict
-/// whether the next execution may probe in parallel.
+/// Which representation a live entry holds (`:indexes` lists it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// `Send + Sync` plain keys + row snapshot: parallel-probable.
+    /// `Send + Sync` plain keys + row snapshot: shareable across sessions.
     Plain,
-    /// `Rc`-lane keys (identity-bearing rows): sequential probes only.
+    /// `Rc`-lane keys (identity-bearing rows): session-local.
     Rc,
 }
 
@@ -237,7 +243,7 @@ pub struct StoreStats {
     pub evicted: u64,
     /// Live entries right now.
     pub entries: usize,
-    /// Live entries in plain (parallel-probable) form.
+    /// Live entries in plain (shareable) form.
     pub plain_entries: usize,
     /// Live entries on the `Rc` lane.
     pub rc_entries: usize,
@@ -257,7 +263,7 @@ pub struct StoreStats {
 pub struct IndexInfo {
     /// The planner's rendering of the indexed key/filter expressions.
     pub fingerprint: String,
-    /// Representation: plain (parallel-probable) or `Rc`-lane.
+    /// Representation: plain (shareable) or `Rc`-lane.
     pub kind: IndexKind,
     /// Rows held by the index (after pushed filters).
     pub rows: usize,
@@ -320,11 +326,26 @@ struct Entry {
     hits: u64,
 }
 
-/// Default row budget — defined with the workspace's other size
-/// thresholds in `machiavelli_value::tuning` (fresh stores additionally
-/// honor the `MACHIAVELLI_STORE_BUDGET_ROWS` env override resolved by
-/// [`machiavelli_value::tuning::store_budget_rows`]).
-pub const DEFAULT_BUDGET_ROWS: usize = machiavelli_value::tuning::DEFAULT_STORE_BUDGET_ROWS;
+/// Default row budget: generous for the paper-scale workloads while
+/// still bounding a long session that touches many relations (the LRU
+/// evicts past it). Also the shared tier's default.
+pub const DEFAULT_BUDGET_ROWS: usize = 1 << 20;
+
+/// A row budget from the environment, read once per variable by the
+/// caller's `cache`: `None` when unset or unparsable, so the caller's
+/// default applies. `0` is a budget like any other — it disables
+/// caching.
+fn env_budget_rows(var: &str, cache: &'static OnceLock<Option<usize>>) -> Option<usize> {
+    *cache.get_or_init(|| std::env::var(var).ok()?.trim().parse().ok())
+}
+
+/// The row budget of a fresh store: `MACHIAVELLI_STORE_BUDGET_ROWS`,
+/// else [`DEFAULT_BUDGET_ROWS`]. Live stores change theirs with
+/// [`IndexStore::set_budget`].
+fn store_budget_rows() -> usize {
+    static ENV: OnceLock<Option<usize>> = OnceLock::new();
+    env_budget_rows("MACHIAVELLI_STORE_BUDGET_ROWS", &ENV).unwrap_or(DEFAULT_BUDGET_ROWS)
+}
 
 /// The memoizing index store. One per thread (see [`with_store`]); all
 /// methods take `&mut self` because even lookups update recency and
@@ -395,7 +416,7 @@ impl IndexStore {
         if self.entries.is_empty() {
             return;
         }
-        if machiavelli_value::tuning::store_epoch_clear() {
+        if store_epoch_clear() {
             // Paranoid A/B mode: the PR 4 contract — any write drops
             // everything. Kept so equivalence tests can cross-check the
             // precise mode below against it. The shared tier mirrors
@@ -526,9 +547,9 @@ impl IndexStore {
     /// returning the shared handle the caller should probe. The
     /// grouping arrives as `Rc`-lane key tuples over row indices; the
     /// store re-represents it in plain form when the whole relation
-    /// extracts (`to_plain`), which is what makes the entry
-    /// parallel-probable — relations with no plain form stay on the
-    /// `Rc` lane. Relations larger than the whole budget are not cached
+    /// extracts (`to_plain`), which is what makes the entry shareable
+    /// across sessions — relations with no plain form stay on the `Rc`
+    /// lane. Relations larger than the whole budget are not cached
     /// (the handle is still returned, so the calling query proceeds
     /// normally, without paying the plain conversion); otherwise the
     /// least-recently-used entries are evicted until the budget holds.
@@ -560,7 +581,7 @@ impl IndexStore {
             None => {
                 // Identity-bearing rows: cacheable, but only in
                 // session-local `Rc` form — not shareable across
-                // sessions and never parallel-probed.
+                // sessions.
                 machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::StoreRcOnly);
                 CachedIndex::Local(Rc::new(groups))
             }
@@ -639,22 +660,10 @@ impl IndexStore {
     /// after a rebind, a fresh build corrects the display on first
     /// execution.)
     pub fn has_fingerprint(&mut self, fingerprint: &str) -> bool {
-        self.fingerprint_kind(fingerprint).is_some()
-    }
-
-    /// The representation of the live entry with this fingerprint, if
-    /// any — the same display-level probe as
-    /// [`IndexStore::has_fingerprint`], additionally saying whether the
-    /// next execution could probe it in parallel (plain entries only).
-    pub fn fingerprint_kind(&mut self, fingerprint: &str) -> Option<IndexKind> {
         self.validate();
         self.entries
             .values()
-            .find_map(|by_fp| by_fp.get(fingerprint))
-            .map(|e| match e.index {
-                CachedIndex::Plain(_) => IndexKind::Plain,
-                CachedIndex::Local(_) => IndexKind::Rc,
-            })
+            .any(|by_fp| by_fp.contains_key(fingerprint))
     }
 
     /// Drop all entries (statistics are kept; see [`IndexStore::reset`]).
@@ -750,10 +759,7 @@ impl IndexStore {
                         *storage,
                         IndexInfo {
                             fingerprint: fp.clone(),
-                            kind: match e.index {
-                                CachedIndex::Plain(_) => IndexKind::Plain,
-                                CachedIndex::Local(_) => IndexKind::Rc,
-                            },
+                            kind: e.index.kind(),
                             rows: e.rows,
                             groups: e.index.groups(),
                             hits: e.hits,
@@ -789,7 +795,7 @@ fn try_plain(set: &MSet, groups: &Index) -> Option<PlainIndex> {
 
 impl Default for IndexStore {
     fn default() -> Self {
-        IndexStore::new(machiavelli_value::tuning::store_budget_rows())
+        IndexStore::new(store_budget_rows())
     }
 }
 
@@ -798,7 +804,9 @@ thread_local! {
     /// Whether the executor consults the store at all. Benches flip it
     /// off to measure the always-rebuild path; `false` means every
     /// cacheable build happens inline, uncached and uncounted.
-    static STORE_ENABLED: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
+    static STORE_ENABLED: Cell<bool> = const { Cell::new(true) };
+    /// The paranoid whole-clear mode ([`set_store_epoch_clear`]).
+    static STORE_EPOCH_CLEAR: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Run `f` on this thread's index store.
@@ -815,6 +823,22 @@ pub fn store_enabled() -> bool {
 /// previous setting (so callers can restore it).
 pub fn set_store_enabled(on: bool) -> bool {
     STORE_ENABLED.with(|c| c.replace(on))
+}
+
+/// Is the store's **paranoid whole-clear** mode on? When `true` the
+/// store reverts to the original invalidation discipline — drop
+/// *every* entry on any reference write — instead of the dirty-set eviction
+/// that keeps unaffected entries warm. Kept as an A/B cross-check: the
+/// equivalence property tests run both modes and require identical
+/// visible results (the precise mode just evicts less).
+pub fn store_epoch_clear() -> bool {
+    STORE_EPOCH_CLEAR.with(Cell::get)
+}
+
+/// Switch the paranoid whole-clear mode on/off for this thread,
+/// returning the previous setting.
+pub fn set_store_epoch_clear(on: bool) -> bool {
+    STORE_EPOCH_CLEAR.with(|c| c.replace(on))
 }
 
 #[cfg(test)]
@@ -982,7 +1006,7 @@ mod tests {
 
     #[test]
     fn paranoid_epoch_clear_mode_drops_everything() {
-        let prev = machiavelli_value::tuning::set_store_epoch_clear(true);
+        let prev = set_store_epoch_clear(true);
         let mut st = IndexStore::new(1000);
         let s = ints(&[1, 2]);
         st.insert(&s, "parity", parity_index(&s));
@@ -991,7 +1015,7 @@ mod tests {
         let stats = st.stats();
         assert_eq!(stats.cleared, 1, "{stats:?}");
         assert_eq!(stats.entries, 0, "{stats:?}");
-        machiavelli_value::tuning::set_store_epoch_clear(prev);
+        set_store_epoch_clear(prev);
     }
 
     #[test]
@@ -1124,7 +1148,6 @@ mod tests {
         st.reset();
         assert_eq!(st.stats(), StoreStats::default());
         assert!(!st.has_fingerprint("parity"));
-        assert_eq!(st.fingerprint_kind("parity"), None);
     }
 
     #[test]
@@ -1158,8 +1181,7 @@ mod tests {
         assert_eq!(infos[1].fingerprint, "b-parity");
         assert_eq!(infos[1].kind, IndexKind::Plain);
         assert_eq!((infos[1].rows, infos[1].groups, infos[1].hits), (4, 2, 1));
-        assert_eq!(st.fingerprint_kind("b-parity"), Some(IndexKind::Plain));
-        assert_eq!(st.fingerprint_kind("a-parity"), Some(IndexKind::Rc));
+        assert!(st.has_fingerprint("a-parity") && !st.has_fingerprint("c-parity"));
     }
 
     #[test]
@@ -1170,5 +1192,15 @@ mod tests {
         assert!(!store_enabled());
         set_store_enabled(prev);
         assert!(store_enabled());
+    }
+
+    #[test]
+    fn store_epoch_clear_toggle_round_trips() {
+        assert!(!store_epoch_clear(), "precise invalidation is the default");
+        let prev = set_store_epoch_clear(true);
+        assert!(!prev);
+        assert!(store_epoch_clear());
+        set_store_epoch_clear(prev);
+        assert!(!store_epoch_clear());
     }
 }

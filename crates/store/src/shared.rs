@@ -118,16 +118,12 @@ impl SharedTier {
     }
 }
 
-/// Default shared-tier row budget: the same order as the per-session
-/// store budget (`MACHIAVELLI_SHARED_BUDGET_ROWS` overrides).
+/// Default shared-tier row budget: the per-session store's default
+/// (`MACHIAVELLI_SHARED_BUDGET_ROWS` overrides, `0` included).
 fn shared_budget_rows() -> usize {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("MACHIAVELLI_SHARED_BUDGET_ROWS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-    })
-    .unwrap_or(machiavelli_value::tuning::DEFAULT_STORE_BUDGET_ROWS)
+    crate::env_budget_rows("MACHIAVELLI_SHARED_BUDGET_ROWS", &ENV)
+        .unwrap_or(crate::DEFAULT_BUDGET_ROWS)
 }
 
 static TIER: OnceLock<Mutex<SharedTier>> = OnceLock::new();

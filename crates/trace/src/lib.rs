@@ -4,34 +4,32 @@
 //! registry** ([`metrics`]) and the query latency histogram the server's
 //! `METRICS` verb exposes.
 //!
-//! The engine has three execution lanes (interpreted `select_loop`,
-//! sequential planner pipeline, plain-key parallel join probes) that
-//! choose among themselves at run time. Before this crate the only
-//! record of those choices was a handful of aggregate hit/fallback
-//! counters: when a pipeline silently fell back, nothing said *which
+//! The engine has two execution lanes (interpreted `select_loop` and
+//! the planner pipeline) and chooses between them at run time, and the
+//! pipeline's index store chooses whether and how to cache. Without a
+//! trace, a query that silently fell back leaves no record of *which
 //! operator* declined or *why*. This crate supplies the missing
 //! structure:
 //!
 //! - **Spans** ([`OpSpan`]): one per physical operator open, recording
-//!   wall time (open + cumulative `next`), rows yielded, the lane the
-//!   operator actually ran on ([`Lane`]), and the index-store outcome
-//!   ([`CacheOutcome`]). Spans nest by operator tree position and are
-//!   collected into a [`QueryTrace`] per traced query, drained via
-//!   [`take_events`] (surfaced as `Session::trace_events` and rendered
-//!   by `Session::analyze` / the REPL's `:analyze`).
+//!   wall time (open + cumulative `next`), rows yielded, and the
+//!   index-store outcome ([`CacheOutcome`]). Spans nest by operator
+//!   tree position and are collected into a [`QueryTrace`] per traced
+//!   query, drained via [`take_events`] (surfaced as
+//!   `Session::trace_events` and rendered by `Session::analyze` / the
+//!   REPL's `:analyze`).
 //! - **Declines** ([`DeclineReason`]): every runtime fallback anywhere
-//!   in the engine — planner fallback, parallel-lane decline, store
-//!   non-cacheability — reports a *typed code* through
-//!   [`note_decline`], not just a bare counter bump. Decline counts are
+//!   in the engine — planner fallback, store non-cacheability — reports
+//!   a *typed code* through [`note_decline`], not just a bare counter
+//!   bump. Decline counts are
 //!   kept **twice**: per-session (thread-local, reset with the other
 //!   session stats — `Session::stats` / `reset_stats`) and
 //!   process-wide (in the [`metrics`] registry, feeding `METRICS`
 //!   across server workers).
 //!   Decline accounting is *always on*; only span attachment is gated
-//!   on tracing. Declines fire at most once per runtime fallback that
-//!   the existing lane counters already count as a fallback — static
-//!   ineligibility (lane disabled, sub-threshold input, shape not
-//!   eligible) stays uncounted, matching the counter discipline.
+//!   on tracing. Declines fire at most once per runtime fallback —
+//!   static ineligibility (a shape that was never a candidate) stays
+//!   uncounted.
 //! - **Latency histogram**: fixed-bucket process-wide histogram of
 //!   per-query wall time ([`observe_query_ns`] / [`latency_snapshot`]),
 //!   rendered Prometheus-style by the server.
@@ -108,29 +106,6 @@ pub fn now_ns() -> u64 {
 
 // --- spans -----------------------------------------------------------------
 
-/// The lane a physical operator actually ran on. Spans default to
-/// [`Lane::Seq`]; the executor annotates the parallel lane as it
-/// commits to it, so a trace shows the *outcome* of lane selection, not
-/// the eligibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    /// Sequential planner pipeline (the default).
-    Seq,
-    /// Plain-key hash-join probe fanned out at degree `n` (whether the
-    /// table was built inline or served by the store is the span's
-    /// cache outcome, not a lane).
-    Par(u32),
-}
-
-impl std::fmt::Display for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Lane::Seq => write!(f, "seq"),
-            Lane::Par(n) => write!(f, "par n={n}"),
-        }
-    }
-}
-
 /// The index-store outcome for an operator that consulted it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
@@ -165,8 +140,6 @@ pub struct OpSpan {
     pub parent: Option<u32>,
     /// Static operator label, e.g. `HashJoin probe(x.K) build(y.K)`.
     pub label: String,
-    /// The lane the operator actually committed to.
-    pub lane: Lane,
     /// Index-store outcome, for operators that consulted it.
     pub cache: Option<CacheOutcome>,
     /// Store fingerprint, when the operator has one.
@@ -174,7 +147,7 @@ pub struct OpSpan {
     /// Rows the operator yielded (or, for consumed inputs and build
     /// sides, rows it contributed).
     pub rows: u64,
-    /// Wall time spent inside `open` (builds, fan-out).
+    /// Wall time spent inside `open` (builds).
     pub open_ns: u64,
     /// Cumulative wall time across `next` calls, inclusive of children.
     pub next_ns: u64,
@@ -324,7 +297,6 @@ pub fn open_op_with(label: impl FnOnce() -> String) -> Option<u32> {
             id,
             parent,
             label: label(),
-            lane: Lane::Seq,
             cache: None,
             fingerprint: None,
             rows: 0,
@@ -382,11 +354,6 @@ fn with_span(sid: Option<u32>, f: impl FnOnce(&mut OpSpan)) {
     });
 }
 
-/// Record the lane an operator committed to.
-pub fn annotate_lane(sid: Option<u32>, lane: Lane) {
-    with_span(sid, |s| s.lane = lane);
-}
-
 /// Record an operator's index-store outcome.
 pub fn annotate_cache(sid: Option<u32>, outcome: CacheOutcome) {
     with_span(sid, |s| s.cache = Some(outcome));
@@ -398,20 +365,14 @@ pub fn annotate_fingerprint(sid: Option<u32>, fp: impl FnOnce() -> String) {
     with_span(sid, |s| s.fingerprint = Some(fp()));
 }
 
-/// Set a span's row count outright — for inputs the executor consumes
-/// whole (a drained scan, a build side) rather than pulls through.
-pub fn annotate_rows(sid: Option<u32>, rows: u64) {
-    with_span(sid, |s| s.rows = rows);
-}
-
 // --- decline taxonomy ------------------------------------------------------
 
 macro_rules! decline_reasons {
     ($($(#[$doc:meta])* $variant:ident => $code:literal,)*) => {
-        /// Why an execution left its preferred lane: the engine-wide typed
-        /// fallback taxonomy. Every variant corresponds to a runtime fallback
-        /// the aggregate lane counters count — static ineligibility (lane
-        /// disabled, sub-threshold input, shape not eligible) never emits one.
+        /// Why an execution left its preferred path: the engine-wide typed
+        /// fallback taxonomy. Every variant corresponds to a runtime
+        /// fallback — static ineligibility (a shape that was never a
+        /// candidate) never emits one.
         /// `docs/OBSERVABILITY.md` catalogues each variant with its emission
         /// site.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -452,18 +413,12 @@ decline_reasons! {
     PlannerUnsafeDependentSource => "planner-unsafe-dependent-source",
     /// Planner: a predicate conjunct could observe evaluation order.
     PlannerUnsafeConjunct => "planner-unsafe-conjunct",
-    /// Plain-key join: a build- or probe-side key (or a pushed build
-    /// filter) declined plain extraction.
-    ParJoinExtract => "par-join-extract",
-    /// Plain-key join: the probe drain hit its memory cap before the
-    /// input was exhausted.
-    ParJoinDrainCap => "par-join-drain-cap",
     /// Index store: the index exceeded the row budget and was returned
     /// un-cached.
     StoreOverBudget => "store-over-budget",
     /// Index store: the index held identity-bearing values and could
-    /// only be kept in session-local `Rc` form (not shareable, no
-    /// parallel probes).
+    /// only be kept in session-local `Rc` form (not shareable across
+    /// sessions).
     StoreRcOnly => "store-rc-only",
 }
 
@@ -605,7 +560,6 @@ mod tests {
             let child = open_op_with(|| "Scan".to_string());
             close_op(child, 11);
             add_next(child.unwrap(), 3, 2);
-            annotate_lane(root, Lane::Par(4));
             annotate_cache(root, CacheOutcome::Build);
             close_op(root, 23);
             end_query();
@@ -618,7 +572,6 @@ mod tests {
             assert_eq!(t.spans[1].parent, Some(0));
             assert_eq!(t.spans[1].rows, 2);
             assert_eq!(t.spans[1].next_ns, 3);
-            assert_eq!(t.spans[0].lane, Lane::Par(4));
             assert_eq!(t.spans[0].cache, Some(CacheOutcome::Build));
         });
     }
@@ -648,19 +601,19 @@ mod tests {
         with_tracing(|| {
             begin_query("q");
             let sid = open_op_with(|| "HashJoin".to_string());
-            note_decline(DeclineReason::ParJoinExtract);
+            note_decline(DeclineReason::StoreOverBudget);
             close_op(sid, 0);
             note_decline(DeclineReason::PlannerUnsafeConjunct);
             end_query();
             let events = take_events();
             let t = &events[0];
-            assert_eq!(t.spans[0].declines, vec![DeclineReason::ParJoinExtract]);
+            assert_eq!(t.spans[0].declines, vec![DeclineReason::StoreOverBudget]);
             assert_eq!(t.declines, vec![DeclineReason::PlannerUnsafeConjunct]);
         });
         let counts = session_declines();
         let get = |r: DeclineReason| counts.iter().find(|(c, _)| *c == r).unwrap().1;
         assert_eq!(get(DeclineReason::StoreRcOnly), 1);
-        assert_eq!(get(DeclineReason::ParJoinExtract), 1);
+        assert_eq!(get(DeclineReason::StoreOverBudget), 1);
         assert_eq!(get(DeclineReason::PlannerUnsafeConjunct), 1);
         assert!(metrics::snapshot().decline(DeclineReason::StoreRcOnly) >= 1);
         reset_session_declines();

@@ -107,9 +107,7 @@ counters! {
 
     /// Injected: evaluator-tick panics.
     FaultEvalPanics => "fault_eval_panics",
-    /// Injected: parallel-worker panics.
-    FaultWorkerPanics => "fault_worker_panics",
-    /// Injected: thread spawns denied.
+    /// Injected: server worker spawns denied.
     FaultSpawnFailures => "fault_spawn_failures",
     /// Injected: evaluator-tick sleeps.
     FaultDelays => "fault_delays",

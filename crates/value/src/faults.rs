@@ -13,10 +13,10 @@
 //! (CI pins one), while remaining cheap and lock-free at the fail
 //! points.
 //!
-//! Resolution mirrors `tuning`: a thread-local [`FaultConfig`] override
-//! (set by tests, or by the server installing its captured config on
-//! worker threads — thread locals do not inherit) falls back to an
-//! env-derived process config read once. With nothing configured every
+//! Resolution: a thread-local [`FaultConfig`] override (set by tests,
+//! or by the server installing its captured config on worker threads —
+//! thread locals do not inherit) falls back to an env-derived process
+//! config read once. With nothing configured every
 //! fail point is a single thread-local load.
 //!
 //! All *injected* panics carry messages prefixed `"injected fault:"`,
@@ -101,9 +101,7 @@ macro_rules! fail_points {
 fail_points! {
     /// Panic at an evaluator tick (a simulated evaluator bug).
     EvalPanic, eval_panic_ppm, "MACHIAVELLI_FAULT_EVAL_PANIC_PPM", FaultEvalPanics;
-    /// Panic at the start of a parallel chunk.
-    WorkerPanic, worker_panic_ppm, "MACHIAVELLI_FAULT_WORKER_PANIC_PPM", FaultWorkerPanics;
-    /// Report a worker spawn as failed; the caller takes its
+    /// Report a server worker spawn as failed; the pool takes its
     /// real-OS-decline fallback.
     SpawnFail, spawn_fail_ppm, "MACHIAVELLI_FAULT_SPAWN_FAIL_PPM", FaultSpawnFailures;
     /// Sleep `delay_ms` at an evaluator tick (forces deadline overruns).
@@ -194,8 +192,7 @@ pub fn fault_config() -> FaultConfig {
         .unwrap_or(FaultConfig::off())
 }
 
-/// True when any fail point could fire on this thread — what a
-/// coordinator checks before shipping its config to worker threads.
+/// True when any fail point could fire on this thread.
 pub fn faults_active() -> bool {
     match OVERRIDE.with(Cell::get) {
         Some(cfg) => !cfg.is_inert(),
@@ -261,13 +258,6 @@ pub fn maybe_eval_panic() {
     }
 }
 
-/// [`FaultPoint::WorkerPanic`] at the start of a parallel chunk.
-pub fn maybe_worker_panic() {
-    if fire(FaultPoint::WorkerPanic) {
-        panic!("{INJECTED_PANIC_PREFIX} worker panic");
-    }
-}
-
 /// [`FaultPoint::Delay`] at the evaluator tick.
 pub fn maybe_delay() {
     if fire(FaultPoint::Delay) {
@@ -310,7 +300,6 @@ mod tests {
         assert!(!faults_active());
         assert!(!FaultPoint::ALL.iter().any(|&p| fire(p)));
         maybe_eval_panic();
-        maybe_worker_panic();
         maybe_delay();
         set_fault_config(prev);
     }
@@ -372,13 +361,13 @@ mod tests {
         let draw = |seed: u64| {
             std::thread::spawn(move || {
                 let prev = set_fault_config(Some(FaultConfig {
-                    worker_panic_ppm: 500_000,
+                    eval_panic_ppm: 500_000,
                     seed,
                     ..FaultConfig::off()
                 }));
                 let mut hits = 0;
                 for _ in 0..64 {
-                    if std::panic::catch_unwind(maybe_worker_panic).is_err() {
+                    if std::panic::catch_unwind(maybe_eval_panic).is_err() {
                         hits += 1;
                     }
                 }

@@ -5,20 +5,15 @@
 //! optional row budget, and a cancel flag the client side can flip at
 //! any time. The guard itself never interrupts anything — evaluation is
 //! stopped *cooperatively*, at the evaluator's periodic tick
-//! (`Cx::enter` in `machiavelli-eval`) and inside the parallel lane's
-//! chunk loops, both of which call [`check_current`].
+//! (`Cx::enter` in `machiavelli-eval`), which calls [`check_current`].
 //!
 //! Trips are **sticky**: once a guard observes a cancel, a blown
-//! deadline, or an exhausted row budget it stays tripped, so a parallel
-//! driver that bailed mid-chunk can never have its truncated result
-//! returned as `Ok` — the next check on the coordinator surfaces the
-//! same [`Trip`].
+//! deadline, or an exhausted row budget it stays tripped, so every later
+//! check — including the server's post-eval re-check — surfaces the same
+//! [`Trip`].
 //!
 //! The guard is installed per *thread* ([`install`]), mirroring the
-//! session-is-a-thread discipline used by `tuning` and the index store.
-//! Worker threads spawned by the parallel lane capture the coordinator's
-//! `Arc<QueryGuard>` explicitly (the guard is `Send + Sync`; thread
-//! locals do not inherit).
+//! session-is-a-thread discipline used by the index store.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -64,7 +59,7 @@ fn trip_from_u8(v: u8) -> Option<Trip> {
 
 /// A per-query cancellation token: deadline + row budget + cancel flag,
 /// with a sticky trip latch. `Send + Sync`; the server holds one end,
-/// the evaluating thread (and any parallel workers) the other.
+/// the evaluating thread the other.
 #[derive(Debug)]
 pub struct QueryGuard {
     cancel: AtomicBool,
@@ -177,23 +172,15 @@ thread_local! {
 /// Install (or clear) the governing guard for this thread, returning
 /// the previous one so callers can restore it. The server installs the
 /// query's guard around each `Session::run` and restores on the way
-/// out; parallel workers install the captured guard for their lifetime.
+/// out.
 pub fn install(guard: Option<Arc<QueryGuard>>) -> Option<Arc<QueryGuard>> {
     GUARD_ACTIVE.with(|c| c.set(guard.is_some()));
     GUARD.with(|g| std::mem::replace(&mut *g.borrow_mut(), guard))
 }
 
-/// The guard governing this thread, if any.
-pub fn current() -> Option<Arc<QueryGuard>> {
-    if !GUARD_ACTIVE.with(Cell::get) {
-        return None;
-    }
-    GUARD.with(|g| g.borrow().clone())
-}
-
 /// Tick-site probe: polls this thread's guard. `None` when un-governed
 /// or still within limits. This is the function the evaluator's
-/// `Cx::enter` tick and the parallel chunk loops call.
+/// `Cx::enter` tick calls.
 pub fn check_current() -> Option<Trip> {
     if !GUARD_ACTIVE.with(Cell::get) {
         return None;

@@ -17,7 +17,6 @@ pub mod ops;
 pub mod plain;
 pub mod set;
 pub mod shape;
-pub mod tuning;
 pub mod value;
 
 pub use conform::conforms;

@@ -1,18 +1,16 @@
 //! The **plain-value lane**: a `Send + Sync` mirror of the *data* subset
-//! of [`Value`], so proper `hom` applications and plain-key join
-//! probes can cross thread boundaries.
+//! of [`Value`], so a cached index can be shared across sessions.
 //!
-//! [`Value`] is deliberately `Rc`-based and thread-confined; the paper's
-//! claim that proper `hom` applications are "computable in parallel"
-//! therefore needs an extraction step. [`PlainValue`] covers exactly the
-//! constructors whose meaning is *structural* — Unit/Int/Real/Str/Bool,
-//! records, variants, sets — with `Arc`/owned storage (interned
-//! [`Symbol`] labels carry over unchanged: they wrap `&'static str`).
-//! The identity-bearing and code-bearing constructors (`Ref`, `Dynamic`,
-//! `Closure`, `Op`, `Builtin`) have **no** plain form: [`to_plain`]
-//! returns `None` for them and every caller falls back to the
-//! sequential `Rc` path — the same classify-then-parallelize strategy
-//! the planner uses for predicates.
+//! [`Value`] is deliberately `Rc`-based and thread-confined; an index
+//! that server sessions on different threads share (the store's shared
+//! tier) therefore needs an extraction step. [`PlainValue`] covers
+//! exactly the constructors whose meaning is *structural* —
+//! Unit/Int/Real/Str/Bool, records, variants, sets — with `Arc`/owned
+//! storage (interned [`Symbol`] labels carry over unchanged: they wrap
+//! `&'static str`). The identity-bearing and code-bearing constructors
+//! (`Ref`, `Dynamic`, `Closure`, `Op`, `Builtin`) have **no** plain
+//! form: [`to_plain`] returns `None` for them and the store keeps such
+//! relations in session-local `Rc` form.
 //!
 //! # Consistency contract
 //!
@@ -417,28 +415,26 @@ pub fn value_key_digest(key: &[Value]) -> u64 {
 
 /// A **plain-keyed structural index**: a relation's rows grouped by key
 /// value, in plain (`Send + Sync`) form, so a *cached* index can be
-/// probed by parallel workers directly — the composition PR 3's store
-/// and PR 4's parallel lane previously excluded.
+/// published to the store's shared tier and adopted by sessions on
+/// other threads.
 ///
 /// `rows` is the plain snapshot of the indexed relation in canonical
 /// (sorted-set) order — the index is self-contained on the plain lane:
-/// a worker holding an `Arc<PlainIndex>` can inspect both groups and
-/// row payloads without touching `Rc` data. Groups map each key to the
-/// **indices** of its rows, ascending (= canonical source order, the
-/// same order an inline `Rc`-lane build yields groups in); the executor
-/// re-binds matches by index into the *original* `Rc`-lane relation on
-/// the session thread, so no value ever needs converting back.
+/// an adopting session verifies it against its own relation row by row
+/// without touching another thread's `Rc` data. Groups map each key to
+/// the **indices** of its rows, ascending (= canonical source order,
+/// the same order an inline `Rc`-lane build yields groups in); the
+/// executor re-binds matches by index into the *original* `Rc`-lane
+/// relation, so no value ever needs converting back.
 ///
 /// Internally groups are bucketed by **digest** with the (rare)
-/// collisions chained, which gives the index two equally cheap probe
-/// forms: [`PlainIndex::get`] for extracted plain keys (the parallel
-/// workers) and [`PlainIndex::get_by_values`] for borrowed `Rc`-lane
-/// key values (the sequential probe) — the latter compares via
-/// [`plain_matches_value`] and never converts or allocates.
+/// collisions chained; [`PlainIndex::get_by_values`] probes with
+/// borrowed `Rc`-lane key values, comparing via [`plain_matches_value`]
+/// — no conversion, no allocation.
 ///
 /// A `PlainIndex` exists only for relations whose every row extracts
 /// via [`to_plain`]; relations carrying identity- or code-bearing data
-/// stay on the `Rc`-lane index representation (sequential probes only).
+/// stay on the `Rc`-lane index representation.
 /// Digest → the key groups sharing it (nearly always exactly one).
 type DigestBuckets = std::collections::HashMap<
     u64,
@@ -477,46 +473,6 @@ impl PlainIndex {
             rows,
             buckets,
             groups: n,
-        }
-    }
-
-    /// An empty index with **no row snapshot**, filled by
-    /// [`PlainIndex::push`]: the query-local table of an uncached join.
-    /// Such a table is never published to the shared tier, so nothing
-    /// verifies against `rows`.
-    pub fn with_capacity(groups: usize) -> PlainIndex {
-        PlainIndex {
-            rows: Arc::from([]),
-            buckets: DigestBuckets::with_capacity_and_hasher(groups, Default::default()),
-            groups: 0,
-        }
-    }
-
-    /// Append row `idx` to `key`'s group. Callers push in ascending row
-    /// order, so every group's list ascends like [`from_groups`]'.
-    ///
-    /// [`from_groups`]: PlainIndex::from_groups
-    pub fn push(&mut self, key: PlainKey, idx: u32) {
-        let bucket = self.buckets.entry(plain_key_digest(&key)).or_default();
-        match bucket.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, idxs)) => idxs.push(idx),
-            None => {
-                bucket.push((key, vec![idx]));
-                self.groups += 1;
-            }
-        }
-    }
-
-    /// The matching row indices for an extracted plain key (empty when
-    /// absent).
-    pub fn get(&self, key: &PlainKey) -> &[u32] {
-        match self.buckets.get(&plain_key_digest(key)) {
-            Some(bucket) => bucket
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, idxs)| idxs.as_slice())
-                .unwrap_or(&[]),
-            None => &[],
         }
     }
 
@@ -566,7 +522,7 @@ impl PlainIndex {
 }
 
 // The whole point of the plain representation: a cached index can be
-// shared with worker threads.
+// shared with sessions on other threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<PlainIndex>();
@@ -696,23 +652,14 @@ mod tests {
         );
         assert_eq!(idx.indexed_rows(), 4);
         assert_eq!(idx.group_count(), 2);
-        assert_eq!(idx.get(&PlainKey::One(PlainValue::Int(0))), &[0, 2]);
-        assert_eq!(idx.get(&PlainKey::One(PlainValue::Int(9))), &[] as &[u32]);
         assert!(!idx.is_empty());
-        // The borrowed value-side probe agrees with the plain probe —
-        // including for keys with no plain form (a ref equals nothing).
+        // The borrowed value-side probe finds each group — and nothing
+        // for keys with no plain form (a ref equals nothing).
         assert_eq!(idx.get_by_values(&[Value::Int(0)]), &[0, 2]);
+        assert_eq!(idx.get_by_values(&[Value::Int(1)]), &[1, 3]);
         assert_eq!(idx.get_by_values(&[Value::Int(9)]), &[] as &[u32]);
         let r = Value::Ref(RefValue::new(Value::Int(0)));
         assert_eq!(idx.get_by_values(&[r]), &[] as &[u32]);
-        // Pushing row by row builds the same groups.
-        let mut pushed = PlainIndex::with_capacity(2);
-        for i in 0..4u32 {
-            pushed.push(PlainKey::One(PlainValue::Int(i64::from(i % 2))), i);
-        }
-        assert_eq!((pushed.group_count(), pushed.indexed_rows()), (2, 4));
-        assert_eq!(pushed.get(&PlainKey::One(PlainValue::Int(0))), &[0, 2]);
-        assert_eq!(pushed.get_by_values(&[Value::Int(1)]), &[1, 3]);
     }
 
     #[test]

@@ -3,18 +3,16 @@
 //! physical pipeline; the `Fallback` line names shapes left to the
 //! interpreter's nested loop). Cacheable operators carry an index-store
 //! marker — `[idx build]` against a cold store, `[idx cached]` once the
-//! session holds a live index with the operator's fingerprint — and
-//! joins statically eligible for the plain-key path a `par` marker.
-//! A plan renders only what is fixed at plan time: the goldens hold at
-//! any worker-thread count. If planner behavior changes on purpose,
-//! update these strings deliberately.
+//! session holds a live index with the operator's fingerprint. If
+//! planner behavior changes on purpose, update these strings
+//! deliberately.
 
 use machiavelli::testing::pinned_session;
 
 /// Render against a cold store so `[idx build]` markers are
 /// deterministic regardless of what ran earlier on this thread.
 fn plan(src: &str) -> String {
-    pinned_session(1).plan_of(src).unwrap()
+    pinned_session().plan_of(src).unwrap()
 }
 
 #[test]
@@ -25,8 +23,6 @@ fn fig9_shape_two_generator_equi_join_is_hash_join() {
     // evaluation — an index over them could never be looked up again,
     // so the join is deliberately uncached (no idx marker; materialize
     // the view into a binding to get reuse, as the variant below does).
-    // Both key closures and the pushed filter are plain-evaluable, so
-    // it is statically eligible for the plain-key path: `[par]`.
     assert_eq!(
         plan(
             "select [Name = s.Name, Salary = e.Salary]
@@ -34,41 +30,10 @@ fn fig9_shape_two_generator_equi_join_is_hash_join() {
              with s.Name = e.Name andalso e.Salary > 1000;"
         ),
         "Project [Name=s.Name, Salary=e.Salary]\n  \
-         HashJoin[par] probe(s.Name) build(e.Name)\n    \
+         HashJoin probe(s.Name) build(e.Name)\n    \
          Scan s <- StudentView(persons)\n    \
          Build e <- EmployeeView(persons) filter (e.Salary > 1000)"
     );
-}
-
-#[test]
-fn plans_render_the_same_at_any_thread_count() {
-    // The `par` marker is static eligibility, decided at plan time —
-    // never the ambient worker-thread count (the degree an execution
-    // actually ran at is on its `:analyze` span).
-    let q = "select [Name = s.Name, Salary = e.Salary]
-             where s <- StudentView(persons), e <- EmployeeView(persons)
-             with s.Age > 20 andalso s.Name = e.Name andalso e.Salary > 1000;";
-    let one = pinned_session(1).plan_of(q).unwrap();
-    assert_eq!(
-        one,
-        "Project [Name=s.Name, Salary=e.Salary]\n  \
-         HashJoin[par] probe(s.Name) build(e.Name)\n    \
-         Scan s <- StudentView(persons) filter (s.Age > 20)\n    \
-         Build e <- EmployeeView(persons) filter (e.Salary > 1000)"
-    );
-    assert_eq!(pinned_session(4).plan_of(q).unwrap(), one);
-}
-
-#[test]
-fn store_served_and_env_dependent_joins_do_not_render_par() {
-    // A store-cacheable join stays on the store path until its index
-    // is live, and an environment-dependent build is outside the
-    // plain-key path's static eligibility: neither renders `[par]`.
-    let cached = plan("select (x.A, y.B) where x <- r, y <- s with x.K = y.K;");
-    assert!(cached.contains("HashJoin[idx build]"), "{cached}");
-    let env_dep = plan("select y where x <- V(r), y <- W(s) with x.K = y.K andalso y.B > cutoff;");
-    assert!(env_dep.contains("HashJoin probe(x.K)"), "{env_dep}");
-    assert!(!env_dep.contains("[par"), "{env_dep}");
 }
 
 #[test]
@@ -115,7 +80,7 @@ fn fig5_shape_renders_cached_after_first_evaluation() {
     // smaller stable side, so the first execution *swaps* the build
     // onto it; the warm plan predicts the same orientation from the
     // live cached fingerprint and renders the exchanged sides.
-    let mut s = pinned_session(1);
+    let mut s = pinned_session();
     s.run(
         "val parts = {[P#=1, C=5], [P#=2, C=9]};
          val subs = {[P#=1, Qty=4]};",
@@ -131,20 +96,19 @@ fn fig5_shape_renders_cached_after_first_evaluation() {
     assert_eq!(
         s.plan_of(q).unwrap(),
         "Project (z.C, w.Qty)\n  \
-         HashJoin[idx cached, swapped, par] probe(z.P#) build(w.P#)\n    \
+         HashJoin[idx cached, swapped] probe(z.P#) build(w.P#)\n    \
          Scan z <- parts\n    \
          Build w <- subs"
     );
 }
 
 #[test]
-fn cached_plain_index_renders_the_par_marker() {
-    // A warm, store-served join whose entry is plain (pure data rows)
-    // and whose probe key is plain-evaluable: the next execution can
-    // probe the cached index on the plain-key path — `explain` renders
-    // the composed marker. (The build side `t` is the smaller relation,
-    // so no swap interferes with the orientation.)
-    let mut s = pinned_session(1);
+fn cached_plain_and_rc_indexes_render_alike() {
+    // A warm, store-served join renders `[idx cached]` whichever form
+    // the store keeps its entry in — plain (pure data rows) first.
+    // (The build side `t` is the smaller relation, so no swap
+    // interferes with the orientation.)
+    let mut s = pinned_session();
     s.run(
         "val r = {[K=1, A=10], [K=2, A=20], [K=3, A=30]};
          val t = {[K=1, B=5], [K=2, B=6]};",
@@ -155,12 +119,11 @@ fn cached_plain_index_renders_the_par_marker() {
     assert_eq!(
         s.plan_of(q).unwrap(),
         "Project (x.A, y.B)\n  \
-         HashJoin[idx cached, par] probe(x.K) build(y.K)\n    \
+         HashJoin[idx cached] probe(x.K) build(y.K)\n    \
          Scan x <- r\n    \
          Build y <- t"
     );
-    // An entry kept in `Rc` form (identity-bearing rows) is probed
-    // sequentially only: no `par`.
+    // An entry kept in `Rc` form (identity-bearing rows).
     s.run(
         "val d = ref(1);
          val e = {[K=1, R=d], [K=2, R=d], [K=3, R=d]};
@@ -186,7 +149,7 @@ fn single_generator_filter_is_scan_with_pushdown() {
 
 #[test]
 fn single_generator_filter_queries_do_not_create_indexes() {
-    let mut s = pinned_session(1);
+    let mut s = pinned_session();
     s.run("val S = {[Name=\"Joe\", Salary=22340], [Name=\"Helen\", Salary=132000]};")
         .unwrap();
     s.eval_one("select x.Name where x <- S with x.Salary > 100000;")

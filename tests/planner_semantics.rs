@@ -1,8 +1,7 @@
 //! Comprehension semantics the planner must preserve, checked by
 //! running every query through the interpreter's `select_loop` and
-//! through the planner pipeline in every store × lane mode (index
-//! store off/on, parallel lane off / four threads with tiny gates) —
-//! and demanding identical outcomes:
+//! through the planner pipeline with the index store off and on — and
+//! demanding identical outcomes:
 //!
 //! * dependent generators (sources re-evaluated per binding);
 //! * predicate evaluation order is not observable: pushdown/reordering
@@ -37,10 +36,10 @@ fn run_fresh(src: &str, mode: Mode) -> Result<String, String> {
     run_in(&mut s, src, mode)
 }
 
-/// The planner pipeline (store on, lane off) and `select_loop`.
+/// The planner pipeline (store on) and `select_loop`.
 fn both_paths(src: &str) -> (Result<String, String>, Result<String, String>) {
     (
-        run_fresh(src, Mode::planned(true, None)),
+        run_fresh(src, Mode::planned(true)),
         run_fresh(src, Mode::SELECT_LOOP),
     )
 }
@@ -49,13 +48,11 @@ fn both_paths(src: &str) -> (Result<String, String>, Result<String, String>) {
 fn assert_agree(src: &str) {
     let interpreted = run_fresh(src, Mode::SELECT_LOOP);
     for store in [false, true] {
-        for lane in [None, Some(4)] {
-            let planned = run_fresh(src, Mode::planned(store, lane));
-            assert_eq!(
-                planned, interpreted,
-                "planner (store={store}, lane={lane:?}) vs select_loop on: {src}"
-            );
-        }
+        let planned = run_fresh(src, Mode::planned(store));
+        assert_eq!(
+            planned, interpreted,
+            "planner (store={store}) vs select_loop on: {src}"
+        );
     }
 }
 

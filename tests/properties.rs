@@ -12,14 +12,13 @@
 //! * the interpreter's `select`/`join` agree with the native substrate;
 //! * the plain-value lane round-trips (`to_plain`/`from_plain`) and its
 //!   hash/order agree with the `Rc` lane;
-//! * the plain-key parallel join is result-equivalent to the
-//!   sequential planner and `select_loop` across 1/2/4/8 worker
-//!   threads, and non-extractable data falls back;
+//! * the planner pipeline, store off and on, cold and warm, agrees with
+//!   `select_loop` across unrelated ref writes and relation rebinds;
 //! * `hom` folds (`card`, `sum`, `member`, a product) match ground
 //!   truth computed in Rust, wrapping at `i64::MIN`/`i64::MAX`;
-//! * the one differential test for the one join path: values, error
+//! * the one differential test for the one hash join: values, error
 //!   identity, ref identity and binding order against `select_loop`,
-//!   with the parallel path and each fallback asserted taken.
+//!   with both store entry kinds asserted probed.
 
 use machiavelli::eval::set_planner_enabled;
 use machiavelli::testing::{run_in, with_mode, Mode};
@@ -480,54 +479,58 @@ proptest! {
     }
 }
 
-// ----- the parallel lane vs the sequential paths ------------------------------
-
-/// Evaluate `src` with the store **off** (so eligible joins build
-/// their plain table inline instead of hitting the index cache):
-/// `planner` toggles plan dispatch, `par` = `Some(t)` forces the
-/// parallel lane on with `t` worker threads and tiny gates (`None`
-/// disables the lane).
-fn run_in_mode(
-    session: &mut machiavelli::Session,
-    src: &str,
-    planner: bool,
-    par: Option<usize>,
-) -> Result<String, String> {
-    let mode = Mode {
-        planner,
-        ..Mode::planned(false, par)
-    };
-    run_in(session, src, mode)
-}
+// ----- the planner pipeline vs select_loop -------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // The parallel hash join is result-equivalent to the sequential
-    // planner and to `select_loop` across 1/2/4/8 worker threads, on
-    // the same seeded comprehension space the planner property uses —
-    // duplicate keys (tiny key spaces) and empty hash partitions
-    // (fewer distinct keys than partitions) arise naturally.
+    // The planner pipeline agrees with `select_loop` with the store off
+    // and on, cold and warm, on the seeded comprehension space the
+    // planner property uses — duplicate keys (tiny key spaces) arise
+    // naturally — and across interleaved mutations: a write to an
+    // unrelated ref, which the dependency-tracked invalidation must
+    // survive, and a rebind of the relations the queries read, which
+    // pointer-identity keying must catch.
     #[test]
-    fn parallel_join_matches_sequential_paths(
+    fn planned_paths_match_select_loop_across_writes_and_rebinds(
         seed in 0u64..u64::MAX / 2,
         n_parts in 4usize..24,
         n_suppliers in 2usize..10,
     ) {
-        let (mut session, _db) = scaled_parts_session(n_parts, n_suppliers, seed ^ 0x51c6e1);
+        let (mut session, _db) = scaled_parts_session(n_parts, n_suppliers, seed ^ 0xa5a5a5);
+        session.run("val side = ref(0);").unwrap();
         for src in [
             random_comprehension(seed, 2 * n_parts as u64),
             random_filtered_comprehension(seed, 2 * n_parts as u64),
         ] {
-            let loop_ref = run_in_mode(&mut session, &src, false, None);
-            let seq_ref = run_in_mode(&mut session, &src, true, None);
-            prop_assert!(seq_ref == loop_ref, "{src}: {seq_ref:?} vs {loop_ref:?}");
-            for threads in [1usize, 2, 4, 8] {
-                let par = run_in_mode(&mut session, &src, true, Some(threads));
+            let loop_ref = run_in(&mut session, &src, Mode::SELECT_LOOP);
+            for store in [false, true] {
+                session.store_reset();
+                // With the store on, the cold run builds (and caches)
+                // the indexes and the warm run probes them.
+                for warmth in ["cold", "warm"] {
+                    let got = run_in(&mut session, &src, Mode::planned(store));
+                    prop_assert!(got == loop_ref, "{src} {warmth}, store={store}: {got:?} vs {loop_ref:?}");
+                }
+                session.eval_one("side := 1;").unwrap();
+                let after_write = run_in(&mut session, &src, Mode::planned(store));
                 prop_assert!(
-                    par == seq_ref,
-                    "{src} @ {threads} threads: {par:?} vs {seq_ref:?}"
+                    after_write == loop_ref,
+                    "{src} after unrelated write, store={store}: {after_write:?} vs {loop_ref:?}"
                 );
+            }
+            // Mutate relations the queries actually read: every path
+            // must see fresh rows exactly like `select_loop`.
+            session
+                .run(
+                    "val suppliers = union(suppliers, {[S#=999, Sname=\"x\", City=\"y\"]});
+                     val supplied_by = union(supplied_by, {[P#=1, Suppliers={[S#=999]}]});",
+                )
+                .unwrap();
+            let loop_after = run_in(&mut session, &src, Mode::SELECT_LOOP);
+            for store in [false, true] {
+                let got = run_in(&mut session, &src, Mode::planned(store));
+                prop_assert!(got == loop_after, "{src} after rebind, store={store}: {got:?} vs {loop_after:?}");
             }
         }
     }
@@ -564,160 +567,26 @@ proptest! {
     }
 }
 
-/// Evaluate `src` with the **composed** store+parallel configuration:
-/// store enabled (cacheable builds are served from / inserted into the
-/// session index store), parallel lane on with `t` threads and tiny
-/// gates — so store-served plain indexes take the parallel probe.
-/// `par = None` keeps the store but disables the lane (the sequential
-/// cached probe).
-fn run_composed(
-    session: &mut machiavelli::Session,
-    src: &str,
-    par: Option<usize>,
-) -> Result<String, String> {
-    run_in(session, src, Mode::planned(true, par))
-}
+// ----- the one differential test for the one hash join ------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    // The acceptance property of the composed lane: store-served
-    // builds probed in parallel agree with the sequential planner and
-    // with `select_loop`, across 1/2/4/8 worker threads, cold and warm,
-    // and across interleaved mutations (a write to an unrelated ref —
-    // which the dependency-tracked invalidation must survive — and a
-    // rebind of one relation, which pointer-identity keying must
-    // catch).
-    #[test]
-    fn composed_store_parallel_matches_sequential_paths(
-        seed in 0u64..u64::MAX / 2,
-        n_parts in 4usize..24,
-        n_suppliers in 2usize..10,
-    ) {
-        let (mut session, _db) = scaled_parts_session(n_parts, n_suppliers, seed ^ 0xa5a5a5);
-        session.run("val side = ref(0);").unwrap();
-        for src in [
-            random_comprehension(seed, 2 * n_parts as u64),
-            random_filtered_comprehension(seed, 2 * n_parts as u64),
-        ] {
-            let loop_ref = run_in_mode(&mut session, &src, false, None);
-            for threads in [1usize, 2, 4, 8] {
-                session.store_reset();
-                // Cold run builds (and caches) the indexes; warm run
-                // probes them — in parallel when threads allow.
-                let cold = run_composed(&mut session, &src, Some(threads));
-                prop_assert!(cold == loop_ref, "{src} cold @ {threads}: {cold:?} vs {loop_ref:?}");
-                let warm = run_composed(&mut session, &src, Some(threads));
-                prop_assert!(warm == loop_ref, "{src} warm @ {threads}: {warm:?} vs {loop_ref:?}");
-                // An unrelated write must not change results (and should
-                // leave the cache warm — counter-asserted elsewhere).
-                session.eval_one("side := 1;").unwrap();
-                let after_write = run_composed(&mut session, &src, Some(threads));
-                prop_assert!(
-                    after_write == loop_ref,
-                    "{src} after unrelated write @ {threads}: {after_write:?} vs {loop_ref:?}"
-                );
-                // The sequential cached probe agrees too.
-                let seq_cached = run_composed(&mut session, &src, None);
-                prop_assert!(seq_cached == loop_ref, "{src} seq cached: {seq_cached:?}");
-            }
-            // Mutate a relation the queries actually read: the composed
-            // path must see fresh rows exactly like `select_loop`.
-            session
-                .run(
-                    "val suppliers = union(suppliers, {[S#=999, Sname=\"x\", City=\"y\"]});
-                     val supplied_by = union(supplied_by, {[P#=1, Suppliers={[S#=999]}]});",
-                )
-                .unwrap();
-            let loop_after = run_in_mode(&mut session, &src, false, None);
-            let par_after = run_composed(&mut session, &src, Some(4));
-            prop_assert!(par_after == loop_after, "{src} after rebind: {par_after:?} vs {loop_after:?}");
-        }
-    }
-}
-
-/// Deterministic composed-lane engagement: a warm plain index probed at
-/// four threads counts `par_joins`, builds exactly once across runs,
-/// and survives unrelated writes — with the probe side a bare scan
-/// (keys straight off the relation slice) and a *filtered* scan (the
-/// drained-pipeline shape) alike.
-#[test]
-fn cached_parallel_probe_engages_counts_and_survives_writes() {
-    let mut session = machiavelli::testing::pinned_session(4);
-    let rows = |n: usize, label: &str| -> String {
-        (0..n)
-            .map(|i| format!("[K={i}, {label}={}]", i * 10))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    session
-        .run(&format!(
-            "val r = {{{}}}; val t = {{{}}}; val side = ref(0);",
-            rows(60, "A"),
-            rows(40, "B"),
-        ))
-        .unwrap();
-    // Probe side (`r`) larger than the build (`t`): no swap, `t` caches
-    // in plain form on the first run.
-    for q in [
-        "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;",
-        "select (x.A, y.B) where x <- r, y <- t with x.K > 2 andalso x.K = y.K;",
-    ] {
-        session.reset_stats();
-        let seq = run_composed(&mut session, q, None);
-        let par = run_composed(&mut session, q, Some(4));
-        assert_eq!(par, seq, "{q}");
-        let stats = session.par_stats();
-        assert!(stats.par_joins >= 1, "cached probe engaged: {stats:?}");
-        assert_eq!(stats.par_join_fallbacks, 0, "{stats:?}");
-        assert!(
-            session.exec_stats().morsels_executed >= 38,
-            "one-row morsels"
-        );
-        let store = session.store_stats();
-        assert_eq!(store.builds, 1, "one build across all runs: {store:?}");
-        assert_eq!(store.plain_entries, 1, "{store:?}");
-        // Unrelated ref writes leave the cached index warm and the
-        // parallel probe running.
-        for i in 0..3 {
-            session.eval_one(&format!("side := {i};")).unwrap();
-            assert_eq!(run_composed(&mut session, q, Some(4)), seq);
-        }
-        let store = session.store_stats();
-        assert_eq!(store.builds, 1, "cache survived the writes: {store:?}");
-        assert_eq!((store.invalidated, store.cleared), (0, 0), "{store:?}");
-        assert!(session.par_stats().par_joins >= 4);
-    }
-}
-
-// ----- the one differential test for the one join path ------------------------
-
-/// What a [`join_scenarios`] case must demonstrably do at degree ≥ 2.
+/// Which store entry kind a [`join_scenarios`] case's warm, store-on
+/// run must probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Expect {
-    /// The probe fans out (`par_joins`).
-    Par,
-    /// A **build** key declines plain extraction and the join falls
-    /// back to the `Rc` hash join (`par-join-extract`) — uncached only:
-    /// the store keeps such a relation in `Rc` form, so a store-served
-    /// join never leaves the sequential probe.
-    BuildExtract,
-    /// A **probe** key declines extraction over a plain table, inline
-    /// or store-served (`par-join-extract`).
-    ProbeExtract,
-    /// The probe drain hits its memory cap mid-stream and the join
-    /// reverts to the streaming probe (`par-join-drain-cap`).
-    DrainCap,
-    /// Both paths raise the interpreter's error (the pushed build
-    /// filter declines like a [`Expect::BuildExtract`] first).
+    /// Plain build rows: a `Plain` entry, probed through
+    /// `PlainIndex::get_by_values` with the probe's `Rc` key values.
+    Plain,
+    /// Ref-bearing build rows: an `Rc` entry, probed by `KeyTuple`.
+    Rc,
+    /// Both paths raise the interpreter's error; nothing is cached.
     Raise,
 }
 
-/// Seeded equi-join scenarios for the plain-key join, as (name,
+/// Seeded equi-join scenarios for the hash join, as (name,
 /// environment, query, expectation). Queries run through `eval_expr`
-/// directly — no type checker in front — so the ill-typed shapes the
-/// fallbacks exist for (a non-boolean strict filter, a relation mixing
-/// int and ref keys) are expressible. Every result expression bumps the
+/// directly — no type checker in front — so ill-typed shapes (a
+/// non-boolean strict filter, a relation mixing int and ref keys) are
+/// expressible. Every result expression bumps the
 /// `tick` ref and includes its value, so the **binding order** is part
 /// of the result; rows carrying refs project `x.R = d`, so **ref
 /// identity** is too.
@@ -754,7 +623,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
             "plain rows, two generators, bare probe scan",
             base.bind("r", plain_r.clone()).bind("t", plain_t.clone()),
             ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
-            Expect::Par,
+            Expect::Plain,
         ),
         (
             "plain rows, two generators, filters on both sides",
@@ -763,7 +632,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                 "x.A, y.B",
                 &format!("x <- r, y <- t with x.A >= {c1} andalso x.K = y.K andalso {c2} >= y.B"),
             ),
-            Expect::Par,
+            Expect::Plain,
         ),
         (
             "plain rows, three generators",
@@ -777,7 +646,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                 "x.A, y.B, z.C",
                 "x <- r, y <- t, z <- u with x.K = y.K andalso y.J = z.J",
             ),
-            Expect::Par,
+            Expect::Plain,
         ),
         (
             "negated probe keys wrap at i64::MIN",
@@ -796,7 +665,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                 }),
             ),
             ticked("x.A, y.B", "x <- r, y <- t with -(x.K) = y.K"),
-            Expect::Par,
+            Expect::Plain,
         ),
         (
             "rows with ref fields off the key path",
@@ -813,7 +682,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
             )
             .bind("t", plain_t.clone()),
             ticked("x.A, y.B, x.R = d", "x <- r, y <- t with x.K = y.K"),
-            Expect::Par,
+            Expect::Plain,
         ),
         (
             "ref-valued keys on both sides (identity join)",
@@ -836,7 +705,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                 }),
             ),
             ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
-            Expect::BuildExtract,
+            Expect::Rc,
         ),
         (
             "probe keys mixing ints and refs over a plain build",
@@ -852,8 +721,10 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                 }),
             )
             .bind("t", plain_t.clone()),
+            // The ref-valued probe keys must find nothing in the
+            // plain entry.
             ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
-            Expect::ProbeExtract,
+            Expect::Plain,
         ),
         (
             "strict non-boolean pushed build filter",
@@ -862,7 +733,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
             Expect::Raise,
         ),
         (
-            "probe pipeline past the drain cap",
+            "filtered probe pipeline over a two-row build",
             base.bind(
                 "r",
                 rel(2 * 64 + 8 + n_r, &mut |i| {
@@ -871,7 +742,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
             )
             .bind("t", rel(2, &mut |i| vec![("K", int(i)), ("B", int(i))])),
             ticked("x.A, y.B", "x <- r, y <- t with x.A >= 0 andalso x.K = y.K"),
-            Expect::DrainCap,
+            Expect::Plain,
         ),
     ]
 }
@@ -879,15 +750,13 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // The plain-key join is indistinguishable from `select_loop`:
-    // values, error identity, ref identity and binding order agree at
-    // degree 1/2/4 × store off/on × uncached (cold) / cached (warm)
-    // build — and the counters prove the parallel path, the extract
-    // fallback and the drain-cap fallback were each actually taken.
+    // The hash join is indistinguishable from `select_loop`: values,
+    // error identity, ref identity and binding order agree with the
+    // store off and on, cold (inline or fresh build) and warm (cached
+    // build) — and the store counters prove both entry kinds were
+    // probed.
     #[test]
-    fn plain_key_join_is_indistinguishable_from_select_loop(seed in 0u64..u64::MAX / 2) {
-        use machiavelli::trace::{self, DeclineReason};
-        use machiavelli::value::tuning;
+    fn hash_join_is_indistinguishable_from_select_loop(seed in 0u64..u64::MAX / 2) {
         for (name, env, src, expect) in join_scenarios(seed) {
             let expr = machiavelli::syntax::parse_expr(&src).unwrap();
             let tick = env.lookup("tick").unwrap();
@@ -907,56 +776,32 @@ proptest! {
             );
             for store in [false, true] {
                 machiavelli::store::with_store(|s| s.reset());
-                let seq = run(Mode::planned(store, None));
-                prop_assert!(seq == reference, "{name} seq, store={store}: {seq:?} vs {reference:?}");
-                for degree in [1usize, 2, 4] {
-                    machiavelli::store::with_store(|s| s.reset());
-                    tuning::reset_par_stats();
-                    trace::reset_session_declines();
-                    for warmth in ["cold", "warm"] {
-                        let got = run(Mode::planned(store, Some(degree)));
-                        prop_assert!(
-                            got == reference,
-                            "{name} @ {degree}, store={store}, {warmth}: {got:?} vs {reference:?}"
-                        );
-                    }
-                    let stats = tuning::par_stats();
-                    let declined = |r: DeclineReason| {
-                        trace::session_declines().iter().any(|(c, n)| *c == r && *n > 0)
-                    };
-                    let ctx = format!("{name} @ {degree}, store={store}: {stats:?}");
-                    if degree == 1 {
-                        // One worker thread: the streaming `Rc` join,
-                        // never the plain path.
-                        prop_assert!(stats == tuning::ParStats::default(), "{ctx}");
-                        continue;
-                    }
-                    match expect {
-                        Expect::Par => prop_assert!(stats.par_joins >= 2, "{ctx}"),
-                        Expect::DrainCap => {
-                            prop_assert!(stats.par_join_fallbacks >= 2, "{ctx}");
-                            prop_assert!(declined(DeclineReason::ParJoinDrainCap), "{ctx}");
-                        }
-                        Expect::BuildExtract | Expect::Raise if store => {
-                            prop_assert!(stats.par_joins == 0, "{ctx}");
-                        }
-                        Expect::BuildExtract | Expect::Raise | Expect::ProbeExtract => {
-                            prop_assert!(stats.par_joins == 0, "{ctx}");
-                            prop_assert!(stats.par_join_fallbacks >= 2, "{ctx}");
-                            prop_assert!(declined(DeclineReason::ParJoinExtract), "{ctx}");
-                        }
-                    }
+                for warmth in ["cold", "warm"] {
+                    let got = run(Mode::planned(store));
+                    prop_assert!(
+                        got == reference,
+                        "{name}, store={store}, {warmth}: {got:?} vs {reference:?}"
+                    );
                 }
+                if !store {
+                    continue;
+                }
+                let st = machiavelli::store::with_store(|s| s.stats());
+                let probed = match expect {
+                    Expect::Plain => st.plain_entries >= 1 && st.rc_entries == 0 && st.hits >= 1,
+                    Expect::Rc => st.rc_entries >= 1 && st.hits >= 1,
+                    Expect::Raise => st.entries == 0,
+                };
+                prop_assert!(probed, "{name}: {st:?}");
             }
         }
     }
 }
 
-/// Duplicate keys and empty partitions, pinned deterministically: many
-/// rows per key on both sides, and a single distinct key so all but one
-/// hash partition is empty.
+/// Duplicate keys pinned deterministically: many rows per key on both
+/// sides, and a build side with a single distinct key.
 #[test]
-fn parallel_join_handles_duplicates_and_empty_partitions() {
+fn hash_join_handles_duplicate_keys() {
     let mut session = machiavelli::Session::new();
     let dup_rows: String = (0..40)
         .map(|i| format!("[K={}, A={i}]", i % 3))
@@ -971,10 +816,10 @@ fn parallel_join_handles_duplicates_and_empty_partitions() {
         "select (x.A, y.A) where x <- dups, y <- dups with x.K = y.K;",
         "select (x.A, y.B) where x <- dups, y <- one with x.K = y.K;",
     ] {
-        let seq = run_in_mode(&mut session, query, true, None);
-        for threads in [2usize, 4, 8] {
-            let par = run_in_mode(&mut session, query, true, Some(threads));
-            assert_eq!(par, seq, "{query} @ {threads}");
+        let reference = run_in(&mut session, query, Mode::SELECT_LOOP);
+        for store in [false, true] {
+            let got = run_in(&mut session, query, Mode::planned(store));
+            assert_eq!(got, reference, "{query}, store={store}");
         }
     }
 }

@@ -10,7 +10,7 @@
 //! untouched relations stay warm across unrelated writes — asserted
 //! here by counter, and cross-checked by a seeded property test that
 //! runs the same query/mutation interleavings under the paranoid
-//! whole-store-clear mode (`tuning::set_store_epoch_clear`) and
+//! whole-store-clear mode (`store::set_store_epoch_clear`) and
 //! requires identical visible results with at least as many evictions.
 
 use machiavelli::eval::set_planner_enabled;
@@ -329,7 +329,7 @@ fn drive(
     seed: i64,
     paranoid: bool,
 ) -> (Vec<Result<String, String>>, machiavelli::store::StoreStats) {
-    let prev_mode = machiavelli::value::tuning::set_store_epoch_clear(paranoid);
+    let prev_mode = machiavelli::store::set_store_epoch_clear(paranoid);
     let mut s = Session::new();
     s.store_reset();
     s.run(&format!(
@@ -358,7 +358,7 @@ fn drive(
         outs.push(eval(&mut s, queries[i % queries.len()]));
     }
     let stats = s.store_stats();
-    machiavelli::value::tuning::set_store_epoch_clear(prev_mode);
+    machiavelli::store::set_store_epoch_clear(prev_mode);
     (outs, stats)
 }
 
@@ -427,4 +427,38 @@ proptest! {
         // (unrelated `side` writes cost the paranoid mode its cache).
         prop_assert!(precise.builds <= paranoid.builds, "{precise:?} vs {paranoid:?}");
     }
+}
+
+/// `MACHIAVELLI_STORE_BUDGET_ROWS=0` means what the knob table says: no
+/// caching at all, not the default budget. A fresh store reads the
+/// variable once per process, so the check runs in a child: this test
+/// binary re-executed with the variable set, running only this test.
+#[test]
+fn store_budget_of_zero_from_the_environment_disables_caching() {
+    const NAME: &str = "store_budget_of_zero_from_the_environment_disables_caching";
+    const CHILD: &str = "STORE_BUDGET_ZERO_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        let mut s = machiavelli::testing::pinned_session();
+        s.run("val r = {[K=1, A=10], [K=2, A=20]}; val t = {[K=1, B=5], [K=2, B=6]};")
+            .unwrap();
+        let q = "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;";
+        for _ in 0..2 {
+            s.eval_one(q).unwrap();
+        }
+        let stats = s.store_stats();
+        assert_eq!((stats.builds, stats.entries), (0, 0), "{stats:?}");
+        return;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", NAME, "--test-threads=1"])
+        .env(CHILD, "1")
+        .env("MACHIAVELLI_STORE_BUDGET_ROWS", "0")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "child run failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -3,29 +3,27 @@
 //! The goldens pin the traced operator tree for the paper's two query
 //! shapes — the Figure 9 equi-join and the Figure 5 recursive-cost
 //! select — with the trace clock zeroed so every time renders as `0ns`
-//! and only the *stable* fields (operator labels, lanes, cache
-//! outcomes, row counts, decline codes) remain. The proptest then
-//! asserts tracing is purely observational: traced execution returns
-//! identical results and identical decline codes to untraced, at one
-//! and at four worker threads.
+//! and only the *stable* fields (operator labels, cache outcomes, row
+//! counts, decline codes) remain. The proptest then asserts tracing is
+//! purely observational: traced execution returns identical results
+//! and identical decline codes to untraced.
 
-use machiavelli::testing::{pinned_session, run_in, with_mode, Mode};
+use machiavelli::testing::{pinned_session, run_in, Mode};
 use machiavelli::trace;
 use machiavelli::Session;
 use machiavelli_bench::{fig2_session, scaled_parts_session, FIG5_SOURCE};
 use proptest::prelude::*;
 
 /// A session with deterministic trace output: zeroed clock, cold
-/// store, pinned worker-thread count.
-fn pinned(threads: usize) -> Session {
-    let s = pinned_session(threads);
+/// store.
+fn pinned() -> Session {
+    let s = pinned_session();
     trace::set_clock(Some(|| 0));
     s
 }
 
-fn unpin(s: &Session) {
+fn unpin() {
     trace::set_clock(None);
-    s.set_par_threads(None);
 }
 
 const FIG9_SETUP: &str = "val r = {[K=1, C=10, A=1], [K=2, C=50, A=2], [K=3, C=95, A=3]};
@@ -36,7 +34,7 @@ const FIG9_QUERY: &str =
 
 #[test]
 fn golden_analyze_fig9_join_cold_then_cached() {
-    let mut s = pinned(1);
+    let mut s = pinned();
     s.run(FIG9_SETUP).unwrap();
     // Cold store: the join consults the store and builds its index
     // (`[cache build]`); the probe-side scan yields the 2 rows that
@@ -48,8 +46,8 @@ fn golden_analyze_fig9_join_cold_then_cached() {
     assert_eq!(
         cold,
         "select: total 0ns\n  \
-         HashJoin probe(x.K) build(y.K) [seq] [cache build] rows=1 open=0ns next=0ns\n    \
-         Scan x <- r filter (x.C < 90) [seq] rows=2 open=0ns next=0ns\n\
+         HashJoin probe(x.K) build(y.K) [cache build] rows=1 open=0ns next=0ns\n    \
+         Scan x <- r filter (x.C < 90) rows=2 open=0ns next=0ns\n\
          observed[join s build(_.K) filter((_.C > 5))]: runs=1 last_rows=1 avg_rows=1\n"
     );
     // Warm store: same tree, `[cache hit]`, and the observed-stats
@@ -58,35 +56,16 @@ fn golden_analyze_fig9_join_cold_then_cached() {
     assert_eq!(
         warm,
         "select: total 0ns\n  \
-         HashJoin probe(x.K) build(y.K) [seq] [cache hit] rows=1 open=0ns next=0ns\n    \
-         Scan x <- r filter (x.C < 90) [seq] rows=2 open=0ns next=0ns\n\
+         HashJoin probe(x.K) build(y.K) [cache hit] rows=1 open=0ns next=0ns\n    \
+         Scan x <- r filter (x.C < 90) rows=2 open=0ns next=0ns\n\
          observed[join s build(_.K) filter((_.C > 5))]: runs=2 last_rows=1 avg_rows=1\n"
     );
-    unpin(&s);
-}
-
-#[test]
-fn golden_analyze_plain_key_join_names_its_degree() {
-    let mut s = pinned(4);
-    s.run(FIG9_SETUP).unwrap();
-    // Four worker threads, one-row morsels: the store serves the build
-    // in plain form, the two probe rows that clear `x.C < 90` are
-    // drained and fanned out — at degree 2, one worker per probe
-    // morsel, not the four configured.
-    let report = with_mode(Mode::planned(true, Some(4)), || s.analyze(FIG9_QUERY)).unwrap();
-    assert_eq!(
-        report,
-        "select: total 0ns\n  \
-         HashJoin probe(x.K) build(y.K) [par n=2] [cache build] rows=1 open=0ns next=0ns\n    \
-         Scan x <- r filter (x.C < 90) [seq] rows=2 open=0ns next=0ns\n\
-         observed[join s build(_.K) filter((_.C > 5))]: runs=1 last_rows=1 avg_rows=1\n"
-    );
-    unpin(&s);
+    unpin();
 }
 
 #[test]
 fn golden_analyze_ref_keyed_join_names_its_decline() {
-    let mut s = pinned(1);
+    let mut s = pinned();
     // Identity-bearing rows: the build side caches only in rc form —
     // the store's decline is typed and lands on the join's span.
     s.run(
@@ -101,19 +80,18 @@ fn golden_analyze_ref_keyed_join_names_its_decline() {
     assert_eq!(
         report,
         "select: total 0ns\n  \
-         HashJoin probe(x.K) build(y.K) [seq] [cache build] rows=1 open=0ns next=0ns \
+         HashJoin probe(x.K) build(y.K) [cache build] rows=1 open=0ns next=0ns \
          declines: store-rc-only\n    \
-         Scan x <- e [seq] rows=2 open=0ns next=0ns\n\
+         Scan x <- e rows=2 open=0ns next=0ns\n\
          observed[join f build(_.K) filter()]: runs=1 last_rows=1 avg_rows=1\n"
     );
-    unpin(&s);
+    unpin();
 }
 
 #[test]
 fn golden_analyze_fig5_recursive_cost() {
     let mut s = fig2_session();
     s.reset_stats();
-    s.set_par_threads(Some(1));
     trace::set_clock(Some(|| 0));
     s.run(FIG5_SOURCE).unwrap();
     // The outer select's `cost(x) > n` predicate could observe
@@ -125,14 +103,14 @@ fn golden_analyze_fig5_recursive_cost() {
     assert_eq!(
         report,
         "select: total 0ns\n  \
-         HashJoin probe(w.P#) build(z.P#) [seq] [cache build] rows=2 open=0ns next=0ns\n    \
-         Scan w <- x.SubParts [seq] rows=2 open=0ns next=0ns\n  \
-         HashJoin probe(w.P#) build(z.P#) [seq] [cache hit] rows=2 open=0ns next=0ns\n    \
-         Scan w <- x.SubParts [seq] rows=2 open=0ns next=0ns\n  \
+         HashJoin probe(w.P#) build(z.P#) [cache build] rows=2 open=0ns next=0ns\n    \
+         Scan w <- x.SubParts rows=2 open=0ns next=0ns\n  \
+         HashJoin probe(w.P#) build(z.P#) [cache hit] rows=2 open=0ns next=0ns\n    \
+         Scan w <- x.SubParts rows=2 open=0ns next=0ns\n  \
          declines: planner-unsafe-conjunct\n\
          observed[join parts build(_.P#) filter()]: runs=2 last_rows=2 avg_rows=2\n"
     );
-    unpin(&s);
+    unpin();
 }
 
 // ----- tracing is observation-only ---------------------------------------
@@ -165,20 +143,19 @@ fn seeded_query(seed: u64) -> String {
     }
 }
 
-/// Evaluate `src` with tracing forced on/off at `threads` workers and
-/// tiny gates, from a cold store and zeroed decline counts; returns the
-/// rendered result (or error) plus the nonzero decline codes the run
-/// recorded. Every override is restored.
+/// Evaluate `src` with tracing forced on/off, from a cold store and
+/// zeroed decline counts; returns the rendered result (or error) plus
+/// the nonzero decline codes the run recorded. Every override is
+/// restored.
 fn run_observed(
     session: &mut Session,
     src: &str,
-    threads: usize,
     traced: bool,
 ) -> (Result<String, String>, Vec<(&'static str, u64)>) {
     session.store_reset();
     let prev_trace = session.set_tracing(Some(traced));
     trace::reset_session_declines();
-    let out = run_in(session, src, Mode::planned(true, Some(threads)));
+    let out = run_in(session, src, Mode::planned(true));
     let declines: Vec<(&'static str, u64)> = trace::session_declines()
         .into_iter()
         .filter(|(_, n)| *n > 0)
@@ -192,10 +169,9 @@ fn run_observed(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // Tracing never changes what a query computes or which lanes
-    // decline: traced execution returns identical results and
-    // identical decline codes to untraced, at 1 and at 4 worker
-    // threads.
+    // Tracing never changes what a query computes or what declines:
+    // traced execution returns identical results and identical decline
+    // codes to untraced.
     #[test]
     fn tracing_is_observation_only(
         seed in 0u64..u64::MAX / 2,
@@ -204,17 +180,9 @@ proptest! {
     ) {
         let src = seeded_query(seed);
         let (mut session, _db) = scaled_parts_session(n_parts, n_suppliers, seed ^ 0x0b5e);
-        for threads in [1usize, 4] {
-            let (r_off, d_off) = run_observed(&mut session, &src, threads, false);
-            let (r_on, d_on) = run_observed(&mut session, &src, threads, true);
-            prop_assert!(
-                r_off == r_on,
-                "{src} @ {threads} threads: traced {r_on:?} vs untraced {r_off:?}"
-            );
-            prop_assert!(
-                d_off == d_on,
-                "{src} @ {threads} threads: traced declines {d_on:?} vs untraced {d_off:?}"
-            );
-        }
+        let (r_off, d_off) = run_observed(&mut session, &src, false);
+        let (r_on, d_on) = run_observed(&mut session, &src, true);
+        prop_assert!(r_off == r_on, "{src}: traced {r_on:?} vs untraced {r_off:?}");
+        prop_assert!(d_off == d_on, "{src}: traced declines {d_on:?} vs untraced {d_off:?}");
     }
 }
