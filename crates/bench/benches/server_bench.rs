@@ -1,24 +1,27 @@
-//! Server bench — hundreds of read-heavy concurrent sessions over the
-//! shared index tier, and graceful degradation under injected faults.
+//! Server bench — hundreds of read-heavy concurrent sessions, the cost
+//! of a session's first keyed query, and graceful degradation under
+//! injected faults.
 //!
 //! Three groups:
 //!
-//! * `server/shared_read/workers{1,4}` — 100 primed sessions per
-//!   server, round-robin hot-index reads. The structural claim is
-//!   asserted, not just timed: across all 200 sessions the process
-//!   builds each hot index **once** (`publishes` stays fixed while
-//!   every later session adopts).
-//! * `server/faulted_read` — the same read loop under seeded fault
-//!   injection (evaluator panics, delays, store poisoning): the server
-//!   degrades gracefully — every faulted query returns a structured
-//!   error, throughput is reduced, the process never aborts.
+//! * `server/primed_read/workers{1,4}` — 100 primed sessions per
+//!   server, round-robin hot-index reads. Every session built its own
+//!   index while priming, so this times warm probes only.
+//! * `server/first_query` — each iteration opens a session, loads the
+//!   128-row relation, runs the hot query once (paying the index build)
+//!   and closes the session. This is the per-session cost a
+//!   process-wide index tier could save; `docs/PERFORMANCE.md` records
+//!   why none is kept.
+//! * `server/faulted_read` — the primed read loop under seeded fault
+//!   injection (evaluator panics, delays): the server degrades
+//!   gracefully — every faulted query returns a structured error,
+//!   throughput is reduced, the process never aborts.
 //!
 //! Wall-clock speedup from `workers4` over `workers1` tracks the
 //! machine's core count (a single-core container serializes the
-//! workers); the one-build-per-hot-index invariant holds regardless.
+//! workers).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use machiavelli::trace::metrics::Counter;
 use machiavelli_server::faults::FaultConfig;
 use machiavelli_server::{Server, ServerConfig, ServerError, ServerRole};
 use std::time::Duration;
@@ -43,19 +46,22 @@ fn indexed_setup() -> String {
 
 const HOT_QUERY: &str = "select x.A where y <- probe, x <- r with x.K = y.K;";
 
-/// Start a server and prime `SESSIONS` sessions with identical
-/// relations plus one warm run of the hot query each.
-fn primed_server(workers: usize, faults: Option<FaultConfig>) -> (Server, Vec<u64>) {
-    let server = Server::start(ServerConfig {
+fn start_server(workers: usize, faults: Option<FaultConfig>) -> Server {
+    Server::start(ServerConfig {
         workers,
         queue_cap: 64,
         default_deadline: Some(Duration::from_secs(5)),
         row_budget: None,
-        shared_store: true,
         faults: Some(faults.unwrap_or_else(FaultConfig::off)),
         durable_root: None,
         role: ServerRole::Primary,
-    });
+    })
+}
+
+/// Start a server and prime `SESSIONS` sessions with identical
+/// relations plus one warm run of the hot query each.
+fn primed_server(workers: usize, faults: Option<FaultConfig>) -> (Server, Vec<u64>) {
+    let server = start_server(workers, faults);
     let setup = indexed_setup();
     let sids: Vec<u64> = (0..SESSIONS)
         .map(|_| server.open_session().expect("open"))
@@ -106,36 +112,11 @@ fn bench_server(c: &mut Criterion) {
     let mut group = c.benchmark_group("server");
     group.sample_size(10);
 
-    machiavelli_store::shared::reset_shared();
-
-    // --- the shared-index hot path, 1 vs 4 workers -------------------
-    let mut published_after_first_server = 0;
-    for (nth, workers) in [1usize, 4].into_iter().enumerate() {
+    // --- warm hot-index reads, 1 vs 4 workers ------------------------
+    for workers in [1usize, 4] {
         let (server, sids) = primed_server(workers, None);
-        let shared = server.stats();
-        let publishes = shared.metrics.get(Counter::SharedPublishes);
-        if nth == 0 {
-            published_after_first_server = publishes;
-            assert!(publishes >= 1, "the hot index was built: {shared}");
-        } else {
-            // The 100 sessions of the second server adopted the first
-            // server's indexes: same content, zero further builds.
-            assert_eq!(
-                publishes,
-                published_after_first_server,
-                "one build per hot index across all {} sessions: {shared}",
-                2 * SESSIONS
-            );
-        }
-        // Every primed session except the original builder adopted
-        // (cumulative across the servers started so far).
-        let cumulative_sessions = ((nth + 1) * SESSIONS) as u64;
-        assert!(
-            shared.metrics.get(Counter::SharedAdoptions) >= cumulative_sessions - publishes,
-            "later sessions adopt: {shared}"
-        );
         let mut next = 0usize;
-        group.bench_function(format!("shared_read/workers{workers}"), |b| {
+        group.bench_function(format!("primed_read/workers{workers}"), |b| {
             b.iter(|| {
                 let sid = sids[next % sids.len()];
                 next += 1;
@@ -145,12 +126,25 @@ fn bench_server(c: &mut Criterion) {
         server.shutdown();
     }
 
+    // --- a fresh session's first keyed query --------------------------
+    let server = start_server(2, None);
+    let setup = indexed_setup();
+    group.bench_function("first_query", |b| {
+        b.iter(|| {
+            let sid = server.open_session().expect("open");
+            server.eval(sid, &setup).expect("setup");
+            let out = server.eval(sid, HOT_QUERY).expect("first read");
+            server.close_session(sid).expect("close");
+            out
+        })
+    });
+    server.shutdown();
+
     // --- graceful degradation under seeded faults --------------------
     let faults = FaultConfig {
         eval_panic_ppm: 30_000,
         delay_ppm: 20_000,
         delay_ms: 1,
-        store_poison_ppm: 2_000,
         seed: 1989,
         ..FaultConfig::off()
     };

@@ -73,8 +73,8 @@ pub fn run_repl(
                 for i in infos {
                     writeln!(
                         output,
-                        ">> [{}, {} rows, {} groups, {} hits] {}",
-                        i.kind, i.rows, i.groups, i.hits, i.fingerprint
+                        ">> [{} rows, {} groups, {} hits] {}",
+                        i.rows, i.groups, i.hits, i.fingerprint
                     )?;
                 }
             } else {
@@ -230,17 +230,16 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         // Cold store first.
         assert!(
-            text.contains(">> index store: 0 entries (0 plain / 0 rc), 0 rows cached"),
+            text.contains(">> index store: 0 entries, 0 rows cached"),
             "{text}"
         );
-        // The two equality queries share one cached grouping of `r` —
-        // plain rows, so the entry is in plain (shareable) form.
+        // The two equality queries share one cached grouping of `r`.
         assert!(
-            text.contains(">> [plain, 2 rows, 2 groups, 1 hits] scan r key(_.K)"),
+            text.contains(">> [2 rows, 2 groups, 1 hits] scan r key(_.K)"),
             "{text}"
         );
         assert!(
-            text.contains(">> index store: 1 entries (1 plain / 0 rc), 2 rows cached"),
+            text.contains(">> index store: 1 entries, 2 rows cached"),
             "{text}"
         );
         assert!(
@@ -249,14 +248,12 @@ mod tests {
             ),
             "{text}"
         );
-        // No server hosts sessions in this process (and the shared
-        // tier is off outside server workers): the server line is
+        // No server hosts sessions in this process: the server line is
         // present with all counters at zero.
         assert!(
             text.contains(
                 ">> server: sessions 0 started / 0 panicked / 0 closed, \
-                 queries 0 completed / 0 shed / 0 deadline / 0 cancelled / 0 row-budget, \
-                 shared tier 0 publishes / 0 adoptions / 0 lock recoveries"
+                 queries 0 completed / 0 shed / 0 deadline / 0 cancelled / 0 row-budget"
             ),
             "{text}"
         );

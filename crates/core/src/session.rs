@@ -50,8 +50,8 @@ pub struct SessionStats {
     /// [`machiavelli_trace::DeclineReason`] variant in declaration
     /// order, zeros included.
     pub declines: Vec<(machiavelli_trace::DeclineReason, u64)>,
-    /// The process-wide counters: server, shared index tier, WAL,
-    /// replication, injected faults.
+    /// The process-wide counters: server, WAL, replication, injected
+    /// faults.
     pub metrics: Snapshot,
 }
 
@@ -64,8 +64,8 @@ impl SessionStats {
         let st = &self.store;
         let _ = writeln!(
             out,
-            "index store: {} entries ({} plain / {} rc), {} rows cached",
-            st.entries, st.plain_entries, st.rc_entries, st.cached_rows
+            "index store: {} entries, {} rows cached",
+            st.entries, st.cached_rows
         );
         let _ = writeln!(
             out,
@@ -76,8 +76,7 @@ impl SessionStats {
         let _ = writeln!(
             out,
             "server: sessions {} started / {} panicked / {} closed, \
-             queries {} completed / {} shed / {} deadline / {} cancelled / {} row-budget, \
-             shared tier {} publishes / {} adoptions / {} lock recoveries",
+             queries {} completed / {} shed / {} deadline / {} cancelled / {} row-budget",
             m(Counter::SessionsStarted),
             m(Counter::SessionsPanicked),
             m(Counter::SessionsClosed),
@@ -85,10 +84,7 @@ impl SessionStats {
             m(Counter::QueriesShed),
             m(Counter::QueriesDeadline),
             m(Counter::QueriesCancelled),
-            m(Counter::QueriesRowBudget),
-            m(Counter::SharedPublishes),
-            m(Counter::SharedAdoptions),
-            m(Counter::SharedLockRecoveries)
+            m(Counter::QueriesRowBudget)
         );
         let _ = writeln!(
             out,
@@ -243,11 +239,8 @@ impl Session {
     }
 
     /// Describe the live cached indexes in deterministic order (sorted
-    /// by fingerprint, then storage id — pinnable in golden tests),
-    /// with each entry's representation: `plain` entries are
-    /// `Send + Sync` and shareable across sessions, `rc` entries
-    /// (identity-bearing rows) are session-local. Behind the REPL's
-    /// `:indexes` command.
+    /// by fingerprint, then storage id — pinnable in golden tests).
+    /// Behind the REPL's `:indexes` command.
     pub fn store_indexes(&self) -> Vec<machiavelli_store::IndexInfo> {
         machiavelli_store::with_store(|s| s.indexes())
     }
@@ -265,9 +258,9 @@ impl Session {
     }
 
     /// One snapshot of every statistics surface — the store, the typed
-    /// decline counts, and the process-wide counter registry (server and
-    /// shared-tier rows are all zero unless this process hosts sessions
-    /// through `machiavelli-server`). Behind the REPL's `:stats` via
+    /// decline counts, and the process-wide counter registry (server
+    /// rows are all zero unless this process hosts sessions through
+    /// `machiavelli-server`). Behind the REPL's `:stats` via
     /// [`SessionStats::render`].
     pub fn stats(&self) -> SessionStats {
         SessionStats {
@@ -913,10 +906,9 @@ mod tests {
         assert!(warm.contains("HashJoin[idx cached]"), "{warm}");
         let indexes = s.store_indexes();
         assert_eq!(indexes.len(), 1);
-        // Binder names are alpha-normalized to `_` in fingerprints, and
-        // pure-data relations cache in plain (shareable) form.
+        // Binder names are alpha-normalized to `_` in fingerprints.
         assert_eq!(indexes[0].fingerprint, "join t build(_.K) filter()");
-        assert_eq!(indexes[0].kind, machiavelli_store::IndexKind::Plain);
+        assert_eq!((indexes[0].rows, indexes[0].groups), (1, 1));
         s.store_reset();
         assert_eq!(s.store_stats(), machiavelli_store::StoreStats::default());
     }
@@ -934,7 +926,7 @@ mod tests {
         s.analyze(q).unwrap();
         s.run(q).unwrap();
         s.run("select x where x <- r with member(x, r);").unwrap();
-        machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::StoreRcOnly);
+        machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::StoreOverBudget);
         let dirty = s.stats();
         assert!(
             dirty.store != machiavelli_store::StoreStats::default(),

@@ -83,9 +83,9 @@
 //!
 //! Every planned equi-join is one streaming build/probe operator
 //! (`PhysOp::HashJoin`). Its build table comes from the index store when
-//! the build is fingerprinted (a `Plain` or `Local` entry, probed
-//! alike through `CachedIndex::rows_for`), otherwise it is built inline
-//! through the hook. It probes on the session thread, streaming: the
+//! the build is fingerprinted (an `Rc<Index>` entry, probed with
+//! `Index::get(&KeyTuple(key))`), otherwise it is built inline through
+//! the hook. It probes on the session thread, streaming: the
 //! plain-key parallel probe was retired because no workload reached it
 //! (`docs/PERFORMANCE.md` has the numbers).
 //!

@@ -27,10 +27,9 @@
 //! then its contents are a pure function of the relation's storage
 //! identity and the expressions' text (the **fingerprint**), never of
 //! the enclosing environment. Groupings hold **row indices** into the
-//! relation's canonical slice; the store re-represents fully plain
-//! relations in `Send + Sync` form so sessions can share them, and a
-//! two-generator join may flip its build side toward an already-cached
-//! (or smaller) relation at open ([`SwapInfo`]). Cache consultation is
+//! relation's canonical slice, and a two-generator join may flip its
+//! build side toward an already-cached (or smaller) relation at open
+//! ([`SwapInfo`]). Cache consultation is
 //! invisible in the results: a hit returns exactly the grouping an
 //! inline build would have produced (same rows, same canonical order
 //! per group), and the expressions skipped on a hit are planner-safe —
@@ -40,7 +39,7 @@
 
 use crate::analysis::{closed_under, is_safe_expr, mentions_any, stable_source, Conjunct};
 use crate::logical::LogicalPlan;
-use machiavelli_store::{store_enabled, with_store, CachedIndex, Index, KeyTuple};
+use machiavelli_store::{store_enabled, with_store, Index, KeyTuple};
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind};
 use machiavelli_syntax::pretty::expr_to_string;
 use machiavelli_syntax::symbol::Symbol;
@@ -615,8 +614,7 @@ fn as_set<E>(v: Value) -> Result<MSet, ExecError<E>> {
 /// binding (keys mention only this binder). Groups hold **row indices**
 /// into the relation's canonical slice, accumulated in source order
 /// (each group's list ascends) — the executor re-binds matches by
-/// index, and the store can re-represent the whole grouping in plain
-/// form without touching the rows again.
+/// index, so the grouping never clones a row.
 fn build_join_index<H: EvalHook>(
     items: &MSet,
     var: Symbol,
@@ -669,20 +667,18 @@ fn build_scan_index<H: EvalHook>(
 
 /// Fetch-or-build an index through the store. The hook is never called
 /// while the store is borrowed (a nested query evaluated by the hook
-/// may consult the store itself), and a build error caches nothing. The
-/// store decides the representation: plain (`Send + Sync`, shareable
-/// across sessions) when the relation extracts, `Rc`-lane otherwise.
+/// may consult the store itself), and a build error caches nothing.
 #[allow(clippy::mutable_key_type)] // refs hash by identity
 fn obtain_index<H: EvalHook>(
     items: &MSet,
     fingerprint: &str,
     build: impl FnOnce(&mut H) -> Result<Index, ExecError<H::Error>>,
     hook: &mut H,
-) -> Result<CachedIndex, ExecError<H::Error>> {
+) -> Result<Rc<Index>, ExecError<H::Error>> {
     trace::annotate_fingerprint(trace::current_span(), || fingerprint.to_string());
     if !store_enabled() {
         trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Bypass);
-        return Ok(CachedIndex::Local(Rc::new(build(hook)?)));
+        return Ok(Rc::new(build(hook)?));
     }
     if let Some(idx) = with_store(|s| s.lookup(items, fingerprint)) {
         trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Hit);
@@ -749,9 +745,9 @@ fn open_keyed_join<'p, H: EvalHook>(
             hook,
         )?,
         // Environment-dependent (or store-less) build: construct inline.
-        None => CachedIndex::Local(Rc::new(build_join_index(
+        None => Rc::new(build_join_index(
             &items, var, filters, build_keys, env, hook,
-        )?)),
+        )?),
     };
     Ok(Node::HashJoin {
         input,
@@ -800,9 +796,8 @@ enum Node<'p> {
         /// cache hit, so indices are valid by construction).
         items: MSet,
         /// Build-row indices grouped by key, in source (canonical set)
-        /// order — shared with the index store on a cache hit, in plain
-        /// or `Rc`-lane form.
-        table: CachedIndex,
+        /// order — shared with the index store on a cache hit.
+        table: Rc<Index>,
         /// The in-flight probe binding and its match cursor.
         cur: Option<(Env, Vec<u32>, usize)>,
     },
@@ -912,7 +907,8 @@ impl<'p> Node<'p> {
                     // indices ascend, so rows stay in canonical order,
                     // exactly as a filter scan yields them.
                     index
-                        .rows_for(probe)
+                        .get(&KeyTuple(probe))
+                        .map_or(&[][..], Vec::as_slice)
                         .iter()
                         .map(|&i| items.as_slice()[i as usize].clone())
                         .collect()
@@ -1137,15 +1133,16 @@ impl<'p> Node<'p> {
                 let Some(outer) = input.next(hook)? else {
                     return Ok(None);
                 };
-                let key: Vec<Value> = probe_keys
-                    .iter()
-                    .map(|k| hook.eval(&outer, k))
-                    .collect::<Result<_, _>>()?;
-                let matches = table.rows_for(key);
-                if !matches.is_empty() {
+                let key = KeyTuple(
+                    probe_keys
+                        .iter()
+                        .map(|k| hook.eval(&outer, k))
+                        .collect::<Result<_, _>>()?,
+                );
+                if let Some(matches) = table.get(&key) {
                     // Copying the index list is a small memcpy; rows
                     // re-bind lazily above (len × O(1) `Rc` bumps).
-                    *cur = Some((outer, matches.to_vec(), 0));
+                    *cur = Some((outer, matches.clone(), 0));
                 }
             },
             Node::Filter { input, conjuncts } => loop {

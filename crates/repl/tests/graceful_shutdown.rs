@@ -133,7 +133,6 @@ fn sigterm_mid_storm_loses_no_acked_commits() {
         queue_cap: 32,
         default_deadline: None,
         row_budget: None,
-        shared_store: false,
         faults: Some(FaultConfig::off()),
         durable_root: Some(root.join("data")),
         role: ServerRole::Primary,

@@ -32,7 +32,6 @@ fn server(root: &Path, role: ServerRole) -> Arc<Server> {
         queue_cap: 32,
         default_deadline: None,
         row_budget: None,
-        shared_store: false,
         faults: Some(FaultConfig::off()),
         durable_root: Some(root.to_path_buf()),
         role,

@@ -1,8 +1,7 @@
 //! A resilient multi-session server for Machiavelli.
 //!
-//! Hosts N concurrent interpreter sessions over the process-wide
-//! shared index tier, with the resilience properties a long-running
-//! database service needs:
+//! Hosts N concurrent interpreter sessions with the resilience
+//! properties a long-running database service needs:
 //!
 //! * **Panic isolation** — an evaluator panic poisons only its own
 //!   session; the server and every other session keep running.
@@ -11,9 +10,8 @@
 //! * **Admission control** — bounded per-worker queues shed load with
 //!   a typed [`ServerError::Busy`] instead of queueing unbounded work.
 //! * **Fault injection** — [`faults`] provides seeded fail points
-//!   (evaluator panics, worker-spawn failures, delays, store-lock
-//!   poisoning, WAL and replication faults) so the chaos suites can
-//!   prove the above.
+//!   (evaluator panics, worker-spawn failures, delays, WAL and
+//!   replication faults) so the chaos suites can prove the above.
 //!
 //! See `docs/RESILIENCE.md` for the full contract, and [`wire`] /
 //! the `machid` binary for the line protocol.

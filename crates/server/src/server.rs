@@ -1,5 +1,5 @@
 //! The session server: a fixed worker pool hosting many interpreter
-//! sessions over the process-wide shared index tier.
+//! sessions.
 //!
 //! # Architecture
 //!
@@ -20,14 +20,10 @@
 //! * **Admission** — job queues are bounded; a full queue sheds the
 //!   request with [`ServerError::Busy`] instead of queueing unbounded
 //!   work.
-//! * **Sharing** — workers enable the process-wide shared index tier,
-//!   so equal-content hot indexes are built once and adopted by every
-//!   session (see `machiavelli_store::shared`).
 
 use crate::error::ServerError;
 use machiavelli::{is_read_only_source, Session, SessionError};
 use machiavelli_eval::EvalError;
-use machiavelli_store::shared;
 use machiavelli_trace::metrics::{self, Counter, Snapshot};
 use machiavelli_value::faults::{self, FaultConfig, FaultPoint};
 use machiavelli_value::governor::{self, QueryGuard, Trip};
@@ -133,8 +129,6 @@ pub struct ServerConfig {
     /// sets materialize, so runaway queries trip before exhausting
     /// memory.
     pub row_budget: Option<usize>,
-    /// Enable the process-wide shared index tier on worker threads.
-    pub shared_store: bool,
     /// Fault-injection configuration installed on every worker thread
     /// (None = inherit the environment's `MACHIAVELLI_FAULT_*` knobs).
     pub faults: Option<FaultConfig>,
@@ -158,7 +152,6 @@ impl Default for ServerConfig {
             queue_cap: 64,
             default_deadline: None,
             row_budget: governor::query_max_rows(),
-            shared_store: true,
             faults: None,
             durable_root: None,
             role: ServerRole::Primary,
@@ -169,8 +162,8 @@ impl Default for ServerConfig {
 /// A point-in-time snapshot of server health.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerStats {
-    /// The process-wide counter registry: session/query, shared-tier,
-    /// WAL, replication and injected-fault counters (the last all zero
+    /// The process-wide counter registry: session/query, WAL,
+    /// replication and injected-fault counters (the last all zero
     /// unless fault injection is on).
     pub metrics: Snapshot,
     /// Worker threads actually running.
@@ -184,8 +177,7 @@ impl fmt::Display for ServerStats {
         let m = |c| self.metrics.get(c);
         write!(
             f,
-            "workers {}(-{}) sessions {}/{}/{} queries {}ok {}shed {}ddl {}cancel {}rows \
-             shared {}pub {}adopt {}miss {}recov",
+            "workers {}(-{}) sessions {}/{}/{} queries {}ok {}shed {}ddl {}cancel {}rows",
             self.workers,
             self.worker_spawn_failures,
             m(Counter::SessionsStarted),
@@ -196,10 +188,6 @@ impl fmt::Display for ServerStats {
             m(Counter::QueriesDeadline),
             m(Counter::QueriesCancelled),
             m(Counter::QueriesRowBudget),
-            m(Counter::SharedPublishes),
-            m(Counter::SharedAdoptions),
-            m(Counter::SharedMisses),
-            m(Counter::SharedLockRecoveries),
         )
     }
 }
@@ -700,9 +688,9 @@ impl Server {
     /// (behind the wire `METRICS` verb, newline-escaped onto one
     /// response line): the per-query latency histogram with fixed
     /// buckets, this server's gauges (queue depth, role, per-session
-    /// replication lag, shared-tier hit ratio), then every row of the
-    /// counter registry ([`Snapshot::render_exposition`]). Counters are
-    /// read lock-free; only the lag gauge asks the workers anything.
+    /// replication lag), then every row of the counter registry
+    /// ([`Snapshot::render_exposition`]). Counters are read lock-free;
+    /// only the lag gauge asks the workers anything.
     pub fn metrics_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -749,17 +737,7 @@ impl Server {
                 }
             }
         }
-        let m = metrics::snapshot();
-        let adoptions = m.get(Counter::SharedAdoptions);
-        let probes = adoptions + m.get(Counter::SharedMisses);
-        let ratio = if probes == 0 {
-            0.0
-        } else {
-            adoptions as f64 / probes as f64
-        };
-        out.push_str("# TYPE machiavelli_shared_hit_ratio gauge\n");
-        let _ = writeln!(out, "machiavelli_shared_hit_ratio {ratio}");
-        m.render_exposition(&mut out);
+        metrics::snapshot().render_exposition(&mut out);
         out
     }
 
@@ -808,7 +786,6 @@ fn worker_main(
     queue_depth: Arc<AtomicI64>,
     role: Arc<AtomicU8>,
 ) {
-    shared::set_shared_enabled(config.shared_store);
     if let Some(fc) = config.faults {
         faults::set_fault_config(Some(fc));
     }
@@ -1236,7 +1213,6 @@ mod tests {
             queue_cap: 8,
             default_deadline: None,
             row_budget: None,
-            shared_store: false,
             faults: Some(FaultConfig::off()),
             durable_root: None,
             role: ServerRole::Primary,

@@ -341,7 +341,6 @@ mod tests {
             queue_cap: 8,
             default_deadline: None,
             row_budget: None,
-            shared_store: false,
             faults: Some(FaultConfig::off()),
             durable_root: None,
             role: ServerRole::Primary,

@@ -7,13 +7,10 @@
 //!   reaches the client as a structured [`ServerError`];
 //! * a panic poisons **only its own session**;
 //! * deadlines, cancellation, row budgets, and admission control all
-//!   produce their own typed errors and counters;
-//! * the shared index tier builds each hot index **once** across
-//!   sessions, and recovers from a lock poisoned mid-publish.
+//!   produce their own typed errors and counters.
 //!
-//! The tests share the process-global counter registry and shared
-//! tier, so every test serializes on [`SERIAL`] and starts from a zeroed
-//! registry.
+//! The tests share the process-global counter registry, so every test
+//! serializes on [`SERIAL`] and starts from a zeroed registry.
 
 use machiavelli_server::faults::{FaultConfig, INJECTED_PANIC_PREFIX};
 use machiavelli_server::{QueryGuard, Server, ServerConfig, ServerError, ServerRole};
@@ -44,7 +41,6 @@ fn serial() -> MutexGuard<'static, ()> {
 
 fn reset_counters() {
     metrics::reset(Counter::ALL);
-    machiavelli_store::shared::reset_shared();
 }
 
 fn base_config() -> ServerConfig {
@@ -53,7 +49,6 @@ fn base_config() -> ServerConfig {
         queue_cap: 16,
         default_deadline: None,
         row_budget: None,
-        shared_store: false,
         faults: Some(FaultConfig::off()),
         durable_root: None,
         role: ServerRole::Primary,
@@ -79,8 +74,8 @@ fn heavy_setup() -> String {
     format!("val big = {{{}}};", elems.join(", "))
 }
 
-/// Setup + join for the shared-index tests: identical sources in every
-/// session, so the built index is content-identical across sessions.
+/// Setup + keyed join for the storm: every session builds and probes
+/// its own cached index.
 fn indexed_setup() -> String {
     let rows: Vec<String> = (0..64)
         .map(|i| format!("[K = {i}, A = {}]", i * 10))
@@ -243,92 +238,6 @@ fn admission_control_sheds_with_busy() {
     server.shutdown();
 }
 
-// ------------------------------------------------------------ shared tier
-
-#[test]
-fn shared_tier_builds_each_hot_index_once_across_sessions() {
-    let _g = serial();
-    reset_counters();
-    let server = Server::start(ServerConfig {
-        workers: 2,
-        shared_store: true,
-        ..base_config()
-    });
-    let sessions: Vec<u64> = (0..6)
-        .map(|_| server.open_session().expect("open"))
-        .collect();
-    let first = sessions[0];
-    server.eval(first, &indexed_setup()).expect("setup");
-    let out = server.eval(first, INDEXED_QUERY).expect("query");
-    assert_eq!(out, vec![r#"val it = {30, 70} : {int}"#.to_string()]);
-    let published = metrics::get(Counter::SharedPublishes);
-    assert!(published >= 1);
-
-    for &sid in &sessions[1..] {
-        server.eval(sid, &indexed_setup()).expect("setup");
-        let out = server.eval(sid, INDEXED_QUERY).expect("query");
-        assert_eq!(out, vec![r#"val it = {30, 70} : {int}"#.to_string()]);
-    }
-    let stats = server.stats();
-    assert_eq!(
-        stats.metrics.get(Counter::SharedPublishes),
-        published,
-        "later sessions adopt, they never rebuild: {stats}"
-    );
-    assert!(
-        stats.metrics.get(Counter::SharedAdoptions) >= (sessions.len() - 1) as u64,
-        "every later session adopts the shared index: {stats}"
-    );
-    server.shutdown();
-}
-
-#[test]
-fn poisoned_shared_lock_recovers_for_later_sessions() {
-    let _g = serial();
-    reset_counters();
-    // Server A panics while *holding the shared-tier lock* mid-publish:
-    // torn entry, poisoned mutex, poisoned session.
-    let chaos = Server::start(ServerConfig {
-        workers: 1,
-        shared_store: true,
-        faults: Some(FaultConfig {
-            store_poison_ppm: 1_000_000,
-            seed: 7,
-            ..FaultConfig::off()
-        }),
-        ..base_config()
-    });
-    let sid = chaos.open_session().expect("open");
-    chaos.eval(sid, &indexed_setup()).expect("setup");
-    match chaos.eval(sid, INDEXED_QUERY) {
-        Err(ServerError::SessionPanicked(msg)) => {
-            assert!(msg.contains("shared-store poison"), "{msg}")
-        }
-        other => panic!("expected a mid-publish panic, got {other:?}"),
-    }
-    chaos.shutdown();
-
-    // Server B (same process, same shared tier): the first lock
-    // acquisition clears the poison and drops the torn entries, then
-    // everything works — counted, not silent.
-    let server = Server::start(ServerConfig {
-        workers: 1,
-        shared_store: true,
-        ..base_config()
-    });
-    let sid = server.open_session().expect("open");
-    server.eval(sid, &indexed_setup()).expect("setup");
-    let out = server.eval(sid, INDEXED_QUERY).expect("recovered");
-    assert_eq!(out, vec![r#"val it = {30, 70} : {int}"#.to_string()]);
-    let stats = server.stats();
-    assert!(
-        stats.metrics.get(Counter::SharedLockRecoveries) >= 1,
-        "recovery is counted: {stats}"
-    );
-    assert!(stats.metrics.get(Counter::FaultStorePoisons) >= 1);
-    server.shutdown();
-}
-
 // ------------------------------------------------------------ spawn faults
 
 #[test]
@@ -365,13 +274,11 @@ fn chaos_storm_100_sessions_stays_live() {
         queue_cap: 16,
         default_deadline: Some(Duration::from_millis(500)),
         row_budget: Some(100_000),
-        shared_store: true,
         faults: Some(FaultConfig {
             eval_panic_ppm: 60_000,
             spawn_fail_ppm: 200_000,
             delay_ppm: 40_000,
             delay_ms: 1,
-            store_poison_ppm: 3_000,
             seed: 42,
             ..FaultConfig::off()
         }),

@@ -26,7 +26,6 @@ fn durable_config(root: &std::path::Path) -> ServerConfig {
         queue_cap: 16,
         default_deadline: None,
         row_budget: None,
-        shared_store: false,
         faults: Some(FaultConfig::off()),
         durable_root: Some(root.to_path_buf()),
         role: ServerRole::Primary,

@@ -16,7 +16,6 @@ fn quiet_config() -> ServerConfig {
         queue_cap: 16,
         default_deadline: None,
         row_budget: None,
-        shared_store: false,
         faults: Some(FaultConfig::off()),
         durable_root: None,
         role: ServerRole::Primary,
@@ -48,10 +47,11 @@ fn parse_exposition(text: &str) -> Vec<(String, f64)> {
 
 /// Every series name (labels stripped) the exposition of a non-durable
 /// server emitted at the commit before the counter registry — what
-/// scrapers (`machibench` among them) key on. Sorted. A durable server
-/// adds the per-session gauge `machiavelli_repl_lag_groups`, which
+/// scrapers (`machibench` among them) key on — less the five series of
+/// the retired shared index tier. Sorted. A durable server adds the
+/// per-session gauge `machiavelli_repl_lag_groups`, which
 /// `replication_wire.rs` reads.
-const PINNED_SERIES: [&str; 33] = [
+const PINNED_SERIES: [&str; 28] = [
     "machiavelli_declines_total",
     "machiavelli_queries_cancelled_total",
     "machiavelli_queries_completed_total",
@@ -74,11 +74,6 @@ const PINNED_SERIES: [&str; 33] = [
     "machiavelli_sessions_closed_total",
     "machiavelli_sessions_panicked_total",
     "machiavelli_sessions_started_total",
-    "machiavelli_shared_adoptions_total",
-    "machiavelli_shared_hit_ratio",
-    "machiavelli_shared_lock_recoveries_total",
-    "machiavelli_shared_misses_total",
-    "machiavelli_shared_publishes_total",
     "machiavelli_wal_bytes_logged_total",
     "machiavelli_wal_checkpoints_total",
     "machiavelli_wal_commits_total",
@@ -169,8 +164,6 @@ fn metrics_exposition_after_hundred_query_run() {
 
     // Gauges are present; nothing is in flight once eval() returned.
     assert_eq!(sample(&samples, "machiavelli_queue_depth"), 0.0);
-    let ratio = sample(&samples, "machiavelli_shared_hit_ratio");
-    assert!((0.0..=1.0).contains(&ratio), "hit ratio in [0,1]: {ratio}");
 
     // The WAL counter family is always exported (zeros here: this
     // server runs without a durable root; the durability suite covers
@@ -200,7 +193,7 @@ fn metrics_exposition_after_hundred_query_run() {
 
     // Name stability: every pinned series is still emitted, and the
     // only new ones are registry rows that were never rendered before —
-    // the injected-fault tallies and the shared tier's evicted/cleared.
+    // the injected-fault tallies.
     let mut emitted: Vec<&str> = samples
         .iter()
         .map(|(n, _)| n.split('{').next().unwrap())
@@ -215,13 +208,11 @@ fn metrics_exposition_after_hundred_query_run() {
         .copied()
         .filter(|n| !PINNED_SERIES.contains(n))
         .collect();
-    // One tally per fail point, plus the shared tier's two.
-    assert_eq!(added.len(), FaultPoint::ALL.len() + 2, "{added:?}");
+    // One tally per fail point.
+    assert_eq!(added.len(), FaultPoint::ALL.len(), "{added:?}");
     for name in added {
         assert!(
-            name.starts_with("machiavelli_fault_")
-                || name == "machiavelli_shared_evicted_total"
-                || name == "machiavelli_shared_cleared_total",
+            name.starts_with("machiavelli_fault_"),
             "unexpected new series {name}"
         );
     }

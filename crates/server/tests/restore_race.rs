@@ -35,7 +35,6 @@ fn durable_server(root: &Path) -> Arc<Server> {
         queue_cap: 64,
         default_deadline: None,
         row_budget: None,
-        shared_store: false,
         faults: Some(FaultConfig::off()),
         durable_root: Some(root.to_path_buf()),
         role: ServerRole::Primary,

@@ -10,21 +10,11 @@
 //! the values of its key expressions, stored as **row indices** into the
 //! relation's canonical slice (each group's list ascending = canonical
 //! set order, the same order an inline build yields, so cached and fresh
-//! probes produce identical row sequences). It comes in two
-//! representations ([`CachedIndex`]):
-//!
-//! * **Plain** ([`PlainIndex`]) — keys and a snapshot of the rows in
-//!   `Send + Sync` plain form (`machiavelli_value::plain`), built
-//!   whenever every relation row extracts via `to_plain`. A plain entry
-//!   is shareable across threads, which is what lets server sessions
-//!   adopt each other's builds through the process-wide [`shared`]
-//!   tier.
-//! * **Local** — the `Rc`-lane [`Index`] keyed by [`KeyTuple`], for
-//!   relations carrying identity-bearing data (refs, dynamics) that has
-//!   no plain form. Cached per session only.
-//!
-//! Both are probed the same way — [`CachedIndex::rows_for`] with the
-//! probe's `Rc`-lane key values — by the planner's one hash join.
+//! probes produce identical row sequences). It has one representation,
+//! an [`Index`] keyed by [`KeyTuple`] and handed out as `Rc<Index>`,
+//! whatever the rows hold: the planner's one hash join and its index
+//! scan both probe it with `Index::get(&KeyTuple(key))`, and an entry
+//! lives in its session's store only.
 //!
 //! # Index store & invalidation contract
 //!
@@ -55,8 +45,8 @@
 //!    contents cannot actually go stale this way — but the store does
 //!    not rely on that analysis being airtight. At build time each
 //!    entry records the identities of every ref **reachable** from its
-//!    relation ([`machiavelli_value::scan_refs`]; empty by construction
-//!    for plain entries, which cannot contain refs at all). Every
+//!    relation ([`machiavelli_value::scan_refs`]; empty for a ref-free
+//!    relation, whose entry therefore survives every write). Every
 //!    reference write (funnelled through
 //!    [`machiavelli_value::RefValue::set`]) advances the thread's
 //!    mutation epoch and records the written identity in a dirty set;
@@ -101,7 +91,6 @@
 
 pub mod shared;
 
-use machiavelli_value::plain::{to_plain, PlainIndex, PlainKey};
 use machiavelli_value::{
     hash_value, mutation_epoch, scan_refs, take_dirty_refs, value_eq, MSet, RefScan, Value,
 };
@@ -109,7 +98,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// An owned composite hash key: structural hash, `value_eq` equality —
 /// consistent by construction (see `machiavelli_value::hash`), owning
@@ -133,93 +122,13 @@ impl PartialEq for KeyTuple {
 
 impl Eq for KeyTuple {}
 
-/// The `Rc`-lane structural index: **row indices** (into the relation's
-/// canonical slice) grouped by key value, each group ascending — the
-/// same order an inline build produces, so cached and fresh probes
-/// yield identical row sequences. The executor re-binds matches by
-/// index from the live relation, so groups never clone rows.
+/// The structural index: **row indices** (into the relation's canonical
+/// slice) grouped by key value, each group ascending — the same order
+/// an inline build produces, so cached and fresh probes yield identical
+/// row sequences. The executor re-binds matches by index from the live
+/// relation, so groups never clone rows.
 #[allow(clippy::mutable_key_type)] // refs hash/compare by immutable identity
 pub type Index = HashMap<KeyTuple, Vec<u32>>;
-
-/// A grouping in one of its two representations. `Plain` whenever the
-/// whole relation extracts to plain form (then the index is
-/// `Send + Sync` and shareable across sessions); `Local` otherwise.
-/// Both resolve probes to row-index slices; the caller re-binds rows
-/// from the relation it evaluated.
-#[derive(Debug, Clone)]
-pub enum CachedIndex {
-    Plain(Arc<PlainIndex>),
-    Local(Rc<Index>),
-}
-
-impl CachedIndex {
-    fn kind(&self) -> IndexKind {
-        match self {
-            CachedIndex::Plain(_) => IndexKind::Plain,
-            CachedIndex::Local(_) => IndexKind::Rc,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        match self {
-            CachedIndex::Plain(p) => p.is_empty(),
-            CachedIndex::Local(idx) => idx.is_empty(),
-        }
-    }
-
-    /// Distinct key groups.
-    pub fn groups(&self) -> usize {
-        match self {
-            CachedIndex::Plain(p) => p.group_count(),
-            CachedIndex::Local(idx) => idx.len(),
-        }
-    }
-
-    /// Rows held across all groups (≤ the relation size when pushed
-    /// filters pruned).
-    pub fn indexed_rows(&self) -> usize {
-        match self {
-            CachedIndex::Plain(p) => p.indexed_rows(),
-            CachedIndex::Local(idx) => idx.values().map(Vec::len).sum(),
-        }
-    }
-
-    /// The matching row indices for an `Rc`-lane key tuple (empty when
-    /// absent). Plain indexes are probed through their borrowed
-    /// value-side lookup (`hash_value` digests land in `plain_hash`
-    /// buckets, values compare structurally without extraction) — no
-    /// per-probe conversion or allocation; a key that has no plain form
-    /// (an identity-bearing `ref`/`dynamic`) cannot structurally equal
-    /// any plain-formed key, so the empty group is exact, not
-    /// approximate.
-    pub fn rows_for(&self, key: Vec<Value>) -> &[u32] {
-        match self {
-            CachedIndex::Local(idx) => idx
-                .get(&KeyTuple(key))
-                .map(Vec::as_slice)
-                .unwrap_or_default(),
-            CachedIndex::Plain(p) => p.get_by_values(&key),
-        }
-    }
-}
-
-/// Which representation a live entry holds (`:indexes` lists it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// `Send + Sync` plain keys + row snapshot: shareable across sessions.
-    Plain,
-    /// `Rc`-lane keys (identity-bearing rows): session-local.
-    Rc,
-}
-
-impl std::fmt::Display for IndexKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IndexKind::Plain => "plain",
-            IndexKind::Rc => "rc",
-        })
-    }
-}
 
 /// Cumulative statistics, exposed through `Session::store_stats` and
 /// the REPL's `:stats`.
@@ -243,19 +152,11 @@ pub struct StoreStats {
     pub evicted: u64,
     /// Live entries right now.
     pub entries: usize,
-    /// Live entries in plain (shareable) form.
-    pub plain_entries: usize,
-    /// Live entries on the `Rc` lane.
-    pub rc_entries: usize,
     /// Total *relation* rows pinned by live entries (the budgeted
     /// quantity — an entry keeps a clone of its whole relation alive,
     /// so it is charged the relation's size even when pushed filters
     /// leave the index itself much smaller).
     pub cached_rows: usize,
-    /// Local misses answered by **adopting** a verified snapshot from
-    /// the process-wide shared tier ([`shared`]) — builds this session
-    /// skipped because another session already paid for them.
-    pub shared_adoptions: u64,
 }
 
 /// Public description of one live entry, for `:indexes`.
@@ -263,8 +164,6 @@ pub struct StoreStats {
 pub struct IndexInfo {
     /// The planner's rendering of the indexed key/filter expressions.
     pub fingerprint: String,
-    /// Representation: plain (shareable) or `Rc`-lane.
-    pub kind: IndexKind,
     /// Rows held by the index (after pushed filters).
     pub rows: usize,
     /// Distinct key groups.
@@ -277,8 +176,8 @@ pub struct IndexInfo {
 #[derive(Debug)]
 enum RefSources {
     /// Sorted identities of every ref reachable from the pinned
-    /// relation at build time. Empty for plain entries (plain data
-    /// cannot contain refs).
+    /// relation at build time. Empty for a ref-free relation, which no
+    /// write can reach.
     Ids(Box<[u64]>),
     /// The relation holds values whose reachability cannot be traced
     /// (closures): any write may reach it.
@@ -309,7 +208,7 @@ struct Entry {
     /// A clone of the indexed relation: pins the storage address and
     /// forces outside mutation down the copy-on-write path.
     set: MSet,
-    index: CachedIndex,
+    index: Rc<Index>,
     /// The refs a write could reach through this entry's relation.
     sources: RefSources,
     /// Rows held by the index (≤ `charge`; pushed filters prune).
@@ -328,23 +227,23 @@ struct Entry {
 
 /// Default row budget: generous for the paper-scale workloads while
 /// still bounding a long session that touches many relations (the LRU
-/// evicts past it). Also the shared tier's default.
+/// evicts past it).
 pub const DEFAULT_BUDGET_ROWS: usize = 1 << 20;
 
-/// A row budget from the environment, read once per variable by the
-/// caller's `cache`: `None` when unset or unparsable, so the caller's
-/// default applies. `0` is a budget like any other — it disables
-/// caching.
-fn env_budget_rows(var: &str, cache: &'static OnceLock<Option<usize>>) -> Option<usize> {
-    *cache.get_or_init(|| std::env::var(var).ok()?.trim().parse().ok())
-}
-
-/// The row budget of a fresh store: `MACHIAVELLI_STORE_BUDGET_ROWS`,
-/// else [`DEFAULT_BUDGET_ROWS`]. Live stores change theirs with
-/// [`IndexStore::set_budget`].
+/// The row budget of a fresh store: `MACHIAVELLI_STORE_BUDGET_ROWS`
+/// (read once; `0` is a budget like any other — it disables caching),
+/// else [`DEFAULT_BUDGET_ROWS`] when unset or unparsable. Live stores
+/// change theirs with [`IndexStore::set_budget`].
 fn store_budget_rows() -> usize {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    env_budget_rows("MACHIAVELLI_STORE_BUDGET_ROWS", &ENV).unwrap_or(DEFAULT_BUDGET_ROWS)
+    ENV.get_or_init(|| {
+        std::env::var("MACHIAVELLI_STORE_BUDGET_ROWS")
+            .ok()?
+            .trim()
+            .parse()
+            .ok()
+    })
+    .unwrap_or(DEFAULT_BUDGET_ROWS)
 }
 
 /// The memoizing index store. One per thread (see [`with_store`]); all
@@ -419,15 +318,11 @@ impl IndexStore {
         if store_epoch_clear() {
             // Paranoid A/B mode: the PR 4 contract — any write drops
             // everything. Kept so equivalence tests can cross-check the
-            // precise mode below against it. The shared tier mirrors
-            // the discipline (write attribution abandoned → clear).
+            // precise mode below against it.
             let dropped = self.len();
             self.entries.clear();
             self.cached_rows = 0;
             self.stats.cleared += dropped as u64;
-            if shared::shared_enabled() {
-                shared::note_unattributed_write();
-            }
             return;
         }
         debug_assert!(
@@ -453,13 +348,6 @@ impl IndexStore {
         });
         if dirty.overflowed {
             self.stats.cleared += dropped;
-            // Identities were lost: map the degradation onto the
-            // cross-session epoch too (shared snapshots cannot actually
-            // go stale — ref-free by construction — but the tier keeps
-            // the same conservative discipline as the local store).
-            if shared::shared_enabled() {
-                shared::note_unattributed_write();
-            }
         } else {
             self.stats.invalidated += dropped;
         }
@@ -472,7 +360,7 @@ impl IndexStore {
     /// Fetch the cached index for `set` under `fingerprint`, if one was
     /// built for *this exact storage* and not invalidated since.
     /// Updates recency and hit/miss counters.
-    pub fn lookup(&mut self, set: &MSet, fingerprint: &str) -> Option<CachedIndex> {
+    pub fn lookup(&mut self, set: &MSet, fingerprint: &str) -> Option<Rc<Index>> {
         self.validate();
         self.tick += 1;
         match self
@@ -491,41 +379,6 @@ impl IndexStore {
                 Some(entry.index.clone())
             }
             None => {
-                // Cross-session adoption: another session may already
-                // have published a snapshot of an *equal-content*
-                // relation under this fingerprint. Adoption verifies
-                // row for row (see [`shared::adopt`]), and the entry
-                // is installed locally so subsequent lookups are plain
-                // local hits. Gated by the local budget exactly like
-                // an insert — an over-budget relation is not pinned.
-                if shared::shared_enabled() && set.len() <= self.budget_rows {
-                    if let Some(index) = shared::adopt(shared::content_hash(set), fingerprint, set)
-                    {
-                        let charge = set.len();
-                        self.evict_to(self.budget_rows.saturating_sub(charge));
-                        let entry = Entry {
-                            set: set.clone(),
-                            index: CachedIndex::Plain(index.clone()),
-                            // Plain snapshots cannot contain refs.
-                            sources: RefSources::Ids(Box::default()),
-                            rows: index.indexed_rows(),
-                            charge,
-                            last_used: self.tick,
-                            hits: 0,
-                        };
-                        if let Some(old) = self
-                            .entries
-                            .entry(set.storage_id())
-                            .or_default()
-                            .insert(fingerprint.to_string(), entry)
-                        {
-                            self.cached_rows -= old.charge;
-                        }
-                        self.cached_rows += charge;
-                        self.stats.shared_adoptions += 1;
-                        return Some(CachedIndex::Plain(index));
-                    }
-                }
                 self.stats.misses += 1;
                 None
             }
@@ -544,59 +397,28 @@ impl IndexStore {
     }
 
     /// Insert a freshly built grouping for `set` under `fingerprint`,
-    /// returning the shared handle the caller should probe. The
-    /// grouping arrives as `Rc`-lane key tuples over row indices; the
-    /// store re-represents it in plain form when the whole relation
-    /// extracts (`to_plain`), which is what makes the entry shareable
-    /// across sessions — relations with no plain form stay on the `Rc`
-    /// lane. Relations larger than the whole budget are not cached
-    /// (the handle is still returned, so the calling query proceeds
-    /// normally, without paying the plain conversion); otherwise the
+    /// returning the shared handle the caller should probe. Relations
+    /// larger than the whole budget are not cached (the handle is still
+    /// returned, so the calling query proceeds normally); otherwise the
     /// least-recently-used entries are evicted until the budget holds.
     #[allow(clippy::mutable_key_type)] // refs hash/compare by immutable identity
-    pub fn insert(&mut self, set: &MSet, fingerprint: &str, groups: Index) -> CachedIndex {
+    pub fn insert(&mut self, set: &MSet, fingerprint: &str, groups: Index) -> Rc<Index> {
         self.validate();
         self.tick += 1;
         let rows: usize = groups.values().map(Vec::len).sum();
+        let index = Rc::new(groups);
         // Budget by the relation being pinned, not the filtered index:
         // the entry's set clone keeps every row alive either way.
         let charge = set.len();
         if charge > self.budget_rows {
             machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::StoreOverBudget);
-            return CachedIndex::Local(Rc::new(groups));
+            return index;
         }
-        let index = match try_plain(set, &groups) {
-            Some(plain) => {
-                let arc = Arc::new(plain);
-                // Publish the snapshot process-wide so concurrent
-                // sessions over equal-content relations adopt instead
-                // of rebuilding (one build per hot index). Serialized
-                // behind the tier lock; this session's local entry is
-                // installed below either way.
-                if shared::shared_enabled() {
-                    shared::publish(shared::content_hash(set), fingerprint, &arc, charge);
-                }
-                CachedIndex::Plain(arc)
-            }
-            None => {
-                // Identity-bearing rows: cacheable, but only in
-                // session-local `Rc` form — not shareable across
-                // sessions.
-                machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::StoreRcOnly);
-                CachedIndex::Local(Rc::new(groups))
-            }
-        };
-        // Plain entries cannot contain refs (to_plain declines them),
-        // so their source record is empty by construction.
-        let sources = match &index {
-            CachedIndex::Plain(_) => RefSources::Ids(Box::default()),
-            CachedIndex::Local(_) => RefSources::of(set),
-        };
         self.evict_to(self.budget_rows.saturating_sub(charge));
         let entry = Entry {
             set: set.clone(),
             index: index.clone(),
-            sources,
+            sources: RefSources::of(set),
             rows,
             charge,
             last_used: self.tick,
@@ -729,17 +551,8 @@ impl IndexStore {
     /// Current statistics (entry/row counts reflect live entries only).
     pub fn stats(&mut self) -> StoreStats {
         self.validate();
-        let plain_entries = self
-            .entries
-            .values()
-            .flat_map(HashMap::values)
-            .filter(|e| matches!(e.index, CachedIndex::Plain(_)))
-            .count();
-        let entries = self.len();
         StoreStats {
-            entries,
-            plain_entries,
-            rc_entries: entries - plain_entries,
+            entries: self.len(),
             cached_rows: self.cached_rows,
             ..self.stats
         }
@@ -759,9 +572,8 @@ impl IndexStore {
                         *storage,
                         IndexInfo {
                             fingerprint: fp.clone(),
-                            kind: e.index.kind(),
                             rows: e.rows,
-                            groups: e.index.groups(),
+                            groups: e.index.len(),
                             hits: e.hits,
                         },
                     )
@@ -771,26 +583,6 @@ impl IndexStore {
         infos.sort_by(|(sa, a), (sb, b)| a.fingerprint.cmp(&b.fingerprint).then(sa.cmp(sb)));
         infos.into_iter().map(|(_, i)| i).collect()
     }
-}
-
-/// Re-represent a grouping in plain form: the whole relation must
-/// extract row by row (the snapshot doubles as the eligibility test),
-/// and then every key tuple extracts too (keys are planner-safe
-/// functions of plain rows, so this cannot fail once the rows did —
-/// checked anyway).
-#[allow(clippy::mutable_key_type)] // refs hash/compare by immutable identity
-fn try_plain(set: &MSet, groups: &Index) -> Option<PlainIndex> {
-    let rows: Option<Vec<_>> = set.iter().map(to_plain).collect();
-    let rows = rows?;
-    let mut plain_groups = Vec::with_capacity(groups.len());
-    for (key, idxs) in groups {
-        let plain = match key.0.as_slice() {
-            [single] => PlainKey::One(to_plain(single)?),
-            many => PlainKey::Tuple(many.iter().map(to_plain).collect::<Option<_>>()?),
-        };
-        plain_groups.push((plain, idxs.clone()));
-    }
-    Some(PlainIndex::from_groups(rows.into(), plain_groups))
 }
 
 impl Default for IndexStore {
@@ -871,7 +663,7 @@ mod tests {
         idx
     }
 
-    /// A relation whose rows hold a shared ref (no plain form).
+    /// A relation whose rows hold a shared ref.
     fn ref_rows(r: &RefValue, ks: &[i64]) -> MSet {
         MSet::from_iter(ks.iter().map(|&k| {
             Value::record([
@@ -881,35 +673,32 @@ mod tests {
         }))
     }
 
+    /// The row indices a one-column key selects (empty when absent).
+    #[allow(clippy::mutable_key_type)] // refs hash/compare by immutable identity
+    fn rows(idx: &Index, key: Value) -> &[u32] {
+        idx.get(&KeyTuple(vec![key]))
+            .map(Vec::as_slice)
+            .unwrap_or_default()
+    }
+
     #[test]
     fn hit_after_insert_same_storage() {
         let mut st = IndexStore::new(1000);
-        let s = ints(&[1, 2, 3]);
+        let s = ints(&[1, 2, 3, 4]);
         assert!(st.lookup(&s, "parity").is_none());
         st.insert(&s, "parity", parity_index(&s));
         let alias = s.clone();
         let idx = st.lookup(&alias, "parity").expect("clone shares storage");
-        assert_eq!(idx.groups(), 2);
+        assert_eq!(idx.len(), 2);
+        assert_eq!(rows(&idx, Value::Int(0)), &[1, 3]);
+        assert_eq!(rows(&idx, Value::Int(1)), &[0, 2]);
+        assert_eq!(rows(&idx, Value::Int(9)), &[] as &[u32]);
+        // A ref key equals no int key (`value_eq`): it finds nothing.
+        let refkey = Value::Ref(RefValue::new(Value::Int(0)));
+        assert_eq!(rows(&idx, refkey), &[] as &[u32]);
         let stats = st.stats();
         assert_eq!((stats.hits, stats.misses, stats.builds), (1, 1, 1));
-        assert_eq!((stats.entries, stats.cached_rows), (1, 3));
-    }
-
-    #[test]
-    fn plain_rows_cache_in_plain_form_and_resolve_probes() {
-        let mut st = IndexStore::new(1000);
-        let s = ints(&[1, 2, 3, 4]);
-        let idx = st.insert(&s, "parity", parity_index(&s));
-        assert!(matches!(idx, CachedIndex::Plain(_)), "ints are plain data");
-        // Probing with Rc-lane key values resolves through the plain keys.
-        assert_eq!(idx.rows_for(vec![Value::Int(0)]), &[1, 3]);
-        assert_eq!(idx.rows_for(vec![Value::Int(1)]), &[0, 2]);
-        assert_eq!(idx.rows_for(vec![Value::Int(9)]), &[] as &[u32]);
-        // A key with no plain form cannot match any plain key: empty.
-        let refkey = Value::Ref(RefValue::new(Value::Int(0)));
-        assert_eq!(idx.rows_for(vec![refkey]), &[] as &[u32]);
-        let stats = st.stats();
-        assert_eq!((stats.plain_entries, stats.rc_entries), (1, 0));
+        assert_eq!((stats.entries, stats.cached_rows), (1, 4));
     }
 
     #[test]
@@ -918,10 +707,9 @@ mod tests {
         let d = RefValue::new(Value::Int(7));
         let s = ref_rows(&d, &[1, 2]);
         let idx = st.insert(&s, "parity", parity_index(&s));
-        assert!(matches!(idx, CachedIndex::Local(_)));
-        assert_eq!(idx.rows_for(vec![Value::Int(1)]), &[0]);
-        let stats = st.stats();
-        assert_eq!((stats.plain_entries, stats.rc_entries), (0, 1));
+        assert_eq!(rows(&idx, Value::Int(1)), &[0]);
+        assert!(st.lookup(&s, "parity").is_some(), "cached like any other");
+        assert_eq!(st.stats().entries, 1);
     }
 
     #[test]
@@ -976,11 +764,11 @@ mod tests {
         unrelated.set(Value::Int(1));
         assert!(
             st.lookup(&s, "parity").is_some(),
-            "plain entries survive every write"
+            "ref-free entries survive every write"
         );
         let stats = st.stats();
         assert_eq!((stats.invalidated, stats.cleared), (0, 0), "{stats:?}");
-        // Same for an Rc-lane entry whose refs were not written.
+        // Same for a ref-bearing entry whose refs were not written.
         let d = RefValue::new(Value::Int(7));
         let with_ref = ref_rows(&d, &[1]);
         st.insert(&with_ref, "parity", parity_index(&with_ref));
@@ -1090,7 +878,7 @@ mod tests {
         let s = ints(&[1]);
         let idx = st.insert(&s, "parity", parity_index(&s));
         // The handle still answers the calling query…
-        assert_eq!(idx.rows_for(vec![Value::Int(1)]), &[0]);
+        assert_eq!(rows(&idx, Value::Int(1)), &[0]);
         // …but nothing was cached and nothing ever will be.
         let stats = st.stats();
         assert_eq!((stats.entries, stats.builds, stats.cached_rows), (0, 0, 0));
@@ -1108,11 +896,7 @@ mod tests {
         let mut st = IndexStore::new(2);
         let s = ints(&[1, 2, 3]);
         let idx = st.insert(&s, "parity", parity_index(&s));
-        assert_eq!(idx.indexed_rows(), 3);
-        assert!(
-            matches!(idx, CachedIndex::Local(_)),
-            "uncached handles skip the plain conversion"
-        );
+        assert_eq!(idx.values().map(Vec::len).sum::<usize>(), 3);
         assert_eq!(st.stats().entries, 0);
         assert_eq!(st.stats().builds, 0);
     }
@@ -1177,9 +961,8 @@ mod tests {
         assert_eq!(infos.len(), 2);
         // Sorted by fingerprint — not recency.
         assert_eq!(infos[0].fingerprint, "a-parity");
-        assert_eq!(infos[0].kind, IndexKind::Rc);
+        assert_eq!((infos[0].rows, infos[0].groups, infos[0].hits), (1, 1, 0));
         assert_eq!(infos[1].fingerprint, "b-parity");
-        assert_eq!(infos[1].kind, IndexKind::Plain);
         assert_eq!((infos[1].rows, infos[1].groups, infos[1].hits), (4, 2, 1));
         assert!(st.has_fingerprint("a-parity") && !st.has_fingerprint("c-parity"));
     }

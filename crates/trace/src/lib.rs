@@ -416,10 +416,6 @@ decline_reasons! {
     /// Index store: the index exceeded the row budget and was returned
     /// un-cached.
     StoreOverBudget => "store-over-budget",
-    /// Index store: the index held identity-bearing values and could
-    /// only be kept in session-local `Rc` form (not shareable across
-    /// sessions).
-    StoreRcOnly => "store-rc-only",
 }
 
 impl std::fmt::Display for DeclineReason {
@@ -597,7 +593,7 @@ mod tests {
     #[test]
     fn declines_count_with_and_without_tracing() {
         reset_session_declines();
-        note_decline(DeclineReason::StoreRcOnly);
+        note_decline(DeclineReason::PlannerDuplicateBinder);
         with_tracing(|| {
             begin_query("q");
             let sid = open_op_with(|| "HashJoin".to_string());
@@ -612,10 +608,10 @@ mod tests {
         });
         let counts = session_declines();
         let get = |r: DeclineReason| counts.iter().find(|(c, _)| *c == r).unwrap().1;
-        assert_eq!(get(DeclineReason::StoreRcOnly), 1);
+        assert_eq!(get(DeclineReason::PlannerDuplicateBinder), 1);
         assert_eq!(get(DeclineReason::StoreOverBudget), 1);
         assert_eq!(get(DeclineReason::PlannerUnsafeConjunct), 1);
-        assert!(metrics::snapshot().decline(DeclineReason::StoreRcOnly) >= 1);
+        assert!(metrics::snapshot().decline(DeclineReason::PlannerDuplicateBinder) >= 1);
         reset_session_declines();
         assert!(session_declines().iter().all(|(_, n)| *n == 0));
     }

@@ -1,11 +1,11 @@
 //! **The process-wide counter registry.** Every monotone counter the
 //! engine keeps across sessions — server admission and governance, the
-//! shared index tier, the write-ahead log, replication, injected-fault
-//! tallies and the typed decline ledger — is one slot of one static
-//! array, declared by one row of the [`Counter`] table below. Layers
-//! bump a slot with [`add`]; `METRICS`, `STATS` and `:stats` all render
-//! from one [`Snapshot`]. `docs/OBSERVABILITY.md` is the prose statement
-//! of the same table (a test below keeps the two in step).
+//! write-ahead log, replication, injected-fault tallies and the typed
+//! decline ledger — is one slot of one static array, declared by one
+//! row of the [`Counter`] table below. Layers bump a slot with [`add`];
+//! `METRICS`, `STATS` and `:stats` all render from one [`Snapshot`].
+//! `docs/OBSERVABILITY.md` is the prose statement of the same table (a
+//! test below keeps the two in step).
 //!
 //! An increment commutes with every other increment, so the slots are
 //! relaxed atomics: lock-free at the call sites, and a snapshot is a
@@ -59,21 +59,6 @@ counters! {
     /// Queries stopped by their row budget.
     QueriesRowBudget => "queries_row_budget",
 
-    /// Shared tier: snapshots published by some session's build.
-    SharedPublishes => "shared_publishes",
-    /// Shared tier: lookups served to a different storage by content
-    /// address (verification passed; the adopter skipped its build).
-    SharedAdoptions => "shared_adoptions",
-    /// Shared tier: adoption attempts that found no verifiable entry.
-    SharedMisses => "shared_misses",
-    /// Shared tier: entries dropped by the LRU row budget.
-    SharedEvicted => "shared_evicted",
-    /// Shared tier: entries dropped by an unattributed-write clear or a
-    /// poison recovery.
-    SharedCleared => "shared_cleared",
-    /// Shared tier: times the lock was found poisoned and recovered.
-    SharedLockRecoveries => "shared_lock_recoveries",
-
     /// WAL records appended (bind, ref-delta and commit markers).
     WalRecordsAppended => "wal_records_appended",
     /// WAL payload + framing bytes appended.
@@ -111,8 +96,6 @@ counters! {
     FaultSpawnFailures => "fault_spawn_failures",
     /// Injected: evaluator-tick sleeps.
     FaultDelays => "fault_delays",
-    /// Injected: panics while holding the shared-tier lock.
-    FaultStorePoisons => "fault_store_poisons",
     /// Injected: WAL appends torn mid-write.
     FaultWalTornWrites => "fault_wal_torn_writes",
     /// Injected: WAL syncs reported failed.
@@ -230,13 +213,13 @@ mod tests {
         for (i, &c) in Counter::ALL.iter().enumerate() {
             add(c, i as u64 + 1);
         }
-        crate::note_decline(DeclineReason::StoreRcOnly);
+        crate::note_decline(DeclineReason::StoreOverBudget);
         let delta = snapshot().since(&before);
         for (i, &c) in Counter::ALL.iter().enumerate() {
             assert_eq!(delta.get(c), i as u64 + 1, "{c:?}");
             assert_eq!(get(c), before.get(c) + i as u64 + 1, "{c:?}");
         }
-        assert!(delta.decline(DeclineReason::StoreRcOnly) >= 1);
+        assert!(delta.decline(DeclineReason::StoreOverBudget) >= 1);
         assert_eq!(before.since(&snapshot()).get(Counter::WalCommits), 0);
     }
 
@@ -247,7 +230,7 @@ mod tests {
         let samples = text.lines().filter(|l| !l.starts_with('#')).count();
         assert_eq!(samples, SLOTS);
         assert!(text.contains("machiavelli_queries_deadline_total "));
-        assert!(text.contains("machiavelli_declines_total{reason=\"store-rc-only\"} "));
+        assert!(text.contains("machiavelli_declines_total{reason=\"store-over-budget\"} "));
     }
 
     /// `docs/OBSERVABILITY.md` carries the one prose table of the

@@ -106,9 +106,6 @@ fail_points! {
     SpawnFail, spawn_fail_ppm, "MACHIAVELLI_FAULT_SPAWN_FAIL_PPM", FaultSpawnFailures;
     /// Sleep `delay_ms` at an evaluator tick (forces deadline overruns).
     Delay, delay_ppm, "MACHIAVELLI_FAULT_DELAY_PPM", FaultDelays;
-    /// Panic while holding the shared store lock; the store performs
-    /// the panic so it lands mid-write.
-    StorePoison, store_poison_ppm, "MACHIAVELLI_FAULT_STORE_POISON_PPM", FaultStorePoisons;
     /// Tear a WAL append: only a [`torn_cut`] prefix reaches the file,
     /// as if the process died mid-`write(2)`.
     WalTorn, wal_torn_ppm, "MACHIAVELLI_FAULT_WAL_TORN_PPM", FaultWalTornWrites;

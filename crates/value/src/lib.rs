@@ -14,7 +14,6 @@ pub mod faults;
 pub mod governor;
 pub mod hash;
 pub mod ops;
-pub mod plain;
 pub mod set;
 pub mod shape;
 pub mod value;
@@ -30,10 +29,6 @@ pub use faults::{FaultConfig, FaultPoint};
 pub use governor::{QueryGuard, Trip};
 pub use hash::{hash_value, ValueKey};
 pub use ops::{con_value, join_value, project_value, unionc_value};
-pub use plain::{
-    from_plain, plain_cmp, plain_eq, plain_hash, plain_matches_value, to_plain, PlainIndex,
-    PlainKey, PlainValue,
-};
 pub use set::MSet;
 pub use shape::{element_shape, glb_shape, project_by_shape, shape_of, Shape};
 pub use value::{

@@ -103,11 +103,10 @@ fn fig5_shape_renders_cached_after_first_evaluation() {
 }
 
 #[test]
-fn cached_plain_and_rc_indexes_render_alike() {
-    // A warm, store-served join renders `[idx cached]` whichever form
-    // the store keeps its entry in — plain (pure data rows) first.
-    // (The build side `t` is the smaller relation, so no swap
-    // interferes with the orientation.)
+fn cached_indexes_render_alike_with_or_without_refs() {
+    // A warm, store-served join renders `[idx cached]` whatever its rows
+    // hold — ref-free rows first. (The build side `t` is the smaller
+    // relation, so no swap interferes with the orientation.)
     let mut s = pinned_session();
     s.run(
         "val r = {[K=1, A=10], [K=2, A=20], [K=3, A=30]};
@@ -123,7 +122,7 @@ fn cached_plain_and_rc_indexes_render_alike() {
          Scan x <- r\n    \
          Build y <- t"
     );
-    // An entry kept in `Rc` form (identity-bearing rows).
+    // Rows that carry a ref: the same entry kind, the same rendering.
     s.run(
         "val d = ref(1);
          val e = {[K=1, R=d], [K=2, R=d], [K=3, R=d]};

@@ -181,8 +181,8 @@ fn fresh_identities_in_independent_sources_are_created_once() {
 
 #[test]
 fn identity_bearing_rows_and_env_dependent_builds_agree() {
-    // Rows carrying refs have no plain form: whichever strategy runs
-    // the filter or the join must yield the *same* identities (`=` on
+    // Rows carrying refs: whichever strategy runs the filter or the
+    // join must yield the *same* identities (`=` on
     // refs is identity, so `x.R = d` exposes it).
     let refs = "val d = ref(7);
                 val r = {[K=1, R=d], [K=2, R=ref(9)], [K=3, R=d], [K=4, R=ref(9)]};
@@ -190,8 +190,8 @@ fn identity_bearing_rows_and_env_dependent_builds_agree() {
     assert_agree(&format!(
         "{refs} select (x.K, x.R = d) where x <- r with x.K > 1;"
     ));
-    // A filtered scan of such rows feeding a store-served (or inline
-    // plain) join: keys extract, rows re-bind by index.
+    // A filtered scan of such rows feeding a store-served (or inline)
+    // join: rows re-bind by index.
     assert_agree(&format!(
         "{refs} select (x.R = d, y.B) where x <- r, y <- t with x.K > 1 andalso x.K = y.K;"
     ));
@@ -201,7 +201,7 @@ fn identity_bearing_rows_and_env_dependent_builds_agree() {
          with x.K > 1 andalso x.K = y.K andalso y.B < 40;"
     ));
     // The build-side filter mentions `cutoff` from the environment:
-    // statically ineligible for caching and for the plain build alike.
+    // statically ineligible for caching, so the build runs inline.
     assert_agree(&format!(
         "{refs} val cutoff = 10; \
          select (x.K, y.B) where x <- r, y <- t with x.K = y.K andalso y.B > cutoff;"

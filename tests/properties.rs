@@ -10,15 +10,13 @@
 //! * join strategies agree on random flat relations;
 //! * naive and semi-naive closure agree on random digraphs;
 //! * the interpreter's `select`/`join` agree with the native substrate;
-//! * the plain-value lane round-trips (`to_plain`/`from_plain`) and its
-//!   hash/order agree with the `Rc` lane;
 //! * the planner pipeline, store off and on, cold and warm, agrees with
 //!   `select_loop` across unrelated ref writes and relation rebinds;
 //! * `hom` folds (`card`, `sum`, `member`, a product) match ground
 //!   truth computed in Rust, wrapping at `i64::MIN`/`i64::MAX`;
 //! * the one differential test for the one hash join: values, error
 //!   identity, ref identity and binding order against `select_loop`,
-//!   with both store entry kinds asserted probed.
+//!   with the cached entry asserted probed.
 
 use machiavelli::eval::set_planner_enabled;
 use machiavelli::testing::{run_in, with_mode, Mode};
@@ -450,35 +448,6 @@ proptest! {
     }
 }
 
-// ----- the plain-value lane ---------------------------------------------------
-
-proptest! {
-    #[test]
-    fn plain_lane_round_trips_and_agrees(a in arb_desc_value(), b in arb_desc_value()) {
-        use machiavelli::value::plain::{from_plain, plain_cmp, plain_hash, to_plain};
-        // arb_desc_value produces pure data (no refs/dynamics), so
-        // extraction must succeed…
-        let pa = to_plain(&a).expect("description data extracts");
-        let pb = to_plain(&b).expect("description data extracts");
-        // …round-trip structurally…
-        prop_assert_eq!(&from_plain(&pa), &a);
-        // …order identically…
-        prop_assert_eq!(plain_cmp(&pa, &pb), value_cmp(&a, &b));
-        // …and hash identically (the partition-lane soundness direction).
-        let dv = |v: &Value| {
-            let mut h = DefaultHasher::new();
-            machiavelli::value::hash_value(v, &mut h);
-            h.finish()
-        };
-        let dp = |p: &machiavelli::value::PlainValue| {
-            let mut h = DefaultHasher::new();
-            plain_hash(p, &mut h);
-            h.finish()
-        };
-        prop_assert_eq!(dv(&a), dp(&pa));
-    }
-}
-
 // ----- the planner pipeline vs select_loop -------------------------------------
 
 proptest! {
@@ -540,7 +509,7 @@ proptest! {
     // a set that mixes small ints with `i64::MIN`/`i64::MAX`, so the
     // sum and product wrap.
     #[test]
-    fn parallel_hom_folds_match_sequential(
+    fn hom_folds_match_rust_ground_truth(
         xs in proptest::collection::vec(prop_oneof![Just(i64::MIN), Just(i64::MAX), -50i64..50], 0..60),
         k in prop_oneof![Just(i64::MIN), Just(i64::MAX), -50i64..50],
     ) {
@@ -569,15 +538,12 @@ proptest! {
 
 // ----- the one differential test for the one hash join ------------------------
 
-/// Which store entry kind a [`join_scenarios`] case's warm, store-on
-/// run must probe.
+/// What a [`join_scenarios`] case's warm, store-on run must leave in
+/// the store.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Expect {
-    /// Plain build rows: a `Plain` entry, probed through
-    /// `PlainIndex::get_by_values` with the probe's `Rc` key values.
-    Plain,
-    /// Ref-bearing build rows: an `Rc` entry, probed by `KeyTuple`.
-    Rc,
+    /// The build is cached and the warm run probes it by `KeyTuple`.
+    Cached,
     /// Both paths raise the interpreter's error; nothing is cached.
     Raise,
 }
@@ -610,8 +576,8 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
     let base = machiavelli::eval::builtin_env()
         .bind("tick", Value::Ref(RefValue::new(Value::Int(0))))
         .bind("d", Value::Ref(d.clone()));
-    let plain_r = rel(n_r, &mut |i| vec![("K", int(i % ks)), ("A", int(i))]);
-    let plain_t = rel(n_t, &mut |i| {
+    let flat_r = rel(n_r, &mut |i| vec![("K", int(i % ks)), ("A", int(i))]);
+    let flat_t = rel(n_t, &mut |i| {
         vec![("K", int(i % ks)), ("J", int(i % 2)), ("B", int(i))]
     });
     let ticked = |tuple: &str, rest: &str| {
@@ -620,24 +586,24 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
     let (c1, c2) = (next(n_r), next(n_t));
     vec![
         (
-            "plain rows, two generators, bare probe scan",
-            base.bind("r", plain_r.clone()).bind("t", plain_t.clone()),
+            "ref-free rows, two generators, bare probe scan",
+            base.bind("r", flat_r.clone()).bind("t", flat_t.clone()),
             ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
-            Expect::Plain,
+            Expect::Cached,
         ),
         (
-            "plain rows, two generators, filters on both sides",
-            base.bind("r", plain_r.clone()).bind("t", plain_t.clone()),
+            "ref-free rows, two generators, filters on both sides",
+            base.bind("r", flat_r.clone()).bind("t", flat_t.clone()),
             ticked(
                 "x.A, y.B",
                 &format!("x <- r, y <- t with x.A >= {c1} andalso x.K = y.K andalso {c2} >= y.B"),
             ),
-            Expect::Plain,
+            Expect::Cached,
         ),
         (
-            "plain rows, three generators",
-            base.bind("r", plain_r.clone())
-                .bind("t", plain_t.clone())
+            "ref-free rows, three generators",
+            base.bind("r", flat_r.clone())
+                .bind("t", flat_t.clone())
                 .bind(
                     "u",
                     rel(n_u, &mut |i| vec![("J", int(i % 2)), ("C", int(i))]),
@@ -646,7 +612,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                 "x.A, y.B, z.C",
                 "x <- r, y <- t, z <- u with x.K = y.K andalso y.J = z.J",
             ),
-            Expect::Plain,
+            Expect::Cached,
         ),
         (
             "negated probe keys wrap at i64::MIN",
@@ -665,7 +631,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                 }),
             ),
             ticked("x.A, y.B", "x <- r, y <- t with -(x.K) = y.K"),
-            Expect::Plain,
+            Expect::Cached,
         ),
         (
             "rows with ref fields off the key path",
@@ -680,9 +646,9 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                     vec![("K", int(i % ks)), ("A", int(i)), ("R", Value::Ref(r))]
                 }),
             )
-            .bind("t", plain_t.clone()),
+            .bind("t", flat_t.clone()),
             ticked("x.A, y.B, x.R = d", "x <- r, y <- t with x.K = y.K"),
-            Expect::Plain,
+            Expect::Cached,
         ),
         (
             "ref-valued keys on both sides (identity join)",
@@ -705,10 +671,10 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                 }),
             ),
             ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
-            Expect::Rc,
+            Expect::Cached,
         ),
         (
-            "probe keys mixing ints and refs over a plain build",
+            "probe keys mixing ints and refs over a ref-free build",
             base.bind(
                 "r",
                 rel(n_r, &mut |i| {
@@ -720,15 +686,16 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
                     vec![("K", k), ("A", int(i))]
                 }),
             )
-            .bind("t", plain_t.clone()),
+            .bind("t", flat_t.clone()),
             // The ref-valued probe keys must find nothing in the
-            // plain entry.
+            // ref-free build: `KeyTuple` compares with `value_eq`, and
+            // a ref equals no int.
             ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
-            Expect::Plain,
+            Expect::Cached,
         ),
         (
             "strict non-boolean pushed build filter",
-            base.bind("r", plain_r.clone()).bind("t", plain_t.clone()),
+            base.bind("r", flat_r.clone()).bind("t", flat_t.clone()),
             ticked("x.A, y.B", "x <- r, y <- t with y.B andalso x.K = y.K"),
             Expect::Raise,
         ),
@@ -742,7 +709,7 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
             )
             .bind("t", rel(2, &mut |i| vec![("K", int(i)), ("B", int(i))])),
             ticked("x.A, y.B", "x <- r, y <- t with x.A >= 0 andalso x.K = y.K"),
-            Expect::Plain,
+            Expect::Cached,
         ),
     ]
 }
@@ -753,7 +720,7 @@ proptest! {
     // The hash join is indistinguishable from `select_loop`: values,
     // error identity, ref identity and binding order agree with the
     // store off and on, cold (inline or fresh build) and warm (cached
-    // build) — and the store counters prove both entry kinds were
+    // build) — and the store counters prove the cached entry was
     // probed.
     #[test]
     fn hash_join_is_indistinguishable_from_select_loop(seed in 0u64..u64::MAX / 2) {
@@ -788,8 +755,7 @@ proptest! {
                 }
                 let st = machiavelli::store::with_store(|s| s.stats());
                 let probed = match expect {
-                    Expect::Plain => st.plain_entries >= 1 && st.rc_entries == 0 && st.hits >= 1,
-                    Expect::Rc => st.rc_entries >= 1 && st.hits >= 1,
+                    Expect::Cached => st.entries >= 1 && st.hits >= 1,
                     Expect::Raise => st.entries == 0,
                 };
                 prop_assert!(probed, "{name}: {st:?}");

@@ -121,7 +121,7 @@ fn ref_mutation_of_the_build_side_rebuilds_by_pointer_identity() {
     // The write replaces dbref's contents: the next evaluation sees new
     // storage and can only miss — the old entry is dead (unreachable),
     // not stale, and is not counted as a dirty-ref eviction (the
-    // relation's plain rows reach no ref).
+    // relation's rows reach no ref).
     let mut s = Session::new();
     s.store_reset();
     s.run(
@@ -191,7 +191,7 @@ fn write_reaching_cached_rows_evicts_the_entry() {
     let q = "select x.K where y <- probe, x <- r with x.K = y.K;";
     assert_eq!(eval(&mut s, q).unwrap(), "{1, 2}");
     let warm = s.store_stats();
-    assert_eq!((warm.builds, warm.rc_entries), (1, 1), "{warm:?}");
+    assert_eq!((warm.builds, warm.entries), (1, 1), "{warm:?}");
     s.eval_one("d := [Tag=2];").unwrap();
     assert_eq!(eval(&mut s, q).unwrap(), "{1, 2}");
     let after = s.store_stats();

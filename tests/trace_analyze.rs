@@ -64,26 +64,30 @@ fn golden_analyze_fig9_join_cold_then_cached() {
 }
 
 #[test]
-fn golden_analyze_ref_keyed_join_names_its_decline() {
+fn golden_analyze_ref_keyed_join_caches_and_is_probed() {
     let mut s = pinned();
-    // Identity-bearing rows: the build side caches only in rc form —
-    // the store's decline is typed and lands on the join's span.
+    // Identity-bearing keys: the build side caches like any other —
+    // built cold with no decline, then probed warm.
     s.run(
         "val d1 = ref(1); val d2 = ref(2);
            val e = {[K=d1, A=1], [K=d2, A=2]};
            val f = {[K=d1, B=10]};",
     )
     .unwrap();
-    let report = s
-        .analyze("select (x.A, y.B) where x <- e, y <- f with x.K = y.K;")
-        .unwrap();
+    let q = "select (x.A, y.B) where x <- e, y <- f with x.K = y.K;";
     assert_eq!(
-        report,
+        s.analyze(q).unwrap(),
         "select: total 0ns\n  \
-         HashJoin probe(x.K) build(y.K) [cache build] rows=1 open=0ns next=0ns \
-         declines: store-rc-only\n    \
+         HashJoin probe(x.K) build(y.K) [cache build] rows=1 open=0ns next=0ns\n    \
          Scan x <- e rows=2 open=0ns next=0ns\n\
          observed[join f build(_.K) filter()]: runs=1 last_rows=1 avg_rows=1\n"
+    );
+    assert_eq!(
+        s.analyze(q).unwrap(),
+        "select: total 0ns\n  \
+         HashJoin probe(x.K) build(y.K) [cache hit] rows=1 open=0ns next=0ns\n    \
+         Scan x <- e rows=2 open=0ns next=0ns\n\
+         observed[join f build(_.K) filter()]: runs=2 last_rows=1 avg_rows=1\n"
     );
     unpin();
 }
