@@ -271,10 +271,9 @@ impl Session {
     }
 
     /// Zero every session-scoped counter in one call: the index store
-    /// (entries, counters, and observed per-operator stats) and the
-    /// decline counts. The process-wide registry
-    /// ([`SessionStats::metrics`]) is deliberately untouched — it
-    /// aggregates across sessions.
+    /// (entries and counters) and the decline counts. The process-wide
+    /// registry ([`SessionStats::metrics`]) is deliberately untouched —
+    /// it aggregates across sessions.
     pub fn reset_stats(&self) {
         self.store_reset();
         machiavelli_trace::reset_session_declines();
@@ -296,24 +295,14 @@ impl Session {
         machiavelli_trace::take_events()
     }
 
-    /// Per-fingerprint observed execution statistics accumulated by
-    /// [`Session::analyze`] (sorted by fingerprint). These survive
-    /// `clear()`-style invalidation in the store — cardinality priors
-    /// outlive the indexes they were measured on — and drop on
-    /// [`Session::store_reset`] / [`Session::reset_stats`].
-    pub fn observed_stats(&self) -> Vec<(String, machiavelli_store::ObservedStats)> {
-        machiavelli_store::with_store(|s| s.observed())
-    }
-
     /// Run `src` with query tracing forced on and render each traced
     /// `select` as its physical operator tree annotated with what
     /// *actually happened*: per-operator yielded rows, open/next time,
     /// cache outcome, and any typed decline codes —
     /// `EXPLAIN ANALYZE`, where [`Session::plan_of`] is `EXPLAIN`. The
-    /// phrases evaluate for real (bindings stick, `it` updates), and
-    /// fingerprinted operators persist observed row/time stats into the
-    /// index store ([`Session::observed_stats`]). Behind the REPL's
-    /// `:analyze` command.
+    /// phrases evaluate for real (bindings stick, `it` updates), and the
+    /// report is the span trees only. Behind the REPL's `:analyze`
+    /// command.
     pub fn analyze(&mut self, src: &str) -> Result<String, SessionError> {
         let prev = machiavelli_trace::set_tracing(Some(true));
         // Stale events from earlier traced work would mis-attribute.
@@ -325,37 +314,9 @@ impl Session {
         if events.is_empty() {
             return Ok("no select evaluated".into());
         }
-        for q in &events {
-            for s in &q.spans {
-                if let Some(fp) = &s.fingerprint {
-                    machiavelli_store::with_store(|st| {
-                        st.note_observed(fp, s.rows, s.open_ns + s.next_ns)
-                    });
-                }
-            }
-        }
-        let observed = self.observed_stats();
         let mut out = String::new();
         for q in &events {
             render_query_trace(&mut out, q);
-        }
-        // Accumulated per-fingerprint history (this run included), so
-        // repeated `:analyze` shows cardinality stability at a glance.
-        for (fp, os) in &observed {
-            if events
-                .iter()
-                .flat_map(|q| &q.spans)
-                .any(|s| s.fingerprint.as_deref() == Some(fp))
-            {
-                use std::fmt::Write as _;
-                let _ = writeln!(
-                    out,
-                    "observed[{fp}]: runs={} last_rows={} avg_rows={}",
-                    os.executions,
-                    os.last_rows,
-                    os.total_rows / os.executions.max(1)
-                );
-            }
         }
         Ok(out)
     }
@@ -917,9 +878,8 @@ mod tests {
     fn reset_stats_leaves_no_session_counter_behind() {
         let mut s = crate::testing::pinned_session();
         // Dirty every session-scoped surface: store counters (build +
-        // hit), observed per-fingerprint stats (via analyze), and the
-        // decline counts (a planner fallback plus a directly noted
-        // store decline).
+        // hit) and the decline counts (a planner fallback plus a
+        // directly noted store decline).
         s.run("val r = {[K=1, A=10], [K=2, A=20]}; val t = {[K=1, B=5]};")
             .unwrap();
         let q = "select (x.A, y.B) where x <- r, y <- t with x.K = y.K;";
@@ -936,7 +896,6 @@ mod tests {
             dirty.declines.iter().any(|(_, n)| *n > 0),
             "workload should record at least one decline: {dirty:?}"
         );
-        assert!(!s.observed_stats().is_empty());
 
         s.reset_stats();
         let clean = s.stats();
@@ -951,7 +910,6 @@ mod tests {
             machiavelli_trace::DeclineReason::COUNT,
             "snapshot still lists every reason code"
         );
-        assert!(s.observed_stats().is_empty());
         assert!(s.store_indexes().is_empty());
     }
 

@@ -11,13 +11,6 @@
 //! never cached. The marker is a *display-level* probe by fingerprint —
 //! rendering a plan does not evaluate the source, so the store cannot
 //! be asked for the exact (storage, fingerprint) key the executor uses.
-//!
-//! A swappable join (see `physical::SwapInfo`) whose *first-generator*
-//! side holds the live cached index renders with its sides exchanged as
-//! `HashJoin[idx cached, swapped]` — the orientation the executor will
-//! choose at open. (The size-based flip for two uncached sides depends
-//! on relation cardinalities and cannot be predicted without
-//! evaluating; it renders in the unswapped orientation.)
 
 use crate::analysis::Conjunct;
 use crate::physical::{IndexKey, PhysOp, PhysicalPlan};
@@ -137,49 +130,10 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
             probe_keys,
             build_keys,
             fingerprint,
-            swap,
         } => {
-            // Predict the build-side flip the executor will take at
-            // open: the swapped side holds the live cached index and
-            // the normal side does not. Mirrors the open-time decision
-            // at display level (by fingerprint, not storage).
-            let normal_cached = fingerprint.as_deref().map(cached);
-            if normal_cached != Some(true) {
-                if let (
-                    Some(sw),
-                    PhysOp::Scan {
-                        var: pvar,
-                        source: psource,
-                        filters: pfilters,
-                    },
-                ) = (swap, input.as_ref())
-                {
-                    if cached(&sw.fingerprint) {
-                        // Sides exchange: the second generator streams,
-                        // the first builds (its pushed filters baked in).
-                        let _ = writeln!(
-                            out,
-                            "{pad}HashJoin[idx cached, swapped] probe({}) build({})",
-                            keys_list(build_keys),
-                            keys_list(probe_keys)
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{pad}  Scan {var} <- {}{}",
-                            expr_to_string(source),
-                            filters_suffix(filters)
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{pad}  Build {pvar} <- {}{}",
-                            expr_to_string(psource),
-                            filters_suffix(pfilters)
-                        );
-                        return;
-                    }
-                }
-            }
-            let marker = normal_cached.map_or("", idx_marker);
+            let marker = fingerprint
+                .as_deref()
+                .map_or("", |fp| idx_marker(cached(fp)));
             let _ = writeln!(
                 out,
                 "{pad}HashJoin{marker} probe({}) build({})",

@@ -11,26 +11,24 @@
 //!
 //! # The logical / physical split
 //!
-//! * [`logical`] — [`compile`](logical::compile) performs
-//!   **generator-dependency analysis** (is each generator source
-//!   independent of earlier binders, or must it be re-evaluated per
-//!   binding?) and **predicate decomposition** (split the `with` clause
-//!   into conjuncts, push single-generator filters down to their
-//!   generator, detect `x.l = y.k`-style equi-join conjuncts). The
-//!   result is a [`LogicalPlan`](logical::LogicalPlan): one
-//!   [`Step`](logical::Step) per generator plus the residual conjuncts,
-//!   all borrowing the AST (compiling allocates no expression clones).
-//! * [`physical`] — [`PhysicalPlan`](physical::PhysicalPlan) is the
-//!   executable operator tree (`Scan` / `IndexScan` / `Filter` /
-//!   `HashJoin` / `NestedLoop` / `Project`), and
-//!   [`execute`](physical::execute) is a
-//!   **pull-based** executor over [`machiavelli_value::Value`] /
+//! * [`logical`] — [`compile`] performs **generator-dependency
+//!   analysis** (is each generator source independent of earlier
+//!   binders, or must it be re-evaluated per binding?) and **predicate
+//!   decomposition** (split the `with` clause into conjuncts, push
+//!   single-generator filters down to their generator, detect
+//!   `x.l = y.k`-style equi-join conjuncts). The result is a
+//!   [`LogicalPlan`]: one [`Step`] per generator plus the residual
+//!   conjuncts, all borrowing the AST (compiling allocates no
+//!   expression clones).
+//! * [`physical`] — [`PhysicalPlan`] is the executable operator tree
+//!   (`Scan` / `IndexScan` / `Filter` / `HashJoin` / `NestedLoop` /
+//!   `Project`), and [`execute`] is a **pull-based** executor over [`machiavelli_value::Value`] /
 //!   [`machiavelli_value::MSet`]: operators yield extended environments
 //!   one at a time, hash-join build/probe keys reuse the structural
 //!   hashing of `machiavelli_value::hash` (no rendering, no per-row key
 //!   allocation beyond the key values themselves), and every residual
 //!   predicate, source and result expression is evaluated through an
-//!   [`EvalHook`](physical::EvalHook) callback into the real evaluator
+//!   [`EvalHook`] callback into the real evaluator
 //!   — the planner never re-implements expression semantics. Operators
 //!   that group a relation by key (`HashJoin` build tables, `IndexScan`
 //!   groupings) are memoized through the session's **index store**
@@ -39,14 +37,14 @@
 //!   thereafter, and the store's pointer-identity + mutation-epoch
 //!   keying guarantees a mutated or rebuilt relation can never serve a
 //!   stale index.
-//! * [`explain`] — renders the operator tree for `Session::plan_of` and
-//!   the REPL's `:plan` command (golden-plan tests pin the output).
+//! * [`explain`](mod@explain) — renders the operator tree for
+//!   `Session::plan_of` and the REPL's `:plan` command (golden-plan
+//!   tests pin the output).
 //!
 //! # The fallback contract
 //!
-//! The evaluator keeps `select_loop` and uses it whenever
-//! [`compile`](logical::compile) declines ([`Unplannable`]), so planning
-//! is *transparent*: every comprehension either runs through a plan that
+//! The evaluator keeps `select_loop` and uses it whenever [`compile`]
+//! declines ([`Unplannable`]), so planning is *transparent*: every comprehension either runs through a plan that
 //! is observationally equivalent to the nested loop, or through the
 //! nested loop itself. The planner only commits when reordering is
 //! unobservable:
@@ -65,9 +63,10 @@
 //!   the pipeline evaluates independent sources exactly once, in
 //!   generator order (as `select_loop` does), and evaluates the result
 //!   for exactly the bindings that satisfy the predicate, in the same
-//!   nested-iteration order — so effects, fresh `ref` identities and
-//!   raised errors in them are preserved, including which error
-//!   surfaces first;
+//!   nested-iteration order — every plan, hash joins included,
+//!   enumerates bindings generator-nested — so effects, fresh `ref`
+//!   identities and raised errors in them are preserved, including
+//!   which error surfaces first;
 //! * a comprehension over any empty independent source yields `{}`
 //!   without evaluating the predicate (both paths pre-evaluate
 //!   independent sources in generator order and never reach the
@@ -82,26 +81,13 @@
 //! # The hash join
 //!
 //! Every planned equi-join is one streaming build/probe operator
-//! (`PhysOp::HashJoin`). Its build table comes from the index store when
-//! the build is fingerprinted (an `Rc<Index>` entry, probed with
-//! `Index::get(&KeyTuple(key))`), otherwise it is built inline through
-//! the hook. It probes on the session thread, streaming: the
-//! plain-key parallel probe was retired because no workload reached it
-//! (`docs/PERFORMANCE.md` has the numbers).
-//!
-//! **Index-aware build-side selection**: a two-generator equi-join over
-//! a bare first `Scan` may *swap* its build side at open time —
-//! preferring the side that already holds a live cached index, or the
-//! smaller relation when neither side is cached (`PhysOp::HashJoin {
-//! swap }`, decided from store metadata via a stats-neutral `peek`,
-//! rendered `HashJoin[idx cached, swapped]`). The flip is admitted only
-//! where it is unobservable: both sources independent and evaluated in
-//! generator order regardless of orientation, the swapped build's
-//! keys/filters closed under the first binder (so it is cacheable under
-//! its own fingerprint), and the comprehension's **result expression
-//! planner-safe** — a swap enumerates the same binding multiset
-//! probe-major over the other side, which only an effectful result
-//! could distinguish.
+//! (`PhysOp::HashJoin`) that builds on the generator the query names
+//! and probes with the ones before it. Its build table comes from the
+//! index store when the build is fingerprinted (an `Rc<Index>` entry,
+//! probed with `Index::get(&KeyTuple(key))`), otherwise it is built
+//! inline through the hook. It probes on the session thread, streaming
+//! (`docs/PERFORMANCE.md` records the retired alternatives and their
+//! numbers).
 
 pub mod analysis;
 pub mod explain;
@@ -111,7 +97,7 @@ pub mod physical;
 pub use analysis::{closed_under, find_select, is_safe_expr, mentions_any, split_conjuncts};
 pub use explain::explain;
 pub use logical::{compile, LogicalPlan, Step, Unplannable};
-pub use physical::{execute, EvalHook, ExecError, IndexKey, PhysOp, PhysicalPlan, SwapInfo};
+pub use physical::{execute, EvalHook, ExecError, IndexKey, PhysOp, PhysicalPlan};
 
 use machiavelli_syntax::ast::{Expr, Generator};
 

@@ -27,9 +27,7 @@
 //! then its contents are a pure function of the relation's storage
 //! identity and the expressions' text (the **fingerprint**), never of
 //! the enclosing environment. Groupings hold **row indices** into the
-//! relation's canonical slice, and a two-generator join may flip its
-//! build side toward an already-cached (or smaller) relation at open
-//! ([`SwapInfo`]). Cache consultation is
+//! relation's canonical slice. Cache consultation is
 //! invisible in the results: a hit returns exactly the grouping an
 //! inline build would have produced (same rows, same canonical order
 //! per group), and the expressions skipped on a hit are planner-safe —
@@ -37,7 +35,7 @@
 //! `machiavelli-store` for the invalidation contract (pointer-identity
 //! keying + dirty-ref tracking).
 
-use crate::analysis::{closed_under, is_safe_expr, mentions_any, stable_source, Conjunct};
+use crate::analysis::{closed_under, mentions_any, stable_source, Conjunct};
 use crate::logical::LogicalPlan;
 use machiavelli_store::{store_enabled, with_store, Index, KeyTuple};
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind};
@@ -73,26 +71,6 @@ impl<E> From<E> for ExecError<E> {
     fn from(e: E) -> Self {
         ExecError::Eval(e)
     }
-}
-
-/// Static swappability of a two-generator equi-join: the planner keeps
-/// generator order, but when the *first* generator's side already has a
-/// live cached index — or is the smaller relation while neither side is
-/// cached — building on it instead is a pure physical flip. Computed in
-/// [`LogicalPlan::physical`] only when the flip is unobservable: both
-/// sources independent, the first lowered to a bare `Scan`, the would-be
-/// build keys and filters closed under the first binder (so the swapped
-/// build is cacheable under `fingerprint`), and the comprehension's
-/// result expression planner-safe (a swap enumerates bindings
-/// probe-major over the *other* side, so an effectful result could
-/// observe the order change; a safe result cannot). The decision itself
-/// is taken at open time from store metadata; `explain` renders the
-/// prediction as `HashJoin[idx cached, swapped]`.
-#[derive(Debug)]
-pub struct SwapInfo {
-    /// Store fingerprint of the swapped-orientation build table (over
-    /// the first generator's relation, keyed by the probe expressions).
-    pub fingerprint: String,
 }
 
 /// One key of an [`PhysOp::IndexScan`]: an equality conjunct
@@ -153,9 +131,6 @@ pub enum PhysOp<'a> {
         probe_keys: Vec<&'a Expr>,
         build_keys: Vec<&'a Expr>,
         fingerprint: Option<String>,
-        /// `Some` when the build side may be flipped to the first
-        /// generator at open time (see [`SwapInfo`]).
-        swap: Option<SwapInfo>,
     },
     /// Residual predicate evaluation over input rows.
     Filter {
@@ -183,7 +158,11 @@ fn op_label(op: &PhysOp<'_>) -> String {
             var,
             source,
             filters,
-        } => scan_label(*var, source, filters),
+        } => format!(
+            "Scan {var} <- {}{}",
+            expr_to_string(source),
+            filters_suffix(filters)
+        ),
         PhysOp::IndexScan {
             var,
             source,
@@ -232,16 +211,6 @@ fn op_label(op: &PhysOp<'_>) -> String {
             format!("Filter ({})", rendered.join(" andalso "))
         }
     }
-}
-
-/// [`op_label`] for a scan opened outside [`Node::open`]'s dispatch (the
-/// hash-join arms destructure their probe `Scan` and open it directly).
-fn scan_label(var: Symbol, source: &Expr, filters: &[Conjunct<'_>]) -> String {
-    format!(
-        "Scan {var} <- {}{}",
-        expr_to_string(source),
-        crate::explain::filters_suffix(filters)
-    )
 }
 
 /// Recognize an [`IndexKey`]-shaped conjunct of a single-binder scan:
@@ -474,9 +443,6 @@ impl<'a> LogicalPlan<'a> {
                 conjuncts: first.residual,
             };
         }
-        // Binders of all earlier generators, for probe-side closure
-        // analysis (probe keys are expressions over the input rows).
-        let mut earlier: Vec<Symbol> = vec![first.var];
         for step in steps {
             root = if !step.keys.is_empty() {
                 let build_keys: Vec<&'a Expr> = step.keys.iter().map(|k| k.build).collect();
@@ -493,35 +459,6 @@ impl<'a> LogicalPlan<'a> {
                     && build_keys.iter().all(|k| closed_under(k, &binder))
                     && step.filters.iter().all(|c| closed_under(c.expr, &binder)))
                 .then(|| join_fingerprint(step.source, step.var, &build_keys, &step.filters));
-                // Swappability: a two-generator join over a bare first
-                // Scan may flip its build side at open time when the
-                // flip is unobservable and the swapped build would be
-                // cacheable (see [`SwapInfo`]).
-                let swap = if earlier.len() == 1 && store_enabled() && is_safe_expr(self.result) {
-                    match &root {
-                        PhysOp::Scan {
-                            var: pvar,
-                            source: psource,
-                            filters: pfilters,
-                        } => {
-                            let pbinder = [*pvar];
-                            (stable_source(psource)
-                                && probe_keys.iter().all(|k| closed_under(k, &pbinder))
-                                && pfilters.iter().all(|c| closed_under(c.expr, &pbinder)))
-                            .then(|| SwapInfo {
-                                fingerprint: join_fingerprint(
-                                    psource,
-                                    *pvar,
-                                    &probe_keys,
-                                    pfilters,
-                                ),
-                            })
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
                 PhysOp::HashJoin {
                     input: Box::new(root),
                     var: step.var,
@@ -530,7 +467,6 @@ impl<'a> LogicalPlan<'a> {
                     probe_keys,
                     build_keys,
                     fingerprint,
-                    swap,
                 }
             } else {
                 PhysOp::NestedLoop {
@@ -541,7 +477,6 @@ impl<'a> LogicalPlan<'a> {
                     filters: step.filters,
                 }
             };
-            earlier.push(step.var);
             if !step.residual.is_empty() {
                 root = PhysOp::Filter {
                     input: Box::new(root),
@@ -675,7 +610,6 @@ fn obtain_index<H: EvalHook>(
     build: impl FnOnce(&mut H) -> Result<Index, ExecError<H::Error>>,
     hook: &mut H,
 ) -> Result<Rc<Index>, ExecError<H::Error>> {
-    trace::annotate_fingerprint(trace::current_span(), || fingerprint.to_string());
     if !store_enabled() {
         trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Bypass);
         return Ok(Rc::new(build(hook)?));
@@ -687,76 +621,6 @@ fn obtain_index<H: EvalHook>(
     let built = build(hook)?;
     trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Build);
     Ok(with_store(|s| s.insert(items, fingerprint, built)))
-}
-
-/// Open an already-evaluated `Scan` under its own trace span, mirroring
-/// what [`Node::open`] does for dispatched operators: the swappable
-/// hash-join arm evaluates both sources before it knows which side
-/// streams, so it opens its probe `Scan` directly — without this the
-/// probe side would vanish from the trace tree.
-fn open_scan_traced<'p>(
-    var: Symbol,
-    filters: &'p [Conjunct<'p>],
-    source: &Expr,
-    env: &Env,
-    items: MSet,
-) -> Node<'p> {
-    let node = Node::Scan {
-        var,
-        filters,
-        base: env.clone(),
-        items,
-        idx: 0,
-    };
-    match trace::open_op_with(|| scan_label(var, source, filters)) {
-        Some(sid) => {
-            trace::close_op(Some(sid), 0);
-            Node::Traced {
-                sid,
-                inner: Box::new(node),
-            }
-        }
-        None => node,
-    }
-}
-
-/// Open a hash join whose orientation is already fixed: `input` streams
-/// the probe side, `items` is the build relation. The build table comes
-/// from the index store when fingerprinted (a hit skips the whole build
-/// phase — filters and keys — all planner-safe, so unobservable),
-/// otherwise it is built inline through the hook.
-#[allow(clippy::too_many_arguments)]
-fn open_keyed_join<'p, H: EvalHook>(
-    input: Box<Node<'p>>,
-    items: MSet,
-    var: Symbol,
-    build_keys: &'p [&'p Expr],
-    filters: &'p [Conjunct<'p>],
-    probe_keys: &'p [&'p Expr],
-    fingerprint: Option<&str>,
-    env: &Env,
-    hook: &mut H,
-) -> Result<Node<'p>, ExecError<H::Error>> {
-    let table = match fingerprint {
-        Some(fp) => obtain_index(
-            &items,
-            fp,
-            |hook| build_join_index(&items, var, filters, build_keys, env, hook),
-            hook,
-        )?,
-        // Environment-dependent (or store-less) build: construct inline.
-        None => Rc::new(build_join_index(
-            &items, var, filters, build_keys, env, hook,
-        )?),
-    };
-    Ok(Node::HashJoin {
-        input,
-        var,
-        probe_keys,
-        items,
-        table,
-        cur: None,
-    })
 }
 
 /// Runtime state of one operator (same shape as [`PhysOp`]).
@@ -951,84 +815,32 @@ impl<'p> Node<'p> {
                 probe_keys,
                 build_keys,
                 fingerprint,
-                swap,
             } => {
-                // Build-side selection for swappable joins: evaluate
-                // both sources (in generator order — observable
-                // effects/errors stay put), then pick the orientation
-                // from store metadata. A live cached index wins over
-                // everything; with neither orientation cached, the
-                // smaller relation builds, provided it could actually
-                // be cached (a build the budget would decline buys
-                // nothing). `peek` is exact ((storage, fingerprint))
-                // and stats-neutral.
-                if let Some(sw) = swap {
-                    if let PhysOp::Scan {
-                        var: pvar,
-                        source: psource,
-                        filters: pfilters,
-                    } = input.as_ref()
-                    {
-                        let first = as_set(hook.eval(env, psource)?)?;
-                        let second = as_set(hook.eval(env, source)?)?;
-                        let (normal_cached, swapped_cached, budget) = with_store(|s| {
-                            (
-                                fingerprint.as_ref().is_some_and(|fp| s.peek(&second, fp)),
-                                s.peek(&first, &sw.fingerprint),
-                                s.budget_rows(),
-                            )
-                        });
-                        let do_swap = !normal_cached
-                            && (swapped_cached
-                                || (first.len() < second.len() && first.len() <= budget));
-                        return if do_swap {
-                            // Exchanged roles: the first generator's
-                            // relation builds (keyed by the old probe
-                            // expressions, its pushed filters baked
-                            // in), the second streams as the probe.
-                            let probe_node =
-                                Box::new(open_scan_traced(*var, filters, source, env, second));
-                            open_keyed_join(
-                                probe_node,
-                                first,
-                                *pvar,
-                                probe_keys,
-                                pfilters,
-                                build_keys,
-                                Some(&sw.fingerprint),
-                                env,
-                                hook,
-                            )
-                        } else {
-                            let input =
-                                Box::new(open_scan_traced(*pvar, pfilters, psource, env, first));
-                            open_keyed_join(
-                                input,
-                                second,
-                                *var,
-                                build_keys,
-                                filters,
-                                probe_keys,
-                                fingerprint.as_deref(),
-                                env,
-                                hook,
-                            )
-                        };
-                    }
-                }
                 let input = Box::new(Node::open(input, env, hook)?);
                 let items = as_set(hook.eval(env, source)?)?;
-                open_keyed_join(
+                // A fingerprinted build goes through the store (a hit
+                // skips the whole build phase — filters and keys — all
+                // planner-safe, so unobservable); an environment-
+                // dependent (or store-less) one is built inline.
+                let table = match fingerprint {
+                    Some(fp) => obtain_index(
+                        &items,
+                        fp,
+                        |hook| build_join_index(&items, *var, filters, build_keys, env, hook),
+                        hook,
+                    )?,
+                    None => Rc::new(build_join_index(
+                        &items, *var, filters, build_keys, env, hook,
+                    )?),
+                };
+                Node::HashJoin {
                     input,
-                    items,
-                    *var,
-                    build_keys,
-                    filters,
+                    var: *var,
                     probe_keys,
-                    fingerprint.as_deref(),
-                    env,
-                    hook,
-                )?
+                    items,
+                    table,
+                    cur: None,
+                }
             }
             PhysOp::Filter { input, conjuncts } => Node::Filter {
                 input: Box::new(Node::open(input, env, hook)?),

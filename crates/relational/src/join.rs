@@ -12,7 +12,7 @@
 //!   and merge; same applicability as hash join.
 //!
 //! Hash keys are *structural* ([`machiavelli_value::hash_value`]): a
-//! [`RowKey`] borrows the row and hashes/compares the common-attribute
+//! `RowKey` borrows the row and hashes/compares the common-attribute
 //! values in place — no per-row string rendering, no per-row key
 //! allocation, and no reliance on the display form being injective
 //! (distinct values can render identically; see the regression test).

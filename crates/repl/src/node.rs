@@ -2,11 +2,13 @@
 //! role.
 //!
 //! [`ReplNode`] is the unit the failover chaos harness kills,
-//! partitions, and promotes. It is deliberately the *same* machinery
-//! the server tier uses — [`DurableSession`] underneath, shipping via
+//! partitions, and promotes. It wraps a [`DurableSession`]; the server
+//! tier drives a [`SessionLog`] directly. What the two share is the
+//! replication machinery itself — shipping via
 //! [`SessionLog::ship_from`], applying via
-//! [`SessionLog::replica_apply`] — so what the harness proves about a
-//! node pair holds for the TCP tier too.
+//! [`SessionLog::replica_apply`], and snapshot catch-up via
+//! [`install_replica`] — so what the harness proves about a node pair's
+//! stream holds for the TCP tier too.
 
 use machiavelli::trace::metrics::{self, Counter};
 use machiavelli::{is_read_only_source, Outcome};

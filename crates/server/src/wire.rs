@@ -65,8 +65,8 @@ fn one_line(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// Undo [`one_line`]: `\n` back to a newline, `\\` back to a
-/// backslash. Clients apply this to `VAL`/`OK` payloads.
+/// Undo the server's response escaping: `\n` back to a newline, `\\`
+/// back to a backslash. Clients apply this to `VAL`/`OK` payloads.
 pub fn unescape_line(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();

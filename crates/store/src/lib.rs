@@ -54,12 +54,9 @@
 //!    exactly the entries whose recorded sources intersect it. A write
 //!    to a ref no cached relation can reach — the common case under
 //!    mixed read/write traffic — **evicts nothing**, where the PR 4
-//!    contract dropped the whole store. Unattributed writes and dirty-
-//!    set overflow degrade to evicting every ref-reachable (and
-//!    closure-opaque) entry; the PR 4 whole-store clear itself survives
-//!    as a paranoid A/B mode behind [`set_store_epoch_clear`], which
-//!    the equivalence property tests run against the precise mode (same
-//!    visible results, strictly fewer evictions).
+//!    contract dropped the whole store. Dirty-set overflow (more
+//!    distinct writes than the set holds) degrades to evicting every
+//!    ref-reachable (and closure-opaque) entry, counted as `cleared`.
 //! 3. **Closed fingerprints over stable sources.** The fingerprint
 //!    (produced by the planner) renders the source, key and
 //!    pushed-filter expressions; the planner only marks an index
@@ -144,9 +141,8 @@ pub struct StoreStats {
     /// Entries evicted because a **written ref was reachable** from
     /// their relation (dirty-set intersection — the precise reason).
     pub invalidated: u64,
-    /// Entries dropped by a **whole-store clear**: the paranoid
-    /// epoch-clear mode, or a dirty-set overflow / unattributed write
-    /// (no identity to intersect against).
+    /// Entries dropped after a **dirty-set overflow**: the written
+    /// identities were lost, so every ref-reachable entry goes.
     pub cleared: u64,
     /// Entries dropped by the LRU row budget.
     pub evicted: u64,
@@ -257,24 +253,6 @@ fn store_budget_rows() -> usize {
 /// key `String` on insert. (The *planner* still renders a fingerprint
 /// per evaluation to have something to look up with — a few small
 /// formatting allocations per `select`, not per row.)
-/// Observed execution statistics for one operator fingerprint — the
-/// cardinality feed `Session::analyze` persists for the future
-/// cost-based join ordering (ROADMAP). Keyed by the same fingerprint
-/// string the store keys indexes by, but kept across storage changes:
-/// a rebuilt relation invalidates its *index*, while its observed
-/// cardinality stays a useful prior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObservedStats {
-    /// Traced executions that reported this fingerprint.
-    pub executions: u64,
-    /// Rows the operator yielded on the most recent traced execution.
-    pub last_rows: u64,
-    /// Total rows across all traced executions (mean = total / executions).
-    pub total_rows: u64,
-    /// Total operator wall time across traced executions, nanoseconds.
-    pub total_ns: u64,
-}
-
 pub struct IndexStore {
     entries: HashMap<usize, HashMap<String, Entry>>,
     budget_rows: usize,
@@ -282,7 +260,6 @@ pub struct IndexStore {
     epoch: u64,
     tick: u64,
     stats: StoreStats,
-    observed: HashMap<String, ObservedStats>,
 }
 
 impl IndexStore {
@@ -294,7 +271,6 @@ impl IndexStore {
             epoch: mutation_epoch(),
             tick: 0,
             stats: StoreStats::default(),
-            observed: HashMap::new(),
         }
     }
 
@@ -303,8 +279,8 @@ impl IndexStore {
     /// *observable* — mechanism 2 of the invalidation contract. The
     /// mutation epoch is the cheap "did anything happen" check; when it
     /// moved, the dirty-ref set names the written identities and only
-    /// intersecting entries are evicted (all of them, under the
-    /// paranoid whole-clear mode or when identities were lost).
+    /// intersecting entries are evicted (every ref-reachable one when
+    /// the set overflowed and the identities were lost).
     fn validate(&mut self) {
         let now = mutation_epoch();
         if self.epoch == now {
@@ -315,24 +291,14 @@ impl IndexStore {
         if self.entries.is_empty() {
             return;
         }
-        if store_epoch_clear() {
-            // Paranoid A/B mode: the PR 4 contract — any write drops
-            // everything. Kept so equivalence tests can cross-check the
-            // precise mode below against it.
-            let dropped = self.len();
-            self.entries.clear();
-            self.cached_rows = 0;
-            self.stats.cleared += dropped as u64;
-            return;
-        }
         debug_assert!(
             !dirty.is_empty(),
             "the epoch moved, so some write must have been recorded"
         );
-        // Precise mode: evict exactly the entries a written ref can
-        // reach. `dirty.overflowed` (identities lost) makes
-        // `dirtied_by` true for every ref-bearing entry; ref-free
-        // entries survive even that.
+        // Evict exactly the entries a written ref can reach.
+        // `dirty.overflowed` (identities lost) makes `dirtied_by` true
+        // for every ref-bearing entry; ref-free entries survive even
+        // that.
         let mut dropped = 0u64;
         self.entries.retain(|_, by_fp| {
             by_fp.retain(|_, e| {
@@ -383,17 +349,6 @@ impl IndexStore {
                 None
             }
         }
-    }
-
-    /// Is there a live entry for exactly this (storage, fingerprint)
-    /// key? A stats-neutral decision probe (no hit/miss counting, no
-    /// recency touch) — the planner's build-side-selection uses it to
-    /// choose an orientation before committing to a lookup.
-    pub fn peek(&mut self, set: &MSet, fingerprint: &str) -> bool {
-        self.validate();
-        self.entries
-            .get(&set.storage_id())
-            .is_some_and(|by_fp| by_fp.contains_key(fingerprint))
     }
 
     /// Insert a freshly built grouping for `set` under `fingerprint`,
@@ -494,43 +449,11 @@ impl IndexStore {
         self.cached_rows = 0;
     }
 
-    /// Drop all entries and zero the statistics (observed per-operator
-    /// stats included — a reset is a fresh session).
+    /// Drop all entries and zero the statistics (a reset is a fresh
+    /// session).
     pub fn reset(&mut self) {
         self.clear();
         self.stats = StoreStats::default();
-        self.observed.clear();
-    }
-
-    /// Fold one traced execution's actuals into the per-fingerprint
-    /// observed stats (the cardinality feed for the future cost model;
-    /// called by `Session::analyze` and traced evaluations). Survives
-    /// index invalidation — a rebuilt relation's observed cardinality
-    /// stays a useful prior — and is dropped by [`IndexStore::reset`].
-    pub fn note_observed(&mut self, fingerprint: &str, rows: u64, elapsed_ns: u64) {
-        let o = self.observed.entry(fingerprint.to_string()).or_default();
-        o.executions += 1;
-        o.last_rows = rows;
-        o.total_rows += rows;
-        o.total_ns += elapsed_ns;
-    }
-
-    /// The observed stats recorded for a fingerprint, if any traced
-    /// execution reported one.
-    pub fn observed_stats(&self, fingerprint: &str) -> Option<ObservedStats> {
-        self.observed.get(fingerprint).copied()
-    }
-
-    /// All observed per-fingerprint stats in deterministic (fingerprint)
-    /// order, for goldens and the cost model's warm-up scan.
-    pub fn observed(&self) -> Vec<(String, ObservedStats)> {
-        let mut all: Vec<(String, ObservedStats)> = self
-            .observed
-            .iter()
-            .map(|(fp, o)| (fp.clone(), *o))
-            .collect();
-        all.sort_by(|(a, _), (b, _)| a.cmp(b));
-        all
     }
 
     /// Change the row budget, evicting immediately if the cache is now
@@ -597,8 +520,6 @@ thread_local! {
     /// off to measure the always-rebuild path; `false` means every
     /// cacheable build happens inline, uncached and uncounted.
     static STORE_ENABLED: Cell<bool> = const { Cell::new(true) };
-    /// The paranoid whole-clear mode ([`set_store_epoch_clear`]).
-    static STORE_EPOCH_CLEAR: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Run `f` on this thread's index store.
@@ -617,26 +538,11 @@ pub fn set_store_enabled(on: bool) -> bool {
     STORE_ENABLED.with(|c| c.replace(on))
 }
 
-/// Is the store's **paranoid whole-clear** mode on? When `true` the
-/// store reverts to the original invalidation discipline — drop
-/// *every* entry on any reference write — instead of the dirty-set eviction
-/// that keeps unaffected entries warm. Kept as an A/B cross-check: the
-/// equivalence property tests run both modes and require identical
-/// visible results (the precise mode just evicts less).
-pub fn store_epoch_clear() -> bool {
-    STORE_EPOCH_CLEAR.with(Cell::get)
-}
-
-/// Switch the paranoid whole-clear mode on/off for this thread,
-/// returning the previous setting.
-pub fn set_store_epoch_clear(on: bool) -> bool {
-    STORE_EPOCH_CLEAR.with(|c| c.replace(on))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use machiavelli_value::{bump_mutation_epoch, note_ref_write, RefValue};
+    use machiavelli_value::epoch::DIRTY_REFS_CAP;
+    use machiavelli_value::{note_ref_write, RefValue};
 
     fn ints(xs: &[i64]) -> MSet {
         MSet::from_iter(xs.iter().map(|&x| Value::Int(x)))
@@ -785,25 +691,14 @@ mod tests {
         let with_ref = ref_rows(&d, &[1]);
         st.insert(&plain, "parity", parity_index(&plain));
         st.insert(&with_ref, "parity", parity_index(&with_ref));
-        bump_mutation_epoch(); // no identity: poison
+        // More distinct writes than the dirty set holds: identities lost.
+        for id in 0..=DIRTY_REFS_CAP as u64 {
+            note_ref_write(id);
+        }
         assert!(st.lookup(&plain, "parity").is_some(), "ref-free survives");
         assert!(st.lookup(&with_ref, "parity").is_none());
         let stats = st.stats();
         assert_eq!((stats.invalidated, stats.cleared), (0, 1), "{stats:?}");
-    }
-
-    #[test]
-    fn paranoid_epoch_clear_mode_drops_everything() {
-        let prev = set_store_epoch_clear(true);
-        let mut st = IndexStore::new(1000);
-        let s = ints(&[1, 2]);
-        st.insert(&s, "parity", parity_index(&s));
-        note_ref_write(12345); // any write at all
-        assert!(st.lookup(&s, "parity").is_none());
-        let stats = st.stats();
-        assert_eq!(stats.cleared, 1, "{stats:?}");
-        assert_eq!(stats.entries, 0, "{stats:?}");
-        set_store_epoch_clear(prev);
     }
 
     #[test]
@@ -935,20 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_stats_neutral() {
-        let mut st = IndexStore::new(1000);
-        let s = ints(&[1, 2]);
-        st.insert(&s, "parity", parity_index(&s));
-        let before = st.stats();
-        assert!(st.peek(&s, "parity"));
-        assert!(!st.peek(&s, "other"));
-        let rebuilt = ints(&[1, 2]);
-        assert!(!st.peek(&rebuilt, "parity"), "peek is storage-exact");
-        let after = st.stats();
-        assert_eq!((before.hits, before.misses), (after.hits, after.misses));
-    }
-
-    #[test]
     fn indexes_listing_is_sorted_and_reports_kinds() {
         let mut st = IndexStore::new(1000);
         let s = ints(&[1, 2, 3, 4]);
@@ -975,15 +856,5 @@ mod tests {
         assert!(!store_enabled());
         set_store_enabled(prev);
         assert!(store_enabled());
-    }
-
-    #[test]
-    fn store_epoch_clear_toggle_round_trips() {
-        assert!(!store_epoch_clear(), "precise invalidation is the default");
-        let prev = set_store_epoch_clear(true);
-        assert!(!prev);
-        assert!(store_epoch_clear());
-        set_store_epoch_clear(prev);
-        assert!(!store_epoch_clear());
     }
 }

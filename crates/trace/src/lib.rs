@@ -142,8 +142,6 @@ pub struct OpSpan {
     pub label: String,
     /// Index-store outcome, for operators that consulted it.
     pub cache: Option<CacheOutcome>,
-    /// Store fingerprint, when the operator has one.
-    pub fingerprint: Option<String>,
     /// Rows the operator yielded (or, for consumed inputs and build
     /// sides, rows it contributed).
     pub rows: u64,
@@ -298,7 +296,6 @@ pub fn open_op_with(label: impl FnOnce() -> String) -> Option<u32> {
             parent,
             label: label(),
             cache: None,
-            fingerprint: None,
             rows: 0,
             open_ns: 0,
             next_ns: 0,
@@ -345,24 +342,14 @@ pub fn add_next(sid: u32, ns: u64, rows: u64) {
     });
 }
 
-fn with_span(sid: Option<u32>, f: impl FnOnce(&mut OpSpan)) {
+/// Record an operator's index-store outcome.
+pub fn annotate_cache(sid: Option<u32>, outcome: CacheOutcome) {
     let Some(sid) = sid else { return };
     TRACER.with(|t| {
         if let Some(span) = t.borrow_mut().spans.get_mut(sid as usize) {
-            f(span);
+            span.cache = Some(outcome);
         }
     });
-}
-
-/// Record an operator's index-store outcome.
-pub fn annotate_cache(sid: Option<u32>, outcome: CacheOutcome) {
-    with_span(sid, |s| s.cache = Some(outcome));
-}
-
-/// Record an operator's store fingerprint. The closure only runs when
-/// the span exists, so off-trace sites pay no formatting.
-pub fn annotate_fingerprint(sid: Option<u32>, fp: impl FnOnce() -> String) {
-    with_span(sid, |s| s.fingerprint = Some(fp()));
 }
 
 // --- decline taxonomy ------------------------------------------------------

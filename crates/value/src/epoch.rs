@@ -19,11 +19,9 @@
 //! The dirty set is bounded: past [`DIRTY_REFS_CAP`] distinct ids it
 //! collapses to an *overflowed* marker, which consumers must treat as
 //! "every ref may have been written" (evict everything reachable-from-
-//! refs — the conservative PR 4 behavior). [`bump_mutation_epoch`], the
-//! escape hatch for native code that mutates reference contents through
-//! `borrow_mut` on the raw cell rather than `RefValue::set`, also
-//! poisons the set: an unattributed write must be assumed to touch
-//! anything.
+//! refs — the conservative PR 4 behavior). Overflow is the only way
+//! identities are lost: a ref's cell is private to this crate, so no
+//! write can bypass `RefValue::set`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -34,9 +32,9 @@ use std::collections::HashSet;
 pub const DIRTY_REFS_CAP: usize = 4096;
 
 /// The identities written since the last [`take_dirty_refs`] drain.
-/// `overflowed` means the precise set was lost (cap exceeded, or an
-/// unattributed [`bump_mutation_epoch`] call): consumers must assume
-/// every ref was written.
+/// `overflowed` means the precise set was lost (more than
+/// [`DIRTY_REFS_CAP`] distinct writes): consumers must assume every ref
+/// was written.
 #[derive(Debug, Default)]
 pub struct DirtyRefs {
     pub ids: HashSet<u64>,
@@ -107,25 +105,6 @@ fn record_dirty(d: &RefCell<DirtyRefs>, id: u64) {
     }
 }
 
-/// Advance the mutation epoch for an **unattributed** write — native
-/// code that mutates reference contents through `borrow_mut` on the raw
-/// cell rather than `RefValue::set`. The dirty set is poisoned
-/// (overflowed): with no identity to record, every cached entry must be
-/// assumed affected, exactly the PR 4 whole-store behavior.
-pub fn bump_mutation_epoch() {
-    MUTATION_EPOCH.with(|c| c.set(c.get().wrapping_add(1)));
-    DIRTY_REFS.with(poison_dirty);
-    if WAL_TRACKING.with(Cell::get) {
-        WAL_DIRTY.with(poison_dirty);
-    }
-}
-
-fn poison_dirty(d: &RefCell<DirtyRefs>) {
-    let mut d = d.borrow_mut();
-    d.ids.clear();
-    d.overflowed = true;
-}
-
 /// Drain the dirty set, leaving it empty. The single consumer is the
 /// thread's index store (one store per thread), which drains on every
 /// epoch advance it observes; draining with no intervening writes
@@ -154,8 +133,8 @@ pub fn wal_tracking() -> bool {
 /// Drain the WAL dirty set, leaving it empty. The consumer is the
 /// session's attached log (`machiavelli-wal`), which drains at each
 /// commit point; an `overflowed` result means precise attribution was
-/// lost (cap exceeded or an unattributed write) and the consumer must
-/// fall back to a full checkpoint.
+/// lost (cap exceeded) and the consumer must fall back to a full
+/// checkpoint.
 pub fn take_wal_dirty_refs() -> DirtyRefs {
     WAL_DIRTY.with(|d| std::mem::take(&mut *d.borrow_mut()))
 }
@@ -184,15 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn unattributed_bump_poisons_the_set() {
-        let _ = take_dirty_refs();
-        bump_mutation_epoch();
-        let dirty = take_dirty_refs();
-        assert!(dirty.overflowed);
-        assert!(dirty.intersects(&[1, 2, 3]), "overflow intersects all");
-    }
-
-    #[test]
     fn intersects_checks_sorted_sources() {
         let mut dirty = DirtyRefs::default();
         dirty.ids.insert(7);
@@ -217,10 +187,12 @@ mod tests {
         let wal = take_wal_dirty_refs();
         assert!(wal.ids.contains(&r.id), "{wal:?}");
         assert!(!wal.overflowed);
-        bump_mutation_epoch();
+        for id in 0..=DIRTY_REFS_CAP as u64 {
+            note_ref_write(id);
+        }
         assert!(
             take_wal_dirty_refs().overflowed,
-            "unattributed writes poison the WAL channel too"
+            "overflow collapses the WAL channel too"
         );
         set_wal_tracking(false);
         // The store's channel saw every write regardless of WAL tracking.

@@ -37,11 +37,12 @@ fn fresh_identity() -> u64 {
     NEXT_IDENTITY.fetch_add(1, AtomicOrdering::Relaxed)
 }
 
-/// A mutable reference cell with object identity.
+/// A mutable reference cell with object identity. The cell is private
+/// to this crate, so every write goes through [`RefValue::set`].
 #[derive(Debug, Clone)]
 pub struct RefValue {
     pub id: u64,
-    pub cell: Rc<RefCell<Value>>,
+    pub(crate) cell: Rc<RefCell<Value>>,
 }
 
 impl RefValue {

@@ -454,8 +454,7 @@ impl SessionLog {
     /// scales with what changed, not with what exists.
     ///
     /// Escalates to a full [`SessionLog::checkpoint`] when attribution
-    /// was lost (dirty-set overflow / unattributed write) or the log is
-    /// doomed. On [`WalError::TornWrite`] / [`WalError::SyncFailed`]
+    /// was lost (dirty-set overflow) or the log is doomed. On [`WalError::TornWrite`] / [`WalError::SyncFailed`]
     /// the evaluation is *not* durable and the log is doomed.
     pub fn commit(
         &mut self,

@@ -76,10 +76,9 @@ fn fig5_subpart_join_is_hash_join() {
 #[test]
 fn fig5_shape_renders_cached_after_first_evaluation() {
     // Same fig5 inner shape, but on a session that has actually run the
-    // query once. The first generator's relation (`subs`) is the
-    // smaller stable side, so the first execution *swaps* the build
-    // onto it; the warm plan predicts the same orientation from the
-    // live cached fingerprint and renders the exchanged sides.
+    // query once. The join builds on the generator the query names
+    // (`parts`), even though `subs` is the smaller side, so the warm
+    // plan keeps generator order and marks that build cached.
     let mut s = pinned_session();
     s.run(
         "val parts = {[P#=1, C=5], [P#=2, C=9]};
@@ -96,17 +95,16 @@ fn fig5_shape_renders_cached_after_first_evaluation() {
     assert_eq!(
         s.plan_of(q).unwrap(),
         "Project (z.C, w.Qty)\n  \
-         HashJoin[idx cached, swapped] probe(z.P#) build(w.P#)\n    \
-         Scan z <- parts\n    \
-         Build w <- subs"
+         HashJoin[idx cached] probe(w.P#) build(z.P#)\n    \
+         Scan w <- subs\n    \
+         Build z <- parts"
     );
 }
 
 #[test]
 fn cached_indexes_render_alike_with_or_without_refs() {
     // A warm, store-served join renders `[idx cached]` whatever its rows
-    // hold — ref-free rows first. (The build side `t` is the smaller
-    // relation, so no swap interferes with the orientation.)
+    // hold — ref-free rows first.
     let mut s = pinned_session();
     s.run(
         "val r = {[K=1, A=10], [K=2, A=20], [K=3, A=30]};

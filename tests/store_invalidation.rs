@@ -9,11 +9,11 @@
 //! entries whose relation can reach the written ref, so entries over
 //! untouched relations stay warm across unrelated writes — asserted
 //! here by counter, and cross-checked by a seeded property test that
-//! runs the same query/mutation interleavings under the paranoid
-//! whole-store-clear mode (`store::set_store_epoch_clear`) and
-//! requires identical visible results with at least as many evictions.
+//! runs the same query/mutation interleavings with the store on and
+//! off and requires identical visible results and no eviction.
 
 use machiavelli::eval::set_planner_enabled;
+use machiavelli::testing::{with_mode, Mode};
 use machiavelli::value::show_value;
 use machiavelli::Session;
 use machiavelli_bench::{scaled_parts_session, FIG5_SOURCE};
@@ -84,15 +84,14 @@ fn identical_queries_share_one_build() {
 fn ref_mutation_is_visible_and_unaffected_entries_survive() {
     // A `ref`-held relation is mutated between identical queries. The
     // next query must see the new rows — and under dependency-tracked
-    // invalidation the cached entry (built over the *unchanged* `probe`
-    // side, which the open-time build-side swap prefers as the smaller
-    // relation) survives the write: the new `!dbref` storage simply
-    // probes it.
+    // invalidation the cached entry (built over the *unchanged* `probe`,
+    // the second generator) survives the write: the new `!dbref`
+    // storage simply probes it.
     let mut s = Session::new();
     s.store_reset();
     s.run("val dbref = ref({[K=1, A=10], [K=2, A=20]}); val probe = {[K=1]};")
         .unwrap();
-    let q = "select x.A where y <- probe, x <- !dbref with x.K = y.K;";
+    let q = "select x.A where x <- !dbref, y <- probe with x.K = y.K;";
     assert_eq!(eval(&mut s, q).unwrap(), "{10}");
     assert_eq!(eval(&mut s, q).unwrap(), "{10}");
     let warm = s.store_stats();
@@ -116,8 +115,8 @@ fn ref_mutation_is_visible_and_unaffected_entries_survive() {
 
 #[test]
 fn ref_mutation_of_the_build_side_rebuilds_by_pointer_identity() {
-    // Same scenario, but the probe side is the *larger* relation so no
-    // swap happens and the mutated `!dbref` set itself is the build.
+    // Same scenario in the other generator order: the mutated `!dbref`
+    // set is the second generator, so it is the build.
     // The write replaces dbref's contents: the next evaluation sees new
     // storage and can only miss — the old entry is dead (unreachable),
     // not stale, and is not counted as a dirty-ref eviction (the
@@ -187,7 +186,7 @@ fn write_reaching_cached_rows_evicts_the_entry() {
          val probe = {[K=1], [K=2], [K=3], [K=4]};",
     )
     .unwrap();
-    // Probe side larger, so `r` (whose rows carry the ref) builds.
+    // `r` (whose rows carry the ref) is the second generator: it builds.
     let q = "select x.K where y <- probe, x <- r with x.K = y.K;";
     assert_eq!(eval(&mut s, q).unwrap(), "{1, 2}");
     let warm = s.store_stats();
@@ -287,9 +286,8 @@ fn lru_budget_bounds_cached_rows_end_to_end() {
     let mut s = Session::new();
     s.store_reset();
     machiavelli::store::with_store(|st| st.set_budget(3));
-    // The probe side matches `big`'s cardinality so the open-time swap
-    // keeps `big` as the build and the budget decline is what's
-    // exercised.
+    // `big` and `small` are each the second generator, so each is the
+    // build and the budget decides what is cached.
     s.run(
         "val big = {[K=1], [K=2], [K=3], [K=4]}; \
            val small = {[K=1], [K=2]}; \
@@ -310,8 +308,7 @@ fn lru_budget_bounds_cached_rows_end_to_end() {
         "{2}"
     );
     assert_eq!(s.store_stats().entries, 0);
-    // `small` fits and is cached (the swap also cannot prefer `probe`:
-    // it is not smaller than `small`… it is larger, so `small` builds).
+    // `small` fits and is cached.
     eval(
         &mut s,
         "select x where y <- probe, x <- small with x.K = y.K;",
@@ -327,9 +324,7 @@ fn lru_budget_bounds_cached_rows_end_to_end() {
 fn drive(
     ops: &[(bool, i64, i64)],
     seed: i64,
-    paranoid: bool,
 ) -> (Vec<Result<String, String>>, machiavelli::store::StoreStats) {
-    let prev_mode = machiavelli::store::set_store_epoch_clear(paranoid);
     let mut s = Session::new();
     s.store_reset();
     s.run(&format!(
@@ -357,9 +352,7 @@ fn drive(
         }
         outs.push(eval(&mut s, queries[i % queries.len()]));
     }
-    let stats = s.store_stats();
-    machiavelli::store::set_store_epoch_clear(prev_mode);
-    (outs, stats)
+    (outs, s.store_stats())
 }
 
 proptest! {
@@ -402,30 +395,26 @@ proptest! {
         }
     }
 
-    // Dependency-tracked invalidation against the PR 4 whole-store
-    // clear, over the same interleavings: identical visible results,
-    // never more evictions (the precise mode only drops entries the
-    // paranoid mode would also have dropped).
+    // Dependency-tracked invalidation against the uncached path, over
+    // the same interleavings (unrelated `side` writes included):
+    // identical visible results at every step, and no eviction at all —
+    // every relation in the scenario is ref-free, so no write can reach
+    // a cached entry.
     #[test]
-    fn dirty_set_invalidation_agrees_with_the_whole_store_clear(
+    fn dirty_set_invalidation_matches_the_uncached_path(
         ops in proptest::collection::vec((any::<bool>(), 0i64..5, 0i64..40), 1..10),
         seed in 0i64..100,
     ) {
-        let (precise_out, precise) = drive(&ops, seed, false);
-        let (paranoid_out, paranoid) = drive(&ops, seed, true);
+        let (cached_out, cached) = with_mode(Mode::planned(true), || drive(&ops, seed));
+        let (uncached_out, _) = with_mode(Mode::planned(false), || drive(&ops, seed));
         prop_assert!(
-            precise_out == paranoid_out,
-            "visible results diverge on {ops:?}: {precise_out:?} vs {paranoid_out:?}"
+            cached_out == uncached_out,
+            "visible results diverge on {ops:?}: {cached_out:?} vs {uncached_out:?}"
         );
-        let precise_drops = precise.invalidated + precise.cleared;
-        let paranoid_drops = paranoid.invalidated + paranoid.cleared;
         prop_assert!(
-            precise_drops <= paranoid_drops,
-            "precise mode evicted more ({precise:?} vs {paranoid:?}) on {ops:?}"
+            cached.invalidated + cached.cleared == 0,
+            "a ref-free entry was evicted on {ops:?}: {cached:?}"
         );
-        // And strictly fewer rebuilds whenever a mutation actually ran
-        // (unrelated `side` writes cost the paranoid mode its cache).
-        prop_assert!(precise.builds <= paranoid.builds, "{precise:?} vs {paranoid:?}");
     }
 }
 

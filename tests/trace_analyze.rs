@@ -47,18 +47,15 @@ fn golden_analyze_fig9_join_cold_then_cached() {
         cold,
         "select: total 0ns\n  \
          HashJoin probe(x.K) build(y.K) [cache build] rows=1 open=0ns next=0ns\n    \
-         Scan x <- r filter (x.C < 90) rows=2 open=0ns next=0ns\n\
-         observed[join s build(_.K) filter((_.C > 5))]: runs=1 last_rows=1 avg_rows=1\n"
+         Scan x <- r filter (x.C < 90) rows=2 open=0ns next=0ns\n"
     );
-    // Warm store: same tree, `[cache hit]`, and the observed-stats
-    // history now spans two runs.
+    // Warm store: same tree, `[cache hit]`.
     let warm = s.analyze(FIG9_QUERY).unwrap();
     assert_eq!(
         warm,
         "select: total 0ns\n  \
          HashJoin probe(x.K) build(y.K) [cache hit] rows=1 open=0ns next=0ns\n    \
-         Scan x <- r filter (x.C < 90) rows=2 open=0ns next=0ns\n\
-         observed[join s build(_.K) filter((_.C > 5))]: runs=2 last_rows=1 avg_rows=1\n"
+         Scan x <- r filter (x.C < 90) rows=2 open=0ns next=0ns\n"
     );
     unpin();
 }
@@ -79,15 +76,13 @@ fn golden_analyze_ref_keyed_join_caches_and_is_probed() {
         s.analyze(q).unwrap(),
         "select: total 0ns\n  \
          HashJoin probe(x.K) build(y.K) [cache build] rows=1 open=0ns next=0ns\n    \
-         Scan x <- e rows=2 open=0ns next=0ns\n\
-         observed[join f build(_.K) filter()]: runs=1 last_rows=1 avg_rows=1\n"
+         Scan x <- e rows=2 open=0ns next=0ns\n"
     );
     assert_eq!(
         s.analyze(q).unwrap(),
         "select: total 0ns\n  \
          HashJoin probe(x.K) build(y.K) [cache hit] rows=1 open=0ns next=0ns\n    \
-         Scan x <- e rows=2 open=0ns next=0ns\n\
-         observed[join f build(_.K) filter()]: runs=2 last_rows=1 avg_rows=1\n"
+         Scan x <- e rows=2 open=0ns next=0ns\n"
     );
     unpin();
 }
@@ -111,8 +106,7 @@ fn golden_analyze_fig5_recursive_cost() {
          Scan w <- x.SubParts rows=2 open=0ns next=0ns\n  \
          HashJoin probe(w.P#) build(z.P#) [cache hit] rows=2 open=0ns next=0ns\n    \
          Scan w <- x.SubParts rows=2 open=0ns next=0ns\n  \
-         declines: planner-unsafe-conjunct\n\
-         observed[join parts build(_.P#) filter()]: runs=2 last_rows=2 avg_rows=2\n"
+         declines: planner-unsafe-conjunct\n"
     );
     unpin();
 }
