@@ -344,8 +344,8 @@ impl Session {
             .map_err(|e| SessionError::Parse(e.display_with_source(type_src)))?;
         let ty = machiavelli_types::lower_open(&te, &self.inferencer.gen, 0)
             .map_err(SessionError::Type)?;
-        self.type_env.bind(name, Scheme::mono(ty));
-        self.env = self.env.bind(name, value);
+        self.type_env.rebind(name, Scheme::mono(ty));
+        self.env = self.env.rebind(name, value);
         Ok(())
     }
 
@@ -497,7 +497,7 @@ impl Session {
                 eval_expr(&self.env, &rec).map_err(SessionError::Eval)?
             }
         };
-        self.env = self.env.bind(typed.name, value.clone());
+        self.env = self.env.rebind(typed.name, value.clone());
         Ok(Outcome {
             name: typed.name,
             value,
@@ -745,6 +745,50 @@ mod tests {
         s.run("41;").unwrap();
         let out = s.eval_one("it + 1;").unwrap();
         assert_eq!(out.show(), "val it = 42 : int");
+    }
+
+    #[test]
+    fn top_level_environments_are_bounded_by_distinct_names() {
+        let mut s = Session::new();
+        let cycle = [
+            "card(batch) + 1;",
+            "val batch = {[K=1, A=2], [K=2, A=3]};",
+            "fun f(x) = x + card(batch);",
+            "val pick = fn (r) => r.A;",
+        ];
+        // `batch` is used before its first `val`: start it off bound.
+        s.run("val batch = {[K=0, A=0]};").unwrap();
+        for phrase in cycle {
+            s.run(phrase).unwrap();
+        }
+        let types = s.type_env.iter().count();
+        let spine = s.env.depth();
+        assert_eq!(s.inferencer.constraints.len(), 0);
+        for _ in 1..10_000 / cycle.len() {
+            for phrase in cycle {
+                s.run(phrase).unwrap();
+            }
+        }
+        assert_eq!(s.type_env.iter().count(), types, "type env grew");
+        assert_eq!(s.env.depth(), spine, "value env grew");
+        assert_eq!(s.inferencer.constraints.len(), 0);
+        assert_eq!(s.eval_one("f(1);").unwrap().show(), "val it = 3 : int");
+    }
+
+    #[test]
+    fn rebinding_leaves_closures_on_the_value_they_captured() {
+        let mut s = Session::bare();
+        let out = s
+            .run("val a = 1; fun f(x) = a; val a = 2; f(0); a;")
+            .unwrap();
+        assert_eq!(out[3].show(), "val it = 1 : int", "f sees the old a");
+        assert_eq!(out[4].show(), "val it = 2 : int", "a is rebound");
+        // A redefined function: callers defined earlier keep the old one.
+        let out = s
+            .run("fun g(x) = 1; fun h(x) = g(x); fun g(x) = 2; h(0); g(0);")
+            .unwrap();
+        assert_eq!(out[3].show(), "val it = 1 : int");
+        assert_eq!(out[4].show(), "val it = 2 : int");
     }
 
     #[test]

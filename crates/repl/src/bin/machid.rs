@@ -5,7 +5,9 @@
 //! ```
 //!
 //! One thread per connection, speaking the line protocol from
-//! `machiavelli_server::wire`. Tuning via environment:
+//! `machiavelli_server::wire` through `serve_tcp`: accepted sockets are
+//! blocking and `TCP_NODELAY`, and every reply is one write, so no reply
+//! waits on Nagle's algorithm. Tuning via environment:
 //!
 //! * `MACHID_WORKERS`      — worker threads (default 4)
 //! * `MACHID_QUEUE_CAP`    — per-worker queue bound (default 64)
@@ -31,8 +33,7 @@
 //! or even an abrupt — stop never loses one.
 
 use machiavelli_repl::{Replicator, ReplicatorConfig};
-use machiavelli_server::{serve_connection, Server, ServerConfig, ServerRole};
-use std::io::BufReader;
+use machiavelli_server::{serve_tcp, Server, ServerConfig, ServerRole};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,10 +141,6 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        if let Err(e) = stream.set_nonblocking(false) {
-            eprintln!("machid: cannot set blocking stream: {e}");
-            continue;
-        }
         let server = Arc::clone(&server);
         let peer = stream
             .peer_addr()
@@ -152,14 +149,7 @@ fn main() -> ExitCode {
         let spawned = std::thread::Builder::new()
             .name(format!("machid-conn-{peer}"))
             .spawn(move || {
-                let reader = match stream.try_clone() {
-                    Ok(r) => BufReader::new(r),
-                    Err(e) => {
-                        eprintln!("machid: cannot clone stream for {peer}: {e}");
-                        return;
-                    }
-                };
-                if let Err(e) = serve_connection(&server, reader, stream) {
+                if let Err(e) = serve_tcp(&server, stream) {
                     eprintln!("machid: connection {peer} ended with error: {e}");
                 }
             });

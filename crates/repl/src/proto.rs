@@ -31,11 +31,14 @@ impl LineClient {
         })
     }
 
-    /// Send one request line and read its response line (newline
+    /// Send one request line — line and newline in one write, so the
+    /// request is one segment — and read its response line (newline
     /// stripped). EOF mid-protocol is an error.
     pub fn request(&mut self, line: &str) -> io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut req = String::with_capacity(line.len() + 1);
+        req.push_str(line);
+        req.push('\n');
+        self.writer.write_all(req.as_bytes())?;
         self.writer.flush()?;
         let mut resp = String::new();
         let n = self.reader.read_line(&mut resp)?;

@@ -1,14 +1,13 @@
 //! End-to-end replication over real TCP: a primary and a follower
-//! `Server`, each behind `serve_connection`, with a [`Replicator`]
+//! `Server`, each behind `serve_tcp`, with a [`Replicator`]
 //! streaming the WAL between them — read-only enforcement, HEALTH,
 //! the METRICS lag gauge under a partition, and PROMOTE.
 
 use machiavelli_repl::proto::LineClient;
 use machiavelli_repl::{Replicator, ReplicatorConfig};
 use machiavelli_server::wire::unescape_line;
-use machiavelli_server::{serve_connection, Server, ServerConfig, ServerError, ServerRole};
+use machiavelli_server::{serve_tcp, Server, ServerConfig, ServerError, ServerRole};
 use machiavelli_value::faults::FaultConfig;
-use std::io::BufReader;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,12 +48,8 @@ fn spawn_wire(server: Arc<Server>) -> (String, Arc<AtomicBool>) {
         while !stop_accept.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    stream.set_nonblocking(false).expect("blocking stream");
                     let server = Arc::clone(&server);
-                    std::thread::spawn(move || {
-                        let reader = BufReader::new(stream.try_clone().expect("clone"));
-                        let _ = serve_connection(&server, reader, stream);
-                    });
+                    std::thread::spawn(move || serve_tcp(&server, stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -225,10 +220,7 @@ fn replicator_retries_with_backoff_until_the_primary_appears() {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let server = Arc::clone(&primary);
-                        std::thread::spawn(move || {
-                            let reader = BufReader::new(stream.try_clone().expect("clone"));
-                            let _ = serve_connection(&server, reader, stream);
-                        });
+                        std::thread::spawn(move || serve_tcp(&server, stream));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(5));

@@ -25,6 +25,6 @@ pub use error::ServerError;
 pub use server::{
     AckState, HealthReport, Pending, Server, ServerConfig, ServerRole, ServerStats, SlotHealth,
 };
-pub use wire::{serve_connection, serve_connection_with_limit};
+pub use wire::{serve_connection, serve_connection_with_limit, serve_tcp};
 
 pub use machiavelli_value::governor::{QueryGuard, Trip};

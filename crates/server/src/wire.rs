@@ -39,11 +39,19 @@
 //! `ERR protocol line-too-long …`, the offending line is discarded,
 //! and the connection stays usable — one client cannot grow a buffer
 //! without bound.
+//!
+//! One write per reply: every response line goes out with its newline
+//! in a single `write_all`, then a flush. A reply split across two
+//! writes on a socket leaves its tail to Nagle's algorithm, which holds
+//! it until the client's delayed ACK fires (≈ 40 ms on Linux) — a floor
+//! under every request. [`serve_tcp`] also sets `TCP_NODELAY`, so a
+//! reply longer than one segment is not held back either.
 
 use crate::error::ServerError;
 use crate::server::Server;
 use machiavelli_wal::{LogCursor, Ship};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::OnceLock;
 
 /// Default request-line cap (bytes, newline included).
@@ -146,6 +154,25 @@ fn drain_line<R: BufRead>(reader: &mut R) -> io::Result<()> {
     }
 }
 
+/// Send one response line: the line and its newline in a single
+/// `write_all`, then a flush.
+fn send<W: Write>(out: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
+}
+
+/// Serve one accepted TCP connection until `QUIT` or EOF: make the
+/// stream blocking, set `TCP_NODELAY`, buffer the read half, and hand
+/// both halves to [`serve_connection`]. The one entry point `machid`
+/// and the TCP tests share.
+pub fn serve_tcp(server: &Server, stream: TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    let reader = BufReader::new(stream.try_clone()?);
+    serve_connection(server, reader, stream)
+}
+
 /// Serve one client connection until `QUIT` or EOF, with the line cap
 /// from `MACHID_MAX_LINE_BYTES` (default 1 MiB). Every request gets
 /// exactly one response line; protocol mistakes get `ERR protocol …`
@@ -178,13 +205,11 @@ pub fn serve_connection_with_limit<R: BufRead, W: Write>(
         }
         if buf.len() > max_line && buf.last() != Some(&b'\n') {
             drain_line(&mut reader)?;
-            writeln!(out, "{}", err_line(&ServerError::LineTooLong(max_line)))?;
-            out.flush()?;
+            send(&mut out, err_line(&ServerError::LineTooLong(max_line)))?;
             continue;
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
-            writeln!(out, "ERR protocol request is not valid utf-8")?;
-            out.flush()?;
+            send(&mut out, "ERR protocol request is not valid utf-8".into())?;
             continue;
         };
         let line = line.trim();
@@ -317,15 +342,10 @@ pub fn serve_connection_with_limit<R: BufRead, W: Write>(
                 Ok(fenced) => format!("OK promoted {} fenced {fenced}", server.role()),
                 Err(e) => err_line(&e),
             },
-            "QUIT" => {
-                writeln!(out, "OK bye")?;
-                out.flush()?;
-                return Ok(());
-            }
+            "QUIT" => return send(&mut out, "OK bye".into()),
             other => format!("ERR protocol unknown command: {}", one_line(other)),
         };
-        writeln!(out, "{response}")?;
-        out.flush()?;
+        send(&mut out, response)?;
     }
 }
 
@@ -400,6 +420,52 @@ mod tests {
             lines[0]
         );
         assert_eq!(lines[1], "OK bye");
+    }
+
+    #[test]
+    fn every_reply_is_one_write_ending_in_a_newline() {
+        /// Records the bytes of each `write` call separately.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let server = quiet_server();
+        let mut script = format!(
+            "OPEN\nEVAL 1 1 + 2;\nEVAL 1 nonsense ;;;\n{}\n",
+            "X".repeat(200)
+        )
+        .into_bytes();
+        script.extend_from_slice(&[0xff, 0xfe, b'\n']);
+        script.extend_from_slice(b"QUIT\n");
+        let mut out = Writes::default();
+        serve_connection_with_limit(&server, &script[..], &mut out, 128).expect("serve");
+        let replies: Vec<String> = out
+            .0
+            .iter()
+            .map(|w| String::from_utf8(w.clone()).expect("utf8"))
+            .collect();
+        let expected_prefixes = [
+            "OK 1",
+            "VAL val it = 3 : int",
+            "ERR query ",
+            "ERR protocol line-too-long",
+            "ERR protocol request is not valid utf-8",
+            "OK bye",
+        ];
+        assert_eq!(replies.len(), expected_prefixes.len(), "{replies:?}");
+        for (reply, prefix) in replies.iter().zip(expected_prefixes) {
+            assert!(reply.starts_with(prefix), "{reply:?} vs {prefix:?}");
+            assert!(reply.ends_with('\n'), "{reply:?}");
+            assert_eq!(reply.matches('\n').count(), 1, "{reply:?}");
+        }
     }
 
     #[test]

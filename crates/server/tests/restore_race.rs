@@ -9,7 +9,7 @@
 //! increments.
 
 use machiavelli_server::wire::unescape_line;
-use machiavelli_server::{serve_connection, Server, ServerConfig, ServerRole};
+use machiavelli_server::{serve_tcp, Server, ServerConfig, ServerRole};
 use machiavelli_value::faults::FaultConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -51,12 +51,8 @@ fn spawn_wire(server: Arc<Server>) -> (String, Arc<AtomicBool>) {
         while !stop_accept.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    stream.set_nonblocking(false).expect("blocking stream");
                     let server = Arc::clone(&server);
-                    std::thread::spawn(move || {
-                        let reader = BufReader::new(stream.try_clone().expect("clone"));
-                        let _ = serve_connection(&server, reader, stream);
-                    });
+                    std::thread::spawn(move || serve_tcp(&server, stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));

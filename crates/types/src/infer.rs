@@ -43,6 +43,18 @@ impl TypeEnv {
         self.bindings.push((name.into(), scheme));
     }
 
+    /// Replace a top-level binding: drop the binding of `name` it
+    /// shadows, if any, then push. Lookups answer as after
+    /// [`TypeEnv::bind`], but the environment holds one entry per
+    /// distinct top-level name however many phrases rebind it.
+    pub fn rebind(&mut self, name: impl Into<Symbol>, scheme: Scheme) {
+        let name = name.into();
+        if let Some(i) = self.bindings.iter().rposition(|(n, _)| n.id() == name.id()) {
+            self.bindings.remove(i);
+        }
+        self.bindings.push((name, scheme));
+    }
+
     /// Pop the most recent `n` bindings.
     pub fn pop(&mut self, n: usize) {
         for _ in 0..n {
@@ -178,7 +190,7 @@ impl Inferencer {
         match &phrase.kind {
             PhraseKind::Val { name, expr } => {
                 let scheme = self.infer_top(env, expr, None)?;
-                env.bind(*name, scheme.clone());
+                env.rebind(*name, scheme.clone());
                 Ok(PhraseType {
                     name: *name,
                     scheme,
@@ -193,7 +205,7 @@ impl Inferencer {
                     phrase.span,
                 );
                 let scheme = self.infer_top(env, &lambda, Some(*name))?;
-                env.bind(*name, scheme.clone());
+                env.rebind(*name, scheme.clone());
                 Ok(PhraseType {
                     name: *name,
                     scheme,
@@ -201,7 +213,7 @@ impl Inferencer {
             }
             PhraseKind::Expr(expr) => {
                 let scheme = self.infer_top(env, expr, None)?;
-                env.bind("it", scheme.clone());
+                env.rebind("it", scheme.clone());
                 Ok(PhraseType {
                     name: Symbol::intern("it"),
                     scheme,

@@ -545,6 +545,18 @@ pub fn scan_refs(v: &Value, scan: &mut RefScan) {
 /// A persistent (shared-tail) evaluation environment, keyed by interned
 /// symbols: lookup walks the spine comparing interned-pointer ids, and the returned
 /// clone is cheap (values share their backing storage via `Rc`).
+///
+/// Inner scopes (`let`, lambda parameters, generators, case arms)
+/// [`bind`](Env::bind), stacking a node over whatever they shadow. A
+/// session's top level [`rebind`](Env::rebind)s instead: the new node
+/// goes on the head and the shadowed node leaves *this* spine (the
+/// nodes above it are path-copied), so the top-level spine holds one
+/// node per distinct name however many phrases a session runs. A
+/// closure that captured the old spine keeps it, and with it the old
+/// value.
+///
+/// Dropping an environment is iterative: a long spine, or a long chain
+/// of closures each capturing the previous one, never recurses.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
     head: Option<Rc<EnvNode>>,
@@ -553,7 +565,7 @@ pub struct Env {
 #[derive(Debug)]
 struct EnvNode {
     name: Symbol,
-    value: RefCell<Value>,
+    value: Value,
     next: Option<Rc<EnvNode>>,
 }
 
@@ -568,24 +580,53 @@ impl Env {
         Env {
             head: Some(Rc::new(EnvNode {
                 name: name.into(),
-                value: RefCell::new(value),
+                value,
                 next: self.head.clone(),
             })),
         }
     }
 
+    /// Like [`Env::bind`], but the innermost binding of `name` leaves the
+    /// returned spine: the nodes above it are copied onto its tail, and
+    /// the new binding goes on the head. Every lookup answers exactly as
+    /// `bind`'s result would; the original environment is untouched.
+    pub fn rebind(&self, name: impl Into<Symbol>, value: Value) -> Env {
+        let name = name.into();
+        let mut above: Vec<&EnvNode> = Vec::new();
+        let mut cur = self.head.as_deref();
+        while let Some(node) = cur {
+            if node.name.id() == name.id() {
+                let mut rest = node.next.clone();
+                for copy in above.iter().rev() {
+                    rest = Some(Rc::new(EnvNode {
+                        name: copy.name,
+                        value: copy.value.clone(),
+                        next: rest,
+                    }));
+                }
+                return Env {
+                    head: Some(Rc::new(EnvNode {
+                        name,
+                        value,
+                        next: rest,
+                    })),
+                };
+            }
+            above.push(node);
+            cur = node.next.as_deref();
+        }
+        self.bind(name, value)
+    }
+
+    /// The number of nodes on the spine, shadowed bindings included.
+    pub fn depth(&self) -> usize {
+        std::iter::successors(self.head.as_deref(), |n| n.next.as_deref()).count()
+    }
+
     /// Look up a name (innermost binding wins). The clone on return is
     /// O(1) for containers (shared representation).
     pub fn lookup(&self, name: impl Into<Symbol>) -> Option<Value> {
-        let id = name.into().id();
-        let mut cur = self.head.as_ref();
-        while let Some(node) = cur {
-            if node.name.id() == id {
-                return Some(node.value.borrow().clone());
-            }
-            cur = node.next.as_ref();
-        }
-        None
+        self.with_lookup(name, Value::clone)
     }
 
     /// Run `f` on the bound value without cloning it (the truly
@@ -599,26 +640,32 @@ impl Env {
         let mut cur = self.head.as_ref();
         while let Some(node) = cur {
             if node.name.id() == id {
-                return Some(f(&node.value.borrow()));
+                return Some(f(&node.value));
             }
             cur = node.next.as_ref();
         }
         None
     }
+}
 
-    /// Overwrite the innermost binding of `name` (used to tie recursive
-    /// knots for `fun`).
-    pub fn set(&self, name: impl Into<Symbol>, value: Value) -> bool {
-        let id = name.into().id();
-        let mut cur = self.head.as_ref();
-        while let Some(node) = cur {
-            if node.name.id() == id {
-                *node.value.borrow_mut() = value;
-                return true;
+impl Drop for Env {
+    /// Unlink uniquely owned nodes one at a time — following each
+    /// node's tail and, when its value is a uniquely owned closure, that
+    /// closure's captured spine — so no drop recurses down a chain.
+    fn drop(&mut self) {
+        let mut pending: Vec<Rc<EnvNode>> = Vec::new();
+        let mut cur = self.head.take();
+        while let Some(mut rc) = cur.take().or_else(|| pending.pop()) {
+            let Some(node) = Rc::get_mut(&mut rc) else {
+                continue;
+            };
+            cur = node.next.take();
+            if let Value::Closure(closure) = &mut node.value {
+                if let Some(closure) = Rc::get_mut(closure) {
+                    pending.extend(closure.env.head.take());
+                }
             }
-            cur = node.next.as_ref();
         }
-        false
     }
 }
 
@@ -813,11 +860,62 @@ mod tests {
     }
 
     #[test]
-    fn env_set_ties_knots() {
-        let env = Env::new().bind("f", Value::Unit);
-        assert!(env.set("f", Value::Int(42)));
-        assert_eq!(env.lookup("f"), Some(Value::Int(42)));
-        assert!(!env.set("g", Value::Unit));
+    fn env_rebind_drops_the_shadowed_node_only_from_its_own_spine() {
+        let base = Env::new()
+            .bind("a", Value::Int(1))
+            .bind("x", Value::Int(2))
+            .bind("b", Value::Int(3));
+        let rebound = base.rebind("x", Value::Int(20));
+        assert_eq!(rebound.depth(), 3, "x replaced, not stacked");
+        for (name, want) in [("a", 1), ("x", 20), ("b", 3)] {
+            assert_eq!(rebound.lookup(name), Some(Value::Int(want)), "{name}");
+        }
+        // The original spine, as a closure would have captured it, is
+        // untouched.
+        assert_eq!(base.depth(), 3);
+        assert_eq!(base.lookup("x"), Some(Value::Int(2)));
+        // A name not yet bound is an ordinary bind.
+        assert_eq!(rebound.rebind("y", Value::Unit).depth(), 4);
+        // Repeated rebinding at the head stays flat.
+        let mut env = rebound;
+        for i in 0..100 {
+            env = env.rebind("it", Value::Int(i));
+        }
+        assert_eq!(env.depth(), 4);
+        assert_eq!(env.lookup("it"), Some(Value::Int(99)));
+    }
+
+    #[test]
+    fn dropping_deep_environments_does_not_recurse() {
+        // 256 KiB of stack: a recursive drop of either chain overflows it.
+        let dropper = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut spine = Env::new();
+                for i in 0..1_000_000 {
+                    spine = spine.bind("it", Value::Int(i));
+                }
+                assert_eq!(spine.depth(), 1_000_000);
+                // Each `f` captures the spine that holds the previous `f`,
+                // as `fun f(x) = …;` redefined at the top level does.
+                let body = machiavelli_syntax::parse_expr("x").unwrap();
+                let mut chain = Env::new();
+                for _ in 0..100_000 {
+                    let f = Value::Closure(Rc::new(Closure {
+                        params: vec![Symbol::intern("x")],
+                        body: body.clone(),
+                        env: chain.clone(),
+                        rec_name: Some(Symbol::intern("f")),
+                    }));
+                    chain = Env::new().bind("f", f);
+                }
+                drop(spine);
+                drop(chain);
+            })
+            .unwrap();
+        dropper
+            .join()
+            .expect("dropping a deep environment overflowed");
     }
 
     #[test]
