@@ -351,9 +351,9 @@ impl Cx {
                 match t {
                     Value::Ref(r) => {
                         // Index-store invalidation hook: `RefValue::set`
-                        // bumps the thread's mutation epoch, so any
-                        // cached index (machiavelli-store) built before
-                        // this write is dropped before its next use — a
+                        // records the write in the thread's dirty set, so
+                        // any cached index (machiavelli-store) it reaches
+                        // is dropped before its next use — a
                         // `:=` can never be followed by a query serving
                         // pre-mutation rows from an index.
                         r.set(v);

@@ -1,5 +1,9 @@
-//! E8 bench — Figure 9: join of views (intersection of extents) and the
-//! advisor-salary query, interpreted vs native, as the store grows.
+//! Decision defended: the paper's `join` on sets stays an O(n·m) nested
+//! loop over `con_value` (the planner never sees it). No machibench
+//! workload sends `join`, so this is where its cost shows: Figure 9's
+//! join of views (intersection of extents) and the advisor-salary
+//! query, interpreted vs the native `nested_loop_join`, as the store
+//! grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -12,9 +16,9 @@ fn config() -> Criterion {
         .measurement_time(Duration::from_secs(1))
 }
 use machiavelli::value::Value;
-use machiavelli_bench::university_session;
-use machiavelli_oodb::{employee_view, student_view, UniversityParams};
-use machiavelli_relational::nested_loop_join;
+use machiavelli_fixtures::oodb::{employee_view, student_view, UniversityParams};
+use machiavelli_fixtures::relational::nested_loop_join;
+use machiavelli_fixtures::university_session;
 
 fn bench_join_of_views(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig9_join_views");

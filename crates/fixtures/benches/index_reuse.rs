@@ -1,29 +1,21 @@
-//! A3 bench — index store ablation: repeated-plan workloads through
-//! three execution modes:
+//! Decision defended: the session index store, which caches hash-join
+//! builds across evaluations. Its headline case is Figure 5's `cost`:
+//! one `expensive_parts(parts, 0)` sweep re-joins `parts` inside every
+//! recursive call, and no machibench workload recurses. Three modes:
 //!
-//! * `store` — planner pipeline with the index store (PR 3): the first
+//! * `store` — planner pipeline with the index store: the first
 //!   evaluation builds each cacheable hash index, every later one
 //!   probes it;
-//! * `rebuild` — planner pipeline with the store disabled (the PR 2
-//!   always-rebuild path): every evaluation re-hashes its build sides;
-//! * `interp` — the nested-loop `select_loop` reference.
-//!
-//! Workloads:
-//!
-//! * `fig5_cost` — `expensive_parts(parts, 0)`, the paper's recursive
-//!   `cost` sweep: *one single evaluation* re-joins `parts` inside
-//!   every recursive call, so even the cold run amortizes the build
-//!   n-fold — the store's headline case (interp kept to the smaller
-//!   sizes; it is O(n²) per cost call);
-//! * `fig9_repeat` — the two-generator equi-join re-evaluated across
-//!   bench iterations: the session cache turns every build after the
-//!   first into a probe.
+//! * `rebuild` — planner pipeline with the store disabled: every
+//!   evaluation re-hashes its build sides;
+//! * `interp` — the nested-loop `select_loop` reference (kept to the
+//!   smaller sizes; it is O(n²) per `cost` call).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use machiavelli::eval::set_planner_enabled;
 use machiavelli::store::set_store_enabled;
 use machiavelli::Session;
-use machiavelli_bench::{scaled_parts_session, FIG5_SOURCE};
+use machiavelli_fixtures::{scaled_parts_session, FIG5_SOURCE};
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -60,21 +52,9 @@ fn bench_index_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_reuse");
     group.sample_size(10);
 
-    let fig9 = "select (p.Pname, sb.P#) where p <- parts, sb <- supplied_by \
-                with p.P# = sb.P#;";
     for n in [50usize, 200, 800] {
         let (mut s, _db) = scaled_parts_session(n, n / 10 + 2, 11);
         s.run(FIG5_SOURCE).unwrap();
-        run_mode(&mut group, "store/fig9_repeat", n, &mut s, fig9, true, true);
-        run_mode(
-            &mut group,
-            "rebuild/fig9_repeat",
-            n,
-            &mut s,
-            fig9,
-            true,
-            false,
-        );
 
         let fig5 = "expensive_parts(parts, 0);";
         run_mode(&mut group, "store/fig5_cost", n, &mut s, fig5, true, true);

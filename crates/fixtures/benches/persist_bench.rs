@@ -1,5 +1,8 @@
-//! Persistence bench — the WAL's headline claim, asserted structurally:
-//! **delta commits are flat in session size; full re-encode is linear.**
+//! Decision defended: each eval commits a delta through the write-ahead
+//! log instead of re-encoding the session. The claim, asserted
+//! structurally: **delta commits are flat in session size; full
+//! re-encode is linear.** Machibench's durable workloads hold one
+//! session size each, so they cannot see the scaling.
 //!
 //! Two sessions, 256 and 4096 bindings (16× apart). For each we time
 //!

@@ -1,7 +1,8 @@
-//! A2 bench — comprehension planner ablation: the same `select`
-//! comprehensions evaluated through the planner pipeline (hash
-//! build/probe for equi-joins, filter pushdown) vs. the interpreter's
-//! nested `select_loop`, on the paper's query shapes:
+//! Decision defended: comprehensions run through the planner (hash
+//! build/probe for equi-joins, filter pushdown), not the interpreter's
+//! nested `select_loop`. Machibench never runs with the planner off, so
+//! the wire benchmark cannot see what the planner buys. Shapes, each
+//! timed both ways:
 //!
 //! * `fig9_equijoin` — two independent generators joined on a key
 //!   (the Figure 9 advisor/salary shape): O(n+m) build/probe vs O(n·m);
@@ -16,7 +17,7 @@ use machiavelli::eval::set_planner_enabled;
 use machiavelli::store::set_store_enabled;
 use machiavelli::value::Value;
 use machiavelli::Session;
-use machiavelli_relational::{row, Relation};
+use machiavelli_fixtures::relational::{row, Relation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;

@@ -1,6 +1,7 @@
-//! Server bench — hundreds of read-heavy concurrent sessions, the cost
-//! of a session's first keyed query, and graceful degradation under
-//! injected faults.
+//! Decisions defended: no process-wide index tier (`first_query`), and
+//! injected faults degrade service but never abort it (`faulted_read`).
+//! Machibench opens one session per connection and injects no faults,
+//! so it sees neither.
 //!
 //! Three groups:
 //!

@@ -1,15 +1,17 @@
-//! Regenerate the paper-vs-measured comparison of EXPERIMENTS.md:
-//! every figure's inferred types and query results, printed side by side
-//! with the paper's output.
+//! The paper-vs-measured comparison: every figure's inferred types and
+//! query results, printed side by side with the paper's output. Exits
+//! non-zero if any check diverges.
 //!
 //! ```sh
-//! cargo run -p machiavelli-bench --bin experiments
+//! cargo run --release -p machiavelli-fixtures --bin experiments
 //! ```
 
 use machiavelli::value::show_value;
 use machiavelli::Session;
-use machiavelli_bench::{fig2_session, university_session, FIG5_POLY_SOURCE, FIG5_SOURCE};
-use machiavelli_oodb::UniversityParams;
+use machiavelli_fixtures::oodb::UniversityParams;
+use machiavelli_fixtures::{
+    fig2_session, scaled_parts_session, university_session, FIG5_POLY_SOURCE, FIG5_SOURCE,
+};
 
 struct Report {
     failures: usize,
@@ -207,7 +209,7 @@ fn main() {
     println!("\n== E11: comprehension planner — plan shapes and agreement ==");
     {
         use machiavelli::eval::set_planner_enabled;
-        let (mut s, _db) = machiavelli_bench::scaled_parts_session(400, 40, 11);
+        let (mut s, _db) = scaled_parts_session(400, 40, 11);
         let join_query = "select (p.Pname, sb.P#) where p <- parts, sb <- supplied_by \
                           with p.P# = sb.P#;";
         let tree = s.plan_of(join_query).unwrap();
@@ -264,8 +266,8 @@ fn main() {
     {
         use machiavelli::eval::set_planner_enabled;
         use machiavelli::store::set_store_enabled;
-        let (mut s, _db) = machiavelli_bench::scaled_parts_session(200, 20, 11);
-        s.run(machiavelli_bench::FIG5_SOURCE).unwrap();
+        let (mut s, _db) = scaled_parts_session(200, 20, 11);
+        s.run(FIG5_SOURCE).unwrap();
         let query = "expensive_parts(parts, 0);";
         let reps = 3u32;
         let timed = |s: &mut Session, planner: bool, store: bool| {
@@ -318,8 +320,8 @@ fn main() {
         // would drop the store (one rebuild per write);
         // dependency-tracked invalidation must keep the `parts` index
         // warm through all of them.
-        let (mut s, _db) = machiavelli_bench::scaled_parts_session(120, 12, 11);
-        s.run(machiavelli_bench::FIG5_SOURCE).unwrap();
+        let (mut s, _db) = scaled_parts_session(120, 12, 11);
+        s.run(FIG5_SOURCE).unwrap();
         s.run("val side = ref({[K=0]});").unwrap();
         s.store_reset();
         let first = s.eval_one("expensive_parts(parts, 0);").unwrap().value;
@@ -332,7 +334,7 @@ fn main() {
         let stats = s.store_stats();
         r.check(
             "the parts index survives every unrelated ref write",
-            "1 build, 0 invalidated, 0 cleared (PR 4 evicted all)",
+            "1 build, 0 invalidated, 0 cleared (a whole-store clear evicts all)",
             &format!(
                 "{} builds, {} invalidated, {} cleared, results stable: {stable}",
                 stats.builds, stats.invalidated, stats.cleared

@@ -4,8 +4,9 @@
 //! `member` tests identity-based membership across classes of different
 //! type.
 
-use machiavelli_relational::{nested_loop_join, Relation};
-use machiavelli_value::{join_value, unionc_value, Value};
+use crate::join::nested_loop_join;
+use crate::relation::Relation;
+use machiavelli::value::{join_value, unionc_value, Value};
 
 /// Intersection-of-extents / union-of-fields: the natural join of two
 /// classes. With a shared `Id` field of reference type, rows combine
@@ -16,7 +17,10 @@ pub fn class_join(a: &Relation, b: &Relation) -> Relation {
 
 /// Generalization: `unionc` of the two classes — both projected onto
 /// their common structure, then unioned.
-pub fn class_unionc(a: &Relation, b: &Relation) -> Result<Relation, machiavelli_value::ValueError> {
+pub fn class_unionc(
+    a: &Relation,
+    b: &Relation,
+) -> Result<Relation, machiavelli::value::ValueError> {
     let u = unionc_value(&a.clone().into_value(), &b.clone().into_value())?;
     Ok(Relation::from_value(&u))
 }

@@ -8,9 +8,9 @@
 //! "even though the underlying database does not have any imposed type
 //! constraints".
 
-use machiavelli_relational::Relation;
-use machiavelli_types::ty::Ty;
-use machiavelli_value::{conforms, DynValue, Value};
+use crate::relation::Relation;
+use machiavelli::types::ty::Ty;
+use machiavelli::value::{conforms, DynValue, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,17 +60,17 @@ pub fn dynamic_view(db: &Value, shape: &Ty) -> Relation {
 
 /// The employee class shape over external data.
 pub fn employee_shape() -> Ty {
-    machiavelli_types::ty::t_record([
-        ("Name".into(), machiavelli_types::ty::t_str()),
-        ("Salary".into(), machiavelli_types::ty::t_int()),
+    machiavelli::types::ty::t_record([
+        ("Name".into(), machiavelli::types::ty::t_str()),
+        ("Salary".into(), machiavelli::types::ty::t_int()),
     ])
 }
 
 /// The department class shape over external data.
 pub fn department_shape() -> Ty {
-    machiavelli_types::ty::t_record([
-        ("Dname".into(), machiavelli_types::ty::t_str()),
-        ("Building".into(), machiavelli_types::ty::t_str()),
+    machiavelli::types::ty::t_record([
+        ("Dname".into(), machiavelli::types::ty::t_str()),
+        ("Building".into(), machiavelli::types::ty::t_str()),
     ])
 }
 

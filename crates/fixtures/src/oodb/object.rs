@@ -11,7 +11,7 @@
 //! variants make the per-role attributes optional, and views (Figure 8)
 //! reveal the populated ones.
 
-use machiavelli_value::{RefValue, Value};
+use machiavelli::value::{RefValue, Value};
 
 /// Machiavelli type of a person-object store, for
 /// `Session::bind_external` (the recursion through `Advisor` uses the

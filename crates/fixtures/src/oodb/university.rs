@@ -3,7 +3,7 @@
 //! objects, generated deterministically.
 
 use crate::object::{make_person, store_value, PersonSpec};
-use machiavelli_value::{RefValue, Value};
+use machiavelli::value::{RefValue, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

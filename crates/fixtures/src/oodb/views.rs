@@ -8,9 +8,10 @@
 //! `(!(x.Id)).Class` in `TFView`, which otherwise dereferences a
 //! non-reference).
 
+use crate::join::nested_loop_join;
 use crate::object::{optional_value, person_field};
-use machiavelli_relational::{nested_loop_join, Relation};
-use machiavelli_value::{RefValue, Value};
+use crate::relation::Relation;
+use machiavelli::value::{RefValue, Value};
 
 /// Machiavelli source for the four view functions of Figure 8.
 pub const MACHIAVELLI_VIEWS: &str = r#"

@@ -1,4 +1,4 @@
-//! Transitive closure (Figure 4's workload; ablation A2).
+//! Transitive closure (Figure 4's workload), natively.
 //!
 //! * [`naive_closure`] — the paper's algorithm transcribed natively:
 //!   each round recomputes *all* two-step compositions of the current
@@ -12,7 +12,7 @@
 //! [`closure_relation`] adapts `Relation` values with `A`/`B` columns.
 
 use crate::relation::{row, Relation};
-use machiavelli_value::Value;
+use machiavelli::value::Value;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// The paper's Figure 4 algorithm on `(a, b)` pairs.

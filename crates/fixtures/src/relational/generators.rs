@@ -1,12 +1,11 @@
 //! Workload generators: the paper's Figure 2 part–supplier database (both
-//! the literal values and a scalable synthetic version), employee
-//! relations for the introduction's `Wealthy` query, and random digraphs
-//! for the Figure 4 transitive closure.
+//! the literal values and a scalable synthetic version) and random
+//! digraphs for the Figure 4 transitive closure.
 //!
 //! All generators are deterministic given a seed.
 
 use crate::relation::{row, Relation};
-use machiavelli_value::Value;
+use machiavelli::value::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,7 +79,7 @@ pub fn fig2_supplied_by() -> Relation {
 }
 
 /// Part payload for the generator.
-pub enum PartInfo {
+enum PartInfo {
     Base {
         cost: i64,
     },
@@ -91,7 +90,7 @@ pub enum PartInfo {
 }
 
 /// One row of the `parts` relation.
-pub fn part_row(name: &str, pno: i64, info: PartInfo) -> Value {
+fn part_row(name: &str, pno: i64, info: PartInfo) -> Value {
     let pinfo = match info {
         PartInfo::Base { cost } => Value::variant(
             "BasePart",
@@ -237,18 +236,6 @@ pub fn native_cost(parts: &Relation, pno: i64) -> Option<i64> {
     }
 }
 
-/// The introduction's employee relation, scaled: `n` rows with uniform
-/// salaries in `[0, 200_000)`.
-pub fn gen_employees(n: usize, seed: u64) -> Relation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Relation::from_rows((0..n).map(|i| {
-        row(&[
-            ("Name", Value::str(format!("emp{i}"))),
-            ("Salary", Value::Int(rng.gen_range(0..200_000))),
-        ])
-    }))
-}
-
 /// A random digraph as `(a, b)` edge pairs over `n_nodes` nodes.
 pub fn gen_edges(n_nodes: usize, n_edges: usize, seed: u64) -> Vec<(i64, i64)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -311,19 +298,6 @@ mod tests {
         assert_eq!(native_cost(&fig2_parts(), 2189), Some(2305));
         assert_eq!(native_cost(&fig2_parts(), 1), Some(5));
         assert_eq!(native_cost(&fig2_parts(), 9999), None);
-    }
-
-    #[test]
-    fn employees_salary_range() {
-        let r = gen_employees(500, 1);
-        assert_eq!(r.len(), 500);
-        for v in r.iter() {
-            let Value::Record(fs) = v else { panic!() };
-            let Value::Int(s) = fs["Salary"] else {
-                panic!()
-            };
-            assert!((0..200_000).contains(&s));
-        }
     }
 
     #[test]

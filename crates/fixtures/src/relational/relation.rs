@@ -3,9 +3,9 @@
 //! A [`Relation`] is a canonical set of record values — the native
 //! (non-interpreted) substrate backing the paper's generalized
 //! relational model (§4). The interpreter's `select`/`join` and these
-//! native operators compute the same results; benches compare the two.
+//! native operators compute the same results; tests compare the two.
 
-use machiavelli_value::{Fields, MSet, Symbol, Value};
+use machiavelli::value::{show_value, Fields, MSet, Symbol, Value};
 
 /// A set of record values with utility operations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -40,7 +40,7 @@ impl Relation {
     pub fn from_value(v: &Value) -> Relation {
         match v {
             Value::Set(s) => Relation { rows: s.clone() },
-            other => panic!("not a relation: {}", machiavelli_value::show_value(other)),
+            other => panic!("not a relation: {}", show_value(other)),
         }
     }
 
@@ -54,23 +54,6 @@ impl Relation {
 
     pub fn iter(&self) -> impl Iterator<Item = &Value> {
         self.rows.iter()
-    }
-
-    /// The labels common to this relation and `other` (computed from the
-    /// first row of each; homogeneous by typing).
-    pub fn common_labels(&self, other: &Relation) -> Vec<Symbol> {
-        let labels = |r: &Relation| -> Vec<Symbol> {
-            r.iter()
-                .next()
-                .and_then(|v| match v {
-                    Value::Record(fs) => Some(fs.keys().copied().collect()),
-                    _ => None,
-                })
-                .unwrap_or_default()
-        };
-        let a = labels(self);
-        let b = labels(other);
-        a.into_iter().filter(|l| b.contains(l)).collect()
     }
 
     /// Native selection.
@@ -171,13 +154,6 @@ mod tests {
     fn projection_merges() {
         let r = Relation::from_rows([ab(1, 2), ab(1, 9)]);
         assert_eq!(r.project(&["A"]).len(), 1);
-    }
-
-    #[test]
-    fn common_labels() {
-        let r = Relation::from_rows([ab(1, 2)]);
-        let s = Relation::from_rows([row(&[("B", Value::Int(2)), ("C", Value::Int(3))])]);
-        assert_eq!(r.common_labels(&s), vec!["B"]);
     }
 
     #[test]

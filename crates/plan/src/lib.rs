@@ -34,9 +34,9 @@
 //!   groupings) are memoized through the session's **index store**
 //!   (`machiavelli-store`) when their key/filter expressions are closed
 //!   under the row binder — repeated plans build once and probe
-//!   thereafter, and the store's pointer-identity + mutation-epoch
-//!   keying guarantees a mutated or rebuilt relation can never serve a
-//!   stale index.
+//!   thereafter, and the store's pointer-identity keying plus its
+//!   dirty-ref invalidation guarantee a mutated or rebuilt relation can
+//!   never serve a stale index.
 //! * [`explain`](mod@explain) — renders the operator tree for
 //!   `Session::plan_of` and the REPL's `:plan` command (golden-plan
 //!   tests pin the output).

@@ -11,9 +11,9 @@
 //!
 //! Hash-join and index-scan keys reuse the structural hashing of
 //! [`machiavelli_value::hash_value`] with [`value_eq`] equality (the
-//! store's [`KeyTuple`]), exactly like the relational substrate's
-//! `RowKey` — collision-correct for all description values, no
-//! rendering, no reliance on display injectivity.
+//! store's [`KeyTuple`]) — collision-correct for all description
+//! values, no rendering, no reliance on display injectivity
+//! (`tests/properties.rs` joins two keys that print identically).
 //!
 //! # The index store
 //!

@@ -15,81 +15,11 @@
 //! iterations from `MACHIAVELLI_REPL_ITERS` (default 220), so the CI
 //! chaos job and a local repro run the same interleavings.
 
-use std::path::PathBuf;
-
-use machiavelli::persist::{encode_with_registry, RefRegistry};
 use machiavelli::trace::metrics::{self, Counter};
-use machiavelli::Session;
+use machiavelli_fixtures::harness::{base_seed, canonical_state, expected_state, tempdir, Rng};
 use machiavelli_repl::{NodeError, PullOutcome, ReplNode, Role};
 use machiavelli_value::faults::{fire, set_fault_config, FaultConfig, FaultPoint};
 use machiavelli_wal::WalError;
-
-fn base_seed() -> u64 {
-    std::env::var("MACHIAVELLI_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1989)
-}
-
-/// Local splitmix64: the harness must not share a stream with the
-/// fault layer it is testing.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-fn tempdir(tag: &str, n: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mach-repl-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Canonical durable-visible state: every binding encoded through one
-/// shared registry, in a fixed name order — values AND cross-binding
-/// pointer sharing must match for two states to compare equal.
-fn canonical_state(session: &Session, names: &[String]) -> String {
-    let mut reg = RefRegistry::new();
-    let mut out = String::new();
-    for name in names {
-        if let Some((ty, value)) = session.persistable_binding(name) {
-            let enc = encode_with_registry(&value, &mut reg)
-                .unwrap_or_else(|e| panic!("canonical encode of {name}: {e}"));
-            out.push_str(name);
-            out.push(':');
-            out.push_str(&ty);
-            out.push('=');
-            out.push_str(&enc);
-            out.push(';');
-        }
-    }
-    out
-}
-
-/// Replay `srcs` into a fresh in-memory session with faults shielded —
-/// the ground truth a replica must match.
-fn expected_state(srcs: &[String], names: &[String]) -> String {
-    let mut model = Session::bare();
-    for src in srcs {
-        model
-            .run(src)
-            .unwrap_or_else(|e| panic!("model replay of {src:?}: {e}"));
-    }
-    canonical_state(&model, names)
-}
 
 /// The replication model: what the primary applied, and how far the
 /// follower has absorbed it. The invariant under test is that the
@@ -202,8 +132,8 @@ fn seeded_failovers_serve_the_acked_durable_prefix() {
     for iter in 0..iterations {
         let seed = base.wrapping_mul(6_700_417).wrapping_add(iter);
         let mut rng = Rng::new(seed);
-        let dir_p = tempdir("p", seed);
-        let dir_f = tempdir("f", seed);
+        let dir_p = tempdir("mach-repl", "p", seed);
+        let dir_f = tempdir("mach-repl", "f", seed);
         let (mut p, _) = ReplNode::open_primary(&dir_p).unwrap();
         let (mut f, _) = ReplNode::open_follower(&dir_f).unwrap();
         let mut model = Model {
@@ -423,8 +353,8 @@ fn seeded_failovers_serve_the_acked_durable_prefix() {
 fn promotion_during_catchup_fences_the_stream() {
     let prev = set_fault_config(Some(FaultConfig::off()));
     let seed = base_seed();
-    let dir_p = tempdir("catchup-p", seed);
-    let dir_f = tempdir("catchup-f", seed);
+    let dir_p = tempdir("mach-repl", "catchup-p", seed);
+    let dir_f = tempdir("mach-repl", "catchup-f", seed);
     let (mut p, _) = ReplNode::open_primary(&dir_p).unwrap();
     let (mut f, _) = ReplNode::open_follower(&dir_f).unwrap();
     for i in 0..6 {

@@ -500,9 +500,13 @@ impl Server {
     /// Open (or re-open) a session under a *specific* id — how a
     /// follower mirrors the primary's session space. Idempotent: an
     /// already-open sid is left untouched. Future plain opens never
-    /// collide with an adopted id.
+    /// collide with an adopted id, so an id with no successor (the sid
+    /// comes from the primary's `SIDS` reply) is refused.
     pub fn adopt_session(&self, sid: u64) -> Result<u64, ServerError> {
-        self.next_sid.fetch_max(sid + 1, Ordering::Relaxed);
+        let next = sid.checked_add(1).ok_or_else(|| {
+            ServerError::Replication(format!("session id {sid} has no successor"))
+        })?;
+        self.next_sid.fetch_max(next, Ordering::Relaxed);
         let worker = self.route(sid)?;
         let (reply, rx) = std::sync::mpsc::channel();
         worker
@@ -1265,6 +1269,21 @@ mod tests {
         guard.cancel();
         let pending = server.submit_with(sid, "1 + 1;", guard).expect("admit");
         assert_eq!(pending.wait(), Err(ServerError::Cancelled));
+        server.shutdown();
+    }
+
+    #[test]
+    fn adopting_a_session_id_with_no_successor_is_refused() {
+        let server = Server::start(quiet());
+        assert!(matches!(
+            server.adopt_session(u64::MAX),
+            Err(ServerError::Replication(_))
+        ));
+        let sid = server.open_session().expect("open");
+        assert_eq!(
+            server.eval(sid, "1 + 2;").expect("eval"),
+            vec!["val it = 3 : int".to_string()]
+        );
         server.shutdown();
     }
 

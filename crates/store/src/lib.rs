@@ -48,8 +48,8 @@
 //!    relation ([`machiavelli_value::scan_refs`]; empty for a ref-free
 //!    relation, whose entry therefore survives every write). Every
 //!    reference write (funnelled through
-//!    [`machiavelli_value::RefValue::set`]) advances the thread's
-//!    mutation epoch and records the written identity in a dirty set;
+//!    [`machiavelli_value::RefValue::set`]) records the written
+//!    identity in the thread's dirty set;
 //!    before serving anything the store drains the dirty set and evicts
 //!    exactly the entries whose recorded sources intersect it. A write
 //!    to a ref no cached relation can reach — the common case under
@@ -88,9 +88,7 @@
 
 pub mod shared;
 
-use machiavelli_value::{
-    hash_value, mutation_epoch, scan_refs, take_dirty_refs, value_eq, MSet, RefScan, Value,
-};
+use machiavelli_value::{hash_value, scan_refs, take_dirty_refs, value_eq, MSet, RefScan, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -257,7 +255,6 @@ pub struct IndexStore {
     entries: HashMap<usize, HashMap<String, Entry>>,
     budget_rows: usize,
     cached_rows: usize,
-    epoch: u64,
     tick: u64,
     stats: StoreStats,
 }
@@ -268,7 +265,6 @@ impl IndexStore {
             entries: HashMap::new(),
             budget_rows,
             cached_rows: 0,
-            epoch: mutation_epoch(),
             tick: 0,
             stats: StoreStats::default(),
         }
@@ -277,24 +273,15 @@ impl IndexStore {
     /// React to reference writes since the last call. Called on the way
     /// into every public operation, so no affected entry is ever
     /// *observable* — mechanism 2 of the invalidation contract. The
-    /// mutation epoch is the cheap "did anything happen" check; when it
-    /// moved, the dirty-ref set names the written identities and only
-    /// intersecting entries are evicted (every ref-reachable one when
-    /// the set overflowed and the identities were lost).
+    /// drained dirty-ref set names the written identities (empty: no
+    /// write since the last call) and only intersecting entries are
+    /// evicted (every ref-reachable one when the set overflowed and the
+    /// identities were lost).
     fn validate(&mut self) {
-        let now = mutation_epoch();
-        if self.epoch == now {
-            return;
-        }
-        self.epoch = now;
         let dirty = take_dirty_refs();
-        if self.entries.is_empty() {
+        if dirty.is_empty() || self.entries.is_empty() {
             return;
         }
-        debug_assert!(
-            !dirty.is_empty(),
-            "the epoch moved, so some write must have been recorded"
-        );
         // Evict exactly the entries a written ref can reach.
         // `dirty.overflowed` (identities lost) makes `dirtied_by` true
         // for every ref-bearing entry; ref-free entries survive even

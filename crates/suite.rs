@@ -2,8 +2,7 @@
 //!
 //! The repository root is a package only so that `tests/` (the paper
 //! figure tests) and `examples/` attach to the workspace; all real code
-//! lives in the `crates/*` members, re-exported here for convenience.
+//! lives in the `crates/*` members. The fixtures they share come from
+//! the dev-only `machiavelli-fixtures`.
 
 pub use machiavelli;
-pub use machiavelli_oodb;
-pub use machiavelli_relational;

@@ -1,27 +1,23 @@
-//! The thread-local **mutation epoch** and **dirty reference set**: the
-//! write-side half of the index store's invalidation contract.
+//! The thread-local **dirty reference set**: the write-side half of the
+//! index store's invalidation contract.
 //!
 //! Every reference-cell write (funnelled through
-//! [`crate::RefValue::set`]) advances the epoch *and* records the
-//! written ref's identity in a dirty set. Cache layers (the index store
-//! in `machiavelli-store`) compare the epoch to detect that *some*
-//! write happened, then drain the dirty set to decide *which* cached
-//! entries could possibly be affected: an entry is evicted only when a
-//! written ref is reachable from the relation it indexes. A write to a
-//! ref no cached relation can reach evicts nothing — the fine-grained
-//! replacement for the PR 4 behavior of dropping the whole store on any
-//! write.
+//! [`crate::RefValue::set`]) records the written ref's identity in a
+//! dirty set. Cache layers (the index store in `machiavelli-store`)
+//! drain the set to decide *which* cached entries could possibly be
+//! affected: an entry is evicted only when a written ref is reachable
+//! from the relation it indexes. A write to a ref no cached relation
+//! can reach evicts nothing. An empty drain means no write happened.
 //!
-//! Values are `Rc`-based and therefore thread-confined, so both pieces
-//! of state are thread-local — no synchronization, no cross-thread
-//! invalidation to reason about.
+//! Values are `Rc`-based and therefore thread-confined, so the state is
+//! thread-local — no synchronization, no cross-thread invalidation to
+//! reason about.
 //!
 //! The dirty set is bounded: past [`DIRTY_REFS_CAP`] distinct ids it
 //! collapses to an *overflowed* marker, which consumers must treat as
-//! "every ref may have been written" (evict everything reachable-from-
-//! refs — the conservative PR 4 behavior). Overflow is the only way
-//! identities are lost: a ref's cell is private to this crate, so no
-//! write can bypass `RefValue::set`.
+//! "every ref may have been written" (evict everything reachable from
+//! refs). Overflow is the only way identities are lost: a ref's cell is
+//! private to this crate, so no write can bypass `RefValue::set`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -66,26 +62,18 @@ impl DirtyRefs {
 }
 
 thread_local! {
-    static MUTATION_EPOCH: Cell<u64> = const { Cell::new(0) };
     static DIRTY_REFS: RefCell<DirtyRefs> = RefCell::new(DirtyRefs::default());
     static WAL_DIRTY: RefCell<DirtyRefs> = RefCell::new(DirtyRefs::default());
     static WAL_TRACKING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The current mutation epoch of this thread. Two reads returning the
-/// same value bracket a window with no reference writes.
-pub fn mutation_epoch() -> u64 {
-    MUTATION_EPOCH.with(|c| c.get())
-}
-
-/// Record an **attributed** reference write: advance the epoch and add
-/// the written ref's identity to the dirty set. Called by
+/// Record an **attributed** reference write: add the written ref's
+/// identity to the dirty set. Called by
 /// [`crate::RefValue::set`] — the single choke point every ref write
 /// goes through (the evaluator's `:=`, the OODB object store's updates,
 /// persistence decoding). Public so tests and native ref-like layers
 /// can report precise identities.
 pub fn note_ref_write(id: u64) {
-    MUTATION_EPOCH.with(|c| c.set(c.get().wrapping_add(1)));
     DIRTY_REFS.with(|d| record_dirty(d, id));
     if WAL_TRACKING.with(Cell::get) {
         WAL_DIRTY.with(|d| record_dirty(d, id));
@@ -106,9 +94,9 @@ fn record_dirty(d: &RefCell<DirtyRefs>, id: u64) {
 }
 
 /// Drain the dirty set, leaving it empty. The single consumer is the
-/// thread's index store (one store per thread), which drains on every
-/// epoch advance it observes; draining with no intervening writes
-/// returns an empty set.
+/// thread's index store (one store per thread), which drains on the way
+/// into every operation; draining with no intervening writes returns an
+/// empty set.
 pub fn take_dirty_refs() -> DirtyRefs {
     DIRTY_REFS.with(|d| std::mem::take(&mut *d.borrow_mut()))
 }
@@ -145,17 +133,14 @@ mod tests {
     use crate::value::{RefValue, Value};
 
     #[test]
-    fn ref_writes_advance_the_epoch_and_record_identity() {
+    fn ref_writes_record_identity() {
         let _ = take_dirty_refs();
-        let before = mutation_epoch();
         let r = RefValue::new(Value::Int(1));
-        assert_eq!(
-            mutation_epoch(),
-            before,
+        assert!(
+            take_dirty_refs().is_empty(),
             "allocation is not a write — fresh refs cannot be cached yet"
         );
         r.set(Value::Int(2));
-        assert!(mutation_epoch() > before);
         let dirty = take_dirty_refs();
         assert!(dirty.ids.contains(&r.id), "{dirty:?}");
         assert!(!dirty.overflowed);

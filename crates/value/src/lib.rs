@@ -21,8 +21,7 @@ pub mod value;
 pub use conform::conforms;
 pub use display::show_value;
 pub use epoch::{
-    mutation_epoch, note_ref_write, set_wal_tracking, take_dirty_refs, take_wal_dirty_refs,
-    wal_tracking, DirtyRefs,
+    note_ref_write, set_wal_tracking, take_dirty_refs, take_wal_dirty_refs, wal_tracking, DirtyRefs,
 };
 pub use error::ValueError;
 pub use faults::{FaultConfig, FaultPoint};

@@ -61,11 +61,11 @@ impl RefValue {
 
     /// Overwrite the contents. Every write — the evaluator's `:=`, OODB
     /// object updates, persistence decoding — funnels through here, so
-    /// this is where the thread's mutation epoch is advanced **and the
-    /// written identity recorded in the dirty-ref set**: any cache
-    /// keyed on the epoch (the index store) can never serve a snapshot
-    /// computed before this write, and caches that track which refs
-    /// they depend on can keep every entry this write cannot reach.
+    /// this is where **the written identity is recorded in the
+    /// thread's dirty-ref set**: a cache that drains the set before
+    /// serving (the index store) can never serve a snapshot computed
+    /// before this write, and can keep every entry this write cannot
+    /// reach.
     pub fn set(&self, v: Value) {
         *self.cell.borrow_mut() = v;
         crate::epoch::note_ref_write(self.id);

@@ -10,81 +10,12 @@
 //! The base seed comes from `MACHIAVELLI_FAULT_SEED` (default 1989), so
 //! the CI chaos job and a local repro run the same interleavings.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use machiavelli::persist::{encode_with_registry, RefRegistry};
 use machiavelli::trace::metrics::{self, Counter};
-use machiavelli::Session;
+use machiavelli_fixtures::harness::{base_seed, canonical_state, expected_state, tempdir, Rng};
 use machiavelli_value::faults::{set_fault_config, FaultConfig};
 use machiavelli_wal::{DurableSession, RecoveryReport, WalError};
-
-fn base_seed() -> u64 {
-    std::env::var("MACHIAVELLI_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1989)
-}
-
-/// Local splitmix64: the harness must not share a stream with the fault
-/// layer it is testing.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-fn tempdir(tag: &str, n: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mach-crash-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Canonical durable-visible state: every binding encoded through one
-/// shared registry, in a fixed name order. Two sessions get the same
-/// string iff every binding has the same value *and* the same
-/// cross-binding sharing (aliased refs receive one durable id).
-fn canonical_state(session: &Session, names: &[String]) -> String {
-    let mut reg = RefRegistry::new();
-    let mut out = String::new();
-    for name in names {
-        if let Some((ty, value)) = session.persistable_binding(name) {
-            let enc = encode_with_registry(&value, &mut reg)
-                .unwrap_or_else(|e| panic!("canonical encode of {name}: {e}"));
-            out.push_str(name);
-            out.push(':');
-            out.push_str(&ty);
-            out.push('=');
-            out.push_str(&enc);
-            out.push(';');
-        }
-    }
-    out
-}
-
-/// Replay `srcs` into a fresh in-memory session with faults shielded —
-/// the ground truth a recovery must match.
-fn expected_state(srcs: &[String], names: &[String]) -> String {
-    let mut model = Session::bare();
-    for src in srcs {
-        model
-            .run(src)
-            .unwrap_or_else(|e| panic!("model replay of {src:?}: {e}"));
-    }
-    canonical_state(&model, names)
-}
 
 /// The model: sources applied in-memory this process lifetime, and how
 /// many of them are durable on disk.
@@ -190,7 +121,7 @@ fn random_interleavings_recover_exactly() {
     for iter in 0..iterations {
         let seed = base.wrapping_mul(1_000_003).wrapping_add(iter);
         let mut rng = Rng::new(seed);
-        let dir = tempdir("mix", seed);
+        let dir = tempdir("mach-crash", "mix", seed);
         let mut model = Model {
             applied: Vec::new(),
             durable: 0,
@@ -297,7 +228,7 @@ fn random_interleavings_recover_exactly() {
 #[test]
 fn torn_tail_is_truncated_and_state_survives() {
     let prev = set_fault_config(Some(FaultConfig::off()));
-    let dir = tempdir("torn", base_seed());
+    let dir = tempdir("mach-crash", "torn", base_seed());
     {
         let (mut ds, _) = DurableSession::open_bare(&dir).unwrap();
         ds.eval("val keep = 7;").unwrap();
@@ -337,7 +268,7 @@ fn torn_tail_is_truncated_and_state_survives() {
 #[test]
 fn doomed_log_heals_via_checkpoint() {
     let prev = set_fault_config(Some(FaultConfig::off()));
-    let dir = tempdir("doomed", base_seed());
+    let dir = tempdir("mach-crash", "doomed", base_seed());
     let (mut ds, _) = DurableSession::open_bare(&dir).unwrap();
     ds.eval("val before = 1;").unwrap();
 
@@ -384,7 +315,7 @@ fn mid_checkpoint_kills_land_on_exactly_one_side() {
             break;
         }
         let seed = base_seed().wrapping_mul(7919).wrapping_add(s);
-        let dir = tempdir("ckpt-kill", seed);
+        let dir = tempdir("mach-crash", "ckpt-kill", seed);
         let (mut ds, _) = DurableSession::open_bare(&dir).unwrap();
         ds.eval("val base = ref(10);").unwrap();
         ds.checkpoint().unwrap();
@@ -448,7 +379,7 @@ fn mid_checkpoint_kills_land_on_exactly_one_side() {
 #[test]
 fn recovery_preserves_cross_binding_sharing() {
     let prev = set_fault_config(Some(FaultConfig::off()));
-    let dir = tempdir("sharing", base_seed());
+    let dir = tempdir("mach-crash", "sharing", base_seed());
     {
         let (mut ds, _) = DurableSession::open_bare(&dir).unwrap();
         ds.eval("val cell = ref(1);").unwrap();
@@ -474,7 +405,7 @@ fn recovery_preserves_cross_binding_sharing() {
 #[test]
 fn wal_rows_of_the_registry_accumulate() {
     let prev = set_fault_config(Some(FaultConfig::off()));
-    let dir = tempdir("counters", base_seed());
+    let dir = tempdir("mach-crash", "counters", base_seed());
     let before = metrics::snapshot();
     {
         let (mut ds, _) = DurableSession::open_bare(&dir).unwrap();

@@ -7,8 +7,8 @@
 //! ```
 
 use machiavelli::value::Value;
-use machiavelli_bench::{scaled_parts_session, FIG5_SOURCE};
-use machiavelli_relational::native_cost;
+use machiavelli_fixtures::relational::native_cost;
+use machiavelli_fixtures::{scaled_parts_session, FIG5_SOURCE};
 
 fn main() {
     let n_parts: usize = std::env::args()

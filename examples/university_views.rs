@@ -6,8 +6,8 @@
 //! cargo run --example university_views [n_people]
 //! ```
 
-use machiavelli_bench::university_session;
-use machiavelli_oodb::UniversityParams;
+use machiavelli_fixtures::oodb::UniversityParams;
+use machiavelli_fixtures::university_session;
 
 fn main() {
     let n_people: usize = std::env::args()

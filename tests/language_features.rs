@@ -291,8 +291,7 @@ fn recursive_data_through_refs() {
     .unwrap();
     // Each node's successor's successor is itself (object identity). The
     // generator grounds x's recursive type before the predicate is typed
-    // (a lambda passed to hom would need bidirectional checking — see
-    // DESIGN.md on equi-recursive inference).
+    // (a lambda passed to hom would need bidirectional checking).
     assert_eq!(
         run(
             &mut s,

@@ -1,7 +1,7 @@
 //! E2/E3 — Figures 2 and 3: the part–supplier database in the
 //! generalized relational model, and the two queries.
 
-use machiavelli_bench::{fig2_session, PARTS_TYPE};
+use machiavelli_fixtures::{fig2_session, PARTS_TYPE};
 
 #[test]
 fn parts_relation_has_paper_type() {
@@ -36,7 +36,10 @@ fn parts_literal_written_in_machiavelli_agrees_with_native() {
               {PARTS_TYPE});"#
         ))
         .unwrap();
-    assert_eq!(out.value, machiavelli_relational::fig2_parts().into_value());
+    assert_eq!(
+        out.value,
+        machiavelli_fixtures::relational::fig2_parts().into_value()
+    );
 }
 
 #[test]
@@ -91,9 +94,9 @@ fn join_parts_supplied_by_is_natural_join_on_pno() {
 fn higher_order_join_agrees_with_native_nested_loop() {
     let mut s = fig2_session();
     let interpreted = s.eval_one("join(parts, supplied_by);").unwrap().value;
-    let native = machiavelli_relational::nested_loop_join(
-        &machiavelli_relational::fig2_parts(),
-        &machiavelli_relational::fig2_supplied_by(),
+    let native = machiavelli_fixtures::relational::nested_loop_join(
+        &machiavelli_fixtures::relational::fig2_parts(),
+        &machiavelli_fixtures::relational::fig2_supplied_by(),
     );
     assert_eq!(interpreted, native.into_value());
 }

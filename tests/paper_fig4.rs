@@ -2,7 +2,7 @@
 //! against the native implementations.
 
 use machiavelli::Session;
-use machiavelli_relational::{
+use machiavelli_fixtures::relational::{
     chain_edges, closure_relation, edges_to_relation, gen_edges, naive_closure, seminaive_closure,
     Relation,
 };
@@ -11,7 +11,7 @@ use machiavelli_relational::{
 fn closure_type_matches_paper_modulo_equality() {
     // Paper prints {[A:"a,B:"b]} -> {[A:"a,B:"b]}; its own predicate
     // `x.B = y.A` equates the two field types, so the principal scheme
-    // identifies them (see EXPERIMENTS.md).
+    // identifies them.
     let s = Session::new();
     assert_eq!(
         s.scheme_of("Closure").unwrap().show(),
@@ -47,11 +47,11 @@ fn renaming_adapts_other_binary_relations() {
     // "By using a renaming operation, this function can be used to
     // compute the transitive closure of any binary relation."
     let r = Relation::from_rows([
-        machiavelli_relational::row(&[
+        machiavelli_fixtures::relational::row(&[
             ("Src", machiavelli::value::Value::Int(1)),
             ("Dst", machiavelli::value::Value::Int(2)),
         ]),
-        machiavelli_relational::row(&[
+        machiavelli_fixtures::relational::row(&[
             ("Src", machiavelli::value::Value::Int(2)),
             ("Dst", machiavelli::value::Value::Int(3)),
         ]),

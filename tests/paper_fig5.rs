@@ -1,8 +1,8 @@
 //! E5 — Figure 5: the recursive `cost` function and `expensive_parts`,
 //! verified against the native cost computation.
 
-use machiavelli_bench::{fig2_session, scaled_parts_session, FIG5_POLY_SOURCE, FIG5_SOURCE};
-use machiavelli_relational::native_cost;
+use machiavelli_fixtures::relational::native_cost;
+use machiavelli_fixtures::{fig2_session, scaled_parts_session, FIG5_POLY_SOURCE, FIG5_SOURCE};
 
 #[test]
 fn cost_type_as_written_is_pinned_by_the_global_parts() {
@@ -12,7 +12,7 @@ fn cost_type_as_written_is_pinned_by_the_global_parts() {
     //   [('a) Pinfo:<BasePart:[('c) Cost:int], …>] -> int
     // but `cost` recurses through the *global* `parts` (cost(z) with
     // z <- parts), so under Milner-style monomorphic recursion the
-    // argument type is the concrete parts row — see EXPERIMENTS.md. The
+    // argument type is the concrete parts row. The
     // polymorphic behaviour the paper demonstrates is recovered by the
     // db-as-parameter variant tested below.
     assert_eq!(
@@ -50,7 +50,7 @@ fn engine_cost_matches_native() {
     // 1000 + 5*189 + 3*120 = 2305, also checked natively.
     assert_eq!(out.show(), "val it = 2305 : int");
     assert_eq!(
-        native_cost(&machiavelli_relational::fig2_parts(), 2189),
+        native_cost(&machiavelli_fixtures::relational::fig2_parts(), 2189),
         Some(2305)
     );
 }

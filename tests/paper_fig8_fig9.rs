@@ -3,11 +3,11 @@
 
 use machiavelli::value::Value;
 use machiavelli::Session;
-use machiavelli_bench::university_session;
-use machiavelli_oodb::{
+use machiavelli_fixtures::oodb::{
     employee_view, make_person, person_view, store_value, student_view, tf_view, PersonSpec,
     UniversityParams, MACHIAVELLI_VIEWS, PERSON_STORE_TYPE,
 };
+use machiavelli_fixtures::university_session;
 
 #[test]
 fn views_typecheck_with_expected_instances() {

@@ -3,8 +3,8 @@
 
 use machiavelli::value::Value;
 use machiavelli::Session;
-use machiavelli_bench::university_session;
-use machiavelli_oodb::UniversityParams;
+use machiavelli_fixtures::oodb::UniversityParams;
+use machiavelli_fixtures::university_session;
 
 #[test]
 fn join3_session_from_section_3_3() {
@@ -184,7 +184,7 @@ fn external_database_views_are_type_safe() {
 
 #[test]
 fn native_dynamic_views_compose_with_class_algebra() {
-    use machiavelli_oodb::{class_join, dynamic_view, employee_shape, gen_external_db};
+    use machiavelli_fixtures::oodb::{class_join, dynamic_view, employee_shape, gen_external_db};
     let db = gen_external_db(200, 17);
     let employees = dynamic_view(&db, &employee_shape());
     // Self-join is identity; join with a projected sub-view recovers it.

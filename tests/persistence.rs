@@ -3,9 +3,9 @@
 
 use machiavelli::value::Value;
 use machiavelli::{decode_value, encode_value, Session};
-use machiavelli_bench::{fig2_session, PARTS_TYPE};
-use machiavelli_oodb::{gen_university, person_field, UniversityParams};
-use machiavelli_relational::gen_part_supplier;
+use machiavelli_fixtures::oodb::{gen_university, person_field, UniversityParams};
+use machiavelli_fixtures::relational::gen_part_supplier;
+use machiavelli_fixtures::{fig2_session, PARTS_TYPE};
 
 #[test]
 fn part_supplier_database_roundtrips() {
@@ -80,15 +80,21 @@ fn loaded_views_behave_identically() {
         ..Default::default()
     });
     let mut s = Session::new();
-    s.bind_external("persons", uni.store(), machiavelli_oodb::PERSON_STORE_TYPE)
+    s.bind_external(
+        "persons",
+        uni.store(),
+        machiavelli_fixtures::oodb::PERSON_STORE_TYPE,
+    )
+    .unwrap();
+    s.run(machiavelli_fixtures::oodb::MACHIAVELLI_VIEWS)
         .unwrap();
-    s.run(machiavelli_oodb::MACHIAVELLI_VIEWS).unwrap();
     let before = s.eval_one("card(EmployeeView(persons));").unwrap().value;
 
     let saved = s.save_bindings(&["persons"]).unwrap();
     let mut s2 = Session::new();
     s2.load_bindings(&saved).unwrap();
-    s2.run(machiavelli_oodb::MACHIAVELLI_VIEWS).unwrap();
+    s2.run(machiavelli_fixtures::oodb::MACHIAVELLI_VIEWS)
+        .unwrap();
     let after = s2.eval_one("card(EmployeeView(persons));").unwrap().value;
     assert_eq!(before, after);
 }
@@ -130,7 +136,7 @@ fn values_bound_via_external_types_roundtrip() {
     let mut s = Session::new();
     s.bind_external(
         "r",
-        machiavelli_relational::fig2_parts().into_value(),
+        machiavelli_fixtures::relational::fig2_parts().into_value(),
         PARTS_TYPE,
     )
     .unwrap();

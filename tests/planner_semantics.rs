@@ -18,7 +18,7 @@ use machiavelli::eval::set_planner_enabled;
 use machiavelli::testing::{run_in, Mode};
 use machiavelli::value::show_value;
 use machiavelli::Session;
-use machiavelli_bench::scaled_parts_session;
+use machiavelli_fixtures::scaled_parts_session;
 
 /// Run `f` with planner dispatch forced on/off, restoring the previous
 /// setting afterwards.

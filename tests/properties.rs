@@ -22,35 +22,15 @@ use machiavelli::eval::set_planner_enabled;
 use machiavelli::testing::{run_in, with_mode, Mode};
 use machiavelli::types::{glb, le, lub, type_eq, Partial};
 use machiavelli::value::{con_value, join_value, project_value, value_cmp, MSet, Value};
-use machiavelli_bench::scaled_parts_session;
-use machiavelli_relational::{
-    edges_to_relation, hash_join, naive_closure, nested_loop_join, seminaive_closure,
-    sort_merge_join, Relation,
+use machiavelli_fixtures::relational::{
+    edges_to_relation, naive_closure, nested_loop_join, seminaive_closure,
 };
+use machiavelli_fixtures::scaled_parts_session;
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher as _;
 
 // ----- generators ---------------------------------------------------------
-
-/// Flat record values over a fixed label universe (so overlaps happen).
-fn arb_flat_record() -> impl Strategy<Value = Value> {
-    let field = prop_oneof![
-        (0i64..5).prop_map(Value::Int),
-        "[a-c]{1}".prop_map(Value::str),
-        any::<bool>().prop_map(Value::Bool),
-    ];
-    proptest::collection::btree_map(
-        prop_oneof![
-            Just("A".to_string()),
-            Just("B".to_string()),
-            Just("C".to_string())
-        ],
-        field,
-        0..3,
-    )
-    .prop_map(|m| Value::record(m.into_iter().map(|(l, v)| (l.into(), v))))
-}
 
 /// Nested description values (records of records / base values).
 fn arb_desc_value() -> impl Strategy<Value = Value> {
@@ -237,29 +217,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn join_strategies_agree(
-        xs in proptest::collection::vec(arb_flat_record(), 0..15),
-        ys in proptest::collection::vec(arb_flat_record(), 0..15),
-    ) {
-        // Restrict to homogeneous flat relations: take the first row's
-        // labels as the schema for each side.
-        let schema_of = |v: &Value| match v {
-            Value::Record(fs) => fs.keys().copied().collect::<Vec<_>>(),
-            _ => vec![],
-        };
-        let homog = |rows: Vec<Value>| -> Relation {
-            let Some(first) = rows.first() else { return Relation::new() };
-            let schema = schema_of(first);
-            Relation::from_rows(rows.iter().filter(|r| schema_of(r) == schema).cloned())
-        };
-        let r = homog(xs);
-        let s = homog(ys);
-        let nl = nested_loop_join(&r, &s);
-        prop_assert_eq!(&nl, &hash_join(&r, &s));
-        prop_assert_eq!(&nl, &sort_merge_join(&r, &s));
-    }
 
     #[test]
     fn closures_agree_and_are_monotone(edges in arb_edges()) {
@@ -698,6 +655,34 @@ fn join_scenarios(seed: u64) -> Vec<(&'static str, machiavelli::value::Env, Stri
             base.bind("r", flat_r.clone()).bind("t", flat_t.clone()),
             ticked("x.A, y.B", "x <- r, y <- t with y.B andalso x.K = y.K"),
             Expect::Raise,
+        ),
+        (
+            // Unequal record keys that print identically: the forged
+            // label "B=2, C" makes the two-field record render as the
+            // three-field one. A key built from the display form would
+            // pair these rows, and since the two keys are consistent
+            // the pair would survive `con`; the join must pair nothing.
+            "record keys that collide under the renderer",
+            base.bind(
+                "r",
+                rel(n_r, &mut |i| {
+                    let k = Value::record([
+                        ("A".into(), int(1)),
+                        ("B".into(), int(2)),
+                        ("C".into(), int(3)),
+                    ]);
+                    vec![("K", k), ("A", int(i))]
+                }),
+            )
+            .bind(
+                "t",
+                rel(n_t, &mut |i| {
+                    let k = Value::record([("A".into(), int(1)), ("B=2, C".into(), int(3))]);
+                    vec![("K", k), ("B", int(i))]
+                }),
+            ),
+            ticked("x.A, y.B", "x <- r, y <- t with x.K = y.K"),
+            Expect::Cached,
         ),
         (
             "filtered probe pipeline over a two-row build",

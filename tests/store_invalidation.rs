@@ -16,7 +16,7 @@ use machiavelli::eval::set_planner_enabled;
 use machiavelli::testing::{with_mode, Mode};
 use machiavelli::value::show_value;
 use machiavelli::Session;
-use machiavelli_bench::{scaled_parts_session, FIG5_SOURCE};
+use machiavelli_fixtures::{scaled_parts_session, FIG5_SOURCE};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 

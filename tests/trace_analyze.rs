@@ -11,7 +11,7 @@
 use machiavelli::testing::{pinned_session, run_in, Mode};
 use machiavelli::trace;
 use machiavelli::Session;
-use machiavelli_bench::{fig2_session, scaled_parts_session, FIG5_SOURCE};
+use machiavelli_fixtures::{fig2_session, scaled_parts_session, FIG5_SOURCE};
 use proptest::prelude::*;
 
 /// A session with deterministic trace output: zeroed clock, cold
