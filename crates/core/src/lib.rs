@@ -35,6 +35,7 @@
 
 pub mod error;
 pub mod persist;
+mod prepared;
 pub mod repl;
 pub mod session;
 pub mod testing;
@@ -45,7 +46,7 @@ pub use persist::{
     PersistError, RefRegistry,
 };
 pub use repl::run_repl;
-pub use session::{is_read_only_source, Outcome, Session, SessionStats};
+pub use session::{is_read_only_source, Outcome, PartialRun, Session, SessionStats};
 
 pub use machiavelli_eval as eval;
 pub use machiavelli_plan as plan;

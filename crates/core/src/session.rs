@@ -3,14 +3,18 @@
 //! [`Session`] reproduces the paper's top-level loop: each phrase is
 //! statically checked (rejecting ill-typed programs before evaluation),
 //! then evaluated, and the result is reported in the paper's
-//! `>> val it = … : …` form.
+//! `>> val it = … : …` form. A phrase whose shape the session has
+//! already elaborated skips the parser and inference (see
+//! `prepared.rs`).
 
 use crate::error::SessionError;
+use crate::prepared::{self, Entry, Prepared};
 use machiavelli_eval::{builtin_env, eval_expr, PRELUDE};
 use machiavelli_syntax::ast::{Expr, ExprKind, Phrase, PhraseKind};
-use machiavelli_syntax::parse_program;
+use machiavelli_syntax::lexer::lex;
+use machiavelli_syntax::{parse_program, parse_tokens, ParseError, Shape};
 use machiavelli_trace::metrics::{self, Counter, Snapshot};
-use machiavelli_types::{Inferencer, Scheme, TypeEnv};
+use machiavelli_types::{Elaboration, Inferencer, Scheme, TypeEnv};
 use machiavelli_value::{show_value, Env, Value};
 
 /// The result of one top-level phrase.
@@ -35,6 +39,14 @@ impl Outcome {
             self.scheme.show()
         )
     }
+}
+
+/// A program that stopped at a failing phrase: the outcomes of the
+/// phrases before it (whose bindings stand) and the failure.
+#[derive(Debug)]
+pub struct PartialRun {
+    pub completed: Vec<Outcome>,
+    pub error: SessionError,
 }
 
 /// Every statistics surface a session can see, snapshotted at once:
@@ -88,6 +100,13 @@ impl SessionStats {
         );
         let _ = writeln!(
             out,
+            "front end: {} prepared / {} elaborated / {} unprepared phrases",
+            m(Counter::PhrasesPrepared),
+            m(Counter::PhrasesElaborated),
+            m(Counter::PhrasesUnprepared)
+        );
+        let _ = writeln!(
+            out,
             "wal: {} records / {} bytes appended, {} commits / {} checkpoints / \
              {} recoveries / {} torn tails truncated",
             m(Counter::WalRecordsAppended),
@@ -127,6 +146,7 @@ pub struct Session {
     inferencer: Inferencer,
     type_env: TypeEnv,
     env: Env,
+    prepared: Prepared,
 }
 
 impl Session {
@@ -154,17 +174,55 @@ impl Session {
             inferencer,
             type_env,
             env: builtin_env(),
+            prepared: Prepared::new(prepared::CAPACITY),
         }
+    }
+
+    /// This session with its prepared-phrase cache switched off: every
+    /// phrase is parsed and inferred (`testing::uncached_session`).
+    pub(crate) fn uncached(mut self) -> Session {
+        self.prepared = Prepared::new(0);
+        self
     }
 
     /// Run a program (one or more `;`-terminated phrases), returning one
     /// [`Outcome`] per phrase.
     pub fn run(&mut self, src: &str) -> Result<Vec<Outcome>, SessionError> {
-        let program =
-            parse_program(src).map_err(|e| SessionError::Parse(e.display_with_source(src)))?;
+        self.run_partial(src).map_err(|p| p.error)
+    }
+
+    /// [`Session::run`], except that a failure also hands back the
+    /// outcomes of the phrases that completed before it. Their bindings
+    /// stand, so a durable caller logs them before reporting the error.
+    pub fn run_partial(&mut self, src: &str) -> Result<Vec<Outcome>, PartialRun> {
+        let failed = |error| PartialRun {
+            completed: Vec::new(),
+            error,
+        };
+        let parse_error = |e: ParseError| failed(SessionError::Parse(e.display_with_source(src)));
+        let (program, shape) = if self.prepared.enabled() && src.len() <= prepared::SRC_CAP {
+            let tokens = lex(src).map_err(parse_error)?;
+            let shape = Shape::of(&tokens);
+            if let Some(result) = self.run_prepared(&shape) {
+                return result.map(|o| vec![o]).map_err(failed);
+            }
+            (parse_tokens(tokens).map_err(parse_error)?, Some(shape))
+        } else {
+            (parse_program(src).map_err(parse_error)?, None)
+        };
+        // Only a one-phrase program is a candidate for the cache.
+        let shape = shape.filter(|_| program.len() == 1);
         let mut out = Vec::with_capacity(program.len());
-        for phrase in &program {
-            out.push(self.run_phrase(phrase)?);
+        for phrase in program {
+            match self.run_phrase(phrase, shape.as_ref()) {
+                Ok(outcome) => out.push(outcome),
+                Err(error) => {
+                    return Err(PartialRun {
+                        completed: out,
+                        error,
+                    })
+                }
+            }
         }
         Ok(out)
     }
@@ -471,32 +529,81 @@ impl Session {
         Ok(names)
     }
 
-    fn run_phrase(&mut self, phrase: &Phrase) -> Result<Outcome, SessionError> {
-        let typed = self
-            .inferencer
-            .infer_phrase(&mut self.type_env, phrase)
-            .map_err(SessionError::Type)?;
-        let value = match &phrase.kind {
-            PhraseKind::Val { expr, .. } | PhraseKind::Expr(expr) => {
-                eval_expr(&self.env, expr).map_err(SessionError::Eval)?
+    /// Run a phrase from the prepared cache, or `None` on a miss: no
+    /// entry for `shape`, or one that read a top-level binding since
+    /// replaced (the caller elaborates afresh and the entry is refilled).
+    fn run_prepared(&mut self, shape: &Shape) -> Option<Result<Outcome, SessionError>> {
+        let entry = self.prepared.get(&shape.key)?;
+        let type_env = &self.type_env;
+        if !entry
+            .reads
+            .iter()
+            .all(|&(name, stamp)| type_env.stamp(name) == Some(stamp))
+        {
+            return None;
+        }
+        metrics::add(Counter::PhrasesPrepared, 1);
+        shape.patch(&mut entry.phrase, &entry.slots);
+        Some(eval_phrase(&self.env, &entry.phrase).map(|value| {
+            self.type_env.rebind(entry.name, entry.scheme.clone());
+            self.env = self.env.rebind(entry.name, value.clone());
+            Outcome {
+                name: entry.name,
+                value,
+                scheme: entry.scheme.clone(),
             }
-            PhraseKind::Fun { name, params, body } => {
-                let rec = Expr::new(
-                    ExprKind::Rec {
-                        name: *name,
-                        body: Box::new(Expr::new(
-                            ExprKind::Lambda {
-                                params: params.clone(),
-                                body: Box::new(body.clone()),
-                            },
-                            phrase.span,
-                        )),
-                    },
-                    phrase.span,
-                );
-                eval_expr(&self.env, &rec).map_err(SessionError::Eval)?
+        }))
+    }
+
+    /// Infer, evaluate and bind one phrase. Both environments are
+    /// rebound only once evaluation has succeeded, so a failing phrase
+    /// leaves the session as it found it. When `shape` is the phrase's
+    /// shape, the elaborated phrase is admitted to the prepared cache if
+    /// reusing it is sound (`docs/PERFORMANCE.md`, "Front end").
+    fn run_phrase(
+        &mut self,
+        mut phrase: Phrase,
+        shape: Option<&Shape>,
+    ) -> Result<Outcome, SessionError> {
+        let pending = self.inferencer.constraints.clone();
+        let elaboration = match self
+            .inferencer
+            .elaborate_phrase(&mut self.type_env, &phrase)
+        {
+            Ok(elaboration) => elaboration,
+            Err(e) => {
+                self.inferencer.constraints = pending;
+                metrics::add(Counter::PhrasesUnprepared, 1);
+                return Err(SessionError::Type(e));
             }
         };
+        let Elaboration {
+            typed,
+            reads,
+            reads_untouched,
+        } = elaboration;
+        // Inference changed no earlier unification variable and left
+        // none pending, and the scheme to rebind shares no cell: a later
+        // instance would infer the same scheme with the same effects.
+        let sound = pending.is_empty()
+            && self.inferencer.constraints.is_empty()
+            && reads_untouched
+            && typed.scheme.is_ground();
+        let slots = match shape {
+            Some(shape) if sound => shape.slots(&mut phrase),
+            _ => None,
+        };
+        let result = eval_phrase(&self.env, &phrase);
+        match (shape, slots) {
+            (Some(shape), Some(slots)) => {
+                metrics::add(Counter::PhrasesElaborated, 1);
+                let entry = Entry::new(phrase, slots, typed.name, typed.scheme.clone(), reads);
+                self.prepared.insert(shape.key.clone(), entry);
+            }
+            _ => metrics::add(Counter::PhrasesUnprepared, 1),
+        }
+        let value = result.inspect_err(|_| self.inferencer.constraints = pending)?;
+        self.type_env.rebind(typed.name, typed.scheme.clone());
         self.env = self.env.rebind(typed.name, value.clone());
         Ok(Outcome {
             name: typed.name,
@@ -504,6 +611,31 @@ impl Session {
             scheme: typed.scheme,
         })
     }
+}
+
+/// Evaluate a phrase's right-hand side (a `fun` as its recursive
+/// closure).
+fn eval_phrase(env: &Env, phrase: &Phrase) -> Result<Value, SessionError> {
+    match &phrase.kind {
+        PhraseKind::Val { expr, .. } | PhraseKind::Expr(expr) => eval_expr(env, expr),
+        PhraseKind::Fun { name, params, body } => {
+            let rec = Expr::new(
+                ExprKind::Rec {
+                    name: *name,
+                    body: Box::new(Expr::new(
+                        ExprKind::Lambda {
+                            params: params.clone(),
+                            body: Box::new(body.clone()),
+                        },
+                        phrase.span,
+                    )),
+                },
+                phrase.span,
+            );
+            eval_expr(env, &rec)
+        }
+    }
+    .map_err(SessionError::Eval)
 }
 
 impl Default for Session {
@@ -991,6 +1123,42 @@ mod tests {
         let s = Session::new();
         let rendered = s.stats().render();
         assert!(rendered.contains("wal: "), "{rendered}");
+    }
+
+    #[test]
+    fn prepared_cache_is_bounded_and_forgets_the_least_recent() {
+        let mut s = Session::bare();
+        s.run("val n = 1;").unwrap();
+        let shape = |i: usize| format!("n + {i} + x{i};");
+        for i in 0..prepared::CAPACITY + 8 {
+            s.run(&format!("val x{i} = {i};")).unwrap();
+            s.run(&shape(i)).unwrap();
+            // Keep the first shape the most recently used.
+            s.run(&shape(0)).unwrap();
+        }
+        assert_eq!(s.prepared.len(), prepared::CAPACITY);
+        let prepared = metrics::get(Counter::PhrasesPrepared);
+        assert_eq!(
+            s.eval_one("n + 7 + x0;").unwrap().show(),
+            "val it = 8 : int"
+        );
+        assert!(metrics::get(Counter::PhrasesPrepared) > prepared);
+    }
+
+    #[test]
+    fn a_rebound_read_refills_its_entry() {
+        let mut s = Session::bare();
+        s.run("val k = 1;").unwrap();
+        assert_eq!(s.eval_one("k + 1;").unwrap().show(), "val it = 2 : int");
+        assert_eq!(s.eval_one("k + 2;").unwrap().show(), "val it = 3 : int");
+        s.run("val k = 1.5;").unwrap();
+        let err = s.run("k + 3;").unwrap_err();
+        assert!(matches!(err, SessionError::Type(_)), "{err}");
+        s.run(r#"val k = "a";"#).unwrap();
+        let err = s.run("k + 3;").unwrap_err();
+        assert!(matches!(err, SessionError::Type(_)), "{err}");
+        s.run("val k = 10;").unwrap();
+        assert_eq!(s.eval_one("k + 4;").unwrap().show(), "val it = 14 : int");
     }
 
     #[test]

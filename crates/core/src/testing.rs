@@ -15,6 +15,13 @@ pub fn pinned_session() -> Session {
     s
 }
 
+/// A prelude session whose prepared-phrase cache holds nothing: every
+/// phrase is parsed and inferred. The reference the prepared path is
+/// compared against (`tests/prepared_shapes.rs`).
+pub fn uncached_session() -> Session {
+    Session::new().uncached()
+}
+
 /// One explicit execution mode: which of the engine's interchangeable
 /// strategies may run. The paper's comprehension has one meaning; the
 /// equivalence tests evaluate the same phrase under several modes and

@@ -1,101 +1,82 @@
-//! Decision defended: type inference runs once per phrase, with no
-//! cache of inferred schemes. Machibench phrases are one short line
-//! each, so the wire benchmark never sees inference of long or wide
-//! programs: here the paper's example programs (Figure 1, Join3,
-//! Closure, the views) plus generated programs with growing record
-//! width and chain depth.
+//! Decision defended: a session prepares phrases by shape, so a phrase
+//! whose shape it has already elaborated skips the parser and type
+//! inference. Asserted, not just timed: over the point lookup machibench's
+//! `point_hot` sends, the median prepared run (lex, patch the literals,
+//! evaluate, render) must take at most 0.6× the median first run of the
+//! shape (lex, parse, infer, evaluate, render). A ratio holds across
+//! hosts where an absolute time does not.
+//!
+//! Both run in one session holding `parts`, warm, with the index the
+//! lookup probes already built:
+//!
+//! * **miss** — the lookup's first run, `MISSES` times: each renames the
+//!   comprehension's binders (`x0`, `x1`, …), which makes a new shape
+//!   with the same parse, inference and evaluation work;
+//! * **hit** — one shape's runs after its first, `HITS` times, each with
+//!   fresh literals.
+//!
+//! Run: `cargo bench -p machiavelli-fixtures --bench inference`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use machiavelli::Session;
+use std::hint::black_box;
+use std::time::Instant;
 
-/// Short measurement windows so the full figure suite runs in minutes;
-/// rerun individual benches with Criterion CLI flags for precision.
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1))
-}
-use machiavelli::types::infer_program;
-use machiavelli_fixtures::oodb::MACHIAVELLI_VIEWS;
+const PARTS: usize = 2000;
+const MISSES: usize = 401;
+const HITS: usize = 2001;
+const BOUND: f64 = 0.6;
 
-fn bench_paper_programs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("inference_paper");
-    let programs: &[(&str, String)] = &[
-        (
-            "wealthy",
-            "fun Wealthy(S) = select x.Name where x <- S with x.Salary > 100000;".into(),
-        ),
-        (
-            "phone",
-            "fun phone(x) = (case x.Status of Employee of y => y.Extension, \
-             Consultant of y => y.Telephone);"
-                .into(),
-        ),
-        ("join3", "fun Join3(x,y,z) = join(x, join(y,z));".into()),
-        (
-            "closure",
-            "fun member(x,S) = hom((fn(y) => x = y), orelse, false, S);
-             fun Closure(R) =
-               let val r = select [A=x.A,B=y.B]
-                           where x <- R, y <- R
-                           with (x.B = y.A) andalso not(member([A=x.A,B=y.B],R))
-               in if r = {} then R else Closure(union(R,r)) end;"
-                .into(),
-        ),
-        ("fig8_views", MACHIAVELLI_VIEWS.to_string()),
-    ];
-    for (name, src) in programs {
-        group.bench_function(*name, |b| b.iter(|| infer_program(src).unwrap()));
-    }
-    group.finish();
-}
-
-/// A program selecting `w` fields from records of width `w` — stresses
-/// record-kind merging.
-fn wide_record_program(w: usize) -> String {
-    let fields: Vec<String> = (0..w).map(|i| format!("F{i} = {i}")).collect();
-    let sels: Vec<String> = (0..w).map(|i| format!("x.F{i}")).collect();
+/// The `point_hot` lookup, its binders suffixed with `tag`.
+fn lookup(tag: usize, a: usize, b: usize) -> String {
     format!(
-        "fun wide(x) = ({});\nwide([{}]);",
-        sels.join(", "),
-        fields.join(", ")
+        "select [Pname = x{tag}.Pname, P# = x{tag}.P#] where y{tag} <- {{[P# = {a}], [P# = {b}]}}, \
+         x{tag} <- parts with x{tag}.P# = y{tag}.P#;"
     )
 }
 
-/// A chain of `n` let-polymorphic bindings, each used twice — stresses
-/// generalization and instantiation.
-fn let_chain_program(n: usize) -> String {
-    let mut out = String::from("val f0 = (fn(x) => x);\n");
-    for i in 1..n {
-        out.push_str(&format!(
-            "val f{i} = (fn(x) => f{}(f{}(x)));\n",
-            i - 1,
-            i - 1
-        ));
-    }
-    out
+/// A prelude session holding `parts`, its `P#` index already built.
+fn primed() -> Session {
+    let mut s = Session::new();
+    let rows: Vec<String> = (0..PARTS)
+        .map(|i| format!("[P#={i}, Pname=\"part{i}\"]"))
+        .collect();
+    s.run(&format!("val parts = {{{}}};", rows.join(",")))
+        .expect("load parts");
+    s.run(&lookup(0, 1, 2)).expect("warm the index");
+    s
 }
 
-fn bench_generated_programs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("inference_scaling");
-    for w in [4usize, 16, 64] {
-        let src = wide_record_program(w);
-        group.bench_with_input(BenchmarkId::new("record_width", w), &src, |b, src| {
-            b.iter(|| infer_program(src).unwrap())
-        });
-    }
-    for n in [8usize, 32, 128] {
-        let src = let_chain_program(n);
-        group.bench_with_input(BenchmarkId::new("let_chain", n), &src, |b, src| {
-            b.iter(|| infer_program(src).unwrap())
-        });
-    }
-    group.finish();
+/// Wall time of one request as the server spends it: run, then render.
+fn time(s: &mut Session, src: &str) -> u64 {
+    let t0 = Instant::now();
+    let outcomes = s.run(src).expect("lookup");
+    black_box(outcomes.iter().map(|o| o.show()).collect::<Vec<_>>());
+    t0.elapsed().as_nanos() as u64
 }
 
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_paper_programs, bench_generated_programs
+fn median(mut v: Vec<u64>) -> u64 {
+    v.sort_unstable();
+    v[v.len() / 2]
 }
-criterion_main!(benches);
+
+fn main() {
+    let mut s = primed();
+    let misses: Vec<u64> = (1..=MISSES)
+        .map(|i| time(&mut s, &lookup(i, i % PARTS, (i * 31) % PARTS)))
+        .collect();
+    let hits: Vec<u64> = (0..HITS)
+        .map(|i| time(&mut s, &lookup(0, i % PARTS, (i * 31) % PARTS)))
+        .collect();
+    let (miss, hit) = (median(misses), median(hits));
+    let ratio = hit as f64 / miss.max(1) as f64;
+    eprintln!(
+        "inference: point lookup, median first run {:.1} µs, median prepared run {:.1} µs \
+         ({ratio:.2}x, bound {BOUND}x)",
+        miss as f64 / 1e3,
+        hit as f64 / 1e3
+    );
+    if ratio > BOUND {
+        eprintln!("inference: a prepared run must take at most {BOUND}x a first run");
+        std::process::exit(1);
+    }
+}

@@ -1186,7 +1186,7 @@ fn run_eval(
     }
     let prev = governor::install(Some(guard.clone()));
     let t0 = machiavelli_trace::now_ns();
-    let outcome = catch_unwind(AssertUnwindSafe(|| slot.session.run(src)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| slot.session.run_partial(src)));
     // Evaluation wall time (queue wait excluded — shed/depth cover the
     // admission side), observed for every query that ran, whatever the
     // outcome: error latencies are latencies too.
@@ -1200,16 +1200,22 @@ fn run_eval(
         wal.absorb_dirty();
     }
     match outcome {
-        Ok(Ok(outcomes)) => {
+        Ok(result) => {
+            let (outcomes, error) = match result {
+                Ok(outcomes) => (outcomes, None),
+                Err(partial) => (partial.completed, Some(partial.error)),
+            };
             // Commit before reporting: memory now holds this
             // evaluation, so disk must too before the client can
-            // observe a result it might rely on. A commit failure
+            // observe a result it might rely on — and that includes
+            // the phrases of a failed program that completed before
+            // the failing one, whose bindings stand. A commit failure
             // fail-hards (poison + typed error) — a session that
             // silently drifted ahead of its log would turn the next
             // crash into data loss. Followers never commit: their log
             // is the primary's byte-for-byte, and a read-only eval's
             // scratch `it` binding must not fork it.
-            if !follower {
+            if !follower && (error.is_none() || !outcomes.is_empty()) {
                 if let Some(wal) = slot.wal.as_mut() {
                     if let Err(e) = wal.commit(&slot.session, &outcomes) {
                         slot.poisoned = true;
@@ -1218,23 +1224,27 @@ fn run_eval(
                     }
                 }
             }
-            // A trip can latch after the last governance tick (row
-            // charges land when a set materializes, which may be the
-            // query's final step). The latch is sticky: honor it even
-            // though evaluation ran to completion, so ceilings are
-            // ceilings.
-            if let Some(trip) = guard.tripped() {
-                return Err(stopped(trip));
+            match error {
+                None => {
+                    // A trip can latch after the last governance tick
+                    // (row charges land when a set materializes, which
+                    // may be the query's final step). The latch is
+                    // sticky: honor it even though evaluation ran to
+                    // completion, so ceilings are ceilings.
+                    if let Some(trip) = guard.tripped() {
+                        return Err(stopped(trip));
+                    }
+                    metrics::add(Counter::QueriesCompleted, 1);
+                    Ok(outcomes.iter().map(|o| o.show()).collect())
+                }
+                Some(SessionError::Eval(EvalError::Interrupted(trip))) => Err(stopped(trip)),
+                Some(e) => {
+                    // An ordinary query error: the query *completed*,
+                    // with a diagnosis. The session stays healthy.
+                    metrics::add(Counter::QueriesCompleted, 1);
+                    Err(ServerError::Query(e.to_string()))
+                }
             }
-            metrics::add(Counter::QueriesCompleted, 1);
-            Ok(outcomes.iter().map(|o| o.show()).collect())
-        }
-        Ok(Err(SessionError::Eval(EvalError::Interrupted(trip)))) => Err(stopped(trip)),
-        Ok(Err(e)) => {
-            // An ordinary query error: the query *completed*, with a
-            // diagnosis. The session stays healthy.
-            metrics::add(Counter::QueriesCompleted, 1);
-            Err(ServerError::Query(e.to_string()))
         }
         Err(payload) => {
             // The evaluator panicked. The session's environments may

@@ -141,6 +141,59 @@ fn save_and_restore_over_the_wire() {
 }
 
 #[test]
+fn a_failed_rebind_leaves_the_old_binding_durable() {
+    // `val v = 1 div 0;` type-checks as int and fails at run time: `v`
+    // keeps its string binding in the type environment too, so SAVE
+    // writes `v` as a string and a restart serves it back as one.
+    let root = tempdir("failed-rebind");
+    let server = Server::start(durable_config(&root));
+    let sid = server.open_session().expect("open");
+    server.eval(sid, r#"val v = "str";"#).expect("bind");
+    let err = server.eval(sid, "val v = 1 div 0;").unwrap_err();
+    assert!(matches!(err, ServerError::Query(_)), "{err:?}");
+    assert_eq!(
+        server.eval(sid, "v;").expect("v"),
+        vec![r#"val it = "str" : string"#.to_string()]
+    );
+    server.save_session(sid).expect("save");
+    drop(server);
+
+    let server = Server::start(durable_config(&root));
+    let sid = server.open_session().expect("reopen");
+    assert_eq!(
+        server.eval(sid, "v;").expect("v after restart"),
+        vec![r#"val it = "str" : string"#.to_string()]
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn completed_phrases_of_a_failed_eval_are_logged() {
+    // Phrase 1 binds `a`, phrase 2 is ill-typed: the reply is ERR, yet
+    // `a` is bound in memory, so it must be on disk before that reply.
+    let root = tempdir("partial-eval");
+    let server = Server::start(durable_config(&root));
+    let sid = server.open_session().expect("open");
+    let err = server.eval(sid, r#"val a = 41; 1 + "x";"#).unwrap_err();
+    assert!(matches!(err, ServerError::Query(_)), "{err:?}");
+    assert_eq!(
+        server.eval(sid, "val c = a + 1;").expect("c"),
+        vec!["val c = 42 : int".to_string()]
+    );
+    drop(server);
+
+    let server = Server::start(durable_config(&root));
+    let sid = server.open_session().expect("reopen");
+    assert_eq!(
+        server.eval(sid, "(a, c);").expect("a and c after restart"),
+        vec!["val it = (41, 42) : int * int".to_string()]
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn restore_unpoisons_a_durable_session_without_losing_data() {
     let root = tempdir("unpoison");
     let server = Server::start(ServerConfig {

@@ -193,7 +193,7 @@ fn metrics_exposition_after_hundred_query_run() {
 
     // Name stability: every pinned series is still emitted, and the
     // only new ones are registry rows that were never rendered before —
-    // the injected-fault tallies.
+    // the injected-fault tallies and the three prepared-phrase counters.
     let mut emitted: Vec<&str> = samples
         .iter()
         .map(|(n, _)| n.split('{').next().unwrap())
@@ -208,11 +208,20 @@ fn metrics_exposition_after_hundred_query_run() {
         .copied()
         .filter(|n| !PINNED_SERIES.contains(n))
         .collect();
-    // One tally per fail point.
-    assert_eq!(added.len(), FaultPoint::ALL.len(), "{added:?}");
+    const FRONT_END: [&str; 3] = [
+        "machiavelli_phrases_elaborated_total",
+        "machiavelli_phrases_prepared_total",
+        "machiavelli_phrases_unprepared_total",
+    ];
+    // One tally per fail point, plus the front end's three.
+    assert_eq!(
+        added.len(),
+        FaultPoint::ALL.len() + FRONT_END.len(),
+        "{added:?}"
+    );
     for name in added {
         assert!(
-            name.starts_with("machiavelli_fault_"),
+            name.starts_with("machiavelli_fault_") || FRONT_END.contains(&name),
             "unexpected new series {name}"
         );
     }

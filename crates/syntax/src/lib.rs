@@ -13,7 +13,9 @@
 //!   the type syntax used by `project` annotations),
 //! * [`parser`] — a recursive-descent parser for the full surface grammar,
 //! * [`pretty`] — a pretty-printer that round-trips the AST back to
-//!   readable Machiavelli source.
+//!   readable Machiavelli source,
+//! * [`shape`] — a phrase's shape (its tokens with the literals taken
+//!   out), the key under which a session prepares phrases.
 //!
 //! # Quick example
 //!
@@ -30,6 +32,7 @@ pub mod error;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+pub mod shape;
 pub mod span;
 pub mod symbol;
 pub mod token;
@@ -38,7 +41,8 @@ pub use ast::{
     Expr, ExprKind, Ident, Label, Phrase, PhraseKind, Program, RowVar, TypeExpr, TypeExprKind,
 };
 pub use error::{ParseError, ParseErrorKind};
-pub use parser::{parse_expr, parse_program, parse_type};
+pub use parser::{parse_expr, parse_program, parse_tokens, parse_type};
+pub use shape::{Literal, Shape};
 pub use span::Span;
 pub use symbol::{tuple_label, Symbol};
 

@@ -27,7 +27,20 @@ type TypeFields = (Option<RowVar>, Vec<(Label, TypeExpr)>);
 
 /// Parse a full program (a sequence of `;`-terminated phrases).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = lex(src)?;
+    parse_tokens(lex(src)?)
+}
+
+/// Parse a full program from the tokens [`lex`] produced for it (ending
+/// with [`TokenKind::Eof`]), so a caller that needs the tokens too lexes
+/// once.
+pub fn parse_tokens(mut tokens: Vec<Token>) -> Result<Program, ParseError> {
+    if tokens.last().map(|t| &t.kind) != Some(&TokenKind::Eof) {
+        let end = tokens.last().map_or(0, |t| t.span.end);
+        tokens.push(Token {
+            kind: TokenKind::Eof,
+            span: Span::point(end),
+        });
+    }
     Parser::new(tokens).program()
 }
 

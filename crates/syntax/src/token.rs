@@ -122,16 +122,13 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl TokenKind {
+    /// The spelling of a keyword or punctuation token; `None` for the
+    /// tokens that carry data (literals, identifiers, type variables).
+    pub fn fixed_text(&self) -> Option<&'static str> {
         use TokenKind::*;
-        let s = match self {
-            Int(n) => return write!(f, "{n}"),
-            Real(r) => return write!(f, "{r}"),
-            Str(s) => return write!(f, "{s:?}"),
-            Ident(s) => return write!(f, "{s}"),
-            TyVar(s) => return write!(f, "'{s}"),
-            DescVar(s) => return write!(f, "\"{s}"),
+        Some(match self {
+            Int(_) | Real(_) | Str(_) | Ident(_) | TyVar(_) | DescVar(_) => return None,
             Val => "val",
             Fun => "fun",
             Fn => "fn",
@@ -199,8 +196,22 @@ impl fmt::Display for TokenKind {
             DArrow => "=>",
             LArrow => "<-",
             Eof => "<eof>",
-        };
-        f.write_str(s)
+        })
+    }
+}
+
+impl fmt::Display for TokenKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use TokenKind::*;
+        match self {
+            Int(n) => write!(f, "{n}"),
+            Real(r) => write!(f, "{r}"),
+            Str(s) => write!(f, "{s:?}"),
+            Ident(s) => write!(f, "{s}"),
+            TyVar(s) => write!(f, "'{s}"),
+            DescVar(s) => write!(f, "\"{s}"),
+            fixed => f.write_str(fixed.fixed_text().unwrap_or_default()),
+        }
     }
 }
 

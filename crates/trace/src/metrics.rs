@@ -1,6 +1,6 @@
 //! **The process-wide counter registry.** Every monotone counter the
 //! engine keeps across sessions — server admission and governance, the
-//! write-ahead log, replication, injected-fault tallies and the typed
+//! prepared-phrase cache, the write-ahead log, replication, injected-fault tallies and the typed
 //! decline ledger — is one slot of one static array, declared by one
 //! row of the [`Counter`] table below. Layers bump a slot with [`add`];
 //! `METRICS`, `STATS` and `:stats` all render from one [`Snapshot`].
@@ -58,6 +58,13 @@ counters! {
     QueriesCancelled => "queries_cancelled",
     /// Queries stopped by their row budget.
     QueriesRowBudget => "queries_row_budget",
+
+    /// Phrases run from a session's prepared cache: no parse, no inference.
+    PhrasesPrepared => "phrases_prepared",
+    /// Phrases parsed and inferred, then admitted to the prepared cache.
+    PhrasesElaborated => "phrases_elaborated",
+    /// Phrases parsed and inferred and not admitted.
+    PhrasesUnprepared => "phrases_unprepared",
 
     /// WAL records appended (bind, ref-delta and commit markers).
     WalRecordsAppended => "wal_records_appended",

@@ -19,7 +19,7 @@ use crate::lower::lower_closed;
 use crate::scheme::{generalize, instantiate, Scheme};
 use crate::ty::{
     resolve, t_arrow, t_bool, t_dynamic, t_int, t_real, t_record, t_ref, t_set, t_str, t_tuple,
-    t_unit, t_variant, Ty, Type, VarGen,
+    t_unit, t_variant, TvRef, TvState, Ty, Type, VarGen,
 };
 use crate::unify::{require_desc, unify};
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind, Phrase, PhraseKind, UnOp};
@@ -28,9 +28,15 @@ use std::rc::Rc;
 
 /// A lexically scoped type environment, keyed by interned symbols so
 /// lookups compare interned-pointer ids, not string contents.
+///
+/// Every [`TypeEnv::bind`] and [`TypeEnv::rebind`] gives its binding a
+/// fresh version stamp, so a caller that recorded the stamps of the
+/// bindings a phrase read (see [`Inferencer::elaborate_phrase`]) can
+/// tell later whether any of them has been replaced since.
 #[derive(Debug, Clone, Default)]
 pub struct TypeEnv {
-    bindings: Vec<(Symbol, Scheme)>,
+    bindings: Vec<(Symbol, Scheme, u64)>,
+    next_stamp: u64,
 }
 
 impl TypeEnv {
@@ -38,9 +44,14 @@ impl TypeEnv {
         Self::default()
     }
 
+    fn push(&mut self, name: Symbol, scheme: Scheme) {
+        self.next_stamp += 1;
+        self.bindings.push((name, scheme, self.next_stamp));
+    }
+
     /// Push a binding (shadowing any previous one).
     pub fn bind(&mut self, name: impl Into<Symbol>, scheme: Scheme) {
-        self.bindings.push((name.into(), scheme));
+        self.push(name.into(), scheme);
     }
 
     /// Replace a top-level binding: drop the binding of `name` it
@@ -49,10 +60,10 @@ impl TypeEnv {
     /// distinct top-level name however many phrases rebind it.
     pub fn rebind(&mut self, name: impl Into<Symbol>, scheme: Scheme) {
         let name = name.into();
-        if let Some(i) = self.bindings.iter().rposition(|(n, _)| n.id() == name.id()) {
+        if let Some(i) = self.position(name) {
             self.bindings.remove(i);
         }
-        self.bindings.push((name, scheme));
+        self.push(name, scheme);
     }
 
     /// Pop the most recent `n` bindings.
@@ -62,19 +73,27 @@ impl TypeEnv {
         }
     }
 
-    /// Look up a name (innermost binding wins).
-    pub fn lookup(&self, name: impl Into<Symbol>) -> Option<&Scheme> {
-        let name = name.into();
+    fn position(&self, name: Symbol) -> Option<usize> {
         self.bindings
             .iter()
-            .rev()
-            .find(|(n, _)| n.id() == name.id())
-            .map(|(_, s)| s)
+            .rposition(|(n, ..)| n.id() == name.id())
+    }
+
+    /// Look up a name (innermost binding wins).
+    pub fn lookup(&self, name: impl Into<Symbol>) -> Option<&Scheme> {
+        let i = self.position(name.into())?;
+        Some(&self.bindings[i].1)
+    }
+
+    /// The version stamp of the binding [`TypeEnv::lookup`] would find.
+    pub fn stamp(&self, name: impl Into<Symbol>) -> Option<u64> {
+        let i = self.position(name.into())?;
+        Some(self.bindings[i].2)
     }
 
     /// Iterate over all bindings (outermost first).
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Scheme)> {
-        self.bindings.iter().map(|(n, s)| (*n, s))
+        self.bindings.iter().map(|(n, s, _)| (*n, s))
     }
 }
 
@@ -85,6 +104,52 @@ pub struct Inferencer {
     pub gen: VarGen,
     level: u32,
     pub constraints: Vec<Constraint>,
+    /// The top-level bindings read by the phrase being elaborated:
+    /// lookups that land below `top`, the environment's length when the
+    /// phrase started.
+    reads: Vec<(Symbol, u64)>,
+    /// Every type variable of the schemes in `reads`, with its state
+    /// when first read.
+    read_cells: Vec<(TvRef, CellState)>,
+    top: usize,
+}
+
+/// An unbound cell's level and kind; `None` once linked.
+type CellState = Option<(u32, Kind)>;
+
+fn cell_state(v: &TvRef) -> CellState {
+    match &*v.0.borrow() {
+        TvState::Unbound { level, kind, .. } => Some((*level, kind.clone())),
+        TvState::Link(_) => None,
+    }
+}
+
+/// Still unbound, at the same level, with the same kind holding the
+/// very same field types. `before` keeps its kind's types alive, so
+/// their addresses are identities.
+fn same_cell_state(before: &CellState, after: &CellState) -> bool {
+    let key = |k: &Kind| {
+        let fields: Vec<*const Type> = k.field_types().iter().map(Rc::as_ptr).collect();
+        (std::mem::discriminant(k), k.requires_desc(), fields)
+    };
+    match (before, after) {
+        (Some((la, ka)), Some((lb, kb))) => la == lb && key(ka) == key(kb),
+        _ => false,
+    }
+}
+
+/// A phrase inferred by [`Inferencer::elaborate_phrase`], not yet bound.
+#[derive(Debug, Clone)]
+pub struct Elaboration {
+    pub typed: PhraseType,
+    /// The top-level bindings inference read, as (name,
+    /// [`TypeEnv::stamp`]) pairs.
+    pub reads: Vec<(Symbol, u64)>,
+    /// Whether inference left every type variable of the schemes in
+    /// `reads` as it found them: not linked, and with the same level and
+    /// kind. Then it made no unification that a later run of the same
+    /// phrase against those bindings would need to repeat.
+    pub reads_untouched: bool,
 }
 
 /// Result of inferring one top-level phrase.
@@ -175,27 +240,55 @@ impl Inferencer {
         phrase: &Phrase,
     ) -> Result<PhraseType, TypeError> {
         let snapshot = self.constraints.clone();
-        let result = self.infer_phrase_inner(env, phrase);
-        if result.is_err() {
-            self.constraints = snapshot;
+        match self.elaborate_phrase(env, phrase) {
+            Ok(Elaboration { typed, .. }) => {
+                env.rebind(typed.name, typed.scheme.clone());
+                Ok(typed)
+            }
+            Err(e) => {
+                self.constraints = snapshot;
+                Err(e)
+            }
         }
-        result
     }
 
-    fn infer_phrase_inner(
+    /// Infer a top-level phrase without binding it: `env` is left as it
+    /// was, so the caller binds the scheme only once the phrase has also
+    /// evaluated. Also reports the top-level bindings inference read. On
+    /// failure the caller restores the pending constraints, as
+    /// [`Inferencer::infer_phrase`] does.
+    pub fn elaborate_phrase(
+        &mut self,
+        env: &mut TypeEnv,
+        phrase: &Phrase,
+    ) -> Result<Elaboration, TypeError> {
+        self.top = env.bindings.len();
+        self.reads.clear();
+        self.read_cells.clear();
+        let result = self.elaborate_inner(env, phrase);
+        // A failure can leave inner-scope bindings behind (a generator
+        // bound before a later one failed to type): drop them.
+        env.bindings.truncate(self.top);
+        self.top = 0;
+        let reads_untouched = self
+            .read_cells
+            .iter()
+            .all(|(v, before)| same_cell_state(before, &cell_state(v)));
+        self.read_cells.clear();
+        Ok(Elaboration {
+            typed: result?,
+            reads: std::mem::take(&mut self.reads),
+            reads_untouched,
+        })
+    }
+
+    fn elaborate_inner(
         &mut self,
         env: &mut TypeEnv,
         phrase: &Phrase,
     ) -> Result<PhraseType, TypeError> {
-        match &phrase.kind {
-            PhraseKind::Val { name, expr } => {
-                let scheme = self.infer_top(env, expr, None)?;
-                env.rebind(*name, scheme.clone());
-                Ok(PhraseType {
-                    name: *name,
-                    scheme,
-                })
-            }
+        let (name, scheme) = match &phrase.kind {
+            PhraseKind::Val { name, expr } => (*name, self.infer_top(env, expr, None)?),
             PhraseKind::Fun { name, params, body } => {
                 let lambda = Expr::new(
                     ExprKind::Lambda {
@@ -204,22 +297,11 @@ impl Inferencer {
                     },
                     phrase.span,
                 );
-                let scheme = self.infer_top(env, &lambda, Some(*name))?;
-                env.rebind(*name, scheme.clone());
-                Ok(PhraseType {
-                    name: *name,
-                    scheme,
-                })
+                (*name, self.infer_top(env, &lambda, Some(*name))?)
             }
-            PhraseKind::Expr(expr) => {
-                let scheme = self.infer_top(env, expr, None)?;
-                env.rebind("it", scheme.clone());
-                Ok(PhraseType {
-                    name: Symbol::intern("it"),
-                    scheme,
-                })
-            }
-        }
+            PhraseKind::Expr(expr) => (Symbol::intern("it"), self.infer_top(env, expr, None)?),
+        };
+        Ok(PhraseType { name, scheme })
     }
 
     /// Infer a top-level expression; `rec_name` makes the binding visible
@@ -294,10 +376,27 @@ impl Inferencer {
             Str(_) => Ok(t_str()),
             Bool(_) => Ok(t_bool()),
             Var(name) => {
-                let scheme = env
-                    .lookup(*name)
-                    .ok_or_else(|| TypeError::UnboundVariable(name.to_string()))?
-                    .clone();
+                let i = env
+                    .position(*name)
+                    .ok_or_else(|| TypeError::UnboundVariable(name.to_string()))?;
+                let (_, scheme, stamp) = &env.bindings[i];
+                if i < self.top && !self.reads.iter().any(|(n, _)| n.id() == name.id()) {
+                    self.reads.push((*name, *stamp));
+                    let mut cells = Vec::new();
+                    crate::ty::free_vars(&scheme.body, &mut cells);
+                    for c in &scheme.constraints {
+                        for t in c.types() {
+                            crate::ty::free_vars(&t, &mut cells);
+                        }
+                    }
+                    for v in cells {
+                        if !self.read_cells.iter().any(|(seen, _)| *seen == v) {
+                            let state = cell_state(&v);
+                            self.read_cells.push((v, state));
+                        }
+                    }
+                }
+                let scheme = scheme.clone();
                 Ok(instantiate(
                     &scheme,
                     &self.gen,

@@ -37,7 +37,7 @@ pub mod unify;
 pub use constraint::Constraint;
 pub use display::{show_type, TypeNamer};
 pub use error::TypeError;
-pub use infer::{infer_program, Inferencer, PhraseType, TypeEnv};
+pub use infer::{infer_program, Elaboration, Inferencer, PhraseType, TypeEnv};
 pub use kind::Kind;
 pub use lower::{lower_closed, lower_open};
 pub use order::{glb, le, lub, type_eq, Partial};

@@ -32,6 +32,14 @@ impl Scheme {
         }
     }
 
+    /// True when the scheme holds no type variable, quantified or not,
+    /// and no condition. Type variables are shared mutable cells, so
+    /// only such a scheme can be reused without replaying the
+    /// unifications that built it.
+    pub fn is_ground(&self) -> bool {
+        self.vars.is_empty() && self.constraints.is_empty() && crate::ty::is_ground(&self.body)
+    }
+
     /// Render as the paper prints it: the body, then a
     /// `where { … }` clause when conditions remain.
     pub fn show(&self) -> String {

@@ -379,3 +379,27 @@ fn long_session_stays_consistent() {
         r#"val it = {"d"} : {string}"#
     );
 }
+
+#[test]
+fn a_failed_evaluation_binds_nothing() {
+    // The scheme is bound only once evaluation succeeds: a phrase that
+    // type-checks and then fails at run time leaves both environments
+    // as they were.
+    let mut s = Session::new();
+    run(&mut s, r#"val v = "str";"#);
+    assert!(eval_err(&mut s, "val v = 1 div 0;").contains("Div"));
+    assert_eq!(run(&mut s, "v;"), r#"val it = "str" : string"#);
+    run(&mut s, r#""hello";"#);
+    eval_err(&mut s, "1 div 0;");
+    assert!(!type_err(&mut s, "it + 1;").is_empty());
+    assert_eq!(run(&mut s, "it ^ \"!\";"), r#"val it = "hello!" : string"#);
+}
+
+#[test]
+fn a_failed_inference_leaves_no_inner_binder_behind() {
+    // The second generator is ill-typed after the first has bound `x`:
+    // `x` must not survive into the session's top level.
+    let mut s = Session::new();
+    assert!(type_err(&mut s, "select x where x <- {1}, y <- nope with true;").contains("nope"));
+    assert!(type_err(&mut s, "x;").contains("`x`"));
+}
