@@ -26,7 +26,7 @@
 //!     | d<id> v         dynamic (identity table index, payload inline)
 //! ```
 
-use machiavelli_value::{DynValue, Fields, MSet, RefValue, Symbol, Value};
+use machiavelli_value::{DynValue, Fields, MSet, RefValue, Symbol, Unobserved, Value};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -136,7 +136,7 @@ pub fn decode_value(src: &str) -> Result<Value, PersistError> {
                 expected: "a reserved ref id",
             });
         };
-        cell.set(contents);
+        cell.set(contents, &Unobserved);
     }
     let mut root_dec = Decoder {
         src: dec.src,
@@ -312,7 +312,7 @@ fn decode_with_registry_inner(
                 expected: "a reserved ref id",
             });
         };
-        cell.set(contents);
+        cell.set(contents, &Unobserved);
     }
     let mut root_dec = Decoder {
         src: dec.src,
@@ -841,7 +841,10 @@ mod tests {
             panic!()
         };
         assert_eq!(d1.id, d2.id, "sharing preserved");
-        d1.set(Value::record([("Building".into(), Value::Int(67))]));
+        d1.set(
+            Value::record([("Building".into(), Value::Int(67))]),
+            &Unobserved,
+        );
         assert_eq!(
             d2.get(),
             Value::record([("Building".into(), Value::Int(67))])
@@ -864,7 +867,10 @@ mod tests {
     #[test]
     fn cyclic_refs_roundtrip() {
         let cell = RefValue::new(Value::Unit);
-        cell.set(Value::record([("Self".into(), Value::Ref(cell.clone()))]));
+        cell.set(
+            Value::record([("Self".into(), Value::Ref(cell.clone()))]),
+            &Unobserved,
+        );
         let loaded = roundtrip(&Value::Ref(cell));
         let Value::Ref(r) = &loaded else { panic!() };
         let Value::Record(fs) = r.get() else { panic!() };
@@ -942,10 +948,13 @@ mod tests {
         // never a valid encoding — decode must return `Malformed` at
         // every single cut point, and must never panic or succeed.
         let cell = RefValue::new(Value::Unit);
-        cell.set(Value::record([
-            ("Next".into(), Value::Ref(cell.clone())),
-            ("Tag".into(), Value::str("shared dept")),
-        ]));
+        cell.set(
+            Value::record([
+                ("Next".into(), Value::Ref(cell.clone())),
+                ("Tag".into(), Value::str("shared dept")),
+            ]),
+            &Unobserved,
+        );
         let goldens = [
             encode_value(&Value::tuple([
                 Value::Ref(cell.clone()),
@@ -997,7 +1006,7 @@ mod tests {
             panic!()
         };
         assert_eq!(d1.id, d2.id, "cross-record sharing preserved");
-        d1.set(Value::Int(0));
+        d1.set(Value::Int(0), &Unobserved);
         assert_eq!(d2.get(), Value::Int(0));
     }
 
@@ -1008,7 +1017,7 @@ mod tests {
         let full = encode_with_registry(&Value::Ref(cell.clone()), &mut reg).unwrap();
         assert!(full.contains('='), "first encoding carries the table");
         // A later delta for the same cell is a constant-size payload.
-        cell.set(Value::Int(2));
+        cell.set(Value::Int(2), &Unobserved);
         let delta = encode_with_registry(&cell.get(), &mut reg).unwrap();
         assert_eq!(delta, "refs0{}i2:");
         let did = reg.durable_id(cell.id).unwrap();
@@ -1043,7 +1052,10 @@ mod tests {
     #[test]
     fn registry_decode_resolves_cycles() {
         let cell = RefValue::new(Value::Unit);
-        cell.set(Value::record([("Self".into(), Value::Ref(cell.clone()))]));
+        cell.set(
+            Value::record([("Self".into(), Value::Ref(cell.clone()))]),
+            &Unobserved,
+        );
         let mut enc_reg = RefRegistry::new();
         let rec = encode_with_registry(&Value::Ref(cell), &mut enc_reg).unwrap();
         let mut dec_reg = RefRegistry::new();

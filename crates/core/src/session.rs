@@ -10,6 +10,7 @@
 use crate::error::SessionError;
 use crate::prepared::{self, Entry, Prepared};
 use machiavelli_eval::{builtin_env, eval_expr, PRELUDE};
+use machiavelli_store::{EngineCtx, IndexStore};
 use machiavelli_syntax::ast::{Expr, ExprKind, Phrase, PhraseKind};
 use machiavelli_syntax::lexer::lex;
 use machiavelli_syntax::{parse_program, parse_tokens, ParseError, Shape};
@@ -147,6 +148,7 @@ pub struct Session {
     type_env: TypeEnv,
     env: Env,
     prepared: Prepared,
+    engine: EngineCtx,
 }
 
 impl Session {
@@ -175,7 +177,14 @@ impl Session {
             type_env,
             env: builtin_env(),
             prepared: Prepared::new(prepared::CAPACITY),
+            engine: EngineCtx::default(),
         }
+    }
+
+    /// The session's engine context: its index store, dirty sets,
+    /// decline counts and execution mode.
+    pub fn engine(&self) -> &EngineCtx {
+        &self.engine
     }
 
     /// This session with its prepared-phrase cache switched off: every
@@ -278,36 +287,35 @@ impl Session {
         let Some((generators, pred, result)) = machiavelli_plan::find_select(expr) else {
             return Ok("no select comprehension in phrase".into());
         };
+        let store = self.engine.mode().store;
         Ok(
-            match machiavelli_plan::plan_select(generators, pred, result) {
-                Ok(plan) => machiavelli_plan::explain(&plan),
+            match machiavelli_plan::compile(generators, pred, result).map(|l| l.physical(store)) {
+                Ok(plan) => machiavelli_plan::explain(&plan, &self.engine),
                 Err(reason) => format!("Fallback (select_loop): {reason}"),
             },
         )
     }
 
     /// Statistics of the session's index store (cached hash indexes for
-    /// repeated plans — see `machiavelli-store`). The store is scoped to
-    /// the thread driving the session, which is the session's home
-    /// thread; sessions sharing a thread share the store harmlessly
-    /// (entries are keyed by relation storage identity, so they can
-    /// never serve each other's relations).
+    /// repeated plans — see `machiavelli-store`). The store is the
+    /// session's own: another session, on this thread or any other,
+    /// neither fills nor reads it.
     pub fn store_stats(&self) -> machiavelli_store::StoreStats {
-        machiavelli_store::with_store(|s| s.stats())
+        self.engine.with_store(|s| s.stats())
     }
 
     /// Describe the live cached indexes in deterministic order (sorted
     /// by fingerprint, then storage id — pinnable in golden tests).
     /// Behind the REPL's `:indexes` command.
     pub fn store_indexes(&self) -> Vec<machiavelli_store::IndexInfo> {
-        machiavelli_store::with_store(|s| s.indexes())
+        self.engine.with_store(|s| s.indexes())
     }
 
     /// Drop all cached indexes and zero the statistics (tests and
     /// benchmarks use this to measure from a cold store; correctness
     /// never requires it — invalidation is automatic).
     pub fn store_reset(&self) {
-        machiavelli_store::with_store(|s| s.reset());
+        self.engine.with_store(IndexStore::reset);
     }
 
     /// Always [`ExecStats::default`] — see [`ExecStats`].
@@ -323,7 +331,7 @@ impl Session {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             store: self.store_stats(),
-            declines: machiavelli_trace::session_declines(),
+            declines: self.engine.declines(),
             metrics: metrics::snapshot(),
         }
     }
@@ -333,8 +341,7 @@ impl Session {
     /// registry ([`SessionStats::metrics`]) is deliberately untouched —
     /// it aggregates across sessions.
     pub fn reset_stats(&self) {
-        self.store_reset();
-        machiavelli_trace::reset_session_declines();
+        self.engine.reset_stats();
     }
 
     /// Enable/disable query tracing for this session's thread (`None`
@@ -544,15 +551,17 @@ impl Session {
         }
         metrics::add(Counter::PhrasesPrepared, 1);
         shape.patch(&mut entry.phrase, &entry.slots);
-        Some(eval_phrase(&self.env, &entry.phrase).map(|value| {
-            self.type_env.rebind(entry.name, entry.scheme.clone());
-            self.env = self.env.rebind(entry.name, value.clone());
-            Outcome {
-                name: entry.name,
-                value,
-                scheme: entry.scheme.clone(),
-            }
-        }))
+        Some(
+            eval_phrase(&self.engine, &self.env, &entry.phrase).map(|value| {
+                self.type_env.rebind(entry.name, entry.scheme.clone());
+                self.env = self.env.rebind(entry.name, value.clone());
+                Outcome {
+                    name: entry.name,
+                    value,
+                    scheme: entry.scheme.clone(),
+                }
+            }),
+        )
     }
 
     /// Infer, evaluate and bind one phrase. Both environments are
@@ -593,7 +602,7 @@ impl Session {
             Some(shape) if sound => shape.slots(&mut phrase),
             _ => None,
         };
-        let result = eval_phrase(&self.env, &phrase);
+        let result = eval_phrase(&self.engine, &self.env, &phrase);
         match (shape, slots) {
             (Some(shape), Some(slots)) => {
                 metrics::add(Counter::PhrasesElaborated, 1);
@@ -615,9 +624,9 @@ impl Session {
 
 /// Evaluate a phrase's right-hand side (a `fun` as its recursive
 /// closure).
-fn eval_phrase(env: &Env, phrase: &Phrase) -> Result<Value, SessionError> {
+fn eval_phrase(engine: &EngineCtx, env: &Env, phrase: &Phrase) -> Result<Value, SessionError> {
     match &phrase.kind {
-        PhraseKind::Val { expr, .. } | PhraseKind::Expr(expr) => eval_expr(env, expr),
+        PhraseKind::Val { expr, .. } | PhraseKind::Expr(expr) => eval_expr(engine, env, expr),
         PhraseKind::Fun { name, params, body } => {
             let rec = Expr::new(
                 ExprKind::Rec {
@@ -632,7 +641,7 @@ fn eval_phrase(env: &Env, phrase: &Phrase) -> Result<Value, SessionError> {
                 },
                 phrase.span,
             );
-            eval_expr(env, &rec)
+            eval_expr(engine, env, &rec)
         }
     }
     .map_err(SessionError::Eval)
@@ -1062,7 +1071,8 @@ mod tests {
         s.analyze(q).unwrap();
         s.run(q).unwrap();
         s.run("select x where x <- r with member(x, r);").unwrap();
-        machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::StoreOverBudget);
+        s.engine()
+            .note_decline(machiavelli_trace::DeclineReason::StoreOverBudget);
         let dirty = s.stats();
         assert!(
             dirty.store != machiavelli_store::StoreStats::default(),

@@ -14,7 +14,8 @@
 //! * the database operations delegated to `machiavelli-value`.
 
 use crate::error::EvalError;
-use machiavelli_plan::{mentions_any, plan_select, ExecError};
+use machiavelli_plan::{compile, mentions_any, ExecError};
+use machiavelli_store::EngineCtx;
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind, UnOp};
 use machiavelli_syntax::symbol::Symbol;
 use machiavelli_types::lower::lower_closed;
@@ -22,7 +23,6 @@ use machiavelli_value::{
     con_value, conforms, join_value, project_value, show_value, unionc_value, Builtin, Closure,
     DynValue, Env, Fields, MSet, RefValue, Value, ValueError,
 };
-use std::cell::Cell;
 use std::rc::Rc;
 
 /// Maximum evaluator recursion depth: a logical guard against runaway
@@ -40,17 +40,17 @@ fn with_stack<T>(f: impl FnOnce() -> T) -> T {
     stacker::maybe_grow(STACK_RED_ZONE, 1024 * 1024, f)
 }
 
-/// Evaluate an expression in `env`.
-pub fn eval_expr(env: &Env, e: &Expr) -> Result<Value, EvalError> {
-    let mut cx = Cx { depth: 0, ticks: 0 };
+/// Evaluate an expression in `env` for the session whose engine context
+/// is `ctx`: its mode picks the `select` strategy, its index store
+/// serves the planner, its dirty sets record every `:=`, and its
+/// decline counts record every fallback.
+pub fn eval_expr(ctx: &EngineCtx, env: &Env, e: &Expr) -> Result<Value, EvalError> {
+    let mut cx = Cx {
+        ctx,
+        depth: 0,
+        ticks: 0,
+    };
     cx.eval(env, e)
-}
-
-/// Apply a function value to arguments (exposed for the OODB layer and
-/// benches that drive closures from Rust).
-pub fn apply_value(f: &Value, args: Vec<Value>) -> Result<Value, EvalError> {
-    let mut cx = Cx { depth: 0, ticks: 0 };
-    cx.apply(f, args)
 }
 
 /// The cooperative tick: fault-injection points first (an injected
@@ -63,24 +63,6 @@ fn governed_tick() -> Result<(), EvalError> {
         return Err(EvalError::Interrupted(trip));
     }
     Ok(())
-}
-
-thread_local! {
-    /// Whether `select` dispatches to the comprehension planner
-    /// (`machiavelli-plan`). On by default; tests and the
-    /// planner-vs-interpreter benches flip it to force `select_loop`.
-    static PLANNER_ENABLED: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Is planner dispatch for `select` enabled on this thread?
-pub fn planner_enabled() -> bool {
-    PLANNER_ENABLED.with(|c| c.get())
-}
-
-/// Enable/disable planner dispatch on this thread, returning the
-/// previous setting (so callers can restore it).
-pub fn set_planner_enabled(on: bool) -> bool {
-    PLANNER_ENABLED.with(|c| c.replace(on))
 }
 
 /// Balances a [`machiavelli_trace::begin_query`] on every exit from the
@@ -112,14 +94,15 @@ pub fn builtin_env() -> Env {
 /// so the gate is a mask.
 const GOVERNOR_TICK: u64 = 256;
 
-struct Cx {
+struct Cx<'a> {
+    ctx: &'a EngineCtx,
     depth: u32,
     /// Monotone count of `enter` calls (never decremented), driving the
     /// cooperative tick.
     ticks: u64,
 }
 
-impl Cx {
+impl Cx<'_> {
     fn enter(&mut self) -> Result<(), EvalError> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
@@ -350,13 +333,13 @@ impl Cx {
                 let v = self.eval(env, value)?;
                 match t {
                     Value::Ref(r) => {
-                        // Index-store invalidation hook: `RefValue::set`
-                        // records the write in the thread's dirty set, so
-                        // any cached index (machiavelli-store) it reaches
-                        // is dropped before its next use — a
-                        // `:=` can never be followed by a query serving
-                        // pre-mutation rows from an index.
-                        r.set(v);
+                        // Both of the session's dirty sets: any cached
+                        // index (machiavelli-store) the write reaches is
+                        // dropped before its next use — a `:=` can never
+                        // be followed by a query serving pre-mutation
+                        // rows from an index — and the attached log
+                        // carries the write at its next commit.
+                        r.set(v, self.ctx.dirty());
                         Ok(Value::Unit)
                     }
                     other => Err(EvalError::NotAFunction(show_value(&other))),
@@ -401,8 +384,9 @@ impl Cx {
                 // back into `self`, so semantics live in one place.
                 machiavelli_trace::begin_query("select");
                 let _qt = QueryTraceGuard;
-                if planner_enabled() {
-                    match plan_select(generators, pred, result) {
+                let mode = self.ctx.mode();
+                if mode.planner {
+                    match compile(generators, pred, result).map(|l| l.physical(mode.store)) {
                         Ok(plan) => {
                             return match machiavelli_plan::execute(&plan, env, self) {
                                 Ok(v) => Ok(v),
@@ -418,7 +402,7 @@ impl Cx {
                         // The typed reason joins the decline taxonomy
                         // (always counted); the nested-loop fallback
                         // below is the behavior.
-                        Err(u) => machiavelli_trace::note_decline(u.decline_reason()),
+                        Err(u) => self.ctx.note_decline(u.decline_reason()),
                     }
                 }
                 // The paper's semantics builds the product of the sources,
@@ -660,10 +644,13 @@ impl Cx {
 /// The planner's callback into the evaluator: pipeline operators
 /// evaluate sources, filters, join keys and the result expression
 /// through the ordinary `eval`, sharing depth/stack accounting.
-impl machiavelli_plan::EvalHook for Cx {
+impl machiavelli_plan::EvalHook for Cx<'_> {
     type Error = EvalError;
     fn eval(&mut self, env: &Env, expr: &Expr) -> Result<Value, EvalError> {
         Cx::eval(self, env, expr)
+    }
+    fn engine(&self) -> &EngineCtx {
+        self.ctx
     }
 }
 
@@ -759,12 +746,13 @@ mod tests {
 
     fn run(src: &str) -> Value {
         let e = parse_expr(src).unwrap();
-        eval_expr(&builtin_env(), &e).unwrap_or_else(|err| panic!("{src}: {err}"))
+        eval_expr(&EngineCtx::default(), &builtin_env(), &e)
+            .unwrap_or_else(|err| panic!("{src}: {err}"))
     }
 
     fn run_err(src: &str) -> EvalError {
         let e = parse_expr(src).unwrap();
-        eval_expr(&builtin_env(), &e).unwrap_err()
+        eval_expr(&EngineCtx::default(), &builtin_env(), &e).unwrap_err()
     }
 
     #[test]

@@ -14,7 +14,5 @@ pub mod eval;
 pub mod prelude;
 
 pub use error::EvalError;
-pub use eval::{
-    apply_binop, apply_value, builtin_env, eval_expr, planner_enabled, set_planner_enabled,
-};
+pub use eval::{apply_binop, builtin_env, eval_expr};
 pub use prelude::PRELUDE;

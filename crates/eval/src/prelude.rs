@@ -51,6 +51,7 @@ fun Closure(R) =
 #[cfg(test)]
 mod tests {
     use crate::eval::{builtin_env, eval_expr};
+    use machiavelli_store::EngineCtx;
     use machiavelli_syntax::ast::PhraseKind;
     use machiavelli_syntax::{parse_expr, parse_program};
     use machiavelli_value::{Env, Value};
@@ -75,7 +76,7 @@ mod tests {
                         },
                         phrase.span,
                     );
-                    let v = eval_expr(&env, &rec).unwrap();
+                    let v = eval_expr(&EngineCtx::default(), &env, &rec).unwrap();
                     env = env.bind(name, v);
                 }
                 _ => unreachable!("prelude contains only fun definitions"),
@@ -85,7 +86,8 @@ mod tests {
     }
 
     fn run(env: &Env, src: &str) -> Value {
-        eval_expr(env, &parse_expr(src).unwrap()).unwrap_or_else(|e| panic!("{src}: {e}"))
+        eval_expr(&EngineCtx::default(), env, &parse_expr(src).unwrap())
+            .unwrap_or_else(|e| panic!("{src}: {e}"))
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   smaller sizes; it is O(n²) per `cost` call).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use machiavelli::eval::set_planner_enabled;
-use machiavelli::store::set_store_enabled;
+use machiavelli::store::Mode;
 use machiavelli::Session;
 use machiavelli_fixtures::{scaled_parts_session, FIG5_SOURCE};
 use std::time::Duration;
@@ -38,11 +37,9 @@ fn run_mode(
     session.store_reset();
     group.bench_with_input(BenchmarkId::new(name.to_string(), n), &n, |b, _| {
         b.iter(|| {
-            let prev_p = set_planner_enabled(planner);
-            let prev_s = set_store_enabled(store);
+            let prev = session.engine().set_mode(Mode { planner, store });
             let out = session.eval_one(query).unwrap().value;
-            set_store_enabled(prev_s);
-            set_planner_enabled(prev_p);
+            session.engine().set_mode(prev);
             out
         })
     });

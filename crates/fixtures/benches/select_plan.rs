@@ -13,8 +13,7 @@
 //!   `Wealthy`): pushdown vs the plain loop, again overhead-bound.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use machiavelli::eval::set_planner_enabled;
-use machiavelli::store::set_store_enabled;
+use machiavelli::store::Mode;
 use machiavelli::value::Value;
 use machiavelli::Session;
 use machiavelli_fixtures::relational::{row, Relation};
@@ -86,23 +85,21 @@ fn run_both(
         &n,
         |b, _| {
             b.iter(|| {
-                let prev = set_planner_enabled(true);
                 // Store off: this bench isolates the *planner* win
                 // (hash build/probe vs nested loop). Warm index reuse
                 // is the index_reuse bench's `store` mode.
-                let prev_store = set_store_enabled(false);
+                let prev = session.engine().set_mode(Mode::planned(false));
                 let out = session.eval_one(query).unwrap().value;
-                set_store_enabled(prev_store);
-                set_planner_enabled(prev);
+                session.engine().set_mode(prev);
                 out
             })
         },
     );
     group.bench_with_input(BenchmarkId::new(format!("interp/{name}"), n), &n, |b, _| {
         b.iter(|| {
-            let prev = set_planner_enabled(false);
+            let prev = session.engine().set_mode(Mode::SELECT_LOOP);
             let out = session.eval_one(query).unwrap().value;
-            set_planner_enabled(prev);
+            session.engine().set_mode(prev);
             out
         })
     });

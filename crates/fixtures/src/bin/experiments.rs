@@ -208,7 +208,7 @@ fn main() {
 
     println!("\n== E11: comprehension planner — plan shapes and agreement ==");
     {
-        use machiavelli::eval::set_planner_enabled;
+        use machiavelli::store::Mode;
         let (mut s, _db) = scaled_parts_session(400, 40, 11);
         let join_query = "select (p.Pname, sb.P#) where p <- parts, sb <- supplied_by \
                           with p.P# = sb.P#;";
@@ -236,13 +236,14 @@ fn main() {
         // Store off: E11 isolates the planner's build/probe win over
         // the nested loop; index *reuse* is measured separately in E12.
         let timed = |s: &mut Session, on: bool, query: &str| {
-            let prev = set_planner_enabled(on);
-            let prev_store = machiavelli::store::set_store_enabled(false);
+            let prev = s.engine().set_mode(Mode {
+                planner: on,
+                store: false,
+            });
             let t0 = std::time::Instant::now();
             let out = s.eval_one(query).unwrap().value;
             let dt = t0.elapsed();
-            machiavelli::store::set_store_enabled(prev_store);
-            set_planner_enabled(prev);
+            s.engine().set_mode(prev);
             (out, dt)
         };
         let (planned, t_plan) = timed(&mut s, true, join_query);
@@ -264,15 +265,13 @@ fn main() {
 
     println!("\n== E12: index store — repeated-plan reuse (fig5 cost recursion) ==");
     {
-        use machiavelli::eval::set_planner_enabled;
-        use machiavelli::store::set_store_enabled;
+        use machiavelli::store::Mode;
         let (mut s, _db) = scaled_parts_session(200, 20, 11);
         s.run(FIG5_SOURCE).unwrap();
         let query = "expensive_parts(parts, 0);";
         let reps = 3u32;
         let timed = |s: &mut Session, planner: bool, store: bool| {
-            let prev_p = set_planner_enabled(planner);
-            let prev_s = set_store_enabled(store);
+            let prev = s.engine().set_mode(Mode { planner, store });
             s.store_reset();
             let t0 = std::time::Instant::now();
             let mut out = None;
@@ -280,8 +279,7 @@ fn main() {
                 out = Some(s.eval_one(query).unwrap().value);
             }
             let dt = t0.elapsed();
-            set_store_enabled(prev_s);
-            set_planner_enabled(prev_p);
+            s.engine().set_mode(prev);
             (out.unwrap(), dt)
         };
         let (v_store, t_store) = timed(&mut s, true, true);

@@ -130,7 +130,7 @@ mod tests {
             panic!()
         };
         fs.insert("Salary".into(), Value::variant("Value", Value::Int(9)));
-        p.set(Value::Record(fs));
+        p.set(Value::Record(fs), &machiavelli::value::Unobserved);
         let sal = person_field(&p, "Salary").unwrap();
         assert_eq!(optional_value(&sal), Some(Value::Int(9)));
     }

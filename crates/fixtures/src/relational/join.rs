@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn structural_keys_survive_renderer_collisions() {
-        use machiavelli::testing::{with_mode, Mode};
+        use machiavelli::store::{EngineCtx, Mode};
         // These two key values are distinct but print identically (a
         // crafted label containing "=2, " forges the 3-field record's
         // display form).
@@ -113,11 +113,10 @@ mod tests {
                 "select [K = x.K, X = x.X, Y = y.Y] where x <- r, y <- s with x.K = y.K",
             )
             .unwrap();
-            machiavelli::store::with_store(|st| st.reset());
-            let out = with_mode(Mode::planned(true), || {
-                machiavelli::eval::eval_expr(&env, &expr).unwrap()
-            });
-            let st = machiavelli::store::with_store(|st| st.stats());
+            let ctx = EngineCtx::default();
+            ctx.set_mode(Mode::planned(true));
+            let out = machiavelli::eval::eval_expr(&ctx, &env, &expr).unwrap();
+            let st = ctx.with_store(|st| st.stats());
             assert!(st.entries >= 1, "the hash join built no table: {st:?}");
             Relation::from_value(&out)
         };

@@ -14,14 +14,9 @@
 
 use crate::analysis::Conjunct;
 use crate::physical::{IndexKey, PhysOp, PhysicalPlan};
-use machiavelli_store::with_store;
+use machiavelli_store::EngineCtx;
 use machiavelli_syntax::pretty::expr_to_string;
 use std::fmt::Write as _;
-
-/// Does the store hold a live index with this fingerprint?
-fn cached(fingerprint: &str) -> bool {
-    with_store(|s| s.has_fingerprint(fingerprint))
-}
 
 /// The `[idx cached]` / `[idx build]` marker for a cacheable operator.
 fn idx_marker(live: bool) -> &'static str {
@@ -40,10 +35,12 @@ fn idx_marker(live: bool) -> &'static str {
 ///     Scan x <- parts
 ///     Build y <- suppliers filter (y.City = "Paris")
 /// ```
-pub fn explain(plan: &PhysicalPlan<'_>) -> String {
+///
+/// The markers read `engine`'s index store.
+pub fn explain(plan: &PhysicalPlan<'_>, engine: &EngineCtx) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Project {}", expr_to_string(plan.result));
-    render(&plan.root, 1, &mut out);
+    render(&plan.root, 1, engine, &mut out);
     // Drop the trailing newline for easy embedding in REPL output.
     out.truncate(out.trim_end().len());
     out
@@ -69,7 +66,8 @@ pub(crate) fn keys_list(keys: &[&machiavelli_syntax::ast::Expr]) -> String {
         .join(", ")
 }
 
-fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
+fn render(op: &PhysOp<'_>, depth: usize, engine: &EngineCtx, out: &mut String) {
+    let cached = |fingerprint: &str| engine.with_store(|s| s.has_fingerprint(fingerprint));
     let pad = "  ".repeat(depth);
     match op {
         PhysOp::Scan {
@@ -98,7 +96,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
                 expr_to_string(source),
                 filters_suffix(filters)
             );
-            render(input, depth + 1, out);
+            render(input, depth + 1, engine, out);
         }
         PhysOp::IndexScan {
             var,
@@ -140,7 +138,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
                 keys_list(probe_keys),
                 keys_list(build_keys)
             );
-            render(input, depth + 1, out);
+            render(input, depth + 1, engine, out);
             let _ = writeln!(
                 out,
                 "{pad}  Build {var} <- {}{}",
@@ -151,7 +149,7 @@ fn render(op: &PhysOp<'_>, depth: usize, out: &mut String) {
         PhysOp::Filter { input, conjuncts } => {
             let rendered: Vec<String> = conjuncts.iter().map(|c| expr_to_string(c.expr)).collect();
             let _ = writeln!(out, "{pad}Filter ({})", rendered.join(" andalso "));
-            render(input, depth + 1, out);
+            render(input, depth + 1, engine, out);
         }
     }
 }
@@ -166,7 +164,6 @@ mod tests {
     fn plan_text(src: &str) -> String {
         // Render against an empty store so the idx marker is
         // deterministic (`[idx build]`).
-        machiavelli_store::with_store(|s| s.reset());
         let e = parse_expr(src).unwrap();
         let ExprKind::Select {
             result,
@@ -176,7 +173,10 @@ mod tests {
         else {
             panic!()
         };
-        explain(&compile(generators, pred, result).unwrap().physical())
+        explain(
+            &compile(generators, pred, result).unwrap().physical(true),
+            &EngineCtx::default(),
+        )
     }
 
     #[test]

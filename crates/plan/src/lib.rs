@@ -101,13 +101,15 @@ pub use physical::{execute, EvalHook, ExecError, IndexKey, PhysOp, PhysicalPlan}
 
 use machiavelli_syntax::ast::{Expr, Generator};
 
-/// One-stop compilation: logical plan → physical pipeline. An error
-/// means the shape is not covered and the caller must use its fallback
-/// path (the reason renders lazily; the hot path never formats it).
+/// One-stop compilation: logical plan → physical pipeline, lowered for
+/// a session in the default mode (index store on; a session lowers with
+/// its own mode through [`LogicalPlan::physical`]). An error means the
+/// shape is not covered and the caller must use its fallback path (the
+/// reason renders lazily; the hot path never formats it).
 pub fn plan_select<'a>(
     generators: &'a [Generator],
     pred: &'a Expr,
     result: &'a Expr,
 ) -> Result<PhysicalPlan<'a>, Unplannable<'a>> {
-    compile(generators, pred, result).map(|l| l.physical())
+    compile(generators, pred, result).map(|l| l.physical(true))
 }

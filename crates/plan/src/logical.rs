@@ -27,7 +27,7 @@ pub enum Unplannable<'a> {
 impl Unplannable<'_> {
     /// The typed code this planner fallback reports into the engine-wide
     /// decline taxonomy (the evaluator emits it via
-    /// `machiavelli_trace::note_decline` when it takes the `select_loop`
+    /// `EngineCtx::note_decline` when it takes the `select_loop`
     /// fallback).
     pub fn decline_reason(&self) -> machiavelli_trace::DeclineReason {
         match self {

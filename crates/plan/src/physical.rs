@@ -37,7 +37,7 @@
 
 use crate::analysis::{closed_under, mentions_any, stable_source, Conjunct};
 use crate::logical::LogicalPlan;
-use machiavelli_store::{store_enabled, with_store, Index, KeyTuple};
+use machiavelli_store::{EngineCtx, Index, KeyTuple};
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind};
 use machiavelli_syntax::pretty::expr_to_string;
 use machiavelli_syntax::symbol::Symbol;
@@ -47,10 +47,13 @@ use std::rc::Rc;
 
 /// Callback into the host evaluator. The executor never interprets
 /// expressions itself; it only decides *which* expressions to evaluate
-/// *in which* environments.
+/// *in which* environments — and reaches the evaluating session's index
+/// store through [`EvalHook::engine`].
 pub trait EvalHook {
     type Error;
     fn eval(&mut self, env: &Env, expr: &Expr) -> Result<Value, Self::Error>;
+    /// The engine context of the session this evaluation belongs to.
+    fn engine(&self) -> &EngineCtx;
 }
 
 /// Executor errors: either the hook failed, or a value had the wrong
@@ -393,8 +396,9 @@ fn join_fingerprint(
 }
 
 impl<'a> LogicalPlan<'a> {
-    /// Lower to the physical operator tree.
-    pub fn physical(self) -> PhysicalPlan<'a> {
+    /// Lower to the physical operator tree for a session whose index
+    /// store is consulted (`store`) or not.
+    pub fn physical(self, store: bool) -> PhysicalPlan<'a> {
         let mut steps = self.steps.into_iter();
         let first = steps.next().expect("compile() guarantees ≥1 generator");
         debug_assert!(first.keys.is_empty(), "first generator cannot equi-join");
@@ -411,7 +415,7 @@ impl<'a> LogicalPlan<'a> {
         // filtered scan.
         let mut keys: Vec<IndexKey<'a>> = Vec::new();
         let mut filters: Vec<Conjunct<'a>> = Vec::new();
-        if store_enabled() && stable_source(first.source) {
+        if store && stable_source(first.source) {
             for c in first.filters {
                 match index_key(c.expr, first.var) {
                     Some(k) => keys.push(k),
@@ -451,10 +455,10 @@ impl<'a> LogicalPlan<'a> {
                 // but the relation and the step's own binder, and the
                 // source can actually share storage across evaluations
                 // (a fresh-storage source can never hit). The
-                // store_enabled() guard also skips rendering the
-                // fingerprint entirely when nothing will consult it.
+                // `store` guard also skips rendering the fingerprint
+                // entirely when nothing will consult it.
                 let binder = [step.var];
-                let fingerprint = (store_enabled()
+                let fingerprint = (store
                     && stable_source(step.source)
                     && build_keys.iter().all(|k| closed_under(k, &binder))
                     && step.filters.iter().all(|c| closed_under(c.expr, &binder)))
@@ -610,17 +614,17 @@ fn obtain_index<H: EvalHook>(
     build: impl FnOnce(&mut H) -> Result<Index, ExecError<H::Error>>,
     hook: &mut H,
 ) -> Result<Rc<Index>, ExecError<H::Error>> {
-    if !store_enabled() {
+    if !hook.engine().mode().store {
         trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Bypass);
         return Ok(Rc::new(build(hook)?));
     }
-    if let Some(idx) = with_store(|s| s.lookup(items, fingerprint)) {
+    if let Some(idx) = hook.engine().with_store(|s| s.lookup(items, fingerprint)) {
         trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Hit);
         return Ok(idx);
     }
     let built = build(hook)?;
     trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Build);
-    Ok(with_store(|s| s.insert(items, fingerprint, built)))
+    Ok(hook.engine().insert(items, fingerprint, built))
 }
 
 /// Runtime state of one operator (same shape as [`PhysOp`]).
@@ -744,7 +748,7 @@ impl<'p> Node<'p> {
                 // by the store: don't build a grouping nothing can ever
                 // reuse — stream it like the filtered scan this shape
                 // lowered to before the store existed.
-                let matches = if items.len() > with_store(|s| s.budget_rows()) {
+                let matches = if items.len() > hook.engine().with_store(|s| s.budget_rows()) {
                     let mut matches = Vec::new();
                     for item in items.iter() {
                         let row_env = env.bind(*var, item.clone());
@@ -986,10 +990,14 @@ mod tests {
     /// A minimal structural evaluator covering the safe-expression class
     /// (the real evaluator lives above this crate; tests only need
     /// variables, fields, literals, `=`/`<`/`>`, sets and records).
-    struct MiniEval;
+    #[derive(Default)]
+    struct MiniEval(EngineCtx);
 
     impl EvalHook for MiniEval {
         type Error = String;
+        fn engine(&self) -> &EngineCtx {
+            &self.0
+        }
         fn eval(&mut self, env: &Env, expr: &Expr) -> Result<Value, String> {
             Ok(match &expr.kind {
                 ExprKind::Int(n) => Value::Int(*n),
@@ -1031,6 +1039,10 @@ mod tests {
     }
 
     fn run(src: &str, env: &Env) -> Value {
+        run_with(&mut MiniEval::default(), src, env)
+    }
+
+    fn run_with(hook: &mut MiniEval, src: &str, env: &Env) -> Value {
         let e = parse_expr(src).unwrap();
         let ExprKind::Select {
             result,
@@ -1040,8 +1052,8 @@ mod tests {
         else {
             panic!()
         };
-        let plan = compile(generators, pred, result).unwrap().physical();
-        execute(&plan, env, &mut MiniEval).unwrap()
+        let plan = compile(generators, pred, result).unwrap().physical(true);
+        execute(&plan, env, hook).unwrap()
     }
 
     #[test]
@@ -1094,8 +1106,8 @@ mod tests {
         else {
             panic!()
         };
-        let plan = compile(generators, pred, result).unwrap().physical();
-        match execute(&plan, &env, &mut MiniEval) {
+        let plan = compile(generators, pred, result).unwrap().physical(true);
+        match execute(&plan, &env, &mut MiniEval::default()) {
             Err(ExecError::NotASet(shown)) => assert_eq!(shown, "3"),
             other => panic!("{other:?}"),
         }
@@ -1118,36 +1130,36 @@ mod tests {
 
     #[test]
     fn index_scan_reuses_the_cached_grouping() {
-        with_store(|s| s.reset());
+        let mut hook = MiniEval::default();
         let env = Env::new()
             .bind("r", rows(&[(1, 10), (2, 20)]))
             .bind("limit", Value::Int(1));
         let q = "select x.A where x <- r with x.K = limit";
-        assert_eq!(run(q, &env), Value::set([Value::Int(10)]));
+        assert_eq!(run_with(&mut hook, q, &env), Value::set([Value::Int(10)]));
         // Different probe constant, same relation storage: same index.
         let env2 = env.bind("limit", Value::Int(2));
-        assert_eq!(run(q, &env2), Value::set([Value::Int(20)]));
-        let stats = with_store(|s| s.stats());
+        assert_eq!(run_with(&mut hook, q, &env2), Value::set([Value::Int(20)]));
+        let stats = hook.0.with_store(|s| s.stats());
         assert_eq!((stats.builds, stats.hits), (1, 1), "{stats:?}");
     }
 
     #[test]
     fn cacheable_join_builds_once_across_executions() {
-        with_store(|s| s.reset());
+        let mut hook = MiniEval::default();
         let env = Env::new()
             .bind("r", rows(&[(1, 10), (2, 20)]))
             .bind("s", rows(&[(1, 100), (2, 200)]));
         let q = "select (x.A, y.A) where x <- r, y <- s with x.K = y.K";
-        let first = run(q, &env);
-        let second = run(q, &env);
+        let first = run_with(&mut hook, q, &env);
+        let second = run_with(&mut hook, q, &env);
         assert_eq!(first, second);
-        let stats = with_store(|s| s.stats());
+        let stats = hook.0.with_store(|s| s.stats());
         assert_eq!((stats.builds, stats.hits), (1, 1), "{stats:?}");
     }
 
     #[test]
     fn environment_dependent_build_is_not_cached() {
-        with_store(|s| s.reset());
+        let mut hook = MiniEval::default();
         let env = Env::new()
             .bind("r", rows(&[(1, 10), (2, 20)]))
             .bind("s", rows(&[(1, 100), (2, 200)]))
@@ -1156,13 +1168,13 @@ mod tests {
         // the table must be rebuilt per execution (no fingerprint).
         let q = "select (x.A, y.A) where x <- r, y <- s \
                  with x.K = y.K andalso y.A > cutoff";
-        let got = run(q, &env);
+        let got = run_with(&mut hook, q, &env);
         assert_eq!(
             got,
             Value::set([Value::tuple([Value::Int(20), Value::Int(200)])])
         );
-        run(q, &env);
-        let stats = with_store(|s| s.stats());
+        run_with(&mut hook, q, &env);
+        let stats = hook.0.with_store(|s| s.stats());
         assert_eq!(stats.builds, 0, "{stats:?}");
         assert_eq!(stats.entries, 0, "{stats:?}");
     }

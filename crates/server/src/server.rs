@@ -1192,13 +1192,6 @@ fn run_eval(
     // outcome: error latencies are latencies too.
     machiavelli_trace::observe_query_ns(machiavelli_trace::now_ns().saturating_sub(t0));
     governor::install(prev);
-    // Attribute this evaluation's ref writes to this session *now*,
-    // whatever the outcome — errors and panics have real partial
-    // writes, and the thread-local dirty channel is shared by every
-    // session this worker hosts.
-    if let Some(wal) = slot.wal.as_mut() {
-        wal.absorb_dirty();
-    }
     match outcome {
         Ok(result) => {
             let (outcomes, error) = match result {

@@ -49,8 +49,8 @@
 //!    relation, whose entry therefore survives every write). Every
 //!    reference write (funnelled through
 //!    [`machiavelli_value::RefValue::set`]) records the written
-//!    identity in the thread's dirty set;
-//!    before serving anything the store drains the dirty set and evicts
+//!    identity in its session's store dirty set;
+//!    before serving anything the store drains that set and evicts
 //!    exactly the entries whose recorded sources intersect it. A write
 //!    to a ref no cached relation can reach — the common case under
 //!    mixed read/write traffic — **evicts nothing**, where the PR 4
@@ -69,12 +69,12 @@
 //!    and fresh-storage sources (`EmployeeView(persons)`, whose index
 //!    could never be looked up again) are built inline, uncached.
 //!
-//! The store itself is **thread-local** (values are `Rc`-based and
-//! thread-confined, so this is the natural session scope: a `Session`
-//! lives on the thread that drives it, and `Session::store_stats` /
-//! `:stats` read the same instance the evaluator fills). Two sessions
-//! sharing a thread also share the store harmlessly: pointer-identity
-//! keying means their relations can never alias each other's entries.
+//! The store is **owned by the `Session`**, inside its [`EngineCtx`]:
+//! the one engine context a session threads through evaluation, next to
+//! its dirty-set pair, its decline counts and its execution [`Mode`].
+//! `Session::store_stats` / `:stats` read the instance the session's own
+//! evaluator fills; two sessions on one thread share nothing — not an
+//! entry, not a budget, not a dirty set.
 //!
 //! Memory is bounded by a row **budget**: entries are evicted
 //! least-recently-used when the total number of cached rows exceeds it,
@@ -88,7 +88,8 @@
 
 pub mod shared;
 
-use machiavelli_value::{hash_value, scan_refs, take_dirty_refs, value_eq, MSet, RefScan, Value};
+use machiavelli_trace::{DeclineCounts, DeclineReason};
+use machiavelli_value::{hash_value, scan_refs, value_eq, DirtySets, MSet, RefScan, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -240,9 +241,8 @@ fn store_budget_rows() -> usize {
     .unwrap_or(DEFAULT_BUDGET_ROWS)
 }
 
-/// The memoizing index store. One per thread (see [`with_store`]); all
-/// methods take `&mut self` because even lookups update recency and
-/// invalidation state.
+/// The memoizing index store. One per session (see [`EngineCtx`]); all
+/// methods take `&mut self` because even lookups update recency.
 ///
 /// Entries are keyed storage-id-first, fingerprint second: the hot-path
 /// [`IndexStore::lookup`] (one per hash-join open in a repeated-plan
@@ -270,15 +270,14 @@ impl IndexStore {
         }
     }
 
-    /// React to reference writes since the last call. Called on the way
-    /// into every public operation, so no affected entry is ever
-    /// *observable* — mechanism 2 of the invalidation contract. The
-    /// drained dirty-ref set names the written identities (empty: no
-    /// write since the last call) and only intersecting entries are
-    /// evicted (every ref-reachable one when the set overflowed and the
-    /// identities were lost).
-    fn validate(&mut self) {
-        let dirty = take_dirty_refs();
+    /// React to the reference writes in `dirty` — mechanism 2 of the
+    /// invalidation contract. [`EngineCtx::with_store`] drains the
+    /// session's store set into this on the way into every use, so no
+    /// affected entry is ever *observable*. The drained set names the
+    /// written identities (empty: no write since the last drain) and
+    /// only intersecting entries are evicted (every ref-reachable one
+    /// when the set overflowed and the identities were lost).
+    pub(crate) fn invalidate(&mut self, dirty: &machiavelli_value::DirtyRefs) {
         if dirty.is_empty() || self.entries.is_empty() {
             return;
         }
@@ -289,7 +288,7 @@ impl IndexStore {
         let mut dropped = 0u64;
         self.entries.retain(|_, by_fp| {
             by_fp.retain(|_, e| {
-                if e.sources.dirtied_by(&dirty) {
+                if e.sources.dirtied_by(dirty) {
                     self.cached_rows -= e.charge;
                     dropped += 1;
                     false
@@ -314,7 +313,6 @@ impl IndexStore {
     /// built for *this exact storage* and not invalidated since.
     /// Updates recency and hit/miss counters.
     pub fn lookup(&mut self, set: &MSet, fingerprint: &str) -> Option<Rc<Index>> {
-        self.validate();
         self.tick += 1;
         match self
             .entries
@@ -339,13 +337,18 @@ impl IndexStore {
     }
 
     /// Insert a freshly built grouping for `set` under `fingerprint`,
-    /// returning the shared handle the caller should probe. Relations
-    /// larger than the whole budget are not cached (the handle is still
-    /// returned, so the calling query proceeds normally); otherwise the
-    /// least-recently-used entries are evicted until the budget holds.
+    /// returning the shared handle the caller should probe and whether
+    /// it was admitted. Relations larger than the whole budget are not
+    /// cached (the handle is still returned, so the calling query
+    /// proceeds normally); otherwise the least-recently-used entries are
+    /// evicted until the budget holds.
     #[allow(clippy::mutable_key_type)] // refs hash/compare by immutable identity
-    pub fn insert(&mut self, set: &MSet, fingerprint: &str, groups: Index) -> Rc<Index> {
-        self.validate();
+    pub(crate) fn insert(
+        &mut self,
+        set: &MSet,
+        fingerprint: &str,
+        groups: Index,
+    ) -> (Rc<Index>, bool) {
         self.tick += 1;
         let rows: usize = groups.values().map(Vec::len).sum();
         let index = Rc::new(groups);
@@ -353,8 +356,7 @@ impl IndexStore {
         // the entry's set clone keeps every row alive either way.
         let charge = set.len();
         if charge > self.budget_rows {
-            machiavelli_trace::note_decline(machiavelli_trace::DeclineReason::StoreOverBudget);
-            return index;
+            return (index, false);
         }
         self.evict_to(self.budget_rows.saturating_sub(charge));
         let entry = Entry {
@@ -381,7 +383,7 @@ impl IndexStore {
         }
         self.cached_rows += charge;
         self.stats.builds += 1;
-        index
+        (index, true)
     }
 
     /// Evict least-recently-used entries until at most `target` rows
@@ -423,23 +425,17 @@ impl IndexStore {
     /// relations alias here only when queried through the same name —
     /// after a rebind, a fresh build corrects the display on first
     /// execution.)
-    pub fn has_fingerprint(&mut self, fingerprint: &str) -> bool {
-        self.validate();
+    pub fn has_fingerprint(&self, fingerprint: &str) -> bool {
         self.entries
             .values()
             .any(|by_fp| by_fp.contains_key(fingerprint))
     }
 
-    /// Drop all entries (statistics are kept; see [`IndexStore::reset`]).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.cached_rows = 0;
-    }
-
     /// Drop all entries and zero the statistics (a reset is a fresh
     /// session).
     pub fn reset(&mut self) {
-        self.clear();
+        self.entries.clear();
+        self.cached_rows = 0;
         self.stats = StoreStats::default();
     }
 
@@ -452,15 +448,14 @@ impl IndexStore {
 
     /// The current row budget. Callers about to build an index can
     /// check it first: a relation that exceeds the whole budget would
-    /// be declined by [`IndexStore::insert`], so building a grouping
+    /// be declined by [`EngineCtx::insert`], so building a grouping
     /// for it is wasted work (stream instead).
     pub fn budget_rows(&self) -> usize {
         self.budget_rows
     }
 
     /// Current statistics (entry/row counts reflect live entries only).
-    pub fn stats(&mut self) -> StoreStats {
-        self.validate();
+    pub fn stats(&self) -> StoreStats {
         StoreStats {
             entries: self.len(),
             cached_rows: self.cached_rows,
@@ -471,8 +466,7 @@ impl IndexStore {
     /// Describe the live entries in deterministic order — sorted by
     /// fingerprint, then storage id — so `:indexes` output can be
     /// pinned in golden tests regardless of recency history.
-    pub fn indexes(&mut self) -> Vec<IndexInfo> {
-        self.validate();
+    pub fn indexes(&self) -> Vec<IndexInfo> {
         let mut infos: Vec<(usize, IndexInfo)> = self
             .entries
             .iter()
@@ -501,35 +495,121 @@ impl Default for IndexStore {
     }
 }
 
-thread_local! {
-    static STORE: RefCell<IndexStore> = RefCell::new(IndexStore::default());
-    /// Whether the executor consults the store at all. Benches flip it
-    /// off to measure the always-rebuild path; `false` means every
-    /// cacheable build happens inline, uncached and uncounted.
-    static STORE_ENABLED: Cell<bool> = const { Cell::new(true) };
+/// Which of the engine's interchangeable strategies a session may run.
+/// The paper's comprehension has one meaning whichever runs; the
+/// ablation benches and the equivalence tests compare them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mode {
+    /// Plan dispatch for `select` (`false` = the `select_loop`
+    /// reference semantics).
+    pub planner: bool,
+    /// Index-store consultation (`false` = every cacheable build happens
+    /// inline, uncached and uncounted).
+    pub store: bool,
 }
 
-/// Run `f` on this thread's index store.
-pub fn with_store<R>(f: impl FnOnce(&mut IndexStore) -> R) -> R {
-    STORE.with(|s| f(&mut s.borrow_mut()))
+impl Mode {
+    /// The reference semantics: planner and store off.
+    pub const SELECT_LOOP: Mode = Mode {
+        planner: false,
+        store: false,
+    };
+
+    /// The planner's pipeline, store `store`.
+    pub fn planned(store: bool) -> Mode {
+        Mode {
+            planner: true,
+            store,
+        }
+    }
 }
 
-/// Is store consultation enabled on this thread?
-pub fn store_enabled() -> bool {
-    STORE_ENABLED.with(|c| c.get())
+/// The default: planner and store on.
+impl Default for Mode {
+    fn default() -> Self {
+        Mode::planned(true)
+    }
 }
 
-/// Enable/disable store consultation on this thread, returning the
-/// previous setting (so callers can restore it).
-pub fn set_store_enabled(on: bool) -> bool {
-    STORE_ENABLED.with(|c| c.replace(on))
+/// The engine state one session owns and threads through evaluation —
+/// index store, dirty sets, decline counts, execution [`Mode`] — shared
+/// with no other session, whatever thread drives it. The evaluator, the
+/// planner and the durability layer all reach it through `&EngineCtx`.
+#[derive(Default)]
+pub struct EngineCtx {
+    store: RefCell<IndexStore>,
+    dirty: DirtySets,
+    declines: RefCell<DeclineCounts>,
+    mode: Cell<Mode>,
+}
+
+impl EngineCtx {
+    /// The session's execution mode.
+    pub fn mode(&self) -> Mode {
+        self.mode.get()
+    }
+
+    /// Switch the execution mode, returning the previous one.
+    pub fn set_mode(&self, mode: Mode) -> Mode {
+        self.mode.replace(mode)
+    }
+
+    /// The session's dirty sets: the evaluator's `:=` records into the
+    /// pair, an already-durable decoded write into `store` alone, and the
+    /// attached log drains `wal` at each commit.
+    pub fn dirty(&self) -> &DirtySets {
+        &self.dirty
+    }
+
+    /// Run `f` on the session's index store, after evicting whatever the
+    /// writes since the last use can reach. Never call the evaluator
+    /// inside `f`: a nested query would find the store borrowed.
+    pub fn with_store<R>(&self, f: impl FnOnce(&mut IndexStore) -> R) -> R {
+        let mut store = self.store.borrow_mut();
+        store.invalidate(&self.dirty.store.take());
+        f(&mut store)
+    }
+
+    /// Cache a freshly built grouping for `set` under `fingerprint`,
+    /// returning the shared handle the caller should probe. A relation
+    /// larger than the whole budget is not cached — the handle still
+    /// answers the calling query — and counts a
+    /// [`DeclineReason::StoreOverBudget`].
+    #[allow(clippy::mutable_key_type)] // refs hash/compare by immutable identity
+    pub fn insert(&self, set: &MSet, fingerprint: &str, groups: Index) -> Rc<Index> {
+        let (index, admitted) = self.with_store(|s| s.insert(set, fingerprint, groups));
+        if !admitted {
+            self.note_decline(DeclineReason::StoreOverBudget);
+        }
+        index
+    }
+
+    /// Report a typed runtime fallback: counted for this session and
+    /// process-wide, and attached to the open trace span if any.
+    pub fn note_decline(&self, reason: DeclineReason) {
+        self.declines.borrow_mut().note(reason);
+    }
+
+    /// This session's decline counts, one entry per variant in
+    /// [`DeclineReason::ALL`] order.
+    pub fn declines(&self) -> Vec<(DeclineReason, u64)> {
+        self.declines.borrow().snapshot()
+    }
+
+    /// Drop every cached index and zero the store and decline counters.
+    /// The WAL dirty set and the mode are untouched: a log's pending
+    /// writes are durability state, not statistics.
+    pub fn reset_stats(&self) {
+        self.with_store(IndexStore::reset);
+        *self.declines.borrow_mut() = DeclineCounts::default();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use machiavelli_value::epoch::DIRTY_REFS_CAP;
-    use machiavelli_value::{note_ref_write, RefValue};
+    use machiavelli_value::{DirtySet, RefValue, WriteSink};
 
     fn ints(xs: &[i64]) -> MSet {
         MSet::from_iter(xs.iter().map(|&x| Value::Int(x)))
@@ -599,7 +679,7 @@ mod tests {
         let mut st = IndexStore::new(1000);
         let d = RefValue::new(Value::Int(7));
         let s = ref_rows(&d, &[1, 2]);
-        let idx = st.insert(&s, "parity", parity_index(&s));
+        let (idx, _) = st.insert(&s, "parity", parity_index(&s));
         assert_eq!(rows(&idx, Value::Int(1)), &[0]);
         assert!(st.lookup(&s, "parity").is_some(), "cached like any other");
         assert_eq!(st.stats().entries, 1);
@@ -639,7 +719,9 @@ mod tests {
         st.insert(&plain, "parity", parity_index(&plain));
         // Writing through the ref reachable from `with_ref` evicts it —
         // and only it.
-        d.set(Value::Int(8));
+        let dirty = DirtySet::default();
+        d.set(Value::Int(8), &dirty);
+        st.invalidate(&dirty.take());
         assert!(st.lookup(&with_ref, "parity").is_none());
         assert!(st.lookup(&plain, "parity").is_some());
         let stats = st.stats();
@@ -654,7 +736,9 @@ mod tests {
         let s = ints(&[1, 2]);
         st.insert(&s, "parity", parity_index(&s));
         let unrelated = RefValue::new(Value::Int(0));
-        unrelated.set(Value::Int(1));
+        let dirty = DirtySet::default();
+        unrelated.set(Value::Int(1), &dirty);
+        st.invalidate(&dirty.take());
         assert!(
             st.lookup(&s, "parity").is_some(),
             "ref-free entries survive every write"
@@ -665,7 +749,8 @@ mod tests {
         let d = RefValue::new(Value::Int(7));
         let with_ref = ref_rows(&d, &[1]);
         st.insert(&with_ref, "parity", parity_index(&with_ref));
-        unrelated.set(Value::Int(2));
+        unrelated.set(Value::Int(2), &dirty);
+        st.invalidate(&dirty.take());
         assert!(st.lookup(&with_ref, "parity").is_some());
         assert_eq!(st.stats().invalidated, 0);
     }
@@ -679,9 +764,11 @@ mod tests {
         st.insert(&plain, "parity", parity_index(&plain));
         st.insert(&with_ref, "parity", parity_index(&with_ref));
         // More distinct writes than the dirty set holds: identities lost.
+        let dirty = DirtySet::default();
         for id in 0..=DIRTY_REFS_CAP as u64 {
-            note_ref_write(id);
+            dirty.note_ref_write(id);
         }
+        st.invalidate(&dirty.take());
         assert!(st.lookup(&plain, "parity").is_some(), "ref-free survives");
         assert!(st.lookup(&with_ref, "parity").is_none());
         let stats = st.stats();
@@ -758,7 +845,8 @@ mod tests {
     fn budget_of_zero_disables_caching() {
         let mut st = IndexStore::new(0);
         let s = ints(&[1]);
-        let idx = st.insert(&s, "parity", parity_index(&s));
+        let (idx, admitted) = st.insert(&s, "parity", parity_index(&s));
+        assert!(!admitted);
         // The handle still answers the calling query…
         assert_eq!(rows(&idx, Value::Int(1)), &[0]);
         // …but nothing was cached and nothing ever will be.
@@ -777,7 +865,7 @@ mod tests {
     fn oversized_relations_are_not_cached() {
         let mut st = IndexStore::new(2);
         let s = ints(&[1, 2, 3]);
-        let idx = st.insert(&s, "parity", parity_index(&s));
+        let (idx, _) = st.insert(&s, "parity", parity_index(&s));
         assert_eq!(idx.values().map(Vec::len).sum::<usize>(), 3);
         assert_eq!(st.stats().entries, 0);
         assert_eq!(st.stats().builds, 0);
@@ -837,11 +925,47 @@ mod tests {
 
     #[test]
     fn enable_toggle_round_trips() {
-        assert!(store_enabled());
-        let prev = set_store_enabled(false);
-        assert!(prev);
-        assert!(!store_enabled());
-        set_store_enabled(prev);
-        assert!(store_enabled());
+        let ctx = EngineCtx::default();
+        assert_eq!(ctx.mode(), Mode::planned(true));
+        let prev = ctx.set_mode(Mode::planned(false));
+        assert_eq!(prev, Mode::planned(true));
+        assert!(!ctx.mode().store);
+        assert!(
+            EngineCtx::default().mode().store,
+            "a mode belongs to its context"
+        );
+        ctx.set_mode(prev);
+        assert!(ctx.mode().store);
+    }
+
+    #[test]
+    fn context_evicts_on_the_way_in_and_counts_its_own_declines() {
+        let ctx = EngineCtx::default();
+        ctx.with_store(|st| st.set_budget(3));
+        let d = RefValue::new(Value::Int(7));
+        let with_ref = ref_rows(&d, &[1, 2]);
+        ctx.insert(&with_ref, "parity", parity_index(&with_ref));
+        // A write through the session's pair reaches its store set.
+        d.set(Value::Int(8), ctx.dirty());
+        assert!(ctx
+            .with_store(|st| st.lookup(&with_ref, "parity"))
+            .is_none());
+        assert_eq!(ctx.with_store(|st| st.stats()).invalidated, 1);
+        assert!(ctx.dirty().wal.take().ids.contains(&d.id));
+        // Over budget: not admitted, and the decline is this context's.
+        let big = ints(&[1, 2, 3, 4]);
+        ctx.insert(&big, "parity", parity_index(&big));
+        let over = |c: &EngineCtx| {
+            c.declines()
+                .into_iter()
+                .find(|(r, _)| *r == DeclineReason::StoreOverBudget)
+                .unwrap()
+                .1
+        };
+        assert_eq!(over(&ctx), 1);
+        assert_eq!(over(&EngineCtx::default()), 0);
+        ctx.reset_stats();
+        assert_eq!(over(&ctx), 0);
+        assert_eq!(ctx.with_store(|st| st.stats()), StoreStats::default());
     }
 }

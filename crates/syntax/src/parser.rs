@@ -113,12 +113,11 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+    /// Advance past the current token (never past the trailing `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -161,7 +160,12 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<Ident, ParseError> {
-        Ok(Symbol::intern(&self.ident_str()?))
+        let TokenKind::Ident(name) = self.peek() else {
+            return Err(self.expected("an identifier"));
+        };
+        let name = Symbol::intern(name);
+        self.bump();
+        Ok(name)
     }
 
     /// An identifier kept as raw text (type-variable and `rec` binder

@@ -20,12 +20,12 @@
 //!   REPL's `:analyze`).
 //! - **Declines** ([`DeclineReason`]): every runtime fallback anywhere
 //!   in the engine — planner fallback, store non-cacheability — reports
-//!   a *typed code* through [`note_decline`], not just a bare counter
+//!   a *typed code* through [`DeclineCounts::note`], not just a bare counter
 //!   bump. Decline counts are
-//!   kept **twice**: per-session (thread-local, reset with the other
-//!   session stats — `Session::stats` / `reset_stats`) and
-//!   process-wide (in the [`metrics`] registry, feeding `METRICS`
-//!   across server workers).
+//!   kept **twice**: per-session ([`DeclineCounts`], owned by the
+//!   `Session` and reset with its other stats — `Session::stats` /
+//!   `reset_stats`) and process-wide (in the [`metrics`] registry,
+//!   feeding `METRICS` across server workers).
 //!   Decline accounting is *always on*; only span attachment is gated
 //!   on tracing. Declines fire at most once per runtime fallback —
 //!   static ineligibility (a shape that was never a candidate) stays
@@ -59,8 +59,6 @@ thread_local! {
     static TRACING: Cell<Option<bool>> = const { Cell::new(None) };
     static CLOCK: Cell<Option<fn() -> u64>> = const { Cell::new(None) };
     static TRACER: RefCell<Tracer> = const { RefCell::new(Tracer::new()) };
-    static DECLINES: RefCell<[u64; DeclineReason::COUNT]> =
-        const { RefCell::new([0; DeclineReason::COUNT]) };
 }
 
 /// Is tracing enabled on this thread (= session)? Thread-local override
@@ -411,39 +409,37 @@ impl std::fmt::Display for DeclineReason {
     }
 }
 
-/// Report a typed runtime fallback. Always counts (session-local and
-/// process-wide) regardless of tracing; additionally attaches the code
-/// to the innermost open span (or the query) when a trace is active.
-pub fn note_decline(reason: DeclineReason) {
-    metrics::add_decline(reason);
-    DECLINES.with(|d| d.borrow_mut()[reason.index()] += 1);
-    if active() {
-        TRACER.with(|t| {
-            let mut t = t.borrow_mut();
-            match t.stack.last().copied() {
-                Some(sid) => t.spans[sid as usize].declines.push(reason),
-                None => t.declines.push(reason),
-            }
-        });
-    }
-}
+/// One session's decline counts, one per [`DeclineReason`].
+#[derive(Debug, Clone, Default)]
+pub struct DeclineCounts([u64; DeclineReason::COUNT]);
 
-/// This thread's (= session's) decline counts, one entry per variant in
-/// [`DeclineReason::ALL`] order.
-pub fn session_declines() -> Vec<(DeclineReason, u64)> {
-    DECLINES.with(|d| {
-        let d = d.borrow();
+impl DeclineCounts {
+    /// Report a typed runtime fallback: counted here and process-wide
+    /// (the [`metrics`] registry), regardless of tracing; additionally
+    /// attached to the innermost open span (or the query) when a trace
+    /// is active.
+    pub fn note(&mut self, reason: DeclineReason) {
+        self.0[reason.index()] += 1;
+        metrics::add_decline(reason);
+        if active() {
+            TRACER.with(|t| {
+                let mut t = t.borrow_mut();
+                match t.stack.last().copied() {
+                    Some(sid) => t.spans[sid as usize].declines.push(reason),
+                    None => t.declines.push(reason),
+                }
+            });
+        }
+    }
+
+    /// The counts, one entry per variant in [`DeclineReason::ALL`]
+    /// order, zeros included.
+    pub fn snapshot(&self) -> Vec<(DeclineReason, u64)> {
         DeclineReason::ALL
             .iter()
-            .map(|&r| (r, d[r.index()]))
+            .map(|&r| (r, self.0[r.index()]))
             .collect()
-    })
-}
-
-/// Zero this thread's decline counts (part of the session-wide stats
-/// reset; the process-wide totals are untouched).
-pub fn reset_session_declines() {
-    DECLINES.with(|d| *d.borrow_mut() = [0; DeclineReason::COUNT]);
+    }
 }
 
 // --- query latency histogram -----------------------------------------------
@@ -579,28 +575,32 @@ mod tests {
 
     #[test]
     fn declines_count_with_and_without_tracing() {
-        reset_session_declines();
-        note_decline(DeclineReason::PlannerDuplicateBinder);
+        let mut session = DeclineCounts::default();
+        session.note(DeclineReason::PlannerDuplicateBinder);
         with_tracing(|| {
             begin_query("q");
             let sid = open_op_with(|| "HashJoin".to_string());
-            note_decline(DeclineReason::StoreOverBudget);
+            session.note(DeclineReason::StoreOverBudget);
             close_op(sid, 0);
-            note_decline(DeclineReason::PlannerUnsafeConjunct);
+            session.note(DeclineReason::PlannerUnsafeConjunct);
             end_query();
             let events = take_events();
             let t = &events[0];
             assert_eq!(t.spans[0].declines, vec![DeclineReason::StoreOverBudget]);
             assert_eq!(t.declines, vec![DeclineReason::PlannerUnsafeConjunct]);
         });
-        let counts = session_declines();
+        let counts = session.snapshot();
         let get = |r: DeclineReason| counts.iter().find(|(c, _)| *c == r).unwrap().1;
         assert_eq!(get(DeclineReason::PlannerDuplicateBinder), 1);
         assert_eq!(get(DeclineReason::StoreOverBudget), 1);
         assert_eq!(get(DeclineReason::PlannerUnsafeConjunct), 1);
+        assert_eq!(counts.len(), DeclineReason::COUNT);
         assert!(metrics::snapshot().decline(DeclineReason::PlannerDuplicateBinder) >= 1);
-        reset_session_declines();
-        assert!(session_declines().iter().all(|(_, n)| *n == 0));
+        let other = DeclineCounts::default();
+        assert!(
+            other.snapshot().iter().all(|(_, n)| *n == 0),
+            "counts belong to the session that noted them"
+        );
     }
 
     #[test]

@@ -126,7 +126,8 @@ pub fn add(counter: Counter, n: u64) {
     CELLS[counter as usize].fetch_add(n, Ordering::Relaxed);
 }
 
-/// Count one typed decline ([`crate::note_decline`] is the entry point).
+/// Count one typed decline ([`crate::DeclineCounts::note`] is the entry
+/// point).
 pub(crate) fn add_decline(reason: DeclineReason) {
     CELLS[Counter::COUNT + reason.index()].fetch_add(1, Ordering::Relaxed);
 }
@@ -216,7 +217,7 @@ mod tests {
         for (i, &c) in Counter::ALL.iter().enumerate() {
             add(c, i as u64 + 1);
         }
-        crate::note_decline(DeclineReason::StoreOverBudget);
+        crate::DeclineCounts::default().note(DeclineReason::StoreOverBudget);
         let delta = snapshot().since(&before);
         for (i, &c) in Counter::ALL.iter().enumerate() {
             assert_eq!(delta.get(c), i as u64 + 1, "{c:?}");

@@ -119,7 +119,10 @@ mod tests {
     fn cyclic_refs_terminate() {
         // r := [Self = r] — a cyclic description through a ref.
         let r = RefValue::new(Value::Unit);
-        r.set(Value::record([("Self".into(), Value::Ref(r.clone()))]));
+        r.set(
+            Value::record([("Self".into(), Value::Ref(r.clone()))]),
+            &crate::epoch::Unobserved,
+        );
         let ty_inner = t_record([("Self".into(), t_ref(t_unit()))]);
         // Not conformant (inner Self: ref(unit) mismatch) but must not hang.
         let _ = conforms(&Value::Ref(r.clone()), &t_ref(ty_inner));

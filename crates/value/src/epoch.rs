@@ -1,36 +1,35 @@
-//! The thread-local **dirty reference set**: the write-side half of the
-//! index store's invalidation contract.
+//! **Dirty reference sets**: the write-side half of the index store's
+//! invalidation contract, and the write-ahead log's delta attribution.
 //!
-//! Every reference-cell write (funnelled through
-//! [`crate::RefValue::set`]) records the written ref's identity in a
-//! dirty set. Cache layers (the index store in `machiavelli-store`)
-//! drain the set to decide *which* cached entries could possibly be
-//! affected: an entry is evicted only when a written ref is reachable
-//! from the relation it indexes. A write to a ref no cached relation
-//! can reach evicts nothing. An empty drain means no write happened.
+//! Every reference-cell write goes through [`crate::RefValue::set`],
+//! which takes the [`WriteSink`] it records the written ref's identity
+//! into. A session owns its sinks (a [`DirtySets`] pair inside its
+//! engine context): cache layers (the index store in
+//! `machiavelli-store`) drain the store set to decide *which* cached
+//! entries could possibly be affected — an entry is evicted only when a
+//! written ref is reachable from the relation it indexes, so a write to
+//! a ref no cached relation can reach evicts nothing, and an empty drain
+//! means no write happened. The durability layer (`machiavelli-wal`)
+//! drains the WAL set at each commit.
 //!
-//! Values are `Rc`-based and therefore thread-confined, so the state is
-//! thread-local — no synchronization, no cross-thread invalidation to
-//! reason about.
-//!
-//! The dirty set is bounded: past [`DIRTY_REFS_CAP`] distinct ids it
+//! Each set is bounded: past [`DIRTY_REFS_CAP`] distinct ids it
 //! collapses to an *overflowed* marker, which consumers must treat as
 //! "every ref may have been written" (evict everything reachable from
-//! refs). Overflow is the only way identities are lost: a ref's cell is
-//! private to this crate, so no write can bypass `RefValue::set`.
+//! refs; fall back to a full checkpoint). Overflow is the only way
+//! identities are lost: a ref's cell is private to this crate, so no
+//! write can bypass `RefValue::set` and the sink it names.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashSet;
 
-/// Distinct written-ref ids tracked between cache validations; past
-/// this the set collapses to the conservative "everything is dirty"
-/// marker (a write burst this large is headed for a rebuild anyway).
+/// Distinct written-ref ids tracked between drains; past this the set
+/// collapses to the conservative "everything is dirty" marker (a write
+/// burst this large is headed for a rebuild anyway).
 pub const DIRTY_REFS_CAP: usize = 4096;
 
-/// The identities written since the last [`take_dirty_refs`] drain.
-/// `overflowed` means the precise set was lost (more than
-/// [`DIRTY_REFS_CAP`] distinct writes): consumers must assume every ref
-/// was written.
+/// The identities written since the last drain. `overflowed` means the
+/// precise set was lost (more than [`DIRTY_REFS_CAP`] distinct writes):
+/// consumers must assume every ref was written.
 #[derive(Debug, Default)]
 pub struct DirtyRefs {
     pub ids: HashSet<u64>,
@@ -61,70 +60,69 @@ impl DirtyRefs {
     }
 }
 
-thread_local! {
-    static DIRTY_REFS: RefCell<DirtyRefs> = RefCell::new(DirtyRefs::default());
-    static WAL_DIRTY: RefCell<DirtyRefs> = RefCell::new(DirtyRefs::default());
-    static WAL_TRACKING: Cell<bool> = const { Cell::new(false) };
+/// Where a reference write is recorded. [`crate::RefValue::set`] takes
+/// one, so every write site names the sets it must reach.
+pub trait WriteSink {
+    fn note_ref_write(&self, id: u64);
 }
 
-/// Record an **attributed** reference write: add the written ref's
-/// identity to the dirty set. Called by
-/// [`crate::RefValue::set`] — the single choke point every ref write
-/// goes through (the evaluator's `:=`, the OODB object store's updates,
-/// persistence decoding). Public so tests and native ref-like layers
-/// can report precise identities.
-pub fn note_ref_write(id: u64) {
-    DIRTY_REFS.with(|d| record_dirty(d, id));
-    if WAL_TRACKING.with(Cell::get) {
-        WAL_DIRTY.with(|d| record_dirty(d, id));
+/// One dirty set with a single consumer, drained whole.
+#[derive(Debug, Default)]
+pub struct DirtySet(RefCell<DirtyRefs>);
+
+impl DirtySet {
+    /// Drain the set, leaving it empty; draining with no intervening
+    /// writes returns an empty set.
+    pub fn take(&self) -> DirtyRefs {
+        std::mem::take(&mut *self.0.borrow_mut())
     }
 }
 
-fn record_dirty(d: &RefCell<DirtyRefs>, id: u64) {
-    let mut d = d.borrow_mut();
-    if d.overflowed {
-        return;
+impl WriteSink for DirtySet {
+    fn note_ref_write(&self, id: u64) {
+        let mut d = self.0.borrow_mut();
+        if d.overflowed {
+            return;
+        }
+        if d.ids.len() >= DIRTY_REFS_CAP {
+            d.ids = HashSet::new();
+            d.overflowed = true;
+        } else {
+            d.ids.insert(id);
+        }
     }
-    if d.ids.len() >= DIRTY_REFS_CAP {
-        d.ids.clear();
-        d.overflowed = true;
-    } else {
-        d.ids.insert(id);
+}
+
+/// The two dirty sets a session owns. As a sink the pair records into
+/// both — the evaluator's `:=`, a write the index store must see and
+/// the WAL must log. A write that is already durable (persistence
+/// decoding into a live session: WAL replay, a replica applying shipped
+/// groups) records into [`DirtySets::store`] alone.
+#[derive(Debug, Default)]
+pub struct DirtySets {
+    /// Drained by the session's index store before it serves anything.
+    pub store: DirtySet,
+    /// Drained by the session's attached log at each commit; an
+    /// `overflowed` drain means attribution was lost and the log falls
+    /// back to a full checkpoint.
+    pub wal: DirtySet,
+}
+
+impl WriteSink for DirtySets {
+    fn note_ref_write(&self, id: u64) {
+        self.store.note_ref_write(id);
+        self.wal.note_ref_write(id);
     }
 }
 
-/// Drain the dirty set, leaving it empty. The single consumer is the
-/// thread's index store (one store per thread), which drains on the way
-/// into every operation; draining with no intervening writes returns an
-/// empty set.
-pub fn take_dirty_refs() -> DirtyRefs {
-    DIRTY_REFS.with(|d| std::mem::take(&mut *d.borrow_mut()))
-}
+/// The sink for a write nothing can have observed: filling a cell its
+/// writer allocated and has not shared yet (persistence decoding ties
+/// reference cycles this way). Records nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Unobserved;
 
-/// Enable (or disable) the **write-ahead-log dirty channel** on this
-/// thread, returning the previous setting. The index store's dirty set
-/// above has exactly one consumer (the store drains it on every query),
-/// so the durability layer (`machiavelli-wal`) cannot share it: with
-/// tracking on, [`note_ref_write`] records every written identity in a
-/// *second*, independently drained set ([`take_wal_dirty_refs`]) with
-/// the same cap/overflow discipline. Off by default — sessions that
-/// never attach a log pay a single thread-local load per write.
-pub fn set_wal_tracking(on: bool) -> bool {
-    WAL_TRACKING.with(|c| c.replace(on))
-}
-
-/// Is the WAL dirty channel live on this thread?
-pub fn wal_tracking() -> bool {
-    WAL_TRACKING.with(Cell::get)
-}
-
-/// Drain the WAL dirty set, leaving it empty. The consumer is the
-/// session's attached log (`machiavelli-wal`), which drains at each
-/// commit point; an `overflowed` result means precise attribution was
-/// lost (cap exceeded) and the consumer must fall back to a full
-/// checkpoint.
-pub fn take_wal_dirty_refs() -> DirtyRefs {
-    WAL_DIRTY.with(|d| std::mem::take(&mut *d.borrow_mut()))
+impl WriteSink for Unobserved {
+    fn note_ref_write(&self, _id: u64) {}
 }
 
 #[cfg(test)]
@@ -134,17 +132,19 @@ mod tests {
 
     #[test]
     fn ref_writes_record_identity() {
-        let _ = take_dirty_refs();
+        let dirty = DirtySet::default();
         let r = RefValue::new(Value::Int(1));
         assert!(
-            take_dirty_refs().is_empty(),
+            dirty.take().is_empty(),
             "allocation is not a write — fresh refs cannot be cached yet"
         );
-        r.set(Value::Int(2));
-        let dirty = take_dirty_refs();
-        assert!(dirty.ids.contains(&r.id), "{dirty:?}");
-        assert!(!dirty.overflowed);
-        assert!(take_dirty_refs().is_empty(), "drain leaves it empty");
+        r.set(Value::Int(2), &dirty);
+        let drained = dirty.take();
+        assert!(drained.ids.contains(&r.id), "{drained:?}");
+        assert!(!drained.overflowed);
+        assert!(dirty.take().is_empty(), "drain leaves it empty");
+        r.set(Value::Int(3), &Unobserved);
+        assert!(dirty.take().is_empty(), "another sink's write is not ours");
     }
 
     #[test]
@@ -158,40 +158,38 @@ mod tests {
 
     #[test]
     fn wal_channel_fills_only_while_tracking() {
-        let _ = take_dirty_refs();
-        let _ = take_wal_dirty_refs();
+        let sets = DirtySets::default();
         let r = RefValue::new(Value::Int(0));
-        r.set(Value::Int(1));
+        r.set(Value::Int(1), &sets.store);
         assert!(
-            take_wal_dirty_refs().is_empty(),
-            "tracking off: the WAL channel stays empty"
+            sets.wal.take().is_empty(),
+            "a store-only write (durable by construction) stays out of the WAL set"
         );
-        let prev = set_wal_tracking(true);
-        assert!(!prev, "tracking defaults to off");
-        r.set(Value::Int(2));
-        let wal = take_wal_dirty_refs();
+        assert!(sets.store.take().ids.contains(&r.id));
+        r.set(Value::Int(2), &sets);
+        let wal = sets.wal.take();
         assert!(wal.ids.contains(&r.id), "{wal:?}");
         assert!(!wal.overflowed);
         for id in 0..=DIRTY_REFS_CAP as u64 {
-            note_ref_write(id);
+            sets.note_ref_write(id);
         }
         assert!(
-            take_wal_dirty_refs().overflowed,
-            "overflow collapses the WAL channel too"
+            sets.wal.take().overflowed,
+            "overflow collapses the WAL set too"
         );
-        set_wal_tracking(false);
-        // The store's channel saw every write regardless of WAL tracking.
-        let store = take_dirty_refs();
-        assert!(store.overflowed || store.ids.contains(&r.id));
+        // The store set saw every write the pair did.
+        let store = sets.store.take();
+        assert!(store.overflowed);
     }
 
     #[test]
     fn cap_overflow_collapses() {
-        let _ = take_dirty_refs();
+        let dirty = DirtySet::default();
         for id in 0..(DIRTY_REFS_CAP as u64 + 2) {
-            note_ref_write(id);
+            dirty.note_ref_write(id);
         }
-        let dirty = take_dirty_refs();
-        assert!(dirty.overflowed);
+        let drained = dirty.take();
+        assert!(drained.overflowed);
+        assert!(drained.ids.is_empty());
     }
 }

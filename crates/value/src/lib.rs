@@ -20,9 +20,7 @@ pub mod value;
 
 pub use conform::conforms;
 pub use display::show_value;
-pub use epoch::{
-    note_ref_write, set_wal_tracking, take_dirty_refs, take_wal_dirty_refs, wal_tracking, DirtyRefs,
-};
+pub use epoch::{DirtyRefs, DirtySet, DirtySets, Unobserved, WriteSink};
 pub use error::ValueError;
 pub use faults::{FaultConfig, FaultPoint};
 pub use governor::{QueryGuard, Trip};

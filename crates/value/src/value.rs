@@ -59,16 +59,18 @@ impl RefValue {
         self.cell.borrow().clone()
     }
 
-    /// Overwrite the contents. Every write — the evaluator's `:=`, OODB
-    /// object updates, persistence decoding — funnels through here, so
-    /// this is where **the written identity is recorded in the
-    /// thread's dirty-ref set**: a cache that drains the set before
-    /// serving (the index store) can never serve a snapshot computed
-    /// before this write, and can keep every entry this write cannot
-    /// reach.
-    pub fn set(&self, v: Value) {
+    /// Overwrite the contents, recording the written identity in
+    /// `sink`. Every write funnels through here and must name where it
+    /// is recorded: the evaluator's `:=` records into its session's
+    /// dirty-set pair, so the session's index store can never serve a
+    /// snapshot computed before this write (and keeps every entry the
+    /// write cannot reach) and its log carries the write at the next
+    /// commit; decoding an already-durable write into a live session
+    /// records into the store set alone; filling a cell nobody else
+    /// holds yet records nowhere ([`crate::epoch::Unobserved`]).
+    pub fn set(&self, v: Value, sink: &impl crate::epoch::WriteSink) {
         *self.cell.borrow_mut() = v;
-        crate::epoch::note_ref_write(self.id);
+        sink.note_ref_write(self.id);
     }
 }
 
@@ -685,7 +687,7 @@ mod tests {
     fn ref_mutation_shared() {
         let r = RefValue::new(Value::Int(1));
         let alias = Value::Ref(r.clone());
-        r.set(Value::Int(2));
+        r.set(Value::Int(2), &crate::epoch::Unobserved);
         let Value::Ref(r2) = &alias else { panic!() };
         assert_eq!(r2.get(), Value::Int(2));
     }
@@ -723,7 +725,10 @@ mod tests {
     fn scan_refs_survives_cycles_and_flags_closures() {
         // Build a reference cycle: r -> record -> r.
         let r = RefValue::new(Value::Unit);
-        r.set(Value::record([("Me".into(), Value::Ref(r.clone()))]));
+        r.set(
+            Value::record([("Me".into(), Value::Ref(r.clone()))]),
+            &crate::epoch::Unobserved,
+        );
         let mut scan = RefScan::default();
         scan_refs(&Value::Ref(r.clone()), &mut scan);
         assert_eq!(scan.into_sorted_ids(), vec![r.id]);

@@ -9,9 +9,8 @@
 //!
 //! * **Delta logging.** Every committed evaluation appends only what
 //!   changed: bind records for (re)bound names and ref-delta records
-//!   for the cells the PR 5 dirty-ref channel attributes
-//!   ([`machiavelli_value::epoch`] `note_ref_write` → the WAL dirty
-//!   set). Payloads reuse the `persist.rs` grammar threaded through one
+//!   for the cells the session's WAL dirty set attributes (every `:=`
+//!   records into it; see [`machiavelli_value::epoch`]). Payloads reuse the `persist.rs` grammar threaded through one
 //!   [`RefRegistry`] per generation, so sharing and cycles survive
 //!   across records, and commit cost is flat in session size.
 //! * **Commit groups.** Records are CRC-framed and batched under a
@@ -39,14 +38,11 @@
 //! [`machiavelli_value::faults`]) drive the seeded kill-replay-verify
 //! harness in `machiavelli-server`'s `tests/crash_recovery.rs`.
 //!
-//! # Thread discipline
+//! # Attribution
 //!
-//! The dirty-ref channel is thread-local and shared by every session a
-//! thread hosts, so attribution relies on one rule: **after each
-//! evaluation, drain the channel into that session's log** — via
-//! [`SessionLog::commit`] on success or [`SessionLog::absorb_dirty`] on
-//! failure — before touching any other session on the thread. The
-//! server's workers follow it.
+//! The session owns its dirty sets, and a commit drains its own: the
+//! writes of a failed evaluation wait in the session's WAL set for the
+//! next commit, and no other session's writes can reach it.
 
 use std::collections::BTreeSet;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -57,9 +53,7 @@ use machiavelli::persist::{
 };
 use machiavelli::trace::metrics::{self, Counter};
 use machiavelli::{Outcome, Session};
-use machiavelli_value::epoch::DIRTY_REFS_CAP;
 use machiavelli_value::faults::{self, FaultPoint};
-use machiavelli_value::{set_wal_tracking, take_wal_dirty_refs, DirtyRefs};
 
 pub mod crc;
 pub mod log;
@@ -271,8 +265,6 @@ pub struct SessionLog {
     /// Names with at least one durable bind record this generation —
     /// the checkpoint's working set.
     names: BTreeSet<String>,
-    /// Attributed ref writes awaiting their commit.
-    pending: DirtyRefs,
     /// Set after a failed append, sync, checkpoint or replica apply:
     /// everything but reads of the trusted prefix refuses.
     doomed: bool,
@@ -292,8 +284,9 @@ impl SessionLog {
     /// Open (creating if absent) the durable state under `dir` and
     /// recover it into `session`: snapshot first, then every complete
     /// commit group of a generation-matching log; torn tails truncated,
-    /// stale logs discarded. Enables the thread's WAL dirty channel and
-    /// drains replay's own writes from it.
+    /// stale logs discarded. Replay's ref writes are durable already,
+    /// so they reach the session's store dirty set only, never its WAL
+    /// set.
     pub fn open(
         dir: &Path,
         session: &mut Session,
@@ -306,7 +299,6 @@ impl SessionLog {
         let _ = std::fs::remove_file(dir.join("snapshot.mach.tmp"));
         let _ = std::fs::remove_file(dir.join("wal.log.tmp"));
 
-        set_wal_tracking(true);
         let mut report = RecoveryReport::default();
         let mut reg = RefRegistry::new();
         let mut names = BTreeSet::new();
@@ -391,10 +383,6 @@ impl SessionLog {
         if report.recovered {
             metrics::add(Counter::WalRecoveries, 1);
         }
-        // Replay applied writes through `RefValue::set`; they are
-        // durable by construction and must not re-surface as the next
-        // commit's deltas.
-        let _ = take_wal_dirty_refs();
         Ok((
             SessionLog {
                 dir: dir.to_path_buf(),
@@ -402,7 +390,6 @@ impl SessionLog {
                 reg,
                 gen,
                 names,
-                pending: DirtyRefs::default(),
                 doomed: false,
                 synced_len,
                 header_len,
@@ -428,28 +415,10 @@ impl SessionLog {
         self.doomed
     }
 
-    /// Drain the thread's WAL dirty channel into this log's pending
-    /// set. Call after *any* evaluation on the attached session —
-    /// including failed ones, whose partial ref writes are real — and
-    /// before evaluating any other session on this thread.
-    /// [`SessionLog::commit`] does this itself.
-    pub fn absorb_dirty(&mut self) {
-        let drained = take_wal_dirty_refs();
-        if drained.overflowed || self.pending.overflowed {
-            self.pending.ids.clear();
-            self.pending.overflowed = true;
-            return;
-        }
-        self.pending.ids.extend(drained.ids);
-        if self.pending.ids.len() > DIRTY_REFS_CAP {
-            self.pending.ids.clear();
-            self.pending.overflowed = true;
-        }
-    }
-
     /// Make one evaluation durable: bind records for `outcomes`,
-    /// ref-delta records for every attributed write since the last
-    /// commit, one commit marker, one sync. Flat in session size — cost
+    /// ref-delta records for every write the session's WAL dirty set
+    /// holds (everything since the last commit, failed evaluations'
+    /// partial writes included), one commit marker, one sync. Flat in session size — cost
     /// scales with what changed, not with what exists.
     ///
     /// Escalates to a full [`SessionLog::checkpoint`] when attribution
@@ -464,10 +433,9 @@ impl SessionLog {
         if self.doomed {
             return Err(WalError::Doomed);
         }
-        self.absorb_dirty();
+        let dirty = session.engine().dirty().wal.take();
         let mut skipped = 0u64;
-        if self.pending.overflowed {
-            self.pending = DirtyRefs::default();
+        if dirty.overflowed {
             // Re-track every outcome name so a brand-new binding isn't
             // dropped by a checkpoint that only walks tracked names.
             for o in outcomes {
@@ -495,7 +463,7 @@ impl SessionLog {
                 None => skipped += 1,
             }
         }
-        let mut dirty: Vec<u64> = self.pending.ids.drain().collect();
+        let mut dirty: Vec<u64> = dirty.ids.into_iter().collect();
         dirty.sort_unstable();
         for session_ref_id in dirty {
             // Unregistered cells are unreachable from durable state; if
@@ -598,7 +566,8 @@ impl SessionLog {
             .max(floor)
             .checked_add(1)
             .ok_or_else(|| WalError::BadHeader("generation overflow".to_string()))?;
-        self.absorb_dirty();
+        // The snapshot carries every write so far.
+        let _ = session.engine().dirty().wal.take();
         // Any failure below leaves disk state ambiguous relative to
         // memory; doom the log until it is re-opened.
         self.doomed = true;
@@ -641,7 +610,6 @@ impl SessionLog {
         self.gen = next_gen;
         self.reg = reg;
         self.names = kept;
-        self.pending = DirtyRefs::default();
         self.doomed = false;
         metrics::add(Counter::WalCheckpoints, 1);
         Ok(())
@@ -776,13 +744,9 @@ impl SessionLog {
                 // Memory may be part-way through the group; only a
                 // fresh install makes this slot trustworthy again.
                 self.doomed = true;
-                let _ = take_wal_dirty_refs();
                 return Err(WalError::ReplicaDiverged(e.to_string()));
             }
         }
-        // Replay wrote through `RefValue::set`; those deltas are the
-        // primary's, already durable in the bytes we are about to land.
-        let _ = take_wal_dirty_refs();
         if let Err(e) = self.append_synced(keep) {
             self.doomed = true;
             return Err(e);
@@ -877,7 +841,9 @@ fn apply_payload(
                 });
             };
             let value = decode_with_registry(&enc, reg)?;
-            cell.set(value);
+            // Durable already: the session's index store must see the
+            // write, its log must not carry it again.
+            cell.set(value, &session.engine().dirty().store);
         }
         // Markers are group boundaries; the scanner strips them, but a
         // stray one is harmless.
@@ -1101,6 +1067,39 @@ mod tests {
             }
             other => panic!("expected empty groups, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&pd);
+        let _ = std::fs::remove_dir_all(&fd);
+    }
+
+    #[test]
+    fn replica_apply_evicts_the_followers_index_and_logs_nothing() {
+        let pd = tempdir("evict-p");
+        let fd = tempdir("evict-f");
+        let (mut p, _) = Durable::open(&pd);
+        let (mut f, _) = Durable::open(&fd);
+        p.eval("val d = ref([Tag=1]);").unwrap();
+        p.eval("val r = {[K=1, D=d], [K=2, D=d]}; val probe = {[K=1], [K=2]};")
+            .unwrap();
+        pump(&mut p, &mut f);
+        // The follower caches an index over `r`, whose rows reach `d`.
+        let q = "select x.K where y <- probe, x <- r with x.K = y.K;";
+        assert_eq!(f.show(q), "val it = {1, 2} : {int}");
+        let warm = f.session.store_stats();
+        assert_eq!((warm.builds, warm.entries), (1, 1), "{warm:?}");
+        // A shipped delta writes the follower's `d`.
+        p.eval("d := [Tag=2];").unwrap();
+        assert_eq!(pump(&mut p, &mut f), 1);
+        assert_eq!(f.show("(!d).Tag;"), "val it = 2 : int");
+        let after = f.session.store_stats();
+        assert_eq!(
+            after.invalidated,
+            warm.invalidated + 1,
+            "the decoded write reached the follower's store: {after:?}"
+        );
+        // Durable already: the follower's own log owes nothing for it.
+        let receipt = f.log.commit(&f.session, &[]).unwrap();
+        assert_eq!(receipt.records, 0, "{receipt:?}");
+        assert_eq!(f.log.cursor(), p.log.cursor());
         let _ = std::fs::remove_dir_all(&pd);
         let _ = std::fs::remove_dir_all(&fd);
     }

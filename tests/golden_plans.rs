@@ -9,8 +9,8 @@
 
 use machiavelli::testing::pinned_session;
 
-/// Render against a cold store so `[idx build]` markers are
-/// deterministic regardless of what ran earlier on this thread.
+/// Render against a fresh session's cold store so `[idx build]` markers
+/// are deterministic regardless of what ran earlier.
 fn plan(src: &str) -> String {
     pinned_session().plan_of(src).unwrap()
 }

@@ -278,10 +278,13 @@ fn recursive_data_through_refs() {
         ("Name".into(), Value::str("b")),
         ("Next".into(), Value::variant("Some", Value::Ref(a.clone()))),
     ]));
-    a.set(Value::record([
-        ("Name".into(), Value::str("a")),
-        ("Next".into(), Value::variant("Some", Value::Ref(b.clone()))),
-    ]));
+    a.set(
+        Value::record([
+            ("Name".into(), Value::str("a")),
+            ("Next".into(), Value::variant("Some", Value::Ref(b.clone()))),
+        ]),
+        &machiavelli::value::Unobserved,
+    );
     let mut s = Session::new();
     s.bind_external(
         "ring",

@@ -14,20 +14,10 @@
 //! * identity-bearing rows and environment-dependent builds keep their
 //!   exact bindings whichever strategy runs them.
 
-use machiavelli::eval::set_planner_enabled;
 use machiavelli::testing::{run_in, Mode};
 use machiavelli::value::show_value;
 use machiavelli::Session;
 use machiavelli_fixtures::scaled_parts_session;
-
-/// Run `f` with planner dispatch forced on/off, restoring the previous
-/// setting afterwards.
-fn with_planner<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let prev = set_planner_enabled(on);
-    let out = f();
-    set_planner_enabled(prev);
-    out
-}
 
 /// Evaluate `src` in a fresh Figure-2-scaled session under `mode`,
 /// normalizing to `Ok(rendered value)` / `Err(message)`.
@@ -211,12 +201,12 @@ fn identity_bearing_rows_and_env_dependent_builds_agree() {
 #[test]
 fn planner_toggle_is_restored() {
     let mut s = Session::new();
-    let inner = with_planner(false, || {
-        assert!(!machiavelli::eval::planner_enabled());
-        s.eval_one("select x where x <- {1, 2} with x > 1;")
-            .unwrap()
-            .show()
-    });
-    assert!(machiavelli::eval::planner_enabled());
-    assert_eq!(inner, "val it = {2} : {int}");
+    let inner = run_in(
+        &mut s,
+        "select x where x <- {1, 2} with x > 1;",
+        Mode::SELECT_LOOP,
+    );
+    assert_eq!(s.engine().mode(), Mode::planned(true));
+    assert_eq!(inner.unwrap(), "{2}");
+    assert_eq!(s.eval_one("it;").unwrap().show(), "val it = {2} : {int}");
 }

@@ -18,8 +18,8 @@
 //!   identity, ref identity and binding order against `select_loop`,
 //!   with the cached entry asserted probed.
 
-use machiavelli::eval::set_planner_enabled;
-use machiavelli::testing::{run_in, with_mode, Mode};
+use machiavelli::store::EngineCtx;
+use machiavelli::testing::{run_in, Mode};
 use machiavelli::types::{glb, le, lub, type_eq, Partial};
 use machiavelli::value::{con_value, join_value, project_value, value_cmp, MSet, Value};
 use machiavelli_fixtures::relational::{
@@ -389,17 +389,8 @@ proptest! {
     ) {
         let src = random_comprehension(seed, 2 * n_parts as u64);
         let (mut session, _db) = scaled_parts_session(n_parts, n_suppliers, seed ^ 0x9e3779b9);
-        let run = |s: &mut machiavelli::Session, on: bool| {
-            let prev = set_planner_enabled(on);
-            let out = s
-                .eval_one(&src)
-                .map(|o| machiavelli::value::show_value(&o.value))
-                .map_err(|e| e.to_string());
-            set_planner_enabled(prev);
-            out
-        };
-        let planned = run(&mut session, true);
-        let interpreted = run(&mut session, false);
+        let planned = run_in(&mut session, &src, Mode::planned(true));
+        let interpreted = run_in(&mut session, &src, Mode::SELECT_LOOP);
         // (On mismatch the query shape is recoverable from the seed.)
         prop_assert!(planned == interpreted, "{}: {:?} vs {:?}", src, planned, interpreted);
     }
@@ -712,14 +703,14 @@ proptest! {
         for (name, env, src, expect) in join_scenarios(seed) {
             let expr = machiavelli::syntax::parse_expr(&src).unwrap();
             let tick = env.lookup("tick").unwrap();
+            let ctx = EngineCtx::default();
             let run = |mode: Mode| {
                 let Value::Ref(tick) = &tick else { unreachable!() };
-                tick.set(Value::Int(0));
-                with_mode(mode, || {
-                    machiavelli::eval::eval_expr(&env, &expr)
-                        .map(|v| machiavelli::value::show_value(&v))
-                        .map_err(|e| e.to_string())
-                })
+                tick.set(Value::Int(0), ctx.dirty());
+                ctx.set_mode(mode);
+                machiavelli::eval::eval_expr(&ctx, &env, &expr)
+                    .map(|v| machiavelli::value::show_value(&v))
+                    .map_err(|e| e.to_string())
             };
             let reference = run(Mode::SELECT_LOOP);
             prop_assert!(
@@ -727,7 +718,7 @@ proptest! {
                 "{name}: {reference:?}"
             );
             for store in [false, true] {
-                machiavelli::store::with_store(|s| s.reset());
+                ctx.reset_stats();
                 for warmth in ["cold", "warm"] {
                     let got = run(Mode::planned(store));
                     prop_assert!(
@@ -738,7 +729,7 @@ proptest! {
                 if !store {
                     continue;
                 }
-                let st = machiavelli::store::with_store(|s| s.stats());
+                let st = ctx.with_store(|s| s.stats());
                 let probed = match expect {
                     Expect::Cached => st.entries >= 1 && st.hits >= 1,
                     Expect::Raise => st.entries == 0,

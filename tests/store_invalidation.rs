@@ -12,22 +12,12 @@
 //! runs the same query/mutation interleavings with the store on and
 //! off and requires identical visible results and no eviction.
 
-use machiavelli::eval::set_planner_enabled;
-use machiavelli::testing::{with_mode, Mode};
+use machiavelli::testing::{run_in, Mode};
 use machiavelli::value::show_value;
 use machiavelli::Session;
 use machiavelli_fixtures::{scaled_parts_session, FIG5_SOURCE};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
-
-/// Run `f` with planner dispatch forced on/off, restoring the previous
-/// setting afterwards.
-fn with_planner<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let prev = set_planner_enabled(on);
-    let out = f();
-    set_planner_enabled(prev);
-    out
-}
 
 fn eval(s: &mut Session, src: &str) -> Result<String, String> {
     s.eval_one(src)
@@ -273,9 +263,9 @@ fn planner_and_interpreter_agree_on_a_warm_cache() {
     s.store_reset();
     let q = "select (p.Pname, sb.P#) where p <- parts, sb <- supplied_by \
              with p.P# = sb.P#;";
-    let reference = with_planner(false, || eval(&mut s, q));
+    let reference = run_in(&mut s, q, Mode::SELECT_LOOP);
     for round in 0..3 {
-        let planned = with_planner(true, || eval(&mut s, q));
+        let planned = run_in(&mut s, q, Mode::planned(true));
         assert_eq!(planned, reference, "round {round}");
     }
     assert!(s.store_stats().hits >= 1);
@@ -285,7 +275,7 @@ fn planner_and_interpreter_agree_on_a_warm_cache() {
 fn lru_budget_bounds_cached_rows_end_to_end() {
     let mut s = Session::new();
     s.store_reset();
-    machiavelli::store::with_store(|st| st.set_budget(3));
+    s.engine().with_store(|st| st.set_budget(3));
     // `big` and `small` are each the second generator, so each is the
     // build and the budget decides what is cached.
     s.run(
@@ -316,7 +306,53 @@ fn lru_budget_bounds_cached_rows_end_to_end() {
     .unwrap();
     let stats = s.store_stats();
     assert_eq!((stats.entries, stats.cached_rows), (1, 2), "{stats:?}");
-    machiavelli::store::with_store(|st| st.set_budget(machiavelli::store::DEFAULT_BUDGET_ROWS));
+}
+
+#[test]
+fn two_sessions_on_one_thread_keep_separate_stores() {
+    // A session's index store is its own: a build in A is invisible to
+    // B on the same thread, and B's counters start from nothing.
+    let mut a = machiavelli::testing::pinned_session();
+    let b = machiavelli::testing::pinned_session();
+    a.run("val r = {[K=1, A=10], [K=2, A=20]}; val probe = {[K=1]};")
+        .unwrap();
+    let q = "select x.A where y <- probe, x <- r with x.K = y.K;";
+    assert_eq!(eval(&mut a, q).unwrap(), "{10}");
+    assert_eq!(a.store_stats().builds, 1);
+    let other = b.store_stats();
+    assert_eq!((other.builds, other.entries), (0, 0), "{other:?}");
+    assert!(b.store_indexes().is_empty());
+}
+
+#[test]
+fn resetting_one_session_leaves_another_intact() {
+    // `reset_stats` clears the caller's store and decline counts, and
+    // only the caller's.
+    let mut a = machiavelli::testing::pinned_session();
+    let mut b = machiavelli::testing::pinned_session();
+    a.run("val r = {[K=1, A=10], [K=2, A=20]}; val probe = {[K=1]};")
+        .unwrap();
+    eval(
+        &mut a,
+        "select x.A where y <- probe, x <- r with x.K = y.K;",
+    )
+    .unwrap();
+    // An unsafe predicate: the planner declines, counted in A.
+    eval(&mut a, "select x where x <- r with member(x, r);").unwrap();
+    let declined = |s: &Session| s.stats().declines.iter().map(|(_, n)| n).sum::<u64>();
+    let (a_indexes, a_declines) = (a.store_indexes(), declined(&a));
+    assert_eq!(a_indexes.len(), 1);
+    assert!(a_declines >= 1);
+    b.run("val t = {1, 2};").unwrap();
+    b.reset_stats();
+    assert_eq!(
+        a.store_indexes().len(),
+        a_indexes.len(),
+        "A's index survives"
+    );
+    assert_eq!(declined(&a), a_declines, "A's declines survive");
+    assert_eq!(a.store_stats().builds, 1);
+    assert_eq!(declined(&b), 0);
 }
 
 /// Drive one session through a scripted query/mutation interleaving,
@@ -324,9 +360,11 @@ fn lru_budget_bounds_cached_rows_end_to_end() {
 fn drive(
     ops: &[(bool, i64, i64)],
     seed: i64,
+    mode: Mode,
 ) -> (Vec<Result<String, String>>, machiavelli::store::StoreStats) {
     let mut s = Session::new();
     s.store_reset();
+    s.engine().set_mode(mode);
     s.run(&format!(
         "val dbref = ref({{[K=0, A={seed}], [K=1, A={}]}});
          val fixed = {{[K=0, B=7], [K=2, B=9]}};
@@ -386,8 +424,8 @@ proptest! {
                 )).unwrap();
             }
             let q = queries[i % queries.len()];
-            let planned = with_planner(true, || eval(&mut s, q));
-            let reference = with_planner(false, || eval(&mut s, q));
+            let planned = run_in(&mut s, q, Mode::planned(true));
+            let reference = run_in(&mut s, q, Mode::SELECT_LOOP);
             prop_assert!(
                 planned == reference,
                 "op {i} of {ops:?}: {planned:?} vs {reference:?}"
@@ -405,8 +443,8 @@ proptest! {
         ops in proptest::collection::vec((any::<bool>(), 0i64..5, 0i64..40), 1..10),
         seed in 0i64..100,
     ) {
-        let (cached_out, cached) = with_mode(Mode::planned(true), || drive(&ops, seed));
-        let (uncached_out, _) = with_mode(Mode::planned(false), || drive(&ops, seed));
+        let (cached_out, cached) = drive(&ops, seed, Mode::planned(true));
+        let (uncached_out, _) = drive(&ops, seed, Mode::planned(false));
         prop_assert!(
             cached_out == uncached_out,
             "visible results diverge on {ops:?}: {cached_out:?} vs {uncached_out:?}"

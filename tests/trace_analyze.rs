@@ -150,11 +150,12 @@ fn run_observed(
     src: &str,
     traced: bool,
 ) -> (Result<String, String>, Vec<(&'static str, u64)>) {
-    session.store_reset();
+    session.reset_stats();
     let prev_trace = session.set_tracing(Some(traced));
-    trace::reset_session_declines();
     let out = run_in(session, src, Mode::planned(true));
-    let declines: Vec<(&'static str, u64)> = trace::session_declines()
+    let declines: Vec<(&'static str, u64)> = session
+        .stats()
+        .declines
         .into_iter()
         .filter(|(_, n)| *n > 0)
         .map(|(r, n)| (r.code(), n))
