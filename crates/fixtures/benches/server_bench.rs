@@ -5,9 +5,9 @@
 //!
 //! Three groups:
 //!
-//! * `server/primed_read/workers{1,4}` — 100 primed sessions per
-//!   server, round-robin hot-index reads. Every session built its own
-//!   index while priming, so this times warm probes only.
+//! * `server/primed_read` — 100 primed sessions, round-robin
+//!   hot-index reads. Every session built its own index while priming,
+//!   so this times warm probes only.
 //! * `server/first_query` — each iteration opens a session, loads the
 //!   128-row relation, runs the hot query once (paying the index build)
 //!   and closes the session. This is the per-session cost a
@@ -18,9 +18,7 @@
 //!   gracefully — every faulted query returns a structured error,
 //!   throughput is reduced, the process never aborts.
 //!
-//! Wall-clock speedup from `workers4` over `workers1` tracks the
-//! machine's core count (a single-core container serializes the
-//! workers).
+//! Every read runs on the bench thread, under its session's lock.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use machiavelli_server::faults::FaultConfig;
@@ -47,22 +45,22 @@ fn indexed_setup() -> String {
 
 const HOT_QUERY: &str = "select x.A where y <- probe, x <- r with x.K = y.K;";
 
-fn start_server(workers: usize, faults: Option<FaultConfig>) -> Server {
+fn start_server(faults: Option<FaultConfig>) -> Server {
     Server::start(ServerConfig {
-        workers,
         queue_cap: 64,
         default_deadline: Some(Duration::from_secs(5)),
         row_budget: None,
         faults: Some(faults.unwrap_or_else(FaultConfig::off)),
         durable_root: None,
         role: ServerRole::Primary,
+        ..ServerConfig::default()
     })
 }
 
 /// Start a server and prime `SESSIONS` sessions with identical
 /// relations plus one warm run of the hot query each.
-fn primed_server(workers: usize, faults: Option<FaultConfig>) -> (Server, Vec<u64>) {
-    let server = start_server(workers, faults);
+fn primed_server(faults: Option<FaultConfig>) -> (Server, Vec<u64>) {
+    let server = start_server(faults);
     let setup = indexed_setup();
     let sids: Vec<u64> = (0..SESSIONS)
         .map(|_| server.open_session().expect("open"))
@@ -113,22 +111,20 @@ fn bench_server(c: &mut Criterion) {
     let mut group = c.benchmark_group("server");
     group.sample_size(10);
 
-    // --- warm hot-index reads, 1 vs 4 workers ------------------------
-    for workers in [1usize, 4] {
-        let (server, sids) = primed_server(workers, None);
-        let mut next = 0usize;
-        group.bench_function(format!("primed_read/workers{workers}"), |b| {
-            b.iter(|| {
-                let sid = sids[next % sids.len()];
-                next += 1;
-                server.eval(sid, HOT_QUERY).expect("hot read")
-            })
-        });
-        server.shutdown();
-    }
+    // --- warm hot-index reads ----------------------------------------
+    let (server, sids) = primed_server(None);
+    let mut next = 0usize;
+    group.bench_function("primed_read", |b| {
+        b.iter(|| {
+            let sid = sids[next % sids.len()];
+            next += 1;
+            server.eval(sid, HOT_QUERY).expect("hot read")
+        })
+    });
+    server.shutdown();
 
     // --- a fresh session's first keyed query --------------------------
-    let server = start_server(2, None);
+    let server = start_server(None);
     let setup = indexed_setup();
     group.bench_function("first_query", |b| {
         b.iter(|| {
@@ -149,7 +145,7 @@ fn bench_server(c: &mut Criterion) {
         seed: 1989,
         ..FaultConfig::off()
     };
-    let (server, sids) = primed_server(4, Some(faults));
+    let (server, sids) = primed_server(Some(faults));
     let mut next = 0usize;
     let mut faulted = 0u64;
     group.bench_function("faulted_read", |b| {

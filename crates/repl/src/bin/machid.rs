@@ -7,10 +7,14 @@
 //! One thread per connection, speaking the line protocol from
 //! `machiavelli_server::wire` through `serve_tcp`: accepted sockets are
 //! blocking and `TCP_NODELAY`, and every reply is one write, so no reply
-//! waits on Nagle's algorithm. Tuning via environment:
+//! waits on Nagle's algorithm. The connection thread that reads a
+//! request evaluates it, on its session, under that session's lock:
+//! isolation and admission are per session, on the calling thread.
+//! Connection threads get `EVAL_STACK_BYTES` of stack. Tuning via
+//! environment:
 //!
-//! * `MACHID_WORKERS`      — worker threads (default 4)
-//! * `MACHID_QUEUE_CAP`    — per-worker queue bound (default 64)
+//! * `MACHID_QUEUE_CAP`    — evals that may wait for one session
+//!   (default 64)
 //! * `MACHID_DEADLINE_MS`  — default per-query deadline (default none)
 //! * `MACHID_DURABLE_ROOT` — directory for durable sessions (default
 //!   none = in-memory). With it set, every session write-ahead-logs its
@@ -26,14 +30,14 @@
 //! * `MACHIAVELLI_FAULT_*` — fault injection (chaos drills)
 //!
 //! On `SIGTERM`/`SIGINT` the server shuts down gracefully: it stops
-//! accepting, lets in-flight requests drain through the worker queues,
-//! stops the replicator (which flushes a final round of acks),
-//! checkpoints every durable session, and exits 0. Acked commits are
+//! accepting, stops the replicator (which flushes a final round of acks),
+//! checkpoints every durable session (an eval running on a session
+//! commits before that session checkpoints), and exits 0. Acked commits are
 //! already fsynced when the client sees `OK`/`VAL`, so a graceful —
 //! or even an abrupt — stop never loses one.
 
 use machiavelli_repl::{Replicator, ReplicatorConfig};
-use machiavelli_server::{serve_tcp, Server, ServerConfig, ServerRole};
+use machiavelli_server::{serve_tcp, Server, ServerConfig, ServerRole, EVAL_STACK_BYTES};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,7 +83,6 @@ fn main() -> ExitCode {
         }
     };
     let config = ServerConfig {
-        workers: env_usize("MACHID_WORKERS").unwrap_or(4),
         queue_cap: env_usize("MACHID_QUEUE_CAP").unwrap_or(64),
         default_deadline: env_usize("MACHID_DEADLINE_MS")
             .map(|ms| Duration::from_millis(ms as u64)),
@@ -124,11 +127,7 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    eprintln!(
-        "machid: {} listening on {addr} ({} workers)",
-        server.role(),
-        server.live_workers()
-    );
+    eprintln!("machid: {} listening on {addr}", server.role());
     while !TERM.load(Ordering::SeqCst) {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
@@ -148,6 +147,7 @@ fn main() -> ExitCode {
             .unwrap_or_else(|_| "<unknown>".to_string());
         let spawned = std::thread::Builder::new()
             .name(format!("machid-conn-{peer}"))
+            .stack_size(EVAL_STACK_BYTES)
             .spawn(move || {
                 if let Err(e) = serve_tcp(&server, stream) {
                     eprintln!("machid: connection {peer} ended with error: {e}");
@@ -157,10 +157,10 @@ fn main() -> ExitCode {
             eprintln!("machid: cannot spawn connection thread: {e}");
         }
     }
-    // Graceful shutdown. Accepts have stopped; anything already
-    // admitted drains through the worker FIFOs because the final
-    // checkpoint rides the same queues behind it.
-    eprintln!("machid: shutting down (draining, then checkpointing)");
+    // Graceful shutdown. Accepts have stopped; the final checkpoint
+    // locks each session in turn, so an eval already running on one
+    // commits before that session checkpoints.
+    eprintln!("machid: shutting down (checkpointing)");
     if let Some(r) = replicator {
         r.stop();
     }

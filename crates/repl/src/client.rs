@@ -11,7 +11,7 @@
 //! local server stops being a follower (promotion).
 
 use crate::proto::{parse_ship, parse_sids, LineClient, Upstream};
-use machiavelli_server::{Server, ServerError, ServerRole};
+use machiavelli_server::{Server, ServerError, ServerRole, EVAL_STACK_BYTES};
 use machiavelli_wal::Ship;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -78,6 +78,8 @@ impl Replicator {
             let status = Arc::clone(&status);
             std::thread::Builder::new()
                 .name("machid-replicator".to_string())
+                // Replica apply decodes shipped values on this thread.
+                .stack_size(EVAL_STACK_BYTES)
                 .spawn(move || run_loop(&local, &config, &stop, &status))
                 .ok()
         };

@@ -52,19 +52,19 @@ impl Upstream for InProcess<'_> {
     }
 }
 
-/// Start a one-worker durable server over `root` and open the harness
-/// session, recovering whatever an earlier server left there. `faults`
-/// is installed on the worker, where a follower's ship-disconnect fail
-/// point rolls.
+/// Start a durable server over `root` and open the harness session,
+/// recovering whatever an earlier server left there. `faults` is
+/// installed for each server operation, so a follower's
+/// ship-disconnect fail point rolls against it.
 fn start(root: &Path, role: ServerRole, faults: FaultConfig) -> Server {
     let server = Server::start(ServerConfig {
-        workers: 1,
         queue_cap: 8,
         default_deadline: None,
         row_budget: None,
         faults: Some(faults),
         durable_root: Some(root.to_path_buf()),
         role,
+        ..ServerConfig::default()
     });
     server.adopt_session(SID).expect("open the harness session");
     server
@@ -122,7 +122,7 @@ fn verify(root: &Path, model: &Model, k: usize, ctx: &str) {
 }
 
 /// One catch-up round under the iteration's faults (ship disconnects
-/// on the follower's worker, ack loss here), with the model advanced
+/// in the follower's replica apply, ack loss here), with the model advanced
 /// from the follower's cursor.
 fn pump(p: &Server, f: &Server, model: &mut Model, faults: FaultConfig, ctx: &str) {
     set_fault_config(Some(faults));

@@ -52,7 +52,6 @@ fn sigterm_mid_storm_loses_no_acked_commits() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_machid"))
         .arg(&addr)
         .env("MACHID_DURABLE_ROOT", root.join("data"))
-        .env("MACHID_WORKERS", "2")
         .env("MACHID_QUEUE_CAP", "32")
         .stdout(Stdio::null())
         .stderr(Stdio::from(stderr_file))
@@ -129,13 +128,13 @@ fn sigterm_mid_storm_loses_no_acked_commits() {
     // Reopen the same durable root in-process and check every acked
     // commit — value and pointer semantics (each `n<i>` is a ref cell).
     let server = Arc::new(Server::start(ServerConfig {
-        workers: 2,
         queue_cap: 32,
         default_deadline: None,
         row_budget: None,
         faults: Some(FaultConfig::off()),
         durable_root: Some(root.join("data")),
         role: ServerRole::Primary,
+        ..ServerConfig::default()
     }));
     let max_sid = acked.iter().map(|(sid, _, _)| *sid).max().unwrap_or(0);
     for _ in 0..max_sid {

@@ -28,13 +28,13 @@ fn tempdir(tag: &str) -> PathBuf {
 
 fn server(root: &Path, role: ServerRole) -> Arc<Server> {
     Arc::new(Server::start(ServerConfig {
-        workers: 2,
         queue_cap: 32,
         default_deadline: None,
         row_budget: None,
         faults: Some(FaultConfig::off()),
         durable_root: Some(root.to_path_buf()),
         role,
+        ..ServerConfig::default()
     }))
 }
 

@@ -31,7 +31,6 @@ fn two_hundred_round_trips_pay_no_reply_floor() {
     let _machid = Machid(
         Command::new(env!("CARGO_BIN_EXE_machid"))
             .arg(&addr)
-            .env("MACHID_WORKERS", "1")
             .env_remove("MACHID_DURABLE_ROOT")
             .stdout(Stdio::null())
             .stderr(Stdio::null())

@@ -12,8 +12,8 @@ use std::fmt;
 /// A structured error from the session server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerError {
-    /// Admission control shed the request: the target worker's queue
-    /// was full. The request was never enqueued; retry later.
+    /// Admission control shed the request: too many evals were already
+    /// waiting for the session. The request never ran; retry later.
     Busy,
     /// The session id is not open on this server.
     NoSuchSession(u64),
@@ -21,8 +21,8 @@ pub enum ServerError {
     /// poisoned and only `close` is accepted for it.
     SessionPoisoned(u64),
     /// This query panicked inside the evaluator. The panic was caught
-    /// on the worker; the session is now poisoned, the server and all
-    /// other sessions are unaffected.
+    /// on the evaluating thread; the session is now poisoned, the
+    /// server and all other sessions are unaffected.
     SessionPanicked(String),
     /// The query exceeded its deadline and was stopped cooperatively.
     DeadlineExceeded,
@@ -33,15 +33,14 @@ pub enum ServerError {
     /// An ordinary query failure (parse, type, or runtime error),
     /// pre-rendered by the session.
     Query(String),
-    /// The worker could not construct the session (prelude failure).
+    /// The server could not construct the session (prelude failure).
     SessionInit(String),
     /// The session's write-ahead log rejected a commit, checkpoint, or
     /// recovery (torn write, failed sync, corrupt file). Fail-hard:
     /// the session is poisoned rather than allowed to drift from its
     /// durable state, and `RESTORE` re-materializes it from disk.
     Durability(String),
-    /// The server is shutting down (or the worker backing this session
-    /// failed to start and requests to it cannot be served).
+    /// The server could not start a thread to run the request.
     Shutdown,
     /// This server is a read-only follower: the request would write
     /// (a `val`/`fun` declaration, a `:=` assignment, or a `SAVE`) and

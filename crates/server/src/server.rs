@@ -1,25 +1,35 @@
-//! The session server: a fixed worker pool hosting many interpreter
-//! sessions.
+//! The session server: many interpreter sessions, each evaluated on
+//! the thread that reads its request.
 //!
 //! # Architecture
 //!
-//! [`Session`] is deliberately single-threaded (`Rc`-based environments),
-//! so sessions never migrate: each worker thread **owns** the sessions
-//! routed to it (`sid % workers`), and clients talk to workers through
-//! bounded job queues. The `Send` unit is the job, not the session.
+//! [`Session`] is `Rc`-based, so it is not `Send`. The server keeps
+//! each session in a slot: one registry maps `sid → Arc<Slot>`, and a
+//! slot holds its session behind a mutex, inside `SendSession` — the
+//! one `unsafe impl Send`, with its invariant written next to it. The
+//! thread that read a request looks the slot up, locks it and runs the
+//! request there: no worker pool, no job queue, no reply channel. The
+//! registry lock is held only to look a slot up, insert one or remove
+//! one, so a long eval holds up its own session and nothing else.
 //!
 //! Resilience is layered:
 //!
 //! * **Isolation** — every query runs under `catch_unwind`. A panic
 //!   poisons only its own session (subsequent queries on it get
-//!   [`ServerError::SessionPoisoned`]); the worker, its other sessions,
-//!   and the server keep running.
+//!   [`ServerError::SessionPoisoned`]); the calling thread, every other
+//!   session and the server keep running.
 //! * **Governance** — each query carries a [`QueryGuard`] (deadline,
 //!   cancellation flag, row budget) that the evaluator polls
 //!   cooperatively; trips surface as structured errors, never aborts.
-//! * **Admission** — job queues are bounded; a full queue sheds the
-//!   request with [`ServerError::Busy`] instead of queueing unbounded
-//!   work.
+//!   The guard is made at admission, so time spent waiting for the
+//!   session counts against the deadline.
+//! * **Admission** — per session: when [`ServerConfig::queue_cap`]
+//!   evals already wait for a session, the next one is shed with
+//!   [`ServerError::Busy`] instead of queueing unbounded work.
+//!
+//! Every operation publishes its slot's health (poisoned, doomed,
+//! generation, groups) in atomics, so `HEALTH`, `SIDS` and the
+//! `METRICS` lag gauge never wait behind a running eval.
 
 use crate::error::ServerError;
 use machiavelli::{is_read_only_source, Session, SessionError};
@@ -33,11 +43,16 @@ use machiavelli_wal::{
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The stack of every thread that evaluates requests: `machid`'s
+/// connection threads and [`Server::submit`]'s. A request gets the
+/// same recursion headroom whichever thread reads it, and
+/// `RUST_MIN_STACK` cannot change it.
+pub const EVAL_STACK_BYTES: usize = 2 << 20;
 
 /// The replication role a server plays. Dynamic: `PROMOTE` flips a
 /// follower to primary at runtime; the config field only sets the
@@ -114,15 +129,14 @@ pub struct HealthReport {
     pub slots: Vec<SlotHealth>,
 }
 
-/// Server tuning knobs. `Clone` so each worker thread can carry its
-/// own.
+/// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads (and session shards). At least one worker always
-    /// starts, even under injected spawn failures.
+    /// Ignored: requests run on the thread that reads them. Kept so
+    /// that existing struct literals still compile.
     pub workers: usize,
-    /// Bounded per-worker job queue; a full queue sheds with
-    /// [`ServerError::Busy`].
+    /// Evals that may wait for one session while another runs on it;
+    /// one more is shed with [`ServerError::Busy`].
     pub queue_cap: usize,
     /// Default per-query deadline (None = no deadline).
     pub default_deadline: Option<Duration>,
@@ -130,8 +144,9 @@ pub struct ServerConfig {
     /// sets materialize, so runaway queries trip before exhausting
     /// memory.
     pub row_budget: Option<usize>,
-    /// Fault-injection configuration installed on every worker thread
-    /// (None = inherit the environment's `MACHIAVELLI_FAULT_*` knobs).
+    /// Fault-injection configuration installed on the calling thread
+    /// for the duration of each operation (None = the calling thread's
+    /// own, by default the environment's `MACHIAVELLI_FAULT_*` knobs).
     pub faults: Option<FaultConfig>,
     /// Root directory for durable sessions. When set, every session
     /// gets a write-ahead log under `<root>/session-<sid>`, each
@@ -167,10 +182,6 @@ pub struct ServerStats {
     /// replication and injected-fault counters (the last all zero
     /// unless fault injection is on).
     pub metrics: Snapshot,
-    /// Worker threads actually running.
-    pub workers: usize,
-    /// Worker threads that failed to start (injected or real).
-    pub worker_spawn_failures: usize,
 }
 
 impl fmt::Display for ServerStats {
@@ -178,9 +189,7 @@ impl fmt::Display for ServerStats {
         let m = |c| self.metrics.get(c);
         write!(
             f,
-            "workers {}(-{}) sessions {}/{}/{} queries {}ok {}shed {}ddl {}cancel {}rows",
-            self.workers,
-            self.worker_spawn_failures,
+            "sessions {}/{}/{} queries {}ok {}shed {}ddl {}cancel {}rows",
             m(Counter::SessionsStarted),
             m(Counter::SessionsPanicked),
             m(Counter::SessionsClosed),
@@ -193,88 +202,183 @@ impl fmt::Display for ServerStats {
     }
 }
 
-enum Job {
-    Open {
-        sid: u64,
-        reply: Sender<Result<u64, ServerError>>,
-    },
-    Eval {
-        sid: u64,
-        src: String,
-        guard: Arc<QueryGuard>,
-        reply: Sender<Result<Vec<String>, ServerError>>,
-    },
-    Close {
-        sid: u64,
-        reply: Sender<Result<(), ServerError>>,
-    },
-    /// Force a checkpoint of the session's durable state (wire `SAVE`).
-    Save {
-        sid: u64,
-        reply: Sender<Result<u64, ServerError>>,
-    },
-    /// Discard the in-memory session and re-materialize it from its
-    /// durable state (wire `RESTORE`) — also the recovery path for a
-    /// poisoned durable session.
-    Restore {
-        sid: u64,
-        reply: Sender<Result<usize, ServerError>>,
-    },
-    /// The slot's replication cursor and group count.
-    Cursor {
-        sid: u64,
-        reply: Sender<Result<(LogCursor, u64), ServerError>>,
-    },
-    /// Serve one follower catch-up request (primary side).
-    Ship {
-        sid: u64,
-        cursor: LogCursor,
-        reply: Sender<Result<Ship, ServerError>>,
-    },
-    /// Apply a shipped chunk (follower side).
-    ReplApply {
-        sid: u64,
-        gen: u64,
-        bytes: Vec<u8>,
-        reply: Sender<Result<ReplicaApplyReport, ServerError>>,
-    },
-    /// Install a full snapshot transfer and rebuild the slot from it
-    /// (follower healing / deep catch-up).
-    ReplInstall {
-        sid: u64,
-        transfer: Box<SnapshotTransfer>,
-        reply: Sender<Result<usize, ServerError>>,
-    },
-    /// Checkpoint every durable, healthy slot this worker owns into a
-    /// generation above `floor` (the promotion fence and the
-    /// graceful-shutdown flush). Replies with the number of slots
-    /// checkpointed. Being a queued job, it also acts as a drain
-    /// barrier: every eval admitted before it commits first.
-    CheckpointAll {
-        floor: u64,
-        reply: Sender<Result<u64, ServerError>>,
-    },
-    /// Per-slot health for this worker.
-    Health {
-        reply: Sender<Vec<SlotHealth>>,
-    },
-    /// Session ids this worker currently hosts.
-    Sids {
-        reply: Sender<Vec<u64>>,
-    },
-    Shutdown,
+/// A session's state: what the slot's lock guards.
+struct SessionSlot {
+    session: Session,
+    poisoned: bool,
+    /// The session's write-ahead log when the server runs with a
+    /// durable root; `None` for purely in-memory sessions.
+    wal: Option<SessionLog>,
 }
 
-struct WorkerHandle {
-    tx: SyncSender<Job>,
-    handle: Option<JoinHandle<()>>,
+/// A [`SessionSlot`] that may move between threads.
+///
+/// `Session` is `!Send` only because it holds `Rc`s, whose counts are
+/// not atomic. Moving one to another thread is sound because:
+///
+/// * every `Rc` reachable from the session is reachable only through
+///   it — sessions share none (each evaluates its own prelude, and
+///   `Symbol` is `&'static str`);
+/// * no thread-local or `static` holds one (CI's "Session state
+///   stays out of thread-locals" step keeps engine state in the
+///   session);
+/// * the session is touched only under its slot's lock, through
+///   [`SendSession::with`], whose closure and result must be `Send` —
+///   so no `Rc` can come in with the closure or leave with its result.
+struct SendSession(SessionSlot);
+
+// SAFETY: see the invariant above.
+unsafe impl Send for SendSession {}
+
+impl SendSession {
+    fn with<R: Send + 'static>(&mut self, f: impl FnOnce(&mut SessionSlot) -> R + Send) -> R {
+        f(&mut self.0)
+    }
+}
+
+/// One session's slot: its state behind a lock, plus what `HEALTH`
+/// and admission read without taking it.
+struct Slot {
+    /// `None` once closed: a request that found the slot before
+    /// `CLOSE` removed it finds no session behind the lock.
+    state: Mutex<Option<SendSession>>,
+    /// Admitted evals waiting for `state`; the running one is not
+    /// counted.
+    waiting: AtomicUsize,
+    poisoned: AtomicBool,
+    doomed: AtomicBool,
+    gen: AtomicU64,
+    groups: AtomicU64,
+}
+
+impl Slot {
+    fn new(session: SessionSlot) -> Slot {
+        let mut slot = Slot {
+            state: Mutex::new(None),
+            waiting: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            doomed: AtomicBool::new(false),
+            gen: AtomicU64::new(0),
+            groups: AtomicU64::new(0),
+        };
+        slot.publish(&session);
+        slot.state = Mutex::new(Some(SendSession(session)));
+        slot
+    }
+
+    /// Lock the state. A panic that escaped an operation's own
+    /// handling poisoned the lock with the session possibly torn
+    /// mid-update: the lock is recovered and the session poisoned.
+    fn lock(&self) -> MutexGuard<'_, Option<SendSession>> {
+        self.state.lock().unwrap_or_else(|torn| {
+            self.state.clear_poison();
+            let mut state = torn.into_inner();
+            if let Some(session) = state.as_mut() {
+                session.with(|s| s.poisoned = true);
+                self.poisoned.store(true, Ordering::Relaxed);
+                metrics::add(Counter::SessionsPanicked, 1);
+            }
+            state
+        })
+    }
+
+    /// Run `op` on the session under the lock, then publish its health.
+    fn run<R: Send + 'static>(
+        &self,
+        sid: u64,
+        op: impl FnOnce(&mut SessionSlot) -> Result<R, ServerError> + Send,
+    ) -> Result<R, ServerError> {
+        self.run_locked(&mut self.lock(), sid, op)
+    }
+
+    fn run_locked<R: Send + 'static>(
+        &self,
+        state: &mut Option<SendSession>,
+        sid: u64,
+        op: impl FnOnce(&mut SessionSlot) -> Result<R, ServerError> + Send,
+    ) -> Result<R, ServerError> {
+        let session = state.as_mut().ok_or(ServerError::NoSuchSession(sid))?;
+        session.with(|s| {
+            let out = op(s);
+            self.publish(s);
+            out
+        })
+    }
+
+    fn publish(&self, s: &SessionSlot) {
+        self.poisoned.store(s.poisoned, Ordering::Relaxed);
+        if let Some(wal) = &s.wal {
+            self.doomed.store(wal.is_doomed(), Ordering::Relaxed);
+            self.gen.store(wal.generation(), Ordering::Relaxed);
+            self.groups.store(wal.groups(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// The server's fault config, installed on the calling thread for one
+/// operation; dropping it restores the thread's own. Each install
+/// reseeds the thread's fault stream.
+struct FaultScope(Option<Option<FaultConfig>>);
+
+impl FaultScope {
+    fn enter(faults: Option<FaultConfig>) -> FaultScope {
+        FaultScope(faults.map(|fc| faults::set_fault_config(Some(fc))))
+    }
+}
+
+impl Drop for FaultScope {
+    fn drop(&mut self) {
+        if let Some(prev) = self.0.take() {
+            faults::set_fault_config(prev);
+        }
+    }
+}
+
+/// An eval admitted against a slot. It counts as waiting until it
+/// holds the slot's lock, and as in flight (the queue-depth gauge)
+/// until it is dropped — whether or not it ever ran.
+struct Admitted {
+    slot: Arc<Slot>,
+    sid: u64,
+    guard: Arc<QueryGuard>,
+    role: Arc<AtomicU8>,
+    depth: Arc<AtomicI64>,
+    faults: Option<FaultConfig>,
+    queued: bool,
+}
+
+impl Admitted {
+    fn run(mut self, src: &str) -> Result<Vec<String>, ServerError> {
+        let _faults = FaultScope::enter(self.faults);
+        let slot = Arc::clone(&self.slot);
+        let mut state = slot.lock();
+        slot.waiting.fetch_sub(1, Ordering::Relaxed);
+        self.queued = false;
+        let (sid, guard) = (self.sid, &self.guard);
+        let follower = self.role.load(Ordering::Relaxed) == ROLE_FOLLOWER;
+        let result = slot.run_locked(&mut state, sid, |s| run_eval(s, sid, src, guard, follower));
+        // The query leaves the gauge before the caller sees its
+        // result, so a caller who then asks for METRICS never observes
+        // itself as still in flight.
+        drop(self);
+        result
+    }
+}
+
+impl Drop for Admitted {
+    fn drop(&mut self) {
+        if self.queued {
+            self.slot.waiting.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// An in-flight query: a handle to cancel it and to wait for the
 /// structured result.
 pub struct Pending {
     guard: Arc<QueryGuard>,
-    rx: Receiver<Result<Vec<String>, ServerError>>,
+    handle: JoinHandle<Result<Vec<String>, ServerError>>,
 }
 
 impl Pending {
@@ -292,79 +396,47 @@ impl Pending {
 
     /// Block until the query finishes (or is stopped).
     pub fn wait(self) -> Result<Vec<String>, ServerError> {
-        self.rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        self.handle.join().unwrap_or_else(|payload| {
+            Err(ServerError::SessionPanicked(panic_message(
+                payload.as_ref(),
+            )))
+        })
     }
 }
 
 /// The multi-session server. Cheap to share: all methods take `&self`,
 /// so wrap in `Arc` to serve many client threads.
 pub struct Server {
-    workers: Vec<WorkerHandle>,
-    spawn_failures: usize,
+    /// The registry: held only to look a slot up, insert or remove one.
+    slots: Mutex<HashMap<u64, Arc<Slot>>>,
+    /// Serializes opens, so two opens of one sid never recover the
+    /// same durable directory at once.
+    opening: Mutex<()>,
     next_sid: AtomicU64,
     config: ServerConfig,
-    /// Admitted queries not yet finished (queued + evaluating), across
-    /// all workers — the `METRICS` queue-depth gauge. Incremented at
-    /// admission, decremented by the owning worker when the job's reply
-    /// is sent.
+    /// Admitted evals not yet finished (waiting + evaluating), across
+    /// all sessions — the `METRICS` queue-depth gauge.
     queue_depth: Arc<AtomicI64>,
-    /// The replication role, shared with every worker (`ROLE_*`); flips
-    /// atomically on `PROMOTE`.
+    /// The replication role (`ROLE_*`); flips atomically on `PROMOTE`.
     role: Arc<AtomicU8>,
     /// Primary side: the last ack recorded per session — the data the
     /// lag gauge is computed from.
-    acks: Arc<Mutex<HashMap<u64, AckState>>>,
+    acks: Mutex<HashMap<u64, AckState>>,
 }
 
 impl Server {
-    /// Start the worker pool. The first worker always starts —
-    /// injected spawn failures degrade the pool, never kill the
-    /// server.
+    /// Start a server. Nothing is spawned: each request runs on the
+    /// thread that makes it.
     pub fn start(config: ServerConfig) -> Server {
-        // Install the fault config on the *calling* thread only while
-        // spawning, so the spawn fail point rolls against it.
-        let prev = config.faults.map(|fc| faults::set_fault_config(Some(fc)));
-        let queue_depth = Arc::new(AtomicI64::new(0));
-        let role = Arc::new(AtomicU8::new(role_to_u8(config.role)));
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        let mut spawn_failures = 0;
-        for i in 0..config.workers.max(1) {
-            if i > 0 && faults::fire(FaultPoint::SpawnFail) {
-                spawn_failures += 1;
-                continue;
-            }
-            let (tx, rx) = sync_channel(config.queue_cap.max(1));
-            let depth = queue_depth.clone();
-            let worker_role = role.clone();
-            let worker_config = config.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("machid-worker-{i}"))
-                .spawn(move || worker_main(rx, worker_config, depth, worker_role));
-            match spawned {
-                Ok(handle) => workers.push(WorkerHandle {
-                    tx,
-                    handle: Some(handle),
-                }),
-                Err(_) => spawn_failures += 1,
-            }
-        }
-        if let Some(prev) = prev {
-            faults::set_fault_config(prev);
-        }
         Server {
-            workers,
-            spawn_failures,
+            slots: Mutex::new(HashMap::new()),
+            opening: Mutex::new(()),
             next_sid: AtomicU64::new(1),
+            queue_depth: Arc::new(AtomicI64::new(0)),
+            role: Arc::new(AtomicU8::new(role_to_u8(config.role))),
+            acks: Mutex::new(HashMap::new()),
             config,
-            queue_depth,
-            role,
-            acks: Arc::new(Mutex::new(HashMap::new())),
         }
-    }
-
-    /// Worker threads actually serving sessions.
-    pub fn live_workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// The configuration the server was started with.
@@ -372,31 +444,95 @@ impl Server {
         &self.config
     }
 
-    fn route(&self, sid: u64) -> Result<&WorkerHandle, ServerError> {
-        if self.workers.is_empty() {
-            return Err(ServerError::Shutdown);
-        }
-        let i = (sid as usize) % self.workers.len();
-        self.workers.get(i).ok_or(ServerError::Shutdown)
+    fn registry(&self) -> MutexGuard<'_, HashMap<u64, Arc<Slot>>> {
+        self.slots.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Open a fresh session (with the standard prelude) on its home
-    /// worker. Prelude evaluation is shielded from fault injection, so
-    /// opens are deterministic; faults target queries.
+    fn slot(&self, sid: u64) -> Result<Arc<Slot>, ServerError> {
+        self.registry()
+            .get(&sid)
+            .cloned()
+            .ok_or(ServerError::NoSuchSession(sid))
+    }
+
+    /// The slots, ascending by sid.
+    fn all_slots(&self) -> Vec<(u64, Arc<Slot>)> {
+        let mut slots: Vec<_> = self
+            .registry()
+            .iter()
+            .map(|(&sid, slot)| (sid, Arc::clone(slot)))
+            .collect();
+        slots.sort_unstable_by_key(|&(sid, _)| sid);
+        slots
+    }
+
+    /// Run `op` on one session, under its lock and the server's fault
+    /// config, on the calling thread.
+    fn on_slot<R: Send + 'static>(
+        &self,
+        sid: u64,
+        op: impl FnOnce(&mut SessionSlot) -> Result<R, ServerError> + Send,
+    ) -> Result<R, ServerError> {
+        let slot = self.slot(sid)?;
+        let _faults = FaultScope::enter(self.config.faults);
+        slot.run(sid, op)
+    }
+
+    /// Open a fresh session (with the standard prelude). Prelude
+    /// evaluation is shielded from fault injection, so opens are
+    /// deterministic; faults target queries.
     pub fn open_session(&self) -> Result<u64, ServerError> {
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        worker
-            .tx
-            .send(Job::Open { sid, reply })
-            .map_err(|_| ServerError::Shutdown)?;
-        rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        self.install(sid)
+    }
+
+    /// Open `sid` unless it is already open (adoption is idempotent: a
+    /// replicator pass after a reconnect keeps the slot).
+    fn install(&self, sid: u64) -> Result<u64, ServerError> {
+        let _opening = self.opening.lock().unwrap_or_else(|p| p.into_inner());
+        if self.registry().contains_key(&sid) {
+            return Ok(sid);
+        }
+        let session = match &self.config.durable_root {
+            Some(root) => recover_slot(&session_dir(root, sid), ServerError::Durability)?.0,
+            None => shielded(|| {
+                Ok(SessionSlot {
+                    session: Session::try_new()
+                        .map_err(|e| ServerError::SessionInit(e.to_string()))?,
+                    poisoned: false,
+                    wal: None,
+                })
+            })?,
+        };
+        self.registry().insert(sid, Arc::new(Slot::new(session)));
+        metrics::add(Counter::SessionsStarted, 1);
+        Ok(sid)
+    }
+
+    /// Admit an eval: `Busy` when `queue_cap` evals already wait for
+    /// the session.
+    fn admit(&self, sid: u64, guard: Arc<QueryGuard>) -> Result<Admitted, ServerError> {
+        let slot = self.slot(sid)?;
+        if slot.waiting.fetch_add(1, Ordering::Relaxed) >= self.config.queue_cap.max(1) {
+            slot.waiting.fetch_sub(1, Ordering::Relaxed);
+            metrics::add(Counter::QueriesShed, 1);
+            return Err(ServerError::Busy);
+        }
+        self.queue_depth.fetch_add(1, Ordering::Relaxed);
+        Ok(Admitted {
+            slot,
+            sid,
+            guard,
+            role: Arc::clone(&self.role),
+            depth: Arc::clone(&self.queue_depth),
+            faults: self.config.faults,
+            queued: true,
+        })
     }
 
     /// Submit a query under the server's default deadline and row
-    /// budget. Non-blocking admission: a full worker queue returns
-    /// [`ServerError::Busy`] immediately.
+    /// budget. Admission is synchronous (`Busy` comes back at once);
+    /// the query then evaluates on a thread of its own.
     pub fn submit(&self, sid: u64, src: &str) -> Result<Pending, ServerError> {
         self.submit_with(sid, src, Arc::new(self.default_guard()))
     }
@@ -409,44 +545,36 @@ impl Server {
         src: &str,
         guard: Arc<QueryGuard>,
     ) -> Result<Pending, ServerError> {
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        let job = Job::Eval {
-            sid,
-            src: src.to_string(),
-            guard: guard.clone(),
-            reply,
-        };
-        match worker.tx.try_send(job) {
-            Ok(()) => {
-                self.queue_depth.fetch_add(1, Ordering::Relaxed);
-                Ok(Pending { guard, rx })
-            }
-            Err(TrySendError::Full(_)) => {
-                metrics::add(Counter::QueriesShed, 1);
-                Err(ServerError::Busy)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServerError::Shutdown),
-        }
+        let admitted = self.admit(sid, Arc::clone(&guard))?;
+        let src = src.to_string();
+        let handle = std::thread::Builder::new()
+            .name(format!("machid-eval-{sid}"))
+            .stack_size(EVAL_STACK_BYTES)
+            .spawn(move || admitted.run(&src))
+            .map_err(|_| ServerError::Shutdown)?;
+        Ok(Pending { guard, handle })
     }
 
-    /// Submit and wait: the blocking convenience used by the wire
-    /// protocol.
+    /// Evaluate a query on the calling thread under the server's
+    /// default deadline and row budget: the path the wire protocol
+    /// takes.
     pub fn eval(&self, sid: u64, src: &str) -> Result<Vec<String>, ServerError> {
-        self.submit(sid, src)?.wait()
+        self.admit(sid, Arc::new(self.default_guard()))?.run(src)
     }
 
     /// Force a checkpoint of the session's durable state, compacting
     /// the delta log into the snapshot. Returns the new generation.
     /// Requires [`ServerConfig::durable_root`].
     pub fn save_session(&self, sid: u64) -> Result<u64, ServerError> {
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        worker
-            .tx
-            .send(Job::Save { sid, reply })
-            .map_err(|_| ServerError::Shutdown)?;
-        rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        let role = &self.role;
+        self.on_slot(sid, move |s| {
+            // A follower checkpoint would bump the generation away from
+            // the primary's stream: a write, so refused.
+            if role.load(Ordering::Relaxed) == ROLE_FOLLOWER {
+                return Err(ServerError::ReadOnly);
+            }
+            run_save(s, sid)
+        })
     }
 
     /// Throw away the in-memory session and recover it from its
@@ -454,13 +582,8 @@ impl Server {
     /// bindings restored. Works on poisoned sessions — this is how a
     /// client un-poisons a durable session without losing its data.
     pub fn restore_session(&self, sid: u64) -> Result<usize, ServerError> {
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        worker
-            .tx
-            .send(Job::Restore { sid, reply })
-            .map_err(|_| ServerError::Shutdown)?;
-        rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        let root = self.config.durable_root.as_deref();
+        self.on_slot(sid, move |s| run_restore(s, root, sid))
     }
 
     /// The server's current replication role.
@@ -501,10 +624,9 @@ impl Server {
         Ok(fenced)
     }
 
-    /// Checkpoint every durable, healthy session on every worker — the
-    /// graceful-shutdown flush. Because the checkpoint rides the same
-    /// FIFO queues as evals, every eval admitted before this call
-    /// commits before its slot checkpoints.
+    /// Checkpoint every durable, healthy session — the
+    /// graceful-shutdown flush. Each slot is locked in turn, so an eval
+    /// running on it commits before it checkpoints.
     pub fn checkpoint_all(&self) -> Result<u64, ServerError> {
         self.checkpoint_above(0)
     }
@@ -529,15 +651,29 @@ impl Server {
             .collect()
     }
 
+    /// Checkpoint every durable, healthy session above `floor`,
+    /// locking the slots one at a time in sid order: an eval already
+    /// running on a slot commits before the slot checkpoints. A
+    /// failing slot poisons and the sweep goes on; the first error is
+    /// returned.
     fn checkpoint_above(&self, floor: u64) -> Result<u64, ServerError> {
-        let mut total = 0u64;
-        for w in &self.workers {
-            let (reply, rx) = std::sync::mpsc::channel();
-            w.tx.send(Job::CheckpointAll { floor, reply })
-                .map_err(|_| ServerError::Shutdown)?;
-            total += rx.recv().unwrap_or(Err(ServerError::Shutdown))?;
+        let _faults = FaultScope::enter(self.config.faults);
+        let mut done = 0u64;
+        let mut first_err = None;
+        for (sid, slot) in self.all_slots() {
+            match slot.run(sid, move |s| run_checkpoint(s, floor)) {
+                Ok(fenced) => done += u64::from(fenced),
+                // Closed since the sweep listed it: nothing to fence.
+                Err(ServerError::NoSuchSession(_)) => {}
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
         }
-        Ok(total)
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(done),
+        }
     }
 
     /// Open (or re-open) a session under a *specific* id — how a
@@ -550,51 +686,32 @@ impl Server {
             ServerError::Replication(format!("session id {sid} has no successor"))
         })?;
         self.next_sid.fetch_max(next, Ordering::Relaxed);
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        worker
-            .tx
-            .send(Job::Open { sid, reply })
-            .map_err(|_| ServerError::Shutdown)?;
-        rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        self.install(sid)
     }
 
-    /// Session ids currently hosted, across all workers, ascending.
+    /// Session ids currently hosted, ascending.
     pub fn session_ids(&self) -> Vec<u64> {
-        let mut sids = Vec::new();
-        for w in &self.workers {
-            let (reply, rx) = std::sync::mpsc::channel();
-            if w.tx.send(Job::Sids { reply }).is_ok() {
-                if let Ok(mut s) = rx.recv() {
-                    sids.append(&mut s);
-                }
-            }
-        }
+        let mut sids: Vec<u64> = self.registry().keys().copied().collect();
         sids.sort_unstable();
         sids
     }
 
     /// A session's replication cursor and committed-group count.
     pub fn cursor(&self, sid: u64) -> Result<(LogCursor, u64), ServerError> {
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        worker
-            .tx
-            .send(Job::Cursor { sid, reply })
-            .map_err(|_| ServerError::Shutdown)?;
-        rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        self.on_slot(sid, |s| {
+            let wal = durable_log(&mut s.wal)?;
+            Ok((wal.cursor(), wal.groups()))
+        })
     }
 
     /// Serve one follower catch-up request against a session's log
     /// (primary side of the `SHIP` verb).
     pub fn ship(&self, sid: u64, cursor: LogCursor) -> Result<Ship, ServerError> {
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        worker
-            .tx
-            .send(Job::Ship { sid, cursor, reply })
-            .map_err(|_| ServerError::Shutdown)?;
-        rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        self.on_slot(sid, move |s| {
+            durable_log(&mut s.wal)?
+                .ship_from(cursor)
+                .map_err(|e| ServerError::Replication(e.to_string()))
+        })
     }
 
     /// Apply a shipped chunk to a local follower session.
@@ -604,18 +721,7 @@ impl Server {
         gen: u64,
         bytes: Vec<u8>,
     ) -> Result<ReplicaApplyReport, ServerError> {
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        worker
-            .tx
-            .send(Job::ReplApply {
-                sid,
-                gen,
-                bytes,
-                reply,
-            })
-            .map_err(|_| ServerError::Shutdown)?;
-        rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        self.on_slot(sid, move |s| run_repl_apply(s, sid, gen, &bytes))
     }
 
     /// Install a full snapshot transfer under a local follower session
@@ -625,17 +731,8 @@ impl Server {
         sid: u64,
         transfer: SnapshotTransfer,
     ) -> Result<usize, ServerError> {
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        worker
-            .tx
-            .send(Job::ReplInstall {
-                sid,
-                transfer: Box::new(transfer),
-                reply,
-            })
-            .map_err(|_| ServerError::Shutdown)?;
-        rx.recv().unwrap_or(Err(ServerError::Shutdown))
+        let root = self.config.durable_root.as_deref();
+        self.on_slot(sid, move |s| run_repl_install(s, root, sid, &transfer))
     }
 
     /// Record a follower's ack (primary side of the `ACK` verb).
@@ -672,22 +769,27 @@ impl Server {
             .copied()
     }
 
-    /// Per-slot health plus the server's role — the `HEALTH` verb.
-    /// Lag is the primary-side view: own groups minus the follower's
-    /// last same-generation ack (a cross-generation ack counts as fully
+    /// Per-slot health plus the server's role — the `HEALTH` verb,
+    /// read from what each slot published after its last operation,
+    /// so it never waits behind a running eval. Lag is the
+    /// primary-side view: own groups minus the follower's last
+    /// same-generation ack (a cross-generation ack counts as fully
     /// behind, since the follower must re-sync through a snapshot).
     pub fn health(&self) -> HealthReport {
         let role = self.role();
-        let mut slots = Vec::new();
-        for w in &self.workers {
-            let (reply, rx) = std::sync::mpsc::channel();
-            if w.tx.send(Job::Health { reply }).is_ok() {
-                if let Ok(mut s) = rx.recv() {
-                    slots.append(&mut s);
-                }
-            }
-        }
-        slots.sort_unstable_by_key(|s| s.sid);
+        let durable = self.config.durable_root.is_some();
+        let mut slots: Vec<SlotHealth> = self
+            .all_slots()
+            .into_iter()
+            .map(|(sid, slot)| SlotHealth {
+                sid,
+                poisoned: slot.poisoned.load(Ordering::Relaxed),
+                doomed_log: slot.doomed.load(Ordering::Relaxed),
+                gen: durable.then(|| slot.gen.load(Ordering::Relaxed)),
+                groups: durable.then(|| slot.groups.load(Ordering::Relaxed)),
+                lag: None,
+            })
+            .collect();
         if role == ServerRole::Primary {
             let acks = self.acks.lock().unwrap_or_else(|p| p.into_inner());
             for slot in &mut slots {
@@ -705,28 +807,23 @@ impl Server {
     /// Close a session (also the only operation a poisoned session
     /// accepts). Its recorded ack goes with it.
     pub fn close_session(&self, sid: u64) -> Result<(), ServerError> {
-        let worker = self.route(sid)?;
-        let (reply, rx) = std::sync::mpsc::channel();
-        worker
-            .tx
-            .send(Job::Close { sid, reply })
-            .map_err(|_| ServerError::Shutdown)?;
-        let closed = rx.recv().unwrap_or(Err(ServerError::Shutdown));
-        if closed.is_ok() {
-            self.acks
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .remove(&sid);
-        }
-        closed
+        let slot = self.slot(sid)?;
+        let mut state = slot.lock();
+        state.take().ok_or(ServerError::NoSuchSession(sid))?;
+        self.registry().remove(&sid);
+        drop(state);
+        self.acks
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .remove(&sid);
+        metrics::add(Counter::SessionsClosed, 1);
+        Ok(())
     }
 
-    /// Snapshot server health: the counter registry and the pool size.
+    /// Snapshot server health: the counter registry.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             metrics: metrics::snapshot(),
-            workers: self.workers.len(),
-            worker_spawn_failures: self.spawn_failures,
         }
     }
 
@@ -735,8 +832,9 @@ impl Server {
     /// response line): the per-query latency histogram with fixed
     /// buckets, this server's gauges (queue depth, role, per-session
     /// replication lag), then every row of the counter registry
-    /// ([`Snapshot::render_exposition`]). Counters are read lock-free;
-    /// only the lag gauge asks the workers anything.
+    /// ([`Snapshot::render_exposition`]). Everything is read
+    /// lock-free or from published slot state; nothing waits on a
+    /// session.
     pub fn metrics_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -792,31 +890,12 @@ impl Server {
         QueryGuard::new(deadline, self.config.row_budget)
     }
 
-    /// Stop accepting work, drain the queues, and join the workers.
+    /// Drop the server and every session it holds. An eval still
+    /// running on a [`Server::submit`] thread finishes first on its
+    /// own slot.
     pub fn shutdown(self) {
         drop(self);
     }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        for w in &self.workers {
-            let _ = w.tx.send(Job::Shutdown);
-        }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-struct SessionSlot {
-    session: Session,
-    poisoned: bool,
-    /// The session's write-ahead log when the server runs with a
-    /// durable root; `None` for purely in-memory sessions.
-    wal: Option<SessionLog>,
 }
 
 /// The durable directory for one session id. Session ids restart from
@@ -826,161 +905,27 @@ fn session_dir(root: &std::path::Path, sid: u64) -> std::path::PathBuf {
     root.join(format!("session-{sid}"))
 }
 
-fn worker_main(
-    rx: Receiver<Job>,
-    config: ServerConfig,
-    queue_depth: Arc<AtomicI64>,
-    role: Arc<AtomicU8>,
-) {
-    if let Some(fc) = config.faults {
-        faults::set_fault_config(Some(fc));
-    }
-    let mut sessions: HashMap<u64, SessionSlot> = HashMap::new();
-    while let Ok(job) = rx.recv() {
-        let follower = role.load(Ordering::Relaxed) == ROLE_FOLLOWER;
-        match job {
-            Job::Open { sid, reply } => {
-                // Adoption is idempotent: re-opening a live sid (a
-                // replicator pass after a reconnect) keeps the slot.
-                let result = if sessions.contains_key(&sid) {
-                    Ok(sid)
-                } else {
-                    open_session(&mut sessions, &config, sid)
-                };
-                let _ = reply.send(result);
-            }
-            Job::Eval {
-                sid,
-                src,
-                guard,
-                reply,
-            } => {
-                let result = run_eval(&mut sessions, sid, &src, &guard, follower);
-                // The query leaves the gauge before the reply is
-                // delivered, so a caller who has seen its result (and
-                // then asks for METRICS) never observes itself as
-                // still in flight.
-                queue_depth.fetch_sub(1, Ordering::Relaxed);
-                let _ = reply.send(result);
-            }
-            Job::Close { sid, reply } => {
-                let result = if sessions.remove(&sid).is_some() {
-                    metrics::add(Counter::SessionsClosed, 1);
-                    Ok(())
-                } else {
-                    Err(ServerError::NoSuchSession(sid))
-                };
-                let _ = reply.send(result);
-            }
-            Job::Save { sid, reply } => {
-                // A follower checkpoint would bump the generation away
-                // from the primary's stream: a write, so refused.
-                let result = if follower {
-                    Err(ServerError::ReadOnly)
-                } else {
-                    run_save(&mut sessions, sid)
-                };
-                let _ = reply.send(result);
-            }
-            Job::Restore { sid, reply } => {
-                let _ = reply.send(run_restore(&mut sessions, &config, sid));
-            }
-            Job::Cursor { sid, reply } => {
-                let _ = reply.send(run_cursor(&mut sessions, sid));
-            }
-            Job::Ship { sid, cursor, reply } => {
-                let _ = reply.send(run_ship(&mut sessions, sid, cursor));
-            }
-            Job::ReplApply {
-                sid,
-                gen,
-                bytes,
-                reply,
-            } => {
-                let _ = reply.send(run_repl_apply(&mut sessions, sid, gen, &bytes));
-            }
-            Job::ReplInstall {
-                sid,
-                transfer,
-                reply,
-            } => {
-                let _ = reply.send(run_repl_install(&mut sessions, &config, sid, &transfer));
-            }
-            Job::CheckpointAll { floor, reply } => {
-                let _ = reply.send(run_checkpoint_all(&mut sessions, floor));
-            }
-            Job::Health { reply } => {
-                let mut slots: Vec<SlotHealth> = sessions
-                    .iter()
-                    .map(|(&sid, slot)| SlotHealth {
-                        sid,
-                        poisoned: slot.poisoned,
-                        doomed_log: slot.wal.as_ref().is_some_and(SessionLog::is_doomed),
-                        gen: slot.wal.as_ref().map(SessionLog::generation),
-                        groups: slot.wal.as_ref().map(SessionLog::groups),
-                        lag: None,
-                    })
-                    .collect();
-                slots.sort_unstable_by_key(|s| s.sid);
-                let _ = reply.send(slots);
-            }
-            Job::Sids { reply } => {
-                let mut sids: Vec<u64> = sessions.keys().copied().collect();
-                sids.sort_unstable();
-                let _ = reply.send(sids);
-            }
-            Job::Shutdown => break,
-        }
-    }
-}
-
-fn durable_slot(
-    sessions: &mut HashMap<u64, SessionSlot>,
-    sid: u64,
-) -> Result<&mut SessionSlot, ServerError> {
-    let slot = sessions
-        .get_mut(&sid)
-        .ok_or(ServerError::NoSuchSession(sid))?;
-    if slot.wal.is_none() {
-        return Err(ServerError::Replication(
-            "session has no durable log (durability is disabled)".into(),
-        ));
-    }
-    Ok(slot)
-}
-
-fn run_cursor(
-    sessions: &mut HashMap<u64, SessionSlot>,
-    sid: u64,
-) -> Result<(LogCursor, u64), ServerError> {
-    let slot = durable_slot(sessions, sid)?;
-    let wal = slot.wal.as_ref().expect("checked durable");
-    Ok((wal.cursor(), wal.groups()))
-}
-
-fn run_ship(
-    sessions: &mut HashMap<u64, SessionSlot>,
-    sid: u64,
-    cursor: LogCursor,
-) -> Result<Ship, ServerError> {
-    let slot = durable_slot(sessions, sid)?;
-    let wal = slot.wal.as_mut().expect("checked durable");
-    wal.ship_from(cursor)
-        .map_err(|e| ServerError::Replication(e.to_string()))
+fn durable_log(wal: &mut Option<SessionLog>) -> Result<&mut SessionLog, ServerError> {
+    wal.as_mut().ok_or_else(|| {
+        ServerError::Replication("session has no durable log (durability is disabled)".into())
+    })
 }
 
 fn run_repl_apply(
-    sessions: &mut HashMap<u64, SessionSlot>,
+    slot: &mut SessionSlot,
     sid: u64,
     gen: u64,
     bytes: &[u8],
 ) -> Result<ReplicaApplyReport, ServerError> {
-    let slot = durable_slot(sessions, sid)?;
-    if slot.poisoned {
+    let SessionSlot {
+        session,
+        poisoned,
+        wal,
+    } = slot;
+    let wal = durable_log(wal)?;
+    if *poisoned {
         return Err(ServerError::SessionPoisoned(sid));
     }
-    let SessionSlot { session, wal, .. } = slot;
-    let wal = wal.as_mut().expect("checked durable");
     wal.replica_apply(session, gen, bytes).map_err(|e| match e {
         WalError::StaleGeneration { got, have } => ServerError::StaleGeneration { got, have },
         e => ServerError::Replication(e.to_string()),
@@ -988,16 +933,13 @@ fn run_repl_apply(
 }
 
 fn run_repl_install(
-    sessions: &mut HashMap<u64, SessionSlot>,
-    config: &ServerConfig,
+    slot: &mut SessionSlot,
+    root: Option<&std::path::Path>,
     sid: u64,
     transfer: &SnapshotTransfer,
 ) -> Result<usize, ServerError> {
-    let slot = durable_slot(sessions, sid)?;
-    let root = config
-        .durable_root
-        .as_ref()
-        .ok_or_else(|| ServerError::Replication("durability is disabled".into()))?;
+    durable_log(&mut slot.wal)?;
+    let root = root.ok_or_else(|| ServerError::Replication("durability is disabled".into()))?;
     let dir = session_dir(root, sid);
     install_replica(&dir, transfer).map_err(|e| ServerError::Replication(e.to_string()))?;
     // Rebuild the slot from the installed state — the restore path.
@@ -1006,57 +948,27 @@ fn run_repl_install(
     Ok(restored)
 }
 
-fn run_checkpoint_all(
-    sessions: &mut HashMap<u64, SessionSlot>,
-    floor: u64,
-) -> Result<u64, ServerError> {
-    let mut done = 0u64;
-    let mut first_err = None;
-    for (_, slot) in sessions.iter_mut() {
-        if slot.poisoned {
-            continue;
-        }
-        // A doomed log (a follower whose replica apply failed) keeps
-        // its last good state on disk; its memory is not worth a
-        // snapshot.
-        let Some(wal) = slot.wal.as_mut().filter(|wal| !wal.is_doomed()) else {
-            continue;
-        };
-        match wal.checkpoint_above(&slot.session, floor) {
-            Ok(()) => done += 1,
-            Err(e) => {
-                // Same failure posture as SAVE: the slot poisons, the
-                // sweep keeps fencing the others.
-                slot.poisoned = true;
-                metrics::add(Counter::SessionsPanicked, 1);
-                first_err.get_or_insert(ServerError::Durability(e.to_string()));
-            }
-        }
+/// Checkpoint one slot into a generation above `floor` (one step of
+/// the promotion fence and the graceful-shutdown flush). `false` when
+/// there is nothing to fence.
+fn run_checkpoint(slot: &mut SessionSlot, floor: u64) -> Result<bool, ServerError> {
+    if slot.poisoned {
+        return Ok(false);
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(done),
-    }
-}
-
-fn open_session(
-    sessions: &mut HashMap<u64, SessionSlot>,
-    config: &ServerConfig,
-    sid: u64,
-) -> Result<u64, ServerError> {
-    let slot = match &config.durable_root {
-        Some(root) => recover_slot(&session_dir(root, sid), ServerError::Durability)?.0,
-        None => shielded(|| {
-            Ok(SessionSlot {
-                session: Session::try_new().map_err(|e| ServerError::SessionInit(e.to_string()))?,
-                poisoned: false,
-                wal: None,
-            })
-        })?,
+    // A doomed log (a follower whose replica apply failed) keeps its
+    // last good state on disk; its memory is not worth a snapshot.
+    let Some(wal) = slot.wal.as_mut().filter(|wal| !wal.is_doomed()) else {
+        return Ok(false);
     };
-    sessions.insert(sid, slot);
-    metrics::add(Counter::SessionsStarted, 1);
-    Ok(sid)
+    wal.checkpoint_above(&slot.session, floor)
+        .map(|()| true)
+        .map_err(|e| {
+            // Same failure posture as SAVE: the slot poisons, the
+            // sweep keeps fencing the others.
+            slot.poisoned = true;
+            metrics::add(Counter::SessionsPanicked, 1);
+            ServerError::Durability(e.to_string())
+        })
 }
 
 /// Render a caught panic payload (the common `&str`/`String` cases;
@@ -1100,10 +1012,7 @@ fn recover_slot(
     })
 }
 
-fn run_save(sessions: &mut HashMap<u64, SessionSlot>, sid: u64) -> Result<u64, ServerError> {
-    let slot = sessions
-        .get_mut(&sid)
-        .ok_or(ServerError::NoSuchSession(sid))?;
+fn run_save(slot: &mut SessionSlot, sid: u64) -> Result<u64, ServerError> {
     if slot.poisoned {
         return Err(ServerError::SessionPoisoned(sid));
     }
@@ -1123,14 +1032,11 @@ fn run_save(sessions: &mut HashMap<u64, SessionSlot>, sid: u64) -> Result<u64, S
 }
 
 fn run_restore(
-    sessions: &mut HashMap<u64, SessionSlot>,
-    config: &ServerConfig,
+    slot: &mut SessionSlot,
+    root: Option<&std::path::Path>,
     sid: u64,
 ) -> Result<usize, ServerError> {
-    let slot = sessions
-        .get_mut(&sid)
-        .ok_or(ServerError::NoSuchSession(sid))?;
-    let Some(root) = &config.durable_root else {
+    let Some(root) = root else {
         return Err(ServerError::Durability("durability is disabled".into()));
     };
     if slot.wal.is_none() {
@@ -1160,15 +1066,12 @@ fn stopped(trip: Trip) -> ServerError {
 }
 
 fn run_eval(
-    sessions: &mut HashMap<u64, SessionSlot>,
+    slot: &mut SessionSlot,
     sid: u64,
     src: &str,
     guard: &Arc<QueryGuard>,
     follower: bool,
 ) -> Result<Vec<String>, ServerError> {
-    let slot = sessions
-        .get_mut(&sid)
-        .ok_or(ServerError::NoSuchSession(sid))?;
     if slot.poisoned {
         return Err(ServerError::SessionPoisoned(sid));
     }
@@ -1179,16 +1082,17 @@ fn run_eval(
     if follower && !is_read_only_source(src) {
         return Err(ServerError::ReadOnly);
     }
-    // Queue wait may already have consumed the deadline (or the client
-    // cancelled before we started): trip without evaluating.
+    // Waiting for the session may already have consumed the deadline
+    // (or the client cancelled before we started): trip without
+    // evaluating.
     if let Some(trip) = guard.check() {
         return Err(stopped(trip));
     }
     let prev = governor::install(Some(guard.clone()));
     let t0 = machiavelli_trace::now_ns();
     let outcome = catch_unwind(AssertUnwindSafe(|| slot.session.run_partial(src)));
-    // Evaluation wall time (queue wait excluded — shed/depth cover the
-    // admission side), observed for every query that ran, whatever the
+    // Evaluation wall time (waiting for the session excluded —
+    // shed/depth cover the admission side), observed for every query that ran, whatever the
     // outcome: error latencies are latencies too.
     machiavelli_trace::observe_query_ns(machiavelli_trace::now_ns().saturating_sub(t0));
     governor::install(prev);
@@ -1241,10 +1145,11 @@ fn run_eval(
         }
         Err(payload) => {
             // The evaluator panicked. The session's environments may
-            // be torn mid-update, so poison it; the worker and its
-            // other sessions are untouched. The unwind also skipped any
-            // in-flight trace scopes — reset the thread's tracer so the
-            // next query on this worker starts at depth zero.
+            // be torn mid-update, so poison it; the calling thread and
+            // every other session are untouched. The unwind also
+            // skipped any in-flight trace scopes — reset the thread's
+            // tracer so the next query on this thread starts at depth
+            // zero.
             machiavelli_trace::abort_query();
             slot.poisoned = true;
             metrics::add(Counter::SessionsPanicked, 1);
@@ -1261,13 +1166,10 @@ mod tests {
 
     fn quiet() -> ServerConfig {
         ServerConfig {
-            workers: 2,
             queue_cap: 8,
-            default_deadline: None,
             row_budget: None,
             faults: Some(FaultConfig::off()),
-            durable_root: None,
-            role: ServerRole::Primary,
+            ..ServerConfig::default()
         }
     }
 
@@ -1336,9 +1238,8 @@ mod tests {
     }
 
     #[test]
-    fn routing_is_deterministic_per_sid() {
+    fn many_sessions_keep_their_own_state() {
         let server = Server::start(quiet());
-        // Many sessions across two workers: each keeps its own state.
         let sids: Vec<u64> = (0..6)
             .map(|_| server.open_session().expect("open"))
             .collect();

@@ -362,18 +362,15 @@ pub fn serve_connection_with_limit<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{AckState, ServerConfig, ServerRole};
+    use crate::server::{AckState, ServerConfig};
     use machiavelli_value::faults::FaultConfig;
 
     fn quiet_server() -> Server {
         Server::start(ServerConfig {
-            workers: 1,
             queue_cap: 8,
-            default_deadline: None,
             row_budget: None,
             faults: Some(FaultConfig::off()),
-            durable_root: None,
-            role: ServerRole::Primary,
+            ..ServerConfig::default()
         })
     }
 
@@ -424,11 +421,7 @@ mod tests {
     fn stats_and_blank_lines() {
         let server = quiet_server();
         let lines = drive(&server, "\n  \nSTATS\nQUIT\n");
-        assert!(
-            lines[0].starts_with("OK workers 1(-0) sessions "),
-            "{}",
-            lines[0]
-        );
+        assert!(lines[0].starts_with("OK sessions "), "{}", lines[0]);
         assert_eq!(lines[1], "OK bye");
     }
 

@@ -16,12 +16,12 @@ use machiavelli_server::faults::{FaultConfig, INJECTED_PANIC_PREFIX};
 use machiavelli_server::{QueryGuard, Server, ServerConfig, ServerError, ServerRole};
 use machiavelli_trace::metrics::{self, Counter};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Serialize a test and quiet the panic hook for injected payloads
-/// (hundreds of *expected* worker panics would otherwise spam stderr).
+/// (hundreds of *expected* evaluator panics would otherwise spam stderr).
 fn serial() -> MutexGuard<'static, ()> {
     static HOOK: OnceLock<()> = OnceLock::new();
     HOOK.get_or_init(|| {
@@ -45,13 +45,13 @@ fn reset_counters() {
 
 fn base_config() -> ServerConfig {
     ServerConfig {
-        workers: 2,
         queue_cap: 16,
         default_deadline: None,
         row_budget: None,
         faults: Some(FaultConfig::off()),
         durable_root: None,
         role: ServerRole::Primary,
+        ..ServerConfig::default()
     }
 }
 
@@ -70,7 +70,11 @@ fn heavy_query() -> &'static str {
 }
 
 fn heavy_setup() -> String {
-    let elems: Vec<String> = (0..220).map(|i| format!("[K = {i}]")).collect();
+    big_setup(220)
+}
+
+fn big_setup(rows: usize) -> String {
+    let elems: Vec<String> = (0..rows).map(|i| format!("[K = {i}]")).collect();
     format!("val big = {{{}}};", elems.join(", "))
 }
 
@@ -95,7 +99,6 @@ fn injected_panic_poisons_only_its_session() {
     let _g = serial();
     reset_counters();
     let server = Server::start(ServerConfig {
-        workers: 1, // both sessions share a worker: strongest isolation claim
         faults: Some(FaultConfig {
             eval_panic_ppm: 1_000_000,
             seed: 1,
@@ -116,7 +119,7 @@ fn injected_panic_poisons_only_its_session() {
     }
     // a is poisoned; only close works.
     assert_eq!(server.eval(a, "1;"), Err(ServerError::SessionPoisoned(a)));
-    // b — on the *same worker thread* — is untouched. (A small query
+    // b — evaluated on the *same calling thread* — is untouched. (A small query
     // never reaches a governance tick, so it runs clean even with the
     // fault at p=1.)
     assert_eq!(
@@ -144,7 +147,8 @@ fn deadlines_trip_before_and_during_evaluation() {
         ..base_config()
     });
     let sid = server.open_session().expect("open");
-    // Expired before the worker even starts: the queue-wait pre-check.
+    // Expired before evaluation even starts: the pre-check that covers
+    // time spent waiting for the session.
     assert_eq!(
         server.eval(sid, "1;"),
         Err(ServerError::DeadlineExceeded),
@@ -213,13 +217,12 @@ fn admission_control_sheds_with_busy() {
     let _g = serial();
     reset_counters();
     let server = Server::start(ServerConfig {
-        workers: 1,
         queue_cap: 1,
         ..base_config()
     });
     let sid = server.open_session().expect("open");
     server.eval(sid, &heavy_setup()).expect("setup");
-    // p1 occupies the worker...
+    // p1 occupies the session...
     let p1 = server.submit(sid, heavy_query()).expect("admit p1");
     std::thread::sleep(Duration::from_millis(30));
     // ...p2 fills the queue (capacity 1)...
@@ -238,28 +241,49 @@ fn admission_control_sheds_with_busy() {
     server.shutdown();
 }
 
-// ------------------------------------------------------------ spawn faults
+// ------------------------------------------------- no waiting on a neighbour
 
 #[test]
-fn injected_spawn_failures_degrade_the_pool_not_the_server() {
+fn nothing_waits_behind_a_busy_session() {
     let _g = serial();
     reset_counters();
     let server = Server::start(ServerConfig {
-        workers: 4,
-        faults: Some(FaultConfig {
-            spawn_fail_ppm: 1_000_000, // every optional worker is denied
-            seed: 3,
-            ..FaultConfig::off()
-        }),
+        // Ignored by the server; a pool of one worker would queue all
+        // three probes below behind the grinding query.
+        workers: 1,
         ..base_config()
     });
-    assert_eq!(server.live_workers(), 1, "worker 0 always starts");
-    assert_eq!(server.stats().worker_spawn_failures, 3);
-    // The degraded pool still serves every session.
-    let a = server.open_session().expect("open");
-    let b = server.open_session().expect("open");
-    assert!(server.eval(a, "1 + 1;").is_ok());
-    assert!(server.eval(b, "2 + 2;").is_ok());
+    let busy = server.open_session().expect("open busy");
+    let other = server.open_session().expect("open other");
+    // 600² pairs, so the grinder outlasts the 200 ms bar.
+    server.eval(busy, &big_setup(600)).expect("setup");
+    let grinding = server
+        .submit_with(busy, heavy_query(), Arc::new(QueryGuard::unlimited()))
+        .expect("admit the grinder");
+    std::thread::sleep(Duration::from_millis(30)); // let it start grinding
+    let within = |what: &str, started: Instant| {
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(200),
+            "{what} waited {took:?} behind another session's eval"
+        );
+    };
+    let t = Instant::now();
+    let health = server.health();
+    within("health()", t);
+    assert_eq!(health.slots.len(), 2);
+    let t = Instant::now();
+    assert_eq!(server.session_ids(), vec![busy, other]);
+    within("session_ids()", t);
+    let t = Instant::now();
+    assert_eq!(
+        server.eval(other, "1;").expect("the other session answers"),
+        vec!["val it = 1 : int"]
+    );
+    within("eval on the other session", t);
+    // Cancelled, not finished: the probes ran while it was grinding.
+    grinding.cancel();
+    assert_eq!(grinding.wait(), Err(ServerError::Cancelled));
     server.shutdown();
 }
 
@@ -270,13 +294,11 @@ fn chaos_storm_100_sessions_stays_live() {
     let _g = serial();
     reset_counters();
     let server = Server::start(ServerConfig {
-        workers: 3,
         queue_cap: 16,
         default_deadline: Some(Duration::from_millis(500)),
         row_budget: Some(100_000),
         faults: Some(FaultConfig {
             eval_panic_ppm: 60_000,
-            spawn_fail_ppm: 200_000,
             delay_ppm: 40_000,
             delay_ms: 1,
             seed: 42,
@@ -284,6 +306,7 @@ fn chaos_storm_100_sessions_stays_live() {
         }),
         durable_root: None,
         role: ServerRole::Primary,
+        ..ServerConfig::default()
     });
 
     let mut oks = 0u64;

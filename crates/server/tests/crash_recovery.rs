@@ -26,19 +26,19 @@ use machiavelli_server::{Server, ServerConfig, ServerError, ServerRole};
 /// Every harness session is the first one its server opens.
 const SID: u64 = 1;
 
-/// Start a one-worker durable server over `root` and open the harness
-/// session, recovering whatever an earlier server left there. `faults`
-/// is installed on the worker: evals and `SAVE`s roll against it,
-/// opens and restores are shielded.
+/// Start a durable server over `root` and open the harness session,
+/// recovering whatever an earlier server left there. `faults` is
+/// installed for each server operation: evals and `SAVE`s roll against
+/// it, opens and restores are shielded.
 fn start(root: &Path, faults: FaultConfig) -> Server {
     let server = Server::start(ServerConfig {
-        workers: 1,
         queue_cap: 8,
         default_deadline: None,
         row_budget: None,
         faults: Some(faults),
         durable_root: Some(root.to_path_buf()),
         role: ServerRole::Primary,
+        ..ServerConfig::default()
     });
     server.adopt_session(SID).expect("open the harness session");
     server

@@ -4,8 +4,8 @@
 //! can be restored from disk instead of closed, and `PROMOTE` fences
 //! above a floor.
 //!
-//! "Kill" here is dropping the whole `Server` (worker threads joined,
-//! in-memory sessions destroyed) and starting a fresh one over the same
+//! "Kill" here is dropping the whole `Server` (in-memory sessions
+//! destroyed) and starting a fresh one over the same
 //! durable root — the same state transition a `kill -9` of `machid`
 //! forces, exercised in-process so the suite needs no subprocess
 //! plumbing. The torn-tail/mid-checkpoint corners of that transition
@@ -25,13 +25,13 @@ fn tempdir(tag: &str) -> PathBuf {
 
 fn durable_config(root: &std::path::Path) -> ServerConfig {
     ServerConfig {
-        workers: 2,
         queue_cap: 16,
         default_deadline: None,
         row_budget: None,
         faults: Some(FaultConfig::off()),
         durable_root: Some(root.to_path_buf()),
         role: ServerRole::Primary,
+        ..ServerConfig::default()
     }
 }
 
@@ -197,7 +197,6 @@ fn completed_phrases_of_a_failed_eval_are_logged() {
 fn restore_unpoisons_a_durable_session_without_losing_data() {
     let root = tempdir("unpoison");
     let server = Server::start(ServerConfig {
-        workers: 1,
         faults: Some(FaultConfig {
             eval_panic_ppm: 1_000_000,
             seed: 11,
@@ -297,17 +296,15 @@ fn torn_commit_poisons_until_restore() {
 #[test]
 fn durable_sessions_on_one_worker_do_not_cross_attribute() {
     let root = tempdir("attribution");
-    // One worker hosts both sessions, so both share the thread's dirty
-    // channel; per-eval absorption must keep their deltas apart.
-    let server = Server::start(ServerConfig {
-        workers: 1,
-        ..durable_config(&root)
-    });
+    // The isolation holds by construction: each session owns its
+    // dirty sets, and both evaluate on the calling thread, one after
+    // the other.
+    let server = Server::start(durable_config(&root));
     let a = server.open_session().expect("open a");
     let b = server.open_session().expect("open b");
     server.eval(a, "val r = ref(1);").expect("bind in a");
     server.eval(b, "val r = ref(100);").expect("bind in b");
-    // Interleave writes on the shared worker thread.
+    // Interleave writes on the one calling thread.
     for i in 0..5 {
         server
             .eval(a, &format!("r := {};", i + 2))
@@ -318,10 +315,7 @@ fn durable_sessions_on_one_worker_do_not_cross_attribute() {
     }
     drop(server);
 
-    let server = Server::start(ServerConfig {
-        workers: 1,
-        ..durable_config(&root)
-    });
+    let server = Server::start(durable_config(&root));
     let a = server.open_session().expect("reopen a");
     let b = server.open_session().expect("reopen b");
     assert_eq!(

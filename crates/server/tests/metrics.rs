@@ -12,13 +12,13 @@ use machiavelli_server::{serve_connection, Server, ServerConfig, ServerRole};
 
 fn quiet_config() -> ServerConfig {
     ServerConfig {
-        workers: 2,
         queue_cap: 16,
         default_deadline: None,
         row_budget: None,
         faults: Some(FaultConfig::off()),
         durable_root: None,
         role: ServerRole::Primary,
+        ..ServerConfig::default()
     }
 }
 

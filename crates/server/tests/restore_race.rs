@@ -2,8 +2,8 @@
 //! second connection, plus wire-escape round-trips of payloads that
 //! carry literal newlines and backslashes.
 //!
-//! The per-slot FIFO makes RESTORE atomic with respect to in-flight
-//! evals, and every acked commit is on disk before its reply — so a
+//! The session's slot lock makes RESTORE atomic with respect to
+//! in-flight evals, and every acked commit is on disk before its reply — so a
 //! restore mid-storm can never lose an increment the client saw `VAL`
 //! for, and the counter's final value is exactly the number of acked
 //! increments.
@@ -31,13 +31,13 @@ fn tempdir(tag: &str) -> PathBuf {
 
 fn durable_server(root: &Path) -> Arc<Server> {
     Arc::new(Server::start(ServerConfig {
-        workers: 2,
         queue_cap: 64,
         default_deadline: None,
         row_budget: None,
         faults: Some(FaultConfig::off()),
         durable_root: Some(root.to_path_buf()),
         role: ServerRole::Primary,
+        ..ServerConfig::default()
     }))
 }
 

@@ -25,7 +25,7 @@
 //!   kept **twice**: per-session ([`DeclineCounts`], owned by the
 //!   `Session` and reset with its other stats — `Session::stats` /
 //!   `reset_stats`) and process-wide (in the [`metrics`] registry,
-//!   feeding `METRICS` across server workers).
+//!   feeding `METRICS` across every session).
 //!   Decline accounting is *always on*; only span attachment is gated
 //!   on tracing. Declines fire at most once per runtime fallback —
 //!   static ineligibility (a shape that was never a candidate) stays
@@ -238,7 +238,7 @@ pub fn end_query() {
             let declines = std::mem::take(&mut t.declines);
             t.stack.clear();
             // Bound the buffer: a thread that traces but never drains
-            // (a long-lived server worker) keeps only the most recent
+            // (a long-lived server connection) keeps only the most recent
             // [`MAX_EVENTS`] queries.
             if t.events.len() >= MAX_EVENTS {
                 t.events.remove(0);
@@ -258,7 +258,7 @@ pub const MAX_EVENTS: usize = 64;
 
 /// Discard any in-flight traced query on this thread: depth, spans,
 /// stack, and pending declines all reset; completed events are kept.
-/// For panic recovery on reused worker threads — a query that unwound
+/// For panic recovery on reused threads — a query that unwound
 /// mid-execution never reaches its [`end_query`], and without this the
 /// leaked depth would fold the thread's *next* query into a phantom
 /// outer one.

@@ -99,8 +99,6 @@ counters! {
 
     /// Injected: evaluator-tick panics.
     FaultEvalPanics => "fault_eval_panics",
-    /// Injected: server worker spawns denied.
-    FaultSpawnFailures => "fault_spawn_failures",
     /// Injected: evaluator-tick sleeps.
     FaultDelays => "fault_delays",
     /// Injected: WAL appends torn mid-write.

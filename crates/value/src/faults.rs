@@ -14,9 +14,9 @@
 //! points.
 //!
 //! Resolution: a thread-local [`FaultConfig`] override (set by tests,
-//! or by the server installing its captured config on worker threads —
-//! thread locals do not inherit) falls back to an env-derived process
-//! config read once. With nothing configured every
+//! or by the server installing its config on the calling thread for
+//! each operation) falls back to an env-derived process config read
+//! once. With nothing configured every
 //! fail point is a single thread-local load.
 //!
 //! All *injected* panics carry messages prefixed `"injected fault:"`,
@@ -42,8 +42,8 @@ macro_rules! fail_points {
         }
 
         /// Probabilities (parts per million) and knobs for every fail
-        /// point. `Copy` so it can live in a `Cell` and be shipped to
-        /// worker threads.
+        /// point. `Copy` so it can live in a `Cell` and be installed on
+        /// any thread.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct FaultConfig {
             $($(#[$doc])* pub $field: u32,)*
@@ -101,9 +101,6 @@ macro_rules! fail_points {
 fail_points! {
     /// Panic at an evaluator tick (a simulated evaluator bug).
     EvalPanic, eval_panic_ppm, "MACHIAVELLI_FAULT_EVAL_PANIC_PPM", FaultEvalPanics;
-    /// Report a server worker spawn as failed; the pool takes its
-    /// real-OS-decline fallback.
-    SpawnFail, spawn_fail_ppm, "MACHIAVELLI_FAULT_SPAWN_FAIL_PPM", FaultSpawnFailures;
     /// Sleep `delay_ms` at an evaluator tick (forces deadline overruns).
     Delay, delay_ppm, "MACHIAVELLI_FAULT_DELAY_PPM", FaultDelays;
     /// Tear a WAL append: only a [`torn_cut`] prefix reaches the file,
