@@ -344,20 +344,20 @@ impl Session {
         self.engine.reset_stats();
     }
 
-    /// Enable/disable query tracing for this session's thread (`None`
-    /// restores the `MACHIAVELLI_TRACE` env default), returning the
-    /// previous override. With tracing on, every evaluated `select`
-    /// records a [`machiavelli_trace::QueryTrace`] retrievable via
-    /// [`Session::trace_events`].
+    /// Enable/disable query tracing for this session (`None` restores
+    /// the `MACHIAVELLI_TRACE` default read when the session was made),
+    /// returning the previous override. With tracing on, every evaluated
+    /// `select` records a [`machiavelli_trace::QueryTrace`] retrievable
+    /// via [`Session::trace_events`]. Other sessions are unaffected.
     pub fn set_tracing(&self, on: Option<bool>) -> Option<bool> {
-        machiavelli_trace::set_tracing(on)
+        self.engine.tracer().set_tracing(on)
     }
 
-    /// Drain the traced queries recorded on this session's thread since
-    /// the last drain (oldest first; the per-thread buffer keeps the
-    /// most recent [`machiavelli_trace::MAX_EVENTS`]).
+    /// Drain the traced queries this session recorded since the last
+    /// drain (oldest first; the session's buffer keeps the most recent
+    /// [`machiavelli_trace::MAX_EVENTS`]).
     pub fn trace_events(&self) -> Vec<machiavelli_trace::QueryTrace> {
-        machiavelli_trace::take_events()
+        self.engine.tracer().take_events()
     }
 
     /// Run `src` with query tracing forced on and render each traced
@@ -369,12 +369,12 @@ impl Session {
     /// report is the span trees only. Behind the REPL's `:analyze`
     /// command.
     pub fn analyze(&mut self, src: &str) -> Result<String, SessionError> {
-        let prev = machiavelli_trace::set_tracing(Some(true));
+        let prev = self.set_tracing(Some(true));
         // Stale events from earlier traced work would mis-attribute.
-        let _ = machiavelli_trace::take_events();
+        let _ = self.trace_events();
         let result = self.run(src);
-        machiavelli_trace::set_tracing(prev);
-        let events = machiavelli_trace::take_events();
+        self.set_tracing(prev);
+        let events = self.trace_events();
         result?;
         if events.is_empty() {
             return Ok("no select evaluated".into());

@@ -1,6 +1,6 @@
 //! Evaluation errors.
 
-use machiavelli_value::governor::Trip;
+use machiavelli_store::governor::Trip;
 use machiavelli_value::ValueError;
 use std::fmt;
 
@@ -20,7 +20,7 @@ pub enum EvalError {
     NotAFunction(String),
     /// Evaluation exceeded the configured recursion depth.
     StackOverflow,
-    /// The governing [`machiavelli_value::QueryGuard`] stopped the
+    /// The governing [`machiavelli_store::governor::QueryGuard`] stopped the
     /// query (cancellation, deadline, or row budget) at a cooperative
     /// tick. Sticky: re-polling the guard reports the same cause.
     Interrupted(Trip),

@@ -18,10 +18,12 @@ use machiavelli_plan::{compile, mentions_any, ExecError};
 use machiavelli_store::EngineCtx;
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind, UnOp};
 use machiavelli_syntax::symbol::Symbol;
+use machiavelli_trace::Tracer;
 use machiavelli_types::lower::lower_closed;
 use machiavelli_value::{
-    con_value, conforms, join_value, project_value, show_value, unionc_value, Builtin, Closure,
-    DynValue, Env, Fields, MSet, RefValue, Value, ValueError,
+    con_value, conforms, join_value_counted, project_value_counted, show_value,
+    unionc_value_counted, Builtin, Closure, DynValue, Env, Fields, MSet, RefValue, Value,
+    ValueError,
 };
 use std::rc::Rc;
 
@@ -42,8 +44,10 @@ fn with_stack<T>(f: impl FnOnce() -> T) -> T {
 
 /// Evaluate an expression in `env` for the session whose engine context
 /// is `ctx`: its mode picks the `select` strategy, its index store
-/// serves the planner, its dirty sets record every `:=`, and its
-/// decline counts record every fallback.
+/// serves the planner, its dirty sets record every `:=`, its decline
+/// counts record every fallback, its tracer records every `select`, and
+/// its guard is charged every set evaluation builds and polled at every
+/// tick.
 pub fn eval_expr(ctx: &EngineCtx, env: &Env, e: &Expr) -> Result<Value, EvalError> {
     let mut cx = Cx {
         ctx,
@@ -53,27 +57,15 @@ pub fn eval_expr(ctx: &EngineCtx, env: &Env, e: &Expr) -> Result<Value, EvalErro
     cx.eval(env, e)
 }
 
-/// The cooperative tick: fault-injection points first (an injected
-/// panic or delay must be able to fire even on un-governed sessions),
-/// then the guard poll.
-fn governed_tick() -> Result<(), EvalError> {
-    machiavelli_value::faults::maybe_delay();
-    machiavelli_value::faults::maybe_eval_panic();
-    if let Some(trip) = machiavelli_value::governor::check_current() {
-        return Err(EvalError::Interrupted(trip));
-    }
-    Ok(())
-}
+/// Balances a [`Tracer::begin_query`] on every exit from the `select`
+/// arm — including `?` early returns and unwinds — so the trace depth
+/// counter can never leak. Nested `select`s fold into the outermost
+/// query's trace via the depth counter.
+struct QueryTraceGuard<'a>(&'a Tracer);
 
-/// Balances a [`machiavelli_trace::begin_query`] on every exit from the
-/// `select` arm — including `?` early returns and unwinds — so the
-/// trace depth counter can never leak. Nested `select`s fold into the
-/// outermost query's trace via the depth counter.
-struct QueryTraceGuard;
-
-impl Drop for QueryTraceGuard {
+impl Drop for QueryTraceGuard<'_> {
     fn drop(&mut self) {
-        machiavelli_trace::end_query();
+        self.0.end_query();
     }
 }
 
@@ -87,7 +79,7 @@ pub fn builtin_env() -> Env {
 }
 
 /// Every this many `enter` calls the evaluator runs its cooperative
-/// tick: fault-injection points plus the [`machiavelli_value::governor`]
+/// tick ([`EngineCtx::tick`]): fault-injection points plus the guard
 /// poll. Depth alone cannot drive the tick — row loops evaluate at a
 /// constant shallow depth, so a depth-keyed check would never fire on
 /// exactly the long-running shapes deadlines exist for. A power of two
@@ -117,7 +109,9 @@ impl Cx<'_> {
         }
         self.ticks += 1;
         if self.ticks.is_multiple_of(GOVERNOR_TICK) {
-            governed_tick()?;
+            if let Some(trip) = self.ctx.tick() {
+                return Err(EvalError::Interrupted(trip));
+            }
         }
         Ok(())
     }
@@ -258,17 +252,20 @@ impl Cx<'_> {
                 for item in items {
                     out.push(self.eval(env, item)?);
                 }
-                Ok(Value::set(out))
+                Ok(self.charged(MSet::from_iter(out)))
             }
             Union { left, right } => {
                 let l = self.eval(env, left)?;
                 let r = self.eval(env, right)?;
-                set_union(&l, &r)
+                self.set_union(&l, &r)
             }
             Unionc { left, right } => {
                 let l = self.eval(env, left)?;
                 let r = self.eval(env, right)?;
-                Ok(unionc_value(&l, &r)?)
+                let mut rows = 0;
+                let v = unionc_value_counted(&l, &r, &mut rows);
+                self.ctx.charge_rows(rows);
+                Ok(v?)
             }
             Hom { f, op, z, set } => {
                 let fv = self.eval(env, f)?;
@@ -353,7 +350,10 @@ impl Cx<'_> {
             Join { left, right } => {
                 let l = self.eval(env, left)?;
                 let r = self.eval(env, right)?;
-                Ok(join_value(&l, &r)?)
+                let mut rows = 0;
+                let v = join_value_counted(&l, &r, &mut rows);
+                self.ctx.charge_rows(rows);
+                Ok(v?)
             }
             Project { expr, ty } => {
                 let v = self.eval(env, expr)?;
@@ -363,7 +363,10 @@ impl Cx<'_> {
                         ty: err.to_string(),
                     })
                 })?;
-                Ok(project_value(&v, &target)?)
+                let mut rows = 0;
+                let v = project_value_counted(&v, &target, &mut rows);
+                self.ctx.charge_rows(rows);
+                Ok(v?)
             }
             Let { name, bound, body } => {
                 let bv = self.eval(env, bound)?;
@@ -377,13 +380,14 @@ impl Cx<'_> {
             } => {
                 // Default path: compile the comprehension into an operator
                 // pipeline (hash build/probe for equi-join shapes, filter
-                // pushdown). `plan_select` declines shapes where
-                // reordering could be observable — those and a disabled
-                // planner fall through to the nested-loop semantics
-                // below. Expression evaluation inside the pipeline calls
-                // back into `self`, so semantics live in one place.
-                machiavelli_trace::begin_query("select");
-                let _qt = QueryTraceGuard;
+                // pushdown). `compile` declines shapes where reordering
+                // could be observable — those and a disabled planner fall
+                // through to the nested-loop semantics below. Expression
+                // evaluation inside the pipeline calls back into `self`,
+                // so semantics live in one place.
+                let tracer = self.ctx.tracer();
+                tracer.begin_query("select");
+                let _qt = QueryTraceGuard(tracer);
                 let mode = self.ctx.mode();
                 if mode.planner {
                     match compile(generators, pred, result).map(|l| l.physical(mode.store)) {
@@ -424,7 +428,7 @@ impl Cx<'_> {
                 // per-element `MSet::insert` would shift O(n) each time.
                 let mut out = Vec::new();
                 self.select_loop(env, generators, &sources, pred, result, 0, &mut out)?;
-                Ok(Value::Set(MSet::from_iter(out)))
+                Ok(self.charged(MSet::from_iter(out)))
             }
             Binop {
                 op: BinOp::Andalso,
@@ -530,8 +534,31 @@ impl Cx<'_> {
             parts.extend(fx.iter().cloned());
         }
         let mut acc = as_set(seed)?.clone();
-        acc.extend(parts);
+        if !parts.is_empty() {
+            acc.extend(parts);
+            self.ctx.charge_rows(acc.len());
+        }
         Ok(Value::Set(acc))
+    }
+
+    /// A set evaluation just built, its rows charged to the guard.
+    fn charged(&self, set: MSet) -> Value {
+        self.ctx.charge_rows(set.len());
+        Value::Set(set)
+    }
+
+    /// `union`. Only a merge of two non-empty sets builds one: with an
+    /// empty side the other comes back as is, and nothing is charged.
+    fn set_union(&self, l: &Value, r: &Value) -> Result<Value, EvalError> {
+        match (l, r) {
+            (Value::Set(a), Value::Set(b)) if a.is_empty() || b.is_empty() => {
+                Ok(Value::Set(a.union(b)))
+            }
+            (Value::Set(a), Value::Set(b)) => Ok(self.charged(a.union(b))),
+            (Value::Set(_), other) | (other, _) => {
+                Err(ValueError::NotASet(show_value(other)).into())
+            }
+        }
     }
 
     /// Nested-loop evaluation of `select` over pre-evaluated independent
@@ -613,7 +640,7 @@ impl Cx<'_> {
             }
             Value::Builtin(Builtin::Union) => {
                 let (l, r) = two_args(args)?;
-                set_union(&l, &r)
+                self.set_union(&l, &r)
             }
             Value::Builtin(Builtin::ApplyC) => {
                 // §6 coercion application: dynamically just application
@@ -679,13 +706,6 @@ fn as_set(v: &Value) -> Result<&MSet, EvalError> {
     match v {
         Value::Set(s) => Ok(s),
         other => Err(ValueError::NotASet(show_value(other)).into()),
-    }
-}
-
-fn set_union(l: &Value, r: &Value) -> Result<Value, EvalError> {
-    match (l, r) {
-        (Value::Set(a), Value::Set(b)) => Ok(Value::Set(a.union(b))),
-        (Value::Set(_), other) | (other, _) => Err(ValueError::NotASet(show_value(other)).into()),
     }
 }
 

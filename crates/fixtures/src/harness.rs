@@ -75,8 +75,8 @@ pub fn canonical_state(session: &Session, names: &[String]) -> String {
     out
 }
 
-/// Replay `srcs` into a fresh in-memory session with faults shielded —
-/// the ground truth a recovered or replicated session must match.
+/// Replay `srcs` into a fresh in-memory session (its fault stream is
+/// inert) — the ground truth a recovered or replicated session must match.
 pub fn expected_state(srcs: &[String], names: &[String]) -> String {
     let mut model = Session::bare();
     for src in srcs {

@@ -41,7 +41,7 @@ use machiavelli_store::{EngineCtx, Index, KeyTuple};
 use machiavelli_syntax::ast::{BinOp, Expr, ExprKind};
 use machiavelli_syntax::pretty::expr_to_string;
 use machiavelli_syntax::symbol::Symbol;
-use machiavelli_trace as trace;
+use machiavelli_trace::CacheOutcome;
 use machiavelli_value::{show_value, value_eq, Env, MSet, Value};
 use std::rc::Rc;
 
@@ -510,7 +510,9 @@ pub fn execute<H: EvalHook>(
     while let Some(binding) = root.next(hook)? {
         out.push(hook.eval(&binding, plan.result)?);
     }
-    Ok(Value::Set(MSet::from_iter(out)))
+    let set = MSet::from_iter(out);
+    hook.engine().charge_rows(set.len());
+    Ok(Value::Set(set))
 }
 
 /// Check one conjunct against a candidate binding. `Ok(true)` accepts,
@@ -615,15 +617,15 @@ fn obtain_index<H: EvalHook>(
     hook: &mut H,
 ) -> Result<Rc<Index>, ExecError<H::Error>> {
     if !hook.engine().mode().store {
-        trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Bypass);
+        hook.engine().tracer().annotate_cache(CacheOutcome::Bypass);
         return Ok(Rc::new(build(hook)?));
     }
     if let Some(idx) = hook.engine().with_store(|s| s.lookup(items, fingerprint)) {
-        trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Hit);
+        hook.engine().tracer().annotate_cache(CacheOutcome::Hit);
         return Ok(idx);
     }
     let built = build(hook)?;
-    trace::annotate_cache(trace::current_span(), trace::CacheOutcome::Build);
+    hook.engine().tracer().annotate_cache(CacheOutcome::Build);
     Ok(hook.engine().insert(items, fingerprint, built))
 }
 
@@ -693,13 +695,14 @@ impl<'p> Node<'p> {
         env: &Env,
         hook: &mut H,
     ) -> Result<Node<'p>, ExecError<H::Error>> {
-        if !trace::active() {
+        if !hook.engine().tracer().active() {
             return Node::open_inner(op, env, hook);
         }
-        let sid = trace::open_op_with(|| op_label(op));
-        let t0 = trace::now_ns();
+        let sid = hook.engine().tracer().open_op_with(|| op_label(op));
+        let t0 = hook.engine().tracer().now_ns();
         let node = Node::open_inner(op, env, hook);
-        trace::close_op(sid, trace::now_ns().saturating_sub(t0));
+        let tracer = hook.engine().tracer();
+        tracer.close_op(sid, tracer.now_ns().saturating_sub(t0));
         Ok(match (sid, node?) {
             (Some(sid), inner) => Node::Traced {
                 sid,
@@ -970,11 +973,11 @@ impl<'p> Node<'p> {
                 }
             },
             Node::Traced { sid, inner } => {
-                let t0 = trace::now_ns();
+                let t0 = hook.engine().tracer().now_ns();
                 let r = inner.next(hook);
-                let ns = trace::now_ns().saturating_sub(t0);
-                let rows = matches!(r, Ok(Some(_))) as u64;
-                trace::add_next(*sid, ns, rows);
+                let tracer = hook.engine().tracer();
+                let ns = tracer.now_ns().saturating_sub(t0);
+                tracer.add_next(*sid, ns, matches!(r, Ok(Some(_))) as u64);
                 r
             }
         }

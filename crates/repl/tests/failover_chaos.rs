@@ -32,16 +32,16 @@ use machiavelli::trace::metrics::{self, Counter};
 use machiavelli_fixtures::harness::{base_seed, expected_state, recover_twice, tempdir, Rng};
 use machiavelli_repl::catch_up;
 use machiavelli_repl::proto::Upstream;
+use machiavelli_server::faults::FaultConfig;
 use machiavelli_server::{serve_connection, Server, ServerConfig, ServerError, ServerRole};
-use machiavelli_value::faults::{set_fault_config, FaultConfig};
 use machiavelli_wal::Ship;
 
 /// Every harness session is the first one its server opens.
 const SID: u64 = 1;
 
 /// A primary reached in-process: each request line runs through the
-/// wire dispatcher on the calling thread, so the test thread's fault
-/// config (ack loss) applies to the primary's side of the exchange.
+/// wire dispatcher on the calling thread, against the primary's own
+/// fault config (ack loss).
 struct InProcess<'a>(&'a Server);
 
 impl Upstream for InProcess<'_> {
@@ -53,9 +53,10 @@ impl Upstream for InProcess<'_> {
 }
 
 /// Start a durable server over `root` and open the harness session,
-/// recovering whatever an earlier server left there. `faults` is
-/// installed for each server operation, so a follower's
-/// ship-disconnect fail point rolls against it.
+/// recovering whatever an earlier server left there. `faults` arms the
+/// server's sessions and its ack stream, so a follower's
+/// ship-disconnect and a primary's ack-loss fail points roll against
+/// it.
 fn start(root: &Path, role: ServerRole, faults: FaultConfig) -> Server {
     let server = Server::start(ServerConfig {
         queue_cap: 8,
@@ -122,12 +123,10 @@ fn verify(root: &Path, model: &Model, k: usize, ctx: &str) {
 }
 
 /// One catch-up round under the iteration's faults (ship disconnects
-/// in the follower's replica apply, ack loss here), with the model advanced
-/// from the follower's cursor.
-fn pump(p: &Server, f: &Server, model: &mut Model, faults: FaultConfig, ctx: &str) {
-    set_fault_config(Some(faults));
+/// in the follower's replica apply, ack loss in the primary), with the
+/// model advanced from the follower's cursor.
+fn pump(p: &Server, f: &Server, model: &mut Model, ctx: &str) {
     let round = catch_up(f, &mut InProcess(p));
-    set_fault_config(Some(FaultConfig::off()));
     round.unwrap_or_else(|e| panic!("{ctx}: catch-up: {e}"));
     let (primary, _) = p.cursor(SID).expect("primary cursor");
     let (follower, groups) = f.cursor(SID).expect("follower cursor");
@@ -159,7 +158,6 @@ fn seeded_failovers_serve_the_acked_durable_prefix() {
         .unwrap_or(220);
     let base = base_seed();
     let off = FaultConfig::off();
-    let prev = set_fault_config(Some(off));
     let before = metrics::snapshot();
 
     for iter in 0..iterations {
@@ -176,7 +174,7 @@ fn seeded_failovers_serve_the_acked_durable_prefix() {
             ack_loss_ppm: intensity / 2,
             ..off
         };
-        let mut p = start(&root_p, ServerRole::Primary, off);
+        let mut p = start(&root_p, ServerRole::Primary, faults);
         let mut f = start(&root_f, ServerRole::Follower, faults);
         let mut model = Model {
             applied: Vec::new(),
@@ -203,7 +201,7 @@ fn seeded_failovers_serve_the_acked_durable_prefix() {
             if roll < 16 {
                 // Kill the primary; everything it committed is durable.
                 drop(p);
-                p = start(&root_p, ServerRole::Primary, off);
+                p = start(&root_p, ServerRole::Primary, faults);
                 continue;
             }
             if roll < 24 {
@@ -221,7 +219,7 @@ fn seeded_failovers_serve_the_acked_durable_prefix() {
             }
             if roll < 52 {
                 if !partitioned {
-                    pump(&p, &f, &mut model, faults, &ctx);
+                    pump(&p, &f, &mut model, &ctx);
                 }
                 continue;
             }
@@ -394,7 +392,6 @@ fn seeded_failovers_serve_the_acked_durable_prefix() {
         added.get(Counter::ReplSnapTransfers) > iterations,
         "catch-up never healed via snapshot transfer beyond the final heals"
     );
-    set_fault_config(prev);
 }
 
 #[test]

@@ -6,8 +6,8 @@
 #![cfg(unix)]
 
 use machiavelli_repl::proto::LineClient;
+use machiavelli_server::faults::FaultConfig;
 use machiavelli_server::{Server, ServerConfig, ServerRole};
-use machiavelli_value::faults::FaultConfig;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::Arc;

@@ -6,9 +6,9 @@
 
 use machiavelli_repl::proto::LineClient;
 use machiavelli_repl::{Replicator, ReplicatorConfig};
+use machiavelli_server::faults::FaultConfig;
 use machiavelli_server::wire::unescape_line;
 use machiavelli_server::{serve_tcp, Server, ServerConfig, ServerError, ServerRole};
-use machiavelli_value::faults::FaultConfig;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};

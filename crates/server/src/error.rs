@@ -6,7 +6,7 @@
 //! (admission, deadlines, budgets) from "your session is gone"
 //! (panic poisoning). None of them abort the process.
 
-use machiavelli_value::governor::Trip;
+use machiavelli::store::governor::Trip;
 use std::fmt;
 
 /// A structured error from the session server.

@@ -1,8 +1,9 @@
 //! Fault-injection knobs, re-exported at the server boundary.
 //!
-//! The fail points live in `machiavelli_value::faults` (the one crate
-//! every layer already depends on), but the *server* is the component
-//! that turns them on — via [`ServerConfig::faults`] or the
+//! The fail points live in `machiavelli_store::faults`, next to the
+//! session's engine context that owns each fault stream, but the
+//! *server* is the component that turns them on — it arms every session
+//! it opens or recovers with [`ServerConfig::faults`] or the
 //! `MACHIAVELLI_FAULT_*` environment variables — so the surface is
 //! re-exported here as `machiavelli_server::faults` for chaos suites
 //! and operators. The fail points, their `FaultConfig` fields and their
@@ -11,7 +12,4 @@
 //!
 //! [`ServerConfig::faults`]: crate::ServerConfig
 
-pub use machiavelli_value::faults::{
-    fault_config, faults_active, fire, set_fault_config, FaultConfig, FaultPoint,
-    INJECTED_PANIC_PREFIX,
-};
+pub use machiavelli::store::faults::{FaultConfig, FaultPoint, INJECTED_PANIC_PREFIX};

@@ -31,4 +31,4 @@ pub use server::{
 };
 pub use wire::{serve_connection, serve_connection_with_limit, serve_tcp};
 
-pub use machiavelli_value::governor::{QueryGuard, Trip};
+pub use machiavelli::store::governor::{QueryGuard, Trip};

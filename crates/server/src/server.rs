@@ -32,11 +32,11 @@
 //! `METRICS` lag gauge never wait behind a running eval.
 
 use crate::error::ServerError;
+use machiavelli::store::faults::{FaultConfig, FaultPoint, FaultStream};
+use machiavelli::store::governor::{self, QueryGuard, Trip};
 use machiavelli::{is_read_only_source, Session, SessionError};
 use machiavelli_eval::EvalError;
 use machiavelli_trace::metrics::{self, Counter, Snapshot};
-use machiavelli_value::faults::{self, FaultConfig, FaultPoint};
-use machiavelli_value::governor::{self, QueryGuard, Trip};
 use machiavelli_wal::{
     install_replica, LogCursor, ReplicaApplyReport, SessionLog, Ship, SnapshotTransfer, WalError,
 };
@@ -144,9 +144,10 @@ pub struct ServerConfig {
     /// sets materialize, so runaway queries trip before exhausting
     /// memory.
     pub row_budget: Option<usize>,
-    /// Fault-injection configuration installed on the calling thread
-    /// for the duration of each operation (None = the calling thread's
-    /// own, by default the environment's `MACHIAVELLI_FAULT_*` knobs).
+    /// Fault injection: every session this server opens or recovers
+    /// is armed with this config, its stream seeded from the config
+    /// seed and the session id (None = the environment's
+    /// `MACHIAVELLI_FAULT_*` knobs).
     pub faults: Option<FaultConfig>,
     /// Root directory for durable sessions. When set, every session
     /// gets a write-ahead log under `<root>/session-<sid>`, each
@@ -315,25 +316,6 @@ impl Slot {
     }
 }
 
-/// The server's fault config, installed on the calling thread for one
-/// operation; dropping it restores the thread's own. Each install
-/// reseeds the thread's fault stream.
-struct FaultScope(Option<Option<FaultConfig>>);
-
-impl FaultScope {
-    fn enter(faults: Option<FaultConfig>) -> FaultScope {
-        FaultScope(faults.map(|fc| faults::set_fault_config(Some(fc))))
-    }
-}
-
-impl Drop for FaultScope {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            faults::set_fault_config(prev);
-        }
-    }
-}
-
 /// An eval admitted against a slot. It counts as waiting until it
 /// holds the slot's lock, and as in flight (the queue-depth gauge)
 /// until it is dropped — whether or not it ever ran.
@@ -343,13 +325,11 @@ struct Admitted {
     guard: Arc<QueryGuard>,
     role: Arc<AtomicU8>,
     depth: Arc<AtomicI64>,
-    faults: Option<FaultConfig>,
     queued: bool,
 }
 
 impl Admitted {
     fn run(mut self, src: &str) -> Result<Vec<String>, ServerError> {
-        let _faults = FaultScope::enter(self.faults);
         let slot = Arc::clone(&self.slot);
         let mut state = slot.lock();
         slot.waiting.fetch_sub(1, Ordering::Relaxed);
@@ -414,6 +394,11 @@ pub struct Server {
     opening: Mutex<()>,
     next_sid: AtomicU64,
     config: ServerConfig,
+    /// The fault config every session is armed with:
+    /// [`ServerConfig::faults`], else the environment's.
+    faults: FaultConfig,
+    /// The stream the injected ack loss draws from.
+    ack_faults: Mutex<FaultStream>,
     /// Admitted evals not yet finished (waiting + evaluating), across
     /// all sessions — the `METRICS` queue-depth gauge.
     queue_depth: Arc<AtomicI64>,
@@ -428,7 +413,11 @@ impl Server {
     /// Start a server. Nothing is spawned: each request runs on the
     /// thread that makes it.
     pub fn start(config: ServerConfig) -> Server {
+        let faults = config.faults.unwrap_or_else(FaultConfig::from_env);
         Server {
+            faults,
+            // Session ids start at 1: id 0 seeds the server's own stream.
+            ack_faults: Mutex::new(FaultStream::new(faults, 0)),
             slots: Mutex::new(HashMap::new()),
             opening: Mutex::new(()),
             next_sid: AtomicU64::new(1),
@@ -466,20 +455,17 @@ impl Server {
         slots
     }
 
-    /// Run `op` on one session, under its lock and the server's fault
-    /// config, on the calling thread.
+    /// Run `op` on one session, under its lock, on the calling thread.
     fn on_slot<R: Send + 'static>(
         &self,
         sid: u64,
         op: impl FnOnce(&mut SessionSlot) -> Result<R, ServerError> + Send,
     ) -> Result<R, ServerError> {
-        let slot = self.slot(sid)?;
-        let _faults = FaultScope::enter(self.config.faults);
-        slot.run(sid, op)
+        self.slot(sid)?.run(sid, op)
     }
 
-    /// Open a fresh session (with the standard prelude). Prelude
-    /// evaluation is shielded from fault injection, so opens are
+    /// Open a fresh session (with the standard prelude). A session is
+    /// armed with the fault config only once open, so opens are
     /// deterministic; faults target queries.
     pub fn open_session(&self) -> Result<u64, ServerError> {
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
@@ -494,15 +480,18 @@ impl Server {
             return Ok(sid);
         }
         let session = match &self.config.durable_root {
-            Some(root) => recover_slot(&session_dir(root, sid), ServerError::Durability)?.0,
-            None => shielded(|| {
-                Ok(SessionSlot {
-                    session: Session::try_new()
-                        .map_err(|e| ServerError::SessionInit(e.to_string()))?,
+            Some(root) => recover_slot(root, sid, self.faults, ServerError::Durability)?.0,
+            None => {
+                let session = caught(|| {
+                    Session::try_new().map_err(|e| ServerError::SessionInit(e.to_string()))
+                })?;
+                session.engine().set_faults(self.faults, sid);
+                SessionSlot {
+                    session,
                     poisoned: false,
                     wal: None,
-                })
-            })?,
+                }
+            }
         };
         self.registry().insert(sid, Arc::new(Slot::new(session)));
         metrics::add(Counter::SessionsStarted, 1);
@@ -525,7 +514,6 @@ impl Server {
             guard,
             role: Arc::clone(&self.role),
             depth: Arc::clone(&self.queue_depth),
-            faults: self.config.faults,
             queued: true,
         })
     }
@@ -582,8 +570,8 @@ impl Server {
     /// bindings restored. Works on poisoned sessions — this is how a
     /// client un-poisons a durable session without losing its data.
     pub fn restore_session(&self, sid: u64) -> Result<usize, ServerError> {
-        let root = self.config.durable_root.as_deref();
-        self.on_slot(sid, move |s| run_restore(s, root, sid))
+        let (root, faults) = (self.config.durable_root.as_deref(), self.faults);
+        self.on_slot(sid, move |s| run_restore(s, root, sid, faults))
     }
 
     /// The server's current replication role.
@@ -657,7 +645,6 @@ impl Server {
     /// failing slot poisons and the sweep goes on; the first error is
     /// returned.
     fn checkpoint_above(&self, floor: u64) -> Result<u64, ServerError> {
-        let _faults = FaultScope::enter(self.config.faults);
         let mut done = 0u64;
         let mut first_err = None;
         for (sid, slot) in self.all_slots() {
@@ -731,8 +718,10 @@ impl Server {
         sid: u64,
         transfer: SnapshotTransfer,
     ) -> Result<usize, ServerError> {
-        let root = self.config.durable_root.as_deref();
-        self.on_slot(sid, move |s| run_repl_install(s, root, sid, &transfer))
+        let (root, faults) = (self.config.durable_root.as_deref(), self.faults);
+        self.on_slot(sid, move |s| {
+            run_repl_install(s, root, sid, faults, &transfer)
+        })
     }
 
     /// Record a follower's ack (primary side of the `ACK` verb).
@@ -745,7 +734,12 @@ impl Server {
         if sid >= self.next_sid.load(Ordering::Relaxed) {
             return false;
         }
-        if faults::fire(FaultPoint::AckLoss) {
+        let lost = self
+            .ack_faults
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .fire(FaultPoint::AckLoss);
+        if lost {
             metrics::add(Counter::ReplAcksLost, 1);
             return false;
         }
@@ -936,14 +930,15 @@ fn run_repl_install(
     slot: &mut SessionSlot,
     root: Option<&std::path::Path>,
     sid: u64,
+    faults: FaultConfig,
     transfer: &SnapshotTransfer,
 ) -> Result<usize, ServerError> {
     durable_log(&mut slot.wal)?;
     let root = root.ok_or_else(|| ServerError::Replication("durability is disabled".into()))?;
-    let dir = session_dir(root, sid);
-    install_replica(&dir, transfer).map_err(|e| ServerError::Replication(e.to_string()))?;
+    install_replica(&session_dir(root, sid), transfer)
+        .map_err(|e| ServerError::Replication(e.to_string()))?;
     // Rebuild the slot from the installed state — the restore path.
-    let (fresh, restored) = recover_slot(&dir, ServerError::Replication)?;
+    let (fresh, restored) = recover_slot(root, sid, faults, ServerError::Replication)?;
     *slot = fresh;
     Ok(restored)
 }
@@ -981,27 +976,29 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
-/// Run `f` shielded from fault injection, a panic becoming a typed
-/// error: faults target queries, and deterministic opens and recoveries
-/// keep chaos assertions crisp.
-fn shielded<T>(f: impl FnOnce() -> Result<T, ServerError>) -> Result<T, ServerError> {
-    let shield = faults::set_fault_config(Some(FaultConfig::off()));
-    let made = catch_unwind(AssertUnwindSafe(f));
-    faults::set_fault_config(shield);
-    made.unwrap_or_else(|payload| Err(ServerError::SessionInit(panic_message(payload.as_ref()))))
+/// Run `f`, a panic becoming a typed error.
+fn caught<T>(f: impl FnOnce() -> Result<T, ServerError>) -> Result<T, ServerError> {
+    catch_unwind(AssertUnwindSafe(f))
+        .unwrap_or_else(|payload| Err(ServerError::SessionInit(panic_message(payload.as_ref()))))
 }
 
-/// A fresh slot recovered from the durable state under `dir` (snapshot
-/// plus log replay), with the number of bindings and records restored.
+/// A fresh slot for session `sid`, recovered from its durable state
+/// under `root` (snapshot plus log replay) and then armed with
+/// `faults`, with the number of bindings and records restored. The
+/// session is inert while it recovers, so recoveries are deterministic.
 /// `wrap` types a log failure for the caller's verb.
 fn recover_slot(
-    dir: &std::path::Path,
+    root: &std::path::Path,
+    sid: u64,
+    faults: FaultConfig,
     wrap: fn(String) -> ServerError,
 ) -> Result<(SessionSlot, usize), ServerError> {
-    shielded(|| {
+    caught(|| {
         let mut session =
             Session::try_new().map_err(|e| ServerError::SessionInit(e.to_string()))?;
-        let (wal, report) = SessionLog::open(dir, &mut session).map_err(|e| wrap(e.to_string()))?;
+        let (wal, report) = SessionLog::open(&session_dir(root, sid), &mut session)
+            .map_err(|e| wrap(e.to_string()))?;
+        session.engine().set_faults(faults, sid);
         let restored = report.snapshot_bindings + report.records_replayed as usize;
         let slot = SessionSlot {
             session,
@@ -1035,6 +1032,7 @@ fn run_restore(
     slot: &mut SessionSlot,
     root: Option<&std::path::Path>,
     sid: u64,
+    faults: FaultConfig,
 ) -> Result<usize, ServerError> {
     let Some(root) = root else {
         return Err(ServerError::Durability("durability is disabled".into()));
@@ -1047,7 +1045,7 @@ fn run_restore(
     // Deliberately no poison check: RESTORE is how a poisoned durable
     // session comes back — in-memory state (possibly torn mid-update by
     // a panic) is discarded and rebuilt from the last durable commit.
-    let (fresh, restored) = recover_slot(&session_dir(root, sid), ServerError::Durability)?;
+    let (fresh, restored) = recover_slot(root, sid, faults, ServerError::Durability)?;
     *slot = fresh;
     Ok(restored)
 }
@@ -1088,14 +1086,14 @@ fn run_eval(
     if let Some(trip) = guard.check() {
         return Err(stopped(trip));
     }
-    let prev = governor::install(Some(guard.clone()));
+    slot.session.engine().set_guard(Some(Arc::clone(guard)));
     let t0 = machiavelli_trace::now_ns();
     let outcome = catch_unwind(AssertUnwindSafe(|| slot.session.run_partial(src)));
     // Evaluation wall time (waiting for the session excluded —
     // shed/depth cover the admission side), observed for every query that ran, whatever the
     // outcome: error latencies are latencies too.
     machiavelli_trace::observe_query_ns(machiavelli_trace::now_ns().saturating_sub(t0));
-    governor::install(prev);
+    slot.session.engine().set_guard(None);
     match outcome {
         Ok(result) => {
             let (outcomes, error) = match result {
@@ -1145,12 +1143,9 @@ fn run_eval(
         }
         Err(payload) => {
             // The evaluator panicked. The session's environments may
-            // be torn mid-update, so poison it; the calling thread and
-            // every other session are untouched. The unwind also
-            // skipped any in-flight trace scopes — reset the thread's
-            // tracer so the next query on this thread starts at depth
-            // zero.
-            machiavelli_trace::abort_query();
+            // be torn mid-update, so poison it: it never evaluates
+            // again. The calling thread and every other session are
+            // untouched.
             slot.poisoned = true;
             metrics::add(Counter::SessionsPanicked, 1);
             Err(ServerError::SessionPanicked(panic_message(

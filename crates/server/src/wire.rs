@@ -362,8 +362,8 @@ pub fn serve_connection_with_limit<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultConfig;
     use crate::server::{AckState, ServerConfig};
-    use machiavelli_value::faults::FaultConfig;
 
     fn quiet_server() -> Server {
         Server::start(ServerConfig {

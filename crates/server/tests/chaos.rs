@@ -63,8 +63,11 @@ fn ticking_query() -> String {
 }
 
 /// A query that grinds for a long time (nested loop over a cross
-/// product): the workload for deadline / cancellation / admission
-/// tests. ~250ms+ interpreted, with ticks throughout.
+/// product), with ticks throughout: the workload for deadline /
+/// cancellation / admission tests. Measured on a 2-core host: over
+/// `heavy_setup()` (220 rows) ≈ 40–50 ms in a release build, ≈ 0.2 s in
+/// a debug one; over `big_setup(600)` ≈ 0.4 s release, ≈ 1.8 s debug.
+/// A test that sleeps and then needs it still running uses the latter.
 fn heavy_query() -> &'static str {
     "card(select [A = x.K + y.K] where x <- big, y <- big with x.K + y.K >= 0);"
 }
@@ -185,7 +188,7 @@ fn cancellation_stops_an_in_flight_query() {
     reset_counters();
     let server = Server::start(base_config());
     let sid = server.open_session().expect("open");
-    server.eval(sid, &heavy_setup()).expect("setup");
+    server.eval(sid, &big_setup(600)).expect("setup");
     let pending = server.submit(sid, heavy_query()).expect("admit");
     std::thread::sleep(Duration::from_millis(20)); // let it start grinding
     pending.cancel();
@@ -221,7 +224,7 @@ fn admission_control_sheds_with_busy() {
         ..base_config()
     });
     let sid = server.open_session().expect("open");
-    server.eval(sid, &heavy_setup()).expect("setup");
+    server.eval(sid, &big_setup(600)).expect("setup");
     // p1 occupies the session...
     let p1 = server.submit(sid, heavy_query()).expect("admit p1");
     std::thread::sleep(Duration::from_millis(30));
@@ -285,6 +288,41 @@ fn nothing_waits_behind_a_busy_session() {
     grinding.cancel();
     assert_eq!(grinding.wait(), Err(ServerError::Cancelled));
     server.shutdown();
+}
+
+// ------------------------------------------------------- reproducible faults
+
+/// A session's fault stream is seeded from the config seed and its
+/// session id, so a fresh server replays the same faults for the same
+/// requests, whatever ran in the process before.
+#[test]
+fn a_seed_replays_the_same_faults_per_session() {
+    let _g = serial();
+    let run = || {
+        let server = Server::start(ServerConfig {
+            faults: Some(FaultConfig {
+                eval_panic_ppm: 300_000,
+                seed: 7,
+                ..FaultConfig::off()
+            }),
+            ..base_config()
+        });
+        let outcomes: Vec<_> = (0..40)
+            .map(|_| {
+                let sid = server.open_session().expect("opens are deterministic");
+                server.eval(sid, &ticking_query())
+            })
+            .collect();
+        server.shutdown();
+        outcomes
+    };
+    let first = run();
+    assert_eq!(first, run(), "the same seed and sessions drew other faults");
+    let oks = first.iter().filter(|r| r.is_ok()).count();
+    assert!(
+        0 < oks && oks < first.len(),
+        "at 30% per tick some evals must panic and some succeed: {oks} ok"
+    );
 }
 
 // ------------------------------------------------------------- the storm

@@ -8,9 +8,9 @@
 //! for, and the counter's final value is exactly the number of acked
 //! increments.
 
+use machiavelli_server::faults::FaultConfig;
 use machiavelli_server::wire::unescape_line;
 use machiavelli_server::{serve_tcp, Server, ServerConfig, ServerRole};
-use machiavelli_value::faults::FaultConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};

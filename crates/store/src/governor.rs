@@ -5,19 +5,24 @@
 //! optional row budget, and a cancel flag the client side can flip at
 //! any time. The guard itself never interrupts anything — evaluation is
 //! stopped *cooperatively*, at the evaluator's periodic tick
-//! (`Cx::enter` in `machiavelli-eval`), which calls [`check_current`].
+//! (`Cx::enter` in `machiavelli-eval`), which polls the guard of the
+//! session's eval in flight ([`EngineCtx::tick`]).
 //!
 //! Trips are **sticky**: once a guard observes a cancel, a blown
 //! deadline, or an exhausted row budget it stays tripped, so every later
 //! check — including the server's post-eval re-check — surfaces the same
 //! [`Trip`].
 //!
-//! The guard is installed per *thread* ([`install`]), mirroring the
-//! session-is-a-thread discipline used by the index store.
+//! The guard belongs to the session it governs
+//! ([`EngineCtx::set_guard`]); rows are charged where evaluation builds
+//! a set ([`EngineCtx::charge_rows`]).
+//!
+//! [`EngineCtx::tick`]: crate::EngineCtx::tick
+//! [`EngineCtx::set_guard`]: crate::EngineCtx::set_guard
+//! [`EngineCtx::charge_rows`]: crate::EngineCtx::charge_rows
 
-use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Why a governed query was stopped. Carried by the evaluator's
@@ -136,9 +141,9 @@ impl QueryGuard {
     }
 
     /// Charge `n` materialized rows against the budget; trips (sticky)
-    /// when the running total exceeds the limit. Returns the trip so
-    /// row-charging callers on the coordinator thread can surface it
-    /// immediately rather than waiting for the next tick.
+    /// when the running total exceeds the limit. Returns the trip so a
+    /// caller can surface it immediately rather than waiting for the
+    /// next tick.
     pub fn charge_rows(&self, n: usize) -> Option<Trip> {
         if self.rows_limit == usize::MAX {
             return self.tripped();
@@ -159,49 +164,6 @@ impl QueryGuard {
     }
 }
 
-// --- thread-local installation ---------------------------------------------
-
-thread_local! {
-    static GUARD: RefCell<Option<Arc<QueryGuard>>> = const { RefCell::new(None) };
-    /// Fast-path mirror of `GUARD.is_some()`: the evaluator tick reads
-    /// this `Cell<bool>` on every probe; un-governed sessions (the REPL,
-    /// the test suite) pay one thread-local load and nothing else.
-    static GUARD_ACTIVE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Install (or clear) the governing guard for this thread, returning
-/// the previous one so callers can restore it. The server installs the
-/// query's guard around each `Session::run` and restores on the way
-/// out.
-pub fn install(guard: Option<Arc<QueryGuard>>) -> Option<Arc<QueryGuard>> {
-    GUARD_ACTIVE.with(|c| c.set(guard.is_some()));
-    GUARD.with(|g| std::mem::replace(&mut *g.borrow_mut(), guard))
-}
-
-/// Tick-site probe: polls this thread's guard. `None` when un-governed
-/// or still within limits. This is the function the evaluator's
-/// `Cx::enter` tick calls.
-pub fn check_current() -> Option<Trip> {
-    if !GUARD_ACTIVE.with(Cell::get) {
-        return None;
-    }
-    GUARD.with(|g| g.borrow().as_ref().and_then(|guard| guard.check()))
-}
-
-/// Charge `n` rows against this thread's guard (no-op when un-governed).
-/// Called from `MSet`'s bulk constructors — the places where a query
-/// actually materializes row storage.
-pub fn charge_current_rows(n: usize) {
-    if !GUARD_ACTIVE.with(Cell::get) {
-        return;
-    }
-    GUARD.with(|g| {
-        if let Some(guard) = g.borrow().as_ref() {
-            guard.charge_rows(n);
-        }
-    });
-}
-
 // --- default query row budget ----------------------------------------------
 
 /// Default per-query row budget for server sessions: unlimited unless
@@ -220,6 +182,7 @@ pub fn query_max_rows() -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn cancel_is_sticky() {
@@ -260,24 +223,30 @@ mod tests {
 
     #[test]
     fn install_round_trips_and_checks() {
-        assert_eq!(check_current(), None, "un-governed thread never trips");
+        let ctx = crate::EngineCtx::default();
+        assert_eq!(ctx.tick(), None, "an ungoverned session never trips");
         let guard = Arc::new(QueryGuard::unlimited());
-        let prev = install(Some(guard.clone()));
-        assert!(prev.is_none());
-        assert_eq!(check_current(), None);
+        assert!(ctx.set_guard(Some(guard.clone())).is_none());
+        assert_eq!(ctx.tick(), None);
         guard.cancel();
-        assert_eq!(check_current(), Some(Trip::Cancelled));
-        let restored = install(prev);
-        assert!(restored.is_some());
-        assert_eq!(check_current(), None);
+        assert_eq!(ctx.tick(), Some(Trip::Cancelled));
+        assert!(ctx.set_guard(None).is_some());
+        assert_eq!(ctx.tick(), None);
+        assert_eq!(
+            crate::EngineCtx::default().tick(),
+            None,
+            "a guard governs its own session only"
+        );
     }
 
     #[test]
     fn charge_current_rows_reaches_installed_guard() {
+        let ctx = crate::EngineCtx::default();
+        ctx.charge_rows(10); // ungoverned: nothing to charge
         let guard = Arc::new(QueryGuard::new(None, Some(5)));
-        let prev = install(Some(guard.clone()));
-        charge_current_rows(10);
+        ctx.set_guard(Some(guard.clone()));
+        ctx.charge_rows(10);
         assert_eq!(guard.tripped(), Some(Trip::RowBudgetExceeded));
-        install(prev);
+        assert_eq!(guard.rows_used(), 10);
     }
 }

@@ -86,15 +86,20 @@
 //! tests; [`IndexStore::indexes`] lists live entries in deterministic
 //! (fingerprint, storage-id) order so goldens can pin it.
 
+pub mod faults;
+pub mod governor;
 pub mod shared;
 
-use machiavelli_trace::{DeclineCounts, DeclineReason};
+use faults::{FaultConfig, FaultPoint, FaultStream, INJECTED_PANIC_PREFIX};
+use governor::{QueryGuard, Trip};
+use machiavelli_trace::{DeclineCounts, DeclineReason, Tracer};
 use machiavelli_value::{hash_value, scan_refs, value_eq, DirtySets, MSet, RefScan, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// An owned composite hash key: structural hash, `value_eq` equality —
 /// consistent by construction (see `machiavelli_value::hash`), owning
@@ -532,8 +537,9 @@ impl Default for Mode {
 }
 
 /// The engine state one session owns and threads through evaluation —
-/// index store, dirty sets, decline counts, execution [`Mode`] — shared
-/// with no other session, whatever thread drives it. The evaluator, the
+/// index store, dirty sets, decline counts, execution [`Mode`], tracer,
+/// the guard of the eval in flight and the fault stream — shared with
+/// no other session, whatever thread drives it. The evaluator, the
 /// planner and the durability layer all reach it through `&EngineCtx`.
 #[derive(Default)]
 pub struct EngineCtx {
@@ -541,6 +547,9 @@ pub struct EngineCtx {
     dirty: DirtySets,
     declines: RefCell<DeclineCounts>,
     mode: Cell<Mode>,
+    tracer: Tracer,
+    guard: RefCell<Option<Arc<QueryGuard>>>,
+    faults: RefCell<FaultStream>,
 }
 
 impl EngineCtx {
@@ -588,6 +597,7 @@ impl EngineCtx {
     /// process-wide, and attached to the open trace span if any.
     pub fn note_decline(&self, reason: DeclineReason) {
         self.declines.borrow_mut().note(reason);
+        self.tracer.note_decline(reason);
     }
 
     /// This session's decline counts, one entry per variant in
@@ -602,6 +612,57 @@ impl EngineCtx {
     pub fn reset_stats(&self) {
         self.with_store(IndexStore::reset);
         *self.declines.borrow_mut() = DeclineCounts::default();
+    }
+
+    /// The session's tracer.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// Install (or clear) the guard of the eval in flight, returning
+    /// the previous one.
+    pub fn set_guard(&self, guard: Option<Arc<QueryGuard>>) -> Option<Arc<QueryGuard>> {
+        self.guard.replace(guard)
+    }
+
+    /// Charge `n` rows of a set evaluation just built to the guard, if
+    /// any. A trip latches on the guard; the next [`EngineCtx::tick`]
+    /// reports it.
+    pub fn charge_rows(&self, n: usize) {
+        if let Some(guard) = &*self.guard.borrow() {
+            guard.charge_rows(n);
+        }
+    }
+
+    /// The evaluator's cooperative tick: the delay and evaluator-panic
+    /// fail points first (an injected fault must fire on an ungoverned
+    /// session too), then the guard poll.
+    pub fn tick(&self) -> Option<Trip> {
+        if self.fire(FaultPoint::Delay) {
+            let ms = self.faults.borrow().config().delay_ms.max(1);
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        if self.fire(FaultPoint::EvalPanic) {
+            panic!("{INJECTED_PANIC_PREFIX} evaluator panic");
+        }
+        self.guard.borrow().as_ref().and_then(|guard| guard.check())
+    }
+
+    /// Arm the session's fault stream: `cfg`, seeded from its seed and
+    /// `sid`. A session starts inert.
+    pub fn set_faults(&self, cfg: FaultConfig, sid: u64) {
+        *self.faults.borrow_mut() = FaultStream::new(cfg, sid);
+    }
+
+    /// Roll `point` on the session's fault stream.
+    pub fn fire(&self, point: FaultPoint) -> bool {
+        self.faults.borrow_mut().fire(point)
+    }
+
+    /// Draw a torn write's cut point in `0..len` from the session's
+    /// fault stream.
+    pub fn torn_cut(&self, len: usize) -> usize {
+        self.faults.borrow_mut().torn_cut(len)
     }
 }
 

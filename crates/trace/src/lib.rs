@@ -1,5 +1,6 @@
 //! **Query tracing for the Machiavelli engine** — a zero-cost-when-off,
-//! thread-local trace of what the physical pipeline actually did, plus
+//! per-session trace ([`Tracer`]) of what the physical pipeline actually
+//! did, plus
 //! the engine-wide **decline taxonomy**, the process-wide **counter
 //! registry** ([`metrics`]) and the query latency histogram the server's
 //! `METRICS` verb exposes.
@@ -15,12 +16,13 @@
 //!   wall time (open + cumulative `next`), rows yielded, and the
 //!   index-store outcome ([`CacheOutcome`]). Spans nest by operator
 //!   tree position and are collected into a [`QueryTrace`] per traced
-//!   query, drained via [`take_events`] (surfaced as
+//!   query, drained via [`Tracer::take_events`] (surfaced as
 //!   `Session::trace_events` and rendered by `Session::analyze` / the
 //!   REPL's `:analyze`).
 //! - **Declines** ([`DeclineReason`]): every runtime fallback anywhere
 //!   in the engine — planner fallback, store non-cacheability — reports
-//!   a *typed code* through [`DeclineCounts::note`], not just a bare counter
+//!   a *typed code* through [`DeclineCounts::note`] (and to the open
+//!   span through [`Tracer::note_decline`]), not just a bare counter
 //!   bump. Decline counts are
 //!   kept **twice**: per-session ([`DeclineCounts`], owned by the
 //!   `Session` and reset with its other stats — `Session::stats` /
@@ -34,17 +36,17 @@
 //!   per-query wall time ([`observe_query_ns`] / [`latency_snapshot`]),
 //!   rendered Prometheus-style by the server.
 //!
-//! **Zero cost when off.** Tracing resolves thread-local override →
-//! `MACHIAVELLI_TRACE` env (read once) → off. Every span entry point
-//! checks [`active`] first and returns immediately when tracing is off
-//! or no query is open; span labels are built through closures so the
-//! formatting cost is never paid off-trace. The clock is only read
-//! while tracing.
+//! **Zero cost when off.** A tracer resolves its session's override →
+//! `MACHIAVELLI_TRACE` (read when the tracer is made) → off. Every span
+//! entry point checks [`Tracer::active`] first and returns immediately
+//! when tracing is off or no query is open; span labels are built
+//! through closures so the formatting cost is never paid off-trace. The
+//! clock is only read while tracing.
 //!
 //! **Clock hook.** Wall time comes from a caller-replaceable monotonic
-//! clock ([`set_clock`]); the default reads a process-epoch
-//! `Instant`. Golden tests install `|| 0` so rendered times are
-//! deterministic.
+//! clock ([`Tracer::set_clock`]); the default is [`now_ns`], a
+//! process-epoch `Instant`. Golden tests install `|| 0` so rendered
+//! times are deterministic.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,51 +55,11 @@ use std::time::Instant;
 
 pub mod metrics;
 
-// --- enable / disable ------------------------------------------------------
-
-thread_local! {
-    static TRACING: Cell<Option<bool>> = const { Cell::new(None) };
-    static CLOCK: Cell<Option<fn() -> u64>> = const { Cell::new(None) };
-    static TRACER: RefCell<Tracer> = const { RefCell::new(Tracer::new()) };
-}
-
-/// Is tracing enabled on this thread (= session)? Thread-local override
-/// → `MACHIAVELLI_TRACE` env (`1`/`true`, read once per process) → off.
-pub fn tracing_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    TRACING.with(Cell::get).unwrap_or_else(|| {
-        *ENV.get_or_init(|| {
-            std::env::var("MACHIAVELLI_TRACE")
-                .map(|s| {
-                    let s = s.trim();
-                    s == "1" || s.eq_ignore_ascii_case("true")
-                })
-                .unwrap_or(false)
-        })
-    })
-}
-
-/// Override tracing on this thread (`None` restores the env/default
-/// resolution), returning the previous override.
-pub fn set_tracing(on: Option<bool>) -> Option<bool> {
-    TRACING.with(|c| c.replace(on))
-}
-
 // --- clock -----------------------------------------------------------------
 
-/// Install a replacement monotonic clock (nanoseconds; `None` restores
-/// the default process-epoch `Instant`), returning the previous hook.
-/// Golden tests install `|| 0` to redact times.
-pub fn set_clock(f: Option<fn() -> u64>) -> Option<fn() -> u64> {
-    CLOCK.with(|c| c.replace(f))
-}
-
-/// Current trace clock reading in nanoseconds. Only called while
-/// tracing is active — the off-path never reads a clock.
+/// Nanoseconds since the process's first call: the default trace clock
+/// and the server's latency clock.
 pub fn now_ns() -> u64 {
-    if let Some(f) = CLOCK.with(Cell::get) {
-        return f();
-    }
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
@@ -166,7 +128,12 @@ pub struct QueryTrace {
     pub declines: Vec<DeclineReason>,
 }
 
-struct Tracer {
+/// Cap on a tracer's buffered [`QueryTrace`] events (oldest evicted).
+pub const MAX_EVENTS: usize = 64;
+
+/// The query in progress and the completed ones not yet drained.
+#[derive(Default)]
+struct TraceState {
     depth: u32,
     start_ns: u64,
     label: String,
@@ -176,70 +143,105 @@ struct Tracer {
     events: Vec<QueryTrace>,
 }
 
-impl Tracer {
-    const fn new() -> Tracer {
+/// One session's tracer: whether it traces, its clock and its event
+/// buffer. The session's engine context owns it, so two sessions never
+/// see each other's queries or switches, whatever thread runs them.
+pub struct Tracer {
+    /// `MACHIAVELLI_TRACE` (`1`/`true`) as read when the tracer was made.
+    env: bool,
+    /// The [`Tracer::set_tracing`] override of `env`.
+    on: Cell<Option<bool>>,
+    clock: Cell<Option<fn() -> u64>>,
+    state: RefCell<TraceState>,
+}
+
+impl Default for Tracer {
+    fn default() -> Tracer {
+        let env = std::env::var("MACHIAVELLI_TRACE").is_ok_and(|s| {
+            let s = s.trim();
+            s == "1" || s.eq_ignore_ascii_case("true")
+        });
         Tracer {
-            depth: 0,
-            start_ns: 0,
-            label: String::new(),
-            spans: Vec::new(),
-            stack: Vec::new(),
-            declines: Vec::new(),
-            events: Vec::new(),
+            env,
+            on: Cell::new(None),
+            clock: Cell::new(None),
+            state: RefCell::default(),
         }
     }
 }
 
-/// Is a traced query currently open on this thread? The span entry
-/// points are no-ops unless this holds, so instrumentation sites can
-/// call them unconditionally (after gating label construction).
-pub fn active() -> bool {
-    tracing_enabled() && TRACER.with(|t| t.borrow().depth > 0)
-}
-
-/// Open a traced query. Nested calls (a select inside a projected
-/// expression) fold into the enclosing trace — only the outermost
-/// `begin`/`end` pair produces a [`QueryTrace`]. No-op when tracing is
-/// off.
-pub fn begin_query(label: &str) {
-    if !tracing_enabled() {
-        return;
+impl Tracer {
+    /// Is tracing on? The override, else `MACHIAVELLI_TRACE`.
+    pub fn enabled(&self) -> bool {
+        self.on.get().unwrap_or(self.env)
     }
-    TRACER.with(|t| {
-        let mut t = t.borrow_mut();
+
+    /// Override tracing (`None` restores `MACHIAVELLI_TRACE`),
+    /// returning the previous override.
+    pub fn set_tracing(&self, on: Option<bool>) -> Option<bool> {
+        self.on.replace(on)
+    }
+
+    /// Install a replacement monotonic clock (nanoseconds; `None`
+    /// restores [`now_ns`]), returning the previous hook. Golden tests
+    /// install `|| 0` to redact times.
+    pub fn set_clock(&self, f: Option<fn() -> u64>) -> Option<fn() -> u64> {
+        self.clock.replace(f)
+    }
+
+    /// The trace clock. Only read while tracing is active — the
+    /// off-path never reads a clock.
+    pub fn now_ns(&self) -> u64 {
+        self.clock.get().map_or_else(now_ns, |f| f())
+    }
+
+    /// Is a traced query open? The span entry points are no-ops unless
+    /// this holds, so instrumentation sites can call them
+    /// unconditionally (after gating label construction).
+    pub fn active(&self) -> bool {
+        self.enabled() && self.state.borrow().depth > 0
+    }
+
+    /// Open a traced query. Nested calls (a select inside a projected
+    /// expression) fold into the enclosing trace — only the outermost
+    /// `begin`/`end` pair produces a [`QueryTrace`]. No-op when tracing
+    /// is off.
+    pub fn begin_query(&self, label: &str) {
+        if !self.enabled() {
+            return;
+        }
+        let mut t = self.state.borrow_mut();
         t.depth += 1;
         if t.depth == 1 {
-            t.start_ns = now_ns();
+            t.start_ns = self.now_ns();
             t.label = label.to_string();
             t.spans.clear();
             t.stack.clear();
             t.declines.clear();
         }
-    });
-}
-
-/// Close the current traced query; the outermost close finalizes the
-/// [`QueryTrace`] into the event buffer. No-op when tracing is off or
-/// no query is open.
-pub fn end_query() {
-    if !tracing_enabled() {
-        return;
     }
-    TRACER.with(|t| {
-        let mut t = t.borrow_mut();
+
+    /// Close the current traced query; the outermost close finalizes
+    /// the [`QueryTrace`] into the event buffer. No-op when tracing is
+    /// off or no query is open.
+    pub fn end_query(&self) {
+        if !self.enabled() {
+            return;
+        }
+        let mut t = self.state.borrow_mut();
         if t.depth == 0 {
             return;
         }
         t.depth -= 1;
         if t.depth == 0 {
-            let elapsed_ns = now_ns().saturating_sub(t.start_ns);
+            let elapsed_ns = self.now_ns().saturating_sub(t.start_ns);
             let label = std::mem::take(&mut t.label);
             let spans = std::mem::take(&mut t.spans);
             let declines = std::mem::take(&mut t.declines);
             t.stack.clear();
-            // Bound the buffer: a thread that traces but never drains
-            // (a long-lived server connection) keeps only the most recent
-            // [`MAX_EVENTS`] queries.
+            // Bound the buffer: a session that traces but never drains
+            // (a long-lived server connection) keeps only the most
+            // recent [`MAX_EVENTS`] queries.
             if t.events.len() >= MAX_EVENTS {
                 t.events.remove(0);
             }
@@ -250,43 +252,22 @@ pub fn end_query() {
                 declines,
             });
         }
-    });
-}
-
-/// Per-thread cap on buffered [`QueryTrace`] events (oldest evicted).
-pub const MAX_EVENTS: usize = 64;
-
-/// Discard any in-flight traced query on this thread: depth, spans,
-/// stack, and pending declines all reset; completed events are kept.
-/// For panic recovery on reused threads — a query that unwound
-/// mid-execution never reaches its [`end_query`], and without this the
-/// leaked depth would fold the thread's *next* query into a phantom
-/// outer one.
-pub fn abort_query() {
-    TRACER.with(|t| {
-        let mut t = t.borrow_mut();
-        t.depth = 0;
-        t.label.clear();
-        t.spans.clear();
-        t.stack.clear();
-        t.declines.clear();
-    });
-}
-
-/// Drain this thread's completed query traces (oldest first).
-pub fn take_events() -> Vec<QueryTrace> {
-    TRACER.with(|t| std::mem::take(&mut t.borrow_mut().events))
-}
-
-/// Open an operator span nested under the current one. The label
-/// closure only runs when a traced query is active, so off-trace call
-/// sites pay one branch and no formatting. Returns `None` off-trace.
-pub fn open_op_with(label: impl FnOnce() -> String) -> Option<u32> {
-    if !active() {
-        return None;
     }
-    TRACER.with(|t| {
-        let mut t = t.borrow_mut();
+
+    /// Drain the completed query traces (oldest first).
+    pub fn take_events(&self) -> Vec<QueryTrace> {
+        std::mem::take(&mut self.state.borrow_mut().events)
+    }
+
+    /// Open an operator span nested under the current one. The label
+    /// closure only runs when a traced query is active, so off-trace
+    /// call sites pay one branch and no formatting. Returns `None`
+    /// off-trace.
+    pub fn open_op_with(&self, label: impl FnOnce() -> String) -> Option<u32> {
+        if !self.active() {
+            return None;
+        }
+        let mut t = self.state.borrow_mut();
         let id = t.spans.len() as u32;
         let parent = t.stack.last().copied();
         t.spans.push(OpSpan {
@@ -301,53 +282,55 @@ pub fn open_op_with(label: impl FnOnce() -> String) -> Option<u32> {
         });
         t.stack.push(id);
         Some(id)
-    })
-}
+    }
 
-/// Close an operator span opened by [`open_op_with`], recording its
-/// open-time wall cost. Tolerates an error-unwound stack (removes the
-/// span wherever it sits).
-pub fn close_op(sid: Option<u32>, open_ns: u64) {
-    let Some(sid) = sid else { return };
-    TRACER.with(|t| {
-        let mut t = t.borrow_mut();
+    /// Close an operator span opened by [`Tracer::open_op_with`],
+    /// recording its open-time wall cost. Tolerates an error-unwound
+    /// stack (removes the span wherever it sits).
+    pub fn close_op(&self, sid: Option<u32>, open_ns: u64) {
+        let Some(sid) = sid else { return };
+        let mut t = self.state.borrow_mut();
         if let Some(pos) = t.stack.iter().rposition(|&s| s == sid) {
             t.stack.truncate(pos);
         }
         if let Some(span) = t.spans.get_mut(sid as usize) {
             span.open_ns = open_ns;
         }
-    });
-}
-
-/// The innermost open span, if a traced query is active (declines that
-/// fire during an operator open attach here).
-pub fn current_span() -> Option<u32> {
-    if !active() {
-        return None;
     }
-    TRACER.with(|t| t.borrow().stack.last().copied())
-}
 
-/// Accumulate one `next` call's wall time and yielded-row count into a
-/// span.
-pub fn add_next(sid: u32, ns: u64, rows: u64) {
-    TRACER.with(|t| {
-        if let Some(span) = t.borrow_mut().spans.get_mut(sid as usize) {
+    /// Accumulate one `next` call's wall time and yielded-row count
+    /// into a span.
+    pub fn add_next(&self, sid: u32, ns: u64, rows: u64) {
+        if let Some(span) = self.state.borrow_mut().spans.get_mut(sid as usize) {
             span.next_ns += ns;
             span.rows += rows;
         }
-    });
-}
+    }
 
-/// Record an operator's index-store outcome.
-pub fn annotate_cache(sid: Option<u32>, outcome: CacheOutcome) {
-    let Some(sid) = sid else { return };
-    TRACER.with(|t| {
-        if let Some(span) = t.borrow_mut().spans.get_mut(sid as usize) {
-            span.cache = Some(outcome);
+    /// Record the index-store outcome of the innermost open span, if a
+    /// traced query is active.
+    pub fn annotate_cache(&self, outcome: CacheOutcome) {
+        if !self.active() {
+            return;
         }
-    });
+        let mut t = self.state.borrow_mut();
+        if let Some(sid) = t.stack.last().copied() {
+            t.spans[sid as usize].cache = Some(outcome);
+        }
+    }
+
+    /// Attach a typed decline to the innermost open span (or the query)
+    /// when a traced query is active.
+    pub fn note_decline(&self, reason: DeclineReason) {
+        if !self.active() {
+            return;
+        }
+        let mut t = self.state.borrow_mut();
+        match t.stack.last().copied() {
+            Some(sid) => t.spans[sid as usize].declines.push(reason),
+            None => t.declines.push(reason),
+        }
+    }
 }
 
 // --- decline taxonomy ------------------------------------------------------
@@ -414,22 +397,11 @@ impl std::fmt::Display for DeclineReason {
 pub struct DeclineCounts([u64; DeclineReason::COUNT]);
 
 impl DeclineCounts {
-    /// Report a typed runtime fallback: counted here and process-wide
-    /// (the [`metrics`] registry), regardless of tracing; additionally
-    /// attached to the innermost open span (or the query) when a trace
-    /// is active.
+    /// Count a typed runtime fallback here and process-wide (the
+    /// [`metrics`] registry), regardless of tracing.
     pub fn note(&mut self, reason: DeclineReason) {
         self.0[reason.index()] += 1;
         metrics::add_decline(reason);
-        if active() {
-            TRACER.with(|t| {
-                let mut t = t.borrow_mut();
-                match t.stack.last().copied() {
-                    Some(sid) => t.spans[sid as usize].declines.push(reason),
-                    None => t.declines.push(reason),
-                }
-            });
-        }
     }
 
     /// The counts, one entry per variant in [`DeclineReason::ALL`]
@@ -506,89 +478,83 @@ pub fn latency_snapshot() -> LatencySnapshot {
 mod tests {
     use super::*;
 
-    /// Every trace test serializes on this lock *and* pins tracing
-    /// explicitly: the thread-local tracer is per-test-thread, but the
-    /// decline atomics are process-global.
-    fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
-        let prev = set_tracing(Some(true));
-        let prev_clock = set_clock(Some(|| 0));
-        let r = f();
-        set_clock(prev_clock);
-        set_tracing(prev);
-        r
+    /// A tracer with tracing on and the clock zeroed.
+    fn tracing() -> Tracer {
+        let t = Tracer::default();
+        t.set_tracing(Some(true));
+        t.set_clock(Some(|| 0));
+        t
     }
 
     #[test]
     fn off_path_records_nothing() {
-        let prev = set_tracing(Some(false));
-        begin_query("q");
-        let sid = open_op_with(|| panic!("label must not be built off-trace"));
+        let t = Tracer::default();
+        t.set_tracing(Some(false));
+        t.begin_query("q");
+        let sid = t.open_op_with(|| panic!("label must not be built off-trace"));
         assert_eq!(sid, None);
-        close_op(sid, 7);
-        end_query();
-        assert!(take_events().is_empty());
-        set_tracing(prev);
+        t.close_op(sid, 7);
+        t.end_query();
+        assert!(t.take_events().is_empty());
     }
 
     #[test]
     fn spans_nest_and_finalize() {
-        with_tracing(|| {
-            take_events();
-            begin_query("fig9");
-            let root = open_op_with(|| "HashJoin".to_string());
-            let child = open_op_with(|| "Scan".to_string());
-            close_op(child, 11);
-            add_next(child.unwrap(), 3, 2);
-            annotate_cache(root, CacheOutcome::Build);
-            close_op(root, 23);
-            end_query();
-            let events = take_events();
-            assert_eq!(events.len(), 1);
-            let t = &events[0];
-            assert_eq!(t.label, "fig9");
-            assert_eq!(t.spans.len(), 2);
-            assert_eq!(t.spans[0].parent, None);
-            assert_eq!(t.spans[1].parent, Some(0));
-            assert_eq!(t.spans[1].rows, 2);
-            assert_eq!(t.spans[1].next_ns, 3);
-            assert_eq!(t.spans[0].cache, Some(CacheOutcome::Build));
-        });
+        let t = tracing();
+        t.begin_query("fig9");
+        let root = t.open_op_with(|| "HashJoin".to_string());
+        t.annotate_cache(CacheOutcome::Build);
+        let child = t.open_op_with(|| "Scan".to_string());
+        t.close_op(child, 11);
+        t.add_next(child.unwrap(), 3, 2);
+        t.close_op(root, 23);
+        t.end_query();
+        let events = t.take_events();
+        assert_eq!(events.len(), 1);
+        let q = &events[0];
+        assert_eq!(q.label, "fig9");
+        assert_eq!(q.spans.len(), 2);
+        assert_eq!(q.spans[0].parent, None);
+        assert_eq!(q.spans[1].parent, Some(0));
+        assert_eq!(q.spans[1].rows, 2);
+        assert_eq!(q.spans[1].next_ns, 3);
+        assert_eq!(q.spans[0].cache, Some(CacheOutcome::Build));
     }
 
     #[test]
     fn nested_queries_fold_into_outermost() {
-        with_tracing(|| {
-            take_events();
-            begin_query("outer");
-            begin_query("inner");
-            let s = open_op_with(|| "Scan".to_string());
-            close_op(s, 0);
-            end_query();
-            assert!(take_events().is_empty(), "inner end must not emit");
-            end_query();
-            let events = take_events();
-            assert_eq!(events.len(), 1);
-            assert_eq!(events[0].label, "outer");
-            assert_eq!(events[0].spans.len(), 1);
-        });
+        let t = tracing();
+        t.begin_query("outer");
+        t.begin_query("inner");
+        let s = t.open_op_with(|| "Scan".to_string());
+        t.close_op(s, 0);
+        t.end_query();
+        assert!(t.take_events().is_empty(), "inner end must not emit");
+        t.end_query();
+        let events = t.take_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].label, "outer");
+        assert_eq!(events[0].spans.len(), 1);
     }
 
     #[test]
     fn declines_count_with_and_without_tracing() {
         let mut session = DeclineCounts::default();
+        let t = tracing();
         session.note(DeclineReason::PlannerDuplicateBinder);
-        with_tracing(|| {
-            begin_query("q");
-            let sid = open_op_with(|| "HashJoin".to_string());
-            session.note(DeclineReason::StoreOverBudget);
-            close_op(sid, 0);
-            session.note(DeclineReason::PlannerUnsafeConjunct);
-            end_query();
-            let events = take_events();
-            let t = &events[0];
-            assert_eq!(t.spans[0].declines, vec![DeclineReason::StoreOverBudget]);
-            assert_eq!(t.declines, vec![DeclineReason::PlannerUnsafeConjunct]);
-        });
+        t.note_decline(DeclineReason::PlannerDuplicateBinder); // no query open
+        t.begin_query("q");
+        let sid = t.open_op_with(|| "HashJoin".to_string());
+        session.note(DeclineReason::StoreOverBudget);
+        t.note_decline(DeclineReason::StoreOverBudget);
+        t.close_op(sid, 0);
+        session.note(DeclineReason::PlannerUnsafeConjunct);
+        t.note_decline(DeclineReason::PlannerUnsafeConjunct);
+        t.end_query();
+        let events = t.take_events();
+        let q = &events[0];
+        assert_eq!(q.spans[0].declines, vec![DeclineReason::StoreOverBudget]);
+        assert_eq!(q.declines, vec![DeclineReason::PlannerUnsafeConjunct]);
         let counts = session.snapshot();
         let get = |r: DeclineReason| counts.iter().find(|(c, _)| *c == r).unwrap().1;
         assert_eq!(get(DeclineReason::PlannerDuplicateBinder), 1);
@@ -631,11 +597,12 @@ mod tests {
 
     #[test]
     fn clock_override_round_trips() {
-        let prev = set_clock(Some(|| 42));
-        assert_eq!(now_ns(), 42);
-        set_clock(prev);
-        let a = now_ns();
-        let b = now_ns();
+        let t = Tracer::default();
+        let prev = t.set_clock(Some(|| 42));
+        assert_eq!(t.now_ns(), 42);
+        t.set_clock(prev);
+        let a = t.now_ns();
+        let b = t.now_ns();
         assert!(b >= a, "default clock is monotone");
     }
 }

@@ -10,8 +10,6 @@ pub mod conform;
 pub mod display;
 pub mod epoch;
 pub mod error;
-pub mod faults;
-pub mod governor;
 pub mod hash;
 pub mod ops;
 pub mod set;
@@ -22,10 +20,11 @@ pub use conform::conforms;
 pub use display::show_value;
 pub use epoch::{DirtyRefs, DirtySet, DirtySets, Unobserved, WriteSink};
 pub use error::ValueError;
-pub use faults::{FaultConfig, FaultPoint};
-pub use governor::{QueryGuard, Trip};
 pub use hash::{hash_value, ValueKey};
-pub use ops::{con_value, join_value, project_value, unionc_value};
+pub use ops::{
+    con_value, join_value, join_value_counted, project_value, project_value_counted, unionc_value,
+    unionc_value_counted,
+};
 pub use set::MSet;
 pub use shape::{element_shape, glb_shape, project_by_shape, shape_of, Shape};
 pub use value::{

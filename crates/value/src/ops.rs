@@ -11,11 +11,15 @@
 //!   intersection on sets of equal base type.
 //! * [`unionc_value`] — the generalized union: both sides projected onto
 //!   the glb skeleton and unioned.
+//!
+//! Each has a `_counted` form that also adds to `rows` the rows of every
+//! set it builds, nested ones included: what the evaluator charges a
+//! governed query's row budget.
 
 use crate::display::show_value;
 use crate::error::ValueError;
 use crate::set::MSet;
-use crate::shape::{element_shape, glb_shape, project_by_shape, Shape};
+use crate::shape::{element_shape, glb_shape, project_by_shape};
 use crate::value::{Fields, Value};
 use machiavelli_types::ty::unfold_rec;
 use machiavelli_types::{Ty, Type};
@@ -24,12 +28,17 @@ use std::cmp::Ordering;
 /// `project(v, δ)` — generalized projection of a description value onto a
 /// (closed) description type.
 pub fn project_value(v: &Value, ty: &Ty) -> Result<Value, ValueError> {
+    project_value_counted(v, ty, &mut 0)
+}
+
+/// [`project_value`], adding the rows of every set it builds to `rows`.
+pub fn project_value_counted(v: &Value, ty: &Ty, rows: &mut usize) -> Result<Value, ValueError> {
     let mismatch = || ValueError::ProjectionMismatch {
         value: show_value(v),
         ty: machiavelli_types::show_type(ty),
     };
     match (&**ty, v) {
-        (Type::Rec(..), _) => project_value(v, &unfold_rec(ty)),
+        (Type::Rec(..), _) => project_value_counted(v, &unfold_rec(ty), rows),
         (Type::Unit, Value::Unit)
         | (Type::Int, Value::Int(_))
         | (Type::Bool, Value::Bool(_))
@@ -46,20 +55,26 @@ pub fn project_value(v: &Value, ty: &Ty) -> Result<Value, ValueError> {
                         label: l.to_string(),
                     });
                 };
-                out.push((*l, project_value(fv, fty)?));
+                out.push((*l, project_value_counted(fv, fty, rows)?));
             }
             // Type-level label maps share the canonical label order.
             Ok(Value::Record(Fields::from_sorted_vec(out)))
         }
         (Type::Variant(tfs), Value::Variant(l, p)) => match tfs.get(l) {
-            Some(pty) => Ok(Value::Variant(*l, Box::new(project_value(p, pty)?))),
+            Some(pty) => Ok(Value::Variant(
+                *l,
+                Box::new(project_value_counted(p, pty, rows)?),
+            )),
             None => Err(mismatch()),
         },
         (Type::Set(ety), Value::Set(items)) => {
             // Projection can merge elements; MSet re-canonicalizes.
-            let projected: Result<MSet, ValueError> =
-                items.iter().map(|item| project_value(item, ety)).collect();
-            Ok(Value::Set(projected?))
+            let projected: MSet = items
+                .iter()
+                .map(|item| project_value_counted(item, ety, rows))
+                .collect::<Result<_, _>>()?;
+            *rows += projected.len();
+            Ok(Value::Set(projected))
         }
         // Type variables can appear when a projection annotation was
         // resolved against an open scheme; projection there is identity.
@@ -105,6 +120,11 @@ pub fn con_value(a: &Value, b: &Value) -> bool {
 /// are inconsistent (except inside sets, where inconsistent pairs are
 /// simply absent from the natural join).
 pub fn join_value(a: &Value, b: &Value) -> Result<Value, ValueError> {
+    join_value_counted(a, b, &mut 0)
+}
+
+/// [`join_value`], adding the rows of every set it builds to `rows`.
+pub fn join_value_counted(a: &Value, b: &Value, rows: &mut usize) -> Result<Value, ValueError> {
     let inconsistent = || ValueError::Inconsistent {
         left: show_value(a),
         right: show_value(b),
@@ -126,7 +146,7 @@ pub fn join_value(a: &Value, b: &Value) -> Result<Value, ValueError> {
                         j += 1;
                     }
                     Ordering::Equal => {
-                        out.push((xs[i].0, join_value(&xs[i].1, &ys[j].1)?));
+                        out.push((xs[i].0, join_value_counted(&xs[i].1, &ys[j].1, rows)?));
                         i += 1;
                         j += 1;
                     }
@@ -140,7 +160,10 @@ pub fn join_value(a: &Value, b: &Value) -> Result<Value, ValueError> {
             if lx != ly {
                 return Err(inconsistent());
             }
-            Ok(Value::Variant(*lx, Box::new(join_value(px, py)?)))
+            Ok(Value::Variant(
+                *lx,
+                Box::new(join_value_counted(px, py, rows)?),
+            ))
         }
         (Value::Set(xs), Value::Set(ys)) => {
             // Natural join of higher-order relations [BJO89]; results
@@ -149,11 +172,13 @@ pub fn join_value(a: &Value, b: &Value) -> Result<Value, ValueError> {
             for x in xs.iter() {
                 for y in ys.iter() {
                     if con_value(x, y) {
-                        out.push(join_value(x, y)?);
+                        out.push(join_value_counted(x, y, rows)?);
                     }
                 }
             }
-            Ok(Value::Set(MSet::from_iter(out)))
+            let joined = MSet::from_iter(out);
+            *rows += joined.len();
+            Ok(Value::Set(joined))
         }
         _ => {
             if a == b {
@@ -169,6 +194,11 @@ pub fn join_value(a: &Value, b: &Value) -> Result<Value, ValueError> {
 /// `project(s₁, δ₁ ⊓ δ₂) ∪ project(s₂, δ₁ ⊓ δ₂)`, computed on runtime
 /// shapes. Degenerates to ordinary union when the element shapes agree.
 pub fn unionc_value(a: &Value, b: &Value) -> Result<Value, ValueError> {
+    unionc_value_counted(a, b, &mut 0)
+}
+
+/// [`unionc_value`], adding the rows of every set it builds to `rows`.
+pub fn unionc_value_counted(a: &Value, b: &Value, rows: &mut usize) -> Result<Value, ValueError> {
     let (Value::Set(xs), Value::Set(ys)) = (a, b) else {
         return Err(ValueError::NotASet(show_value(
             if matches!(a, Value::Set(_)) { b } else { a },
@@ -181,19 +211,12 @@ pub fn unionc_value(a: &Value, b: &Value) -> Result<Value, ValueError> {
         right: show_value(b),
     })?;
     let mut out = Vec::with_capacity(xs.len() + ys.len());
-    for x in xs.iter() {
-        out.push(project_by_shape(x, &skel)?);
+    for x in xs.iter().chain(ys.iter()) {
+        out.push(project_by_shape(x, &skel, rows)?);
     }
-    for y in ys.iter() {
-        out.push(project_by_shape(y, &skel)?);
-    }
-    Ok(Value::Set(MSet::from_iter(out)))
-}
-
-/// The shape-level projection used by `unionc`, re-exported for the
-/// OODB layer.
-pub fn project_value_by_shape(v: &Value, s: &Shape) -> Result<Value, ValueError> {
-    project_by_shape(v, s)
+    let united = MSet::from_iter(out);
+    *rows += united.len();
+    Ok(Value::Set(united))
 }
 
 #[cfg(test)]

@@ -45,7 +45,6 @@ impl MSet {
         let mut items: Vec<Value> = items.into_iter().collect();
         items.sort_by(value_cmp);
         items.dedup_by(|a, b| value_cmp(a, b) == Ordering::Equal);
-        crate::governor::charge_current_rows(items.len());
         MSet {
             items: Rc::new(items),
         }
@@ -57,7 +56,6 @@ impl MSet {
         debug_assert!(items
             .windows(2)
             .all(|w| value_cmp(&w[0], &w[1]) == Ordering::Less));
-        crate::governor::charge_current_rows(items.len());
         MSet {
             items: Rc::new(items),
         }
@@ -125,7 +123,6 @@ impl MSet {
         incoming.sort_by(value_cmp);
         incoming.dedup_by(|a, b| value_cmp(a, b) == Ordering::Equal);
         if self.is_empty() {
-            crate::governor::charge_current_rows(incoming.len());
             self.items = Rc::new(incoming);
             return;
         }

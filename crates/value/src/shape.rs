@@ -175,8 +175,8 @@ pub fn glb_shape(a: &Shape, b: &Shape) -> Option<Shape> {
 
 /// Project a value onto a shape: record positions keep only the shape's
 /// labels; everything else is structural recursion; `Unknown` keeps the
-/// value unchanged.
-pub fn project_by_shape(v: &Value, s: &Shape) -> Result<Value, ValueError> {
+/// value unchanged. The rows of every set it builds are added to `rows`.
+pub fn project_by_shape(v: &Value, s: &Shape, rows: &mut usize) -> Result<Value, ValueError> {
     Ok(match (v, s) {
         (_, Shape::Unknown) => v.clone(),
         (Value::Record(fs), Shape::Record(ss)) => {
@@ -188,20 +188,22 @@ pub fn project_by_shape(v: &Value, s: &Shape) -> Result<Value, ValueError> {
                         label: l.to_string(),
                     });
                 };
-                out.push((*l, project_by_shape(fv, fshape)?));
+                out.push((*l, project_by_shape(fv, fshape, rows)?));
             }
             Value::Record(Fields::from_sorted_vec(out))
         }
         (Value::Variant(l, p), Shape::Variant(ss)) => match ss.get(l) {
-            Some(pshape) => Value::Variant(*l, Box::new(project_by_shape(p, pshape)?)),
+            Some(pshape) => Value::Variant(*l, Box::new(project_by_shape(p, pshape, rows)?)),
             None => v.clone(),
         },
-        (Value::Set(items), Shape::Set(es)) => Value::Set(
-            items
+        (Value::Set(items), Shape::Set(es)) => {
+            let projected: crate::set::MSet = items
                 .iter()
-                .map(|item| project_by_shape(item, es))
-                .collect::<Result<crate::set::MSet, _>>()?,
-        ),
+                .map(|item| project_by_shape(item, es, rows))
+                .collect::<Result<_, _>>()?;
+            *rows += projected.len();
+            Value::Set(projected)
+        }
         _ => v.clone(),
     })
 }
@@ -274,7 +276,7 @@ mod tests {
             &shape_of(&employee("y", 2)).unwrap(),
         )
         .unwrap();
-        let projected = project_by_shape(&student("joe", 7), &skel).unwrap();
+        let projected = project_by_shape(&student("joe", 7), &skel, &mut 0).unwrap();
         assert_eq!(
             projected,
             Value::record([("Name".into(), Value::str("joe"))])

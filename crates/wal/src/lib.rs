@@ -35,8 +35,9 @@
 //! Injected faults (`MACHIAVELLI_FAULT_WAL_TORN_PPM`,
 //! `MACHIAVELLI_FAULT_WAL_SYNC_FAIL_PPM`,
 //! `MACHIAVELLI_FAULT_CHECKPOINT_KILL_PPM` — see
-//! [`machiavelli_value::faults`]) drive the seeded kill-replay-verify
-//! harness in `machiavelli-server`'s `tests/crash_recovery.rs`.
+//! [`machiavelli::store::faults`]), rolled on the committing session's
+//! own fault stream, drive the seeded kill-replay-verify harness in
+//! `machiavelli-server`'s `tests/crash_recovery.rs`.
 //!
 //! # Attribution
 //!
@@ -51,9 +52,10 @@ use std::path::{Path, PathBuf};
 use machiavelli::persist::{
     decode_with_registry, encode_with_registry, write_atomic, PersistError, RefRegistry,
 };
+use machiavelli::store::faults::FaultPoint;
+use machiavelli::store::EngineCtx;
 use machiavelli::trace::metrics::{self, Counter};
 use machiavelli::{Outcome, Session};
-use machiavelli_value::faults::{self, FaultPoint};
 
 pub mod crc;
 pub mod log;
@@ -497,7 +499,7 @@ impl SessionLog {
         }
         frame_record(COMMIT, &mut buf)?;
         let records = payloads.len() as u64 + 1;
-        self.append_synced(&buf)?;
+        self.append_synced(session.engine(), &buf)?;
         self.groups += 1;
         metrics::add(Counter::WalRecordsAppended, records);
         metrics::add(Counter::WalBytesLogged, buf.len() as u64);
@@ -511,21 +513,22 @@ impl SessionLog {
     }
 
     /// One batched, synced append at the trusted end of the log, with
-    /// the torn-write and sync-failure fail points.
-    fn append_synced(&mut self, buf: &[u8]) -> Result<(), WalError> {
+    /// the torn-write and sync-failure fail points of the session whose
+    /// engine is `engine`.
+    fn append_synced(&mut self, engine: &EngineCtx, buf: &[u8]) -> Result<(), WalError> {
         self.file.seek(SeekFrom::Start(self.synced_len))?;
-        if faults::fire(FaultPoint::WalTorn) {
+        if engine.fire(FaultPoint::WalTorn) {
             // A kill mid-`write(2)`: a seeded prefix lands, nothing is
             // trusted past the old synced length, and this log stops
             // accepting appends until a checkpoint rebuilds it.
-            let cut = faults::torn_cut(buf.len());
+            let cut = engine.torn_cut(buf.len());
             let _ = self.file.write_all(&buf[..cut]);
             let _ = self.file.sync_data();
             self.doomed = true;
             return Err(WalError::TornWrite);
         }
         self.file.write_all(buf)?;
-        let sync_failed = faults::fire(FaultPoint::WalSyncFail) || self.file.sync_data().is_err();
+        let sync_failed = engine.fire(FaultPoint::WalSyncFail) || self.file.sync_data().is_err();
         if sync_failed {
             // The kernel may or may not have persisted the tail; the
             // only safe model is "it did not". Cut the file back so a
@@ -589,13 +592,13 @@ impl SessionLog {
                 Err(e) => return Err(WalError::Persist(e)),
             }
         }
-        if faults::fire(FaultPoint::CheckpointKill) {
+        if session.engine().fire(FaultPoint::CheckpointKill) {
             return Err(WalError::CheckpointKilled { renamed: false });
         }
         let mut snap = snap_header(next_gen, payload.len(), crc32(&payload)).into_bytes();
         snap.extend_from_slice(&payload);
         write_atomic(&self.dir.join("snapshot.mach"), &snap)?;
-        if faults::fire(FaultPoint::CheckpointKill) {
+        if session.engine().fire(FaultPoint::CheckpointKill) {
             return Err(WalError::CheckpointKilled { renamed: true });
         }
         let log_path = self.dir.join("wal.log");
@@ -732,8 +735,8 @@ impl SessionLog {
         }
         // Injected fault: the stream dropped mid-chunk and only a
         // seeded prefix arrived.
-        let landed = if faults::fire(FaultPoint::ShipDisconnect) {
-            &bytes[..faults::torn_cut(bytes.len())]
+        let landed = if session.engine().fire(FaultPoint::ShipDisconnect) {
+            &bytes[..session.engine().torn_cut(bytes.len())]
         } else {
             bytes
         };
@@ -747,7 +750,7 @@ impl SessionLog {
                 return Err(WalError::ReplicaDiverged(e.to_string()));
             }
         }
-        if let Err(e) = self.append_synced(keep) {
+        if let Err(e) = self.append_synced(session.engine(), keep) {
             self.doomed = true;
             return Err(e);
         }
@@ -993,17 +996,18 @@ mod tests {
 
     #[test]
     fn doomed_log_refuses_until_reopened() {
-        use machiavelli_value::faults::{set_fault_config, FaultConfig};
+        use machiavelli::store::faults::FaultConfig;
         let dir = tempdir("doomed");
         let (mut ds, _) = Durable::open(&dir);
         ds.eval("val before = 1;").unwrap();
-        let prev = set_fault_config(Some(FaultConfig {
+        let sync_fails = FaultConfig {
             wal_sync_fail_ppm: 1_000_000,
             seed: 3,
             ..FaultConfig::off()
-        }));
+        };
+        ds.session.engine().set_faults(sync_fails, 1);
         let failed = ds.eval("val lost = 2;");
-        set_fault_config(prev);
+        ds.session.engine().set_faults(FaultConfig::off(), 1);
         assert!(matches!(failed, Err(WalError::SyncFailed)), "{failed:?}");
         assert!(ds.log.is_doomed());
         // Memory holds `lost`, disk does not: neither a commit nor a
@@ -1189,7 +1193,7 @@ mod tests {
 
     #[test]
     fn torn_ship_applies_prefix_and_resumes() {
-        use machiavelli_value::faults::{set_fault_config, FaultConfig};
+        use machiavelli::store::faults::FaultConfig;
         let pd = tempdir("torn-p");
         let fd = tempdir("torn-f");
         let (mut p, _) = Durable::open(&pd);
@@ -1202,13 +1206,14 @@ mod tests {
         };
         assert_eq!(groups, 6);
         // First apply is cut mid-stream; the complete prefix lands.
-        let prev = set_fault_config(Some(FaultConfig {
+        let disconnects = FaultConfig {
             ship_disconnect_ppm: 1_000_000,
             seed: 21,
             ..FaultConfig::off()
-        }));
+        };
+        f.session.engine().set_faults(disconnects, 1);
         let rep = f.log.replica_apply(&mut f.session, 0, &bytes).unwrap();
-        set_fault_config(prev);
+        f.session.engine().set_faults(FaultConfig::off(), 1);
         assert!(rep.torn, "certain disconnect must report torn");
         assert!(rep.groups_applied < 6);
         // Re-request from the advanced cursor: the remainder streams.

@@ -9,7 +9,6 @@
 //! and identical decline codes to untraced.
 
 use machiavelli::testing::{pinned_session, run_in, Mode};
-use machiavelli::trace;
 use machiavelli::Session;
 use machiavelli_fixtures::{fig2_session, scaled_parts_session, FIG5_SOURCE};
 use proptest::prelude::*;
@@ -18,12 +17,8 @@ use proptest::prelude::*;
 /// store.
 fn pinned() -> Session {
     let s = pinned_session();
-    trace::set_clock(Some(|| 0));
+    s.engine().tracer().set_clock(Some(|| 0));
     s
-}
-
-fn unpin() {
-    trace::set_clock(None);
 }
 
 const FIG9_SETUP: &str = "val r = {[K=1, C=10, A=1], [K=2, C=50, A=2], [K=3, C=95, A=3]};
@@ -57,7 +52,6 @@ fn golden_analyze_fig9_join_cold_then_cached() {
          HashJoin probe(x.K) build(y.K) [cache hit] rows=1 open=0ns next=0ns\n    \
          Scan x <- r filter (x.C < 90) rows=2 open=0ns next=0ns\n"
     );
-    unpin();
 }
 
 #[test]
@@ -84,14 +78,13 @@ fn golden_analyze_ref_keyed_join_caches_and_is_probed() {
          HashJoin probe(x.K) build(y.K) [cache hit] rows=1 open=0ns next=0ns\n    \
          Scan x <- e rows=2 open=0ns next=0ns\n"
     );
-    unpin();
 }
 
 #[test]
 fn golden_analyze_fig5_recursive_cost() {
     let mut s = fig2_session();
     s.reset_stats();
-    trace::set_clock(Some(|| 0));
+    s.engine().tracer().set_clock(Some(|| 0));
     s.run(FIG5_SOURCE).unwrap();
     // The outer select's `cost(x) > n` predicate could observe
     // evaluation order, so the planner declines it by name and the
@@ -108,7 +101,25 @@ fn golden_analyze_fig5_recursive_cost() {
          Scan w <- x.SubParts rows=2 open=0ns next=0ns\n  \
          declines: planner-unsafe-conjunct\n"
     );
-    unpin();
+}
+
+// ----- tracing belongs to its session ------------------------------------
+
+#[test]
+fn two_sessions_on_one_thread_trace_apart() {
+    let mut a = Session::new();
+    let mut b = Session::new();
+    a.set_tracing(Some(true));
+    b.run("val r = {[K=1], [K=2]}; select x.K where x <- r with true;")
+        .unwrap();
+    assert!(a.trace_events().is_empty(), "A recorded a query only B ran");
+    b.set_tracing(Some(false));
+    a.run("select x where x <- {1, 2} with true;").unwrap();
+    assert_eq!(
+        a.trace_events().len(),
+        1,
+        "B switching its tracing off stopped A's"
+    );
 }
 
 // ----- tracing is observation-only ---------------------------------------
