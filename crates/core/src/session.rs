@@ -707,8 +707,12 @@ fn render_query_trace(out: &mut String, q: &machiavelli_trace::QueryTrace) {
 /// Whether `src` can run on a read-only replica: every phrase is a bare
 /// expression (no `val`/`fun` declarations, which durably bind names)
 /// containing no `:=` assignment anywhere. A bare expression still
-/// rebinds the scratch `it` — that is replica-local and overwritten by
-/// the next shipped bind, so it does not count as a write.
+/// rebinds the scratch `it`, which no role logs or ships, so it does
+/// not count as a write.
+///
+/// The check is syntactic: a call to a user closure whose body writes a
+/// ref (`bump(r);`) passes. Followers are safe only because closures
+/// are never shipped to them.
 ///
 /// Unparsable sources are reported read-only: the evaluator will
 /// surface the real parse error, which is strictly more useful than a

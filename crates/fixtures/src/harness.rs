@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use machiavelli::persist::{encode_with_registry, RefRegistry};
 use machiavelli::Session;
-use machiavelli_wal::{RecoveryReport, SessionLog};
+use machiavelli_wal::{is_scratch, RecoveryReport, SessionLog};
 
 /// The harnesses' base seed: `MACHIAVELLI_FAULT_SEED` (default 1989), so
 /// the CI chaos job and a local repro run the same interleavings.
@@ -56,11 +56,12 @@ pub fn tempdir(prefix: &str, tag: &str, n: u64) -> PathBuf {
 /// Canonical durable-visible state: every binding encoded through one
 /// shared registry, in a fixed name order. Two sessions get the same
 /// string iff every binding has the same value *and* the same
-/// cross-binding sharing (aliased refs receive one durable id).
+/// cross-binding sharing (aliased refs receive one durable id). Scratch
+/// names ([`is_scratch`]: `it`) are not durable state and are left out.
 pub fn canonical_state(session: &Session, names: &[String]) -> String {
     let mut reg = RefRegistry::new();
     let mut out = String::new();
-    for name in names {
+    for name in names.iter().filter(|n| !is_scratch(n)) {
         if let Some((ty, value)) = session.persistable_binding(name) {
             let enc = encode_with_registry(&value, &mut reg)
                 .unwrap_or_else(|e| panic!("canonical encode of {name}: {e}"));

@@ -1107,9 +1107,10 @@ fn run_eval(
             // the failing one, whose bindings stand. A commit failure
             // fail-hards (poison + typed error) — a session that
             // silently drifted ahead of its log would turn the next
-            // crash into data loss. Followers never commit: their log
-            // is the primary's byte-for-byte, and a read-only eval's
-            // scratch `it` binding must not fork it.
+            // crash into data loss. A read commits nothing on either
+            // role: `it` is scratch (`machiavelli_wal::is_scratch`), so
+            // the commit has nothing to append. Followers never
+            // commit at all: their log is the primary's byte-for-byte.
             if !follower && (error.is_none() || !outcomes.is_empty()) {
                 if let Some(wal) = slot.wal.as_mut() {
                     if let Err(e) = wal.commit(&slot.session, &outcomes) {

@@ -64,16 +64,12 @@ fn ticking_query() -> String {
 
 /// A query that grinds for a long time (nested loop over a cross
 /// product), with ticks throughout: the workload for deadline /
-/// cancellation / admission tests. Measured on a 2-core host: over
-/// `heavy_setup()` (220 rows) ≈ 40–50 ms in a release build, ≈ 0.2 s in
-/// a debug one; over `big_setup(600)` ≈ 0.4 s release, ≈ 1.8 s debug.
-/// A test that sleeps and then needs it still running uses the latter.
+/// cancellation / admission tests. Measured on a 2-core host over
+/// `big_setup(600)`: ≈ 0.4 s in a release build, ≈ 1.8 s in a debug
+/// one — far past every deadline and sleep these tests use, on a host
+/// several times faster too.
 fn heavy_query() -> &'static str {
     "card(select [A = x.K + y.K] where x <- big, y <- big with x.K + y.K >= 0);"
-}
-
-fn heavy_setup() -> String {
-    big_setup(220)
 }
 
 fn big_setup(rows: usize) -> String {
@@ -160,7 +156,7 @@ fn deadlines_trip_before_and_during_evaluation() {
     // And mid-evaluation: a generous-enough deadline to start, far too
     // short for the heavy query.
     server
-        .submit_with(sid, &heavy_setup(), Arc::new(QueryGuard::unlimited()))
+        .submit_with(sid, &big_setup(600), Arc::new(QueryGuard::unlimited()))
         .expect("admit setup")
         .wait()
         .expect("setup");

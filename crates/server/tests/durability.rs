@@ -11,10 +11,17 @@
 //! plumbing. The torn-tail/mid-checkpoint corners of that transition
 //! are covered byte-for-byte by the crash harness in
 //! `tests/crash_recovery.rs`.
+//!
+//! A read is not a transaction: `it` is scratch on every role, so an
+//! evaluation that changes no other binding and writes no ref appends
+//! nothing to the log and syncs nothing.
 
+use machiavelli::is_read_only_source;
 use machiavelli_server::faults::FaultConfig;
 use machiavelli_server::{serve_connection, Server, ServerConfig, ServerError, ServerRole};
-use std::path::PathBuf;
+use machiavelli_trace::metrics::{self, Counter};
+use machiavelli_wal::Ship;
+use std::path::{Path, PathBuf};
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mach-durable-{tag}-{}", std::process::id()));
@@ -43,6 +50,214 @@ fn drive(server: &Server, script: &str) -> Vec<String> {
         .lines()
         .map(str::to_string)
         .collect()
+}
+
+/// Byte length of a durable session's `wal.log`.
+fn log_len(root: &Path, sid: u64) -> u64 {
+    std::fs::metadata(root.join(format!("session-{sid}")).join("wal.log"))
+        .expect("wal.log")
+        .len()
+}
+
+/// Run the calling test alone in a child process of this test binary,
+/// so a process-wide counter moves only with what the test does.
+/// Returns `true` in the child, which then runs the body; the parent
+/// returns `false` once the child has passed.
+fn alone(name: &str) -> bool {
+    const CHILD: &str = "MACH_DURABILITY_ALONE";
+    if std::env::var_os(CHILD).is_some() {
+        return true;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", name, "--test-threads=1"])
+        .env(CHILD, "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "child run failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
+}
+
+/// Pump a primary session's log into a follower until it is caught up.
+fn pump(primary: &Server, follower: &Server, sid: u64) {
+    follower.adopt_session(sid).expect("adopt");
+    loop {
+        let (cursor, _) = follower.cursor(sid).expect("cursor");
+        match primary.ship(sid, cursor).expect("ship") {
+            Ship::Groups { bytes, .. } if bytes.is_empty() => return,
+            Ship::Groups { gen, bytes, .. } => {
+                follower.replica_apply(sid, gen, bytes).expect("apply");
+            }
+            Ship::Snapshot(transfer) => {
+                follower.replica_install(sid, transfer).expect("install");
+            }
+        }
+    }
+}
+
+fn assert_it_unbound(server: &Server, sid: u64, when: &str) {
+    match server.eval(sid, "it;") {
+        Err(ServerError::Query(msg)) if msg.contains("unbound") => {}
+        other => panic!("{when}: `it` should be unbound, got {other:?}"),
+    }
+}
+
+#[test]
+fn reads_append_nothing_and_writes_still_do() {
+    if !alone("reads_append_nothing_and_writes_still_do") {
+        return;
+    }
+    let root = tempdir("reads");
+    let server = Server::start(durable_config(&root));
+    let sid = server.open_session().expect("open");
+    // The benchmark's relations in miniature: `emp` for `mixed_rw`,
+    // `parts` and `suppliers` for `point_hot`.
+    for setup in [
+        r#"val emp = {[K=0, Dept="d0", Sal=ref(1000)], [K=1, Dept="d1", Sal=ref(2000)],
+                      [K=2, Dept="d2", Sal=ref(3000)]};"#,
+        r#"val parts = {[Pname="part0", P#=0, Pinfo=(BasePart of [Cost=5])],
+                        [Pname="part1", P#=1, Pinfo=(BasePart of [Cost=7])]};"#,
+        r#"val suppliers = {[Sname="s0", S#=0, City="c3"], [Sname="s1", S#=1, City="c4"]};"#,
+        "val r = ref(1);",
+    ] {
+        server.eval(sid, setup).expect(setup);
+    }
+    let state = || (log_len(&root, sid), metrics::get(Counter::WalCommits));
+    for read in [
+        "select !(x.Sal) where y <- {[K = 0], [K = 2]}, x <- emp with x.K = y.K;",
+        "select [Pname = x.Pname, P# = x.P#] where y <- {[P# = 0], [P# = 1]}, \
+         x <- parts with x.P# = y.P#;",
+        "select [Sname = x.Sname, City = x.City] where y <- {[S# = 1]}, \
+         x <- suppliers with x.S# = y.S#;",
+        "!r;",
+        "card(emp);",
+        "it;",
+        "ref(1);",
+    ] {
+        let before = state();
+        server.eval(sid, read).expect(read);
+        assert_eq!(state(), before, "a read appended: {read}");
+    }
+    // Each write shape still appends one commit group.
+    for write in [
+        "r := 2;",
+        "val k = 5;",
+        "select (x.Sal := !(x.Sal) + 1) where x <- emp with x.K = 1;",
+    ] {
+        let (len, commits) = state();
+        server.eval(sid, write).expect(write);
+        let (len2, commits2) = state();
+        assert!(len2 > len && commits2 == commits + 1, "{write}");
+    }
+    // A failed eval with no completed phrase commits nothing, yet its
+    // ref write stands in memory: the next eval, a read, flushes it.
+    let before = state();
+    let err = server.eval(sid, "let val u = r := 9 in 1 div 0 end;");
+    assert!(matches!(err, Err(ServerError::Query(_))), "{err:?}");
+    assert_eq!(state(), before);
+    assert_eq!(server.eval(sid, "!r;").expect("read"), ["val it = 9 : int"]);
+    let (len, commits) = state();
+    assert!(len > before.0 && commits == before.1 + 1);
+    drop(server);
+
+    let server = Server::start(durable_config(&root));
+    let sid = server.open_session().expect("reopen");
+    assert_eq!(
+        server.eval(sid, "(!r, k);").expect("after restart"),
+        ["val it = (9, 5) : int * int"]
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn every_read_only_source_appends_nothing() {
+    // The follower's static rule (`is_read_only_source`) against the
+    // primary's effect rule (a commit appends only what changed): on a
+    // session with no closures, whatever the former accepts, the
+    // latter logs nothing for.
+    let root = tempdir("read-only-sources");
+    let server = Server::start(durable_config(&root));
+    let sid = server.open_session().expect("open");
+    let phrases = [
+        "val r = ref(1);",
+        "val S = {[Name = \"a\", Salary = 200000], [Name = \"b\", Salary = 10]};",
+        "val p = [Name = \"c\", Age = 20];",
+        "1 + 2;",
+        "!r;",
+        "select x.Name where x <- S with x.Salary > 100000;",
+        "let val x = !r in x + 1 end;",
+        "hom(fn (x) => x, +, 0, {1, 2});",
+        "modify(p, Age, 21);",
+        "(fn (x) => !x)(r);",
+        "ref(1);",
+        "it;",
+        "r := 2;",
+        "card(S);",
+        "val q = ref(!r);",
+        "1; r := 3; 4;",
+        "(!q, !r);",
+        "if !r > 2 then r := 0 else ();",
+        "select (x.Name, !r) where x <- S with true;",
+    ];
+    let groups = || server.cursor(sid).expect("cursor").1;
+    let mut reads = 0;
+    for src in phrases {
+        let before = (log_len(&root, sid), groups());
+        server.eval(sid, src).expect(src);
+        if is_read_only_source(src) {
+            reads += 1;
+            assert_eq!((log_len(&root, sid), groups()), before, "{src}");
+        } else {
+            assert_eq!(groups(), before.1 + 1, "{src}");
+        }
+    }
+    assert_eq!(reads, 12, "the corpus exercises both sides");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn it_is_unbound_after_a_kill_a_restore_and_a_promotion() {
+    let root = tempdir("scratch-it");
+    let probe = "(x, !r);";
+    let expected = ["val it = (10, 2) : int * int"];
+    let server = Server::start(durable_config(&root));
+    let sid = server.open_session().expect("open");
+    server
+        .eval(sid, "val r = ref(1); val x = 10;")
+        .expect("binds");
+    server.eval(sid, "r := 2;").expect("write");
+    server.eval(sid, "x + !r;").expect("read");
+    assert_eq!(server.eval(sid, "it;").expect("it"), ["val it = 12 : int"]);
+    server.restore_session(sid).expect("restore");
+    assert_it_unbound(&server, sid, "after RESTORE");
+    assert_eq!(server.eval(sid, probe).expect("probe"), expected);
+    drop(server);
+
+    let server = Server::start(durable_config(&root));
+    let sid = server.open_session().expect("reopen");
+    assert_it_unbound(&server, sid, "after a kill");
+    assert_eq!(server.eval(sid, probe).expect("probe"), expected);
+
+    let froot = tempdir("scratch-it-follower");
+    let follower = Server::start(ServerConfig {
+        role: ServerRole::Follower,
+        ..durable_config(&froot)
+    });
+    pump(&server, &follower, sid);
+    let gen = server.cursor(sid).expect("cursor").0.gen;
+    drop(server);
+    follower.promote(gen).expect("promote");
+    assert_it_unbound(&follower, sid, "on a promoted follower");
+    assert_eq!(follower.eval(sid, probe).expect("probe"), expected);
+    drop(follower);
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&froot);
 }
 
 #[test]

@@ -13,6 +13,11 @@
 //!   records into it; see [`machiavelli_value::epoch`]). Payloads reuse the `persist.rs` grammar threaded through one
 //!   [`RefRegistry`] per generation, so sharing and cycles survive
 //!   across records, and commit cost is flat in session size.
+//! * **Reads are not transactions.** `it`, the binding a bare
+//!   expression leaves behind, is display scratch, not database state
+//!   ([`is_scratch`]): it is never logged, snapshotted, shipped or
+//!   recovered. A read changes nothing else durable, so it appends
+//!   nothing and syncs nothing.
 //! * **Commit groups.** Records are CRC-framed and batched under a
 //!   trailing commit marker; recovery applies only complete groups. A
 //!   torn tail — a partial frame, a failed checksum, records with no
@@ -65,6 +70,15 @@ use log::{
     build_bind, build_delta, frame_record, log_header, parse_bind_at, parse_log_header,
     parse_payload, parse_snap_header, scan_records, snap_header, Payload, COMMIT,
 };
+
+/// Whether a top-level binding is REPL scratch rather than durable
+/// state: `it`, which every bare expression rebinds. Commits,
+/// checkpoints and replication leave it out, so a read commits
+/// nothing; what a later phrase derives from it (`val y = it;`) is
+/// logged by value under its own name.
+pub fn is_scratch(name: &str) -> bool {
+    name == "it"
+}
 
 /// Errors from the durability layer.
 #[derive(Debug)]
@@ -324,12 +338,9 @@ impl SessionLog {
             let mut pos = 0usize;
             while pos < payload.len() {
                 let (name, ty, enc) = parse_bind_at(payload, &mut pos)?;
-                let value = decode_with_registry(&enc, &mut reg)?;
-                session
-                    .bind_external(&name, value, &ty)
-                    .map_err(|e| WalError::Session(e.to_string()))?;
-                names.insert(name);
-                report.snapshot_bindings += 1;
+                if restore_bind(session, &mut reg, &mut names, name, &ty, &enc)? {
+                    report.snapshot_bindings += 1;
+                }
             }
             gen = g;
             report.recovered = true;
@@ -417,11 +428,13 @@ impl SessionLog {
         self.doomed
     }
 
-    /// Make one evaluation durable: bind records for `outcomes`,
-    /// ref-delta records for every write the session's WAL dirty set
-    /// holds (everything since the last commit, failed evaluations'
-    /// partial writes included), one commit marker, one sync. Flat in session size — cost
-    /// scales with what changed, not with what exists.
+    /// Make one evaluation durable: bind records for `outcomes` (the
+    /// scratch `it` aside, see [`is_scratch`]), ref-delta records for
+    /// every write the session's WAL dirty set holds (everything since
+    /// the last commit, failed evaluations' partial writes included),
+    /// one commit marker, one sync. Flat in session size — cost scales
+    /// with what changed, not with what exists. An evaluation that
+    /// changed nothing durable — a read — appends and syncs nothing.
     ///
     /// Escalates to a full [`SessionLog::checkpoint`] when attribution
     /// was lost (dirty-set overflow). On [`WalError::TornWrite`] /
@@ -440,7 +453,7 @@ impl SessionLog {
         if dirty.overflowed {
             // Re-track every outcome name so a brand-new binding isn't
             // dropped by a checkpoint that only walks tracked names.
-            for o in outcomes {
+            for o in outcomes.iter().filter(|o| !is_scratch(o.name.as_str())) {
                 self.names.insert(o.name.to_string());
             }
             self.checkpoint(session)?;
@@ -451,7 +464,7 @@ impl SessionLog {
         }
 
         let mut payloads: Vec<Vec<u8>> = Vec::new();
-        for o in outcomes {
+        for o in outcomes.iter().filter(|o| !is_scratch(o.name.as_str())) {
             let name = o.name.to_string();
             match session.persistable_binding(&name) {
                 Some((ty, value)) => match encode_with_registry(&value, &mut self.reg) {
@@ -822,6 +835,30 @@ fn create_log(path: &Path, gen: u64) -> Result<u64, WalError> {
     Ok(header.len() as u64)
 }
 
+/// Decode one bind record through `reg` and bind it into `session`,
+/// tracking its name — unless the name is scratch: logs written before
+/// `it` left them hold `B it` records, which are decoded (a later
+/// record may share their cells by durable id) and dropped. Returns
+/// whether it was bound.
+fn restore_bind(
+    session: &mut Session,
+    reg: &mut RefRegistry,
+    names: &mut BTreeSet<String>,
+    name: String,
+    ty: &str,
+    enc: &str,
+) -> Result<bool, WalError> {
+    let value = decode_with_registry(enc, reg)?;
+    if is_scratch(&name) {
+        return Ok(false);
+    }
+    session
+        .bind_external(&name, value, ty)
+        .map_err(|e| WalError::Session(e.to_string()))?;
+    names.insert(name);
+    Ok(true)
+}
+
 fn apply_payload(
     payload: &[u8],
     session: &mut Session,
@@ -830,11 +867,7 @@ fn apply_payload(
 ) -> Result<(), WalError> {
     match parse_payload(payload)? {
         Payload::Bind { name, ty, enc } => {
-            let value = decode_with_registry(&enc, reg)?;
-            session
-                .bind_external(&name, value, &ty)
-                .map_err(|e| WalError::Session(e.to_string()))?;
-            names.insert(name);
+            restore_bind(session, reg, names, name, &ty, &enc)?;
         }
         Payload::Delta { durable_id, enc } => {
             let Some(cell) = reg.cell(durable_id).cloned() else {
@@ -1270,6 +1303,68 @@ mod tests {
         let (ds, _) = Durable::open(&dir);
         assert_eq!(ds.log.cursor(), cur, "cursor is recovery-stable");
         assert_eq!(ds.log.groups(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_read_appends_nothing_and_it_is_never_logged() {
+        let dir = tempdir("read");
+        let log_len = || std::fs::metadata(dir.join("wal.log")).unwrap().len();
+        {
+            let (mut ds, _) = Durable::open(&dir);
+            ds.eval("val r = ref(1); val x = 2;").unwrap();
+            let before = (log_len(), ds.log.groups());
+            for read in ["x + 1;", "!r;", "it;", "ref(5);", "(!r, x);"] {
+                let receipt = ds.eval(read).unwrap();
+                assert_eq!(receipt, CommitReceipt::default(), "{read}");
+            }
+            assert_eq!((log_len(), ds.log.groups()), before);
+            // A write logs what it changed and nothing for `it`: one
+            // delta and the marker; `val it = …` is scratch too.
+            assert_eq!(ds.eval("r := 3;").unwrap().records, 2);
+            assert_eq!(ds.eval("val it = 9;").unwrap().records, 0);
+            // What a write derives from `it` is logged by value.
+            ds.eval("x + 40;").unwrap();
+            assert_eq!(ds.eval("val y = it;").unwrap().records, 2);
+        }
+        let (mut ds, _) = Durable::open(&dir);
+        assert!(ds.session.run("it;").is_err(), "`it` is not recovered");
+        assert_eq!(ds.show("(!r, y);"), "val it = (3, 42) : int * int");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_with_it_records_recovers_and_its_checkpoint_drops_it() {
+        // Write the log older sessions wrote: every read logged `B it`.
+        // `val r = it;` then shares `it`'s cell by durable id, so
+        // recovery must still decode the `it` record through the
+        // registry, only not bind it.
+        let dir = tempdir("old-it");
+        let mut writer = Session::bare();
+        let mut reg = RefRegistry::new();
+        let mut bytes = log_header(0).into_bytes();
+        for src in ["ref(7);", "val r = it;", "!r + 1;"] {
+            for o in writer.run(src).unwrap() {
+                let name = o.name.to_string();
+                let (ty, value) = writer.persistable_binding(&name).unwrap();
+                let enc = encode_with_registry(&value, &mut reg).unwrap();
+                frame_record(&build_bind(&name, &ty, &enc), &mut bytes).unwrap();
+            }
+            frame_record(COMMIT, &mut bytes).unwrap();
+        }
+        std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+        {
+            let (mut ds, report) = Durable::open(&dir);
+            assert_eq!((report.commits_replayed, report.records_replayed), (3, 3));
+            assert!(ds.session.run("it;").is_err(), "`it` is not recovered");
+            assert_eq!(ds.show("!r;"), "val it = 7 : int");
+            ds.eval("r := 8;").unwrap();
+            ds.checkpoint().unwrap();
+        }
+        let (mut ds, report) = Durable::open(&dir);
+        assert_eq!(report.snapshot_bindings, 1, "the checkpoint kept `r` only");
+        assert!(ds.session.run("it;").is_err());
+        assert_eq!(ds.show("!r;"), "val it = 8 : int");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
